@@ -210,18 +210,21 @@ def _spans(cells, same_alg: bool = False):
 class SuperLaunch:
     """A set of pack-compatible launches executed as one fused batch.
 
-    Created by the service scheduler, executed on a worker lane thread
-    via :meth:`run`.  Exposes the segments so the worker group can split
-    a failed or wedged pack back into individual launches.
+    Created by the service scheduler (executed on a worker lane thread)
+    and by the round scheduler (one per packed round chunk), executed via
+    :meth:`run`.  Exposes the segments so a failed or wedged pack can be
+    split back into individual launches, and :attr:`culprit` — the
+    segment whose injected backend fault failed the pack, when known.
     """
 
-    __slots__ = ("segments", "total_rows")
+    __slots__ = ("segments", "total_rows", "culprit")
 
     def __init__(self, segments: list[PackSegment]) -> None:
         if not segments:
             raise ValueError("a super-launch needs at least one segment")
         self.segments = list(segments)
         self.total_rows = sum(len(seg.batch) for seg in self.segments)
+        self.culprit: PackSegment | None = None
 
     def gpus(self):
         """The distinct devices this pack runs (hang-poisoning checks)."""
@@ -244,8 +247,10 @@ class SuperLaunch:
         n = model.n
 
         # chaos parity: a solo launch fires backend_raise once per launch
+        self.culprit = None
         for seg in segments:
             if chaos.fire("backend_raise"):
+                self.culprit = seg
                 raise ChaosError(
                     f"chaos: injected backend failure ({seg.gpu.backend.name})"
                 )

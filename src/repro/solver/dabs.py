@@ -18,7 +18,9 @@ Execution engines (``DABSConfig.engine``, DESIGN.md §7):
 * ``"round"`` (default) — the double-buffered round-synchronous loop:
   all devices submit round *r*, round *r+1*'s packets are generated while
   the launches fly, then all results are collected at the barrier.
-  ``parallel="thread"`` runs the launches on a persistent thread pool.
+  Pack-compatible devices run each round as one fused super-launch
+  (``DABSConfig.coalesce``); ``parallel="thread"`` runs the launches on
+  a persistent thread pool.
 * ``"async"`` — the paper's actual architecture: a free-running
   :class:`~repro.engine.async_engine.AsyncEngine` with no global round.
   Each device keeps ``inflight_per_device`` launches in flight;
@@ -136,16 +138,19 @@ class DABSConfig:
     #: BackendFallbackWarning) when the chosen one fails at prepare or
     #: mid-launch, instead of crashing the solve
     backend_fallback: bool = True
-    #: service scheduling only (DESIGN.md §12): allow this job's launches
-    #: to be coalesced with pack-compatible co-tenant launches into one
-    #: fused super-launch per lane slot.  None defers to the
-    #: REPRO_COALESCE env var ("0"/"false"/"off" disables), then on.
-    #: Packing is bit-exact per job, so there is no accuracy knob here —
-    #: only an opt-out for isolating benchmarks.
+    #: fuse launches into super-launches (DESIGN.md §12): the "round"
+    #: engine runs each round's pack-compatible devices as one fused
+    #: super-launch (DESIGN.md §3), and the service coalesces this job's
+    #: launches with pack-compatible co-tenant launches, one super-launch
+    #: per lane slot.  None defers to the REPRO_COALESCE env var
+    #: ("0"/"false"/"off" disables), then on.  Packing is bit-exact per
+    #: device, so there is no accuracy knob here — only an opt-out for
+    #: isolating benchmarks and covering the solo launch path.
     coalesce: bool | None = None
     #: row budget of one super-launch (ΣB over its segments); a launch
     #: joins a pack only while the packed row total stays within both its
-    #: own and the pack head's budget
+    #: own and the pack head's budget.  A round with more rows packs
+    #: consecutive devices greedily, at least one device per pack.
     coalesce_max_rows: int = 256
 
     def coalesce_enabled(self) -> bool:
@@ -550,6 +555,10 @@ class DABSSolver:
         # worker group per solve and close it even when solve() raises.
         self._executor: ThreadPoolExecutor | None = None
         self._executor_finalizer = None
+        # merged (ΣB, n) buffers of packed rounds, keyed like the service
+        # lanes' (engine.coalesce.PackScratch); filled on the first packed
+        # round and dropped by close()
+        self._pack_scratch: dict = {}
 
     # -- executor lifecycle ----------------------------------------------------
     def _ensure_executor(self) -> ThreadPoolExecutor | None:
@@ -567,11 +576,13 @@ class DABSSolver:
         return self._executor
 
     def close(self) -> None:
-        """Shut the worker pool down, waiting for idle workers to exit.
+        """Shut the worker pool down, waiting for idle workers to exit,
+        and drop the packed-round buffers.
 
         Idempotent; the solver can still solve() afterwards (a fresh pool
-        is created on demand).
+        and fresh buffers are created on demand).
         """
+        self._pack_scratch.clear()
         if self._executor_finalizer is not None:
             self._executor_finalizer.detach()
             self._executor_finalizer = None
@@ -743,7 +754,12 @@ class DABSSolver:
         events_at_start = sum(g.truncation_events for g in self.gpus)
         fallback_snap = self._fallback_snapshot()
         stall = StallTracker(cfg.restart_after_stall)
-        scheduler = RoundScheduler(self.gpus, executor=self._ensure_executor())
+        scheduler = RoundScheduler(
+            self.gpus,
+            executor=self._ensure_executor(),
+            pack_rows=cfg.coalesce_max_rows if cfg.coalesce_enabled() else None,
+            scratch=self._pack_scratch,
+        )
 
         def wants_more(completed_rounds: int) -> bool:
             return not (

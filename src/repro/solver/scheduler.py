@@ -20,12 +20,32 @@ Both execution modes run the identical logical schedule —
     submit round r  →  generate round r+1  →  collect round r  →  insert
 
 — so packet generation always reads the pools as of round ``r−1``,
-regardless of mode.  In ``"thread"`` mode the generate step genuinely
-overlaps the in-flight launches (NumPy releases the GIL inside the batch
-kernels); in ``"sequential"`` mode the same steps simply run one after the
-other.  Launches never touch the host-side pools or the host RNG, which is
-what makes the two modes bit-exactly reproducible against each other — a
-property the solver tests assert.
+regardless of mode.  In ``"thread"`` mode the round runs on a worker
+thread, so the generate step is *scheduled* alongside it; the phase
+loops are short NumPy calls that mostly hold the GIL, so thread mode
+is measured slower than ``"sequential"`` on real kernels and pays off
+only when launches block outside the interpreter.  In ``"sequential"``
+mode the same steps simply run one after the other.  Launches never
+touch the host-side pools or the host RNG, which is what makes the two
+modes bit-exactly reproducible against each other — a property the
+solver tests assert.
+
+**Packed rounds.**  The paper's speed comes from bulk execution — every
+block of a GPU in one kernel launch.  Launching each device on its own
+would run every phase loop once per (device × algorithm group), on a
+few rows each.  So, when coalescing is on (``DABSConfig.coalesce``),
+consecutive devices that share a pack key
+(:func:`~repro.engine.coalesce.pack_key`) run as **one**
+:class:`~repro.engine.coalesce.SuperLaunch` over the stacked ``(ΣB, n)``
+batch: straight once over all rows, greedy once over all active rows,
+each main phase once per algorithm across the devices.  A pack holds at
+most ``coalesce_max_rows`` rows and at least one device.  Packing is
+bit-exact per device (solutions, RNG lanes, CyclicMin cursors,
+counters), so the results — returned in device order — are those of
+solo launches.  A device without a pack key (stepwise, JIT/CUDA, float
+models, proxy devices) launches solo through ``gpu.launch``.  In thread
+mode all of a round's packs run in one future (they share the merged
+scratch buffers); solo devices keep one future each.
 
 Everything that crosses this seam is columnar: a submitted round is a list
 of :class:`~repro.core.packet.PacketBatch` buffers (one per GPU) and a
@@ -39,12 +59,17 @@ from __future__ import annotations
 from concurrent.futures import Executor, Future
 
 from repro.core.packet import PacketBatch
+from repro.engine.coalesce import PackSegment, SuperLaunch, pack_key
 
 __all__ = ["RoundHandle", "RoundScheduler"]
 
 
 class RoundHandle:
-    """One in-flight round: a future (or ready result) per virtual GPU."""
+    """One in-flight round: futures (or ready results) for its devices.
+
+    Each future resolves to a ``{device index: result}`` map for the
+    devices it ran (one solo device, or every packed device).
+    """
 
     __slots__ = ("_futures", "_results")
 
@@ -55,7 +80,10 @@ class RoundHandle:
     def wait(self) -> list[tuple[PacketBatch, object]]:
         """Block until every GPU finished; results in GPU (submission) order."""
         if self._results is None:
-            self._results = [f.result() for f in self._futures]
+            done = {}
+            for future in self._futures:
+                done.update(future.result())
+            self._results = [done[i] for i in range(len(done))]
         return self._results
 
 
@@ -69,16 +97,31 @@ class RoundScheduler:
     executor:
         A thread pool with one worker per GPU (the OpenMP analogue), or
         ``None`` for sequential in-line execution.
+    pack_rows:
+        Row budget of one packed launch (``coalesce_max_rows``), or
+        ``None`` to launch every device solo.
+    scratch:
+        The merged-buffer map packed launches run on (see
+        :class:`~repro.engine.coalesce.PackScratch`); owned by the caller
+        so it outlives one solve.
     """
 
-    __slots__ = ("gpus", "executor")
+    __slots__ = ("gpus", "executor", "pack_rows", "scratch")
 
-    def __init__(self, gpus, executor: Executor | None = None) -> None:
+    def __init__(
+        self,
+        gpus,
+        executor: Executor | None = None,
+        pack_rows: int | None = None,
+        scratch: dict | None = None,
+    ) -> None:
         self.gpus = list(gpus)
         self.executor = executor
+        self.pack_rows = pack_rows
+        self.scratch = {} if scratch is None else scratch
 
     def submit(self, batches: list[PacketBatch]) -> RoundHandle:
-        """Start one launch per GPU; returns a handle to collect results.
+        """Start the round's launches; returns a handle to collect results.
 
         With an executor the launches run asynchronously and the caller can
         overlap host work (next-round packet generation) before calling
@@ -88,14 +131,78 @@ class RoundScheduler:
             raise ValueError(
                 f"expected {len(self.gpus)} batches, got {len(batches)}"
             )
-        if self.executor is not None:
-            futures = [
-                self.executor.submit(gpu.launch, batch)
-                for gpu, batch in zip(self.gpus, batches)
-            ]
-            return RoundHandle(futures=futures)
-        return RoundHandle(
-            results=[
-                gpu.launch(batch) for gpu, batch in zip(self.gpus, batches)
-            ]
+        chunks = self._chunks(range(len(self.gpus)))
+        if self.executor is None:
+            done = self._run_chunks(chunks, batches)
+            return RoundHandle(results=[done[i] for i in range(len(batches))])
+        packs = [chunk for chunk in chunks if chunk[1]]
+        futures = [
+            self.executor.submit(self._run_chunks, [chunk], batches)
+            for chunk in chunks
+            if not chunk[1]
+        ]
+        if packs:
+            futures.append(self.executor.submit(self._run_chunks, packs, batches))
+        return RoundHandle(futures=futures)
+
+    def _chunks(self, indices) -> list[tuple[list[int], bool]]:
+        """Split devices into ``(indices, packed)`` chunks, in order.
+
+        Consecutive devices with one pack key share a chunk while its
+        rows fit ``pack_rows``; a device without a key is a solo chunk.
+        """
+        chunks: list[tuple[list[int], bool]] = []
+        last_key = None
+        rows = 0
+        for i in indices:
+            gpu = self.gpus[i]
+            key = None if self.pack_rows is None else pack_key(gpu)
+            if key is None:
+                chunks.append(([i], False))
+            elif key == last_key and rows + gpu.num_blocks <= self.pack_rows:
+                chunks[-1][0].append(i)
+                rows += gpu.num_blocks
+                continue
+            else:
+                chunks.append(([i], True))
+                rows = gpu.num_blocks
+            last_key = key
+        return chunks
+
+    def _run_chunks(self, chunks, batches, degraded=frozenset()) -> dict:
+        """Run *chunks* one after the other; ``{device index: result}``."""
+        done = {}
+        for indices, packed in chunks:
+            if packed:
+                done.update(self._run_pack(indices, batches, degraded))
+            else:
+                i = indices[0]
+                done[i] = self.gpus[i].launch(batches[i])
+        return done
+
+    def _run_pack(self, indices, batches, degraded) -> dict:
+        """One super-launch over *indices*, re-issued the way solo
+        launches fail over when it raises (DESIGN.md §11).
+
+        A failed pack has committed nothing.  When the pack knows the
+        failing device, only that device degrades (as its own ``launch``
+        would) and the round is re-planned — the degraded device's new
+        kernel no longer matches its mates.  Like a solo launch, a device
+        gets one fallback per round.  Otherwise every device re-runs
+        solo and handles its own failure itself.
+        """
+        pack = SuperLaunch(
+            [PackSegment(i, 0, self.gpus[i], batches[i], None) for i in indices]
         )
+        try:
+            results = pack.run(self.scratch)
+        except Exception as exc:
+            culprit = pack.culprit
+            if culprit is None:
+                return {i: self.gpus[i].launch(batches[i]) for i in indices}
+            if culprit.device_id in degraded or not culprit.gpu._degrade(exc):
+                raise
+            return self._run_chunks(
+                self._chunks(indices), batches, degraded | {culprit.device_id}
+            )
+        return {res.segment.device_id: (res.result, res.flips) for res in results}

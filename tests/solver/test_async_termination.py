@@ -100,21 +100,26 @@ class TestSolveStats:
     def test_greedy_truncation_counters_aggregate(self, engine):
         """Per-device truncation counters and warning events surface in
         SolveResult on every engine (the process engine ships the deltas
-        through the completion messages)."""
+        through the completion messages).
+
+        The injection wraps both seams a launch-equivalent passes through
+        exactly once: ``launch`` (solo launches) and ``commit_packed``
+        (a device's segment of a packed round)."""
         model = random_qubo(12, seed=37)
         cfg = DABSConfig(**BASE, engine=engine)
         solver = DABSSolver(model, cfg, seed=0)
         for gpu in solver.gpus:
-            original = gpu.launch
+            for seam in ("launch", "commit_packed"):
+                original = getattr(gpu, seam)
 
-            def launch(batch, _gpu=gpu, _original=original):
-                # emulate a float-model greedy cap hit: 2 truncated rows
-                # and one warning event per launch
-                _gpu.greedy_truncations += 2
-                _gpu.truncation_events += 1
-                return _original(batch)
+                def truncating(*args, _gpu=gpu, _original=original):
+                    # emulate a float-model greedy cap hit: 2 truncated
+                    # rows and one warning event per launch
+                    _gpu.greedy_truncations += 2
+                    _gpu.truncation_events += 1
+                    return _original(*args)
 
-            gpu.launch = launch
+                setattr(gpu, seam, truncating)
         result = solver.solve(max_rounds=3)
         assert result.launches == 3 * BASE["num_gpus"]
         assert result.greedy_truncations == 2 * result.launches

@@ -1,0 +1,258 @@
+"""Packed rounds: the round engine runs each round as fused super-launches.
+
+With coalescing on, :class:`~repro.solver.scheduler.RoundScheduler` runs
+pack-compatible devices as one :class:`~repro.engine.coalesce.SuperLaunch`
+per round (DESIGN.md §3, §12).  The contract under test: a packed solve
+is **bit-exact** against the same solve with ``coalesce=False`` — the
+result, the pools it leaves, and every device's persistent state — and
+devices that cannot pack keep launching solo.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from repro.backends import BackendFallbackWarning
+from repro.core.packet import MainAlgorithm
+from repro.engine.coalesce import SuperLaunch
+from repro.gpu.virtual_gpu import VirtualGPU
+from repro.resilience import ChaosConfig, chaos
+from repro.resilience.chaos import ChaosError
+from repro.search.batch import BatchSearchConfig
+from repro.solver.abs_solver import ABSSolver
+from repro.solver.dabs import DABSConfig, DABSSolver
+from tests.conftest import random_qubo
+
+# pinned to the round engine: a REPRO_ENGINE=async leg must not redirect
+CFG = DABSConfig(
+    num_gpus=3,
+    blocks_per_gpu=4,
+    pool_capacity=10,
+    batch=BatchSearchConfig(batch_flip_factor=2.0),
+    engine="round",
+)
+ROUNDS = 4
+
+
+@pytest.fixture(autouse=True)
+def clean_chaos():
+    chaos.reset()
+    chaos.install(None)
+    yield
+    chaos.reset()
+    chaos.install(None)
+
+
+@pytest.fixture
+def packs(monkeypatch):
+    """Segment count of every super-launch run, in order."""
+    seen: list[int] = []
+    original = SuperLaunch.run
+
+    def run(self, scratch_map):
+        seen.append(len(self.segments))
+        return original(self, scratch_map)
+
+    monkeypatch.setattr(SuperLaunch, "run", run)
+    return seen
+
+
+@pytest.fixture
+def solo_launches(monkeypatch):
+    """Device name of every solo ``VirtualGPU.launch``, in order."""
+    seen: list[str] = []
+    original = VirtualGPU.launch
+
+    def launch(self, batch):
+        seen.append(self.spec.name)
+        return original(self, batch)
+
+    monkeypatch.setattr(VirtualGPU, "launch", launch)
+    return seen
+
+
+def solve(model, cfg, coalesce, seed, solver_cls=DABSSolver, prepare=None):
+    solver = solver_cls(model, replace(cfg, coalesce=coalesce), seed=seed)
+    if prepare is not None:
+        prepare(solver)
+    with solver:
+        result = solver.solve(max_rounds=ROUNDS)
+    return solver, result
+
+
+def assert_bit_exact(solo, solo_result, packed, packed_result):
+    a, b = solo_result, packed_result
+    assert a.best_energy == b.best_energy
+    assert np.array_equal(a.best_vector, b.best_vector)
+    assert a.total_flips == b.total_flips
+    assert a.launches == b.launches and a.rounds == b.rounds
+    assert a.restarts == b.restarts
+    assert a.greedy_truncations == b.greedy_truncations
+    assert [(e.round, e.energy, e.algorithm, e.operation) for e in a.history] == [
+        (e.round, e.energy, e.algorithm, e.operation) for e in b.history
+    ]
+    assert a.counters.algorithms == b.counters.algorithms
+    assert a.counters.operations == b.counters.operations
+    for pa, pb in zip(solo.pools, packed.pools):
+        assert np.array_equal(pa.vectors, pb.vectors)
+        assert np.array_equal(pa.energies, pb.energies)
+        assert np.array_equal(pa.algorithms, pb.algorithms)
+        assert np.array_equal(pa.operations, pb.operations)
+    for ga, gb in zip(solo.gpus, packed.gpus):
+        assert np.array_equal(ga.block_x, gb.block_x)
+        assert np.array_equal(ga.rng_state, gb.rng_state)
+        assert ga.total_flips == gb.total_flips
+        assert ga.launch_count == gb.launch_count
+        cyclic = MainAlgorithm.CYCLICMIN
+        if cyclic in ga.algorithms:
+            ca = ga.algorithms[cyclic]._cursor
+            cb = gb.algorithms[cyclic]._cursor
+            assert (ca is None) == (cb is None)
+            if ca is not None:
+                assert np.array_equal(ca, cb)
+
+
+class TestPackedRoundParity:
+    @pytest.mark.parametrize("parallel", ["sequential", "thread"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_full_algorithm_set(self, seed, parallel, packs, solo_launches):
+        model = random_qubo(20, seed=40 + seed)
+        cfg = replace(CFG, parallel=parallel)
+        solo = solve(model, cfg, False, seed)
+        assert packs == []
+        del solo_launches[:]
+        packed = solve(model, cfg, True, seed)
+        assert_bit_exact(*solo, *packed)
+        # one super-launch of every device per round, no solo launch
+        assert packs == [CFG.num_gpus] * ROUNDS
+        assert solo_launches == []
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_single_algorithm_abs_set(self, seed, packs):
+        model = random_qubo(24, seed=50 + seed)
+        solo = solve(model, CFG, False, seed, solver_cls=ABSSolver)
+        packed = solve(model, CFG, True, seed, solver_cls=ABSSolver)
+        assert_bit_exact(*solo, *packed)
+        assert packs == [CFG.num_gpus] * ROUNDS
+
+    def test_restart_after_stall(self, packs):
+        model = random_qubo(10, seed=28)
+        cfg = replace(CFG, restart_after_stall=1)
+        solo = solve(model, cfg, False, 0)
+        packed = solve(model, cfg, True, 0)
+        assert packed[1].restarts >= 1
+        assert_bit_exact(*solo, *packed)
+
+    @pytest.mark.parametrize("parallel", ["sequential", "thread"])
+    @pytest.mark.parametrize(
+        "max_rows, per_round",
+        # 3 devices × 4 rows: an 8-row budget packs 2 + 1 devices; a
+        # budget below one device still packs each device on its own
+        [(8, [2, 1]), (1, [1, 1, 1])],
+    )
+    def test_row_budget_splits_the_round(self, max_rows, per_round, parallel, packs):
+        model = random_qubo(18, seed=61)
+        cfg = replace(CFG, coalesce_max_rows=max_rows, parallel=parallel)
+        solo = solve(model, cfg, False, 7)
+        packed = solve(model, cfg, True, 7)
+        assert_bit_exact(*solo, *packed)
+        assert packs == per_round * ROUNDS
+
+    def test_stepwise_devices_never_pack(self, packs, solo_launches):
+        model = random_qubo(16, seed=63)
+
+        def stepwise(solver):
+            for gpu in solver.gpus:
+                gpu.fused = False
+
+        _, result = solve(model, CFG, True, 0, prepare=stepwise)
+        assert packs == []
+        assert len(solo_launches) == CFG.num_gpus * ROUNDS
+        assert model.energy(result.best_vector) == result.best_energy
+
+    def test_mixed_round_packs_only_compatible_neighbours(
+        self, packs, solo_launches
+    ):
+        model = random_qubo(16, seed=64)
+
+        def middle_stepwise(solver):
+            solver.gpus[1].fused = False
+
+        solo = solve(model, CFG, False, 2, prepare=middle_stepwise)
+        del solo_launches[:]
+        packed = solve(model, CFG, True, 2, prepare=middle_stepwise)
+        assert_bit_exact(*solo, *packed)
+        assert packs == [1, 1] * ROUNDS
+        assert solo_launches == ["vgpu1"] * ROUNDS
+
+    def test_close_drops_the_pack_buffers(self):
+        model = random_qubo(12, seed=65)
+        solver = DABSSolver(model, replace(CFG, coalesce=True), seed=0)
+        assert solver._pack_scratch == {}
+        solver.solve(max_rounds=1)
+        assert solver._pack_scratch
+        solver.close()
+        assert solver._pack_scratch == {}
+
+
+class TestPackedRoundFailures:
+    def test_unknown_culprit_reruns_every_device_solo(
+        self, monkeypatch, solo_launches
+    ):
+        """A pack that fails mid-batch committed nothing: the devices
+        re-run solo and the solve stays bit-exact."""
+        model = random_qubo(16, seed=66)
+        solo = solve(model, CFG, False, 4)
+        original = SuperLaunch.run
+        failures = [1]
+
+        def flaky(self, scratch_map):
+            if failures[0]:
+                failures[0] -= 1
+                raise RuntimeError("transient pack fault")
+            return original(self, scratch_map)
+
+        monkeypatch.setattr(SuperLaunch, "run", flaky)
+        del solo_launches[:]
+        packed = solve(model, CFG, True, 4)
+        assert_bit_exact(*solo, *packed)
+        assert solo_launches == ["vgpu0", "vgpu1", "vgpu2"]
+        assert not packed[1].degraded
+
+    def test_only_the_failing_device_degrades(self):
+        """An injected backend fault degrades exactly the device a solo
+        round degrades, with the same warning and reason."""
+        model = random_qubo(24, seed=5)
+        outcomes = []
+        for coalesce in (False, True):
+            chaos.reset()
+            chaos.install(ChaosConfig(rates={"backend_raise": 1.0}, max_faults=1))
+            with pytest.warns(BackendFallbackWarning) as caught:
+                solver, result = solve(model, CFG, coalesce, 0)
+            assert model.energy(result.best_vector) == result.best_energy
+            warned = [
+                w for w in caught if issubclass(w.category, BackendFallbackWarning)
+            ]
+            outcomes.append(
+                (
+                    result.degraded_reasons,
+                    [gpu.backend.name for gpu in solver.gpus],
+                    [gpu.backend_fallbacks for gpu in solver.gpus],
+                    len(warned),
+                )
+            )
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[1][2] == [1, 0, 0] and outcomes[1][3] == 1
+
+    @pytest.mark.parametrize("coalesce", [False, True])
+    def test_a_device_falls_back_once_per_round(self, coalesce):
+        """A second fault on the replacement backend propagates, packed
+        or solo: the fallback chain is one link per launch."""
+        model = random_qubo(24, seed=5)
+        chaos.install(ChaosConfig(rates={"backend_raise": 1.0}, max_faults=2))
+        with pytest.warns(BackendFallbackWarning):
+            with pytest.raises(ChaosError):
+                solve(model, CFG, coalesce, 0)
