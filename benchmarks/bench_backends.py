@@ -21,7 +21,10 @@ the paper's §VI.A scale):
   against the seed path (fresh state per launch, per-flip tracker folds);
 * a **full batch-search launch** (straight + greedy + MaxMin phases) on
   the stepwise reference path vs the fused phase runners (DESIGN.md §6),
-  per backend, with speedups against the committed PR-2 seed baseline.
+  per backend, with speedups against the committed PR-2 seed baseline;
+* a **TwoNeighbor full launch** (straight + greedy + one 2n − 1-flip
+  traversal + greedy) on the stepwise path vs the fused path, whose
+  traversal runs as one closed-form kernel on integer models.
 
 Fused and stepwise launches are asserted bit-identical before timing.
 """
@@ -49,6 +52,7 @@ from repro.search.batch import BatchSearchConfig, BestTracker, run_batch_search
 from repro.search.greedy import greedy_descent, greedy_select
 from repro.search.maxmin import MaxMinSearch
 from repro.search.tabu import TabuTracker
+from repro.search.twoneighbor import TwoNeighborSearch
 
 N = 2000
 BLOCKS = 16
@@ -107,8 +111,11 @@ def cached_greedy_polish(state, start: np.ndarray):
 class LaunchBench:
     """One reusable launch setup (cached device buffers, fixed draws)."""
 
-    def __init__(self, model, backend: str, batch: int = BLOCKS) -> None:
+    def __init__(
+        self, model, backend: str, batch: int = BLOCKS, algorithm=MaxMinSearch
+    ) -> None:
         self.model = model
+        self.algorithm = algorithm
         self.batch = batch
         self.config = BatchSearchConfig(batch_flip_factor=1.0)
         self.start = start_vectors(model, batch)
@@ -125,7 +132,7 @@ class LaunchBench:
         return run_batch_search(
             self.state,
             self.targets,
-            MaxMinSearch(),
+            self.algorithm(),
             lanes,
             self.config,
             tabu=self.tabu,
@@ -228,12 +235,30 @@ def test_fused_launch_vs_stepwise(benchmark, backend):
     assert stepwise_t / fused_t >= 1.3
 
 
+def test_twoneighbor_launch_vs_stepwise(benchmark):
+    """TwoNeighbor full launch: the closed-form traversal is bit-identical
+    to the stepwise path and ≥1.5× faster end to end."""
+    bench = LaunchBench(
+        gset_sparse_model(), "numpy-sparse", algorithm=TwoNeighborSearch
+    )
+    total = bench.assert_paths_bit_identical()
+    stepwise_t = _best_time(lambda: bench.launch(False), rounds=3)
+    benchmark(lambda: bench.launch(True))
+    fused_t = benchmark.stats["min"]
+    benchmark.extra_info["stepwise_flips_per_second"] = total / stepwise_t
+    benchmark.extra_info["fused_flips_per_second"] = total / fused_t
+    benchmark.extra_info["speedup_vs_stepwise"] = stepwise_t / fused_t
+    assert stepwise_t / fused_t >= 1.5
+
+
 # ---------------------------------------------------------------------------
 # standalone report / CI smoke
 # ---------------------------------------------------------------------------
 
-def run_report() -> str:
+def run_report() -> tuple[str, dict]:
+    """The markdown report and its headline numbers (for the sidecar)."""
     model = gset_sparse_model()
+    metrics = {}
     start = start_vectors(model)
     lines = [
         "# Backend benchmarks (G22-family MaxCut, n=2000, ~20k edges, "
@@ -300,6 +325,7 @@ def run_report() -> str:
         stepwise_t = _best_time(lambda: bench.launch(False), rounds=3)
         fused_t = _best_time(lambda: bench.launch(True), rounds=3)
         tag = "numpy" if backend == "numpy-sparse" else backend
+        metrics[f"maxmin_fused_speedup_{tag}"] = stepwise_t / fused_t
         lines += [
             f"| stepwise ({tag}) | {stepwise_t * 1e3:.0f} ms "
             f"| {total / stepwise_t:,.0f} "
@@ -313,7 +339,30 @@ def run_report() -> str:
             "| fused (numba) | (not installed — skipped; run in the CI "
             "bench-smoke job) | | |"
         )
-    return "\n".join(lines)
+
+    bench = LaunchBench(model, "numpy-sparse", algorithm=TwoNeighborSearch)
+    total = bench.assert_paths_bit_identical()
+    stepwise_t = _best_time(lambda: bench.launch(False), rounds=3)
+    fused_t = _best_time(lambda: bench.launch(True), rounds=3)
+    metrics["twoneighbor_stepwise_s"] = stepwise_t
+    metrics["twoneighbor_fused_s"] = fused_t
+    metrics["twoneighbor_fused_speedup"] = stepwise_t / fused_t
+    lines += [
+        "",
+        "## TwoNeighbor full launch (straight + greedy + traversal + greedy)",
+        "",
+        "The fused path runs the 2n − 1-flip traversal as one closed-form",
+        "kernel (DESIGN.md §6); the other phases are the fused runners",
+        "above.  Outputs are bit-identical (asserted before timing).",
+        "",
+        "| path | time/launch | flips/s | speedup |",
+        "|---|---|---|---|",
+        f"| stepwise (numpy) | {stepwise_t * 1e3:.0f} ms "
+        f"| {total / stepwise_t:,.0f} | 1.00× |",
+        f"| fused (numpy) | {fused_t * 1e3:.0f} ms "
+        f"| {total / fused_t:,.0f} | {stepwise_t / fused_t:.2f}× |",
+    ]
+    return "\n".join(lines), metrics
 
 
 def run_smoke() -> None:
@@ -350,6 +399,18 @@ def run_smoke() -> None:
         )
     else:
         report.append("numba: not installed — skipped")
+    tn = LaunchBench(model, "numpy-sparse", batch=8, algorithm=TwoNeighborSearch)
+    tn_total = tn.assert_paths_bit_identical()
+    tn_stepwise_t = _best_time(lambda: tn.launch(False), rounds=5)
+    tn_fused_t = _best_time(lambda: tn.launch(True), rounds=5)
+    tn_ratio = tn_stepwise_t / tn_fused_t
+    report.append(
+        f"twoneighbor: stepwise {tn_total / tn_stepwise_t:,.0f} flips/s, "
+        f"fused {tn_total / tn_fused_t:,.0f} flips/s ({tn_ratio:.2f}x)"
+    )
+    assert tn_ratio >= 1.5, (
+        f"fused TwoNeighbor launch only {tn_ratio:.2f}x vs stepwise"
+    )
     print("\n".join(report))
     print("bench smoke OK")
 
@@ -358,7 +419,14 @@ if __name__ == "__main__":
     if "--smoke" in sys.argv:
         run_smoke()
     else:
-        report = run_report()
-        path = save_report(report, "bench_backends")
+        report, metrics = run_report()
+        path = save_report(
+            report,
+            "bench_backends",
+            metric="twoneighbor_fused_speedup",
+            value=metrics["twoneighbor_fused_speedup"],
+            baseline=1.0,
+            metrics=metrics,
+        )
         print(report)
         print(f"\nsaved to {path}")

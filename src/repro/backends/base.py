@@ -223,6 +223,22 @@ class ComputeBackend(ABC):
         existing ``state.energy``/``state.delta`` buffers."""
 
     @staticmethod
+    def _set_energies(state, xi, contrib) -> None:
+        """Write ``state.energy`` from a reset's ``contrib = x·S + lin``.
+
+        With ``S`` symmetric and zero-diagonal, ``x·(contrib + lin) = 2E``
+        exactly in integer arithmetic: O(B·n) on top of the product the
+        reset already needs, instead of the model's O(B·n²) energy
+        evaluation.  Float models keep the model's own evaluation, whose
+        rounding the rest of the stack is pinned to.
+        """
+        if np.issubdtype(state.energy.dtype, np.integer):
+            doubled = np.einsum("bi,bi->b", xi, contrib + state.kernel.lin)
+            np.floor_divide(doubled, 2, out=state.energy)
+        else:
+            state.energy[...] = state.model.energies(state.x)
+
+    @staticmethod
     def _active_rows_cols(state, idx, active):
         """``(rows, cols)`` actually flipping this step; None when no row is.
 
@@ -657,6 +673,16 @@ class ComputeBackend(ABC):
         tabu.advance(iterations)
 
     def _fused_fixed_sequence(self, state, spec, iterations, tabu, tracker) -> None:
+        # a full traversal on an integer model runs as one closed-form
+        # kernel (repro.backends.traversal); float models and partial
+        # traversals keep the per-flip loop
+        tables = getattr(state.kernel, "traversal", None)
+        if tables is not None and tables.covers(spec.sequence, iterations):
+            tables.run(self, state, tabu, tracker)
+            return
+        self._fixed_sequence_loop(state, spec, iterations, tabu, tracker)
+
+    def _fixed_sequence_loop(self, state, spec, iterations, tabu, tracker) -> None:
         b = state.batch
         seq = spec.sequence
         length = seq.shape[0]

@@ -12,6 +12,7 @@ import numpy as np
 from scipy import sparse as sp
 
 from repro.backends.base import ComputeBackend
+from repro.backends.traversal import DenseTraversal
 
 __all__ = ["DENSIFY_MAX_N", "NumpyDenseBackend"]
 
@@ -24,11 +25,15 @@ DENSIFY_MAX_N = 2048
 class _DenseKernel:
     """Per-model read-only data of the dense kernels."""
 
-    __slots__ = ("s", "lin")
+    __slots__ = ("s", "lin", "traversal")
 
     def __init__(self, s: np.ndarray, lin: np.ndarray) -> None:
         self.s = s
         self.lin = lin
+        #: closed-form TwoNeighbor tables (integer models only)
+        self.traversal = (
+            DenseTraversal(s) if np.issubdtype(s.dtype, np.integer) else None
+        )
 
 
 class NumpyDenseBackend(ComputeBackend):
@@ -52,8 +57,8 @@ class NumpyDenseBackend(ComputeBackend):
         """Non-incremental O(B·n²) energy/Δ computation from ``state.x``."""
         kernel = state.kernel
         xi = state.x.astype(kernel.lin.dtype)
-        state.energy[...] = state.model.energies(state.x)
         contrib = xi @ kernel.s + kernel.lin
+        self._set_energies(state, xi, contrib)
         np.multiply(1 - 2 * xi, contrib, out=state.delta)
 
     # -- per-flip Δ update (Eq. 4/5) ---------------------------------------

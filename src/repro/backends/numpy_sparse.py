@@ -25,6 +25,7 @@ import numpy as np
 from scipy import sparse as sp
 
 from repro.backends.base import ComputeBackend
+from repro.backends.traversal import EllTraversal
 
 __all__ = ["NumpySparseBackend"]
 
@@ -48,7 +49,16 @@ def _flat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 class _SparseKernel:
     """Per-model read-only data of the CSR kernels."""
 
-    __slots__ = ("csr", "indptr", "indices", "data", "lin", "ell_cols", "ell_data")
+    __slots__ = (
+        "csr",
+        "indptr",
+        "indices",
+        "data",
+        "lin",
+        "ell_cols",
+        "ell_data",
+        "traversal",
+    )
 
     def __init__(self, csr, lin: np.ndarray) -> None:
         self.csr = csr
@@ -59,6 +69,18 @@ class _SparseKernel:
         self.ell_cols = None
         self.ell_data = None
         self._build_ell()
+        #: closed-form TwoNeighbor tables; they ride on the ELL layout, so
+        #: degree-skewed graphs keep the per-flip traversal loop
+        self.traversal = None
+        if self.ell_cols is not None:
+            self.traversal = EllTraversal.build(
+                self.indptr,
+                self.indices,
+                self.data,
+                self.ell_cols,
+                self.ell_data,
+                self.lin,
+            )
 
     def _build_ell(self) -> None:
         n = self.indptr.shape[0] - 1
@@ -112,8 +134,8 @@ class NumpySparseBackend(ComputeBackend):
         """Non-incremental O(B·nnz) energy/Δ computation from ``state.x``."""
         kernel = state.kernel
         xi = state.x.astype(kernel.lin.dtype)
-        state.energy[...] = state.model.energies(state.x)
         contrib = (kernel.csr @ xi.T).T + kernel.lin  # S symmetric
+        self._set_energies(state, xi, contrib)
         np.multiply(1 - 2 * xi, contrib, out=state.delta)
 
     # -- per-flip Δ update (Eq. 4/5), CSR neighbourhoods only --------------
