@@ -159,13 +159,21 @@ class LaunchBench:
 
 
 def _best_time(fn, rounds: int = 5) -> float:
-    fn()  # warmup
-    times = []
+    return _best_times_interleaved([fn], rounds)[0]
+
+
+def _best_times_interleaved(fns, rounds: int = 5) -> list[float]:
+    """The best of *rounds* timings of each function, taken in turns
+    (a, b, a, b, …) so host-speed drift hits every side alike."""
+    for fn in fns:
+        fn()  # warmup
+    times = [[] for _ in fns]
     for _ in range(rounds):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return min(times)
+        for fn, out in zip(fns, times):
+            t0 = time.perf_counter()
+            fn()
+            out.append(time.perf_counter() - t0)
+    return [min(out) for out in times]
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +330,9 @@ def run_report() -> tuple[str, dict]:
     for backend in sorted(set(available_backends()) & {"numpy-sparse", "numba"}):
         bench = LaunchBench(model, backend)
         total = bench.assert_paths_bit_identical()
-        stepwise_t = _best_time(lambda: bench.launch(False), rounds=3)
-        fused_t = _best_time(lambda: bench.launch(True), rounds=3)
+        stepwise_t, fused_t = _best_times_interleaved(
+            [lambda: bench.launch(False), lambda: bench.launch(True)], rounds=3
+        )
         tag = "numpy" if backend == "numpy-sparse" else backend
         metrics[f"maxmin_fused_speedup_{tag}"] = stepwise_t / fused_t
         lines += [
@@ -342,8 +351,9 @@ def run_report() -> tuple[str, dict]:
 
     bench = LaunchBench(model, "numpy-sparse", algorithm=TwoNeighborSearch)
     total = bench.assert_paths_bit_identical()
-    stepwise_t = _best_time(lambda: bench.launch(False), rounds=3)
-    fused_t = _best_time(lambda: bench.launch(True), rounds=3)
+    stepwise_t, fused_t = _best_times_interleaved(
+        [lambda: bench.launch(False), lambda: bench.launch(True)], rounds=3
+    )
     metrics["twoneighbor_stepwise_s"] = stepwise_t
     metrics["twoneighbor_fused_s"] = fused_t
     metrics["twoneighbor_fused_speedup"] = stepwise_t / fused_t
@@ -377,8 +387,9 @@ def run_smoke() -> None:
     report = []
     bench = LaunchBench(model, "numpy-sparse", batch=8)
     total = bench.assert_paths_bit_identical()
-    stepwise_t = _best_time(lambda: bench.launch(False), rounds=5)
-    fused_t = _best_time(lambda: bench.launch(True), rounds=5)
+    stepwise_t, fused_t = _best_times_interleaved(
+        [lambda: bench.launch(False), lambda: bench.launch(True)], rounds=5
+    )
     ratio = stepwise_t / fused_t
     report.append(
         f"numpy-sparse: stepwise {total / stepwise_t:,.0f} flips/s, "
@@ -401,8 +412,9 @@ def run_smoke() -> None:
         report.append("numba: not installed — skipped")
     tn = LaunchBench(model, "numpy-sparse", batch=8, algorithm=TwoNeighborSearch)
     tn_total = tn.assert_paths_bit_identical()
-    tn_stepwise_t = _best_time(lambda: tn.launch(False), rounds=5)
-    tn_fused_t = _best_time(lambda: tn.launch(True), rounds=5)
+    tn_stepwise_t, tn_fused_t = _best_times_interleaved(
+        [lambda: tn.launch(False), lambda: tn.launch(True)], rounds=5
+    )
     tn_ratio = tn_stepwise_t / tn_fused_t
     report.append(
         f"twoneighbor: stepwise {tn_total / tn_stepwise_t:,.0f} flips/s, "

@@ -227,8 +227,10 @@ def render(
         f"| **{direct['speedup']:.2f}x** |",
         "",
         "Packing runs every phase loop once per round instead of once "
-        "per (device × algorithm group), so the per-call NumPy overhead "
-        "is paid once for all devices.  The committed floor is "
+        "per (device × algorithm group), and the main phases of all "
+        "algorithms but TwoNeighbor as one lockstep loop, so the per-call "
+        "NumPy overhead is paid once for all devices and algorithms.  "
+        "The committed floor is "
         f"≥{DIRECT_MIN_SPEEDUP}x here and in CI smoke (on "
         f"`g22_like({DIRECT_SMOKE['n']})`).",
     ]

@@ -353,7 +353,11 @@ class ComputeBackend(ABC):
     # row's k-th flip of any phase always lands on lockstep iteration k.
     # Best-tracker folds go through ``tracker.fold`` (one argmin scan) —
     # deferred to the end of the phase where provably bit-identical
-    # (greedy), per-iteration otherwise.
+    # (greedy), per-iteration otherwise.  Main phases split in two: a
+    # per-kind *selector* generator (setup, penalty ring, stamps; yields
+    # the bits) and one driver loop owning the shared flip → fold →
+    # advance epilogue, so row-range parts running different kinds can
+    # share one lockstep loop (a coalesced wave, DESIGN.md §12).
     #
     # Candidate masking is *arithmetic*: instead of the reference's
     # ``np.where(mask, Δ, SENTINEL)`` (a slow select kernel), excluded
@@ -456,35 +460,96 @@ class ComputeBackend(ABC):
         return flips, truncated
 
     def run_main_phase(
-        self, state, spec: SelectionSpec, iterations: int, rng, tabu, tracker
+        self, state, spec, iterations: int, rng, tabu, tracker
     ) -> np.ndarray:
-        """Run one whole main phase from a lowered selection spec.
+        """Run one whole main phase from lowered selection spec(s).
 
-        Dispatches on ``spec.kind``; every runner executes the same
-        per-iteration schedule as the stepwise reference (mask → select →
-        flip → stamp → fold) with the ``(B, n)`` intermediates kept in
-        reused scratch buffers and all RNG lane traffic in integer keys.
-        Returns per-row flip counts (always ``iterations``).
+        *spec* is one :class:`SelectionSpec` for every row (with *rng*
+        the rows' lanes), or a list of row-range parts
+        ``(lo, hi, spec, rng)`` tiling ``[0, state.batch)`` in order — a
+        coalesced wave whose cells run different algorithms in lockstep
+        (DESIGN.md §12; *rng* is then unused).  Several parts need a
+        vector tabu clock (:meth:`TabuTracker.window`).
+
+        Each part's selector executes the stepwise reference's per-row
+        schedule (mask → select → stamp) with the ``(B, n)``
+        intermediates kept in reused scratch buffers and all RNG lane
+        traffic in integer keys; the driver loop (:meth:`_main_loop`)
+        owns the shared flip → fold epilogue.  Returns per-row flip
+        counts (always ``iterations``).
         """
-        if spec.kind == KIND_MAXMIN_THRESHOLD:
-            self._fused_maxmin(state, spec, iterations, rng, tabu, tracker)
-        elif spec.kind == KIND_CYCLIC_WINDOW:
-            self._fused_cyclic_window(state, spec, iterations, tabu, tracker)
-        elif spec.kind == KIND_RANDOM_CANDIDATE_MIN:
-            self._fused_random_candidate(state, spec, iterations, rng, tabu, tracker)
-        elif spec.kind == KIND_POSITIVE_MIN:
-            self._fused_positive_min(state, spec, iterations, rng, tabu, tracker)
-        elif spec.kind == KIND_FIXED_SEQUENCE:
-            self._fused_fixed_sequence(state, spec, iterations, tabu, tracker)
-        else:  # pragma: no cover - guarded by lowered_kinds at the call site
-            raise ValueError(f"backend {self.name!r} cannot lower {spec.kind!r}")
+        if isinstance(spec, SelectionSpec):
+            parts = [(0, state.batch, spec, rng)]
+        else:
+            parts = list(spec)
+        if len(parts) == 1 and parts[0][2].kind == KIND_FIXED_SEQUENCE:
+            # a full traversal on an integer model runs as one closed-form
+            # kernel (repro.backends.traversal); float models and partial
+            # traversals keep the per-flip loop
+            tables = getattr(state.kernel, "traversal", None)
+            if tables is not None and tables.covers(parts[0][2].sequence, iterations):
+                tables.run(self, state, tabu, tracker)
+                return np.full(state.batch, iterations, dtype=np.int64)
+        self._main_loop(state, parts, iterations, tabu, tracker)
         return np.full(state.batch, iterations, dtype=np.int64)
 
-    # Per-kind fused main loops.  Each mirrors the corresponding
+    def _main_loop(self, state, parts, iterations, tabu, tracker) -> None:
+        """The lockstep driver: every part selects its rows' bits, then one
+        flip and one best-tracker fold cover all rows.
+
+        Bit-identical to running each part alone: selection reads only
+        its own rows (Δ, stamps, the per-row clock, its RNG lanes), flips
+        are row-independent, and the fold is row-local.
+        """
+        selectors = {
+            KIND_MAXMIN_THRESHOLD: self._select_maxmin,
+            KIND_CYCLIC_WINDOW: self._select_cyclic_window,
+            KIND_RANDOM_CANDIDATE_MIN: self._select_random_candidate,
+            KIND_POSITIVE_MIN: self._select_positive_min,
+            KIND_FIXED_SEQUENCE: self._select_fixed_sequence,
+        }
+        steps = []
+        lo_expected = 0
+        for lo, hi, spec, rng in parts:
+            if lo != lo_expected or hi <= lo:
+                raise ValueError(
+                    f"main-phase parts must tile [0, {state.batch}) in order, "
+                    f"got [{lo}, {hi}) after row {lo_expected}"
+                )
+            lo_expected = hi
+            if (lo, hi) == (0, state.batch):
+                sub_state, sub_tabu = state, tabu
+            else:
+                sub_state, sub_tabu = state.row_window(lo, hi), tabu.window(lo, hi)
+            select = selectors[spec.kind]
+            steps.append((lo, hi, select(sub_state, spec, iterations, rng, sub_tabu)))
+        if lo_expected != state.batch:
+            raise ValueError(
+                f"main-phase parts cover rows [0, {lo_expected}) of {state.batch}"
+            )
+        idx = np.empty(state.batch, dtype=np.int64)
+        for _ in range(iterations):
+            for lo, hi, step in steps:
+                idx[lo:hi] = next(step)
+            self.flip(state, idx)
+            tracker.fold(state)
+        tabu.advance(iterations)
+
+    def _fixed_sequence_loop(self, state, spec, iterations, tabu, tracker) -> None:
+        """The per-flip TwoNeighbor loop, bypassing the closed form (the
+        reference the closed-form tests compare against)."""
+        self._main_loop(state, [(0, state.batch, spec, None)], iterations, tabu, tracker)
+
+    # Per-kind selectors.  Each is a generator run by :meth:`_main_loop`:
+    # it does its own setup on the first step, then per lockstep
+    # iteration ``t`` selects one bit per row of its part, writes the
+    # row-local tabu stamps ``clock + t`` (plus any incremental penalty
+    # bookkeeping — none of it reads Δ and the flip touches none of it,
+    # so it may precede the flip) and yields the bits.  Each mirrors the corresponding
     # ``MainSearch.select`` line by line (the parity tests hold them
     # together); comments reference the reference implementation.
 
-    def _fused_maxmin(self, state, spec, iterations, rng, tabu, tracker) -> None:
+    def _select_maxmin(self, state, spec, iterations, rng, tabu):
         delta = state.delta
         rows = state._rows
         n = state.x.shape[1]
@@ -555,18 +620,16 @@ class ComputeBackend(ABC):
             missing = keys[rows, idx] < 0
             if missing.any():
                 idx[missing] = np.argmin(delta[missing], axis=1)
-            self.flip(state, idx)
             if use_tabu:
                 stamps[rows, idx] = clock + t
                 if incremental:
                     penalty[rows, idx] = INT_SENTINEL
                     ring[t % (period + 1)] = idx
-            tracker.fold(state)
-        tabu.advance(iterations)
+            yield idx
 
-    def _fused_cyclic_window(self, state, spec, iterations, tabu, tracker) -> None:
+    def _select_cyclic_window(self, state, spec, iterations, rng, tabu):
         delta = state.delta
-        b, n = state.x.shape
+        n = state.x.shape[1]
         rows = state._rows
         rows_col = rows[:, None]
         cursor = spec.cursor
@@ -588,15 +651,11 @@ class ComputeBackend(ABC):
             idx = cols[rows, local]
             cursor += w
             cursor %= n
-            self.flip(state, idx)
             if use_tabu:
                 stamps[rows, idx] = clock + t
-            tracker.fold(state)
-        tabu.advance(iterations)
+            yield idx
 
-    def _fused_random_candidate(
-        self, state, spec, iterations, rng, tabu, tracker
-    ) -> None:
+    def _select_random_candidate(self, state, spec, iterations, rng, tabu):
         delta = state.delta
         rows = state._rows
         use_tabu = tabu.enabled
@@ -621,15 +680,11 @@ class ComputeBackend(ABC):
             np.multiply(notbuf, INT_SENTINEL, out=penalty)
             np.add(delta, penalty, out=shadow)
             idx = np.argmin(shadow, axis=1)
-            self.flip(state, idx)
             if use_tabu:
                 stamps[rows, idx] = clock + t
-            tracker.fold(state)
-        tabu.advance(iterations)
+            yield idx
 
-    def _fused_positive_min(
-        self, state, spec, iterations, rng, tabu, tracker
-    ) -> None:
+    def _select_positive_min(self, state, spec, iterations, rng, tabu):
         delta = state.delta
         rows = state._rows
         use_tabu = tabu.enabled
@@ -666,39 +721,24 @@ class ComputeBackend(ABC):
             if not has.all():  # pragma: no cover - mask never empty by design
                 missing = ~has
                 idx[missing] = np.argmin(delta[missing], axis=1)
-            self.flip(state, idx)
             if use_tabu:
                 stamps[rows, idx] = clock + t
-            tracker.fold(state)
-        tabu.advance(iterations)
+            yield idx
 
-    def _fused_fixed_sequence(self, state, spec, iterations, tabu, tracker) -> None:
-        # a full traversal on an integer model runs as one closed-form
-        # kernel (repro.backends.traversal); float models and partial
-        # traversals keep the per-flip loop
-        tables = getattr(state.kernel, "traversal", None)
-        if tables is not None and tables.covers(spec.sequence, iterations):
-            tables.run(self, state, tabu, tracker)
-            return
-        self._fixed_sequence_loop(state, spec, iterations, tabu, tracker)
-
-    def _fixed_sequence_loop(self, state, spec, iterations, tabu, tracker) -> None:
-        b = state.batch
+    def _select_fixed_sequence(self, state, spec, iterations, rng, tabu):
         seq = spec.sequence
         length = seq.shape[0]
         stamp_on = tabu.enabled
         stamps, clock = tabu.stamps, tabu.clock
-        idx = np.empty(b, dtype=np.int64)
+        idx = np.empty(state.batch, dtype=np.int64)
         for t in range(iterations):
             bit = int(seq[t % length])
             idx[...] = bit
-            self.flip(state, idx)
             if stamp_on:
                 # the stepwise path records stamps even though the
                 # fixed-sequence rule never consults the mask
                 stamps[:, bit] = clock + t
-            tracker.fold(state)
-        tabu.advance(iterations)
+            yield idx
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"

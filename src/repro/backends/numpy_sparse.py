@@ -167,25 +167,34 @@ class NumpySparseBackend(ComputeBackend):
     def _flip_rows_ell(self, state, rows: np.ndarray, cols: np.ndarray) -> None:
         """ELL flip path: one (m, K) gather/scatter pair per lockstep flip.
 
-        Index pairs ``(row, neighbour)`` are unique per batch row (distinct
-        CSR columns plus the weight-0 self pad, which only ever aliases the
+        All reads and writes are 1-D on the flattened ``(B·n,)`` buffers
+        (flat index ``row·n + col``), cheaper than 2-D ``(rows, cols)``
+        fancy indexing.  ``reshape(-1)`` is a view because state buffers
+        and row windows are C-contiguous leading-row slices (checked where
+        :class:`~repro.core.delta.BatchDeltaState` builds them).
+
+        Flat neighbour indices are unique per batch row (distinct CSR
+        columns plus the weight-0 self pad, which only ever aliases the
         flipped bit's own Δ entry — rewritten to ``−Δ_i`` below), so the
         fancy-indexed in-place add is safe.
         """
         kernel = state.kernel
-        delta = state.delta
-        sig = self._sigma(state)
-        d_i = delta[rows, cols]
+        n = kernel.ell_cols.shape[0]
+        delta = state.delta.reshape(-1)
+        sig = self._sigma(state).reshape(-1)
+        base = rows * n
+        flat = base + cols
+        d_i = delta[flat]
         state.energy[rows] += d_i
-        s_old = sig[rows, cols]  # pre-flip σ_i (fancy read = copy)
-        state.x[rows, cols] ^= 1
-        sig[rows, cols] = -s_old
-        neighbours = kernel.ell_cols[cols]  # (m, K)
-        rows_col = rows[:, None]
-        sigma_nbr = sig[rows_col, neighbours]  # post-flip σ_k, int8
+        s_old = sig[flat]  # pre-flip σ_i (fancy read = copy)
+        state.x.reshape(-1)[flat] ^= 1
+        sig[flat] = -s_old
+        neighbours = kernel.ell_cols[cols]  # (m, K), a fresh copy
+        neighbours += base[:, None]
+        sigma_nbr = sig[neighbours]  # post-flip σ_k, int8
         contrib = kernel.ell_data[cols] * (s_old[:, None] * sigma_nbr)
-        delta[rows_col, neighbours] += contrib
-        delta[rows, cols] = -d_i
+        delta[neighbours] += contrib
+        delta[flat] = -d_i
 
     def _flip_rows(self, state, rows: np.ndarray, cols: np.ndarray) -> None:
         """CSR range flip path (fallback for degree-skewed graphs).

@@ -195,17 +195,8 @@ class BatchDeltaState:
             raise ValueError(
                 f"view batch must be in [1, {self.batch}], got {batch}"
             )
-        view = object.__new__(BatchDeltaState)
-        view.model = self.model
-        view.batch = batch
-        view.backend = self.backend
-        view.kernel = self.kernel
-        view.x = self.x[:batch]
-        view.energy = self.energy[:batch]
-        view.delta = self.delta[:batch]
-        view.device = None  # device mirrors are per-(object, shape)
+        view = self._rows_view(0, batch)
         view._rows = self._rows[:batch]
-        view._scratch = {}
         return view
 
     def row_window(self, start: int, stop: int) -> "BatchDeltaState":
@@ -221,6 +212,20 @@ class BatchDeltaState:
                 f"window must satisfy 0 <= start < stop <= {self.batch}, "
                 f"got [{start}, {stop})"
             )
+        view = self._rows_view(start, stop)
+        view._rows = np.arange(stop - start)
+        return view
+
+    def _rows_view(self, start: int, stop: int) -> "BatchDeltaState":
+        """The facade over rows ``[start, stop)`` behind :meth:`row_view`
+        and :meth:`row_window` (``_rows`` left to the caller).
+
+        Kernels may flatten ``x``/``delta`` with ``reshape(-1)`` (the
+        sparse backend's flat-indexed flip), which is a view — so writes
+        go through — only on a C-contiguous buffer.  A leading-row slice
+        of a C-contiguous buffer always is one; this is the one place
+        that checks it.
+        """
         view = object.__new__(BatchDeltaState)
         view.model = self.model
         view.batch = stop - start
@@ -229,8 +234,9 @@ class BatchDeltaState:
         view.x = self.x[start:stop]
         view.energy = self.energy[start:stop]
         view.delta = self.delta[start:stop]
+        if not (view.x.flags.c_contiguous and view.delta.flags.c_contiguous):
+            raise ValueError("state buffers must be C-contiguous")
         view.device = None  # device mirrors are per-(object, shape)
-        view._rows = np.arange(stop - start)
         view._scratch = {}
         return view
 

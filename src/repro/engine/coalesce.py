@@ -24,10 +24,15 @@ unit a solo launch would run) and drives them in waves:
   data-dependent phases (a cell's clock advances by *its own* max flip
   count, exactly as the solo scalar clock would);
 * straight runs once over all rows; greedy and main phases run over
-  maximal contiguous spans of still-active cells (main spans additionally
-  share one algorithm, so the lowered spec and iteration count are
-  uniform) — a finished cell is excluded from every later wave, so its
-  rows are frozen at exactly the state the solo launch would leave;
+  maximal contiguous spans of still-active cells — a finished cell is
+  excluded from every later wave, so its rows are frozen at exactly the
+  state the solo launch would leave;
+* a main span mixes algorithms, as one DABS kernel launch runs every
+  block whatever its algorithm: each same-algorithm run of cells is one
+  row-range part of a single lockstep ``run_main_phase`` call (one flip
+  and one fold per iteration for the whole span).  Selection is
+  row-local, so this is bit-exact.  TwoNeighbor cells, whose traversal
+  has its own length and closed-form kernel, keep spans of their own;
 * the whole-group budget test is evaluated per cell, in the same
   schedule position as the solo loop.
 
@@ -181,12 +186,12 @@ class PackScratch:
         return triple
 
 
-def _spans(cells, same_alg: bool = False):
+def _spans(cells, key=None):
     """Maximal runs of consecutive not-done cells as (start, stop, cells).
 
     Cells are stored in merged-row order, so consecutive list entries are
-    row-contiguous.  With ``same_alg`` a span additionally runs one single
-    algorithm (main phases need a uniform spec and iteration count).
+    row-contiguous.  With *key* a run additionally holds cells of one
+    single ``key(cell)`` value.
     """
     out = []
     i = 0
@@ -199,12 +204,16 @@ def _spans(cells, same_alg: bool = False):
         while (
             j + 1 < count
             and not cells[j + 1].done
-            and (not same_alg or cells[j + 1].alg == cells[i].alg)
+            and (key is None or key(cells[j + 1]) == key(cells[i]))
         ):
             j += 1
         out.append((cells[i].start, cells[j].stop, cells[i : j + 1]))
         i = j + 1
     return out
+
+
+def _is_twoneighbor(cell) -> bool:
+    return cell.alg == MainAlgorithm.TWONEIGHBOR
 
 
 class SuperLaunch:
@@ -272,7 +281,8 @@ class SuperLaunch:
                         f"(enabled: {sorted(seg.gpu.algorithms)})"
                     )
                 cells.append(_Cell(alg_enum, si, rows))
-        # same-algorithm cells adjacent → maximal fused main spans
+        # same-algorithm cells adjacent (one main part each), TwoNeighbor
+        # (the last enum) after all others → maximal mixed main spans
         cells.sort(key=lambda c: (int(c.alg), c.seg))
         total = 0
         for cell in cells:
@@ -343,7 +353,7 @@ class SuperLaunch:
             for cell in cells:
                 if cell.done:
                     continue
-                if cell.alg == MainAlgorithm.TWONEIGHBOR:
+                if _is_twoneighbor(cell):
                     # TwoNeighbor runs exactly greedy → main → greedy
                     cell.done = cell.mains_done >= 1
                 else:
@@ -352,29 +362,37 @@ class SuperLaunch:
                     )
             if all(cell.done for cell in cells):
                 break
-            for a, b, span_cells in _spans(cells, same_alg=True):
-                alg_enum = span_cells[0].alg
-                alg = segments[span_cells[0].seg].gpu.algorithms[alg_enum]
+            # one lockstep main phase per span: TwoNeighbor cells run their
+            # 2n − 1 traversal, every other span mixes its algorithms, one
+            # part per same-algorithm run of cells
+            for a, b, span_cells in _spans(cells, key=_is_twoneighbor):
                 st, tb, tr = views(a, b)
-                if alg_enum == MainAlgorithm.TWONEIGHBOR:
+                first = span_cells[0]
+                if _is_twoneighbor(first):
+                    alg = segments[first.seg].gpu.algorithms[first.alg]
                     iterations = alg.num_iterations(n)
                 else:
                     iterations = main_iters
-                spec = alg.lower(st, iterations)
-                if alg_enum == MainAlgorithm.CYCLICMIN:
-                    # the window cursor is device-persistent per cell: seed
-                    # each cell's merged slice from its own device instance
-                    # on first use (committed back at harvest)
-                    for cell in span_cells:
-                        if not cell.cursor_ready:
-                            inst = segments[cell.seg].gpu.algorithms[alg_enum]
-                            scratch.cursor[cell.start : cell.stop] = (
-                                inst.export_cursor(cell.size)
-                            )
-                            cell.cursor_ready = True
-                    spec = replace(spec, cursor=scratch.cursor[a:b])
-                rng_w = XorShift64Star.view(rng_block[a:b])
-                f = backend.run_main_phase(st, spec, iterations, rng_w, tb, tr)
+                parts = []
+                for lo, hi, run in _spans(span_cells, key=lambda c: c.alg):
+                    alg_enum = run[0].alg
+                    alg = segments[run[0].seg].gpu.algorithms[alg_enum]
+                    spec = alg.lower(st, iterations)
+                    if alg_enum == MainAlgorithm.CYCLICMIN:
+                        # the window cursor is device-persistent per cell:
+                        # seed each cell's merged slice from its own device
+                        # instance on first use (committed back at harvest)
+                        for cell in run:
+                            if not cell.cursor_ready:
+                                inst = segments[cell.seg].gpu.algorithms[alg_enum]
+                                scratch.cursor[cell.start : cell.stop] = (
+                                    inst.export_cursor(cell.size)
+                                )
+                                cell.cursor_ready = True
+                        spec = replace(spec, cursor=scratch.cursor[lo:hi])
+                    rng_w = XorShift64Star.view(rng_block[lo:hi])
+                    parts.append((lo - a, hi - a, spec, rng_w))
+                f = backend.run_main_phase(st, parts, iterations, None, tb, tr)
                 flips[a:b] += f
                 for cell in span_cells:
                     cell.mains_done += 1

@@ -177,6 +177,49 @@ class TestSparseBackendGuards:
         BatchDeltaState(QUBOModel(mat), batch=2, backend=get_backend("numpy-dense"))
 
 
+class TestRowWindowFlip:
+    """Flips through a mid-pack row window (the super-launch span shape):
+    the sparse backend's flat ``row·n + col`` indexing must land on the
+    window's rows, never on the rows before or after it."""
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_sparse_window_matches_dense_window(self, masked):
+        model = random_qubo(30, seed=5, density=0.3)
+        start = np.random.default_rng(2).integers(0, 2, size=(16, model.n))
+        states = {}
+        for backend in ("numpy-dense", "numpy-sparse"):
+            state = BatchDeltaState(model, batch=16, backend=backend)
+            state.reset(start)
+            states[backend] = state
+        assert states["numpy-sparse"].kernel.ell_cols is not None
+        before = {
+            name: (s.x.copy(), s.energy.copy(), s.delta.copy())
+            for name, s in states.items()
+        }
+        windows = {name: s.row_window(3, 9) for name, s in states.items()}
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            idx = rng.integers(0, model.n, size=6)
+            active = rng.random(6) < 0.7 if masked else None
+            for window in windows.values():
+                window.flip(idx, active)
+        dense, sparse = windows["numpy-dense"], windows["numpy-sparse"]
+        assert np.array_equal(sparse.x, dense.x)
+        assert np.array_equal(sparse.energy, dense.energy)
+        assert np.array_equal(sparse.delta, dense.delta)
+        sigma = sparse._scratch["sigma8"]
+        assert np.array_equal(sigma, 2 * dense.x.astype(np.int8) - 1)
+        for name, state in states.items():
+            x0, e0, d0 = before[name]
+            outside = np.r_[0:3, 9:16]
+            assert np.array_equal(state.x[outside], x0[outside]), name
+            assert np.array_equal(state.energy[outside], e0[outside]), name
+            assert np.array_equal(state.delta[outside], d0[outside]), name
+        state = states["numpy-sparse"]
+        state.recompute()
+        assert np.array_equal(state.delta[3:9], dense.delta)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
