@@ -1,10 +1,19 @@
-"""Async engine benchmark: barrier-free vs round-synchronous throughput.
+"""Barrier-free benchmark: free-running vs round-synchronous throughput.
 
 The paper's multi-GPU throughput argument (§III.C): with a global round
 barrier, every round costs as much as the *slowest* device, so a
-heterogeneous fleet wastes the fast devices' time; a free-running engine
-lets each device launch at its own pace and the fleet throughput becomes
-the *sum* of device rates instead of ``G / max(latency)``.
+heterogeneous fleet wastes the fast devices' time; free-running devices
+launch at their own pace and the fleet throughput becomes the *sum* of
+device rates instead of ``G / max(latency)``.
+
+Both rows run one solve as a one-job service
+(``solve(service=SolveService(G))``), one lane per device, so launches
+overlap across lanes in both:
+
+* **barrier** — ``virtual_time=True``: the round schedule replayed over
+  the lanes (each round waits for its slowest device);
+* **free** — ``virtual_time=False``: every device refills its lane as
+  soon as its own launch completes.
 
 Two fleet scenarios, both solving the same instance under a wall-clock
 budget (throughput = collected launches per second of solve time):
@@ -12,20 +21,20 @@ budget (throughput = collected launches per second of solve time):
 * **skewed fleet** — real virtual GPUs wrapped with per-device kernel
   latency (sleeping proxies emulating a fast+slow device mix, the
   multi-tenant/unequal-GPU case the paper's asynchronous design targets).
-  The sleeps release the GIL, so the round scheduler genuinely overlaps
-  them inside a round — the measured gap is the barrier itself, not an
-  artifact of serialization.
+  The sleeps release the GIL, so lanes genuinely overlap inside a round
+  — the measured gap is the barrier itself, not an artifact of
+  serialization.
 * **uniform fleet** — unmodified virtual GPUs (pure compute).  On a
   CPU-bound box with identical devices the barrier costs little; the row
-  is reported as the honesty check that the async engine does not *lose*
+  is reported as the honesty check that free-running does not *lose*
   meaningful throughput when there is no skew to exploit.
 
 Run as a report generator (writes ``results/bench_async_engine.md``)::
 
     PYTHONPATH=src python benchmarks/bench_async_engine.py
 
-or as a CI smoke gate (short budget; asserts the async engine beats the
-round scheduler on the skewed fleet)::
+or as a CI smoke gate (short budget; asserts free-running beats the
+round barrier on the skewed fleet)::
 
     PYTHONPATH=src python benchmarks/bench_async_engine.py --smoke
 """
@@ -43,6 +52,7 @@ if not any(Path(p).name == "src" for p in sys.path):
 
 from benchmarks._util import save_report
 from repro.search.batch import BatchSearchConfig
+from repro.service import SolveService
 from repro.solver.dabs import DABSConfig, DABSSolver
 from tests.conftest import random_qubo
 
@@ -54,7 +64,7 @@ SMOKE_MIN_SPEEDUP = 1.2
 class LaggyGPU:
     """Proxy device adding fixed kernel latency to every launch.
 
-    ``time.sleep`` releases the GIL, so in thread mode slow launches
+    ``time.sleep`` releases the GIL, so slow launches on different lanes
     overlap exactly like long-running kernels on a busy GPU would.
     """
 
@@ -73,35 +83,38 @@ class LaggyGPU:
         return getattr(self._gpu, name)
 
 
-def run_engine(
+#: row name -> DABSConfig.virtual_time of its one-job service
+SCHEDULES = {"barrier": True, "free": False}
+
+
+def run_schedule(
     model,
-    engine: str,
+    schedule: str,
     time_budget: float,
     num_gpus: int,
     blocks: int,
     delays=None,
     flip_factor: float = 2.0,
 ) -> dict:
-    """One timed solve; returns launches/s and flips/s."""
+    """One timed one-job-service solve; returns launches/s and flips/s."""
     cfg = DABSConfig(
         num_gpus=num_gpus,
         blocks_per_gpu=blocks,
         pool_capacity=20,
         batch=BatchSearchConfig(batch_flip_factor=flip_factor),
-        parallel="thread" if engine == "round" else "sequential",
-        engine=engine,
+        virtual_time=SCHEDULES[schedule],
     )
     solver = DABSSolver(model, cfg, seed=SEED)
     if delays is not None:
         solver.gpus = [
             LaggyGPU(gpu, delay) for gpu, delay in zip(solver.gpus, delays)
         ]
-    start = time.perf_counter()
-    result = solver.solve(time_limit=time_budget)
-    elapsed = time.perf_counter() - start
-    solver.close()
+    with SolveService(num_gpus) as service:
+        start = time.perf_counter()
+        result = solver.solve(time_limit=time_budget, service=service)
+        elapsed = time.perf_counter() - start
     return {
-        "engine": engine,
+        "schedule": schedule,
         "launches": result.launches,
         "elapsed": elapsed,
         "lps": result.launches / elapsed,
@@ -124,9 +137,9 @@ def run_scenario(
     rows = [
         max(
             (
-                run_engine(
+                run_schedule(
                     model,
-                    engine,
+                    schedule,
                     time_budget,
                     num_gpus,
                     blocks,
@@ -137,9 +150,9 @@ def run_scenario(
             ),
             key=lambda row: row["lps"],
         )
-        for engine in ("round", "async")
+        for schedule in SCHEDULES
     ]
-    round_row, async_row = rows
+    barrier_row, free_row = rows
     return {
         "name": name,
         "n": n,
@@ -147,25 +160,26 @@ def run_scenario(
         "blocks": blocks,
         "delays": delays,
         "rows": rows,
-        "speedup": async_row["lps"] / round_row["lps"],
+        "speedup": free_row["lps"] / barrier_row["lps"],
     }
 
 
 def render(scenarios: list[dict], budget: float) -> str:
     lines = [
-        "# Async engine throughput: free-running vs round barrier",
+        "# Barrier-free throughput: free-running vs round barrier",
         "",
-        "Same instance, same wall-clock budget per engine "
+        "Same instance, same wall-clock budget per schedule "
         f"({budget:.1f}s, best of 3 runs per row); `launches/s` counts "
-        "collected device launches per second of solve time.  The round "
-        "scheduler runs "
-        '`parallel="thread"` (its fastest mode); the async engine is the '
-        "free-running thread-worker configuration (`engine=async`, "
-        "depth 2).  Skewed-fleet devices carry synthetic per-device "
-        "kernel latency (GIL-releasing sleeps), isolating the cost of "
-        "the global round barrier.",
+        "collected device launches per second of solve time.  Both rows "
+        "run the solve as a one-job service (`solve(service="
+        "SolveService(G))`, one lane per device, depth 2): `barrier` is "
+        "the virtual-time replay of the round schedule "
+        "(`virtual_time=True`), `free` the free-running schedule "
+        "(`virtual_time=False`).  Skewed-fleet devices carry synthetic "
+        "per-device kernel latency (GIL-releasing sleeps), isolating the "
+        "cost of the global round barrier.",
         "",
-        "| fleet | G | per-device latency | engine | launches | launches/s | flips/s | speedup |",
+        "| fleet | G | per-device latency | schedule | launches | launches/s | flips/s | speedup |",
         "|---|---|---|---|---|---|---|---|",
     ]
     for scenario in scenarios:
@@ -175,28 +189,28 @@ def render(scenarios: list[dict], budget: float) -> str:
             if delays
             else "none (pure compute)"
         )
-        round_row, async_row = scenario["rows"]
-        for row in (round_row, async_row):
+        barrier_row, free_row = scenario["rows"]
+        for row in (barrier_row, free_row):
             speedup = (
                 f"**{scenario['speedup']:.2f}x**"
-                if row is async_row
+                if row is free_row
                 else "1.00x"
             )
             lines.append(
                 f"| {scenario['name']} | {scenario['num_gpus']} | {delay_text} "
-                f"| {row['engine']} | {row['launches']} | {row['lps']:,.0f} "
+                f"| {row['schedule']} | {row['launches']} | {row['lps']:,.0f} "
                 f"| {row['fps']:,.0f} | {speedup} |"
             )
     lines += [
         "",
         "The skewed fleet shows the barrier cost directly: each round "
-        "waits for the slowest device, so the round scheduler's rate is "
-        "`G / max(latency)` while the free-running engine approaches "
+        "waits for the slowest device, so the barrier's rate is "
+        "`G / max(latency)` while free-running approaches "
         "`sum(1 / latency)`.  The uniform fleet (single-box CPU-bound "
-        "compute, no skew) is the no-win-available control: repeated runs "
-        "put the two engines within ~10% of each other (either side) on "
-        "this box — removing the barrier costs nothing when there is no "
-        "skew to exploit.",
+        "compute, no skew) is the no-win-available control: with no skew "
+        "to exploit, free-running gains nothing, and its speedup column "
+        "shows what GIL contention between the compute lanes costs it "
+        "on this box.",
     ]
     return "\n".join(lines)
 
@@ -230,7 +244,7 @@ def run_full() -> None:
 
 
 def run_smoke() -> None:
-    """CI gate: the async engine must beat the round barrier on a skewed
+    """CI gate: free-running must beat the round barrier on a skewed
     fleet of 2 virtual GPUs."""
     scenario = run_scenario(
         "skewed",
@@ -241,18 +255,18 @@ def run_smoke() -> None:
         delays=(0.01, 0.04),
         flip_factor=1.0,
     )
-    round_row, async_row = scenario["rows"]
+    barrier_row, free_row = scenario["rows"]
     print(
-        f"round  : {round_row['launches']} launches, "
-        f"{round_row['lps']:,.0f} launches/s"
+        f"barrier: {barrier_row['launches']} launches, "
+        f"{barrier_row['lps']:,.0f} launches/s"
     )
     print(
-        f"async  : {async_row['launches']} launches, "
-        f"{async_row['lps']:,.0f} launches/s "
+        f"free   : {free_row['launches']} launches, "
+        f"{free_row['lps']:,.0f} launches/s "
         f"({scenario['speedup']:.2f}x)"
     )
     assert scenario["speedup"] >= SMOKE_MIN_SPEEDUP, (
-        f"async engine no faster than the round barrier on a skewed fleet: "
+        f"free-running no faster than the round barrier on a skewed fleet: "
         f"{scenario['speedup']:.2f}x < {SMOKE_MIN_SPEEDUP}x"
     )
     print("bench smoke OK")

@@ -18,7 +18,7 @@ suite.
 
 Aggregate throughput = jobs completed / wall-clock of the whole sweep.
 
-A second row times the same executor on the direct ``"round"`` engine
+A second row times the same executor on the direct round loop
 (DESIGN.md §3): in-process ``DABSSolver.solve`` on a small G22-like
 MaxCut instance with real kernels and no emulated latency, once with
 each round's devices packed into one super-launch and once launching
@@ -83,7 +83,6 @@ def run_sweep(spec: dict, coalesce: bool) -> dict:
         num_gpus=1,
         blocks_per_gpu=spec["blocks"],
         pool_capacity=20,
-        engine="async",
         virtual_time=True,
         coalesce=coalesce,
     )
@@ -144,7 +143,6 @@ def run_direct(spec: dict) -> dict:
             config = DABSConfig(
                 num_gpus=spec["gpus"],
                 blocks_per_gpu=spec["blocks"],
-                engine="round",
                 coalesce=coalesce,
             )
             with DABSSolver(model, config, seed=seed) as solver:
@@ -216,7 +214,7 @@ def render(
         f"`DABSSolver.solve` on `g22_like({DIRECT_FULL['n']})` MaxCut, "
         f"{DIRECT_FULL['gpus']} GPUs × {DIRECT_FULL['blocks']} blocks, "
         f"{DIRECT_FULL['rounds']} rounds, seeds 0–{DIRECT_FULL['seeds'] - 1}, "
-        "sequential round engine, real kernels (no emulated latency).  "
+        "direct round loop, real kernels (no emulated latency).  "
         "Per seed, the packed solve is asserted bit-exact with the solo "
         "one (best energy/vector, launches, flips, improvement history).",
         "",

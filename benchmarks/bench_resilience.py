@@ -11,9 +11,9 @@ same fixed workload should be within ~10% of each other.
 Two scenarios, each a fixed-launch workload timed with and without the
 resilience knobs armed (median of repeated runs):
 
-* **fleet** — the async engine's supervised :class:`FleetWorkerGroup`
-  (``retry_policy`` set, per-launch ``launch_timeout`` armed) vs the
-  bare unsupervised group.
+* **fleet** — one solve as a one-job service over a supervised
+  :class:`FleetWorkerGroup` (``SolveService(2, retry=POLICY)``, with a
+  per-launch ``launch_timeout`` armed) vs a bare ``SolveService(2)``.
 * **federation** — 2 island processes with heartbeat watchdog
   (``island_timeout``) and retrying islands vs the plain federation.
 
@@ -41,6 +41,7 @@ if not any(Path(p).name == "src" for p in sys.path):
 
 from benchmarks._util import save_report
 from repro.resilience import RetryPolicy
+from repro.service import SolveService
 from repro.solver.dabs import DABSConfig, DABSSolver
 from tests.conftest import random_qubo
 
@@ -58,17 +59,16 @@ def fleet_config(retry: RetryPolicy | None) -> DABSConfig:
         num_gpus=2,
         blocks_per_gpu=8,
         pool_capacity=20,
-        engine="async",
         retry_policy=retry,
     )
 
 
 def time_fleet(model, retry, launches: int) -> float:
-    solver = DABSSolver(model, fleet_config(retry), seed=SEED)
+    solver = DABSSolver(model, fleet_config(None), seed=SEED)
     start = time.perf_counter()
-    result = solver.solve(max_launches=launches)
+    with SolveService(2, retry=retry) as service:
+        result = solver.solve(max_launches=launches, service=service)
     elapsed = time.perf_counter() - start
-    solver.close()
     assert result.launches >= launches and result.retries == 0
     return elapsed
 
@@ -147,7 +147,7 @@ def run_full() -> None:
     fed_model = random_qubo(64, seed=7)
     rows = [
         run_scenario(
-            "fleet (async engine, 2 GPUs)",
+            "fleet (one-job service, 2 lanes)",
             lambda armed: time_fleet(
                 fleet_model, POLICY if armed else None, 120
             ),

@@ -15,9 +15,9 @@ GIL-releasing sleeps, so slow kernels genuinely overlap and the measured
 effect is scheduling, not an artifact of serialization.  Both modes run
 the *same* solvers with the same seeds and budgets:
 
-* **sequential** — one ``solve()`` after another, each on its own
-  instance-sized devices (``engine="async"``, the solver's fastest
-  single-tenant mode);
+* **sequential** — one ``solve()`` after another, each as the only job
+  of its own instance-sized service (``solve(service=SolveService(d))``:
+  one lane per device, the barrier-free single-solve schedule);
 * **service** — all jobs submitted up front to one
   :class:`~repro.service.SolveService` over a fleet with as many lanes as
   the sequential runs ever used at once, results awaited together.
@@ -86,7 +86,6 @@ def make_jobs(spec: list[dict]):
             blocks_per_gpu=item["blocks"],
             pool_capacity=20,
             batch=BatchSearchConfig(batch_flip_factor=1.0),
-            engine="async",
         )
         solver = DABSSolver(model, cfg, seed=SEED + i)
         solver.gpus = [LaggyGPU(gpu, item["delay"]) for gpu in solver.gpus]
@@ -95,7 +94,8 @@ def make_jobs(spec: list[dict]):
 
 
 def run_sequential(spec: list[dict]) -> dict:
-    """One solve() after another — the single-tenant baseline.
+    """One solve() after another — the single-tenant baseline, each job
+    alone on a one-job service with one lane per device.
 
     Solver construction/preparation happens outside the timed window in
     both modes: the benchmark measures scheduling, and the service's
@@ -106,7 +106,8 @@ def run_sequential(spec: list[dict]) -> dict:
     launches = 0
     best = []
     for solver, item in jobs:
-        result = solver.solve(max_rounds=item["rounds"])
+        with SolveService(devices=item["devices"]) as service:
+            result = solver.solve(max_rounds=item["rounds"], service=service)
         launches += result.launches
         best.append(result.best_energy)
     elapsed = time.perf_counter() - start

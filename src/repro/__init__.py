@@ -22,7 +22,7 @@ Package layout (see DESIGN.md for the full inventory):
 * :mod:`repro.search`    — the 5 main search algorithms + greedy/straight/tabu
 * :mod:`repro.ga`        — solution pools, genetic operations, adaptive selection
 * :mod:`repro.gpu`       — the virtual-GPU lockstep execution substrate
-* :mod:`repro.engine`    — barrier-free async execution over device workers
+* :mod:`repro.engine`    — execution lanes, super-launches, virtual-time replay
 * :mod:`repro.solver`    — the DABS solver and the ABS baseline
 * :mod:`repro.service`   — multi-tenant solve service over one shared fleet
 * :mod:`repro.federation` — process-per-island sharding with elite migration

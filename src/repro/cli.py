@@ -7,7 +7,6 @@ Usage::
                            [--time-limit S] [--rounds N] [--target E]
                            [--seed K] [--gpus G] [--blocks B]
                            [--backend auto|numpy-dense|numpy-sparse|numba|cuda]
-                           [--engine round|async|async-process]
                            [--islands N] [--topology ring|all]
                            [--migration-period M] [--migration-k K]
                            [--transport queue|slab|socket]
@@ -34,7 +33,6 @@ import sys
 import numpy as np
 
 from repro.backends import backend_names, validate_backend_name
-from repro.engine import ENGINE_ENV_VAR, engine_names, validate_engine_name
 from repro.baselines.exact import BranchAndBoundSolver, MipLikeSolver
 from repro.baselines.sbm import SBMConfig, sbm_solve_qubo
 from repro.baselines.simulated_annealing import SAConfig, simulated_annealing
@@ -87,15 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
         "chosen by coupling density)",
     )
     parser.add_argument(
-        "--engine",
-        choices=engine_names(),
-        default=None,
-        help="execution engine for dabs/abs: the round-synchronous "
-        "scheduler, the barrier-free async engine (thread workers), or "
-        "async over one process per virtual GPU; other solvers ignore it "
-        "(default: the REPRO_ENGINE env var if set, else round)",
-    )
-    parser.add_argument(
         "--batch-flip-factor", type=float, default=4.0, metavar="B",
         help="batch search flip factor b",
     )
@@ -140,7 +129,6 @@ def _solve(model: QUBOModel, args) -> tuple[np.ndarray, int, str]:
             pool_capacity=20,
             batch=BatchSearchConfig(batch_flip_factor=args.batch_flip_factor),
             backend=args.backend,
-            engine=args.engine,
         )
         cls = DABSSolver if args.solver == "dabs" else ABSSolver
         kwargs = {}
@@ -220,13 +208,6 @@ def main(argv: list[str] | None = None) -> int:
             validate_backend_name(env_backend)
         except ValueError as exc:
             print(f"error: REPRO_BACKEND: {exc}", file=sys.stderr)
-            return 2
-    env_engine = os.environ.get(ENGINE_ENV_VAR, "").strip()
-    if args.solver in ("dabs", "abs") and args.engine is None and env_engine:
-        try:
-            validate_engine_name(env_engine)
-        except ValueError as exc:
-            print(f"error: {ENGINE_ENV_VAR}: {exc}", file=sys.stderr)
             return 2
     try:
         chaos.config_from_env(os.environ)

@@ -1,80 +1,27 @@
-"""Execution engines: how launches are scheduled across virtual GPUs.
+"""Launch execution below the solver: lanes, super-launches, virtual time.
 
-Three engines drive a solve:
-
-* ``"round"`` — the double-buffered, round-synchronous
-  :class:`~repro.solver.scheduler.RoundScheduler` loop (the default): all
-  devices submit round *r*, then all collect — one slow device stalls the
-  fleet at the barrier.
-* ``"async"`` — the free-running :class:`~repro.engine.async_engine.AsyncEngine`
-  over per-device worker threads: each device keeps ``inflight_per_device``
-  launches in flight, completions are collected as they arrive, and pool
-  reads/inserts happen as-of-arrival.  ``DABSConfig.virtual_time`` switches
-  it to the deterministic merge that replays the round schedule bit-exactly.
-* ``"async-process"`` — the same engine over one forked process per device
-  with shared-memory batch slots (:class:`~repro.core.packet.SharedBatchSlab`),
-  sidestepping the GIL entirely.
-
-Selection (first match wins): an explicit name via ``DABSConfig.engine`` or
-the CLI ``--engine`` flag; the ``REPRO_ENGINE`` environment variable; the
-``"round"`` default.
+A direct ``DABSSolver.solve()`` runs the round loop of
+:class:`~repro.solver.scheduler.RoundScheduler` in the caller's thread,
+each round's pack-compatible devices fused into one
+:class:`~repro.engine.coalesce.SuperLaunch`.  Barrier-free execution —
+free-running devices, or virtual-time replay with its launches on
+concurrent lanes — is the service's job: ``solve(service=SolveService(g))``
+runs the solver as a one-job service over a
+:class:`~repro.engine.workers.FleetWorkerGroup`, driven by the
+:class:`~repro.engine.async_engine.EngineDriver` hooks and the
+:class:`~repro.engine.async_engine.VirtualTimeReplay` state machine
+defined here (DESIGN.md §7, §8).
 """
 
 from __future__ import annotations
 
-import os
-
-from repro.engine.async_engine import AsyncEngine, EngineDriver, VirtualTimeReplay
-from repro.engine.workers import (
-    FleetWorkerGroup,
-    LaunchCompletion,
-    ProcessWorkerGroup,
-    ThreadWorkerGroup,
-    WorkerError,
-)
+from repro.engine.async_engine import EngineDriver, VirtualTimeReplay
+from repro.engine.workers import FleetWorkerGroup, LaunchCompletion, WorkerError
 
 __all__ = [
-    "AsyncEngine",
-    "ENGINE_ENV_VAR",
     "EngineDriver",
     "FleetWorkerGroup",
     "LaunchCompletion",
-    "ProcessWorkerGroup",
-    "ThreadWorkerGroup",
     "VirtualTimeReplay",
     "WorkerError",
-    "engine_names",
-    "resolve_engine_name",
-    "validate_engine_name",
 ]
-
-#: environment variable consulted when no explicit engine is given
-ENGINE_ENV_VAR = "REPRO_ENGINE"
-
-_ENGINE_NAMES = ("round", "async", "async-process")
-
-
-def engine_names() -> tuple[str, ...]:
-    """All engine names, in preference order."""
-    return _ENGINE_NAMES
-
-
-def validate_engine_name(name: str) -> None:
-    """Strict check of an engine name; the CLI reuses the message for
-    eager ``REPRO_ENGINE`` validation."""
-    if name not in _ENGINE_NAMES:
-        raise ValueError(
-            f"unknown engine {name!r} (known: {', '.join(_ENGINE_NAMES)})"
-        )
-
-
-def resolve_engine_name(name: str | None) -> str:
-    """Resolve an engine spec: explicit name > ``REPRO_ENGINE`` > "round"."""
-    if name is not None:
-        validate_engine_name(name)
-        return name
-    env = os.environ.get(ENGINE_ENV_VAR, "").strip()
-    if env:
-        validate_engine_name(env)
-        return env
-    return "round"

@@ -1,37 +1,36 @@
-"""The asynchronous per-device execution engine: no global round barrier.
+"""The barrier-free scheduling contract: driver hooks and virtual time.
 
 The paper's defining systems idea is that each GPU runs *asynchronously*:
 its host thread fetches parents from the shared pool, launches a bulk
 search, and folds solutions back at the device's own pace — one slow
-device never stalls the fleet.  :class:`AsyncEngine` is that event loop
-for the virtual GPUs.  It owns no solver policy; a *driver* (implemented
-by the solver, see :class:`EngineDriver` for the contract) supplies
-batches and absorbs completions, while the engine does slot accounting,
-submission, completion-order merging, and draining over a
-:mod:`~repro.engine.workers` worker group.
+device never stalls the fleet.  In this package that schedule is run by
+the :class:`~repro.service.SolveService` scheduler over the lanes of a
+:class:`~repro.engine.workers.FleetWorkerGroup`; a direct solve that
+wants it runs as a one-job service (``solve(service=...)``).  The service
+owns no solver policy; a *driver* (implemented by the solver, see
+:class:`EngineDriver` for the contract) supplies batches and absorbs
+completions, while the scheduler does slot accounting, submission,
+completion-order merging and draining.
 
 Two schedules:
 
 * **free-running** (``driver.virtual_time == False``) — the throughput
-  path.  Every device keeps up to ``depth`` launches in flight; each
-  completion is collected the moment it arrives (pool insertion
-  as-of-arrival) and immediately back-fills that device's slot with a
+  path.  Every device keeps up to ``inflight_per_device`` launches in
+  flight; each completion is collected the moment it arrives (pool
+  insertion as-of-arrival) and back-fills that device's slot with a
   batch generated from the pools *as they are now*.  No barrier exists
   anywhere; completion order (and therefore pool content) depends on
   device timing.
 * **virtual time** (``driver.virtual_time == True``) — the determinism
-  path.  Completions are merged in ``(launch_seq, device_id)`` order and
-  the host-side schedule (generation draw order, pool snapshots,
-  insertion order, restart points) replays the round scheduler exactly,
-  so results are bit-identical to the sequential scheduler while launches
-  still run concurrently on the workers.  When the run is purely
-  launch-budgeted (``driver.can_pipeline``), a device's next launch is
-  submitted the moment its previous one completes — ahead of slower
-  devices — which pipelines rounds without breaking the replay.
-
-The engine is context-managed: ``close()`` (or leaving the ``with`` block,
-including via an exception) closes the worker group, joining every worker
-thread/process.
+  path, :class:`VirtualTimeReplay`.  Completions are merged in
+  ``(launch_seq, device_id)`` order and the host-side schedule
+  (generation draw order, pool snapshots, insertion order, restart
+  points) replays the round loop exactly, so results are bit-identical
+  to a direct ``solve()`` while launches still run concurrently on the
+  lanes.  When the run is purely launch-budgeted
+  (``driver.can_pipeline``), a device's next launch is submitted the
+  moment its previous one completes — ahead of slower devices — which
+  pipelines rounds without breaking the replay.
 """
 
 from __future__ import annotations
@@ -41,18 +40,15 @@ from typing import Protocol
 from repro.core.packet import PacketBatch
 from repro.engine.workers import LaunchCompletion
 
-__all__ = ["AsyncEngine", "EngineDriver", "VirtualTimeReplay"]
-
-#: seconds between liveness/time-limit checks while waiting on completions
-_POLL_INTERVAL = 0.02
+__all__ = ["EngineDriver", "VirtualTimeReplay"]
 
 
 class EngineDriver(Protocol):
-    """What a solver must provide to run on the engine.
+    """What a solver must provide to be scheduled barrier-free.
 
     The driver owns all solver policy — generation RNG streams, pool
     insertion, best/history tracking, termination and restart decisions —
-    and must be touched only from the engine's caller thread (the engine
+    and must be touched only from the scheduler thread (the service
     never calls it concurrently).
     """
 
@@ -63,6 +59,10 @@ class EngineDriver(Protocol):
     can_pipeline: bool
 
     # -- free-running hooks ------------------------------------------------
+    def can_submit(self, device_id: int) -> bool:
+        """True while *device_id* may be handed another batch (peeked
+        before a lane slot is committed to this driver)."""
+
     def next_batch(self, device_id: int) -> PacketBatch | None:
         """A fresh batch for *device_id* (as-of-now pools), or None when
         that device's launch budget is exhausted / the run is stopping."""
@@ -74,7 +74,7 @@ class EngineDriver(Protocol):
         """Called while waiting on completions; "stop" ends submission."""
 
     def halt(self) -> None:
-        """The engine stopped submitting; remaining completions drain."""
+        """The scheduler stopped submitting; remaining completions drain."""
 
     # -- virtual-time hooks ------------------------------------------------
     def generate_round(self) -> list[PacketBatch]:
@@ -87,7 +87,7 @@ class EngineDriver(Protocol):
         """True while the launch budget allows *round_index*."""
 
     def collect_ordered(self, completion: LaunchCompletion) -> None:
-        """Absorb one completion (engine guarantees (seq, device) order)."""
+        """Absorb one completion (the replay guarantees (seq, device) order)."""
 
     def finish_round(self, round_index: int) -> str:
         """All of round *round_index* collected; returns "continue",
@@ -100,11 +100,10 @@ class VirtualTimeReplay:
     One canonical implementation of the determinism path: generate round
     *r+1* while *r* flies, merge completions in ``(launch_seq, device)``
     order, collect device-ordered, pipeline pure launch budgets, and
-    sequence §IV.B restarts before the regenerated round.  The engine's
-    blocking loop drives it directly; the multi-tenant service
-    (DESIGN.md §8) advances the same machine one completion at a time
-    between other tenants' work — which is why a virtual-time service
-    job is bit-exact with a direct solve.
+    sequence §IV.B restarts before the regenerated round.  The service
+    (DESIGN.md §8) advances it one completion at a time between other
+    tenants' work — which is why a virtual-time service job is bit-exact
+    with a direct solve.
 
     Protocol: the owner drains :attr:`pending` via :meth:`take_pending`
     (submitting each ``(seq, batch)`` on the device's FIFO lane), feeds
@@ -205,106 +204,3 @@ class VirtualTimeReplay:
             self._reset_due = True
             self._next_batches = self.driver.generate_round()
         self._begin_round()
-
-
-class AsyncEngine:
-    """Completion-driven execution of one solve over a worker group."""
-
-    def __init__(self, group, depth: int = 2) -> None:
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
-        self.group = group
-        self.depth = depth
-        self._closed = False
-
-    # -- lifecycle ---------------------------------------------------------
-    def close(self) -> None:
-        """Close the worker group (joins all workers).  Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        self.group.close()
-
-    def __enter__(self) -> "AsyncEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- entry point -------------------------------------------------------
-    def run(self, driver: EngineDriver) -> None:
-        """Drive one solve to completion (all submitted launches drained)."""
-        if driver.virtual_time:
-            self._run_virtual_time(driver)
-        else:
-            self._run_free(driver)
-
-    # -- free-running schedule ---------------------------------------------
-    def _run_free(self, driver: EngineDriver) -> None:
-        group = self.group
-        num_devices = group.num_devices
-        inflight = [0] * num_devices
-        seqs = [0] * num_devices
-        stopped = False
-
-        def refill(device_id: int) -> None:
-            while inflight[device_id] < self.depth:
-                batch = driver.next_batch(device_id)
-                if batch is None:
-                    return
-                seqs[device_id] += 1
-                group.submit(device_id, seqs[device_id], batch)
-                inflight[device_id] += 1
-
-        for device_id in range(num_devices):
-            refill(device_id)
-        while sum(inflight):
-            completion = group.next_completion(_POLL_INTERVAL)
-            if completion is None:
-                if not stopped and driver.idle() == "stop":
-                    stopped = True
-                    driver.halt()
-                continue
-            inflight[completion.device_id] -= 1
-            action = driver.collect(completion)
-            if stopped:
-                continue  # draining: absorb results, submit nothing
-            if action == "stop":
-                stopped = True
-                driver.halt()
-                continue
-            if action == "restart":
-                # queued behind each device's in-flight launches; results
-                # of pre-restart launches still land in the fresh pools
-                # (the restart is advisory in free-running mode)
-                for device_id in range(num_devices):
-                    group.reset_device(device_id)
-            refill(completion.device_id)
-
-    # -- virtual-time schedule ---------------------------------------------
-    def _run_virtual_time(self, driver: EngineDriver) -> None:
-        """Drive the shared :class:`VirtualTimeReplay` state machine with
-        blocking waits — the single-tenant owner of the replay protocol
-        (the multi-tenant service is the other one)."""
-        group = self.group
-        replay = VirtualTimeReplay(driver)
-        inflight = 0
-        while True:
-            if replay.take_reset_request():
-                # resets queue behind in-flight launches and ahead of the
-                # regenerated round submitted below
-                for device_id in range(group.num_devices):
-                    group.reset_device(device_id)
-            for device_id in range(group.num_devices):
-                entry = replay.take_pending(device_id)
-                if entry is not None:
-                    group.submit(device_id, entry[0], entry[1])
-                    inflight += 1
-            if replay.stopped and inflight == 0:
-                return
-            completion = group.next_completion(_POLL_INTERVAL)
-            if completion is None:
-                continue
-            inflight -= 1
-            if not replay.stopped:
-                replay.on_completion(completion)

@@ -1,68 +1,53 @@
-"""Device workers: one free-running execution lane per virtual GPU.
+"""Execution lanes: the shared worker fleet launches run on.
 
 The paper drives every physical GPU from its own host thread; a device
 fetches work, runs a bulk search, and returns solutions at its own pace
-(§III.C).  A *worker group* reproduces that seam for the virtual GPUs:
+(§III.C).  :class:`FleetWorkerGroup` reproduces that seam for the
+virtual GPUs: one single-thread executor per *lane*, not bound to any
+solver's devices.  Each submission names the virtual GPU to run, and
+completions carry an opaque ``tag`` routed back to the caller.  A
+:class:`~repro.service.SolveService` owns one fleet and multiplexes many
+jobs' launches over it, with the tag identifying the owning job
+(DESIGN.md §8).  The per-lane FIFO is what gives each device in-flight
+depth (a launch can be queued behind the running one) while NumPy/numba
+kernels release the GIL, so lanes genuinely overlap.
 
-* :class:`FleetWorkerGroup` — one single-thread executor per *lane*, not
-  bound to any solver's devices: each submission names the virtual GPU to
-  run, and completions carry an opaque ``tag`` routed back to the caller.
-  This is the multi-tenant seam (DESIGN.md §8): a
-  :class:`~repro.service.SolveService` owns one fleet and multiplexes many
-  jobs' launches over it, with the tag identifying the owning job.
-* :class:`ThreadWorkerGroup` — a fleet bound to one solver's GPU list
-  (lane *i* always runs ``gpus[i]``), the single-tenant configuration the
-  async engine drives.  The per-device FIFO is what gives each device
-  in-flight depth (a launch can be queued behind the running one) while
-  NumPy/numba kernels release the GIL, so lanes genuinely overlap.
-* :class:`ProcessWorkerGroup` — one forked child process per device,
-  exchanging whole :class:`~repro.core.packet.PacketBatch` columns through
-  :class:`~repro.core.packet.SharedBatchSlab` shared-memory slots.  Only a
-  tiny control tuple crosses the queue — no array is ever pickled — so the
-  engine sidesteps the GIL entirely for backends whose kernels hold it
-  (the numba JIT path).
-
-Both groups push :class:`LaunchCompletion` records onto one host-side
-completion stream; the engine consumes them with
-:meth:`~WorkerGroup.next_completion` in whatever order devices finish.
-Failures travel the same stream and surface as :class:`WorkerError` on the
-host, so a dead device can never strand the event loop.
+Completions land on one host-side stream as :class:`LaunchCompletion`
+records; the scheduler consumes them with
+:meth:`FleetWorkerGroup.next_completion` in whatever order lanes finish.
+Failures travel the same stream and surface as :class:`WorkerError` on
+the host, so a dead lane can never strand the event loop.
 
 Supervision (DESIGN.md §11): with a
-:class:`~repro.resilience.RetryPolicy` the groups become *supervised* —
+:class:`~repro.resilience.RetryPolicy` the group becomes *supervised* —
 every launch is recorded as a ticketed ``(lane, device, seq, batch)``
-in-flight entry, and a fault (worker exception, dead child process, hung
-launch past ``launch_timeout``) re-issues the recorded launch on a fresh
-lane/child after capped exponential backoff instead of failing the solve.
-The re-issue replays the identical batch at the identical per-device
-sequence number, so ``virtual_time`` replay stays bit-exact whenever the
-fault pre-empted the launch (chaos injection, a killed worker) and
-free-running results stay valid in every case.  Once ``max_retries`` or
-the per-job ``failure_budget`` is exhausted, the fault surfaces as a
+in-flight entry, and a fault (worker exception, hung launch past
+``launch_timeout``) re-issues the recorded launch after capped
+exponential backoff instead of failing the solve.  The re-issue replays
+the identical batch at the identical per-device sequence number, so
+``virtual_time`` replay stays bit-exact whenever the fault pre-empted
+the launch (chaos injection, a killed worker) and free-running results
+stay valid in every case.  Once ``max_retries`` or the per-job
+``failure_budget`` is exhausted, the fault surfaces as a
 :class:`WorkerError` carrying a structured
 :class:`~repro.resilience.FailureReport` — failing only the owning job.
 
-Hangs differ between the two worker kinds.  A hung child *process* is
-terminated before its launches are re-issued, so the re-issue never
-races the old worker.  A hung lane *thread* cannot be killed, so the
-thread fleet quarantines instead: the lane executor is replaced at once
-(co-tenants keep running) and a reaper waits for the abandoned thread
-to actually exit before settling its launches — a late completion is
-delivered as merely slow, a launch the thread never ran is re-issued,
-and only a thread that outlives ``hang_grace`` fails its launch (the
-device state it still owns is never handed to a second thread).
+A hung lane *thread* cannot be killed, so the fleet quarantines instead:
+the lane executor is replaced at once (co-tenants keep running) and a
+reaper waits for the abandoned thread to actually exit before settling
+its launches — a late completion is delivered as merely slow, a launch
+the thread never ran is re-issued, and only a thread that outlives
+``hang_grace`` fails its launch (the device state it still owns is never
+handed to a second thread).
 
-Lifecycle: groups are context managers and :meth:`~WorkerGroup.close` is
-idempotent; closing joins every thread/process, escalating from a stop
-sentinel through ``terminate()`` to ``kill()`` for stuck children, so a
-solve that raises mid-flight leaks nothing.
+Lifecycle: the group is a context manager and
+:meth:`FleetWorkerGroup.close` is idempotent; closing joins every lane
+thread, so a solve that raises mid-flight leaks nothing.
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing
-import os
 import queue
 import threading
 import time
@@ -73,32 +58,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.packet import PacketBatch, SharedBatchSlab
+from repro.core.packet import PacketBatch
 from repro.engine.coalesce import SuperLaunch
 from repro.resilience import chaos
 from repro.resilience.chaos import ChaosError
 from repro.resilience.policy import FailureReport, RetryPolicy
 
-__all__ = [
-    "FleetWorkerGroup",
-    "LaunchCompletion",
-    "ProcessWorkerGroup",
-    "ThreadWorkerGroup",
-    "WorkerError",
-]
+__all__ = ["FleetWorkerGroup", "LaunchCompletion", "WorkerError"]
 
-#: thread-name / process-name prefix, asserted by the leak regression tests
+#: lane thread-name prefix, asserted by the leak regression tests
 WORKER_NAME_PREFIX = "engine-vgpu"
-
-#: exit code a chaos ``worker_kill`` child death uses (tests assert it)
-CHAOS_EXIT_CODE = 17
 
 
 class WorkerError(RuntimeError):
     """A device worker failed; carries the device id and its traceback.
 
     ``tag`` is the opaque submission tag of the failed launch (None for
-    untagged single-tenant groups) — the service uses it to fail only the
+    untagged submissions) — the service uses it to fail only the
     owning job instead of the whole fleet.  ``report`` is the structured
     :class:`~repro.resilience.FailureReport` when a supervised group
     exhausted its retry policy (None on unsupervised failures).
@@ -135,7 +111,7 @@ class LaunchCompletion:
     #: 1 when this launch emitted a GreedyTruncationWarning, else 0
     truncation_events: int
     #: opaque submission tag (the service's job routing key); None for
-    #: single-tenant groups
+    #: untagged submissions
     tag: object = None
 
 
@@ -193,8 +169,8 @@ def _fault_key(tag: object) -> object:
     """The per-job failure-budget key of a submission tag.
 
     Service tags are ``(job_id, device_id)`` tuples — the budget is per
-    job, not per device.  Untagged single-tenant submissions share one
-    ``None`` bucket (one solve per group there, so it is per-job too).
+    job, not per device.  Untagged submissions share one ``None``
+    bucket.
     """
     if isinstance(tag, tuple) and tag:
         return tag[0]
@@ -726,7 +702,7 @@ class FleetWorkerGroup:
         ``wait=False`` skips joining the lane threads — the escape hatch
         a bounded service shutdown uses when a lane is known to be hung
         inside a launch (the abandoned thread exits whenever its launch
-        finally returns; hard kills need process workers, DESIGN.md §11).
+        finally returns; threads cannot be killed, DESIGN.md §11).
         """
         if self._closed:
             return
@@ -740,425 +716,6 @@ class FleetWorkerGroup:
             executor.shutdown(wait=wait, cancel_futures=True)
 
     def __enter__(self) -> "FleetWorkerGroup":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class ThreadWorkerGroup(FleetWorkerGroup):
-    """A fleet bound to one solver's GPU list (lane *i* runs ``gpus[i]``).
-
-    Device state (block solutions, RNG lanes, counters) stays in the
-    parent's :class:`~repro.gpu.virtual_gpu.VirtualGPU` objects, so it
-    persists across ``solve()`` calls exactly like the round scheduler.
-    """
-
-    def __init__(self, gpus, retry: RetryPolicy | None = None) -> None:
-        self.gpus = list(gpus)
-        super().__init__(len(self.gpus), retry=retry)
-
-    @property
-    def num_devices(self) -> int:
-        return len(self.gpus)
-
-    def submit(self, device_id: int, seq: int, batch: PacketBatch) -> None:
-        """Queue one launch on *device_id*'s FIFO lane."""
-        self.submit_launch(
-            device_id, device_id, seq, self.gpus[device_id], batch
-        )
-
-    def reset_device(self, device_id: int) -> None:
-        """Queue a device reset behind that device's in-flight launches."""
-        self.run_on(device_id, self.gpus[device_id].reset)
-
-
-def _device_worker_main(device_id, gpu, task_queue, result_queue, slabs):
-    """Child-process main loop: launch slots until told to stop.
-
-    Runs in a fork of the parent taken at group construction (or at a
-    supervised respawn), so ``gpu`` (and the backend kernel cache inside
-    it) arrives by memory inheritance — nothing is pickled.  Batches
-    arrive and results leave through the fork-shared
-    :class:`SharedBatchSlab` pages; the queues carry only ``(kind,
-    ticket, slot)`` control tuples.
-
-    CUDA contexts do **not** survive a fork: the cuda backend pid-stamps
-    its device allocations and kernel handles and rebuilds them on first
-    use in the child (see :mod:`repro.backends.cuda`), so an inherited
-    ``gpu`` whose state was staged on a device in the parent re-uploads
-    in this process instead of touching the parent's context.
-    """
-    try:
-        while True:
-            message = task_queue.get()
-            kind = message[0]
-            if kind == "stop":
-                return
-            if kind == "reset":
-                gpu.reset()
-                continue
-            _, ticket, slot = message
-            if chaos.fire("worker_kill", who=device_id):
-                os._exit(CHAOS_EXIT_CODE)
-            if chaos.fire("launch_exception", who=device_id):
-                raise ChaosError(
-                    f"chaos: injected launch exception (device {device_id})"
-                )
-            slab = slabs[slot]
-            trunc0 = gpu.greedy_truncations
-            events0 = gpu.truncation_events
-            result, flips = gpu.launch(slab.batch())
-            slab.store_result(result, flips)
-            result_queue.put(
-                (
-                    "done",
-                    device_id,
-                    ticket,
-                    slot,
-                    gpu.greedy_truncations - trunc0,
-                    gpu.truncation_events - events0,
-                )
-            )
-    except BaseException:
-        result_queue.put(("error", device_id, traceback.format_exc()))
-
-
-class _ProcessWorker:
-    """Host-side record of one device child: process, queue, slab slots."""
-
-    __slots__ = ("process", "task_queue", "slabs", "free_slots")
-
-    def __init__(self, process, task_queue, slabs) -> None:
-        self.process = process
-        self.task_queue = task_queue
-        self.slabs = slabs
-        self.free_slots = list(range(len(slabs)))
-
-
-class ProcessWorkerGroup:
-    """One forked child process per device over shared-memory batch slots.
-
-    Requires the ``fork`` start method (the slabs and the device state are
-    inherited, never pickled).  Device state lives in the children, so —
-    unlike the thread group — it does not persist into a later ``solve()``
-    call on the same solver; each group starts from the state captured at
-    the fork.
-
-    With *retry* the group is supervised: a dead or hung child is
-    terminated and **respawned** — the replacement forks from the parent
-    now, inheriting the same anonymous-mmap slabs (any fork made after a
-    slab's creation shares its pages) and the parent's snapshot of the
-    device state — and every launch that was in flight on the lost child
-    is re-stored from its host-kept batch and re-issued at its original
-    sequence number.
-    """
-
-    def __init__(
-        self, gpus, depth: int = 2, retry: RetryPolicy | None = None
-    ) -> None:
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
-        gpus = list(gpus)
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise WorkerError(
-                -1, "process workers need the fork start method (POSIX only)"
-            )
-        self.retry = retry
-        self._gpus = gpus
-        self._ctx = multiprocessing.get_context("fork")
-        self._result_queue = self._ctx.Queue()
-        self._workers: list[_ProcessWorker] = []
-        self._closed = False
-        self._tickets = itertools.count(1)
-        #: ticket -> in-flight record (consumer-thread only, no lock)
-        self._records: dict[int, _LaunchRecord] = {}
-        self._fault_counts: dict[object, int] = {}
-        self.retry_counts: dict[object, int] = {}
-        #: completions decoded ahead of delivery (respawn drains)
-        self._ready: deque = deque()
-        self.retries = 0
-        self.respawns = 0
-        try:
-            for device_id, gpu in enumerate(gpus):
-                slabs = [
-                    SharedBatchSlab(gpu.num_blocks, gpu.model.n)
-                    for _ in range(depth)
-                ]
-                self._workers.append(self._spawn(device_id, slabs))
-        except BaseException:
-            self.close()
-            raise
-
-    def _spawn(self, device_id: int, slabs) -> _ProcessWorker:
-        task_queue = self._ctx.Queue()
-        process = self._ctx.Process(
-            target=_device_worker_main,
-            args=(
-                device_id,
-                self._gpus[device_id],
-                task_queue,
-                self._result_queue,
-                slabs,
-            ),
-            name=f"{WORKER_NAME_PREFIX}{device_id}",
-            daemon=True,
-        )
-        process.start()
-        return _ProcessWorker(process, task_queue, slabs)
-
-    @property
-    def num_devices(self) -> int:
-        return len(self._workers)
-
-    def submit(self, device_id: int, seq: int, batch: PacketBatch) -> None:
-        """Write *batch* into a free shared slot and wake the child."""
-        worker = self._workers[device_id]
-        if not worker.free_slots:
-            raise WorkerError(
-                device_id, "no free launch slot (in-flight depth exceeded)"
-            )
-        slot = worker.free_slots.pop()
-        worker.slabs[slot].store(batch)
-        record = _LaunchRecord(
-            device_id,
-            device_id,
-            seq,
-            None,
-            # the host-kept copy a respawn re-stores (a dying child may
-            # have half-overwritten the slab with its result columns)
-            PacketBatch(
-                batch.vectors.copy(),
-                batch.energies.copy(),
-                batch.algorithms.copy(),
-                batch.operations.copy(),
-            )
-            if self.retry is not None
-            else None,
-            None,
-            slot=slot,
-        )
-        self._issue(record)
-
-    def _issue(self, record: _LaunchRecord) -> None:
-        ticket = next(self._tickets)
-        if self.retry is not None and self.retry.launch_timeout is not None:
-            record.deadline = time.monotonic() + self.retry.launch_timeout
-        self._records[ticket] = record
-        self._workers[record.device_id].task_queue.put(
-            ("launch", ticket, record.slot)
-        )
-
-    def reset_device(self, device_id: int) -> None:
-        """Queue a device reset behind that device's in-flight launches."""
-        self._workers[device_id].task_queue.put(("reset",))
-
-    def forget(self, key: object) -> None:
-        """Drop a finished job's supervision tallies (see
-        :meth:`FleetWorkerGroup.forget`); consumer-thread only."""
-        self._fault_counts.pop(key, None)
-        self.retry_counts.pop(key, None)
-
-    def next_completion(self, timeout: float) -> LaunchCompletion | None:
-        """The next finished launch from any child; None on timeout (or
-        while a fault is being retried internally).
-
-        Result columns are snapshotted out of the shared slot so the slot
-        can be reused by the very next submission.
-        """
-        if self._ready:
-            return self._ready.popleft()
-        try:
-            message = self._result_queue.get(timeout=timeout)
-        except queue.Empty:
-            self._check_alive()
-            self._check_deadlines()
-            if self._ready:
-                return self._ready.popleft()
-            return None
-        return self._ingest(message)
-
-    def _ingest(self, message) -> LaunchCompletion | None:
-        if message[0] == "error":
-            # the child's loop exited after posting the traceback
-            return self._fault_device(message[1], message[2], kind="launch")
-        _, device_id, ticket, slot, truncations, events = message
-        record = self._records.pop(ticket, None)
-        if record is None:
-            return None  # superseded launch (its slot was re-issued)
-        worker = self._workers[device_id]
-        batch, flips = worker.slabs[slot].snapshot()
-        worker.free_slots.append(slot)
-        return LaunchCompletion(
-            device_id, record.seq, batch, flips, truncations, events
-        )
-
-    def _drain_results(self) -> None:
-        """Decode every already-posted result before a respawn, so a
-        completed launch is never re-issued (and its slot never reused
-        while readable)."""
-        while True:
-            try:
-                message = self._result_queue.get_nowait()
-            except queue.Empty:
-                return
-            if message[0] == "error":
-                # a different child died too; fold its fault in directly
-                # (recursion depth is bounded by the device count)
-                self._fault_device(message[1], message[2], kind="launch")
-                continue
-            completion = self._ingest(message)
-            if completion is not None:
-                self._ready.append(completion)
-
-    def _check_alive(self) -> None:
-        """Fault any child that died without posting an error message."""
-        for device_id, worker in enumerate(self._workers):
-            process = worker.process
-            if not process.is_alive() and process.exitcode not in (0, None):
-                self._fault_device(
-                    device_id,
-                    f"device worker process died "
-                    f"(exit code {process.exitcode})",
-                    kind="worker",
-                )
-
-    def _check_deadlines(self) -> None:
-        if self.retry is None or self.retry.launch_timeout is None:
-            return
-        now = time.monotonic()
-        hung = {
-            record.device_id
-            for record in self._records.values()
-            if record.deadline is not None and now > record.deadline
-        }
-        for device_id in sorted(hung):
-            self._fault_device(
-                device_id,
-                f"launch exceeded deadline ({self.retry.launch_timeout}s) "
-                f"on device {device_id}",
-                kind="hang",
-            )
-
-    def _fault_device(self, device_id: int, detail: str, kind: str) -> None:
-        """One child incident: charge every in-flight launch on the
-        device, respawn the child, and re-issue — or raise when the
-        retry policy (or absence of one) says the fault is fatal."""
-        self._drain_results()
-        affected = {
-            ticket: record
-            for ticket, record in self._records.items()
-            if record.device_id == device_id
-        }
-        retry = self.retry
-        fatal: WorkerError | None = None
-        for record in affected.values():
-            record.failures.append(detail)
-            key = _fault_key(record.tag)
-            faults = self._fault_counts.get(key, 0) + 1
-            self._fault_counts[key] = faults
-            budget_left = retry is not None and (
-                retry.failure_budget is None or faults <= retry.failure_budget
-            )
-            if (
-                retry is None
-                or record.attempts > retry.max_retries
-                or not budget_left
-            ):
-                report = FailureReport(
-                    kind=kind,
-                    device_id=device_id,
-                    attempts=record.attempts,
-                    retries=record.attempts - 1,
-                    fatal=True,
-                    details=tuple(record.failures),
-                )
-                fatal = WorkerError(device_id, detail, record.tag, report)
-                break
-        if retry is None:
-            raise (
-                fatal
-                if fatal is not None
-                else WorkerError(device_id, detail)
-            )
-        if fatal is not None:
-            for ticket in affected:
-                self._records.pop(ticket, None)
-            raise fatal
-        if affected:
-            delay = retry.delay(
-                max(record.attempts for record in affected.values())
-            )
-            if delay > 0:
-                time.sleep(delay)
-        self._respawn_worker(device_id)
-        for ticket, record in affected.items():
-            del self._records[ticket]
-            record.attempts += 1
-            key = _fault_key(record.tag)
-            self.retries += 1
-            self.retry_counts[key] = self.retry_counts.get(key, 0) + 1
-            if record.batch is not None:
-                self._workers[device_id].slabs[record.slot].store(record.batch)
-            self._issue(record)
-
-    def _respawn_worker(self, device_id: int) -> None:
-        """Replace a dead or hung child with a fresh fork sharing the
-        same slab pages (terminate → kill escalation for a hung one)."""
-        worker = self._workers[device_id]
-        self._reap(worker.process)
-        try:
-            worker.task_queue.close()
-            worker.task_queue.cancel_join_thread()
-        except (OSError, ValueError):  # pragma: no cover - torn down
-            pass
-        fresh = self._spawn(device_id, worker.slabs)
-        worker.process = fresh.process
-        worker.task_queue = fresh.task_queue
-        self.respawns += 1
-
-    @staticmethod
-    def _reap(process) -> None:
-        """join → terminate → kill escalation; never hangs."""
-        if not process.is_alive():
-            process.join(timeout=1.0)
-            return
-        process.terminate()
-        process.join(timeout=1.0)
-        if process.is_alive():  # pragma: no cover - stuck in a syscall
-            process.kill()
-            process.join(timeout=1.0)
-
-    def close(self) -> None:
-        """Stop and reap every child process.  Idempotent.
-
-        Children get a stop sentinel and a grace period; ones still alive
-        (stuck kernels, queued work) are terminated, then killed — the
-        anonymous-mmap slabs free themselves when the last mapping drops.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        for worker in self._workers:
-            try:
-                worker.task_queue.put(("stop",))
-            except (OSError, ValueError):  # queue already torn down
-                pass
-        for worker in self._workers:
-            worker.process.join(timeout=5.0)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=1.0)
-            if worker.process.is_alive():  # pragma: no cover - stuck child
-                worker.process.kill()
-                worker.process.join(timeout=1.0)
-        for worker in self._workers:
-            worker.task_queue.close()
-            worker.task_queue.cancel_join_thread()
-        self._result_queue.close()
-        self._result_queue.cancel_join_thread()
-
-    def __enter__(self) -> "ProcessWorkerGroup":
         return self
 
     def __exit__(self, *exc_info) -> None:

@@ -22,9 +22,9 @@ Three transports, selected by name through :data:`TRANSPORTS`:
   pickled whole.  The robust default.
 * ``"slab"`` — per-edge rings of :class:`~repro.core.packet.SharedBatchSlab`
   slots: elite columns are written into fork-shared pages and only a tiny
-  control tuple crosses the queue, the same pickle-free boundary the
-  ``async-process`` engine uses.  Payloads wider than the preallocated
-  ``slab_vars`` fall back to the pickled path transparently.
+  control tuple crosses the queue, so no array is ever pickled.
+  Payloads wider than the preallocated ``slab_vars`` fall back to the
+  pickled path transparently.
 * ``"socket"`` — stub with the same interface for the cross-machine
   deployment this seam exists for; constructing an endpoint raises
   ``NotImplementedError`` today.
@@ -198,8 +198,7 @@ class _SlabEdge:
     slot, rows, n)`` for payloads that fit the preallocated pages, or
     ``("inline", message)`` for oversized ones.  The receiver copies the
     columns out and recycles the slot, so a slot is never overwritten
-    while readable — the same snapshot-then-recycle protocol as
-    :class:`~repro.engine.workers.ProcessWorkerGroup`.
+    while readable (snapshot-then-recycle).
     """
 
     def __init__(self, ctx, depth: int, rows: int, slab_vars: int) -> None:

@@ -26,7 +26,7 @@ class StallTracker:
     :meth:`update` are denominated in the *same* work unit, whatever the
     caller's scheduler naturally counts — the round scheduler calls
     ``update(improved)`` once per barrier (one unit = one round), while
-    the asynchronous engines have no rounds and call it once per device
+    free-running service jobs have no rounds and call it once per device
     *launch* completion.  A threshold configured in rounds
     (``DABSConfig.restart_after_stall``) must therefore be converted to
     the caller's unit before construction; :meth:`scaled` is that

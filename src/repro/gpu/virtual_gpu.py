@@ -94,7 +94,7 @@ class VirtualGPU:
         # persistent per-(block, thread) RNG lane states
         self.rng_state = spawn_device_seeds(host_rng, (b, n))
         self.total_flips = 0
-        # completed launches on this device; the async engine keys
+        # completed launches on this device; free-running jobs key
         # launch-count-triggered policies (restarts, budgets) off this
         # instead of a global round index
         self.launch_count = 0

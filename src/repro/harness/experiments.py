@@ -92,11 +92,6 @@ class ExperimentScale:
     fig7_trials: int = 6
     #: trials for the Table V/VI frequency runs
     freq_trials: int = 6
-    #: execution engine for the DABS/ABS runners ("round", "async",
-    #: "async-process"); None defers to REPRO_ENGINE, then "round" — so a
-    #: whole experiment suite can be replayed on the async engine by
-    #: exporting one variable
-    engine: str | None = None
     #: federation sharding for :func:`run_federation_sweep` — island
     #: process count, launches between elite migrations (None disables
     #: migration) and elites published per migration
@@ -146,7 +141,6 @@ def _dabs_config(scale: ExperimentScale, n: int) -> DABSConfig:
             batch_flip_factor=scale.batch_flip_factor,
         ),
         operations=OperationParams(interval_min=interval_min),
-        engine=scale.engine,
     )
 
 

@@ -4,8 +4,8 @@ Three pieces:
 
 * :class:`RetryPolicy` — declarative recovery knobs (per-launch retries
   with capped exponential backoff, a per-job failure budget, a hang
-  deadline) that ``DABSConfig.retry_policy`` / ``SolveService`` hand to
-  the worker groups;
+  deadline) that a ``SolveService`` (its ``retry`` argument or its
+  default config's ``retry_policy``) hands to its fleet lanes;
 * :class:`FailureReport` — the structured record a job fails with once
   recovery is exhausted;
 * :mod:`repro.resilience.chaos` — deterministic, seed-driven fault

@@ -1,8 +1,9 @@
 """Retry policy and structured failure reports (DESIGN.md §11).
 
-One :class:`RetryPolicy` travels from ``DABSConfig.retry_policy`` (or the
-``SolveService`` constructor) down into the worker groups, where it
-governs every recovery decision the execution layer makes:
+One :class:`RetryPolicy` travels from the ``SolveService`` constructor
+(or its default config's ``DABSConfig.retry_policy``) down into the
+fleet lanes, where it governs every recovery decision the execution
+layer makes:
 
 * how many times one launch is re-issued after a worker fault
   (``max_retries``), with capped exponential backoff between attempts;
@@ -13,7 +14,7 @@ governs every recovery decision the execution layer makes:
   respawned (``launch_timeout``) — hang detection, not just crash
   detection — and how long the thread fleet's reaper then waits for the
   abandoned lane thread before failing the launch it still owns
-  (``hang_grace``; process workers are simply killed instead).
+  (``hang_grace``).
 
 When recovery is exhausted the failure surfaces as a
 :class:`~repro.engine.workers.WorkerError` carrying a

@@ -27,20 +27,21 @@ pools, limits and RNG stream) across it:
   :class:`~repro.service.cache.ProblemCache`.
 
 Execution model: one scheduler thread owns all solver-side state (pools,
-RNG, drivers) — the single-policy-thread rule of the async engine
-(DESIGN.md §7) carried over — while the fleet lanes run launches.  A job
+RNG, drivers) — the single-policy-thread rule of DESIGN.md §7 — while
+the fleet lanes run launches.  A job
 requesting ``d`` devices gets ``d`` lane *affinities* (its per-device
 state is resident on those lanes, as matrices are resident on a GPU);
 multiple jobs mapped to one lane interleave at launch granularity through
 the lane FIFO.
 
 Determinism: a job with ``config.virtual_time=True`` is scheduled with
-the same event-driven replay the async engine uses, merging completions
-in ``(launch_seq, device)`` order — its results are bit-exact with a
-direct ``solve()`` of the same solver, no matter what else the fleet is
-running (asserted by ``tests/service/test_service.py``).  Free-running
-jobs insert completions as-of-arrival and are timing-dependent, exactly
-like ``engine="async"``.
+the event-driven :class:`~repro.engine.async_engine.VirtualTimeReplay`,
+merging completions in ``(launch_seq, device)`` order — its results are
+bit-exact with a direct ``solve()`` of the same solver, no matter what
+else the fleet is running (asserted by ``tests/service/test_service.py``).
+Free-running jobs insert completions as-of-arrival and are
+timing-dependent.  ``DABSSolver.solve(service=...)`` runs one solver as a
+one-job service — the barrier-free way to run a single solve.
 """
 
 from __future__ import annotations
@@ -601,8 +602,8 @@ class SolveService:
         num = job.solver.config.num_gpus
         job.driver = _AsyncDriver(job.solver, job.limits, time.perf_counter())
         if job.virtual_time:
-            # the engine's canonical virtual-time state machine, advanced
-            # one completion at a time between other tenants' work
+            # the canonical virtual-time state machine, advanced one
+            # completion at a time between other tenants' work
             job.replay = VirtualTimeReplay(job.driver)
         job.dev_seq = [0] * num
         job.dev_inflight = [0] * num

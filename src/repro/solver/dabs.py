@@ -13,30 +13,24 @@ its pool with one sort-merge — :class:`PacketBatch` is the only
 interchange type; per-:class:`Packet` objects appear only on scalar
 reference paths (``_generate_batch_scalar``, tests, examples).
 
-Execution engines (``DABSConfig.engine``, DESIGN.md §7):
-
-* ``"round"`` (default) — the double-buffered round-synchronous loop:
-  all devices submit round *r*, round *r+1*'s packets are generated while
-  the launches fly, then all results are collected at the barrier.
-  Pack-compatible devices run each round as one fused super-launch
-  (``DABSConfig.coalesce``); ``parallel="thread"`` runs the launches on
-  a persistent thread pool.
-* ``"async"`` — the paper's actual architecture: a free-running
-  :class:`~repro.engine.async_engine.AsyncEngine` with no global round.
-  Each device keeps ``inflight_per_device`` launches in flight;
-  completions are inserted into the pools the moment they arrive, and the
-  replacement batch is generated from the pools *as of arrival* using a
-  per-device RNG stream.  ``DABSConfig.virtual_time`` switches the engine
-  to a deterministic ``(launch_seq, device)`` merge that replays the
-  sequential round schedule bit-exactly (the parity tests assert this).
-* ``"async-process"`` — the same engine over one forked process per
-  device with shared-memory batch slots, sidestepping the GIL.
+Execution (DESIGN.md §3, §7): a direct ``solve()`` runs the
+double-buffered round loop — all devices submit round *r*, round *r+1*'s
+packets are generated, then round *r*'s results are folded — with each
+round's pack-compatible devices fused into one super-launch
+(``DABSConfig.coalesce``).  The paper's barrier-free architecture runs
+through the service instead: ``solve(service=SolveService(num_gpus))``
+schedules the solver as a one-job service, where each device keeps
+``inflight_per_device`` launches in flight, completions fold into the
+pools the moment they arrive, and each replacement batch is generated
+from the pools *as of arrival* on a per-device RNG stream.
+``DABSConfig.virtual_time`` switches that job to a deterministic
+``(launch_seq, device)`` merge that replays the round loop bit-exactly
+(the parity tests assert this).
 
 The per-flip kernels below the solver are pluggable
 (:mod:`repro.backends`); ``DABSConfig.backend`` selects one by name, with
 ``None``/"auto" deferring to the ``REPRO_BACKEND`` environment variable
-and the coupling-density auto rule.  ``DABSConfig.engine`` resolves the
-same way through ``REPRO_ENGINE``.
+and the coupling-density auto rule.
 """
 
 from __future__ import annotations
@@ -44,8 +38,6 @@ from __future__ import annotations
 import os
 import time
 import warnings
-import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,13 +53,6 @@ from repro.core.packet import (
 )
 from repro.core.qubo import QUBOModel
 from repro.core.rng import host_generator
-from repro.engine import (
-    AsyncEngine,
-    ProcessWorkerGroup,
-    ThreadWorkerGroup,
-    resolve_engine_name,
-    validate_engine_name,
-)
 from repro.ga.adaptive import AdaptiveSelector, SelectionCounters
 from repro.ga.island import IslandRing, StallTracker
 from repro.ga.operations import OperationParams, TargetGenerator
@@ -104,42 +89,37 @@ class DABSConfig:
     #: probabilities/sizes of the stochastic genetic operations
     operations: OperationParams = field(default_factory=OperationParams)
     #: restart all pools after this many rounds without global improvement
-    #: (§IV.B's merged-ring restart; the async engines scale it to
-    #: ``num_gpus ×`` launches); None disables
+    #: (§IV.B's merged-ring restart; free-running service jobs scale it
+    #: to ``num_gpus ×`` launches); None disables
     restart_after_stall: int | None = None
     #: restart when every pool's mean pairwise Hamming diversity falls below
     #: this fraction of n (§IV.B's "all solutions are relatives" collapse
     #: signal, measured rather than inferred from stalling); None disables
     restart_on_collapse: float | None = None
-    #: "sequential" round-robin or "thread" (one worker per GPU, as OpenMP);
-    #: only meaningful for the "round" engine
-    parallel: str = "sequential"
     #: compute backend name ("auto", "numpy-dense", "numpy-sparse", "numba",
     #: "cuda");
     #: None defers to the REPRO_BACKEND env var, then the auto density rule
     backend: str | None = None
-    #: execution engine ("round", "async", "async-process"); None defers to
-    #: the REPRO_ENGINE env var, then "round"
-    engine: str | None = None
-    #: async engines only: merge completions in (launch_seq, device) order,
-    #: replaying the sequential round schedule bit-exactly instead of
+    #: service jobs only: merge completions in (launch_seq, device) order,
+    #: replaying the direct solve's round loop bit-exactly instead of
     #: free-running (the determinism/debug mode; throughput stays with
-    #: virtual_time=False)
+    #: virtual_time=False).  A direct solve() is always the round loop.
     virtual_time: bool = False
-    #: async engines only: launches each device keeps in flight (depth ≥ 2
+    #: service jobs only: launches each device keeps in flight (depth ≥ 2
     #: keeps a device busy while the host folds its previous result)
     inflight_per_device: int = 2
-    #: supervised-worker recovery (DESIGN.md §11): retry faulted launches
-    #: with capped backoff, respawn dead lanes/processes, fail the job in
-    #: isolation once the budget runs out; None (the default) keeps the
-    #: fail-fast behavior — any worker fault raises immediately
+    #: supervised-lane recovery (DESIGN.md §11), armed by a SolveService
+    #: built with this as its default config (a direct solve() has no
+    #: lanes): retry faulted launches with capped backoff, respawn hung
+    #: lanes, fail the job in isolation once the budget runs out; None
+    #: (the default) keeps the fail-fast behavior
     retry_policy: RetryPolicy | None = None
     #: degrade to the next available compute backend (with a
     #: BackendFallbackWarning) when the chosen one fails at prepare or
     #: mid-launch, instead of crashing the solve
     backend_fallback: bool = True
-    #: fuse launches into super-launches (DESIGN.md §12): the "round"
-    #: engine runs each round's pack-compatible devices as one fused
+    #: fuse launches into super-launches (DESIGN.md §12): a direct solve
+    #: runs each round's pack-compatible devices as one fused
     #: super-launch (DESIGN.md §3), and the service coalesces this job's
     #: launches with pack-compatible co-tenant launches, one super-launch
     #: per lane slot.  None defers to the REPRO_COALESCE env var
@@ -170,8 +150,6 @@ class DABSConfig:
             raise ValueError("blocks_per_gpu must be >= 1")
         if self.pool_capacity < 1:
             raise ValueError("pool_capacity must be >= 1")
-        if self.parallel not in ("sequential", "thread"):
-            raise ValueError('parallel must be "sequential" or "thread"')
         if not self.algorithm_set:
             raise ValueError("algorithm_set must be non-empty")
         if not self.operation_set:
@@ -189,8 +167,6 @@ class DABSConfig:
                     f"unknown backend {self.backend!r} "
                     f"(known: auto, {', '.join(known)})"
                 )
-        if self.engine is not None:
-            validate_engine_name(self.engine)
         if self.inflight_per_device < 1:
             raise ValueError("inflight_per_device must be >= 1")
         if self.coalesce_max_rows < 1:
@@ -198,12 +174,13 @@ class DABSConfig:
 
 
 class _RunState:
-    """Mutable best/stats accumulator shared by all execution engines.
+    """Mutable best/stats accumulator shared by the round loop and the
+    service's driver.
 
     :meth:`fold` performs collection of one result batch — pool insertion
     plus global-best bookkeeping — in exactly the order the round loop
-    always did, so every engine produces identical records for identical
-    collection sequences.
+    always did, so every schedule produces identical records for
+    identical collection sequences.
     """
 
     __slots__ = (
@@ -266,9 +243,10 @@ class _RunState:
 
 
 class _AsyncDriver:
-    """Bridges :class:`~repro.engine.async_engine.AsyncEngine` hooks to one
-    DABS solve — all solver policy (generation streams, insertion,
-    termination, restarts) lives here; the engine only schedules."""
+    """Implements :class:`~repro.engine.async_engine.EngineDriver` for one
+    DABS solve run as a service job — all solver policy (generation
+    streams, insertion, termination, restarts) lives here; the service
+    only schedules."""
 
     def __init__(self, solver: "DABSSolver", limits: SolveLimits, start: float):
         self.solver = solver
@@ -321,7 +299,7 @@ class _AsyncDriver:
     @property
     def can_pipeline(self) -> bool:
         """True when no reactive limit (target/time/restart) could cancel a
-        launch submitted ahead of the merge — the virtual-time engine then
+        launch submitted ahead of the merge — the virtual-time replay then
         pipelines round r+1 behind round r without breaking the replay."""
         cfg = self.solver.config
         return (
@@ -421,7 +399,7 @@ class _AsyncDriver:
             return "restart"
         return "continue"
 
-    # -- §IV.B restart policy (shared by both async schedules) -------------
+    # -- §IV.B restart policy (shared by both schedules) -------------------
     def _restart_due(self, improved: bool) -> bool:
         solver = self.solver
         cfg = solver.config
@@ -549,46 +527,19 @@ class DABSSolver:
         )
         self.generator = self._make_generator()
         self.counters = SelectionCounters()
-        # one worker pool per solver, created lazily and reused by every
-        # round-engine solve() call; close() (or garbage collection) shuts
-        # it down.  The async engines instead build a context-managed
-        # worker group per solve and close it even when solve() raises.
-        self._executor: ThreadPoolExecutor | None = None
-        self._executor_finalizer = None
         # merged (ΣB, n) buffers of packed rounds, keyed like the service
         # lanes' (engine.coalesce.PackScratch); filled on the first packed
         # round and dropped by close()
         self._pack_scratch: dict = {}
 
-    # -- executor lifecycle ----------------------------------------------------
-    def _ensure_executor(self) -> ThreadPoolExecutor | None:
-        """The per-solver worker pool (None in sequential mode)."""
-        if self.config.parallel != "thread":
-            return None
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.config.num_gpus,
-                thread_name_prefix="dabs-vgpu",
-            )
-            self._executor_finalizer = weakref.finalize(
-                self, self._executor.shutdown, wait=False
-            )
-        return self._executor
-
+    # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
-        """Shut the worker pool down, waiting for idle workers to exit,
-        and drop the packed-round buffers.
+        """Drop the packed-round buffers.
 
-        Idempotent; the solver can still solve() afterwards (a fresh pool
-        and fresh buffers are created on demand).
+        Idempotent; the solver can still solve() afterwards (fresh
+        buffers are created on demand).
         """
         self._pack_scratch.clear()
-        if self._executor_finalizer is not None:
-            self._executor_finalizer.detach()
-            self._executor_finalizer = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
 
     def __enter__(self) -> "DABSSolver":
         return self
@@ -632,7 +583,7 @@ class DABSSolver:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Strategy columns for a whole batch in one draw; ABS overrides
         this with constant columns.  *rng* defaults to the shared host
-        generator; the free-running engine passes a per-device stream."""
+        generator; a free-running service job passes a per-device stream."""
         rng = self._host_rng if rng is None else rng
         return self.selector.select_batch(pool, rng, count)
 
@@ -645,8 +596,8 @@ class DABSSolver:
         Strategy columns come from one vectorized adaptive draw; target
         vectors from one group-wise generator pass (DESIGN.md §5 fixes the
         RNG draw order).  *rng* defaults to the shared host generator
-        (round schedule); the free-running engine passes the device's own
-        stream and reads the pools as of arrival.
+        (round schedule); a free-running service job passes the device's
+        own stream and reads the pools as of arrival.
         """
         rng = self._host_rng if rng is None else rng
         pool = self.pools[gpu_index]
@@ -699,14 +650,14 @@ class DABSSolver:
     ) -> SolveResult:
         """Run until a limit fires; see :class:`SolveLimits` for semantics.
 
-        With *service* (a :class:`~repro.service.SolveService`), the call
-        becomes a one-job convenience wrapper over the shared fleet: the
+        Without *service* the solve runs the round loop in the calling
+        thread.  With *service* (a :class:`~repro.service.SolveService`),
+        the call becomes a one-job wrapper over the service's fleet: the
         solver — pools, RNG state, per-device buffers — is submitted as
         one job, scheduled alongside whatever else the service is running,
-        and the blocked-on result is returned.  ``config.engine`` is
-        ignored on that path (the service owns scheduling);
-        ``config.virtual_time`` still selects the deterministic replay,
-        which is bit-exact with a direct ``solve()``.
+        and the blocked-on result is returned.  That is the barrier-free
+        path: free-running by default, or with ``config.virtual_time`` the
+        deterministic replay, which is bit-exact with a direct ``solve()``.
         """
         if service is not None:
             handle = service.submit_solver(
@@ -718,34 +669,10 @@ class DABSSolver:
             )
             return handle.result()
         limits = SolveLimits(target_energy, time_limit, max_rounds, max_launches)
-        engine = resolve_engine_name(self.config.engine)
-        if engine == "round":
-            return self._solve_rounds(limits)
-        return self._solve_async(limits, process=engine == "async-process")
-
-    def _solve_async(self, limits: SolveLimits, process: bool) -> SolveResult:
-        """One solve on the barrier-free engine (DESIGN.md §7).
-
-        The worker group and engine are per-solve and context-managed:
-        when anything below raises, every worker thread/process is joined
-        before the exception propagates.
-        """
-        cfg = self.config
-        driver = _AsyncDriver(self, limits, start=time.perf_counter())
-        if process:
-            group = ProcessWorkerGroup(
-                self.gpus, depth=cfg.inflight_per_device, retry=cfg.retry_policy
-            )
-        else:
-            group = ThreadWorkerGroup(self.gpus, retry=cfg.retry_policy)
-        with AsyncEngine(group, depth=cfg.inflight_per_device) as engine:
-            engine.run(driver)
-        result = driver.result()
-        result.retries = group.retries
-        return result
+        return self._solve_rounds(limits)
 
     def _solve_rounds(self, limits: SolveLimits) -> SolveResult:
-        """The round-synchronous double-buffered loop (the "round" engine)."""
+        """The round-synchronous double-buffered loop of a direct solve."""
         cfg = self.config
         start = time.perf_counter()
         state = _RunState(self.model.n)
@@ -756,7 +683,6 @@ class DABSSolver:
         stall = StallTracker(cfg.restart_after_stall)
         scheduler = RoundScheduler(
             self.gpus,
-            executor=self._ensure_executor(),
             pack_rows=cfg.coalesce_max_rows if cfg.coalesce_enabled() else None,
             scratch=self._pack_scratch,
         )
@@ -767,17 +693,16 @@ class DABSSolver:
                 or limits.out_of_launches(completed_rounds * cfg.num_gpus)
             )
 
-        # double-buffered rounds: while round r runs on the (virtual) devices,
-        # round r+1's packets are generated here on the host — so generation
-        # always reads the pools as of round r−1, identically in both modes
+        # double-buffered rounds: round r+1's packets are generated before
+        # round r's results fold in — so generation always reads the pools
+        # as of round r−1, the order the virtual-time replay reproduces
         next_batches = self._generate_round()
         while True:
             rounds += 1
-            handle = scheduler.submit(next_batches)
+            results = scheduler.submit(next_batches)
             self._record_counters(next_batches)
             if wants_more(rounds):
                 next_batches = self._generate_round()
-            results = handle.wait()
             improved = False
             # collection is columnar: each result batch folds into its pool
             # with one sort-merge, and the round's improvement is read off

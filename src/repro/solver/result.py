@@ -55,7 +55,7 @@ class SolveResult:
     #: pool restarts performed (§IV.B stall/collapse recoveries)
     restarts: int = 0
     #: total device launches collected (= rounds × num_gpus under the round
-    #: scheduler; the async engines count every completion individually)
+    #: scheduler; free-running service jobs count every completion)
     launches: int = 0
     #: greedy-polish rows that hit the safety cap, summed over all devices
     #: (float-valued models only; always 0 on integer models)

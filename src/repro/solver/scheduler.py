@@ -1,34 +1,18 @@
-"""Round scheduler: double-buffered execution of solver rounds.
+"""Round scheduler: the execution layer of a direct ``solve()``.
 
-This is the execution layer of the ``"round"`` engine
-(``DABSConfig.engine``): a *synchronous* schedule with a global barrier
-per round.  The barrier-free alternative — the paper's actual
-architecture — lives in :mod:`repro.engine`; the round scheduler is kept
-both as the default (its schedule is the determinism reference that
-``virtual_time`` async runs replay bit-exactly) and as the baseline the
-async engine is benchmarked against (``benchmarks/bench_async_engine.py``).
-
-The paper's host drives every GPU from its own OpenMP thread and keeps
-generating work while kernels are in flight.  :class:`RoundScheduler`
-reproduces half of that structure for the virtual GPUs: the solver
-*submits* one round of packet batches (one per GPU), then generates the
-next round's packets on the host **while the launches run**, and only
-then waits for the results.
-
-Both execution modes run the identical logical schedule —
+The paper's host drives every GPU and keeps generating work while
+kernels are in flight.  A direct ``DABSSolver.solve()`` runs the same
+logical schedule round by round in the caller's thread —
 
     submit round r  →  generate round r+1  →  collect round r  →  insert
 
-— so packet generation always reads the pools as of round ``r−1``,
-regardless of mode.  In ``"thread"`` mode the round runs on a worker
-thread, so the generate step is *scheduled* alongside it; the phase
-loops are short NumPy calls that mostly hold the GIL, so thread mode
-is measured slower than ``"sequential"`` on real kernels and pays off
-only when launches block outside the interpreter.  In ``"sequential"``
-mode the same steps simply run one after the other.  Launches never
-touch the host-side pools or the host RNG, which is what makes the two
-modes bit-exactly reproducible against each other — a property the
-solver tests assert.
+— so packet generation always reads the pools as of round ``r−1``.
+Launches never touch the host-side pools or the host RNG, and this
+order fixes the RNG draw order, which is what makes every result
+reproducible bit-exactly — including by the service's virtual-time
+replay (DESIGN.md §7), which runs the same schedule with its launches on
+concurrent lanes.  Barrier-free execution is the service's job
+(``solve(service=...)``); this module has no threads.
 
 **Packed rounds.**  The paper's speed comes from bulk execution — every
 block of a GPU in one kernel launch.  Launching each device on its own
@@ -43,9 +27,7 @@ most ``coalesce_max_rows`` rows and at least one device.  Packing is
 bit-exact per device (solutions, RNG lanes, CyclicMin cursors,
 counters), so the results — returned in device order — are those of
 solo launches.  A device without a pack key (stepwise, JIT/CUDA, float
-models, proxy devices) launches solo through ``gpu.launch``.  In thread
-mode all of a round's packs run in one future (they share the merged
-scratch buffers); solo devices keep one future each.
+models, proxy devices) launches solo through ``gpu.launch``.
 
 Everything that crosses this seam is columnar: a submitted round is a list
 of :class:`~repro.core.packet.PacketBatch` buffers (one per GPU) and a
@@ -56,35 +38,10 @@ column-wise without ever materializing per-packet objects (DESIGN.md §5).
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, Future
-
 from repro.core.packet import PacketBatch
 from repro.engine.coalesce import PackSegment, SuperLaunch, pack_key
 
-__all__ = ["RoundHandle", "RoundScheduler"]
-
-
-class RoundHandle:
-    """One in-flight round: futures (or ready results) for its devices.
-
-    Each future resolves to a ``{device index: result}`` map for the
-    devices it ran (one solo device, or every packed device).
-    """
-
-    __slots__ = ("_futures", "_results")
-
-    def __init__(self, futures=None, results=None) -> None:
-        self._futures: list[Future] | None = futures
-        self._results = results
-
-    def wait(self) -> list[tuple[PacketBatch, object]]:
-        """Block until every GPU finished; results in GPU (submission) order."""
-        if self._results is None:
-            done = {}
-            for future in self._futures:
-                done.update(future.result())
-            self._results = [done[i] for i in range(len(done))]
-        return self._results
+__all__ = ["RoundScheduler"]
 
 
 class RoundScheduler:
@@ -94,9 +51,6 @@ class RoundScheduler:
     ----------
     gpus:
         The virtual GPUs, in pool order.
-    executor:
-        A thread pool with one worker per GPU (the OpenMP analogue), or
-        ``None`` for sequential in-line execution.
     pack_rows:
         Row budget of one packed launch (``coalesce_max_rows``), or
         ``None`` to launch every device solo.
@@ -106,44 +60,26 @@ class RoundScheduler:
         so it outlives one solve.
     """
 
-    __slots__ = ("gpus", "executor", "pack_rows", "scratch")
+    __slots__ = ("gpus", "pack_rows", "scratch")
 
     def __init__(
         self,
         gpus,
-        executor: Executor | None = None,
         pack_rows: int | None = None,
         scratch: dict | None = None,
     ) -> None:
         self.gpus = list(gpus)
-        self.executor = executor
         self.pack_rows = pack_rows
         self.scratch = {} if scratch is None else scratch
 
-    def submit(self, batches: list[PacketBatch]) -> RoundHandle:
-        """Start the round's launches; returns a handle to collect results.
-
-        With an executor the launches run asynchronously and the caller can
-        overlap host work (next-round packet generation) before calling
-        :meth:`RoundHandle.wait`; without one they run synchronously here.
-        """
+    def submit(self, batches: list[PacketBatch]) -> list[tuple[PacketBatch, object]]:
+        """Run the round's launches; ``(result, flips)`` per GPU, in order."""
         if len(batches) != len(self.gpus):
             raise ValueError(
                 f"expected {len(self.gpus)} batches, got {len(batches)}"
             )
-        chunks = self._chunks(range(len(self.gpus)))
-        if self.executor is None:
-            done = self._run_chunks(chunks, batches)
-            return RoundHandle(results=[done[i] for i in range(len(batches))])
-        packs = [chunk for chunk in chunks if chunk[1]]
-        futures = [
-            self.executor.submit(self._run_chunks, [chunk], batches)
-            for chunk in chunks
-            if not chunk[1]
-        ]
-        if packs:
-            futures.append(self.executor.submit(self._run_chunks, packs, batches))
-        return RoundHandle(futures=futures)
+        done = self._run_chunks(self._chunks(range(len(self.gpus))), batches)
+        return [done[i] for i in range(len(batches))]
 
     def _chunks(self, indices) -> list[tuple[list[int], bool]]:
         """Split devices into ``(indices, packed)`` chunks, in order.

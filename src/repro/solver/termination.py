@@ -21,13 +21,13 @@ class SolveLimits:
     #: stop after this many wall-clock seconds
     time_limit: float | None = None
     #: stop after this many rounds (one round = one launch per virtual GPU;
-    #: the async engines read it as a per-device launch budget, which is
-    #: the same total amount of work)
+    #: free-running service jobs read it as a per-device launch budget,
+    #: which is the same total amount of work)
     max_rounds: int | None = None
     #: stop after this many device launches in total, across all devices —
-    #: the natural budget of the barrier-free engines, which honour it
-    #: exactly; round-synchronous schedules (the "round" engine and the
-    #: async virtual-time replay) only stop on round boundaries and may
+    #: the natural budget of free-running service jobs, which honour it
+    #: exactly; round-synchronous schedules (a direct solve and the
+    #: virtual-time replay) only stop on round boundaries and may
     #: overshoot by up to num_gpus − 1 launches
     max_launches: int | None = None
 
@@ -67,5 +67,5 @@ class SolveLimits:
 
     def device_launch_budget(self, device_launches: int) -> bool:
         """True when one device has used up its per-device budget
-        (``max_rounds`` reinterpreted launch-wise by the async engines)."""
+        (``max_rounds`` reinterpreted launch-wise by free-running jobs)."""
         return self.max_rounds is not None and device_launches >= self.max_rounds

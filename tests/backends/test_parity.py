@@ -120,15 +120,11 @@ class TestKernelParity:
 class TestSolverParity:
     """Acceptance: DABS runs bit-identically under every backend setting."""
 
-    # virtual_time is a no-op under the default round engine; it keeps
-    # these cross-run comparisons deterministic when a REPRO_ENGINE test
-    # matrix leg routes the suite through the async engine
     CFG = dict(
         num_gpus=2,
         blocks_per_gpu=4,
         pool_capacity=10,
         batch=BatchSearchConfig(batch_flip_factor=2.0),
-        virtual_time=True,
     )
 
     def _solve(self, model, backend):

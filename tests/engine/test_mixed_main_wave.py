@@ -47,9 +47,6 @@ def config(tabu_period, with_twoneighbor, backend, flip_factor=1.0):
         ),
         algorithm_set=algs,
         backend=backend,
-        # pinned to the round engine: a REPRO_ENGINE=async leg must not
-        # redirect, and REPRO_COALESCE=0 must not switch packing off
-        engine="round",
     )
 
 

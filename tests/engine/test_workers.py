@@ -1,4 +1,4 @@
-"""Tests for the device worker groups and the shared-memory batch slabs."""
+"""Tests for the fleet worker group and the shared-memory batch slabs."""
 
 from __future__ import annotations
 
@@ -10,12 +10,7 @@ import pytest
 
 from repro.core.packet import PacketBatch, SharedBatchSlab
 from repro.core.rng import host_generator
-from repro.engine.workers import (
-    WORKER_NAME_PREFIX,
-    ProcessWorkerGroup,
-    ThreadWorkerGroup,
-    WorkerError,
-)
+from repro.engine.workers import WORKER_NAME_PREFIX, FleetWorkerGroup, WorkerError
 from repro.gpu.device import DeviceSpec
 from repro.gpu.virtual_gpu import VirtualGPU
 from repro.search.batch import BatchSearchConfig
@@ -113,41 +108,104 @@ class TestSharedBatchSlab:
         assert (slab.energies == -42).all()
 
 
-class TestThreadWorkerGroup:
+class TestFleetWorkerGroup:
     def test_launch_matches_direct_execution(self):
         direct = make_gpu()
         threaded = make_gpu()
         batch = make_batch()
         expect, expect_flips = direct.launch(batch)
-        with ThreadWorkerGroup([threaded]) as group:
-            group.submit(0, 1, batch)
+        with FleetWorkerGroup(1) as group:
+            group.submit_launch(0, 0, 1, threaded, batch)
             comp = collect_all(group, 1)[0]
         assert comp.device_id == 0 and comp.seq == 1
         assert np.array_equal(comp.batch.vectors, expect.vectors)
         assert np.array_equal(comp.batch.energies, expect.energies)
         assert np.array_equal(comp.flips, expect_flips)
 
-    def test_per_device_fifo_depth(self):
-        """Two queued launches on one device run in submission order."""
+    def test_lane_fifo_depth(self):
+        """Two queued launches on one lane run in submission order."""
         gpu = make_gpu()
-        with ThreadWorkerGroup([gpu]) as group:
-            group.submit(0, 1, make_batch(seed=1))
-            group.submit(0, 2, make_batch(seed=2))
+        with FleetWorkerGroup(1) as group:
+            group.submit_launch(0, 0, 1, gpu, make_batch(seed=1))
+            group.submit_launch(0, 0, 2, gpu, make_batch(seed=2))
             comps = collect_all(group, 2)
         assert [c.seq for c in comps] == [1, 2]
         assert gpu.launch_count == 2
 
+    def test_reset_runs_behind_queued_launches(self):
+        """``run_on`` queues a reset in the lane FIFO: it runs after the
+        launch submitted before it and before the one submitted after."""
+        events = []
+        gpu = make_gpu()
+        launch = gpu.launch
+
+        def logged(batch):
+            events.append("launch")
+            return launch(batch)
+
+        gpu.launch = logged
+        with FleetWorkerGroup(1) as group:
+            group.submit_launch(0, 0, 1, gpu, make_batch(seed=1))
+            group.run_on(0, lambda: events.append("reset"))
+            group.submit_launch(0, 0, 2, gpu, make_batch(seed=2))
+            collect_all(group, 2)
+        assert events == ["launch", "reset", "launch"]
+
+    def test_many_launches_match_direct_execution_in_order(self):
+        """A long run of launches on one lane is bit-exact with the same
+        launches made directly, one after another, on a twin device."""
+        direct = make_gpu()
+        threaded = make_gpu()
+        batches = [make_batch(seed=s) for s in range(12)]
+        expected = [direct.launch(batch) for batch in batches]
+        with FleetWorkerGroup(1) as group:
+            for seq, batch in enumerate(batches, start=1):
+                group.submit_launch(0, 0, seq, threaded, batch)
+            comps = collect_all(group, len(batches))
+        assert [c.seq for c in comps] == list(range(1, len(batches) + 1))
+        for comp, (expect, expect_flips) in zip(comps, expected):
+            assert np.array_equal(comp.batch.vectors, expect.vectors)
+            assert np.array_equal(comp.batch.energies, expect.energies)
+            assert np.array_equal(comp.flips, expect_flips)
+        assert np.array_equal(threaded.rng_state, direct.rng_state)
+
+    def test_lanes_keep_their_own_fifo_order(self):
+        """Completions of two lanes interleave freely, but each lane's
+        launches arrive in its submission order, tagged with the
+        submitter's coordinates."""
+        gpus = [make_gpu(seed=3), make_gpu(seed=4)]
+        with FleetWorkerGroup(2) as group:
+            for seq in range(1, 4):
+                for lane, gpu in enumerate(gpus):
+                    group.submit_launch(
+                        lane, lane, seq, gpu, make_batch(seed=seq), tag=lane
+                    )
+            comps = collect_all(group, 6)
+        for lane in range(2):
+            mine = [c for c in comps if c.device_id == lane]
+            assert [c.seq for c in mine] == [1, 2, 3]
+            assert {c.tag for c in mine} == {lane}
+        assert [gpu.launch_count for gpu in gpus] == [3, 3]
+
+    def test_submit_after_close_is_dropped(self):
+        gpu = make_gpu()
+        group = FleetWorkerGroup(1)
+        group.close()
+        group.submit_launch(0, 0, 1, gpu, make_batch())
+        assert group.next_completion(0.05) is None
+        assert gpu.launch_count == 0
+
     def test_worker_error_propagates(self):
         gpu = make_gpu()
         gpu.launch = lambda batch: (_ for _ in ()).throw(RuntimeError("boom"))
-        with ThreadWorkerGroup([gpu]) as group:
-            group.submit(0, 1, make_batch())
+        with FleetWorkerGroup(1) as group:
+            group.submit_launch(0, 0, 1, gpu, make_batch())
             with pytest.raises(WorkerError, match="boom"):
                 collect_all(group, 1)
 
     def test_close_joins_threads_and_is_idempotent(self):
-        group = ThreadWorkerGroup([make_gpu(), make_gpu(seed=4)])
-        group.submit(0, 1, make_batch())
+        group = FleetWorkerGroup(2)
+        group.submit_launch(0, 0, 1, make_gpu(), make_batch())
         collect_all(group, 1)
         group.close()
         group.close()
@@ -157,63 +215,3 @@ class TestThreadWorkerGroup:
             if t.name.startswith(WORKER_NAME_PREFIX)
         ]
         assert leftovers == []
-
-
-class TestProcessWorkerGroup:
-    def test_launch_matches_direct_execution(self):
-        """The forked child inherits identical device state, so its launch
-        must be bit-identical to running the same GPU in-process."""
-        direct = make_gpu()
-        forked = make_gpu()  # identical construction → identical state
-        batch = make_batch()
-        with ProcessWorkerGroup([forked], depth=2) as group:
-            group.submit(0, 1, batch)
-            comp = collect_all(group, 1)[0]
-        expect, expect_flips = direct.launch(batch)
-        assert np.array_equal(comp.batch.vectors, expect.vectors)
-        assert np.array_equal(comp.batch.energies, expect.energies)
-        assert np.array_equal(comp.flips, expect_flips)
-
-    def test_slot_reuse_across_many_launches(self):
-        gpu = make_gpu()
-        with ProcessWorkerGroup([gpu], depth=2) as group:
-            for seq in (1, 2):
-                group.submit(0, seq, make_batch(seed=seq))
-            got = collect_all(group, 2)
-            # both slots came back on collection — reusable immediately
-            for seq in (3, 4):
-                group.submit(0, seq, make_batch(seed=seq))
-            got += collect_all(group, 2)
-        assert sorted(c.seq for c in got) == [1, 2, 3, 4]
-
-    def test_depth_overflow_rejected(self):
-        with ProcessWorkerGroup([make_gpu()], depth=1) as group:
-            group.submit(0, 1, make_batch())
-            with pytest.raises(WorkerError, match="free launch slot"):
-                group.submit(0, 2, make_batch())
-            collect_all(group, 1)
-
-    def test_worker_error_propagates(self):
-        gpu = make_gpu()
-        bad = PacketBatch.void(
-            np.zeros((B, N + 1), dtype=np.uint8),
-            np.zeros(B, dtype=np.uint8),
-            np.zeros(B, dtype=np.uint8),
-        )
-        with ProcessWorkerGroup([gpu], depth=2) as group:
-            # slab store rejects the shape on the host side already
-            with pytest.raises((WorkerError, ValueError)):
-                group.submit(0, 1, bad)
-                collect_all(group, 1)
-
-    def test_close_reaps_children_and_is_idempotent(self):
-        group = ProcessWorkerGroup([make_gpu(), make_gpu(seed=4)], depth=2)
-        group.submit(0, 1, make_batch())
-        collect_all(group, 1)
-        group.close()
-        group.close()
-        assert not [
-            p
-            for p in multiprocessing.active_children()
-            if p.name.startswith(WORKER_NAME_PREFIX)
-        ]

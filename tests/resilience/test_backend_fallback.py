@@ -20,6 +20,7 @@ from repro.gpu.virtual_gpu import VirtualGPU
 from repro.resilience import ChaosConfig, RetryPolicy, chaos
 from repro.resilience.chaos import ChaosError
 from repro.search.batch import BatchSearchConfig
+from repro.service import SolveService
 from repro.solver.dabs import DABSConfig, DABSSolver
 from tests.conftest import random_qubo
 from tests.resilience.conftest import CHAOS_SEED
@@ -140,14 +141,8 @@ class TestVirtualTimeBitExactness:
     """The acceptance contract: a transparently retried solve is
     bit-exact with the fault-free solve under ``virtual_time``."""
 
-    CFG = dict(
-        num_gpus=2,
-        blocks_per_gpu=4,
-        pool_capacity=8,
-        engine="async",
-        virtual_time=True,
-        retry_policy=RetryPolicy(max_retries=3, backoff_base=0.0),
-    )
+    RETRY = RetryPolicy(max_retries=3, backoff_base=0.0)
+    CFG = dict(num_gpus=2, blocks_per_gpu=4, pool_capacity=8, virtual_time=True)
 
     def test_retried_solve_matches_fault_free_solve(self):
         model = random_qubo(30, seed=9)
@@ -163,7 +158,11 @@ class TestVirtualTimeBitExactness:
                 max_faults=2,
             )
         )
-        faulted = DABSSolver(model, cfg, seed=5).solve(max_rounds=6)
+        # lane-level faults need lanes: a one-job supervised service
+        with SolveService(2, retry=self.RETRY) as service:
+            faulted = DABSSolver(model, cfg, seed=5).solve(
+                max_rounds=6, service=service
+            )
         assert faulted.retries == 2
         assert faulted.best_energy == baseline.best_energy
         assert np.array_equal(faulted.best_vector, baseline.best_vector)

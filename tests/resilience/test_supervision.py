@@ -1,8 +1,8 @@
-"""Supervised worker groups: retry, respawn, hang detection, budgets.
+"""Supervised fleet lanes: retry, respawn, hang detection, budgets.
 
 The recovery contract (DESIGN.md §11): a supervised group absorbs a
 worker fault by re-issuing the recorded launch — identical batch,
-identical sequence number — so the completion stream the engine consumes
+identical sequence number — so the completion stream the scheduler consumes
 is indistinguishable from a fault-free run whenever the fault pre-empted
 the launch.  Exhausted recovery surfaces as a :class:`WorkerError`
 carrying a structured :class:`FailureReport`.
@@ -10,7 +10,6 @@ carrying a structured :class:`FailureReport`.
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
 import time
 
@@ -19,13 +18,7 @@ import pytest
 
 from repro.core.packet import MainAlgorithm, PacketBatch
 from repro.core.rng import host_generator
-from repro.engine.workers import (
-    CHAOS_EXIT_CODE,
-    WORKER_NAME_PREFIX,
-    FleetWorkerGroup,
-    ProcessWorkerGroup,
-    WorkerError,
-)
+from repro.engine.workers import FleetWorkerGroup, WorkerError
 from repro.gpu.device import DeviceSpec
 from repro.gpu.virtual_gpu import VirtualGPU
 from repro.resilience import ChaosConfig, FailureReport, RetryPolicy, chaos
@@ -337,54 +330,3 @@ class TestFleetRetry:
                 assert np.array_equal(completion.flips, expect_flips)
         finally:
             release.set()
-
-
-class TestProcessRespawn:
-    def test_dead_child_is_respawned_and_launch_reissued(self):
-        """Kill the child before it can work: the supervisor must fork a
-        replacement, re-store the host-kept batch and deliver a
-        completion identical to a fault-free run."""
-        expect, expect_flips = make_gpu().launch(make_batch())
-
-        with ProcessWorkerGroup([make_gpu()], depth=2, retry=FAST_RETRY) as group:
-            victim = group._workers[0].process
-            victim.kill()
-            victim.join(10.0)
-            group.submit(0, 1, make_batch())
-            completion = collect_one(group)
-        assert completion.seq == 1
-        assert np.array_equal(completion.batch.vectors, expect.vectors)
-        assert np.array_equal(completion.batch.energies, expect.energies)
-        assert np.array_equal(completion.flips, expect_flips)
-        assert group.respawns == 1 and group.retries == 1
-        assert not [
-            p
-            for p in multiprocessing.active_children()
-            if p.name.startswith(WORKER_NAME_PREFIX)
-        ]
-
-    def test_chaos_worker_kill_exhausts_with_exit_code(self):
-        """A child that keeps dying (worker_kill at rate 1 replays in
-        every respawned fork) burns max_retries and surfaces the child's
-        chaos exit code in the report."""
-        chaos.install(
-            ChaosConfig(rates={"worker_kill": 1.0}, seed=CHAOS_SEED)
-        )
-        retry = RetryPolicy(max_retries=1, backoff_base=0.0)
-        with ProcessWorkerGroup([make_gpu()], depth=2, retry=retry) as group:
-            group.submit(0, 1, make_batch())
-            with pytest.raises(WorkerError, match="died") as excinfo:
-                collect_one(group)
-            assert group.respawns >= 1
-        report = excinfo.value.report
-        assert report is not None and report.kind == "worker"
-        assert str(CHAOS_EXIT_CODE) in report.details[-1]
-
-    def test_unsupervised_dead_child_is_fatal(self):
-        with ProcessWorkerGroup([make_gpu()], depth=2) as group:
-            victim = group._workers[0].process
-            victim.kill()
-            victim.join(10.0)
-            group.submit(0, 1, make_batch())
-            with pytest.raises(WorkerError, match="died"):
-                collect_one(group)

@@ -102,9 +102,7 @@ class TestProblemCache:
 
         model = random_qubo(16, seed=7)
         cache = ProblemCache()
-        cfg = DABSConfig(
-            num_gpus=2, blocks_per_gpu=4, pool_capacity=8, engine="round"
-        )
+        cfg = DABSConfig(num_gpus=2, blocks_per_gpu=4, pool_capacity=8)
         plain = DABSSolver(model, cfg, seed=0).solve(max_rounds=4)
         cached = DABSSolver(
             model, cfg, seed=0, prepared=cache.prepare(model)

@@ -1,6 +1,6 @@
 """SolveService: multiplexing, fairness, cancellation, determinism.
 
-The cancellation/leak tests mirror ``tests/solver/test_async_termination``:
+The cancellation/leak tests mirror ``tests/service/test_one_job_service``:
 whatever happens to a job — cancel, failure, drain — no worker thread may
 outlive the service, and every in-flight launch is either folded or
 discarded, never abandoned.
@@ -10,12 +10,16 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.core.packet import MainAlgorithm
+from repro.core.qubo import brute_force
 from repro.engine.workers import WORKER_NAME_PREFIX, WorkerError
+from repro.search.batch import BatchSearchConfig
 from repro.service import (
     JobCancelledError,
     JobStatus,
@@ -23,6 +27,7 @@ from repro.service import (
     SolveService,
 )
 from repro.service.service import fair_pick
+from repro.solver.abs_solver import ABSSolver
 from repro.solver.dabs import DABSConfig, DABSSolver
 from tests.conftest import random_qubo
 
@@ -140,23 +145,139 @@ class TestRoundTrip:
         assert stats["lane_inflight"] == [0, 0]
 
 
+def mt_state(solver):
+    state = solver._host_rng.bit_generator.state["state"]
+    return state["pos"], state["key"]
+
+
+def assert_same_solve(direct_solver, direct, via_solver, via):
+    """Every observable of two solves of identically seeded solvers is
+    bit-identical: result, history, final pools, host RNG and the
+    device-resident state (block solutions, RNG lanes, CyclicMin
+    cursors)."""
+    assert via.best_energy == direct.best_energy
+    assert np.array_equal(via.best_vector, direct.best_vector)
+    assert via.total_flips == direct.total_flips
+    assert via.launches == direct.launches
+    assert via.rounds == direct.rounds
+    assert via.restarts == direct.restarts
+    assert via.reached_target == direct.reached_target
+    assert via.counters.algorithms == direct.counters.algorithms
+    assert via.counters.operations == direct.counters.operations
+    assert [(e.round, e.energy) for e in via.history] == [
+        (e.round, e.energy) for e in direct.history
+    ]
+    for direct_pool, via_pool in zip(direct_solver.pools, via_solver.pools):
+        assert np.array_equal(direct_pool.vectors, via_pool.vectors)
+        assert np.array_equal(direct_pool.energies, via_pool.energies)
+        assert np.array_equal(direct_pool.algorithms, via_pool.algorithms)
+        assert np.array_equal(direct_pool.operations, via_pool.operations)
+    direct_pos, direct_key = mt_state(direct_solver)
+    via_pos, via_key = mt_state(via_solver)
+    assert direct_pos == via_pos and np.array_equal(direct_key, via_key)
+    for direct_gpu, via_gpu in zip(direct_solver.gpus, via_solver.gpus):
+        assert np.array_equal(direct_gpu.rng_state, via_gpu.rng_state)
+        assert np.array_equal(direct_gpu.block_x, via_gpu.block_x)
+        assert direct_gpu.launch_count == via_gpu.launch_count
+        cyclic = MainAlgorithm.CYCLICMIN
+        if cyclic in direct_gpu.algorithms:
+            direct_cursor = direct_gpu.algorithms[cyclic]._cursor
+            via_cursor = via_gpu.algorithms[cyclic]._cursor
+            assert (direct_cursor is None) == (via_cursor is None)
+            if direct_cursor is not None:
+                assert np.array_equal(direct_cursor, via_cursor)
+
+
+PARITY_BASE = dict(BASE, batch=BatchSearchConfig(batch_flip_factor=2.0))
+
+#: name -> (solver class, config overrides, model (n, seed), limits); the
+#: "target" case's limit is filled in with the brute-force optimum
+PARITY_CASES = {
+    # pure launch budgets pipeline round r+1 behind round r
+    "dabs-rounds": (DABSSolver, {}, (16, 20), dict(max_rounds=8)),
+    "dabs-stall-restarts": (
+        DABSSolver,
+        dict(restart_after_stall=2),
+        (16, 20),
+        dict(max_rounds=10),
+    ),
+    "dabs-collapse-restarts": (
+        DABSSolver,
+        dict(restart_on_collapse=0.4),
+        (16, 20),
+        dict(max_rounds=10),
+    ),
+    "dabs-target": (DABSSolver, {}, (16, 20), dict(max_rounds=60)),
+    "dabs-launch-budget": (DABSSolver, {}, (16, 20), dict(max_launches=10)),
+    # a budget that ends inside a round: the crossing round completes
+    "dabs-launch-budget-mid-round": (
+        DABSSolver,
+        {},
+        (16, 20),
+        dict(max_launches=7),
+    ),
+    "dabs-three-devices-depth-three": (
+        DABSSolver,
+        dict(num_gpus=3, pool_capacity=8, inflight_per_device=3),
+        (20, 3),
+        dict(max_rounds=9),
+    ),
+    # one device: the replay's per-device clock has no peer to order against
+    "dabs-one-device": (DABSSolver, dict(num_gpus=1), (16, 21), dict(max_rounds=8)),
+    # depth one: no pipelining, round r+1 waits for round r's fold
+    "dabs-depth-one": (
+        DABSSolver,
+        dict(inflight_per_device=1),
+        (16, 20),
+        dict(max_rounds=8),
+    ),
+    "abs-rounds": (ABSSolver, {}, (16, 20), dict(max_rounds=8)),
+    "abs-launch-budget": (ABSSolver, {}, (16, 20), dict(max_launches=10)),
+    "abs-stall-restarts": (
+        ABSSolver,
+        dict(restart_after_stall=2),
+        (16, 20),
+        dict(max_rounds=10),
+    ),
+    "abs-target": (ABSSolver, {}, (16, 20), dict(max_rounds=60)),
+}
+
+
 class TestVirtualTimeParity:
     """The determinism contract: a virtual-time job is bit-exact with a
     direct solve of the same solver, regardless of fleet contention."""
 
+    @pytest.mark.parametrize("coalesce", [True, False], ids=["packed", "solo"])
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    def test_one_job_service_matches_direct_solve(self, case, coalesce):
+        """``solve(service=SolveService(g))`` — the barrier-free way to
+        run one solve — replays the direct round loop bit-exactly."""
+        cls, overrides, (n, model_seed), limits = PARITY_CASES[case]
+        model = random_qubo(n, seed=model_seed)
+        if case.endswith("-target"):
+            limits = dict(limits, target_energy=brute_force(model)[1])
+        cfg = DABSConfig(**dict(PARITY_BASE, **overrides), coalesce=coalesce)
+        direct_solver = cls(model, cfg, seed=5)
+        direct = direct_solver.solve(**limits)
+        via_solver = cls(model, replace(cfg, virtual_time=True), seed=5)
+        with SolveService(cfg.num_gpus) as service:
+            via = via_solver.solve(service=service, **limits)
+        assert_same_solve(direct_solver, direct, via_solver, via)
+        assert via.launches == via.rounds * cfg.num_gpus
+        if case.endswith("-stall-restarts"):
+            assert via.restarts >= 1  # the restart path was exercised
+        if case.endswith("-target"):
+            assert via.reached_target and via.time_to_target is not None
+        if case.endswith("-mid-round"):
+            assert via.launches == 8
+
     @pytest.mark.parametrize("restart_after_stall", [None, 3])
     def test_service_job_matches_direct_solve(self, restart_after_stall):
         model = random_qubo(32, seed=5)
-        cfg = dict(**BASE, restart_after_stall=restart_after_stall)
-        direct_solver = DABSSolver(
-            model, DABSConfig(**cfg, engine="round"), seed=0
-        )
+        cfg = DABSConfig(**BASE, restart_after_stall=restart_after_stall)
+        direct_solver = DABSSolver(model, cfg, seed=0)
         direct = direct_solver.solve(max_rounds=10)
-        via_solver = DABSSolver(
-            model,
-            DABSConfig(**cfg, engine="async", virtual_time=True),
-            seed=0,
-        )
+        via_solver = DABSSolver(model, replace(cfg, virtual_time=True), seed=0)
         with SolveService(devices=3) as service:
             # a competing free-running tenant on the same lanes
             noise = service.submit(
@@ -164,18 +285,7 @@ class TestVirtualTimeParity:
             )
             via = via_solver.solve(max_rounds=10, service=service)
             noise.result(timeout=60)
-        assert via.best_energy == direct.best_energy
-        assert np.array_equal(via.best_vector, direct.best_vector)
-        assert [e.energy for e in via.history] == [
-            e.energy for e in direct.history
-        ]
-        assert via.rounds == direct.rounds
-        assert via.launches == direct.launches
-        assert via.restarts == direct.restarts
-        assert via.total_flips == direct.total_flips
-        for direct_pool, via_pool in zip(direct_solver.pools, via_solver.pools):
-            assert np.array_equal(direct_pool.vectors, via_pool.vectors)
-            assert np.array_equal(direct_pool.energies, via_pool.energies)
+        assert_same_solve(direct_solver, direct, via_solver, via)
 
     def test_submitted_model_virtual_time_is_deterministic(self):
         """Two service runs of the same virtual-time submission agree."""
@@ -458,7 +568,7 @@ class TestSolverStatePersistence:
         """submit_solver adopts the solver's state: two service runs equal
         two direct solve() calls (virtual-time determinism)."""
         model = random_qubo(20, seed=20)
-        cfg = DABSConfig(**BASE, engine="async", virtual_time=True)
+        cfg = DABSConfig(**BASE, virtual_time=True)
         direct = DABSSolver(model, cfg, seed=3)
         first_direct = direct.solve(max_rounds=4)
         second_direct = direct.solve(max_rounds=4)

@@ -33,7 +33,6 @@ def sweep(backend, coalesce, seed_base=500, jobs=JOBS, configs=None):
         num_gpus=1,
         blocks_per_gpu=4,
         pool_capacity=10,
-        engine="async",
         virtual_time=True,
         backend=backend,
         coalesce=coalesce,
@@ -92,7 +91,6 @@ class TestCoalesceKnobs:
             num_gpus=1,
             blocks_per_gpu=4,
             pool_capacity=10,
-            engine="async",
             virtual_time=True,
             coalesce=False,
         )
@@ -128,7 +126,6 @@ class TestCoalesceKnobs:
             num_gpus=1,
             blocks_per_gpu=4,
             pool_capacity=10,
-            engine="async",
             virtual_time=True,
             coalesce=True,
             coalesce_max_rows=4,

@@ -12,15 +12,11 @@ from repro.solver.dabs import DABSConfig, DABSSolver
 from repro.solver.termination import SolveLimits
 from tests.conftest import random_qubo
 
-# virtual_time is a no-op under the default round engine; it keeps the
-# cross-run determinism assertions below valid when a REPRO_ENGINE test
-# matrix leg routes the suite through the async engine
 SMALL_CFG = DABSConfig(
     num_gpus=2,
     blocks_per_gpu=4,
     pool_capacity=10,
     batch=BatchSearchConfig(batch_flip_factor=2.0),
-    virtual_time=True,
 )
 
 
@@ -31,7 +27,7 @@ class TestDABSConfig:
             {"num_gpus": 0},
             {"blocks_per_gpu": 0},
             {"pool_capacity": 0},
-            {"parallel": "mpi"},
+            {"inflight_per_device": 0},
             {"algorithm_set": ()},
             {"operation_set": ()},
             {"restart_after_stall": 0},
@@ -40,6 +36,12 @@ class TestDABSConfig:
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
             DABSConfig(**kwargs)
+
+    @pytest.mark.parametrize("knob", ["engine", "parallel"])
+    def test_has_no_engine_selection_knob(self, knob):
+        """A direct solve has one engine: the round loop."""
+        with pytest.raises(TypeError):
+            DABSConfig(**{knob: "round"})
 
     def test_defaults(self):
         cfg = DABSConfig()
@@ -129,21 +131,6 @@ class TestDABSSolver:
         alg, op = result.first_found
         assert isinstance(alg, MainAlgorithm)
         assert isinstance(op, GeneticOp)
-
-    def test_thread_mode_matches_sequential(self):
-        model = random_qubo(14, seed=10)
-        seq = DABSSolver(model, SMALL_CFG, seed=3).solve(max_rounds=3)
-        thr_cfg = DABSConfig(
-            num_gpus=2,
-            blocks_per_gpu=4,
-            pool_capacity=10,
-            batch=BatchSearchConfig(batch_flip_factor=2.0),
-            parallel="thread",
-            virtual_time=True,
-        )
-        thr = DABSSolver(model, thr_cfg, seed=3).solve(max_rounds=3)
-        assert seq.best_energy == thr.best_energy
-        assert np.array_equal(seq.best_vector, thr.best_vector)
 
     def test_restricted_algorithm_set(self):
         model = random_qubo(12, seed=11)

@@ -63,12 +63,12 @@ class TestEndToEnd:
         result = DABSSolver(inst.qubo, CFG, seed=0).solve(max_rounds=5)
         assert inst.qubo.energy(result.best_vector) == result.best_energy
 
-    def test_thread_mode_on_qap(self):
+    def test_three_devices_on_qap(self):
         from dataclasses import replace
 
         inst = grid_qap(2, 2, seed=5)
         model, _ = inst.to_qubo()
-        cfg = replace(CFG, parallel="thread", num_gpus=3)
+        cfg = replace(CFG, num_gpus=3)
         result = DABSSolver(model, cfg, seed=0).solve(max_rounds=6)
         assert model.energy(result.best_vector) == result.best_energy
 

@@ -1,4 +1,4 @@
-"""Packed rounds: the round engine runs each round as fused super-launches.
+"""Packed rounds: a direct solve runs each round as fused super-launches.
 
 With coalescing on, :class:`~repro.solver.scheduler.RoundScheduler` runs
 pack-compatible devices as one :class:`~repro.engine.coalesce.SuperLaunch`
@@ -26,13 +26,11 @@ from repro.solver.abs_solver import ABSSolver
 from repro.solver.dabs import DABSConfig, DABSSolver
 from tests.conftest import random_qubo
 
-# pinned to the round engine: a REPRO_ENGINE=async leg must not redirect
 CFG = DABSConfig(
     num_gpus=3,
     blocks_per_gpu=4,
     pool_capacity=10,
     batch=BatchSearchConfig(batch_flip_factor=2.0),
-    engine="round",
 )
 ROUNDS = 4
 
@@ -115,17 +113,22 @@ def assert_bit_exact(solo, solo_result, packed, packed_result):
                 assert np.array_equal(ca, cb)
 
 
+#: both packable backends: the dense kernel and the ELL sparse kernel
+BACKENDS = ["numpy-dense", "numpy-sparse"]
+
+
 class TestPackedRoundParity:
-    @pytest.mark.parametrize("parallel", ["sequential", "thread"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_full_algorithm_set(self, seed, parallel, packs, solo_launches):
+    def test_full_algorithm_set(self, seed, backend, packs, solo_launches):
         model = random_qubo(20, seed=40 + seed)
-        cfg = replace(CFG, parallel=parallel)
+        cfg = replace(CFG, backend=backend)
         solo = solve(model, cfg, False, seed)
         assert packs == []
         del solo_launches[:]
         packed = solve(model, cfg, True, seed)
         assert_bit_exact(*solo, *packed)
+        assert {gpu.backend.name for gpu in packed[0].gpus} == {backend}
         # one super-launch of every device per round, no solo launch
         assert packs == [CFG.num_gpus] * ROUNDS
         assert solo_launches == []
@@ -146,16 +149,16 @@ class TestPackedRoundParity:
         assert packed[1].restarts >= 1
         assert_bit_exact(*solo, *packed)
 
-    @pytest.mark.parametrize("parallel", ["sequential", "thread"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize(
         "max_rows, per_round",
         # 3 devices × 4 rows: an 8-row budget packs 2 + 1 devices; a
         # budget below one device still packs each device on its own
         [(8, [2, 1]), (1, [1, 1, 1])],
     )
-    def test_row_budget_splits_the_round(self, max_rows, per_round, parallel, packs):
+    def test_row_budget_splits_the_round(self, max_rows, per_round, backend, packs):
         model = random_qubo(18, seed=61)
-        cfg = replace(CFG, coalesce_max_rows=max_rows, parallel=parallel)
+        cfg = replace(CFG, coalesce_max_rows=max_rows, backend=backend)
         solo = solve(model, cfg, False, 7)
         packed = solve(model, cfg, True, 7)
         assert_bit_exact(*solo, *packed)

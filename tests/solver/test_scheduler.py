@@ -1,42 +1,35 @@
-"""Tests for the double-buffered round scheduler and executor lifecycle."""
+"""Tests for the double-buffered round scheduler and the solver lifecycle."""
 
 from __future__ import annotations
 
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.engine.coalesce import SuperLaunch
 from repro.search.batch import BatchSearchConfig
 from repro.solver.dabs import DABSConfig, DABSSolver
-from repro.solver.scheduler import RoundHandle, RoundScheduler
+from repro.solver.scheduler import RoundScheduler
 from tests.conftest import random_qubo
 
-# these tests exercise the round scheduler specifically, so the engine is
-# pinned — a REPRO_ENGINE=async test matrix leg must not redirect them
 CFG = DABSConfig(
     num_gpus=2,
     blocks_per_gpu=4,
     pool_capacity=10,
     batch=BatchSearchConfig(batch_flip_factor=2.0),
-    engine="round",
 )
 
 
 class _FakeGPU:
-    """Stand-in device: records launches, optionally sleeps, tags results."""
+    """Stand-in device: records launches, tags results."""
 
-    def __init__(self, tag, delay=0.0):
+    def __init__(self, tag):
         self.tag = tag
-        self.delay = delay
         self.launches = []
 
     def launch(self, batch):
-        if self.delay:
-            time.sleep(self.delay)
         self.launches.append(batch)
         return (self.tag, batch)
 
@@ -45,58 +38,42 @@ class TestRoundScheduler:
     def test_sequential_results_in_gpu_order(self):
         gpus = [_FakeGPU("a"), _FakeGPU("b")]
         sched = RoundScheduler(gpus)
-        results = sched.submit(["x", "y"]).wait()
+        results = sched.submit(["x", "y"])
         assert results == [("a", "x"), ("b", "y")]
 
-    def test_threaded_results_stay_in_submission_order(self):
-        # the first GPU is the slowest; order must still be submission order
-        gpus = [_FakeGPU("a", delay=0.05), _FakeGPU("b"), _FakeGPU("c")]
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            sched = RoundScheduler(gpus, executor=pool)
-            results = sched.submit(["x", "y", "z"]).wait()
-        assert results == [("a", "x"), ("b", "y"), ("c", "z")]
+    def test_packed_results_in_gpu_order(self, monkeypatch):
+        """A packed round returns each device's result at its own index,
+        bit-exact with the same launches made solo on twin devices."""
+        packs = []
+        original = SuperLaunch.run
 
-    def test_submit_overlaps_host_work_in_thread_mode(self):
-        """submit() returns while launches are still in flight."""
-        release = threading.Event()
+        def run(self, scratch_map):
+            packs.append(len(self.segments))
+            return original(self, scratch_map)
 
-        class _Blocked(_FakeGPU):
-            def launch(self, batch):
-                release.wait(timeout=5)
-                return super().launch(batch)
-
-        gpu = _Blocked("a")
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            sched = RoundScheduler([gpu], executor=pool)
-            handle = sched.submit(["x"])
-            # launch has not finished, yet control is back on the host
-            assert gpu.launches == []
-            release.set()
-            assert handle.wait() == [("a", "x")]
+        monkeypatch.setattr(SuperLaunch, "run", run)
+        model = random_qubo(12, seed=23)
+        cfg = replace(CFG, num_gpus=3)
+        solo_solver = DABSSolver(model, cfg, seed=4)
+        packed_solver = DABSSolver(model, cfg, seed=4)
+        batches = [solo_solver._generate_batch(i) for i in range(3)]
+        solo = RoundScheduler(solo_solver.gpus).submit(batches)
+        assert packs == []
+        packed = RoundScheduler(packed_solver.gpus, pack_rows=256).submit(batches)
+        assert packs == [3]  # one super-launch of all three devices
+        assert len(packed) == 3
+        for (solo_batch, solo_flips), (batch, flips) in zip(solo, packed):
+            assert np.array_equal(batch.vectors, solo_batch.vectors)
+            assert np.array_equal(batch.energies, solo_batch.energies)
+            assert np.array_equal(flips, solo_flips)
 
     def test_rejects_wrong_batch_count(self):
         sched = RoundScheduler([_FakeGPU("a")])
         with pytest.raises(ValueError, match="expected 1 batches"):
             sched.submit(["x", "y"])
 
-    def test_wait_is_idempotent(self):
-        handle = RoundHandle(results=[1, 2])
-        assert handle.wait() is handle.wait()
-
 
 class TestDoubleBufferedSolve:
-    def test_thread_mode_matches_sequential_with_restarts(self):
-        model = random_qubo(16, seed=20)
-        cfg = replace(CFG, restart_after_stall=2)
-        seq = DABSSolver(model, cfg, seed=5).solve(max_rounds=8)
-        thr = DABSSolver(model, replace(cfg, parallel="thread"), seed=5).solve(
-            max_rounds=8
-        )
-        assert seq.best_energy == thr.best_energy
-        assert np.array_equal(seq.best_vector, thr.best_vector)
-        assert seq.total_flips == thr.total_flips
-        assert seq.restarts == thr.restarts
-
     def test_counters_count_only_launched_rounds(self):
         """The speculative round r+1 generation must not inflate counters."""
         model = random_qubo(12, seed=21)
@@ -135,47 +112,40 @@ class TestDoubleBufferedSolve:
             assert np.array_equal(r1.best_vector, r2.best_vector)
 
 
-class TestExecutorLifecycle:
-    THR = replace(CFG, parallel="thread")
-
-    def test_executor_reused_across_solves(self):
-        model = random_qubo(10, seed=23)
-        solver = DABSSolver(model, self.THR, seed=0)
-        solver.solve(max_rounds=2)
-        first = solver._executor
-        assert first is not None
-        solver.solve(max_rounds=2)
-        assert solver._executor is first
-        solver.close()
-
-    def test_close_shuts_down_and_is_idempotent(self):
-        model = random_qubo(10, seed=24)
-        solver = DABSSolver(model, self.THR, seed=0)
-        solver.solve(max_rounds=2)
-        executor = solver._executor
-        solver.close()
-        assert solver._executor is None
-        assert executor._shutdown
-        solver.close()  # idempotent
-
-    def test_solve_after_close_builds_fresh_pool(self):
+class TestSolverLifecycle:
+    def test_close_is_idempotent_and_solve_still_works(self):
         model = random_qubo(10, seed=25)
-        solver = DABSSolver(model, self.THR, seed=0)
+        solver = DABSSolver(model, CFG, seed=0)
         solver.solve(max_rounds=1)
+        solver.close()
         solver.close()
         result = solver.solve(max_rounds=1)
         assert model.energy(result.best_vector) == result.best_energy
-        solver.close()
+
+    def test_pack_buffers_are_reused_across_solves(self):
+        """The solver fills its pack buffers on the first packed round and
+        later solves run on the same buffers."""
+        model = random_qubo(10, seed=26)
+        solver = DABSSolver(model, replace(CFG, coalesce=True), seed=0)
+        solver.solve(max_rounds=1)
+        first = dict(solver._pack_scratch)
+        assert first
+        solver.solve(max_rounds=2)
+        assert solver._pack_scratch.keys() == first.keys()
+        for key, scratch in first.items():
+            assert solver._pack_scratch[key] is scratch
 
     def test_context_manager_closes(self):
-        model = random_qubo(10, seed=26)
-        with DABSSolver(model, self.THR, seed=0) as solver:
+        model = random_qubo(10, seed=24)
+        with DABSSolver(model, replace(CFG, coalesce=True), seed=0) as solver:
             solver.solve(max_rounds=1)
-            assert solver._executor is not None
-        assert solver._executor is None
+            assert solver._pack_scratch
+        assert solver._pack_scratch == {}
 
-    def test_sequential_mode_never_builds_executor(self):
+    def test_solve_starts_no_threads(self):
+        """A direct solve runs the round loop in the calling thread."""
         model = random_qubo(10, seed=27)
-        solver = DABSSolver(model, CFG, seed=0)
-        solver.solve(max_rounds=1)
-        assert solver._executor is None
+        before = threading.active_count()
+        with DABSSolver(model, CFG, seed=0) as solver:
+            solver.solve(max_rounds=2)
+            assert threading.active_count() == before

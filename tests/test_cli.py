@@ -42,13 +42,10 @@ class TestParser:
             args = build_parser().parse_args(["x", "--backend", name])
             assert args.backend == name
 
-    def test_rejects_unknown_engine(self):
+    def test_rejects_engine_flag(self):
+        # a direct solve has one engine; --engine is not an option
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["x", "--engine", "warp"])
-
-    def test_engine_defaults_to_env_deferral(self):
-        args = build_parser().parse_args(["x.qubo"])
-        assert args.engine is None  # defer to REPRO_ENGINE, then "round"
+            build_parser().parse_args(["x", "--engine", "async"])
 
     def test_federation_defaults(self):
         args = build_parser().parse_args(["x.qubo"])
@@ -133,22 +130,6 @@ class TestMain:
         # baseline solvers degrade to auto (with a warning) instead of dying
         with pytest.warns(RuntimeWarning, match="unknown backend"):
             assert main([str(path), "--rounds", "2", "--solver", "sa"]) == 0
-
-    @pytest.mark.parametrize("engine", ["round", "async", "async-process"])
-    def test_engine_flag_runs(self, qubo_file, capsys, engine):
-        path, model = qubo_file
-        rc = main([str(path), "--rounds", "4", "--engine", engine])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "energy" in out
-
-    def test_env_engine_bad_value_rejected(self, qubo_file, capsys, monkeypatch):
-        path, _ = qubo_file
-        monkeypatch.setenv("REPRO_ENGINE", "warp")
-        assert main([str(path), "--rounds", "2"]) == 2
-        assert "unknown engine" in capsys.readouterr().err
-        # an explicit flag bypasses the bad env var
-        assert main([str(path), "--rounds", "2", "--engine", "round"]) == 0
 
     def test_gset_reports_cut(self, tmp_path, capsys):
         adj = gset_like(12, 20, seed=1)
