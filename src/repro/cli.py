@@ -9,7 +9,7 @@ Usage::
                            [--backend auto|numpy-dense|numpy-sparse|numba|cuda]
                            [--islands N] [--topology ring|all]
                            [--migration-period M] [--migration-k K]
-                           [--transport queue|slab|socket]
+                           [--transport queue|slab]
 
     python -m repro serve [--gpus G] [--blocks B] [--max-queue Q]
                           [--islands N] ...
@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="elites each island publishes per migration (default: 4)",
     )
     parser.add_argument(
-        "--transport", choices=("queue", "slab", "socket"), default="queue",
+        "--transport", choices=("queue", "slab"), default="queue",
         help="inter-island migration transport (default: queue)",
     )
     return parser

@@ -16,7 +16,7 @@ sentinel telling the receiver the sender will produce no more migrants
 for that job (finished, cancelled or failed), which is what keeps the
 per-epoch blocking collect deadlock-free.
 
-Three transports, selected by name through :data:`TRANSPORTS`:
+Two transports, selected by name through :data:`TRANSPORTS`:
 
 * ``"queue"`` — one ``multiprocessing.Queue`` per edge; messages are
   pickled whole.  The robust default.
@@ -25,9 +25,9 @@ Three transports, selected by name through :data:`TRANSPORTS`:
   control tuple crosses the queue, so no array is ever pickled.
   Payloads wider than the preallocated ``slab_vars`` fall back to the
   pickled path transparently.
-* ``"socket"`` — stub with the same interface for the cross-machine
-  deployment this seam exists for; constructing an endpoint raises
-  ``NotImplementedError`` today.
+
+A cross-machine transport would be a third entry with the same two
+endpoint operations.
 
 All channels are created *before* the island processes fork (anonymous
 mmaps and ``multiprocessing`` queues are inherited, never pickled), which
@@ -49,7 +49,6 @@ __all__ = [
     "MigrationMessage",
     "QueueTransport",
     "SlabTransport",
-    "SocketTransport",
     "TOPOLOGIES",
     "TRANSPORTS",
     "in_neighbors",
@@ -332,40 +331,10 @@ class SlabTransport:
             edge.free.close()
 
 
-class SocketTransport:
-    """Cross-machine transport stub (same interface, not yet implemented).
-
-    The federation's migration protocol only needs the two endpoint
-    operations, so spanning machines is a transport swap: this class
-    reserves the name and the constructor signature (``address`` will
-    name the peer map).  Everything raises ``NotImplementedError`` until
-    the wire format lands.
-    """
-
-    name = "socket"
-
-    def __init__(
-        self, ctx, islands: int, topology: str, *, address=None, **_: object
-    ) -> None:
-        self.islands = islands
-        self.topology = topology
-        self.address = address
-
-    def endpoint(self, island: int):
-        raise NotImplementedError(
-            "the socket migration transport is a stub; use 'queue' or "
-            "'slab' for single-machine federations"
-        )
-
-    def close(self) -> None:
-        pass
-
-
 #: registry the ``--transport`` flag resolves through
 TRANSPORTS = {
     "queue": QueueTransport,
     "slab": SlabTransport,
-    "socket": SocketTransport,
 }
 
 

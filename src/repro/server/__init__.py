@@ -1,9 +1,9 @@
 """Network-grade serving (DESIGN.md §13).
 
 The deployable front door of the solve service: a versioned JSON-lines
-wire protocol (:mod:`repro.server.protocol`, shared with the stdin
-``repro serve`` mode), an asyncio TCP server multiplexing many
-persistent client connections over one :class:`~repro.service.SolveService`
+wire protocol (:mod:`repro.server.protocol`), one asyncio server
+multiplexing persistent client connections — TCP sockets, or the
+process's stdin/stdout — over one :class:`~repro.service.SolveService`
 or :class:`~repro.federation.Federation`
 (:mod:`repro.server.server`), per-tenant quotas and token-bucket rate
 limits (:mod:`repro.server.quota`), and a Prometheus-style ``/metrics``
@@ -22,7 +22,7 @@ from repro.server.protocol import (
     error_payload,
 )
 from repro.server.quota import TenantQuota, TokenBucket
-from repro.server.server import ServeServer, run_server
+from repro.server.server import ServeServer
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -35,5 +35,4 @@ __all__ = [
     "decode_request",
     "encode_event",
     "error_payload",
-    "run_server",
 ]

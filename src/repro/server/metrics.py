@@ -79,8 +79,6 @@ class ServerMetrics:
         self.errors: dict[str, int] = {}
         #: latency recorders per (tenant, stage)
         self.latency: dict[tuple[str, str], LatencyRecorder] = {}
-        #: legacy (pre-v1) frames accepted through the compat shim
-        self.legacy_frames = 0
 
     # -- recording hooks ---------------------------------------------------
     def connection_opened(self) -> None:
@@ -93,10 +91,8 @@ class ServerMetrics:
     def connection_closed(self) -> None:
         self.connections_active -= 1
 
-    def record_frame(self, legacy: bool = False) -> None:
+    def record_frame(self) -> None:
         self.frames_total += 1
-        if legacy:
-            self.legacy_frames += 1
 
     def record_submit(self, tenant: str) -> None:
         self.submits[tenant] = self.submits.get(tenant, 0) + 1
@@ -127,7 +123,6 @@ class ServerMetrics:
             "connections_total": self.connections_total,
             "connections_peak": self.connections_peak,
             "frames": self.frames_total,
-            "legacy_frames": self.legacy_frames,
             "submits": dict(self.submits),
             "jobs": {
                 f"{tenant}/{status}": count
@@ -201,14 +196,8 @@ def render_prometheus(metrics: ServerMetrics, snapshot) -> str:
     emit(
         "repro_frames_total",
         "counter",
-        "Request frames decoded (legacy shim frames included).",
+        "Request frames decoded.",
         [({}, metrics.frames_total)],
-    )
-    emit(
-        "repro_legacy_frames_total",
-        "counter",
-        "Pre-v1 frames accepted through the back-compat shim.",
-        [({}, metrics.legacy_frames)],
     )
     emit(
         "repro_submits_total",

@@ -1,8 +1,8 @@
 """The versioned wire protocol (DESIGN.md §13).
 
-One codec for every front door: the stdin/stdout ``repro serve`` session
-and the asyncio TCP server decode requests and encode events through the
-functions here, so the two transports can never drift apart.
+One codec for every front door: ``repro serve`` over stdin/stdout and
+over TCP are both :class:`~repro.server.ServeServer` connections, which
+decode requests and encode events through the functions here.
 
 A *request* is one JSON object per line, wrapped in the v1 envelope::
 
@@ -22,13 +22,10 @@ Ops: ``hello`` (declare a tenant), ``submit``, ``cancel``, ``query``
 replaying what was missed), ``stats``, ``metrics`` (Prometheus text),
 ``drain``, ``shutdown``.
 
-**Back-compat shim:** the pre-v1 protocol was the same shapes without
-the ``v`` key.  :func:`decode_request` accepts such frames, marks them
-``legacy=True`` and the session emits a ``DeprecationWarning`` once —
-old JSON-lines clients keep working unchanged (events gain a ``v`` key,
-which JSON clients ignore).  A frame that *does* carry ``v`` must say
-``1``; anything else is a :data:`E_VERSION_MISMATCH` error, so a future
-v2 client fails loudly instead of being half-understood.
+Every frame must carry ``"v": 1``.  A frame without ``v`` (the pre-v1
+shape) or with any other version is a :data:`E_VERSION_MISMATCH` error:
+one structured ``error`` event, after which the connection serves the
+next frame as usual.
 """
 
 from __future__ import annotations
@@ -128,8 +125,6 @@ class Request:
     id: str | None
     #: the op's parameters (envelope keys stripped)
     params: dict = field(default_factory=dict)
-    #: True when the frame used the pre-v1 shape (no ``v`` key)
-    legacy: bool = False
 
 
 def decode_request(
@@ -152,15 +147,19 @@ def decode_request(
         raise ProtocolError(
             E_BAD_REQUEST, f"request must be a JSON object, got {type(payload).__name__}"
         )
-    legacy = "v" not in payload
-    if not legacy:
-        version = payload["v"]
-        if version != PROTOCOL_VERSION:
-            raise ProtocolError(
-                E_VERSION_MISMATCH,
-                f"unsupported protocol version {version!r} "
-                f"(this server speaks v{PROTOCOL_VERSION})",
-            )
+    if "v" not in payload:
+        raise ProtocolError(
+            E_VERSION_MISMATCH,
+            f'request has no "v" envelope key '
+            f"(this server speaks v{PROTOCOL_VERSION})",
+        )
+    version = payload["v"]
+    if version != PROTOCOL_VERSION:
+        raise ProtocolError(
+            E_VERSION_MISMATCH,
+            f"unsupported protocol version {version!r} "
+            f"(this server speaks v{PROTOCOL_VERSION})",
+        )
     op = payload.get("op")
     if not isinstance(op, str):
         raise ProtocolError(E_BAD_REQUEST, 'request needs a string "op"')
@@ -174,7 +173,6 @@ def decode_request(
         op=op,
         id=str(request_id) if request_id is not None else None,
         params=params,
-        legacy=legacy,
     )
 
 
@@ -194,8 +192,8 @@ def error_payload(code: str, message: str, **fields) -> dict:
 def load_model(params: dict):
     """Materialize a submit's instance (``file`` or inline ``n``+``terms``).
 
-    Shared by both front-ends, so a file path and an inline triple list
-    mean exactly the same thing over stdin and TCP.
+    A file path and an inline triple list mean exactly the same thing
+    over stdin and TCP.
     """
     from repro.core.qubo import QUBOModel
     from repro.io.formats import load_instance

@@ -1,21 +1,23 @@
-"""The asyncio TCP front door of the solve service (DESIGN.md §13).
+"""The asyncio front door of the solve service (DESIGN.md §13).
 
-``repro serve --listen`` promotes the stdin JSON-lines session to a real
-network server: one :class:`ServeServer` multiplexes many persistent
-client connections over a single shared
-:class:`~repro.service.SolveService` (or
-:class:`~repro.federation.Federation`), speaking the same versioned wire
-protocol (:mod:`repro.server.protocol`) as the stdin mode.
+One :class:`ServeServer` multiplexes client connections over a single
+shared :class:`~repro.service.SolveService` (or
+:class:`~repro.federation.Federation`), speaking the versioned wire
+protocol (:mod:`repro.server.protocol`).  A connection is either a TCP
+socket (``repro serve --listen``, :meth:`ServeServer.run` /
+:meth:`ServeServer.start`) or the process's own stdin/stdout
+(``repro serve``, ``ServeServer.run(stdio=...)``) — the same code
+serves both, so every op works on both.
 
 Design points:
 
-* **one event loop, many watcher threads** — the asyncio loop owns every
+* **one event loop, no per-job threads** — the asyncio loop owns every
   piece of server state (job records, tenant ledgers, metrics), so none
-  of it needs locks; the blocking service surface
-  (``handle.incumbents()``, ``handle.result()``) is consumed by one
-  daemon watcher thread per job (exactly the stdin session's model) that
-  funnels events back into the loop with ``call_soon_threadsafe``.  A
-  slow or stalled client socket therefore never stalls scheduling — its
+  of it needs locks.  Each accepted job's handle gets a listener
+  (:meth:`~repro.service.JobHandle.set_listener`) that posts its
+  incumbents and its terminal event into the loop with
+  ``call_soon_threadsafe``; the loop builds the wire payloads.  A slow
+  or stalled client socket therefore never stalls scheduling — its
   events buffer in its transport, everyone else streams on.
 * **durable job state** — a job belongs to a *(tenant, id)* key, not to
   a connection.  Disconnecting abandons nothing: the job keeps running,
@@ -33,15 +35,20 @@ Design points:
   ``metrics`` op: queue depth, lane utilization, cache hit rate,
   coalesce counters, and per-tenant latency percentiles for
   admission→first-incumbent and admission→done.
+
+The stdin connection differs from a TCP one only at its end:
+``shutdown`` or EOF drains every accepted job (their terminal events
+still stream out) before the ``bye``, and then stops the server.  A TCP
+``shutdown`` says ``bye`` and stops the server at once.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import threading
 import time
 import traceback
-import warnings
 from collections import deque
 from dataclasses import replace
 
@@ -59,16 +66,10 @@ from repro.service.service import ServiceOverloadedError
 from repro.solver.abs_solver import ABSSolver
 from repro.solver.dabs import DABSSolver
 
-__all__ = ["DEFAULT_TENANT", "ServeServer", "run_server"]
+__all__ = ["DEFAULT_TENANT", "ServeServer"]
 
 #: tenant assumed for connections that never sent a ``hello``
 DEFAULT_TENANT = "default"
-
-_LEGACY_WARNING = (
-    "received a pre-v1 JSON-lines frame (no \"v\" envelope key); the "
-    "legacy shapes are deprecated — send {\"v\": 1, ...} envelopes "
-    "(repro.server.protocol)"
-)
 
 
 class _JobRecord:
@@ -116,12 +117,13 @@ class _JobRecord:
 class _Connection:
     """One client connection (loop-confined)."""
 
-    __slots__ = ("writer", "tenant", "legacy_warned", "subscriptions", "open")
+    __slots__ = ("writer", "stdio", "tenant", "subscriptions", "open")
 
-    def __init__(self, writer) -> None:
+    def __init__(self, writer, stdio: bool = False) -> None:
         self.writer = writer
+        #: the stdin/stdout connection: drains every job before its bye
+        self.stdio = stdio
         self.tenant = DEFAULT_TENANT
-        self.legacy_warned = False
         self.subscriptions: set[_JobRecord] = set()
         self.open = True
 
@@ -135,15 +137,58 @@ class _Connection:
             self.open = False
 
 
-class ServeServer:
-    """Asyncio TCP server over one solve service / federation.
+class _StdoutWriter:
+    """A text stream (stdout) as the writer half of a connection.
 
-    Run blocking (:meth:`run`, the CLI path) or as a background thread
-    (:meth:`start` / :meth:`stop`, also the context-manager form) — the
-    thread mode is what tests and the load harness use.  ``port=0`` and
-    ``metrics_port=0`` bind ephemeral ports, exposed as :attr:`port` and
-    :attr:`metrics_port` once started; ``metrics_port=None`` disables
-    the HTTP exporter (the ``metrics`` op keeps working).
+    ``write`` runs on the loop thread.  A ``BrokenPipeError`` means the
+    client stopped reading: it is also raised into the connection's
+    reader, so the session ends (and drains) instead of reading on.
+    """
+
+    def __init__(self, out, reader: asyncio.StreamReader) -> None:
+        self._out = out
+        self._reader = reader
+
+    def write(self, data: bytes) -> None:
+        try:
+            self._out.write(data.decode())
+            self._out.flush()
+        except BrokenPipeError as exc:
+            self._reader.set_exception(exc)
+            raise
+
+    def close(self) -> None:
+        pass  # the process owns its stdout
+
+
+def _feed_lines(stdin, reader: asyncio.StreamReader, loop) -> None:
+    """Thread body: copy *stdin*'s lines into *reader*, then EOF.
+
+    A read error ends the session as EOF does (the exception itself
+    surfaces through the thread's excepthook).
+    """
+    try:
+        for line in stdin:
+            loop.call_soon_threadsafe(reader.feed_data, line.encode())
+    except RuntimeError:
+        return  # the loop closed: the session already ended
+    finally:
+        with contextlib.suppress(RuntimeError):
+            loop.call_soon_threadsafe(reader.feed_eof)
+
+
+class ServeServer:
+    """Asyncio server over one solve service / federation.
+
+    Serve TCP blocking (:meth:`run`, the ``--listen`` CLI path) or as a
+    background thread (:meth:`start` / :meth:`stop`, also the
+    context-manager form) — the thread mode is what tests and the load
+    harness use — or serve one stdin/stdout connection blocking
+    (``run(stdio=(stdin, stdout))``, plain ``repro serve``), which binds
+    no TCP socket.  ``port=0`` and ``metrics_port=0`` bind ephemeral ports,
+    exposed as :attr:`port` and :attr:`metrics_port` once started;
+    ``metrics_port=None`` disables the HTTP exporter (the ``metrics`` op
+    keeps working).
     """
 
     def __init__(
@@ -173,24 +218,27 @@ class ServeServer:
         self._conns: set[_Connection] = set()
         self._conn_tasks: set = set()
         self._req_counter = 0
+        #: job events posted by handle listeners, delivered on the loop
+        self._events: deque = deque()
+        self._flush_scheduled = False
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop: asyncio.Event | None = None
         self._thread: threading.Thread | None = None
 
     # -- lifecycle ---------------------------------------------------------
-    async def _amain(self, on_ready=None) -> None:
+    async def _amain(self, on_ready=None, stdio=None) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
-        server = await asyncio.start_server(
-            self._client_connected,
-            self.host,
-            self.port,
-            # stream budget above the frame limit: frames between the two
-            # get a clean frame-too-large error, frames beyond the stream
-            # budget additionally cost the connection (unrecoverable)
-            limit=2 * self.max_frame_bytes + 65536,
-        )
-        self.port = server.sockets[0].getsockname()[1]
+        # stream budget above the frame limit: frames between the two get
+        # a clean frame-too-large error, frames beyond the stream budget
+        # additionally cost the connection (unrecoverable)
+        limit = 2 * self.max_frame_bytes + 65536
+        server = None
+        if stdio is None:
+            server = await asyncio.start_server(
+                self._client_connected, self.host, self.port, limit=limit
+            )
+            self.port = server.sockets[0].getsockname()[1]
         metrics_server = None
         if self.metrics_port is not None:
             metrics_server = await asyncio.start_server(
@@ -199,13 +247,30 @@ class ServeServer:
             self.metrics_port = metrics_server.sockets[0].getsockname()[1]
         purge = asyncio.create_task(self._purge_loop())
         try:
+            if stdio is not None:
+                stdin, stdout = stdio
+                reader = asyncio.StreamReader(limit=limit)
+                threading.Thread(
+                    target=_feed_lines,
+                    args=(stdin, reader, self._loop),
+                    name="repro-serve-stdin",
+                    daemon=True,
+                ).start()
+                self._conn_tasks.add(
+                    asyncio.create_task(
+                        self._client_connected(
+                            reader, _StdoutWriter(stdout, reader), stdio=True
+                        )
+                    )
+                )
             if on_ready is not None:
                 on_ready(self)
             await self._stop.wait()
         finally:
             purge.cancel()
-            server.close()
-            await server.wait_closed()
+            if server is not None:
+                server.close()
+                await server.wait_closed()
             if metrics_server is not None:
                 metrics_server.close()
                 await metrics_server.wait_closed()
@@ -222,10 +287,13 @@ class ServeServer:
             if self._conn_tasks:
                 await asyncio.wait(set(self._conn_tasks), timeout=5.0)
 
-    def run(self, on_ready=None) -> int:
-        """Serve until a ``shutdown`` op or Ctrl-C; returns an exit code."""
+    def run(self, on_ready=None, stdio=None) -> int:
+        """Serve TCP until a ``shutdown`` op or Ctrl-C; returns an exit
+        code.  Given ``stdio=(stdin, stdout)`` text streams, serve that
+        one connection instead, binding no TCP socket, until its
+        ``shutdown`` or EOF — every accepted job finishes first."""
         try:
-            asyncio.run(self._amain(on_ready))
+            asyncio.run(self._amain(on_ready, stdio))
         except KeyboardInterrupt:  # pragma: no cover - interactive exit
             pass
         return 0
@@ -282,20 +350,26 @@ class ServeServer:
         )
         if devices is not None:
             payload["devices"] = devices
+        config = getattr(self.service, "default_config", None)
+        if config is not None:
+            payload["blocks"] = config.blocks_per_gpu
         islands = getattr(self.service, "num_islands", None)
         if islands is not None:
             payload["islands"] = islands
+            payload["topology"] = self.service.topology
         max_queue = getattr(self.service, "max_queue", None)
         if max_queue is not None:
             payload["max_queue"] = max_queue
+        if self.metrics_port is not None:
+            payload["metrics_port"] = self.metrics_port
         return payload
 
-    async def _client_connected(self, reader, writer) -> None:
+    async def _client_connected(self, reader, writer, stdio=False) -> None:
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)
             task.add_done_callback(self._conn_tasks.discard)
-        conn = _Connection(writer)
+        conn = _Connection(writer, stdio)
         self._conns.add(conn)
         self.metrics.connection_opened()
         conn.send(self._ready_payload())
@@ -320,7 +394,14 @@ class ServeServer:
                     continue
                 if not await self._handle_line(conn, line.strip()):
                     break
+            if conn.stdio:
+                # stdin's shutdown/EOF contract: every accepted job
+                # finishes, streaming its terminal event, before the bye
+                await self._drain()
+                conn.send({"event": "bye"})
         finally:
+            if conn.stdio:
+                self._stop.set()
             for record in list(conn.subscriptions):
                 record.subscribers.discard(conn)
             conn.subscriptions.clear()
@@ -341,10 +422,7 @@ class ServeServer:
         except ProtocolError as exc:
             self._error(conn, exc.code, str(exc))
             return True
-        self.metrics.record_frame(request.legacy)
-        if request.legacy and not conn.legacy_warned:
-            conn.legacy_warned = True
-            warnings.warn(_LEGACY_WARNING, DeprecationWarning, stacklevel=2)
+        self.metrics.record_frame()
         try:
             return await self._dispatch(conn, request)
         except ProtocolError as exc:
@@ -425,25 +503,30 @@ class ServeServer:
                 payload["id"] = request.id
             conn.send(payload)
         elif op == "drain":
-            waits = [
-                record.done.wait()
-                for record in self._records.values()
-                if record.tenant == conn.tenant and not record.terminal
-            ]
-            if waits:
-                await asyncio.gather(*waits)
+            await self._drain(conn.tenant)
             reply = {"event": "drained"}
             if request.id is not None:
                 reply["id"] = request.id
             conn.send(reply)
         elif op == "shutdown":
-            conn.send({"event": "bye"})
-            assert self._stop is not None
-            self._stop.set()
+            if not conn.stdio:  # stdin drains first (_client_connected)
+                conn.send({"event": "bye"})
+                assert self._stop is not None
+                self._stop.set()
             return False
         else:  # pragma: no cover - decode_request already gates ops
             raise ProtocolError(protocol.E_UNKNOWN_OP, f"unknown op {op!r}")
         return True
+
+    async def _drain(self, tenant: str | None = None) -> None:
+        """Wait until every live job (of *tenant*, if given) is terminal."""
+        waits = [
+            record.done.wait()
+            for record in self._records.values()
+            if not record.terminal and tenant in (None, record.tenant)
+        ]
+        if waits:
+            await asyncio.gather(*waits)
 
     def _record_for(self, conn: _Connection, request: Request) -> _JobRecord:
         if request.id is None:
@@ -546,12 +629,7 @@ class ServeServer:
         record.subscribers.add(conn)
         conn.subscriptions.add(record)
         conn.send(accepted)
-        threading.Thread(
-            target=self._watch,
-            args=(record,),
-            name=f"serve-watch-{handle.job_id}",
-            daemon=True,
-        ).start()
+        handle.set_listener(lambda update: self._post(record, update))
 
     def _attach(self, conn: _Connection, request: Request) -> None:
         record = self._record_for(conn, request)
@@ -576,35 +654,31 @@ class ServeServer:
             record.subscribers.add(conn)
             conn.subscriptions.add(record)
 
-    # -- job event plumbing (watcher threads → loop) -----------------------
-    def _watch(self, record: _JobRecord) -> None:
-        """Daemon thread: drain one job's incumbent stream, then emit its
-        terminal event — the stdin session's watcher, aimed at the loop."""
-        handle = record.handle
+    # -- job event plumbing (handle listeners → loop) ---------------------
+    def _post(self, record: _JobRecord, update) -> None:
+        """Handle listener (service thread): hand one job event — an
+        incumbent update, or ``None`` once terminal — to the loop.
+
+        Events queue up behind one pending wake-up of the loop, so a
+        busy loop costs the service thread no extra ``call_soon_threadsafe``
+        (a socket write that gives up the GIL mid-schedule).
+        """
+        self._events.append((record, update))
+        if self._flush_scheduled:
+            return
+        self._flush_scheduled = True
         try:
-            for update in handle.incumbents():
-                self._post(
-                    record,
-                    {
-                        "event": "incumbent",
-                        "id": record.client_id,
-                        "tenant": record.tenant,
-                        "energy": update.energy,
-                        "elapsed": round(update.elapsed, 6),
-                    },
-                )
-            payload = self._terminal_payload(record)
-        except Exception:
-            payload = {
-                "event": "failed",
-                "id": record.client_id,
-                "tenant": record.tenant,
-                "code": protocol.E_INTERNAL,
-                "error": "internal watcher error",
-                "traceback": traceback.format_exc(),
-                "retries": 0,
-            }
-        self._post(record, payload, terminal=True)
+            assert self._loop is not None
+            self._loop.call_soon_threadsafe(self._flush_events)
+        except RuntimeError:  # loop closed mid-shutdown: nobody listens
+            pass
+
+    def _flush_events(self) -> None:
+        # reset before draining: an event appended from here on either
+        # is drained below or schedules the next flush
+        self._flush_scheduled = False
+        while self._events:
+            self._deliver(*self._events.popleft())
 
     def _terminal_payload(self, record: _JobRecord) -> dict:
         handle = record.handle
@@ -646,21 +720,20 @@ class ServeServer:
                 payload["report"] = report.to_dict()
         return payload
 
-    def _post(self, record: _JobRecord, payload: dict, terminal=False) -> None:
-        try:
-            assert self._loop is not None
-            self._loop.call_soon_threadsafe(
-                self._deliver, record, payload, terminal
-            )
-        except RuntimeError:  # loop closed mid-shutdown: nobody listens
-            pass
-
-    def _deliver(self, record: _JobRecord, payload: dict, terminal) -> None:
-        """Loop thread: buffer, account, and fan one job event out."""
+    def _deliver(self, record: _JobRecord, update) -> None:
+        """Loop thread: build one job event's payload (an incumbent, or
+        the terminal event once *update* is ``None``), then buffer,
+        account, and fan it out."""
         now = time.perf_counter()
-        event = payload["event"]
-        if event == "incumbent":
-            record.best_energy = payload["energy"]
+        if update is not None:
+            payload = {
+                "event": "incumbent",
+                "id": record.client_id,
+                "tenant": record.tenant,
+                "energy": update.energy,
+                "elapsed": round(update.elapsed, 6),
+            }
+            record.best_energy = update.energy
             if record.first_incumbent_at is None:
                 record.first_incumbent_at = now
                 self.metrics.observe_latency(
@@ -668,33 +741,41 @@ class ServeServer:
                     STAGE_FIRST_INCUMBENT,
                     now - record.submitted_at,
                 )
-            if (
-                record.incumbents.maxlen is not None
-                and len(record.incumbents) == record.incumbents.maxlen
-            ):
+            if len(record.incumbents) == record.incumbents.maxlen:
                 record.dropped += 1
             record.incumbents.append(payload)
-        if terminal and not record.terminal:
-            record.terminal_payload = payload
-            record.finished_at = now
-            self._tenant_outstanding[record.tenant] -= 1
-            self.metrics.record_terminal(record.tenant, event)
-            if event == "done":
-                record.best_energy = payload["energy"]
-                self.metrics.observe_latency(
-                    record.tenant, STAGE_DONE, now - record.submitted_at
-                )
-            elif event == "failed":
-                self.metrics.record_error(
-                    payload.get("code", protocol.E_JOB_FAILED)
-                )
-            record.done.set()
+            for conn in list(record.subscribers):
+                conn.send(payload)
+            return
+        try:
+            payload = self._terminal_payload(record)
+        except Exception:
+            payload = {
+                "event": "failed",
+                "id": record.client_id,
+                "tenant": record.tenant,
+                "code": protocol.E_INTERNAL,
+                "error": "internal error building the terminal event",
+                "traceback": traceback.format_exc(),
+                "retries": 0,
+            }
+        event = payload["event"]
+        record.terminal_payload = payload
+        record.finished_at = now
+        self._tenant_outstanding[record.tenant] -= 1
+        self.metrics.record_terminal(record.tenant, event)
+        if event == "done":
+            record.best_energy = payload["energy"]
+            self.metrics.observe_latency(
+                record.tenant, STAGE_DONE, now - record.submitted_at
+            )
+        elif event == "failed":
+            self.metrics.record_error(payload["code"])
+        record.done.set()
         for conn in list(record.subscribers):
             conn.send(payload)
-        if terminal:
-            for conn in list(record.subscribers):
-                conn.subscriptions.discard(record)
-            record.subscribers.clear()
+            conn.subscriptions.discard(record)
+        record.subscribers.clear()
 
     # -- terminal-record purge ----------------------------------------------
     async def _purge_loop(self) -> None:
@@ -746,26 +827,3 @@ class ServeServer:
             except Exception:  # pragma: no cover - transport already gone
                 pass
 
-
-def run_server(
-    service,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    metrics_port: int | None = 0,
-    quota: TenantQuota | None = None,
-    job_ttl: float = 600.0,
-    max_frame_bytes: int = protocol.MAX_FRAME_BYTES,
-    on_ready=None,
-) -> int:
-    """Blocking convenience used by ``repro serve --listen``."""
-    server = ServeServer(
-        service,
-        host=host,
-        port=port,
-        metrics_port=metrics_port,
-        quota=quota,
-        job_ttl=job_ttl,
-        max_frame_bytes=max_frame_bytes,
-    )
-    return server.run(on_ready)

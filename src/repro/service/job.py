@@ -6,7 +6,9 @@ shared device fleet.  The client-facing surface is :class:`JobHandle` —
 a thread-safe future-like object that also streams *incumbent updates*
 (every new per-job global best) as the pools improve, the service
 analogue of :class:`~repro.solver.result.SolveResult.history` delivered
-live instead of post-hoc.
+live instead of post-hoc — either pulled through :meth:`JobHandle.incumbents`
+or pushed to a listener (:meth:`JobHandle.set_listener`), which is how
+the serve front end follows every live job without a thread per job.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class JobHandle:
 
     All methods are thread-safe; the service finalizes the handle exactly
     once.  The incumbent stream is single-consumer: one call site should
-    iterate :meth:`incumbents`.
+    either iterate :meth:`incumbents` or register a listener.
     """
 
     def __init__(self, job_id: str, service) -> None:
@@ -86,7 +88,9 @@ class JobHandle:
         self._result: SolveResult | None = None
         self._error: BaseException | None = None
         self._stream: queue.Queue = queue.Queue()
-        self._lock = threading.Lock()
+        self._listener = None
+        # reentrant: a listener runs under it and may read status/result
+        self._lock = threading.RLock()
 
     # -- state transitions (service-side) ----------------------------------
     def _mark_running(self) -> None:
@@ -95,7 +99,11 @@ class JobHandle:
                 self._status = JobStatus.RUNNING
 
     def _push_incumbent(self, update: IncumbentUpdate) -> None:
-        self._stream.put(update)
+        with self._lock:
+            if self._listener is None:
+                self._stream.put(update)
+            else:
+                self._listener(update)
 
     def _finalize(
         self,
@@ -107,8 +115,13 @@ class JobHandle:
             self._status = status
             self._result = result
             self._error = error
-        self._stream.put(_STREAM_END)
-        self._done.set()
+            # done before the listener hears of it, so a listener may
+            # read result() without blocking
+            self._done.set()
+            if self._listener is None:
+                self._stream.put(_STREAM_END)
+            else:
+                self._listener(None)
 
     # -- client surface ----------------------------------------------------
     @property
@@ -147,6 +160,26 @@ class JobHandle:
                     f"job {self.job_id} was cancelled before it started"
                 )
             return self._result
+
+    def set_listener(self, listener) -> None:
+        """Push this job's events to *listener* instead of queueing them.
+
+        *listener* is called with each :class:`IncumbentUpdate`, then once
+        with ``None`` when the job is terminal.  Anything queued before
+        registration is replayed first, in order, so nothing is missed
+        however late the listener arrives.  It runs on the service's
+        scheduling thread under the handle's (reentrant) lock: it may
+        read this handle, but should only hand the event off (e.g.
+        ``loop.call_soon_threadsafe``), never block.  After registration
+        :meth:`incumbents` receives nothing.
+        """
+        with self._lock:
+            if self._listener is not None:
+                raise RuntimeError(f"job {self.job_id} already has a listener")
+            self._listener = listener
+            while not self._stream.empty():
+                item = self._stream.get_nowait()
+                listener(None if item is _STREAM_END else item)
 
     def incumbents(self, timeout: float | None = None):
         """Iterate streamed :class:`IncumbentUpdate` events until the job

@@ -1,19 +1,20 @@
-"""``repro serve`` — the JSON-lines front-end over :class:`SolveService`.
+"""``repro serve`` — the JSON-lines front end over :class:`SolveService`.
 
-Two transports, one protocol (:mod:`repro.server.protocol`):
+One server (:class:`repro.server.ServeServer`), one protocol
+(:mod:`repro.server.protocol`), two transports:
 
-* **stdin/stdout** (default) — one JSON request per line in, one JSON
-  event per line out; the simplest transport that composes with pipes
-  and process supervisors.
-* **TCP** (``--listen [HOST:]PORT``) — the asyncio socket server
-  (:mod:`repro.server`): persistent multi-client connections, durable
-  jobs with ``query``/``attach`` reattachment, per-tenant quotas and
-  rate limits, and a Prometheus ``/metrics`` endpoint
-  (``--metrics-port``).
+* **stdin/stdout** (default) — the process's own pipes are one
+  connection: one JSON request per line in, one JSON event per line
+  out; the simplest transport that composes with pipes and process
+  supervisors.  ``shutdown`` or EOF waits for every accepted job before
+  the closing ``bye``.
+* **TCP** (``--listen [HOST:]PORT``) — persistent multi-client
+  connections.
 
-Requests are v1 envelopes (``{"v": 1, "op": ..., "id": ...}``); the
-pre-v1 shapes (no ``"v"`` key) still work through a back-compat shim
-that emits a ``DeprecationWarning`` once per session::
+Both give durable jobs with ``query``/``attach`` reattachment,
+per-tenant quotas and rate limits, and an optional Prometheus
+``/metrics`` endpoint (``--metrics-port``).  Requests are v1 envelopes;
+a frame without ``"v": 1`` gets one structured ``error`` event::
 
     {"v": 1, "op": "submit", "id": "my-job", "file": "g22.txt",
      "rounds": 50, "target": -1234, "priority": 1, "share": 2.0}
@@ -23,7 +24,7 @@ that emits a ``DeprecationWarning`` once per session::
     {"v": 1, "op": "stats"}
     {"v": 1, "op": "metrics"}    # Prometheus text exposition
     {"v": 1, "op": "drain"}      # block until every accepted job is terminal
-    {"v": 1, "op": "shutdown"}   # drain + exit (EOF does the same)
+    {"v": 1, "op": "shutdown"}   # stdin: drain + exit (EOF does the same)
 
 Events (all carry ``"event"`` and ``"v"``): ``accepted``, ``incumbent``
 (streamed as the job's pools improve), ``done`` (with the final energy,
@@ -40,31 +41,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-import threading
-import traceback
-import warnings
-from dataclasses import replace
 
 from repro.backends import backend_names
-from repro.server import protocol
-from repro.server.metrics import ServerMetrics, render_prometheus
-from repro.server.protocol import ProtocolError, Request
+from repro.server import ServeServer, TenantQuota, protocol
 from repro.service.cache import ProblemCache
-from repro.service.job import JobStatus
-from repro.service.service import (
-    ServiceOverloadedError,
-    SolveService,
-)
-from repro.solver.abs_solver import ABSSolver
-from repro.solver.dabs import DABSConfig, DABSSolver
+from repro.service.service import SolveService
+from repro.solver.dabs import DABSConfig
 
 __all__ = ["build_serve_parser", "serve_main"]
-
-_LEGACY_WARNING = (
-    "received a pre-v1 JSON-lines request (no \"v\" envelope key); the "
-    "legacy shapes are deprecated — send {\"v\": 1, ...} envelopes "
-    "(repro.server.protocol)"
-)
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
@@ -129,7 +113,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--transport",
-        choices=("queue", "slab", "socket"),
+        choices=("queue", "slab"),
         default="queue",
         help="inter-island migration transport (federation mode only)",
     )
@@ -162,22 +146,21 @@ def build_serve_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PORT",
         help="also serve a Prometheus /metrics HTTP endpoint on PORT "
-        "(0 picks an ephemeral port; TCP mode only)",
+        "(0 picks an ephemeral port, announced in the ready event)",
     )
     parser.add_argument(
         "--tenant-max-jobs",
         type=int,
         default=None,
         metavar="N",
-        help="per-tenant quota: max outstanding jobs (TCP mode only)",
+        help="per-tenant quota: max outstanding jobs",
     )
     parser.add_argument(
         "--tenant-rate",
         type=float,
         default=None,
         metavar="R",
-        help="per-tenant rate limit: sustained submissions/second "
-        "(TCP mode only)",
+        help="per-tenant rate limit: sustained submissions/second",
     )
     parser.add_argument(
         "--tenant-burst",
@@ -191,301 +174,15 @@ def build_serve_parser() -> argparse.ArgumentParser:
         type=float,
         default=600.0,
         metavar="SECONDS",
-        help="keep finished jobs queryable/attachable this long "
-        "(TCP mode only)",
+        help="keep finished jobs queryable/attachable this long",
     )
     return parser
 
 
-class _Session:
-    """One stdin serve session: tracks client ids and emits events.
-
-    Bookkeeping is bounded: a job's handle and watcher thread are dropped
-    the moment its terminal event is emitted (the stream is the record),
-    so a long-lived serve process does not grow with total jobs served —
-    and a client id becomes reusable once its job has finished.
-    """
-
-    def __init__(self, service, out) -> None:
-        # service is a SolveService or a Federation — both expose the
-        # submit/stats/close surface this session drives
-        self.service = service
-        self.out = out
-        self.metrics = ServerMetrics()
-        self._emit_lock = threading.Lock()
-        self._state_lock = threading.Lock()
-        self._submissions = 0
-        #: error/failed events emitted so far (surfaced in ``stats``)
-        self._errors = 0
-        self._legacy_warned = False
-        self._handles: dict[str, object] = {}
-        self._watchers: list[threading.Thread] = []
-
-    def emit(self, payload: dict) -> None:
-        with self._emit_lock:
-            if payload.get("event") in ("error", "failed"):
-                self._errors += 1
-            try:
-                print(protocol.encode_event(payload), file=self.out, flush=True)
-            except BrokenPipeError:
-                # the client hung up; keep draining jobs quietly — the
-                # stdin EOF that follows ends the session cleanly
-                pass
-
-    def emit_error(self, code: str, message: str, **fields) -> None:
-        self.metrics.record_error(code)
-        self.emit(protocol.error_payload(code, message, **fields))
-
-    # -- request handlers --------------------------------------------------
-    def handle_line(self, line: str) -> bool:
-        """Decode and dispatch one request line; returns False when the
-        session should end."""
-        try:
-            request = protocol.decode_request(line)
-        except ProtocolError as exc:
-            self.emit_error(exc.code, str(exc))
-            return True
-        self.metrics.record_frame(request.legacy)
-        if request.legacy and not self._legacy_warned:
-            self._legacy_warned = True
-            warnings.warn(_LEGACY_WARNING, DeprecationWarning, stacklevel=3)
-        return self.handle(request)
-
-    def handle(self, request: Request) -> bool:
-        """Dispatch one request; returns False when the session should end.
-
-        A handler bug or unexpected service exception becomes an
-        ``error`` event — it can never tear the session loop down
-        (DESIGN.md §11); only ``shutdown``/EOF end the session.
-        """
-        try:
-            return self._dispatch(request)
-        except ProtocolError as exc:
-            fields = {} if request.id is None else {"id": request.id}
-            self.emit_error(exc.code, str(exc), **fields)
-            return True
-        except Exception:
-            self.emit(
-                {
-                    "event": "error",
-                    "op": request.op,
-                    "error": "internal error handling request",
-                    "traceback": traceback.format_exc(),
-                }
-            )
-            return True
-
-    def _dispatch(self, request: Request) -> bool:
-        op = request.op
-        if op == "submit":
-            self._submit(request)
-        elif op == "cancel":
-            self._cancel(request)
-        elif op == "hello":
-            reply = {
-                "event": "hello",
-                "tenant": str(request.params.get("tenant") or "default"),
-                "protocol": protocol.PROTOCOL_VERSION,
-            }
-            if request.id is not None:
-                reply["id"] = request.id
-            self.emit(reply)
-        elif op == "stats":
-            with self._emit_lock:
-                errors = self._errors
-            self.emit({"event": "stats", "errors": errors, **self.service.stats()})
-        elif op == "metrics":
-            payload = {
-                "event": "metrics",
-                "text": render_prometheus(
-                    self.metrics, self.service.stats_snapshot()
-                ),
-            }
-            if request.id is not None:
-                payload["id"] = request.id
-            self.emit(payload)
-        elif op in ("query", "attach"):
-            raise ProtocolError(
-                protocol.E_BAD_REQUEST,
-                f"op {op!r} needs durable job records — serve over TCP "
-                "(--listen) for query/attach support",
-            )
-        elif op == "drain":
-            self.drain()
-            self.emit({"event": "drained"})
-        elif op == "shutdown":
-            return False
-        else:  # pragma: no cover - decode_request already gates ops
-            self.emit_error(protocol.E_UNKNOWN_OP, f"unknown op {op!r}")
-        return True
-
-    def _submit(self, request: Request) -> None:
-        with self._state_lock:
-            self._submissions += 1
-            client_id = request.id or f"req-{self._submissions}"
-            duplicate = client_id in self._handles
-        if duplicate:
-            self.emit_error(
-                protocol.E_DUPLICATE_ID,
-                "duplicate job id (still running)",
-                id=client_id,
-            )
-            return
-        params = request.params
-        try:
-            model = protocol.load_model(params)
-            solver_cls = ABSSolver if params.get("solver") == "abs" else DABSSolver
-            kwargs = protocol.submit_kwargs(params)
-            kwargs.update(protocol.limit_kwargs(params))
-            if params.get("virtual_time"):
-                default = getattr(self.service, "default_config", None)
-                if default is None:
-                    raise ProtocolError(
-                        protocol.E_BAD_REQUEST,
-                        "virtual_time submissions need a service with a "
-                        "default solver config",
-                    )
-                kwargs["config"] = replace(default, virtual_time=True)
-            handle = self.service.submit(
-                model, solver_cls=solver_cls, block=False, **kwargs
-            )
-        except ProtocolError as exc:
-            self.emit_error(exc.code, str(exc), id=client_id)
-            return
-        except ServiceOverloadedError as exc:
-            self.emit_error(protocol.E_OVERLOADED, str(exc), id=client_id)
-            return
-        except (OSError, ValueError, KeyError) as exc:
-            self.emit_error(protocol.E_BAD_REQUEST, str(exc), id=client_id)
-            return
-        watcher = threading.Thread(
-            target=self._watch, args=(client_id, handle), daemon=True
-        )
-        with self._state_lock:
-            self._handles[client_id] = handle
-            self._watchers.append(watcher)
-        self.metrics.record_submit("default")
-        self.emit(
-            {
-                "event": "accepted",
-                "id": client_id,
-                "job": handle.job_id,
-                "n": model.n,
-            }
-        )
-        watcher.start()
-
-    def _watch(self, client_id: str, handle) -> None:
-        try:
-            try:
-                self._watch_job(client_id, handle)
-            except Exception:
-                # the watcher itself failed — emit the terminal event
-                # (with the traceback) instead of dying silently and
-                # leaving the client waiting forever
-                self.emit(
-                    {
-                        "event": "failed",
-                        "id": client_id,
-                        "code": protocol.E_INTERNAL,
-                        "error": "internal watcher error",
-                        "traceback": traceback.format_exc(),
-                        "retries": 0,
-                    }
-                )
-        finally:
-            # terminal event emitted: drop the bookkeeping so the session
-            # stays bounded and the client id becomes reusable
-            with self._state_lock:
-                self._handles.pop(client_id, None)
-                try:
-                    self._watchers.remove(threading.current_thread())
-                except ValueError:  # pragma: no cover - drain raced us
-                    pass
-
-    def _watch_job(self, client_id: str, handle) -> None:
-        # the watcher — not the service's scheduler thread — consumes
-        # the incumbent stream and writes stdout, so a slow or stalled
-        # client pipe can never stall scheduling for other tenants
-        for update in handle.incumbents():
-            self.emit(
-                {
-                    "event": "incumbent",
-                    "id": client_id,
-                    "energy": update.energy,
-                    "elapsed": round(update.elapsed, 6),
-                }
-            )
-        status = handle.status
-        if status is JobStatus.DONE:
-            result = handle.result()
-            done = {
-                "event": "done",
-                "id": client_id,
-                "energy": int(result.best_energy),
-                "vector": "".join(map(str, result.best_vector.tolist())),
-                "launches": result.launches,
-                "elapsed": round(result.elapsed, 6),
-                "retries": result.retries,
-                "summary": result.summary(),
-            }
-            if result.degraded:
-                done["degraded"] = True
-                done["degraded_reasons"] = list(result.degraded_reasons)
-            self.metrics.record_terminal("default", "done")
-            self.emit(done)
-        elif status is JobStatus.CANCELLED:
-            self.metrics.record_terminal("default", "cancelled")
-            self.emit({"event": "cancelled", "id": client_id})
-        else:
-            failed = {
-                "event": "failed",
-                "id": client_id,
-                "code": protocol.E_JOB_FAILED,
-                "retries": 0,
-            }
-            try:
-                handle.result()
-                failed["error"] = "unknown failure"  # pragma: no cover
-            except Exception as exc:
-                failed["error"] = str(exc)
-                failed["traceback"] = traceback.format_exc()
-                # supervised workers attach a structured FailureReport
-                # once the retry budget is exhausted (DESIGN.md §11)
-                report = getattr(exc, "report", None)
-                if report is not None:
-                    failed["retries"] = report.retries
-                    failed["report"] = report.to_dict()
-            self.metrics.record_terminal("default", "failed")
-            self.emit(failed)
-
-    def _cancel(self, request: Request) -> None:
-        client_id = str(request.id or "")
-        with self._state_lock:
-            handle = self._handles.get(client_id)
-        if handle is None:
-            self.emit_error(
-                protocol.E_UNKNOWN_JOB,
-                f"unknown job id {client_id!r}",
-                id=client_id,
-            )
-            return
-        handle.cancel()
-
-    def drain(self) -> None:
-        with self._state_lock:
-            handles = list(self._handles.values())
-            watchers = list(self._watchers)
-        for handle in handles:
-            handle.wait()
-        for watcher in watchers:
-            watcher.join()
-
-
-def _parse_listen(spec: str) -> tuple[str, int]:
-    """``[HOST:]PORT`` → (host, port)."""
+def _parse_listen(spec: str) -> dict:
+    """``[HOST:]PORT`` → the server's ``host``/``port`` keywords."""
     host, _, port = spec.rpartition(":")
-    return (host or "127.0.0.1", int(port))
+    return {"host": host or "127.0.0.1", "port": int(port)}
 
 
 def _build_service(args):
@@ -500,8 +197,8 @@ def _build_service(args):
     )
     if args.islands > 1:
         # federation mode: N island processes behind the same protocol —
-        # Federation duck-types the submit/stats/close surface both
-        # transports drive, so the wire format is identical
+        # Federation duck-types the submit/stats/close surface the
+        # server drives, so the wire format is identical
         from repro.federation import Federation
 
         return Federation(
@@ -526,28 +223,25 @@ def _build_service(args):
 
 
 def serve_main(argv=None, stdin=None, stdout=None) -> int:
-    """Run the serve loop until shutdown/EOF; returns an exit code."""
+    """Run the server until shutdown (or stdin EOF); returns an exit code."""
     args = build_serve_parser().parse_args(argv)
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     service = _build_service(args)
-
-    if args.listen is not None:
-        from repro.server import ServeServer, TenantQuota
-
-        host, port = _parse_listen(args.listen)
-        server = ServeServer(
-            service,
-            host=host,
-            port=port,
-            metrics_port=args.metrics_port,
-            quota=TenantQuota(
-                max_jobs=args.tenant_max_jobs,
-                rate=args.tenant_rate,
-                burst=args.tenant_burst,
-            ),
-            job_ttl=args.job_ttl,
-        )
+    server = ServeServer(
+        service,
+        **(_parse_listen(args.listen) if args.listen is not None else {}),
+        metrics_port=args.metrics_port,
+        quota=TenantQuota(
+            max_jobs=args.tenant_max_jobs,
+            rate=args.tenant_rate,
+            burst=args.tenant_burst,
+        ),
+        job_ttl=args.job_ttl,
+    )
+    with service:
+        if args.listen is None:
+            return server.run(stdio=(stdin, stdout))
 
         def announce(srv) -> None:
             line = {
@@ -559,28 +253,4 @@ def serve_main(argv=None, stdin=None, stdout=None) -> int:
                 line["metrics_port"] = srv.metrics_port
             print(protocol.encode_event(line), file=stdout, flush=True)
 
-        with service:
-            return server.run(announce)
-
-    session = _Session(service, stdout)
-    ready = {
-        "event": "ready",
-        "protocol": protocol.PROTOCOL_VERSION,
-        "devices": args.gpus,
-        "blocks": args.blocks,
-        "max_queue": args.max_queue,
-    }
-    if args.islands > 1:
-        ready["islands"] = args.islands
-        ready["topology"] = args.topology
-    session.emit(ready)
-    with service:
-        for line in stdin:
-            line = line.strip()
-            if not line:
-                continue
-            if not session.handle_line(line):
-                break
-        session.drain()
-    session.emit({"event": "bye"})
-    return 0
+        return server.run(announce)

@@ -11,7 +11,6 @@ from repro.federation.transport import (
     MigrationMessage,
     QueueTransport,
     SlabTransport,
-    SocketTransport,
     in_neighbors,
     make_transport,
     out_neighbors,
@@ -138,9 +137,7 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown transport"):
             make_transport("carrier-pigeon", ctx, 2, "ring")
 
-    def test_socket_stub_reserves_the_name(self):
+    def test_socket_is_not_a_transport(self):
         ctx = mp.get_context("fork")
-        transport = make_transport("socket", ctx, 2, "ring")
-        assert isinstance(transport, SocketTransport)
-        with pytest.raises(NotImplementedError, match="stub"):
-            transport.endpoint(0)
+        with pytest.raises(ValueError, match="unknown transport 'socket'"):
+            make_transport("socket", ctx, 2, "ring")

@@ -16,7 +16,8 @@ TERMS = [[0, 0, -3], [0, 1, 2], [1, 1, -3], [2, 2, 1], [2, 3, -4], [3, 3, 1]]
 
 
 def run_serve(requests: list[dict], argv: list[str] | None = None) -> list[dict]:
-    lines = "\n".join(json.dumps(r) for r in requests) + "\n"
+    """Pipe *requests* (as v1 envelopes) through a stdin serve session."""
+    lines = "\n".join(json.dumps({"v": 1, **r}) for r in requests) + "\n"
     out = io.StringIO()
     rc = serve_main(
         argv or ["--gpus", "2", "--blocks", "4"],

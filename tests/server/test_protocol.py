@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from repro.server import protocol
 from repro.server.protocol import ProtocolError, decode_request, encode_event
 from repro.server.quota import TenantQuota, TokenBucket
+from repro.service import serve_main
 
 
 def code_of(excinfo) -> str:
@@ -25,16 +27,31 @@ class TestDecodeRequest:
         assert request.op == "submit"
         assert request.id == "a"
         assert request.params == {"n": 4, "terms": []}
-        assert request.legacy is False
 
     def test_bytes_and_str_decode_identically(self):
         line = json.dumps({"v": 1, "op": "stats"})
         assert decode_request(line) == decode_request(line.encode())
 
-    def test_legacy_frame_accepted_and_flagged(self):
-        request = decode_request(json.dumps({"op": "drain"}))
-        assert request.legacy is True
-        assert request.op == "drain"
+    def test_frame_without_version_is_one_error_over_stdin(self):
+        """A pre-v1 frame (no "v") over stdin costs exactly one structured
+        error event; the next v1 frame on the same stream is served."""
+        with pytest.raises(ProtocolError) as excinfo:
+            decode_request(json.dumps({"op": "drain"}))
+        assert code_of(excinfo) == protocol.E_VERSION_MISMATCH
+        out = io.StringIO()
+        frames = [{"op": "stats", "id": "old"}, {"v": 1, "op": "stats", "id": "new"}]
+        rc = serve_main(
+            ["--gpus", "1", "--blocks", "2"],
+            stdin=io.StringIO("".join(json.dumps(f) + "\n" for f in frames)),
+            stdout=out,
+        )
+        assert rc == 0
+        events = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert [e["event"] for e in events] == ["ready", "error", "stats", "bye"]
+        assert events[1]["code"] == protocol.E_VERSION_MISMATCH
+        assert '"v"' in events[1]["error"]
+        assert events[2]["id"] == "new"
+        assert events[2]["server"]["frames"] == 1
 
     def test_integer_id_is_coerced_to_string(self):
         assert decode_request(json.dumps({"v": 1, "op": "query", "id": 7})).id == "7"

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import socket
+import sys
+import threading
 import time
 import urllib.request
 
@@ -12,6 +14,8 @@ import pytest
 
 from repro.client import Client, RemoteJobError
 from repro.server import ServeServer, TenantQuota
+from repro.server.server import _JobRecord
+from repro.service.job import IncumbentUpdate
 from repro.service import SolveService
 from repro.service.job import JobCancelledError
 from repro.solver.dabs import DABSConfig, DABSSolver
@@ -61,25 +65,29 @@ class RawClient:
 
 
 class TestWireOverTcp:
-    def test_legacy_json_lines_round_trip(self):
-        """Acceptance: a pre-v1 client (no "v" keys anywhere) submits,
-        streams incumbents and receives its done event unchanged."""
+    def test_frame_without_version_is_one_error_over_tcp(self):
+        """A pre-v1 frame (no "v") costs exactly one structured error
+        event; the next v1 frame on the same connection is served."""
         with make_service() as service, ServeServer(
             service, metrics_port=None
         ) as server:
             raw = RawClient(server.port)
             assert raw.recv()["event"] == "ready"
-            with pytest.warns(DeprecationWarning):
-                raw.send({"op": "submit", "id": "a", "n": 4, "terms": TERMS,
-                          "rounds": 5, "seed": 0})
-                events = raw.recv_until("done", "failed")
+            raw.send({"op": "submit", "id": "a", "n": 4, "terms": TERMS,
+                      "rounds": 5, "seed": 0})
+            error = raw.recv()
+            assert error["event"] == "error"
+            assert error["code"] == "version-mismatch"
+            raw.send({"v": 1, "op": "submit", "id": "a", "n": 4,
+                      "terms": TERMS, "rounds": 5, "seed": 0})
+            events = raw.recv_until("done", "failed")
             kinds = [e["event"] for e in events]
             assert kinds[0] == "accepted"
             assert "incumbent" in kinds
+            assert "error" not in kinds
             done = events[-1]
             assert done["event"] == "done"
             assert done["id"] == "a"
-            assert done["v"] == 1  # events gain the envelope; JSON clients ignore it
             vector = np.array([int(c) for c in done["vector"]], dtype=np.uint8)
             assert len(vector) == 4
             raw.close()
@@ -297,3 +305,91 @@ class TestMetrics:
                 assert server_section["submits"] == {"default": 1}
                 assert server_section["jobs"] == {"default/done": 1}
                 assert server_section["connections"] == 1
+
+
+class TestBoundedThreads:
+    def test_thread_count_does_not_grow_with_live_jobs(self):
+        """Live jobs cost no threads: 40 in flight through one server run
+        on exactly the threads one job does, and no per-job watcher
+        thread exists."""
+        model = random_qubo(16, seed=4)
+        # count only this test's threads (earlier tests' daemons may be
+        # winding down concurrently)
+        before = {t.ident for t in threading.enumerate()}
+
+        def new_threads() -> list[str]:
+            return [t.name for t in threading.enumerate() if t.ident not in before]
+
+        with make_service(max_queue=None) as service, ServeServer(
+            service, metrics_port=None
+        ) as server:
+            with Client.connect("127.0.0.1", server.port) as client:
+                handles = [client.submit(model, rounds=100000, seed=0, job_id="j0")]
+                try:
+                    # running, not just accepted: both lanes are busy
+                    next(handles[0].incumbents(timeout=30))
+                    time.sleep(0.1)
+                    one_job = new_threads()
+                    handles += [
+                        client.submit(model, rounds=100000, seed=i, job_id=f"j{i}")
+                        for i in range(1, 40)
+                    ]
+                    assert wait_accepted(handles)
+                    assert all(not h.done() for h in handles)
+                    forty_jobs = new_threads()
+                    assert len(forty_jobs) == len(one_job), (one_job, forty_jobs)
+                    assert not [n for n in forty_jobs if n.startswith("serve-watch")]
+                finally:
+                    for handle in handles:
+                        handle.cancel()
+                    client.drain()
+                assert all(h.done() for h in handles)
+    def test_listener_hand_off_loses_no_event_under_contention(self):
+        """Many service-side threads post job events at once (more than
+        there are cores, with a tiny switch interval): every event
+        reaches the loop, in per-job order.  Each thread waits for its
+        event before posting the next, so an event stranded behind a
+        wake-up that never comes stalls its thread and fails the test."""
+        threads, per_thread = 8, 300
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ServeServer(object(), metrics_port=None) as server:
+                records = [
+                    _JobRecord(("t", str(i)), str(i), "t", None, per_thread)
+                    for i in range(threads)
+                ]
+
+                def produce(record) -> None:
+                    for energy in range(per_thread):
+                        update = IncumbentUpdate("j", -energy, None, 0.0)
+                        server._post(record, update)
+                        deadline = time.time() + 5
+                        while len(record.incumbents) <= energy:
+                            if time.time() > deadline:
+                                return
+                            time.sleep(0)
+
+                workers = [
+                    threading.Thread(target=produce, args=(record,))
+                    for record in records
+                ]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(60)
+                assert not any(w.is_alive() for w in workers)
+        finally:
+            sys.setswitchinterval(interval)
+        for record in records:
+            energies = [payload["energy"] for payload in record.incumbents]
+            assert energies == [-e for e in range(per_thread)]
+
+
+def wait_accepted(handles, timeout: float = 30.0) -> bool:
+    deadline = time.time() + timeout
+    while time.time() < deadline:
+        if all(h.accepted is not None for h in handles):
+            return True
+        time.sleep(0.005)
+    return False

@@ -4,20 +4,24 @@ from __future__ import annotations
 
 import io
 import json
+import threading
 
 import numpy as np
 
 from repro.cli import main
 from repro.core.qubo import QUBOModel, brute_force
 from repro.io.formats import write_qubo
-from repro.service import serve_main
+from repro.server.protocol import PROTOCOL_VERSION
+from repro.service import SolveService, serve_main
+from repro.service.job import JobStatus
 from tests.conftest import random_qubo
 
 TERMS = [[0, 0, -3], [0, 1, 2], [1, 1, -3], [2, 2, 1], [2, 3, -4], [3, 3, 1]]
 
 
 def run_serve(requests: list[dict], argv: list[str] | None = None) -> list[dict]:
-    lines = "\n".join(json.dumps(r) for r in requests) + "\n"
+    """Pipe *requests* (as v1 envelopes) through a stdin serve session."""
+    lines = "\n".join(json.dumps({"v": 1, **r}) for r in requests) + "\n"
     out = io.StringIO()
     rc = serve_main(
         argv or ["--gpus", "2", "--blocks", "4"],
@@ -45,7 +49,14 @@ class TestServeRoundTrip:
                 {"op": "shutdown"},
             ]
         )
-        assert events[0]["event"] == "ready"
+        assert events[0] == {
+            "v": PROTOCOL_VERSION,
+            "event": "ready",
+            "protocol": PROTOCOL_VERSION,
+            "devices": 2,
+            "blocks": 4,
+            "max_queue": 64,
+        }
         accepted = events_of(events, "accepted")
         assert [e["id"] for e in accepted] == ["a"]
         done = events_of(events, "done")
@@ -125,7 +136,7 @@ class TestServeRoundTrip:
         out = io.StringIO()
         rc = serve_main(
             ["--gpus", "1", "--blocks", "2"],
-            stdin=io.StringIO('{"op": oops}\n{"op": "shutdown"}\n'),
+            stdin=io.StringIO('{"op": oops}\n{"v": 1, "op": "shutdown"}\n'),
             stdout=out,
         )
         assert rc == 0
@@ -150,7 +161,7 @@ class TestServeRoundTrip:
 
     def test_cli_dispatches_serve(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            "sys.stdin", io.StringIO('{"op": "shutdown"}\n')
+            "sys.stdin", io.StringIO('{"v": 1, "op": "shutdown"}\n')
         )
         rc = main(["serve", "--gpus", "1"])
         out = capsys.readouterr().out
@@ -192,3 +203,121 @@ class TestServeFederation:
         assert stats and stats[0]["islands"] == 2
         assert len(stats[0]["island_stats"]) == 2
         assert events[-1]["event"] == "bye"
+
+
+class TestStdinIsAServerConnection:
+    """Stdin serve is one connection of the same server as TCP: the ops
+    that need durable job records and the tenant/quota flags work here
+    too."""
+
+    def test_hello_query_and_attach(self):
+        events = run_serve(
+            [
+                {"op": "hello", "id": "h", "tenant": "alice"},
+                {"op": "submit", "id": "a", "n": 4, "terms": TERMS, "rounds": 3, "seed": 0},
+                {"op": "drain"},
+                {"op": "query", "id": "a"},
+                {"op": "attach", "id": "a"},
+                {"op": "shutdown"},
+            ]
+        )
+        hello = events_of(events, "hello")
+        assert hello == [
+            {"v": 1, "event": "hello", "id": "h", "tenant": "alice",
+             "protocol": PROTOCOL_VERSION}
+        ]
+        assert events_of(events, "accepted")[0]["tenant"] == "alice"
+        done = events_of(events, "done")
+        assert len(done) == 2  # the live one, then the attach replay
+        assert done[0] == done[1]
+        job = events_of(events, "job")
+        assert len(job) == 1
+        assert job[0]["status"] == "done"
+        assert job[0]["done"] is True
+        assert job[0]["best"] == done[0]["energy"]
+        attached = events_of(events, "attached")
+        assert len(attached) == 1
+        live_incumbents = len(events_of(events, "incumbent")) // 2
+        assert attached[0]["replayed"] == live_incumbents + 1
+        assert events_of(events, "error") == []
+        assert events[-1]["event"] == "bye"
+
+    def test_tenant_quota_applies(self):
+        events = run_serve(
+            [
+                {"op": "submit", "id": "a", "n": 4, "terms": TERMS, "rounds": 4000, "seed": 0},
+                {"op": "submit", "id": "b", "n": 4, "terms": TERMS, "rounds": 2, "seed": 0},
+                {"op": "cancel", "id": "a"},
+                {"op": "shutdown"},
+            ],
+            argv=["--gpus", "1", "--blocks", "2", "--tenant-max-jobs", "1"],
+        )
+        errors = events_of(events, "error")
+        assert [e["code"] for e in errors] == ["quota-exceeded"]
+        assert errors[0]["id"] == "b"
+        assert events[-1]["event"] == "bye"
+
+
+class OpenStdin:
+    """A stdin its client never closes: yields *lines*, then blocks."""
+
+    def __init__(self, lines: list[str]) -> None:
+        self.lines = lines
+        self.release = threading.Event()
+
+    def __iter__(self):
+        yield from self.lines
+        self.release.wait()
+
+
+class BrokenStdout(io.StringIO):
+    """Takes *ok* writes, then raises like a pipe whose reader left."""
+
+    def __init__(self, ok: int) -> None:
+        super().__init__()
+        self.ok = ok
+
+    def write(self, text: str) -> int:
+        if self.ok == 0:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.ok -= 1
+        return super().write(text)
+
+
+class TestBrokenStdout:
+    def test_broken_pipe_ends_the_session_after_draining(self, monkeypatch):
+        """The client stops reading mid-job but keeps stdin open: the
+        session still ends — the job runs to completion, the exit code
+        is 0 and nothing hangs on the open stdin."""
+        handles, at_close = [], []
+        submit, close = SolveService.submit, SolveService.close
+
+        def spy_submit(self, *args, **kwargs):
+            handles.append(submit(self, *args, **kwargs))
+            return handles[-1]
+
+        def spy_close(self, *args, **kwargs):
+            at_close.extend(h.status for h in handles)
+            return close(self, *args, **kwargs)
+
+        monkeypatch.setattr(SolveService, "submit", spy_submit)
+        monkeypatch.setattr(SolveService, "close", spy_close)
+        frame = {"v": 1, "op": "submit", "id": "a", "n": 4, "terms": TERMS,
+                 "rounds": 5, "seed": 0}
+        stdin = OpenStdin([json.dumps(frame) + "\n"])
+        stdout = BrokenStdout(ok=2)  # ready + accepted, then the pipe breaks
+        codes = []
+        runner = threading.Thread(
+            target=lambda: codes.append(
+                serve_main(["--gpus", "1", "--blocks", "2"], stdin=stdin, stdout=stdout)
+            ),
+            daemon=True,
+        )
+        runner.start()
+        runner.join(60)
+        stdin.release.set()
+        assert not runner.is_alive(), "serve hung after its stdout broke"
+        assert codes == [0]
+        assert at_close == [JobStatus.DONE]
+        kinds = [json.loads(line)["event"] for line in stdout.getvalue().splitlines()]
+        assert kinds == ["ready", "accepted"]
