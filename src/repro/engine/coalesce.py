@@ -10,6 +10,16 @@ into one **super-launch**: the fused phase runners execute once over the
 stacked ``(ΣB, n)`` batch, and completions are split back per job by row
 segment (DESIGN.md §12).
 
+Super-launches come from three places: the service packs co-tenant
+launches queued on one lane (``SolveService._refill``), the round
+scheduler packs the devices of one direct-solve round
+(``RoundScheduler``), and a packable device runs each of its own solo
+launches as a one-segment super-launch (``VirtualGPU.launch``) — the
+paper's one kernel per launch, whatever each block's algorithm.  The
+first two commit through ``VirtualGPU.commit_packed``
+(:meth:`SuperLaunch.run`); the device commits its own segment, so each
+launch-equivalent passes one seam only.
+
 Packing is bit-exact per job — including final RNG lane states, tabu
 stamps carried into the next launch, and CyclicMin's persistent window
 cursor — which is non-trivial because the batch-search *schedule* couples
@@ -50,7 +60,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.backends import pack_compatibility_key
 from repro.core.delta import BatchDeltaState
 from repro.core.packet import MainAlgorithm, PacketBatch
 from repro.core.rng import XorShift64Star
@@ -58,44 +67,22 @@ from repro.gpu.virtual_gpu import VirtualGPU
 from repro.resilience import chaos
 from repro.resilience.chaos import ChaosError
 from repro.search.batch import BestTracker
-from repro.search.cyclicmin import CyclicMinSearch
-from repro.search.maxmin import MaxMinSearch
-from repro.search.positivemin import PositiveMinSearch
-from repro.search.randommin import RandomMinSearch
 from repro.search.tabu import TabuTracker
-from repro.search.twoneighbor import TwoNeighborSearch
 
 __all__ = ["PackScratch", "PackSegment", "SegmentResult", "SuperLaunch", "pack_key"]
-
-#: the built-in algorithms whose packed wave execution is proven bit-exact;
-#: a device carrying any other (subclassed) algorithm is never packed
-_PACKABLE_ALGORITHM_TYPES = (
-    MaxMinSearch,
-    CyclicMinSearch,
-    RandomMinSearch,
-    PositiveMinSearch,
-    TwoNeighborSearch,
-)
-
 
 def pack_key(gpu):
     """The compatibility key under which *gpu*'s launches may coalesce.
 
-    ``None`` when this device must not participate in super-launches:
-    stepwise execution, a non-builtin algorithm implementation, a
-    non-packable backend or float arithmetic (see
-    :func:`repro.backends.pack_compatibility_key`) — or anything that is
-    not a real :class:`~repro.gpu.virtual_gpu.VirtualGPU` (tests inject
-    stub devices; a stub cannot honor the packed execution contract).
+    The device's own :attr:`~repro.gpu.virtual_gpu.VirtualGPU.pack_key`
+    (``None`` for a non-builtin algorithm implementation, a non-packable
+    backend or float arithmetic), and ``None`` for anything that is not
+    a real :class:`~repro.gpu.virtual_gpu.VirtualGPU` (tests inject stub
+    devices; a stub cannot honor the packed execution contract).
     """
     if not isinstance(gpu, VirtualGPU):
         return None
-    if not gpu.fused:
-        return None
-    for alg in gpu.algorithms.values():
-        if type(alg) not in _PACKABLE_ALGORITHM_TYPES:
-            return None
-    return pack_compatibility_key(gpu.backend, gpu.kernel, gpu.model, gpu.config)
+    return gpu.pack_key
 
 
 class PackSegment:
@@ -112,16 +99,33 @@ class PackSegment:
 
 
 class SegmentResult:
-    """One segment's completed launch, split out of a super-launch."""
+    """One segment's completed launch, split out of a super-launch.
 
-    __slots__ = ("segment", "result", "flips", "truncations", "truncation_events")
+    Besides the launch result it carries the segment's advanced device
+    state — solutions ``x``, RNG lanes and CyclicMin ``cursors``
+    (``(algorithm, cursor)`` pairs) — for the commit step.
+    """
 
-    def __init__(self, segment, result, flips, truncations, truncation_events) -> None:
+    __slots__ = (
+        "segment",
+        "result",
+        "flips",
+        "truncations",
+        "truncation_events",
+        "x",
+        "rng_state",
+        "cursors",
+    )
+
+    def __init__(self, segment, result, flips, truncations, x, rng_state, cursors) -> None:
         self.segment = segment
         self.result = result
         self.flips = flips
         self.truncations = truncations
-        self.truncation_events = truncation_events
+        self.truncation_events = 1 if truncations else 0
+        self.x = x
+        self.rng_state = rng_state
+        self.cursors = cursors
 
 
 class _Cell:
@@ -220,10 +224,12 @@ class SuperLaunch:
     """A set of pack-compatible launches executed as one fused batch.
 
     Created by the service scheduler (executed on a worker lane thread)
-    and by the round scheduler (one per packed round chunk), executed via
-    :meth:`run`.  Exposes the segments so a failed or wedged pack can be
-    split back into individual launches, and :attr:`culprit` — the
-    segment whose injected backend fault failed the pack, when known.
+    and by the round scheduler (one per packed round chunk), both run via
+    :meth:`run`, and by a packable device's own ``VirtualGPU.launch``, a
+    one-segment pack it runs via :meth:`execute` and commits itself.
+    Exposes the segments so a failed or wedged pack can be split back
+    into individual launches, and :attr:`culprit` — the segment whose
+    injected backend fault failed the pack, when known.
     """
 
     __slots__ = ("segments", "total_rows", "culprit")
@@ -240,12 +246,27 @@ class SuperLaunch:
         return {id(seg.gpu): seg.gpu for seg in self.segments}.values()
 
     def run(self, scratch_map: dict) -> list[SegmentResult]:
-        """Execute every segment bit-exactly and split the completions.
+        """Execute every segment, then commit each one to its device.
 
         Device state (solutions, RNG lanes, cursors, counters) is only
         committed once **all** cells finished — an exception anywhere
         leaves every device exactly as before the pack, so the caller can
         re-issue the segments individually.
+        """
+        results = self.execute(scratch_map)
+        for res in results:
+            res.segment.gpu.commit_packed(
+                res.x, res.rng_state, int(res.flips.sum()), res.truncations, res.cursors
+            )
+        return results
+
+    def execute(self, scratch_map: dict) -> list[SegmentResult]:
+        """Execute every segment bit-exactly and split the completions.
+
+        Commits nothing: each result carries its segment's advanced device
+        state for the caller's commit step.  *scratch_map* holds the
+        merged buffers (:class:`PackScratch`) keyed by (backend, kernel,
+        n, config), grown to the largest pack seen.
         """
         segments = self.segments
         first = segments[0].gpu
@@ -397,7 +418,7 @@ class SuperLaunch:
                 for cell in span_cells:
                     cell.mains_done += 1
 
-        # harvest: split per segment and commit device state (all-or-nothing)
+        # harvest: split per segment (committed by the caller)
         by_segment: list[list[_Cell]] = [[] for _ in segments]
         for cell in cells:
             by_segment[cell.seg].append(cell)
@@ -411,6 +432,7 @@ class SuperLaunch:
             trunc = np.zeros(len(batch), dtype=bool)
             new_x = np.empty_like(gpu.block_x)
             new_rng = np.empty_like(gpu.rng_state)
+            cursors = []
             for cell in by_segment[si]:
                 sl = slice(cell.start, cell.stop)
                 out_vectors[cell.rows] = tracker.best_x[sl]
@@ -420,9 +442,7 @@ class SuperLaunch:
                 new_x[cell.rows] = state.x[sl]
                 new_rng[cell.rows] = rng_block[sl]
                 if cell.cursor_ready:
-                    gpu.algorithms[cell.alg].import_cursor(scratch.cursor[sl])
-            truncations = int(trunc.sum())
-            gpu.commit_packed(new_x, new_rng, int(seg_flips.sum()), truncations)
+                    cursors.append((cell.alg, scratch.cursor[sl].copy()))
             results.append(
                 SegmentResult(
                     seg,
@@ -430,8 +450,10 @@ class SuperLaunch:
                         out_vectors, out_energies, batch.algorithms, batch.operations
                     ),
                     seg_flips,
-                    truncations,
-                    1 if truncations else 0,
+                    int(trunc.sum()),
+                    new_x,
+                    new_rng,
+                    cursors,
                 )
             )
         return results

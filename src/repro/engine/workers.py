@@ -392,7 +392,8 @@ class FleetWorkerGroup:
         caller can fail one job without tearing the fleet down.
 
         A super-launch arrives as one queue item and is delivered as its
-        per-segment completions, one per call (the rest buffer FIFO).
+        per-segment completions, one per call (the rest buffer FIFO until
+        a later call or :meth:`take_ready` collects them).
         """
         if self._ready:
             return self._ready.popleft()
@@ -418,6 +419,17 @@ class FleetWorkerGroup:
             self._ready.extend(payload)
             return self._ready.popleft()
         return payload
+
+    def take_ready(self) -> list[LaunchCompletion]:
+        """Every buffered completion of an already delivered super-launch.
+
+        A pack's segments finish together; a scheduler that folds them
+        all before refilling its lanes lets the riders' next launches
+        pack again, instead of the first rider's leaving alone.
+        """
+        ready = list(self._ready)
+        self._ready.clear()
+        return ready
 
     # -- supervision -------------------------------------------------------
     def _split_pack(self, record: _LaunchRecord) -> list[_LaunchRecord]:

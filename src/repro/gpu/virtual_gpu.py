@@ -1,15 +1,25 @@
-"""Virtual GPU: lockstep emulation of CUDA blocks running batch searches.
+"""Virtual GPU: emulated CUDA blocks running batch searches.
 
 Substitution note (see DESIGN.md §1.2): the paper runs each batch search in
-a CUDA block of up to 1024 threads with X and Δ in registers.  Here each
-block is one row of ``(B, n)`` NumPy arrays and all blocks running the same
-main search algorithm advance in lockstep; whole phases are executed by a
-pluggable compute backend (:mod:`repro.backends`) — the straight/greedy
-loops and fused main phases lowered from each algorithm's selection spec
-(DESIGN.md §6).  Packets with different algorithms are grouped per launch
-and each group runs its own lockstep sub-batch (lanes in different groups
-cannot share a flip schedule, just as divergent warps serialize on real
-hardware).
+a CUDA block of up to 1024 threads with X and Δ in registers, and all of a
+GPU's blocks as one kernel launch, whatever each block's main algorithm
+(§III).  Here each block is one row of ``(B, n)`` NumPy arrays and whole
+phases are executed by a pluggable compute backend (:mod:`repro.backends`)
+— the straight/greedy loops and fused main phases lowered from each
+algorithm's selection spec (DESIGN.md §6).  A launch takes one of two
+paths:
+
+* **one kernel** — a device with a :attr:`~VirtualGPU.pack_key` (integer
+  model, ``numpy-dense`` or ``numpy-sparse`` backend, built-in
+  algorithms only) runs its batch as a one-segment
+  :class:`~repro.engine.coalesce.SuperLaunch`: one straight loop over all
+  rows and one mixed-algorithm main loop (DESIGN.md §12).  It is
+  bit-exact with the group loop by the pack contract.
+* **group loop** — any other device (numba, cuda, float models, custom
+  algorithms) groups its packets per algorithm and runs one lockstep
+  :func:`~repro.search.batch.run_batch_search` per group (lanes in
+  different groups cannot share a flip schedule on these backends, just
+  as divergent warps serialize on real hardware).
 
 State that persists across launches, mirroring §III.B / Fig. 4 (2):
 
@@ -18,21 +28,23 @@ State that persists across launches, mirroring §III.B / Fig. 4 (2):
 * per-(block, thread) xorshift64* RNG lanes, seeded once from the host
   Mersenne twister (§V).
 
-Additionally, the device-side working buffers — one full-size
-:class:`~repro.core.delta.BatchDeltaState` (with its backend kernel cache
-and fused-phase scratch buffers), one tabu stamp array and one
-:class:`~repro.search.batch.BestTracker` per GPU — persist across
-launches, the analogue of device memory staying allocated between kernel
-launches.  A lockstep group of any size runs on row-slice *views* of those
-buffers (:meth:`~repro.core.delta.BatchDeltaState.row_view`), so memory
-stays bounded at one ``(num_blocks, n)`` buffer set per GPU regardless of
-how the adaptive selector partitions the packets.  A launch resets the
-views in place from the persistent ``X`` rows, which is bit-identical to
-building fresh state but skips the per-launch allocation and CSR
-index-conversion churn.  Device backends ride the same lifetime: the cuda
-backend stows its per-state device mirror in the persistent state's
-``device`` slot (DESIGN.md §10), so the ``(B, n)`` device buffers are
-allocated once per virtual GPU and reused across launches too.
+The device-side working buffers persist across launches too, the analogue
+of device memory staying allocated between kernel launches, and each
+device holds one set, built by its first launch: the one-kernel path's
+merged :class:`~repro.engine.coalesce.PackScratch`, or the group loop's
+full-size :class:`~repro.core.delta.BatchDeltaState` (with its backend
+scratch buffers), tabu stamp array and
+:class:`~repro.search.batch.BestTracker`.  A lockstep group of any size
+runs on row-slice *views* of the latter
+(:meth:`~repro.core.delta.BatchDeltaState.row_view`), so memory stays
+bounded at one ``(num_blocks, n)`` buffer set per GPU regardless of how
+the adaptive selector partitions the packets.  A launch resets its
+buffers in place from the persistent ``X`` rows, which is bit-identical
+to building fresh state but skips the per-launch allocation churn.
+Device backends ride the same lifetime: the cuda backend stows its
+per-state device mirror in the group state's ``device`` slot (DESIGN.md
+§10), so the ``(B, n)`` device buffers are allocated once per virtual GPU
+and reused across launches too.
 """
 
 from __future__ import annotations
@@ -41,7 +53,7 @@ import warnings
 
 import numpy as np
 
-from repro.backends import fallback_backend, resolve_backend
+from repro.backends import fallback_backend, pack_compatibility_key, resolve_backend
 from repro.backends.base import BackendFallbackWarning
 from repro.resilience import chaos
 from repro.resilience.chaos import ChaosError
@@ -52,9 +64,24 @@ from repro.core.rng import XorShift64Star, spawn_device_seeds
 from repro.gpu.device import DeviceSpec
 from repro.search import build_main_algorithms
 from repro.search.batch import BatchSearchConfig, BestTracker, run_batch_search
+from repro.search.cyclicmin import CyclicMinSearch
+from repro.search.maxmin import MaxMinSearch
+from repro.search.positivemin import PositiveMinSearch
+from repro.search.randommin import RandomMinSearch
 from repro.search.tabu import TabuTracker
+from repro.search.twoneighbor import TwoNeighborSearch
 
 __all__ = ["VirtualGPU"]
+
+#: the built-in algorithms whose packed wave execution is proven bit-exact;
+#: a device carrying any other (subclassed) algorithm never packs
+_PACKABLE_ALGORITHM_TYPES = (
+    MaxMinSearch,
+    CyclicMinSearch,
+    RandomMinSearch,
+    PositiveMinSearch,
+    TwoNeighborSearch,
+)
 
 
 class VirtualGPU:
@@ -69,14 +96,17 @@ class VirtualGPU:
         host_rng: np.random.Generator,
         backend=None,
         kernel=None,
-        fused: bool = True,
         allow_fallback: bool = False,
     ) -> None:
         self.model = model
         self.spec = spec
         self.config = config
         self.backend = resolve_backend(backend, model)
-        self.fused = fused
+        #: the backend's per-model kernel cache this device launches on.
+        #: Shared with every other device of the same solver (and, through
+        #: the service's problem cache, with cache-hit co-tenants) — its
+        #: identity is one component of the pack key (DESIGN.md §12).
+        self.kernel = kernel if kernel is not None else self.backend.prepare(model)
         # graceful degradation (DESIGN.md §11): when enabled, a backend
         # failure inside launch() swaps to the next available backend and
         # re-runs the launch instead of crashing the solve.  Off by
@@ -87,12 +117,11 @@ class VirtualGPU:
         self.backend_fallbacks = 0
         self.fallback_reasons: list[str] = []
         self.algorithms = build_main_algorithms(config, include=algorithm_set)
-        n = model.n
         b = spec.num_blocks
         # persistent per-block current solutions (zero vectors initially)
-        self.block_x = np.zeros((b, n), dtype=np.uint8)
+        self.block_x = np.zeros((b, model.n), dtype=np.uint8)
         # persistent per-(block, thread) RNG lane states
-        self.rng_state = spawn_device_seeds(host_rng, (b, n))
+        self.rng_state = spawn_device_seeds(host_rng, (b, model.n))
         self.total_flips = 0
         # completed launches on this device; free-running jobs key
         # launch-count-triggered policies (restarts, budgets) off this
@@ -103,13 +132,11 @@ class VirtualGPU:
         # launches in which at least one row truncated — one per emitted
         # GreedyTruncationWarning, aggregated into SolveResult stats
         self.truncation_events = 0
-        # the persistent full-size device buffers; lockstep groups run on
-        # row-slice views of them (kernel may be shared across GPUs)
-        self._state = BatchDeltaState(
-            model, batch=b, backend=self.backend, kernel=kernel
-        )
-        self._tabu = TabuTracker(b, n, config.tabu_period)
-        self._tracker = BestTracker(self._state)
+        # the one-kernel launch's merged buffers (a one-entry PackScratch
+        # map), or the group loop's full-size (state, tabu, tracker) set
+        # with its cached row-slice views; each built by the first launch
+        self._pack_scratch: dict = {}
+        self._groups: tuple[BatchDeltaState, TabuTracker, BestTracker] | None = None
         self._views: dict[int, tuple[BatchDeltaState, TabuTracker, BestTracker]] = {}
 
     @property
@@ -118,15 +145,18 @@ class VirtualGPU:
         return self.spec.num_blocks
 
     @property
-    def kernel(self):
-        """The backend's per-model kernel cache this device launches on.
+    def pack_key(self):
+        """The key under which this device's launches share one kernel.
 
-        Shared with every other device of the same solver (and, through
-        the service's problem cache, with cache-hit co-tenants) — its
-        identity is one component of the pack-compatibility key
-        (DESIGN.md §12).
+        ``None`` when the device takes the group loop: a non-builtin
+        algorithm implementation, a non-packable backend or float
+        arithmetic (see :func:`repro.backends.pack_compatibility_key`).
+        Devices with equal keys may ride one super-launch (DESIGN.md §12).
         """
-        return self._state.kernel
+        for alg in self.algorithms.values():
+            if type(alg) not in _PACKABLE_ALGORITHM_TYPES:
+                return None
+        return pack_compatibility_key(self.backend, self.kernel, self.model, self.config)
 
     def commit_packed(
         self,
@@ -134,37 +164,31 @@ class VirtualGPU:
         rng_state: np.ndarray,
         flips_total: int,
         truncations: int,
+        cursors=(),
     ) -> None:
         """Fold one coalesced super-launch segment back into this device.
 
-        The pack/split counterpart of the persistence + counter block at
-        the end of :meth:`_launch`: the executor ran this device's rows
-        inside a merged super-batch and hands back the advanced solutions,
-        RNG lanes and counters for the whole launch-equivalent segment.
+        The executor ran this device's rows inside a merged super-batch
+        and hands back the advanced solutions, RNG lanes, CyclicMin
+        cursors (``(algorithm, cursor)`` pairs) and counters for the whole
+        launch-equivalent segment.  This is the pack seam only: a device's
+        own one-kernel :meth:`launch` commits through :meth:`_commit`, so
+        each launch-equivalent passes exactly one of ``launch`` and
+        ``commit_packed``.
         """
+        self._commit(x, rng_state, flips_total, truncations, cursors)
+
+    def _commit(self, x, rng_state, flips_total, truncations, cursors) -> None:
+        """Adopt a finished segment's device state and count the launch."""
         np.copyto(self.block_x, x)
         np.copyto(self.rng_state, rng_state)
+        for alg, cursor in cursors:
+            self.algorithms[alg].import_cursor(cursor)
         self.greedy_truncations += truncations
         if truncations:
             self.truncation_events += 1
         self.total_flips += int(flips_total)
         self.launch_count += 1
-
-    def _group_buffers(
-        self, size: int
-    ) -> tuple[BatchDeltaState, TabuTracker, BestTracker]:
-        """The (state, tabu, tracker) views for a lockstep group of *size*."""
-        if size == self.num_blocks:
-            return self._state, self._tabu, self._tracker
-        triple = self._views.get(size)
-        if triple is None:
-            triple = (
-                self._state.row_view(size),
-                self._tabu.row_view(size),
-                self._tracker.row_view(size),
-            )
-            self._views[size] = triple
-        return triple
 
     def launch(self, batch: PacketBatch) -> tuple[PacketBatch, np.ndarray]:
         """Run one batch search per packet; returns (result batch, flips).
@@ -191,6 +215,19 @@ class VirtualGPU:
             return self._launch(batch)
 
     def _launch(self, batch: PacketBatch) -> tuple[PacketBatch, np.ndarray]:
+        if self.pack_key is None:
+            return self._launch_groups(batch)
+        # the pack executor builds on this module
+        from repro.engine.coalesce import PackSegment, SuperLaunch
+
+        pack = SuperLaunch([PackSegment(0, 0, self, batch, None)])
+        (done,) = pack.execute(self._pack_scratch)
+        flips = done.flips
+        self._commit(done.x, done.rng_state, int(flips.sum()), done.truncations, done.cursors)
+        return done.result, flips
+
+    def _launch_groups(self, batch: PacketBatch) -> tuple[PacketBatch, np.ndarray]:
+        """The group loop: one lockstep batch search per algorithm group."""
         if chaos.fire("backend_raise"):
             raise ChaosError(
                 f"chaos: injected backend failure ({self.backend.name})"
@@ -217,7 +254,6 @@ class VirtualGPU:
                 self.config,
                 tabu=tabu,
                 tracker=tracker,
-                fused=self.fused,
             )
             out_vectors[rows] = tracker.best_x
             out_energies[rows] = tracker.best_energy
@@ -236,17 +272,37 @@ class VirtualGPU:
             flips,
         )
 
+    def _group_buffers(
+        self, size: int
+    ) -> tuple[BatchDeltaState, TabuTracker, BestTracker]:
+        """The (state, tabu, tracker) views for a lockstep group of *size*."""
+        if self._groups is None:
+            state = BatchDeltaState(
+                self.model, batch=self.num_blocks, backend=self.backend, kernel=self.kernel
+            )
+            tabu = TabuTracker(self.num_blocks, self.model.n, self.config.tabu_period)
+            self._groups = (state, tabu, BestTracker(state))
+        if size == self.num_blocks:
+            return self._groups
+        triple = self._views.get(size)
+        if triple is None:
+            state, tabu, tracker = self._groups
+            triple = (state.row_view(size), tabu.row_view(size), tracker.row_view(size))
+            self._views[size] = triple
+        return triple
+
     def _degrade(self, exc: Exception) -> bool:
         """Swap to the next available backend after a launch failure.
 
-        Rebuilds the persistent working buffers (delta state, tracker,
-        row views) on the replacement kernels; the per-block solutions,
-        RNG lanes and tabu stamps carry over untouched.  A lockstep group
-        persists ``block_x``/``rng_state`` only after it completes, so
-        the re-run starts every group from a consistent (if possibly
-        advanced) device state — valid, though not bit-exact against a
-        fault-free run.  Returns False (caller re-raises) when fallback
-        is disabled or no backend qualifies.
+        Drops the working buffers (they are rebuilt on the replacement
+        kernels by the re-run); the per-block solutions and RNG lanes
+        carry over untouched.  A one-kernel launch commits nothing before
+        it finishes, and a group of the group loop persists
+        ``block_x``/``rng_state`` only after it completes, so the re-run
+        starts from a consistent (if possibly advanced) device state —
+        valid, though not bit-exact against a fault-free run.  Returns
+        False (caller re-raises) when fallback is disabled or no backend
+        qualifies.
         """
         if not self.allow_fallback:
             return False
@@ -260,10 +316,9 @@ class VirtualGPU:
         )
         warnings.warn(reason, BackendFallbackWarning, stacklevel=3)
         self.backend = replacement
-        self._state = BatchDeltaState(
-            self.model, batch=self.num_blocks, backend=replacement
-        )
-        self._tracker = BestTracker(self._state)
+        self.kernel = replacement.prepare(self.model)
+        self._pack_scratch.clear()
+        self._groups = None
         self._views.clear()
         self.backend_fallbacks += 1
         self.fallback_reasons.append(reason)

@@ -566,6 +566,10 @@ class SolveService:
                 completion = None
             if completion is not None:
                 self._on_completion(completion)
+                # the rest of a finished pack, before any refill: its
+                # riders' next launches can then pack together again
+                for completion in group.take_ready():
+                    self._on_completion(completion)
             self._apply_cancels()
             self._admit()
             self._check_time_limits()

@@ -16,8 +16,7 @@ concurrent lanes.  Barrier-free execution is the service's job
 
 **Packed rounds.**  The paper's speed comes from bulk execution — every
 block of a GPU in one kernel launch.  Launching each device on its own
-would run every phase loop once per (device × algorithm group), on a
-few rows each.  So, when coalescing is on (``DABSConfig.coalesce``),
+would run every phase loop once per device, on a few rows each.  So, when coalescing is on (``DABSConfig.coalesce``),
 consecutive devices that share a pack key
 (:func:`~repro.engine.coalesce.pack_key`) run as **one**
 :class:`~repro.engine.coalesce.SuperLaunch` over the stacked ``(ΣB, n)``
@@ -26,8 +25,10 @@ each main phase once per algorithm across the devices.  A pack holds at
 most ``coalesce_max_rows`` rows and at least one device.  Packing is
 bit-exact per device (solutions, RNG lanes, CyclicMin cursors,
 counters), so the results — returned in device order — are those of
-solo launches.  A device without a pack key (stepwise, JIT/CUDA, float
-models, proxy devices) launches solo through ``gpu.launch``.
+solo launches.  A device without a pack key (JIT/CUDA, float models,
+custom algorithms, stub devices) launches solo through ``gpu.launch``,
+and so does every device with coalescing off — a packable device's solo
+launch is itself a one-segment super-launch.
 
 Everything that crosses this seam is columnar: a submitted round is a list
 of :class:`~repro.core.packet.PacketBatch` buffers (one per GPU) and a

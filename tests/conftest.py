@@ -19,6 +19,17 @@ def random_qubo(n: int, seed: int, density: float = 1.0, wmax: int = 9) -> QUBOM
     return QUBOModel(np.triu(mat))
 
 
+def force_group_loop(gpu) -> None:
+    """Take *gpu*'s pack key away, so its launches take the group loop.
+
+    Each algorithm is re-typed as a behaviour-identical subclass: a
+    non-builtin implementation has no proven packed execution, so the
+    device neither packs nor runs its launch as one kernel.
+    """
+    for alg in gpu.algorithms.values():
+        alg.__class__ = type(f"Custom{type(alg).__name__}", (type(alg),), {})
+
+
 @pytest.fixture
 def small_model() -> QUBOModel:
     """A fixed 8-bit integer QUBO used across unit tests."""

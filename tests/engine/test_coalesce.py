@@ -23,7 +23,7 @@ from repro.gpu.device import DeviceSpec
 from repro.gpu.virtual_gpu import VirtualGPU
 from repro.resilience import ChaosConfig, RetryPolicy, chaos
 from repro.search.batch import BatchSearchConfig
-from tests.conftest import random_qubo
+from tests.conftest import force_group_loop, random_qubo
 
 BACKENDS = ("numpy-dense", "numpy-sparse")
 ALL_ALGS = list(MainAlgorithm)
@@ -164,16 +164,10 @@ class TestPackKey:
         ]
         assert pack_key(gpus[0]) != pack_key(gpus[1])
 
-    def test_stepwise_device_is_not_packable(self):
-        model = random_qubo(16, seed=3)
-        gpu = VirtualGPU(
-            model,
-            DeviceSpec(num_blocks=4),
-            BatchSearchConfig(),
-            tuple(MainAlgorithm),
-            host_generator(1),
-            fused=False,
-        )
+    def test_custom_algorithm_is_not_packable(self):
+        gpu = make_fleet("numpy-dense", 16, 4, 1)[0]
+        assert pack_key(gpu) is not None
+        force_group_loop(gpu)
         assert pack_key(gpu) is None
 
     def test_float_model_is_not_packable(self):

@@ -16,7 +16,7 @@ from repro.core.rng import host_generator
 from repro.gpu.device import A100_SPEC, DeviceSpec
 from repro.gpu.virtual_gpu import VirtualGPU
 from repro.search.batch import BatchSearchConfig
-from tests.conftest import random_qubo
+from tests.conftest import force_group_loop, random_qubo
 
 N = 16
 BLOCKS = 6
@@ -147,40 +147,63 @@ class TestVirtualGPU:
 
 
 class TestDeviceBufferCache:
+    def test_packable_device_holds_one_pack_scratch(self):
+        """A one-kernel device reuses one merged buffer set and never
+        builds the group loop's buffers."""
+        _, gpu = make_gpu()
+        assert gpu.pack_key is not None
+        gpu.launch(make_batch(seed=1))
+        (scratch,) = gpu._pack_scratch.values()
+        x_buf, delta_buf = scratch.state.x, scratch.state.delta
+        gpu.launch(make_batch(seed=2))
+        assert list(gpu._pack_scratch.values()) == [scratch]
+        assert scratch.capacity == BLOCKS
+        assert scratch.state.x is x_buf
+        assert scratch.state.delta is delta_buf
+        assert gpu._groups is None and gpu._views == {}
+
     def test_group_views_cached_across_launches(self):
         """Same-size lockstep groups reuse the same buffer views."""
         _, gpu = make_gpu()
+        force_group_loop(gpu)
         algs = [MainAlgorithm.MAXMIN] * 3 + [MainAlgorithm.CYCLICMIN] * 3
         gpu.launch(make_batch(algs=algs, seed=1))
         views_after_first = dict(gpu._views)
         assert set(views_after_first) == {3}
         gpu.launch(make_batch(algs=algs, seed=2))
         assert gpu._views[3] is views_after_first[3]
+        assert gpu._pack_scratch == {}
 
     def test_views_share_the_full_size_buffers(self):
         """Memory stays bounded: every group size aliases one buffer set."""
         _, gpu = make_gpu()
+        force_group_loop(gpu)
         algs = (
             [MainAlgorithm.MAXMIN] * 2
             + [MainAlgorithm.CYCLICMIN] * 3
             + [MainAlgorithm.RANDOMMIN]
         )
         gpu.launch(make_batch(algs=algs, seed=1))
+        full_state, full_tabu, full_tracker = gpu._groups
+        assert set(gpu._views) == {1, 2, 3}
         for state, tabu, tracker in gpu._views.values():
-            assert np.shares_memory(state.x, gpu._state.x)
-            assert np.shares_memory(state.delta, gpu._state.delta)
-            assert np.shares_memory(tabu._stamp, gpu._tabu._stamp)
-            assert np.shares_memory(tracker.best_x, gpu._tracker.best_x)
-            assert state.kernel is gpu._state.kernel
+            assert np.shares_memory(state.x, full_state.x)
+            assert np.shares_memory(state.delta, full_state.delta)
+            assert np.shares_memory(tabu._stamp, full_tabu._stamp)
+            assert np.shares_memory(tracker.best_x, full_tracker.best_x)
+            assert state.kernel is gpu.kernel
 
     def test_full_size_buffers_not_reallocated(self):
         _, gpu = make_gpu()
+        force_group_loop(gpu)
         algs = [MainAlgorithm.MAXMIN] * BLOCKS
         gpu.launch(make_batch(algs=algs, seed=1))
-        x_buf, delta_buf = gpu._state.x, gpu._state.delta
+        state = gpu._groups[0]
+        x_buf, delta_buf = state.x, state.delta
         gpu.launch(make_batch(algs=algs, seed=2))
-        assert gpu._state.x is x_buf
-        assert gpu._state.delta is delta_buf
+        assert gpu._groups[0] is state
+        assert state.x is x_buf
+        assert state.delta is delta_buf
 
     def test_caching_preserves_determinism(self):
         """A launch sequence equals the same sequence on a fresh GPU."""

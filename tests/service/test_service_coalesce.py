@@ -9,9 +9,12 @@ without touching results.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
+from repro.engine.workers import FleetWorkerGroup
 from repro.solver.dabs import DABSConfig
 from repro.service import SolveService
 from tests.conftest import random_qubo
@@ -82,6 +85,57 @@ class TestCoalescedParity:
         assert co["rows_max"] >= 8  # at least two 4-block segments fused
         assert co["rows_mean"] > 0
         assert sum(co["lane_packs"]) == co["packs"]
+
+
+class TestPackMatesRefillTogether:
+    def test_cotenants_keep_full_packs(self, monkeypatch):
+        """A finished pack's completions are all folded before the lane
+        refills, so k co-tenants on one lane ride every launch together
+        (the first rider's next launch never leaves alone)."""
+        k = 3
+        widths = []
+        submit_packed = FleetWorkerGroup.submit_packed
+        submit_launch = FleetWorkerGroup.submit_launch
+
+        def packed(self, lane, segments):
+            widths.append(len(segments))
+            return submit_packed(self, lane, segments)
+
+        def solo(self, *args, **kwargs):
+            widths.append(1)
+            return submit_launch(self, *args, **kwargs)
+
+        monkeypatch.setattr(FleetWorkerGroup, "submit_packed", packed)
+        monkeypatch.setattr(FleetWorkerGroup, "submit_launch", solo)
+        # admit the jobs together, so their first launches pack too
+        gate = threading.Event()
+        admit = SolveService._admit
+        monkeypatch.setattr(
+            SolveService, "_admit", lambda self: gate.is_set() and admit(self)
+        )
+        model = random_qubo(24, seed=9)
+        results = {}
+        for coalesce in (False, True):
+            config = DABSConfig(
+                num_gpus=1,
+                blocks_per_gpu=4,
+                pool_capacity=10,
+                virtual_time=True,
+                coalesce=coalesce,
+            )
+            gate.clear()
+            del widths[:]
+            with SolveService(
+                devices=1, default_config=config, lane_depth=k
+            ) as service:
+                handles = [
+                    service.submit(model, seed=500 + i, max_rounds=ROUNDS)
+                    for i in range(k)
+                ]
+                gate.set()
+                results[coalesce] = [h.result(timeout=60) for h in handles]
+        assert widths == [k] * ROUNDS
+        assert_results_equal(results[False], results[True])
 
 
 class TestCoalesceKnobs:

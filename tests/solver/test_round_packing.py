@@ -24,7 +24,7 @@ from repro.resilience.chaos import ChaosError
 from repro.search.batch import BatchSearchConfig
 from repro.solver.abs_solver import ABSSolver
 from repro.solver.dabs import DABSConfig, DABSSolver
-from tests.conftest import random_qubo
+from tests.conftest import force_group_loop, random_qubo
 
 CFG = DABSConfig(
     num_gpus=3,
@@ -164,14 +164,14 @@ class TestPackedRoundParity:
         assert_bit_exact(*solo, *packed)
         assert packs == per_round * ROUNDS
 
-    def test_stepwise_devices_never_pack(self, packs, solo_launches):
+    def test_group_loop_devices_never_pack(self, packs, solo_launches):
         model = random_qubo(16, seed=63)
 
-        def stepwise(solver):
+        def group_loop(solver):
             for gpu in solver.gpus:
-                gpu.fused = False
+                force_group_loop(gpu)
 
-        _, result = solve(model, CFG, True, 0, prepare=stepwise)
+        _, result = solve(model, CFG, True, 0, prepare=group_loop)
         assert packs == []
         assert len(solo_launches) == CFG.num_gpus * ROUNDS
         assert model.energy(result.best_vector) == result.best_energy
@@ -181,12 +181,12 @@ class TestPackedRoundParity:
     ):
         model = random_qubo(16, seed=64)
 
-        def middle_stepwise(solver):
-            solver.gpus[1].fused = False
+        def middle_group_loop(solver):
+            force_group_loop(solver.gpus[1])
 
-        solo = solve(model, CFG, False, 2, prepare=middle_stepwise)
+        solo = solve(model, CFG, False, 2, prepare=middle_group_loop)
         del solo_launches[:]
-        packed = solve(model, CFG, True, 2, prepare=middle_stepwise)
+        packed = solve(model, CFG, True, 2, prepare=middle_group_loop)
         assert_bit_exact(*solo, *packed)
         assert packs == [1, 1] * ROUNDS
         assert solo_launches == ["vgpu1"] * ROUNDS
