@@ -216,7 +216,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     print(f"instance: {model.name} ({model.n} variables, "
           f"{model.num_interactions} interactions)")
-    vector, energy, detail = _solve(model, args)
+    try:
+        vector, energy, detail = _solve(model, args)
+    except ValueError as exc:  # e.g. fractional weights for DABS/ABS
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"solver  : {args.solver} — {detail}")
     print(f"energy  : {energy}")
     if "adjacency" in context:

@@ -6,8 +6,8 @@ search, and folds solutions back at the device's own pace — one slow
 device never stalls the fleet.  In this package that schedule is run by
 the :class:`~repro.service.SolveService` scheduler over the lanes of a
 :class:`~repro.engine.workers.FleetWorkerGroup`; a direct solve that
-wants it runs as a one-job service (``solve(service=...)``).  The service
-owns no solver policy; a *driver* (implemented by the solver, see
+wants it runs as a one-job service (``solve(service=...)``).  No
+scheduler owns solver policy; a *driver* (implemented by the solver, see
 :class:`EngineDriver` for the contract) supplies batches and absorbs
 completions, while the scheduler does slot accounting, submission,
 completion-order merging and draining.
@@ -25,12 +25,16 @@ Two schedules:
   path, :class:`VirtualTimeReplay`.  Completions are merged in
   ``(launch_seq, device_id)`` order and the host-side schedule
   (generation draw order, pool snapshots, insertion order, restart
-  points) replays the round loop exactly, so results are bit-identical
-  to a direct ``solve()`` while launches still run concurrently on the
-  lanes.  When the run is purely launch-budgeted
-  (``driver.can_pipeline``), a device's next launch is submitted the
+  points) is the double-buffered round order — round *r+1* is
+  generated while round *r* flies, so generation always reads the pools
+  as of round *r−1*.  A direct ``solve()`` is this replay run inline:
+  it executes each step's launches in the calling thread through a
+  :class:`~repro.solver.scheduler.RoundScheduler`, while the service
+  runs them concurrently on its lanes — the two are bit-identical by
+  construction.  When the run is purely launch-budgeted
+  (``driver.can_pipeline``), a device's next launch is released the
   moment its previous one completes — ahead of slower devices — which
-  pipelines rounds without breaking the replay.
+  pipelines rounds on the lanes without breaking the replay.
 """
 
 from __future__ import annotations
@@ -52,6 +56,8 @@ class EngineDriver(Protocol):
     never calls it concurrently).
     """
 
+    #: devices of the solve (one pending launch slot each in the replay)
+    num_devices: int
     #: True → deterministic virtual-time replay; False → free-running
     virtual_time: bool
     #: True when the virtual-time run can pipeline round ``r+1`` launches
@@ -97,20 +103,21 @@ class EngineDriver(Protocol):
 class VirtualTimeReplay:
     """The virtual-time schedule as an event-driven state machine.
 
-    One canonical implementation of the determinism path: generate round
-    *r+1* while *r* flies, merge completions in ``(launch_seq, device)``
+    The one implementation of the round loop: generate round *r+1*
+    while *r* flies, merge completions in ``(launch_seq, device)``
     order, collect device-ordered, pipeline pure launch budgets, and
-    sequence §IV.B restarts before the regenerated round.  The service
+    sequence §IV.B restarts before the regenerated round.  A direct
+    ``solve()`` steps it inline — take every pending launch, execute the
+    round, feed the completions back in device order — and the service
     (DESIGN.md §8) advances it one completion at a time between other
-    tenants' work — which is why a virtual-time service job is bit-exact
-    with a direct solve.
+    tenants' work; both therefore produce the same result.
 
     Protocol: the owner drains :attr:`pending` via :meth:`take_pending`
-    (submitting each ``(seq, batch)`` on the device's FIFO lane), feeds
-    every arriving completion to :meth:`on_completion`, and — *before*
-    submitting newly pending launches — queues device resets whenever
-    :meth:`take_reset_request` reports a restart.  :attr:`stopped` means
-    no further launches will be produced.
+    (executing each ``(seq, batch)`` on the device, in the device's
+    submission order), feeds every completion to :meth:`on_completion`,
+    and — *before* executing newly pending launches — resets the devices
+    whenever :meth:`take_reset_request` reports a restart.
+    :attr:`stopped` means no further launches will be produced.
     """
 
     def __init__(self, driver: EngineDriver) -> None:
@@ -137,7 +144,7 @@ class VirtualTimeReplay:
         want_next = self.driver.wants_round(self.round + 1)
         if want_next:
             # generated while round r is in flight — reads the pools as of
-            # round r−1, exactly like the double-buffered round scheduler
+            # round r−1 (the double-buffered round order)
             self._next_batches = self.driver.generate_round()
         else:
             self._next_batches = None
@@ -186,8 +193,8 @@ class VirtualTimeReplay:
             self._finish_round()
 
     def _finish_round(self) -> None:
-        # merge strictly in device order — the round scheduler's insertion
-        # order, which fixes pool content bit-exactly
+        # merge strictly in device order — the insertion order that fixes
+        # pool content bit-exactly
         for device_id in range(self.num_devices):
             self.driver.collect_ordered(self._results[device_id])
         self._results = {}

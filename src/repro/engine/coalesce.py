@@ -111,7 +111,6 @@ class SegmentResult:
         "result",
         "flips",
         "truncations",
-        "truncation_events",
         "x",
         "rng_state",
         "cursors",
@@ -122,7 +121,6 @@ class SegmentResult:
         self.result = result
         self.flips = flips
         self.truncations = truncations
-        self.truncation_events = 1 if truncations else 0
         self.x = x
         self.rng_state = rng_state
         self.cursors = cursors

@@ -59,12 +59,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.packet import PacketBatch
-from repro.engine.coalesce import SuperLaunch
+from repro.engine.coalesce import PackSegment, SuperLaunch
 from repro.resilience import chaos
 from repro.resilience.chaos import ChaosError
 from repro.resilience.policy import FailureReport, RetryPolicy
 
-__all__ = ["FleetWorkerGroup", "LaunchCompletion", "WorkerError"]
+__all__ = ["FleetWorkerGroup", "LaunchCompletion", "WorkerError", "run_launch"]
 
 #: lane thread-name prefix, asserted by the leak regression tests
 WORKER_NAME_PREFIX = "engine-vgpu"
@@ -113,6 +113,42 @@ class LaunchCompletion:
     #: opaque submission tag (the service's job routing key); None for
     #: untagged submissions
     tag: object = None
+
+
+def run_launch(launch, scratch: dict | None = None) -> list[LaunchCompletion]:
+    """Execute one launch and return its completions, one per segment.
+
+    *launch* is a :class:`~repro.engine.coalesce.PackSegment` run solo
+    through ``gpu.launch``, or a :class:`~repro.engine.coalesce.SuperLaunch`
+    run on the merged buffers of *scratch*.  Both executors call this:
+    the service's lanes (:class:`FleetWorkerGroup`) and a direct solve's
+    :class:`~repro.solver.scheduler.RoundScheduler`.  Truncations are
+    read as deltas of each device's counters, so a launch-equivalent
+    counts whatever its seam (``launch`` or ``commit_packed``) recorded.
+    """
+    packed = isinstance(launch, SuperLaunch)
+    segments = launch.segments if packed else [launch]
+    before = [
+        (seg.gpu.greedy_truncations, seg.gpu.truncation_events) for seg in segments
+    ]
+    if packed:
+        outputs = [(res.result, res.flips) for res in launch.run(scratch)]
+    else:
+        outputs = [launch.gpu.launch(launch.batch)]
+    return [
+        LaunchCompletion(
+            seg.device_id,
+            seg.seq,
+            result,
+            flips,
+            seg.gpu.greedy_truncations - trunc0,
+            seg.gpu.truncation_events - events0,
+            seg.tag,
+        )
+        for seg, (trunc0, events0), (result, flips) in zip(
+            segments, before, outputs
+        )
+    ]
 
 
 class _Failure:
@@ -313,64 +349,31 @@ class FleetWorkerGroup:
         if record is None:  # superseded before it started
             return
         try:
-            gpu = record.gpu
-            if isinstance(gpu, SuperLaunch):
-                # worker-level chaos fires per segment, as each launch
-                # would have seen solo (``who`` = that job's device index)
-                for seg in gpu.segments:
-                    if chaos.fire("worker_kill", who=seg.device_id):
-                        raise ChaosError(
-                            f"chaos: worker lane killed (device {seg.device_id})"
-                        )
-                    if chaos.fire("launch_exception", who=seg.device_id):
-                        raise ChaosError(
-                            f"chaos: injected launch exception "
-                            f"(device {seg.device_id})"
-                        )
+            launch = record.gpu
+            packed = isinstance(launch, SuperLaunch)
+            if not packed:
+                launch = PackSegment(
+                    record.device_id, record.seq, launch, record.batch, record.tag
+                )
+            # worker-level chaos fires per segment, as each launch would
+            # have seen solo (``who`` = that job's device index)
+            for seg in launch.segments if packed else (launch,):
+                if chaos.fire("worker_kill", who=seg.device_id):
+                    raise ChaosError(
+                        f"chaos: worker lane killed (device {seg.device_id})"
+                    )
+                if chaos.fire("launch_exception", who=seg.device_id):
+                    raise ChaosError(
+                        f"chaos: injected launch exception "
+                        f"(device {seg.device_id})"
+                    )
+            scratch = None
+            if packed:
                 with self._records_lock:
                     scratch = self._pack_scratch.setdefault(record.lane, {})
-                completions = [
-                    LaunchCompletion(
-                        res.segment.device_id,
-                        res.segment.seq,
-                        res.result,
-                        res.flips,
-                        res.truncations,
-                        res.truncation_events,
-                        res.segment.tag,
-                    )
-                    for res in gpu.run(scratch)
-                ]
-                record.done = True
-                self._completions.put((ticket, completions))
-                return
-            if chaos.fire("worker_kill", who=record.device_id):
-                raise ChaosError(
-                    f"chaos: worker lane killed (device {record.device_id})"
-                )
-            if chaos.fire("launch_exception", who=record.device_id):
-                raise ChaosError(
-                    f"chaos: injected launch exception "
-                    f"(device {record.device_id})"
-                )
-            trunc0 = gpu.greedy_truncations
-            events0 = gpu.truncation_events
-            result, flips = gpu.launch(record.batch)
+            completions = run_launch(launch, scratch)
             record.done = True
-            self._completions.put(
-                (
-                    ticket,
-                    LaunchCompletion(
-                        record.device_id,
-                        record.seq,
-                        result,
-                        flips,
-                        gpu.greedy_truncations - trunc0,
-                        gpu.truncation_events - events0,
-                        record.tag,
-                    ),
-                )
-            )
+            self._completions.put((ticket, completions))
         except BaseException:
             record.done = True
             self._completions.put(
@@ -415,10 +418,9 @@ class FleetWorkerGroup:
             if isinstance(record.gpu, SuperLaunch):
                 return self._handle_pack_fault(record, payload.detail)
             return self._handle_fault(record, payload.detail, kind="launch")
-        if isinstance(payload, list):  # split super-launch completions
-            self._ready.extend(payload)
-            return self._ready.popleft()
-        return payload
+        # one completion per segment; a super-launch's rest buffer FIFO
+        self._ready.extend(payload)
+        return self._ready.popleft()
 
     def take_ready(self) -> list[LaunchCompletion]:
         """Every buffered completion of an already delivered super-launch.

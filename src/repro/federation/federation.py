@@ -687,7 +687,7 @@ class Federation:
         _, job_id, _, energy, vector, elapsed = event
         with self._lock:
             job = self._jobs.get(job_id)
-            if job is None or energy >= job.best_energy:
+            if job is None or job.error is not None or energy >= job.best_energy:
                 return
             job.best_energy = int(energy)
             callback = job.on_improvement
@@ -702,8 +702,15 @@ class Federation:
         if callback is not None:
             try:
                 callback(update)
-            except Exception:  # client callback failures stay client-side
-                pass
+            except Exception as exc:
+                # as SolveService does: the callback's exception fails
+                # the job; its islands are cancelled and their terminal
+                # events finalize it FAILED
+                with self._lock:
+                    if job.error is None:
+                        job.error = exc
+                for island in range(self.num_islands):
+                    self._send(island, ("cancel", job_id))
 
     def _on_island_exit(self, island: int) -> None:
         """An island's event pipe hit EOF: the process died (crash, kill,

@@ -15,8 +15,8 @@ paths:
   :class:`~repro.engine.coalesce.SuperLaunch`: one straight loop over all
   rows and one mixed-algorithm main loop (DESIGN.md §12).  It is
   bit-exact with the group loop by the pack contract.
-* **group loop** — any other device (numba, cuda, float models, custom
-  algorithms) groups its packets per algorithm and runs one lockstep
+* **group loop** — any other device (numba, cuda, custom algorithms)
+  groups its packets per algorithm and runs one lockstep
   :func:`~repro.search.batch.run_batch_search` per group (lanes in
   different groups cannot share a flip schedule on these backends, just
   as divergent warps serialize on real hardware).

@@ -604,7 +604,12 @@ class SolveService:
             job.solver = solver_cls(model, cfg, seed=seed, prepared=prepared)
             job.spec = None
         num = job.solver.config.num_gpus
-        job.driver = _AsyncDriver(job.solver, job.limits, time.perf_counter())
+        job.driver = _AsyncDriver(
+            job.solver,
+            job.limits,
+            time.perf_counter(),
+            virtual_time=job.virtual_time,
+        )
         if job.virtual_time:
             # the canonical virtual-time state machine, advanced one
             # completion at a time between other tenants' work

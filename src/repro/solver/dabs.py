@@ -13,19 +13,20 @@ its pool with one sort-merge — :class:`PacketBatch` is the only
 interchange type; per-:class:`Packet` objects appear only on scalar
 reference paths (``_generate_batch_scalar``, tests, examples).
 
-Execution (DESIGN.md §3, §7): a direct ``solve()`` runs the
-double-buffered round loop — all devices submit round *r*, round *r+1*'s
-packets are generated, then round *r*'s results are folded — with each
-round's pack-compatible devices fused into one super-launch
-(``DABSConfig.coalesce``).  The paper's barrier-free architecture runs
-through the service instead: ``solve(service=SolveService(num_gpus))``
-schedules the solver as a one-job service, where each device keeps
-``inflight_per_device`` launches in flight, completions fold into the
-pools the moment they arrive, and each replacement batch is generated
-from the pools *as of arrival* on a per-device RNG stream.
-``DABSConfig.virtual_time`` switches that job to a deterministic
-``(launch_seq, device)`` merge that replays the round loop bit-exactly
-(the parity tests assert this).
+Execution (DESIGN.md §3, §7): one round-loop policy — the solver's
+driver (:class:`_AsyncDriver`, limits, §IV.B restarts, folds, result)
+under the service's :class:`~repro.engine.async_engine.VirtualTimeReplay`
+— with two executors.  A direct ``solve()`` runs the replay inline in the
+calling thread: each step's launches go through a
+:class:`~repro.solver.scheduler.RoundScheduler`, which fuses the round's
+pack-compatible devices into one super-launch (``DABSConfig.coalesce``).
+``solve(service=SolveService(num_gpus))`` runs the solver as a one-job
+service over fleet lanes instead: free-running by default, where each
+device keeps ``inflight_per_device`` launches in flight, completions fold
+into the pools the moment they arrive, and each replacement batch is
+generated from the pools *as of arrival* on a per-device RNG stream; or,
+with ``DABSConfig.virtual_time``, the same replay as the direct solve,
+which makes the two bit-exact by construction.
 
 The per-flip kernels below the solver are pluggable
 (:mod:`repro.backends`); ``DABSConfig.backend`` selects one by name, with
@@ -53,6 +54,7 @@ from repro.core.packet import (
 )
 from repro.core.qubo import QUBOModel
 from repro.core.rng import host_generator
+from repro.engine.async_engine import VirtualTimeReplay
 from repro.ga.adaptive import AdaptiveSelector, SelectionCounters
 from repro.ga.island import IslandRing, StallTracker
 from repro.ga.operations import OperationParams, TargetGenerator
@@ -100,10 +102,10 @@ class DABSConfig:
     #: "cuda");
     #: None defers to the REPRO_BACKEND env var, then the auto density rule
     backend: str | None = None
-    #: service jobs only: merge completions in (launch_seq, device) order,
-    #: replaying the direct solve's round loop bit-exactly instead of
-    #: free-running (the determinism/debug mode; throughput stays with
-    #: virtual_time=False).  A direct solve() is always the round loop.
+    #: service jobs only: merge completions in (launch_seq, device) order —
+    #: the virtual-time replay a direct solve() always runs inline, so the
+    #: job is bit-exact with it — instead of free-running (the
+    #: determinism/debug mode; throughput stays with virtual_time=False)
     virtual_time: bool = False
     #: service jobs only: launches each device keeps in flight (depth ≥ 2
     #: keeps a device busy while the host folds its previous result)
@@ -174,13 +176,11 @@ class DABSConfig:
 
 
 class _RunState:
-    """Mutable best/stats accumulator shared by the round loop and the
-    service's driver.
+    """Mutable best/stats accumulator of one solve's driver.
 
     :meth:`fold` performs collection of one result batch — pool insertion
-    plus global-best bookkeeping — in exactly the order the round loop
-    always did, so every schedule produces identical records for
-    identical collection sequences.
+    plus global-best bookkeeping — so every schedule produces identical
+    records for identical collection sequences.
     """
 
     __slots__ = (
@@ -244,21 +244,40 @@ class _RunState:
 
 class _AsyncDriver:
     """Implements :class:`~repro.engine.async_engine.EngineDriver` for one
-    DABS solve run as a service job — all solver policy (generation
-    streams, insertion, termination, restarts) lives here; the service
-    only schedules."""
+    DABS solve — all solver policy (generation streams, insertion, limit
+    checks, §IV.B restarts, result assembly) lives here, once; the
+    schedulers only schedule.
 
-    def __init__(self, solver: "DABSSolver", limits: SolveLimits, start: float):
+    *virtual_time* picks the schedule: a direct ``solve()`` always runs
+    the virtual-time replay inline, and a service job runs the one its
+    ``DABSConfig.virtual_time`` names.
+    """
+
+    def __init__(
+        self,
+        solver: "DABSSolver",
+        limits: SolveLimits,
+        start: float,
+        *,
+        virtual_time: bool = False,
+    ):
         self.solver = solver
         self.limits = limits
         self.start = start
         cfg = solver.config
         self.num_devices = cfg.num_gpus
-        self.virtual_time = cfg.virtual_time
+        self.virtual_time = virtual_time
         self.state = _RunState(solver.model.n)
-        if self.virtual_time:
+        self._submitted = [0] * cfg.num_gpus
+        self._completed = [0] * cfg.num_gpus
+        self._fallback_snap = solver._fallback_snapshot()
+        self._rounds = 0
+        self._round_improved = False
+        self._halted = False
+        if virtual_time:
             # the replay counts whole rounds, the threshold's native unit
             self._stall = StallTracker(cfg.restart_after_stall)
+            self._device_rngs = None
         else:
             # free-running restarts are counted in launches; scale the
             # round-denominated threshold by THIS solver's device count
@@ -267,15 +286,6 @@ class _AsyncDriver:
             self._stall = StallTracker.scaled(
                 cfg.restart_after_stall, cfg.num_gpus
             )
-        self._submitted = [0] * cfg.num_gpus
-        self._completed = [0] * cfg.num_gpus
-        self._fallback_snap = solver._fallback_snapshot()
-        self._rounds = 0
-        self._round_improved = False
-        self._halted = False
-        if self.virtual_time:
-            self._device_rngs = None
-        else:
             # one deterministic generation stream per device, derived from
             # the host generator — a device's draws no longer depend on
             # when its neighbours finish
@@ -320,17 +330,8 @@ class _AsyncDriver:
         return batch
 
     def collect(self, completion) -> str:
-        solver = self.solver
         state = self.state
-        self._completed[completion.device_id] += 1
-        self._absorb_stats(completion)
-        improved = state.fold(
-            completion.batch,
-            solver.pools[completion.device_id],
-            completion.seq,
-            self.start,
-            self.limits,
-        )
+        improved = self._fold(completion)
         if self._halted:
             # draining after a stop: in-flight results still land in the
             # pools, but the run's policy (limits, restarts) is over
@@ -369,15 +370,7 @@ class _AsyncDriver:
         )
 
     def collect_ordered(self, completion) -> None:
-        self._completed[completion.device_id] += 1
-        self._absorb_stats(completion)
-        improved = self.state.fold(
-            completion.batch,
-            self.solver.pools[completion.device_id],
-            completion.seq,
-            self.start,
-            self.limits,
-        )
+        improved = self._fold(completion)
         self._round_improved = self._round_improved or improved
 
     def finish_round(self, round_index: int) -> str:
@@ -386,10 +379,9 @@ class _AsyncDriver:
         improved = self._round_improved
         self._round_improved = False
         elapsed = time.perf_counter() - self.start
-        if self.limits.target_reached(state.best_energy):
-            return "stop"
         if (
-            self.limits.out_of_time(elapsed)
+            self.limits.target_reached(state.best_energy)
+            or self.limits.out_of_time(elapsed)
             or self.limits.out_of_rounds(round_index)
             or self.limits.out_of_launches(round_index * self.num_devices)
         ):
@@ -415,11 +407,21 @@ class _AsyncDriver:
         self.state.restarts += 1
 
     # -- result assembly ---------------------------------------------------
-    def _absorb_stats(self, completion) -> None:
+    def _fold(self, completion) -> bool:
+        """Absorb one completion's stats and fold its batch into the
+        device's pool; True when it improved the global best."""
         state = self.state
+        self._completed[completion.device_id] += 1
         state.flips += int(completion.flips.sum())
         state.truncations += completion.truncations
         state.truncation_events += completion.truncation_events
+        return state.fold(
+            completion.batch,
+            self.solver.pools[completion.device_id],
+            completion.seq,
+            self.start,
+            self.limits,
+        )
 
     def result(self) -> SolveResult:
         state = self.state
@@ -457,6 +459,12 @@ class DABSSolver:
         seed: int | None = None,
         prepared=None,
     ) -> None:
+        if not np.issubdtype(model.dtype, np.integer):
+            # the fused kernels accumulate Δ and energies in int64
+            raise ValueError(
+                f"DABS/ABS need integer weights; {model.name!r} has "
+                f"fractional ones (scale them to integers first)"
+            )
         self.model = model
         self.config = config or DABSConfig()
         self.seed = seed
@@ -630,9 +638,9 @@ class DABSSolver:
         """Count strategy selections of a round actually submitted.
 
         Recording happens at submission, not generation, because the
-        double-buffered scheduler speculatively generates one round beyond
-        the last launch.  One ``np.bincount`` per column over the round's
-        concatenated strategy columns — no per-packet loop.
+        replay speculatively generates one round beyond the last launch.
+        One ``np.bincount`` per column over the round's concatenated
+        strategy columns — no per-packet loop.
         """
         self.counters.record_batch(
             np.concatenate([batch.algorithms for batch in batches]),
@@ -650,14 +658,18 @@ class DABSSolver:
     ) -> SolveResult:
         """Run until a limit fires; see :class:`SolveLimits` for semantics.
 
-        Without *service* the solve runs the round loop in the calling
-        thread.  With *service* (a :class:`~repro.service.SolveService`),
-        the call becomes a one-job wrapper over the service's fleet: the
-        solver — pools, RNG state, per-device buffers — is submitted as
-        one job, scheduled alongside whatever else the service is running,
-        and the blocked-on result is returned.  That is the barrier-free
+        Without *service* the solve runs the virtual-time replay inline
+        in the calling thread (no threads are started): each step resets
+        the devices when a §IV.B restart asks for it, runs every device's
+        pending launch through one :class:`RoundScheduler` step and feeds
+        the completions back in device order.  With *service* (a
+        :class:`~repro.service.SolveService`), the call becomes a one-job
+        wrapper over the service's fleet: the solver — pools, RNG state,
+        per-device buffers — is submitted as one job, scheduled alongside
+        whatever else the service is running, and the blocked-on result
+        is returned.  That is the barrier-free
         path: free-running by default, or with ``config.virtual_time`` the
-        deterministic replay, which is bit-exact with a direct ``solve()``.
+        same replay as a direct ``solve()``, hence bit-exact with it.
         """
         if service is not None:
             handle = service.submit_solver(
@@ -668,90 +680,20 @@ class DABSSolver:
                 max_launches=max_launches,
             )
             return handle.result()
-        limits = SolveLimits(target_energy, time_limit, max_rounds, max_launches)
-        return self._solve_rounds(limits)
-
-    def _solve_rounds(self, limits: SolveLimits) -> SolveResult:
-        """The round-synchronous double-buffered loop of a direct solve."""
         cfg = self.config
-        start = time.perf_counter()
-        state = _RunState(self.model.n)
-        rounds = 0
-        trunc_at_start = sum(g.greedy_truncations for g in self.gpus)
-        events_at_start = sum(g.truncation_events for g in self.gpus)
-        fallback_snap = self._fallback_snapshot()
-        stall = StallTracker(cfg.restart_after_stall)
+        limits = SolveLimits(target_energy, time_limit, max_rounds, max_launches)
+        driver = _AsyncDriver(self, limits, time.perf_counter(), virtual_time=True)
+        replay = VirtualTimeReplay(driver)
         scheduler = RoundScheduler(
             self.gpus,
             pack_rows=cfg.coalesce_max_rows if cfg.coalesce_enabled() else None,
             scratch=self._pack_scratch,
         )
-
-        def wants_more(completed_rounds: int) -> bool:
-            return not (
-                limits.out_of_rounds(completed_rounds)
-                or limits.out_of_launches(completed_rounds * cfg.num_gpus)
-            )
-
-        # double-buffered rounds: round r+1's packets are generated before
-        # round r's results fold in — so generation always reads the pools
-        # as of round r−1, the order the virtual-time replay reproduces
-        next_batches = self._generate_round()
-        while True:
-            rounds += 1
-            results = scheduler.submit(next_batches)
-            self._record_counters(next_batches)
-            if wants_more(rounds):
-                next_batches = self._generate_round()
-            improved = False
-            # collection is columnar: each result batch folds into its pool
-            # with one sort-merge, and the round's improvement is read off
-            # the energy column — no Packet objects are materialized
-            for gpu_index, (result_batch, flips) in enumerate(results):
-                state.flips += int(flips.sum())
-                improved |= state.fold(
-                    result_batch, self.pools[gpu_index], rounds, start, limits
-                )
-            elapsed = time.perf_counter() - start
-            if limits.target_reached(state.best_energy):
-                break
-            if limits.out_of_time(elapsed) or not wants_more(rounds):
-                break
-            # §IV.B restart: merged pools cannot improve any more
-            stalled = stall.update(improved)
-            collapsed = (
-                cfg.restart_on_collapse is not None
-                and self.ring.collapsed(cfg.restart_on_collapse * self.model.n)
-            )
-            if stalled or collapsed:
-                self.ring.reinitialize(self._host_rng)
+        while not replay.stopped:
+            if replay.take_reset_request():
                 for gpu in self.gpus:
                     gpu.reset()
-                stall.reset()
-                state.restarts += 1
-                # the speculatively generated round still targets the
-                # collapsed pre-restart pools — discard it and regenerate
-                # from the reinitialized ones, as the restart intends
-                next_batches = self._generate_round()
-        elapsed = time.perf_counter() - start
-        degraded_reasons = self._degradation_since(fallback_snap)
-        return SolveResult(
-            best_vector=state.best_vector,
-            best_energy=int(state.best_energy),
-            reached_target=limits.target_reached(state.best_energy),
-            time_to_target=state.time_to_target,
-            elapsed=elapsed,
-            rounds=rounds,
-            total_flips=state.flips,
-            counters=self.counters,
-            first_found=state.first_found,
-            history=state.history,
-            restarts=state.restarts,
-            launches=state.launches,
-            greedy_truncations=sum(g.greedy_truncations for g in self.gpus)
-            - trunc_at_start,
-            greedy_truncation_warnings=sum(g.truncation_events for g in self.gpus)
-            - events_at_start,
-            degraded=bool(degraded_reasons),
-            degraded_reasons=degraded_reasons,
-        )
+            entries = [replay.take_pending(i) for i in range(cfg.num_gpus)]
+            for completion in scheduler.submit(entries):
+                replay.on_completion(completion)
+        return driver.result()

@@ -231,6 +231,30 @@ class TestCancellation:
         assert leaked_islands() == []
 
 
+class TestCallbacks:
+    def test_raising_on_improvement_fails_the_job(self):
+        """As in SolveService: the callback's exception fails the job, the
+        islands are cancelled, and the federation stays serviceable."""
+        model = random_qubo(16, seed=7)
+        calls = []
+
+        def boom(update):
+            calls.append(update.energy)
+            raise KeyError("callback bug")
+
+        with Federation(2, default_config=vt_config(), seed=1) as federation:
+            handle = federation.submit(
+                model, seed=3, max_launches=100_000, on_improvement=boom
+            )
+            with pytest.raises(KeyError, match="callback bug"):
+                handle.result(timeout=120)
+            assert handle.status is JobStatus.FAILED
+            assert len(calls) == 1  # no further callbacks once failed
+            follow_up = federation.submit(model, seed=3, max_launches=4)
+            assert follow_up.result(timeout=120).launches == 4
+        assert leaked_islands() == []
+
+
 class TestStatsAndValidation:
     def test_stats_aggregate_island_services(self):
         model = random_qubo(16, seed=1)

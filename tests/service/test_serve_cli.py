@@ -159,6 +159,23 @@ class TestServeRoundTrip:
         # was cancelled — both are clean terminal events, never a hang
         assert kinds & {"cancelled", "done"}
 
+    def test_fractional_weights_fail_once(self):
+        """A fractional-weight submit is one ``failed`` event naming the
+        integer-weight requirement, not a device-worker traceback."""
+        events = run_serve(
+            [
+                {"op": "submit", "id": "f", "n": 2, "terms": [[0, 0, -3.5], [0, 1, 2]], "rounds": 2},
+                {"op": "drain"},
+                {"op": "shutdown"},
+            ]
+        )
+        failed = events_of(events, "failed")
+        assert len(failed) == 1 and failed[0]["id"] == "f"
+        assert "integer weights" in failed[0]["error"]
+        assert not events_of(events, "incumbent")
+        assert not events_of(events, "done")
+        assert events[-1]["event"] == "bye"
+
     def test_cli_dispatches_serve(self, capsys, monkeypatch):
         monkeypatch.setattr(
             "sys.stdin", io.StringIO('{"v": 1, "op": "shutdown"}\n')

@@ -15,6 +15,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.packet import MainAlgorithm
 from repro.core.qubo import brute_force
@@ -162,11 +164,15 @@ def assert_same_solve(direct_solver, direct, via_solver, via):
     assert via.rounds == direct.rounds
     assert via.restarts == direct.restarts
     assert via.reached_target == direct.reached_target
+    assert via.first_found == direct.first_found
+    assert via.greedy_truncations == direct.greedy_truncations
+    assert via.greedy_truncation_warnings == direct.greedy_truncation_warnings
+    assert via.degraded_reasons == direct.degraded_reasons
     assert via.counters.algorithms == direct.counters.algorithms
     assert via.counters.operations == direct.counters.operations
-    assert [(e.round, e.energy) for e in via.history] == [
-        (e.round, e.energy) for e in direct.history
-    ]
+    assert [
+        (e.round, e.energy, e.algorithm, e.operation) for e in via.history
+    ] == [(e.round, e.energy, e.algorithm, e.operation) for e in direct.history]
     for direct_pool, via_pool in zip(direct_solver.pools, via_solver.pools):
         assert np.array_equal(direct_pool.vectors, via_pool.vectors)
         assert np.array_equal(direct_pool.energies, via_pool.energies)
@@ -243,9 +249,42 @@ PARITY_CASES = {
 }
 
 
+@st.composite
+def parity_draws(draw):
+    """(solver class, config overrides, limits) for the parity property."""
+    num_gpus = draw(st.sampled_from([1, 2, 3]))
+    cls = draw(st.sampled_from([DABSSolver, ABSSolver]))
+    kind = draw(st.sampled_from(["rounds", "launch-budget", "stall-restarts"]))
+    overrides = dict(num_gpus=num_gpus)
+    if kind == "rounds":
+        limits = dict(max_rounds=draw(st.integers(1, 6)))
+    elif kind == "launch-budget":
+        # ends inside a round whenever there is more than one device
+        whole = draw(st.integers(0, 3))
+        part = draw(st.integers(1, max(num_gpus - 1, 1)))
+        limits = dict(max_launches=whole * num_gpus + part)
+    else:
+        overrides["restart_after_stall"] = draw(st.integers(1, 2))
+        limits = dict(max_rounds=draw(st.integers(3, 8)))
+    return cls, overrides, limits
+
+
 class TestVirtualTimeParity:
     """The determinism contract: a virtual-time job is bit-exact with a
     direct solve of the same solver, regardless of fleet contention."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), case=parity_draws())
+    def test_direct_solve_equals_one_job_service_property(self, seed, case):
+        cls, overrides, limits = case
+        model = random_qubo(14, seed=seed % 97)
+        cfg = DABSConfig(**dict(PARITY_BASE, **overrides))
+        direct_solver = cls(model, cfg, seed=seed)
+        direct = direct_solver.solve(**limits)
+        via_solver = cls(model, replace(cfg, virtual_time=True), seed=seed)
+        with SolveService(cfg.num_gpus) as service:
+            via = via_solver.solve(service=service, **limits)
+        assert_same_solve(direct_solver, direct, via_solver, via)
 
     @pytest.mark.parametrize("coalesce", [True, False], ids=["packed", "solo"])
     @pytest.mark.parametrize("case", sorted(PARITY_CASES))
@@ -525,6 +564,22 @@ class TestFailureIsolation:
             assert victim.status is JobStatus.FAILED
             result = bystander.result(timeout=60)
             assert result.launches == 5 * 2
+        assert leaked_workers() == []
+
+    def test_raising_on_improvement_fails_the_job(self):
+        """A callback exception fails its job with that exception."""
+        model = random_qubo(12, seed=19)
+
+        def boom(update):
+            raise KeyError("callback bug")
+
+        with SolveService(devices=2) as service:
+            handle = service.submit(
+                model, max_rounds=50, seed=0, on_improvement=boom
+            )
+            with pytest.raises(KeyError, match="callback bug"):
+                handle.result(timeout=60)
+            assert handle.status is JobStatus.FAILED
         assert leaked_workers() == []
 
     def test_reset_fault_fails_the_job_not_the_fleet(self):

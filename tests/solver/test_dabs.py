@@ -69,6 +69,17 @@ class TestSolveLimits:
 
 
 class TestDABSSolver:
+    def test_rejects_fractional_weights(self):
+        """DABS/ABS kernels accumulate in int64: a fractional-weight model
+        is refused once, up front, instead of crashing a launch."""
+        from repro.core.qubo import QUBOModel
+        from repro.solver.abs_solver import ABSSolver
+
+        model = QUBOModel.from_dict(3, {(0, 0): -3.5, (0, 1): 2, (1, 1): -1})
+        for cls in (DABSSolver, ABSSolver):
+            with pytest.raises(ValueError, match="integer weights"):
+                cls(model, SMALL_CFG, seed=0)
+
     def test_finds_optimum_small_model(self):
         model = random_qubo(16, seed=1)
         _, opt = brute_force(model)

@@ -28,18 +28,44 @@ class _FakeGPU:
     def __init__(self, tag):
         self.tag = tag
         self.launches = []
+        self.greedy_truncations = 0
+        self.truncation_events = 0
 
     def launch(self, batch):
         self.launches.append(batch)
-        return (self.tag, batch)
+        return ((self.tag, batch), np.zeros(1, dtype=np.int64))
 
 
 class TestRoundScheduler:
     def test_sequential_results_in_gpu_order(self):
         gpus = [_FakeGPU("a"), _FakeGPU("b")]
         sched = RoundScheduler(gpus)
-        results = sched.submit(["x", "y"])
-        assert results == [("a", "x"), ("b", "y")]
+        completions = sched.submit([(1, "x"), (1, "y")])
+        assert [c.batch for c in completions] == [("a", "x"), ("b", "y")]
+        assert [(c.device_id, c.seq) for c in completions] == [(0, 1), (1, 1)]
+
+    def test_skips_devices_without_an_entry(self):
+        gpus = [_FakeGPU("a"), _FakeGPU("b")]
+        completions = RoundScheduler(gpus).submit([None, (3, "y")])
+        assert [(c.device_id, c.seq, c.batch) for c in completions] == [
+            (1, 3, ("b", "y"))
+        ]
+        assert gpus[0].launches == []
+
+    def test_truncations_are_device_counter_deltas(self):
+        gpu = _FakeGPU("a")
+        gpu.greedy_truncations = 5
+        original = gpu.launch
+
+        def truncating(batch):
+            gpu.greedy_truncations += 2
+            gpu.truncation_events += 1
+            return original(batch)
+
+        gpu.launch = truncating
+        (completion,) = RoundScheduler([gpu]).submit([(1, "x")])
+        assert completion.truncations == 2
+        assert completion.truncation_events == 1
 
     def test_packed_results_in_gpu_order(self, monkeypatch):
         """A packed round returns each device's result at its own index,
@@ -56,21 +82,22 @@ class TestRoundScheduler:
         cfg = replace(CFG, num_gpus=3)
         solo_solver = DABSSolver(model, cfg, seed=4)
         packed_solver = DABSSolver(model, cfg, seed=4)
-        batches = [solo_solver._generate_batch(i) for i in range(3)]
-        solo = RoundScheduler(solo_solver.gpus).submit(batches)
+        entries = [(1, solo_solver._generate_batch(i)) for i in range(3)]
+        solo = RoundScheduler(solo_solver.gpus).submit(entries)
         assert packs == []
-        packed = RoundScheduler(packed_solver.gpus, pack_rows=256).submit(batches)
+        packed = RoundScheduler(packed_solver.gpus, pack_rows=256).submit(entries)
         assert packs == [3]  # one super-launch of all three devices
         assert len(packed) == 3
-        for (solo_batch, solo_flips), (batch, flips) in zip(solo, packed):
-            assert np.array_equal(batch.vectors, solo_batch.vectors)
-            assert np.array_equal(batch.energies, solo_batch.energies)
-            assert np.array_equal(flips, solo_flips)
+        for i, (solo_done, done) in enumerate(zip(solo, packed)):
+            assert solo_done.device_id == done.device_id == i
+            assert np.array_equal(done.batch.vectors, solo_done.batch.vectors)
+            assert np.array_equal(done.batch.energies, solo_done.batch.energies)
+            assert np.array_equal(done.flips, solo_done.flips)
 
-    def test_rejects_wrong_batch_count(self):
+    def test_rejects_wrong_entry_count(self):
         sched = RoundScheduler([_FakeGPU("a")])
-        with pytest.raises(ValueError, match="expected 1 batches"):
-            sched.submit(["x", "y"])
+        with pytest.raises(ValueError, match="expected 1 entries"):
+            sched.submit([(1, "x"), (1, "y")])
 
 
 class TestDoubleBufferedSolve:

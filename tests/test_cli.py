@@ -131,6 +131,16 @@ class TestMain:
         with pytest.warns(RuntimeWarning, match="unknown backend"):
             assert main([str(path), "--rounds", "2", "--solver", "sa"]) == 0
 
+    def test_fractional_weights_are_one_error_line(self, tmp_path, capsys):
+        from repro.core.qubo import QUBOModel
+
+        path = tmp_path / "frac.qubo"
+        write_qubo(path, QUBOModel.from_dict(2, {(0, 0): -3.5, (0, 1): 2}))
+        assert main([str(path), "--rounds", "2"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "integer weights" in err[0]
+
     def test_gset_reports_cut(self, tmp_path, capsys):
         adj = gset_like(12, 20, seed=1)
         path = tmp_path / "g12.txt"
