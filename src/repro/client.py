@@ -18,6 +18,14 @@ in-proc service ports to the network with a one-line change::
         result = handle.result()
         print(result.best_energy, result.best_vector)
 
+A model is uploaded once per connection: the ``accepted`` event of an
+upload echoes the model's digest
+(:func:`~repro.server.protocol.model_digest`), and a later submit of
+the same model sends only that digest.  Should the server no longer
+hold it (its model store is an LRU), the server answers
+``unknown-model`` and the client re-sends the terms under the same job
+id; the caller never sees that error.
+
 One background reader thread demultiplexes the event stream: events
 carrying an ``id`` route to that job's handle (or a pending control
 call), everything else is connection-level.  Jobs survive the
@@ -108,6 +116,9 @@ class RemoteResult:
 #: sentinel closing a remote incumbent stream
 _STREAM_END = object()
 
+#: digests a client remembers per connection (oldest forgotten first)
+_KNOWN_MODELS_CAP = 1024
+
 
 class RemoteJobHandle:
     """Client-side view of one remote job (API of
@@ -130,6 +141,9 @@ class RemoteJobHandle:
         self._done = threading.Event()
         self._stream: queue.Queue = queue.Queue()
         self._lock = threading.Lock()
+        #: (model, frame) of a digest submit, kept until it is accepted
+        #: so an ``unknown-model`` reply can re-send the terms
+        self._upload: tuple | None = None
 
     # -- event routing (reader thread) -------------------------------------
     def _push(self, payload: dict) -> None:
@@ -137,6 +151,7 @@ class RemoteJobHandle:
         if event == "accepted":
             with self._lock:
                 self.accepted = payload
+                self._upload = None
                 if self._status is JobStatus.QUEUED:
                     self._status = JobStatus.RUNNING
         elif event == "incumbent":
@@ -187,6 +202,7 @@ class RemoteJobHandle:
             self._status = status
             self._result = result
             self._error = error
+            self._upload = None
         self._stream.put(_STREAM_END)
         self._done.set()
 
@@ -254,6 +270,8 @@ class Client:
         self._pending: dict[str, queue.Queue] = {}
         self._jobs_lock = threading.Lock()
         self._counter = itertools.count(1)
+        #: digests the server echoed on this connection (an ordered set)
+        self._known_models: dict[str, None] = {}
         self._closed = threading.Event()
         self.timeout = timeout
         self.tenant = tenant
@@ -328,6 +346,7 @@ class Client:
             pass
         finally:
             self._closed.set()
+            self._file.close()  # the reader owns the socket's read file
             # wake up anything still waiting: no more events will come
             with self._jobs_lock:
                 pending = list(self._pending.values())
@@ -365,6 +384,14 @@ class Client:
                 box.put(payload)
                 return
             if handle is not None:
+                if event == "accepted" and "model" in payload:
+                    self._remember_model(payload["model"])
+                elif (
+                    event == "error"
+                    and payload.get("code") == protocol.E_UNKNOWN_MODEL
+                    and self._reupload(handle)
+                ):
+                    return
                 handle._push(payload)
                 return
         # replies that came back without an id (legacy-shaped servers)
@@ -377,6 +404,33 @@ class Client:
             ]
         if boxes and event in ("stats", "metrics", "drained", "hello"):
             boxes[0].put(payload)
+
+    def _remember_model(self, digest: str) -> None:
+        with self._jobs_lock:
+            known = self._known_models
+            known.pop(digest, None)
+            known[digest] = None
+            if len(known) > _KNOWN_MODELS_CAP:
+                del known[next(iter(known))]
+
+    def _reupload(self, handle: RemoteJobHandle) -> bool:
+        """Reader thread: answer ``unknown-model`` for *handle*'s digest
+        submit by sending its terms under the same job id.  False when
+        the handle has no pending digest submit."""
+        with handle._lock:
+            upload, handle._upload = handle._upload, None
+        if upload is None:
+            return False
+        model, frame = upload
+        with self._jobs_lock:
+            self._known_models.pop(frame["model"], None)
+        resend = {"op": "submit", **protocol.encode_terms(model)}
+        resend.update((k, v) for k, v in frame.items() if k != "model")
+        try:
+            self._send(resend)
+        except OSError:
+            return False  # the connection is gone: fail the handle
+        return True
 
     def _request(
         self, op: str, params: dict | None = None, *, reply: str
@@ -437,18 +491,21 @@ class Client:
         """Submit one job; returns its :class:`RemoteJobHandle`.
 
         The instance arrives as a
-        :class:`~repro.core.qubo.QUBOModel` (*model*), a server-side
-        benchmark *file* path, or inline ``n`` + ``terms`` triples —
-        the same three spellings the wire accepts.
+        :class:`~repro.core.qubo.QUBOModel` or
+        :class:`~repro.core.sparse.SparseQUBOModel` (*model*), a
+        server-side benchmark *file* path, or inline ``n`` + ``terms``
+        triples.  A *model* the server already echoed on this connection
+        is sent as its digest alone (see the module docstring).
         """
         params: dict = {"op": "submit"}
         if model is not None:
-            params["n"] = model.n
-            params["terms"] = [
-                [i, j, w] for (i, j), w in sorted(model.to_dict().items())
-            ]
-            if getattr(model, "name", ""):
-                params["name"] = model.name
+            digest = protocol.model_digest(model)
+            with self._jobs_lock:
+                known = digest in self._known_models
+            if known:
+                params["model"] = digest
+            else:
+                params.update(protocol.encode_terms(model))
         elif file is not None:
             params["file"] = file
         elif n is not None and terms is not None:
@@ -481,6 +538,8 @@ class Client:
         if virtual_time:
             params["virtual_time"] = True
         handle = RemoteJobHandle(self, job_id)
+        if "model" in params:
+            handle._upload = (model, params)
         with self._jobs_lock:
             existing = self._jobs.get(job_id)
             if existing is not None and not existing.done():

@@ -119,12 +119,16 @@ class QUBOModel:
             mat[i, j] += w
         return cls(mat, name=name)
 
+    def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzeros of ``U`` as ``(rows, cols, weights)`` arrays in
+        row-major order (int64 indices, weights in :attr:`dtype`)."""
+        rows, cols = np.nonzero(self._upper)
+        return rows.astype(np.int64), cols.astype(np.int64), self._upper[rows, cols]
+
     def to_dict(self) -> dict:
         """Return the canonical upper-triangular terms as ``{(i, j): w}``."""
-        ii, jj = np.nonzero(self._upper)
-        return {
-            (int(i), int(j)): self._upper[i, j].item() for i, j in zip(ii, jj)
-        }
+        rows, cols, weights = self.triples()
+        return dict(zip(zip(rows.tolist(), cols.tolist()), weights.tolist()))
 
     # ------------------------------------------------------------------
     # Energy evaluation

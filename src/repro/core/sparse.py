@@ -115,6 +115,19 @@ class SparseQUBOModel:
         out.name = model.name
         return out
 
+    def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzeros of the upper-triangular form (linear terms on the
+        diagonal) as ``(rows, cols, weights)`` int64 arrays in row-major
+        order — equal to :meth:`QUBOModel.triples` of :meth:`to_dense`."""
+        coo = self._upper.tocoo()
+        diag = np.flatnonzero(self._linear)
+        rows = np.concatenate((coo.row, diag)).astype(np.int64)
+        cols = np.concatenate((coo.col, diag)).astype(np.int64)
+        weights = np.concatenate((coo.data, self._linear[diag])).astype(np.int64)
+        keep = weights != 0
+        order = np.lexsort((cols[keep], rows[keep]))
+        return rows[keep][order], cols[keep][order], weights[keep][order]
+
     def to_dense(self) -> QUBOModel:
         """Materialize the equivalent dense model."""
         mat = self._upper.toarray() + np.diag(self._linear)

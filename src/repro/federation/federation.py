@@ -59,7 +59,7 @@ from repro.federation.worker import SOLVER_REGISTRY, island_main, island_seed
 from repro.ga.adaptive import SelectionCounters
 from repro.service.job import IncumbentUpdate, JobHandle, JobStatus
 from repro.service.service import ServiceClosedError, ServiceOverloadedError
-from repro.solver.dabs import DABSConfig
+from repro.solver.dabs import DABSConfig, require_integer_weights
 from repro.solver.result import SolveResult
 from repro.solver.termination import SolveLimits
 
@@ -428,6 +428,7 @@ class Federation:
         ``collect_state=True`` makes each island attach its final pools
         and RNG lane states to its report (the bit-exactness probes).
         """
+        require_integer_weights(model)
         SolveLimits(target_energy, time_limit, max_rounds, max_launches)
         if share <= 0:
             raise ValueError("share must be > 0")

@@ -1,9 +1,9 @@
 """Server observability: counters, latency percentiles, Prometheus text.
 
 :class:`ServerMetrics` is the server-side ledger — connection and job
-counters, structured error tallies, and per-tenant latency recorders for
-the two stages the ROADMAP names: **admission → first incumbent** and
-**admission → done**.  :func:`render_prometheus` joins that ledger with
+counters, structured error tallies, digest-submit hits and misses, and
+per-tenant latency recorders for the two stages the ROADMAP names:
+**admission → first incumbent** and **admission → done**.  :func:`render_prometheus` joins that ledger with
 the scheduler's typed :class:`~repro.service.stats.ServiceStats` /
 :class:`~repro.service.stats.FederationStats` snapshot (queue depth,
 lane utilization, cache hit rate, coalesce counters) into one
@@ -79,6 +79,8 @@ class ServerMetrics:
         self.errors: dict[str, int] = {}
         #: latency recorders per (tenant, stage)
         self.latency: dict[tuple[str, str], LatencyRecorder] = {}
+        #: digest submits by outcome (the model was held or not)
+        self.model_refs = {"hit": 0, "miss": 0}
 
     # -- recording hooks ---------------------------------------------------
     def connection_opened(self) -> None:
@@ -100,6 +102,9 @@ class ServerMetrics:
     def record_terminal(self, tenant: str, status: str) -> None:
         key = (tenant, status)
         self.jobs[key] = self.jobs.get(key, 0) + 1
+
+    def record_model_ref(self, hit: bool) -> None:
+        self.model_refs["hit" if hit else "miss"] += 1
 
     def record_error(self, code: str) -> None:
         self.errors[code] = self.errors.get(code, 0) + 1
@@ -129,6 +134,7 @@ class ServerMetrics:
                 for (tenant, status), count in self.jobs.items()
             },
             "errors": dict(self.errors),
+            "model_refs": dict(self.model_refs),
             "latency": {
                 f"{tenant}/{stage}": recorder.summary()
                 for (tenant, stage), recorder in self.latency.items()
@@ -213,6 +219,12 @@ def render_prometheus(metrics: ServerMetrics, snapshot) -> str:
             ({"tenant": t, "status": s}, c)
             for (t, s), c in sorted(metrics.jobs.items())
         ],
+    )
+    emit(
+        "repro_model_refs_total",
+        "counter",
+        "Submits naming a model by digest, by whether the server held it.",
+        [({"result": r}, c) for r, c in sorted(metrics.model_refs.items())],
     )
     emit(
         "repro_errors_total",

@@ -22,6 +22,17 @@ Ops: ``hello`` (declare a tenant), ``submit``, ``cancel``, ``query``
 replaying what was missed), ``stats``, ``metrics`` (Prometheus text),
 ``drain``, ``shutdown``.
 
+**Upload once.**  A ``submit`` carries its instance as a server-side
+``file``, as inline ``n`` + ``terms``, or as ``"model": "<sha256 hex>"``:
+the :func:`model_digest` of a model the server already holds because an
+earlier ``terms`` upload decoded it.  The ``accepted`` event of a
+``terms`` or ``model`` submit echoes the digest as ``"model"``.  A
+digest the server does not hold (never uploaded, or since evicted) is
+one :data:`E_UNKNOWN_MODEL` error; the client then sends the terms
+again.  Both sides hash with :func:`model_digest` over the same
+canonical triples (``model.triples()``) that a ``terms`` upload carries,
+so a model and the model the server rebuilds from its terms hash equal.
+
 Every frame must carry ``"v": 1``.  A frame without ``v`` (the pre-v1
 shape) or with any other version is a :data:`E_VERSION_MISMATCH` error:
 one structured ``error`` event, after which the connection serves the
@@ -30,21 +41,28 @@ next frame as usual.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = [
     "ERROR_CODES",
     "KNOWN_OPS",
     "MAX_FRAME_BYTES",
+    "MAX_TERMS_N",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "Request",
     "decode_request",
     "encode_event",
+    "encode_terms",
     "error_payload",
     "limit_kwargs",
     "load_model",
+    "model_digest",
+    "model_ref",
     "submit_kwargs",
 ]
 
@@ -56,6 +74,14 @@ PROTOCOL_VERSION = 1
 #: fits a dense inline QUBO of n ≈ 500)
 MAX_FRAME_BYTES = 1 << 20
 
+#: the largest ``n`` a ``terms`` submit may declare: the server builds
+#: its dense ``n × n`` host matrix on the event-loop thread
+MAX_TERMS_N = 1 << 14
+
+#: weight magnitudes a ``terms`` upload may carry stay below this:
+#: weights are summed in float64, which holds every smaller integer
+_WEIGHT_BOUND = float(1 << 53)
+
 # -- structured error codes -------------------------------------------------
 E_BAD_JSON = "bad-json"
 E_BAD_REQUEST = "bad-request"
@@ -64,6 +90,7 @@ E_VERSION_MISMATCH = "version-mismatch"
 E_FRAME_TOO_LARGE = "frame-too-large"
 E_DUPLICATE_ID = "duplicate-id"
 E_UNKNOWN_JOB = "unknown-job"
+E_UNKNOWN_MODEL = "unknown-model"
 E_OVERLOADED = "overloaded"
 E_QUOTA_EXCEEDED = "quota-exceeded"
 E_RATE_LIMITED = "rate-limited"
@@ -79,6 +106,7 @@ ERROR_CODES = frozenset(
         E_FRAME_TOO_LARGE,
         E_DUPLICATE_ID,
         E_UNKNOWN_JOB,
+        E_UNKNOWN_MODEL,
         E_OVERLOADED,
         E_QUOTA_EXCEEDED,
         E_RATE_LIMITED,
@@ -189,11 +217,91 @@ def error_payload(code: str, message: str, **fields) -> dict:
 
 # -- shared submit semantics ------------------------------------------------
 
+def model_digest(model) -> str:
+    """SHA-256 hex digest naming *model* on the wire (the ``model`` field).
+
+    Hashes ``n``, the dtype and the model's canonical ``triples()`` —
+    the triples a ``terms`` upload carries — so the client's model and
+    the one the server rebuilds from its upload hash equal.  A
+    :class:`~repro.core.sparse.SparseQUBOModel` and its dense twin hash
+    equal too.
+    """
+    rows, cols, weights = model.triples()
+    digest = hashlib.sha256(f"{model.n}:{weights.dtype.str}:{len(weights)}".encode())
+    for arr in (rows, cols, weights):
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+def encode_terms(model) -> dict:
+    """The ``n``/``terms``/``name`` fields of a submit uploading *model*.
+
+    The terms are the model's canonical ``triples()``, byte-identical on
+    the wire to the ``sorted(model.to_dict().items())`` encoding: Python
+    ints for integer models, floats for float ones.
+    """
+    rows, cols, weights = model.triples()
+    if np.issubdtype(weights.dtype, np.integer):
+        terms = np.column_stack((rows, cols, weights)).tolist()
+    else:
+        terms = [list(t) for t in zip(rows.tolist(), cols.tolist(), weights.tolist())]
+    fields = {"n": model.n, "terms": terms}
+    if getattr(model, "name", ""):
+        fields["name"] = model.name
+    return fields
+
+
+def model_ref(params: dict) -> str | None:
+    """The digest a submit names in ``"model"``, or None for an upload.
+
+    A ``model`` submit carries no instance of its own: ``model`` together
+    with ``terms`` or ``file`` is one :data:`E_BAD_REQUEST`.
+    """
+    digest = params.get("model")
+    if digest is None:
+        return None
+    if not isinstance(digest, str):
+        raise ProtocolError(E_BAD_REQUEST, '"model" must be a digest string')
+    if "terms" in params or "file" in params:
+        raise ProtocolError(
+            E_BAD_REQUEST, 'a submit names "model" or sends "terms"/"file", not both'
+        )
+    return digest
+
+
+def _decode_terms(terms, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate a ``terms`` list into ``(rows, cols, weights)`` arrays."""
+    bad = '"terms" must be a list of numeric [i, j, w] triples'
+    try:
+        arr = np.asarray(terms)
+    except (TypeError, ValueError):  # ragged entries
+        raise ProtocolError(E_BAD_REQUEST, bad) from None
+    if arr.shape == (0,) and isinstance(terms, list):
+        arr = np.zeros((0, 3))
+    if arr.ndim != 2 or arr.shape[1] != 3 or arr.dtype.kind not in "iuf":
+        raise ProtocolError(E_BAD_REQUEST, bad)
+    weights = arr[:, 2].astype(np.float64)
+    if not np.all(np.abs(weights) < _WEIGHT_BOUND):  # also NaN/inf
+        raise ProtocolError(E_BAD_REQUEST, "term weights must be finite, of magnitude < 2**53")
+    index = arr[:, :2]
+    if index.dtype.kind == "f" and not np.all(index == np.rint(index)):
+        raise ProtocolError(E_BAD_REQUEST, "term indices must be integers")
+    if not np.all((index >= 0) & (index < n)):
+        raise ProtocolError(E_BAD_REQUEST, f"term index out of range for n={n}")
+    index = index.astype(np.intp)
+    return index[:, 0], index[:, 1], weights
+
+
 def load_model(params: dict):
     """Materialize a submit's instance (``file`` or inline ``n``+``terms``).
 
     A file path and an inline triple list mean exactly the same thing
-    over stdin and TCP.
+    over stdin and TCP.  Terms decode in one ``np.asarray``; duplicates
+    ``(i, j)`` and mirrors ``(j, i)`` accumulate (``np.add.at``) as in
+    :meth:`~repro.core.qubo.QUBOModel.from_dict`.  A non-integer ``n``,
+    ragged or non-numeric entries, non-integral or out-of-range indices
+    and weights that are not finite or not below 2**53 in magnitude are
+    one :data:`E_BAD_REQUEST`.
     """
     from repro.core.qubo import QUBOModel
     from repro.io.formats import load_instance
@@ -202,18 +310,18 @@ def load_model(params: dict):
         model, _ = load_instance(params["file"], params.get("format", "auto"))
         return model
     if "terms" in params:
-        n = int(params["n"])
-        terms: dict = {}
-        for entry in params["terms"]:
-            try:
-                i, j, w = entry
-            except (TypeError, ValueError):
-                raise ProtocolError(
-                    E_BAD_REQUEST, '"terms" entries must be [i, j, w] triples'
-                ) from None
-            key = (int(i), int(j))
-            terms[key] = terms.get(key, 0) + w
-        return QUBOModel.from_dict(n, terms, name=str(params.get("name", "")))
+        n = params.get("n")
+        if isinstance(n, float) and n.is_integer():
+            n = int(n)
+        if type(n) is not int or not 0 < n <= MAX_TERMS_N:
+            raise ProtocolError(
+                E_BAD_REQUEST,
+                f'"n" must be an integer in [1, {MAX_TERMS_N}], got {n!r}',
+            )
+        rows, cols, weights = _decode_terms(params["terms"], n)
+        matrix = np.zeros((n, n))
+        np.add.at(matrix, (rows, cols), weights)
+        return QUBOModel(matrix, name=str(params.get("name", "")))
     raise ProtocolError(E_BAD_REQUEST, 'submit needs "file" or "n"+"terms"')
 
 

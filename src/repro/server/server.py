@@ -30,6 +30,12 @@ Design points:
   outstanding jobs, a token bucket bounds its submission rate, and both
   reject with structured error codes (``quota-exceeded`` /
   ``rate-limited`` with a ``retry_after`` hint).
+* **upload once** — every ``terms`` upload is filed under its
+  :func:`~repro.server.protocol.model_digest` in a loop-confined LRU as
+  large as the prepared-problem cache (shared across tenants, as that
+  cache is), and a later submit naming the digest in ``"model"`` reuses
+  the decoded model without parsing anything; an unknown digest is one
+  ``unknown-model`` error.
 * **observability** — a Prometheus-style text exposition
   (:mod:`repro.server.metrics`) on a dedicated HTTP port and the
   ``metrics`` op: queue depth, lane utilization, cache hit rate,
@@ -49,7 +55,7 @@ import contextlib
 import threading
 import time
 import traceback
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import replace
 
 from repro.server import protocol
@@ -70,6 +76,10 @@ __all__ = ["DEFAULT_TENANT", "ServeServer"]
 
 #: tenant assumed for connections that never sent a ``hello``
 DEFAULT_TENANT = "default"
+
+#: model-store size behind a service without a prepared-problem cache
+#: (a federation); otherwise the store is as large as that cache
+_DEFAULT_MODEL_CAPACITY = 32
 
 
 class _JobRecord:
@@ -218,6 +228,11 @@ class ServeServer:
         self._conns: set[_Connection] = set()
         self._conn_tasks: set = set()
         self._req_counter = 0
+        #: decoded uploads by model digest, LRU (loop-confined, so no
+        #: lock): a submit naming a digest here skips the upload
+        self._models: OrderedDict[str, object] = OrderedDict()
+        cache = getattr(service, "cache", None)
+        self._model_capacity = cache.capacity if cache is not None else _DEFAULT_MODEL_CAPACITY
         #: job events posted by handle listeners, delivered on the loop
         self._events: deque = deque()
         self._flush_scheduled = False
@@ -557,6 +572,17 @@ class ServeServer:
                 protocol.E_DUPLICATE_ID,
                 f"duplicate job id {client_id!r} (still running)",
             )
+        digest = protocol.model_ref(params)
+        model = None
+        if digest is not None:
+            model = self._models.get(digest)
+            self.metrics.record_model_ref(hit=model is not None)
+            if model is None:
+                raise ProtocolError(
+                    protocol.E_UNKNOWN_MODEL,
+                    f"unknown model {digest!r}: send its terms instead",
+                )
+            self._models.move_to_end(digest)
         outstanding = self._tenant_outstanding.get(tenant, 0)
         if (
             self.quota.max_jobs is not None
@@ -586,7 +612,10 @@ class ServeServer:
                 )
                 return
         try:
-            model = protocol.load_model(params)
+            if model is None:
+                model = protocol.load_model(params)
+                if "terms" in params:
+                    digest = self._file_model(model)
             solver_cls = (
                 ABSSolver if params.get("solver") == "abs" else DABSSolver
             )
@@ -625,11 +654,26 @@ class ServeServer:
             "job": handle.job_id,
             "n": model.n,
         }
+        if digest is not None:
+            accepted["model"] = digest
         record.accepted = accepted
         record.subscribers.add(conn)
         conn.subscriptions.add(record)
         conn.send(accepted)
         handle.set_listener(lambda update: self._post(record, update))
+
+    def _file_model(self, model) -> str:
+        """Keep an uploaded model under its digest (LRU); returns the
+        digest.  Frames of one connection are handled in order, so a
+        later digest submit on it always finds this upload."""
+        digest = protocol.model_digest(model)
+        if digest in self._models:
+            self._models.move_to_end(digest)
+        else:
+            self._models[digest] = model
+            while len(self._models) > self._model_capacity:
+                self._models.popitem(last=False)
+        return digest
 
     def _attach(self, conn: _Connection, request: Request) -> None:
         record = self._record_for(conn, request)

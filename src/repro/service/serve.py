@@ -84,7 +84,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--cache-capacity",
         type=int,
         default=32,
-        help="prepared-problem cache entries",
+        help="prepared-problem cache entries (also the size of the "
+        "server's store of uploaded models)",
     )
     parser.add_argument(
         "--islands",

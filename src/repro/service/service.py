@@ -62,7 +62,12 @@ from repro.resilience import RetryPolicy
 from repro.service.cache import ProblemCache
 from repro.service.job import IncumbentUpdate, JobHandle, JobStatus
 from repro.service.stats import CacheStatsSnapshot, CoalesceStats, ServiceStats
-from repro.solver.dabs import DABSConfig, DABSSolver, _AsyncDriver
+from repro.solver.dabs import (
+    DABSConfig,
+    DABSSolver,
+    _AsyncDriver,
+    require_integer_weights,
+)
 from repro.solver.result import SolveResult
 from repro.solver.termination import SolveLimits
 
@@ -365,8 +370,10 @@ class SolveService:
         config's ``num_gpus``, clamped to the fleet); *share* weights its
         launch rate against other tenants of the same *priority*.
         ``block=False`` raises :class:`ServiceOverloadedError` instead of
-        waiting when ``max_queue`` is reached.
+        waiting when ``max_queue`` is reached.  A fractional-weight model
+        raises ``ValueError`` here, before it is queued.
         """
+        require_integer_weights(model)
         cfg = config or self.default_config
         want = devices if devices is not None else cfg.num_gpus
         if want < 1:

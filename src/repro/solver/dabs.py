@@ -67,7 +67,21 @@ from repro.solver.result import ImprovementEvent, SolveResult
 from repro.solver.scheduler import RoundScheduler
 from repro.solver.termination import SolveLimits
 
-__all__ = ["DABSConfig", "DABSSolver"]
+__all__ = ["DABSConfig", "DABSSolver", "require_integer_weights"]
+
+
+def require_integer_weights(model) -> None:
+    """Refuse a fractional-weight *model* with one ``ValueError``: the
+    fused DABS/ABS kernels accumulate Δ and energies in int64.  Checked
+    at construction and, so a job fails before it is accepted, at every
+    submit (``SolveService.submit``, ``Federation.submit``).  An object
+    without a ``dtype`` is not judged here; it fails where it is used."""
+    dtype = getattr(model, "dtype", None)
+    if dtype is not None and not np.issubdtype(dtype, np.integer):
+        raise ValueError(
+            f"DABS/ABS need integer weights; {model.name!r} has "
+            f"fractional ones (scale them to integers first)"
+        )
 
 
 @dataclass(frozen=True)
@@ -459,12 +473,7 @@ class DABSSolver:
         seed: int | None = None,
         prepared=None,
     ) -> None:
-        if not np.issubdtype(model.dtype, np.integer):
-            # the fused kernels accumulate Δ and energies in int64
-            raise ValueError(
-                f"DABS/ABS need integer weights; {model.name!r} has "
-                f"fractional ones (scale them to integers first)"
-            )
+        require_integer_weights(model)
         self.model = model
         self.config = config or DABSConfig()
         self.seed = seed

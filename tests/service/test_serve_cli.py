@@ -36,6 +36,25 @@ def events_of(events: list[dict], kind: str) -> list[dict]:
     return [e for e in events if e["event"] == kind]
 
 
+def assert_fractional_refused_at_submit(argv: list[str]) -> None:
+    events = run_serve(
+        [
+            {"op": "submit", "id": "f", "n": 2, "terms": [[0, 0, -3.5], [0, 1, 2]], "rounds": 2},
+            {"op": "drain"},
+            {"op": "shutdown"},
+        ],
+        argv,
+    )
+    kinds = [e["event"] for e in events]
+    errors = events_of(events, "error")
+    assert len(errors) == 1 and errors[0]["id"] == "f", kinds
+    assert errors[0]["code"] == "bad-request"
+    assert "integer weights" in errors[0]["error"]
+    assert "traceback" not in errors[0]
+    assert not {"accepted", "incumbent", "done", "failed"} & set(kinds), kinds
+    assert kinds[-1] == "bye"
+
+
 class TestServeRoundTrip:
     def test_inline_submit_solves_to_optimum(self):
         """Service round-trip smoke: a tiny inline QUBO is solved to its
@@ -160,21 +179,10 @@ class TestServeRoundTrip:
         assert kinds & {"cancelled", "done"}
 
     def test_fractional_weights_fail_once(self):
-        """A fractional-weight submit is one ``failed`` event naming the
-        integer-weight requirement, not a device-worker traceback."""
-        events = run_serve(
-            [
-                {"op": "submit", "id": "f", "n": 2, "terms": [[0, 0, -3.5], [0, 1, 2]], "rounds": 2},
-                {"op": "drain"},
-                {"op": "shutdown"},
-            ]
-        )
-        failed = events_of(events, "failed")
-        assert len(failed) == 1 and failed[0]["id"] == "f"
-        assert "integer weights" in failed[0]["error"]
-        assert not events_of(events, "incumbent")
-        assert not events_of(events, "done")
-        assert events[-1]["event"] == "bye"
+        """A fractional-weight submit is one ``bad-request`` error naming
+        the integer-weight requirement, refused at submit: no
+        ``accepted``, no ``failed`` event, no traceback."""
+        assert_fractional_refused_at_submit(["--gpus", "2", "--blocks", "4"])
 
     def test_cli_dispatches_serve(self, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -220,6 +228,14 @@ class TestServeFederation:
         assert stats and stats[0]["islands"] == 2
         assert len(stats[0]["island_stats"]) == 2
         assert events[-1]["event"] == "bye"
+
+
+    def test_fractional_weights_fail_once_over_islands(self):
+        """Federation.submit refuses fractional weights synchronously too,
+        so island serve answers exactly as a single service does."""
+        assert_fractional_refused_at_submit(
+            ["--gpus", "1", "--blocks", "2", "--islands", "2"]
+        )
 
 
 class TestStdinIsAServerConnection:

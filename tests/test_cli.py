@@ -141,6 +141,17 @@ class TestMain:
         assert len(err) == 1
         assert err[0].startswith("error: ") and "integer weights" in err[0]
 
+    def test_fractional_weights_are_one_error_line_over_islands(self, tmp_path, capsys):
+        """Federation.submit refuses the model before any island solves."""
+        from repro.core.qubo import QUBOModel
+
+        path = tmp_path / "frac.qubo"
+        write_qubo(path, QUBOModel.from_dict(2, {(0, 0): -3.5, (0, 1): 2}))
+        assert main([str(path), "--rounds", "2", "--islands", "2"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "integer weights" in err[0]
+
     def test_gset_reports_cut(self, tmp_path, capsys):
         adj = gset_like(12, 20, seed=1)
         path = tmp_path / "g12.txt"
