@@ -7,8 +7,11 @@ launch at their own pace and the fleet throughput becomes the *sum* of
 device rates instead of ``G / max(latency)``.
 
 Both rows run one solve as a one-job service
-(``solve(service=SolveService(G))``), one lane per device, so launches
-overlap across lanes in both:
+(``solve(service=SolveService(G))``).  The skewed fleet's sleeping
+proxies are not packable (``pack_key`` is ``None`` for anything that is
+not a real ``VirtualGPU``), so they keep one lane per device and their
+launches overlap across lanes in both rows.  The uniform fleet's devices
+are packable, so each of its rounds is one pass of one lane:
 
 * **barrier** — ``virtual_time=True``: the round schedule replayed over
   the lanes (each round waits for its slowest device);
@@ -172,7 +175,9 @@ def render(scenarios: list[dict], budget: float) -> str:
         f"({budget:.1f}s, best of 3 runs per row); `launches/s` counts "
         "collected device launches per second of solve time.  Both rows "
         "run the solve as a one-job service (`solve(service="
-        "SolveService(G))`, one lane per device, depth 2): `barrier` is "
+        "SolveService(G))`, depth 2; one lane per device for the skewed "
+        "fleet's unpackable proxies, one packed lane pass per round for "
+        "the uniform fleet): `barrier` is "
         "the virtual-time replay of the round schedule "
         "(`virtual_time=True`), `free` the free-running schedule "
         "(`virtual_time=False`).  Skewed-fleet devices carry synthetic "
@@ -208,9 +213,7 @@ def render(scenarios: list[dict], budget: float) -> str:
         "`G / max(latency)` while free-running approaches "
         "`sum(1 / latency)`.  The uniform fleet (single-box CPU-bound "
         "compute, no skew) is the no-win-available control: with no skew "
-        "to exploit, free-running gains nothing, and its speedup column "
-        "shows what GIL contention between the compute lanes costs it "
-        "on this box.",
+        "to exploit, free-running gains nothing.",
     ]
     return "\n".join(lines)
 

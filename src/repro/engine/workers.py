@@ -69,13 +69,19 @@ __all__ = ["FleetWorkerGroup", "LaunchCompletion", "WorkerError", "run_launch"]
 #: lane thread-name prefix, asserted by the leak regression tests
 WORKER_NAME_PREFIX = "engine-vgpu"
 
+#: completion-stream sentinel posted by :meth:`FleetWorkerGroup.wake`
+_WAKE = object()
+
 
 class WorkerError(RuntimeError):
     """A device worker failed; carries the device id and its traceback.
 
     ``tag`` is the opaque submission tag of the failed launch (None for
     untagged submissions) — the service uses it to fail only the
-    owning job instead of the whole fleet.  ``report`` is the structured
+    owning job instead of the whole fleet.  ``tags`` holds the tag of
+    every launch the failure ends: ``(tag,)`` for a solo launch, one per
+    segment for a one-job super-launch, so the owner can release each
+    in-flight slot.  ``report`` is the structured
     :class:`~repro.resilience.FailureReport` when a supervised group
     exhausted its retry policy (None on unsupervised failures).
     """
@@ -86,11 +92,13 @@ class WorkerError(RuntimeError):
         detail: str,
         tag: object = None,
         report: FailureReport | None = None,
+        tags: tuple | None = None,
     ) -> None:
         super().__init__(f"device worker {device_id} failed:\n{detail}")
         self.device_id = device_id
         self.detail = detail
         self.tag = tag
+        self.tags = (tag,) if tags is None else tags
         self.report = report
 
 
@@ -299,14 +307,22 @@ class FleetWorkerGroup:
         them as one fused batch and the completion stream delivers one
         :class:`LaunchCompletion` per segment, carrying the segment's own
         ``(device_id, seq, tag)`` — callers cannot tell a packed launch
-        from a solo one.  A failed pack is split: its segments are
-        re-issued as individual launches without charging any job's fault
-        budget (the culprit is unknown inside a fused batch; a persistent
-        fault fails — and is charged — on the solo re-run).
+        from a solo one.
+
+        When every segment belongs to one job (one non-None fault key),
+        the pack is that job's launch: its record carries the first
+        segment's tag, and a fault is retried whole and charged once, as
+        a solo launch's would be.  A failed pack of several jobs is
+        split: its segments are re-issued as individual launches without
+        charging any job's fault budget (the culprit is unknown inside a
+        fused batch; a persistent fault fails — and is charged — on the
+        solo re-run).
         """
         pack = SuperLaunch(segments)
+        keys = {_fault_key(seg.tag) for seg in segments}
+        tag = segments[0].tag if len(keys) == 1 and None not in keys else None
         record = _LaunchRecord(
-            lane, segments[0].device_id, segments[0].seq, pack, None, None
+            lane, segments[0].device_id, segments[0].seq, pack, None, tag
         )
         self._submit_record(record)
 
@@ -336,6 +352,14 @@ class FleetWorkerGroup:
         (they are idempotent and re-queued by the owner on demand).
         """
         self._executors[lane].submit(self._run_guarded, lane, fn, tag)
+
+    def wake(self) -> None:
+        """Make a blocked :meth:`next_completion` return None at once.
+
+        The service calls this when a job is submitted and when it
+        closes, so neither waits out its loop's poll interval.
+        """
+        self._completions.put(_WAKE)
 
     def _run_guarded(self, lane: int, fn, tag) -> None:
         try:
@@ -386,8 +410,8 @@ class FleetWorkerGroup:
             )
 
     def next_completion(self, timeout: float) -> LaunchCompletion | None:
-        """The next finished launch, in completion order; None on timeout
-        (or while a fault is being retried internally).
+        """The next finished launch, in completion order; None on timeout,
+        on a :meth:`wake` or while a fault is being retried internally.
 
         A failed launch whose retry policy is exhausted surfaces as
         :class:`WorkerError` carrying the submission tag and a
@@ -405,6 +429,8 @@ class FleetWorkerGroup:
             item = self._completions.get(timeout=timeout)
         except queue.Empty:
             return None
+        if item is _WAKE:
+            return None
         if isinstance(item, WorkerError):  # settled by a lane reaper
             raise item
         if isinstance(item, _Failure):  # a run_on (reset) failure
@@ -415,7 +441,7 @@ class FleetWorkerGroup:
         if record is None:
             return None  # superseded launch: result already re-issued
         if isinstance(payload, _Failure):
-            if isinstance(record.gpu, SuperLaunch):
+            if isinstance(record.gpu, SuperLaunch) and record.tag is None:
                 return self._handle_pack_fault(record, payload.detail)
             return self._handle_fault(record, payload.detail, kind="launch")
         # one completion per segment; a super-launch's rest buffer FIFO
@@ -451,7 +477,7 @@ class FleetWorkerGroup:
         return out
 
     def _handle_pack_fault(self, record: _LaunchRecord, detail: str) -> None:
-        """Absorb a super-launch failure: re-issue the segments solo.
+        """Absorb a failed pack of several jobs: re-issue the segments solo.
 
         No job's fault budget is charged — inside a fused batch the
         culprit is unknown, and a pack-mate must not pay for it.  The
@@ -470,7 +496,12 @@ class FleetWorkerGroup:
         self, record: _LaunchRecord, detail: str, kind: str
     ) -> None:
         """Absorb one fault: re-issue after backoff, or raise when the
-        policy is exhausted.  Returns None (the caller polls again)."""
+        policy is exhausted.  Returns None (the caller polls again).
+
+        A one-job super-launch is one launch here: it is re-issued whole
+        (it committed nothing, so the re-run is bit-exact) and charged
+        once; its fatal error carries every segment's tag.
+        """
         record.failures.append(detail)
         key = _fault_key(record.tag)
         with self._records_lock:
@@ -494,7 +525,10 @@ class FleetWorkerGroup:
                 fatal=True,
                 details=tuple(record.failures),
             )
-            raise WorkerError(record.device_id, detail, record.tag, report)
+            tags = None
+            if isinstance(record.gpu, SuperLaunch):
+                tags = tuple(seg.tag for seg in record.gpu.segments)
+            raise WorkerError(record.device_id, detail, record.tag, report, tags)
         record.attempts += 1
         with self._records_lock:
             self.retries += 1

@@ -28,11 +28,14 @@ pools, limits and RNG stream) across it:
 
 Execution model: one scheduler thread owns all solver-side state (pools,
 RNG, drivers) — the single-policy-thread rule of DESIGN.md §7 — while
-the fleet lanes run launches.  A job
-requesting ``d`` devices gets ``d`` lane *affinities* (its per-device
-state is resident on those lanes, as matrices are resident on a GPU);
-multiple jobs mapped to one lane interleave at launch granularity through
-the lane FIFO.
+the fleet lanes run launches.  A job's per-device state is resident on
+lanes, as matrices are resident on a GPU.  A *packable* job (coalescing
+on, every device under one non-``None`` pack key) gets one lane, the
+least-populated: its devices are row ranges of one pack, so each round is
+one lane pass, as a direct solve's ``RoundScheduler`` runs it.  Any other
+job requesting ``d`` devices gets ``d`` lane *affinities*, one per
+device.  Multiple jobs mapped to one lane interleave at launch
+granularity through the lane FIFO, and pack together when compatible.
 
 Determinism: a job with ``config.virtual_time=True`` is scheduled with
 the event-driven :class:`~repro.engine.async_engine.VirtualTimeReplay`,
@@ -306,6 +309,8 @@ class SolveService:
             self._closing = True
             job_ids = list(self._jobs) if cancel else []
             self._space.notify_all()
+            if self._group is not None:
+                self._group.wake()
         for job_id in job_ids:
             self._request_cancel(job_id)
         abandoned = False
@@ -458,6 +463,7 @@ class SolveService:
             # above) or joins the thread we start here, so no fleet can
             # come up on an already-closed service
             self._ensure_running_locked()
+            self._group.wake()
         return handle
 
     def solve_many(self, requests) -> list[SolveResult]:
@@ -629,6 +635,15 @@ class SolveService:
         job.weighted = min(
             (other.weighted for other in self._active.values()), default=0.0
         )
+        # a packable job runs each round as one lane pass, as a direct
+        # solve's RoundScheduler packs it: all of its devices share one
+        # lane, and each device is a row range of the pack (DESIGN.md §12)
+        keys = {pack_key(gpu) for gpu in job.solver.gpus}
+        one_lane = (
+            job.solver.config.coalesce_enabled()
+            and len(keys) == 1
+            and None not in keys
+        )
         with self._lock:
             # affinity: the job's per-device state is resident on the
             # least-populated lanes, like matrices resident on a GPU
@@ -636,7 +651,7 @@ class SolveService:
                 range(self.num_devices),
                 key=lambda lane: (self._lane_population[lane], lane),
             )
-            job.lanes = tuple(order[:num])
+            job.lanes = (order[0],) * num if one_lane else tuple(order[:num])
             for device_id, lane in enumerate(job.lanes):
                 self._lane_population[lane] += 1
                 self._lane_members[lane].append((job, device_id))
@@ -830,20 +845,20 @@ class SolveService:
     def _on_worker_error(self, err: WorkerError) -> None:
         if err.tag is None:  # pragma: no cover - untagged lane failure
             raise err
+        job = self._jobs.get(err.tag[0])
         if len(err.tag) == 3:  # a failed reset: no launch slot to release
-            job = self._jobs.get(err.tag[0])
             if job is not None and not job.finalized:
                 self._fail_job(job, err)
             return
-        job_id, device_id = err.tag
-        job = self._jobs.get(job_id)
         if job is None:  # pragma: no cover - failure of an unknown job
             return
-        lane = job.lanes[device_id]
-        with self._lock:
-            self._lane_inflight[lane] -= 1
-        job.inflight -= 1
-        job.dev_inflight[device_id] -= 1
+        # a failed one-job pack ends one launch per segment
+        for _, device_id in err.tags:
+            lane = job.lanes[device_id]
+            with self._lock:
+                self._lane_inflight[lane] -= 1
+            job.inflight -= 1
+            job.dev_inflight[device_id] -= 1
         if not job.finalized:
             self._fail_job(job, err)
 

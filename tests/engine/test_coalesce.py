@@ -4,8 +4,9 @@ The contract under test: a :class:`SuperLaunch` over pack-compatible
 segments is **bit-exact per job** against running each segment's launch
 solo — result vectors and energies, flip counts, the device-persistent
 block solutions and RNG lane states, and the device counters.  On top of
-that, the worker group must split a failed pack back into solo launches
-without charging any rider's fault budget.
+that, the worker group must split a failed pack of several jobs back
+into solo launches without charging any rider's fault budget, and retry a
+failed one-job pack whole, charged once, as that job's launch.
 """
 
 from __future__ import annotations
@@ -217,13 +218,13 @@ class TestWorkerPacking:
         return [gpus[j].launch(batches[j]) for j in range(2)]
 
     @staticmethod
-    def submit_pack(group, n=20, blocks=4):
+    def submit_pack(group, n=20, blocks=4, jobs=("job0", "job1")):
         gpus = make_fleet("numpy-dense", n, blocks, 2)
         batches = [make_batch(n, blocks, ALL_ALGS, seed=j) for j in range(2)]
         group.submit_packed(
             0,
             [
-                PackSegment(j, 1, gpus[j], batches[j], (f"job{j}", j))
+                PackSegment(j, 1, gpus[j], batches[j], (jobs[j], j))
                 for j in range(2)
             ],
         )
@@ -265,6 +266,45 @@ class TestWorkerPacking:
             assert np.array_equal(
                 by_device[j].batch.energies, expect[j][0].energies
             )
+
+    def test_one_job_pack_fault_retries_whole_and_charges_once(self):
+        """A pack of one job's devices is that job's launch: a transient
+        fault re-issues it whole, bit-exact, charged once, never split."""
+        expect = self.expected_solo()
+        chaos.install(
+            ChaosConfig(
+                rates={"launch_exception": 1.0}, seed=0, max_faults=1
+            )
+        )
+        with FleetWorkerGroup(1, retry=FAST_RETRY) as group:
+            self.submit_pack(group, jobs=("job", "job"))
+            completions, errors = collect(group, 2)
+            assert group.pack_splits == 0
+            assert group.retry_counts == {"job": 1}
+        assert not errors
+        by_device = {c.device_id: c for c in completions}
+        for j in range(2):
+            assert by_device[j].tag == ("job", j)
+            assert np.array_equal(
+                by_device[j].batch.vectors, expect[j][0].vectors
+            )
+            assert np.array_equal(by_device[j].flips, expect[j][1])
+
+    def test_unsupervised_one_job_pack_fault_names_every_segment(self):
+        """Without a retry policy a one-job pack fails as one error that
+        carries the job's tag and every segment's tag."""
+        chaos.install(
+            ChaosConfig(
+                rates={"launch_exception": 1.0}, seed=0, max_faults=1
+            )
+        )
+        with FleetWorkerGroup(1) as group:
+            self.submit_pack(group, jobs=("job", "job"))
+            completions, errors = collect(group, 1)
+            assert group.pack_splits == 0
+        assert completions == []
+        assert errors[0].tag == ("job", 0)
+        assert errors[0].tags == (("job", 0), ("job", 1))
 
     def test_persistent_fault_fails_only_its_owner(self):
         """Budget exhaustion of one segment must not fail its pack-mates."""

@@ -237,18 +237,28 @@ class TestLifecycle:
 
     @MODES
     def test_no_leak_after_device_failure(self, monkeypatch, virtual_time):
-        """A failing device surfaces as a WorkerError on the host and
-        the remaining lanes are still reaped."""
+        """A failing device surfaces as a WorkerError on the host, every
+        in-flight slot of the failed launch is released and the lanes
+        are still reaped.
+
+        Each launch-equivalent passes exactly one device seam: a packed
+        launch commits through ``commit_packed``, a solo one (coalescing
+        off) runs ``launch``.  The fault sits on both, so it fires with
+        coalescing on — a fatal one-job pack — and off.
+        """
         model = random_qubo(12, seed=35)
         cfg = DABSConfig(**BASE, virtual_time=virtual_time)
         solver = DABSSolver(model, cfg, seed=0)
 
-        def boom(batch):
+        def boom(*args, **kwargs):
             raise RuntimeError("device fault")
 
         monkeypatch.setattr(solver.gpus[0], "launch", boom)
-        with pytest.raises(WorkerError, match="device fault"):
-            one_job(solver, max_rounds=10)
+        monkeypatch.setattr(solver.gpus[0], "commit_packed", boom)
+        with SolveService(solver.config.num_gpus) as service:
+            with pytest.raises(WorkerError, match="device fault"):
+                solver.solve(service=service, max_rounds=10)
+            assert service.stats_snapshot().lane_inflight == (0, 0)
         assert leaked_workers() == []
 
     def test_draining_never_triggers_restart_policy(self):

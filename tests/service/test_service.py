@@ -28,6 +28,7 @@ from repro.service import (
     ServiceOverloadedError,
     SolveService,
 )
+from repro.service import service as service_module
 from repro.service.service import fair_pick
 from repro.solver.abs_solver import ABSSolver
 from repro.solver.dabs import DABSConfig, DABSSolver
@@ -131,20 +132,58 @@ class TestRoundTrip:
         assert stats["cache"]["misses"] == 1
         assert stats["cache"]["hits"] == 1
 
-    def test_stats_surface_per_lane_utilization(self):
+    def test_stats_surface_per_lane_utilization(self, monkeypatch):
         """Cumulative per-lane launch counters: every submitted launch is
-        eventually collected, and the totals match the job's result."""
+        eventually collected, and the totals match the jobs' results.  A
+        packable job runs each round as one pass of one lane, so two
+        concurrent jobs cover both lanes while a lone job uses one."""
         model = random_qubo(16, seed=4)
-        with SolveService(devices=2) as service:
+        config = DABSConfig(**BASE, coalesce=True)
+        # admit both jobs in one scheduler pass, so they run concurrently
+        gate = threading.Event()
+        admit = SolveService._admit
+        monkeypatch.setattr(
+            SolveService, "_admit", lambda self: gate.is_set() and admit(self)
+        )
+        with SolveService(devices=2, default_config=config) as service:
+            handles = [
+                service.submit(model, max_rounds=4, seed=seed) for seed in (0, 1)
+            ]
+            gate.set()
+            results = [handle.result(timeout=60) for handle in handles]
+            stats = service.stats()
+        assert len(stats["lane_launches"]) == 2
+        assert stats["lane_launches"] == stats["lane_completed"]
+        assert stats["lane_launches"] == [result.launches for result in results]
+        assert all(count > 0 for count in stats["lane_launches"])
+        assert stats["lane_inflight"] == [0, 0]
+
+        with SolveService(devices=2, default_config=config) as service:
             result = service.submit(model, max_rounds=4, seed=0).result(
                 timeout=60
             )
             stats = service.stats()
-        assert len(stats["lane_launches"]) == 2
-        assert stats["lane_launches"] == stats["lane_completed"]
-        assert sum(stats["lane_launches"]) == result.launches
-        assert all(count > 0 for count in stats["lane_launches"])
+        assert stats["lane_launches"] == [result.launches, 0]
+        assert stats["lane_completed"] == [result.launches, 0]
         assert stats["lane_inflight"] == [0, 0]
+
+    def test_submit_and_close_wake_the_scheduler(self, monkeypatch):
+        """Admission and shutdown never wait out the scheduler's poll
+        interval: a submit and a close each wake the loop."""
+        monkeypatch.setattr(service_module, "_POLL_INTERVAL", 30.0)
+        model = random_qubo(12, seed=5)
+        service = SolveService(devices=2)
+        try:
+            # a fresh service, then the same service once it is idle
+            for seed in (0, 1):
+                start = time.monotonic()
+                service.submit(model, max_rounds=3, seed=seed).result(timeout=5)
+                assert time.monotonic() - start < 5
+        finally:
+            start = time.monotonic()
+            service.close()
+        assert time.monotonic() - start < 5
+        assert leaked_workers() == []
 
 
 def mt_state(solver):
@@ -309,6 +348,23 @@ class TestVirtualTimeParity:
             assert via.reached_target and via.time_to_target is not None
         if case.endswith("-mid-round"):
             assert via.launches == 8
+
+    def test_one_job_round_is_one_pack(self):
+        """A packable one-job service runs each round as one lane pass:
+        ``R`` rounds on 2 devices are ``R`` packs of 2 segments on one
+        lane, bit-exact with the direct solve."""
+        rounds = 6
+        model = random_qubo(16, seed=20)
+        cfg = DABSConfig(**PARITY_BASE, coalesce=True)
+        direct_solver = DABSSolver(model, cfg, seed=5)
+        direct = direct_solver.solve(max_rounds=rounds)
+        via_solver = DABSSolver(model, replace(cfg, virtual_time=True), seed=5)
+        with SolveService(cfg.num_gpus) as service:
+            via = via_solver.solve(service=service, max_rounds=rounds)
+            coalesce = service.stats_snapshot().coalesce
+        assert_same_solve(direct_solver, direct, via_solver, via)
+        assert (coalesce.packs, coalesce.segments) == (rounds, 2 * rounds)
+        assert coalesce.lane_packs == (rounds, 0)
 
     @pytest.mark.parametrize("restart_after_stall", [None, 3])
     def test_service_job_matches_direct_solve(self, restart_after_stall):
