@@ -27,11 +27,11 @@ Two schedules:
   (generation draw order, pool snapshots, insertion order, restart
   points) is the double-buffered round order — round *r+1* is
   generated while round *r* flies, so generation always reads the pools
-  as of round *r−1*.  A direct ``solve()`` is this replay run inline:
-  it executes each step's launches in the calling thread through a
-  :class:`~repro.solver.scheduler.RoundScheduler`, while the service
-  runs them concurrently on its lanes — the two are bit-identical by
-  construction.  When the run is purely launch-budgeted
+  as of round *r−1*.  A direct ``solve()`` is this replay in a one-job
+  service stepped in the calling thread, whose inline lanes run each
+  launch as it is submitted, while a served job's lanes run them
+  concurrently — the two are bit-identical by construction.  When the
+  run is purely launch-budgeted
   (``driver.can_pipeline``), a device's next launch is released the
   moment its previous one completes — ahead of slower devices — which
   pipelines rounds on the lanes without breaking the replay.
@@ -106,11 +106,10 @@ class VirtualTimeReplay:
     The one implementation of the round loop: generate round *r+1*
     while *r* flies, merge completions in ``(launch_seq, device)``
     order, collect device-ordered, pipeline pure launch budgets, and
-    sequence §IV.B restarts before the regenerated round.  A direct
-    ``solve()`` steps it inline — take every pending launch, execute the
-    round, feed the completions back in device order — and the service
+    sequence §IV.B restarts before the regenerated round.  The service
     (DESIGN.md §8) advances it one completion at a time between other
-    tenants' work; both therefore produce the same result.
+    tenants' work — a direct ``solve()`` too, as the only job of a
+    service it steps inline — so both produce the same result.
 
     Protocol: the owner drains :attr:`pending` via :meth:`take_pending`
     (executing each ``(seq, batch)`` on the device, in the device's

@@ -10,15 +10,15 @@ into one **super-launch**: the fused phase runners execute once over the
 stacked ``(ΣB, n)`` batch, and completions are split back per job by row
 segment (DESIGN.md §12).
 
-Super-launches come from three places: the service packs co-tenant
-launches queued on one lane (``SolveService._refill``), the round
-scheduler packs the devices of one direct-solve round
-(``RoundScheduler``), and a packable device runs each of its own solo
-launches as a one-segment super-launch (``VirtualGPU.launch``) — the
-paper's one kernel per launch, whatever each block's algorithm.  The
-first two commit through ``VirtualGPU.commit_packed``
-(:meth:`SuperLaunch.run`); the device commits its own segment, so each
-launch-equivalent passes one seam only.
+Super-launches come from three places: the service packs the launches
+queued on one lane — a packable job's devices (a direct solve's too)
+and compatible co-tenants (``SolveService._refill``); a lane re-plans a
+failed pack (``FleetWorkerGroup._run_pack``); and a packable device runs
+each of its own solo launches as a one-segment super-launch
+(``VirtualGPU.launch``) — the paper's one kernel per launch, whatever
+each block's algorithm.  The first two commit through
+``VirtualGPU.commit_packed`` (:meth:`SuperLaunch.run`); the device
+commits its own segment, so each launch-equivalent passes one seam only.
 
 Packing is bit-exact per job — including final RNG lane states, tabu
 stamps carried into the next launch, and CyclicMin's persistent window
@@ -221,10 +221,10 @@ def _is_twoneighbor(cell) -> bool:
 class SuperLaunch:
     """A set of pack-compatible launches executed as one fused batch.
 
-    Created by the service scheduler (executed on a worker lane thread)
-    and by the round scheduler (one per packed round chunk), both run via
-    :meth:`run`, and by a packable device's own ``VirtualGPU.launch``, a
-    one-segment pack it runs via :meth:`execute` and commits itself.
+    Created by the service scheduler and by a lane re-planning a failed
+    pack, both run via :meth:`run` on the lane, and by a packable
+    device's own ``VirtualGPU.launch``, a one-segment pack it runs via
+    :meth:`execute` and commits itself.
     Exposes the segments so a failed or wedged pack can be split back
     into individual launches, and :attr:`culprit` — the segment whose
     injected backend fault failed the pack, when known.

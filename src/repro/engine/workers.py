@@ -40,6 +40,12 @@ the thread never ran is re-issued, and only a thread that outlives
 ``hang_grace`` fails its launch (the device state it still owns is never
 handed to a second thread).
 
+A group of zero lanes is *inline* — what a direct ``DABSSolver.solve()``
+runs on: no thread, no supervision, no worker to kill.  Every launch runs
+on the submitting thread, and a launch's exception (a fault the
+pack-fault rule cannot absorb, or a ``KeyboardInterrupt``) is raised
+there as it is, never posted as a job failure.
+
 Lifecycle: the group is a context manager and
 :meth:`FleetWorkerGroup.close` is idempotent; closing joins every lane
 thread, so a solve that raises mid-flight leaks nothing.
@@ -59,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.packet import PacketBatch
-from repro.engine.coalesce import PackSegment, SuperLaunch
+from repro.engine.coalesce import PackSegment, SuperLaunch, pack_key
 from repro.resilience import chaos
 from repro.resilience.chaos import ChaosError
 from repro.resilience.policy import FailureReport, RetryPolicy
@@ -128,11 +134,9 @@ def run_launch(launch, scratch: dict | None = None) -> list[LaunchCompletion]:
 
     *launch* is a :class:`~repro.engine.coalesce.PackSegment` run solo
     through ``gpu.launch``, or a :class:`~repro.engine.coalesce.SuperLaunch`
-    run on the merged buffers of *scratch*.  Both executors call this:
-    the service's lanes (:class:`FleetWorkerGroup`) and a direct solve's
-    :class:`~repro.solver.scheduler.RoundScheduler`.  Truncations are
-    read as deltas of each device's counters, so a launch-equivalent
-    counts whatever its seam (``launch`` or ``commit_packed``) recorded.
+    run on the merged buffers of *scratch*.  Truncations are read as
+    deltas of each device's counters, so a launch-equivalent counts
+    whatever its seam (``launch`` or ``commit_packed``) recorded.
     """
     packed = isinstance(launch, SuperLaunch)
     segments = launch.segments if packed else [launch]
@@ -160,14 +164,26 @@ def run_launch(launch, scratch: dict | None = None) -> list[LaunchCompletion]:
 
 
 class _Failure:
-    """Internal: an exception crossing the completion stream."""
+    """Internal: an exception crossing the completion stream — a whole
+    launch's, or one pack *segment*'s (charged to that segment's job)."""
 
-    __slots__ = ("device_id", "detail", "tag")
+    __slots__ = ("device_id", "detail", "tag", "exc", "segment")
 
-    def __init__(self, device_id: int, detail: str, tag: object = None) -> None:
+    def __init__(self, device_id: int, exc: BaseException, tag=None, segment=None) -> None:
         self.device_id = device_id
-        self.detail = detail
+        self.detail = "".join(traceback.format_exception(exc))
         self.tag = tag
+        self.exc = exc
+        self.segment = segment
+
+
+def _run_solo(seg: PackSegment):
+    """*seg* launched on its own (``gpu.launch`` degrades itself); its
+    completion, or the :class:`_Failure` that ends it."""
+    try:
+        return run_launch(seg)[0]
+    except Exception as exc:
+        return _Failure(seg.device_id, exc, seg.tag, seg)
 
 
 class _LaunchRecord:
@@ -181,7 +197,6 @@ class _LaunchRecord:
         "gpu",
         "batch",
         "tag",
-        "slot",
         "attempts",
         "deadline",
         "failures",
@@ -189,14 +204,13 @@ class _LaunchRecord:
         "overdue",
     )
 
-    def __init__(self, lane, device_id, seq, gpu, batch, tag, slot=None):
+    def __init__(self, lane, device_id, seq, gpu, batch, tag):
         self.lane = lane
         self.device_id = device_id
         self.seq = seq
         self.gpu = gpu
         self.batch = batch
         self.tag = tag
-        self.slot = slot
         self.attempts = 1
         self.deadline = None
         self.failures: list[str] = []
@@ -234,12 +248,15 @@ class FleetWorkerGroup:
 
     With *retry* the group is supervised: faults re-issue the recorded
     launch (fresh lane thread if the old one is hung) instead of raising,
-    until the policy's budgets run out.
+    until the policy's budgets run out.  With ``num_lanes=0`` the group
+    is inline (module docstring): every lane index is the caller's thread.
     """
 
     def __init__(self, num_lanes: int, retry: RetryPolicy | None = None) -> None:
-        if num_lanes < 1:
-            raise ValueError("num_lanes must be >= 1")
+        if num_lanes < 0:
+            raise ValueError("num_lanes must be >= 0")
+        if num_lanes == 0 and retry is not None:
+            raise ValueError("an inline group (num_lanes=0) is unsupervised")
         self.retry = retry
         self._completions: queue.Queue = queue.Queue()
         self._executors = [self._make_executor(i) for i in range(num_lanes)]
@@ -309,14 +326,15 @@ class FleetWorkerGroup:
         ``(device_id, seq, tag)`` — callers cannot tell a packed launch
         from a solo one.
 
-        When every segment belongs to one job (one non-None fault key),
-        the pack is that job's launch: its record carries the first
-        segment's tag, and a fault is retried whole and charged once, as
-        a solo launch's would be.  A failed pack of several jobs is
-        split: its segments are re-issued as individual launches without
-        charging any job's fault budget (the culprit is unknown inside a
-        fused batch; a persistent fault fails — and is charged — on the
-        solo re-run).
+        A pack that raises fails over on its lane (:meth:`_run_pack`).
+        A worker-level fault (a killed or hung lane) ends the whole
+        launch.  When every segment belongs to one job (one non-None
+        fault key), the pack is that job's launch: its record carries the
+        first segment's tag, and such a fault is retried whole and
+        charged once, as a solo launch's would be.  A pack of several
+        jobs is split: its segments are re-issued as individual launches
+        without charging any job's fault budget (a persistent fault
+        fails — and is charged — on the solo re-run).
         """
         pack = SuperLaunch(segments)
         keys = {_fault_key(seg.tag) for seg in segments}
@@ -340,7 +358,10 @@ class FleetWorkerGroup:
             if self.retry is not None and self.retry.launch_timeout is not None:
                 record.deadline = time.monotonic() + self.retry.launch_timeout
             self._records[ticket] = record
-        self._executors[record.lane].submit(self._run, ticket)
+        if self._executors:
+            self._executors[record.lane].submit(self._run, ticket)
+        else:
+            self._run(ticket)
 
     def run_on(self, lane: int, fn, tag: object = None) -> None:
         """Queue an arbitrary callable (e.g. a device reset) behind the
@@ -351,7 +372,10 @@ class FleetWorkerGroup:
         never swallowed by the unchecked future.  Resets are not retried
         (they are idempotent and re-queued by the owner on demand).
         """
-        self._executors[lane].submit(self._run_guarded, lane, fn, tag)
+        if self._executors:
+            self._executors[lane].submit(self._run_guarded, lane, fn, tag)
+        else:
+            self._run_guarded(lane, fn, tag)
 
     def wake(self) -> None:
         """Make a blocked :meth:`next_completion` return None at once.
@@ -364,8 +388,10 @@ class FleetWorkerGroup:
     def _run_guarded(self, lane: int, fn, tag) -> None:
         try:
             fn()
-        except BaseException:
-            self._completions.put(_Failure(lane, traceback.format_exc(), tag))
+        except BaseException as exc:
+            if not self._executors:
+                raise  # inline: the caller's own exception
+            self._completions.put(_Failure(lane, exc, tag))
 
     def _run(self, ticket: int) -> None:
         with self._records_lock:
@@ -380,8 +406,10 @@ class FleetWorkerGroup:
                     record.device_id, record.seq, launch, record.batch, record.tag
                 )
             # worker-level chaos fires per segment, as each launch would
-            # have seen solo (``who`` = that job's device index)
-            for seg in launch.segments if packed else (launch,):
+            # have seen solo (``who`` = that job's device index); an
+            # inline group has no worker to kill
+            segments = launch.segments if packed else (launch,)
+            for seg in segments if self._executors else ():
                 if chaos.fire("worker_kill", who=seg.device_id):
                     raise ChaosError(
                         f"chaos: worker lane killed (device {seg.device_id})"
@@ -391,23 +419,52 @@ class FleetWorkerGroup:
                         f"chaos: injected launch exception "
                         f"(device {seg.device_id})"
                     )
-            scratch = None
             if packed:
                 with self._records_lock:
                     scratch = self._pack_scratch.setdefault(record.lane, {})
-            completions = run_launch(launch, scratch)
-            record.done = True
-            self._completions.put((ticket, completions))
-        except BaseException:
-            record.done = True
-            self._completions.put(
-                (
-                    ticket,
-                    _Failure(
-                        record.device_id, traceback.format_exc(), record.tag
-                    ),
-                )
-            )
+                outcomes = self._run_pack(launch, scratch)
+            else:
+                outcomes = run_launch(launch)
+        except BaseException as exc:
+            if not self._executors:
+                raise  # inline: the caller's own exception
+            outcomes = _Failure(record.device_id, exc, record.tag)
+        record.done = True
+        for outcome in outcomes if not self._executors else ():
+            if isinstance(outcome, _Failure):  # a segment the pack-fault rule failed
+                raise outcome.exc
+        self._completions.put((ticket, outcomes))
+
+    def _run_pack(self, pack: SuperLaunch, scratch: dict, degraded=frozenset()):
+        """Run *pack* on this lane's thread under the one pack-fault rule
+        (DESIGN.md §11); one outcome per segment: its completion, or a
+        :class:`_Failure` charged to that segment's job alone.  A failed
+        pack committed nothing.  A known culprit degrades here, as its own
+        ``launch`` would, once per launch (*degraded*), and the segments
+        re-plan by pack key; one that cannot degrade fails alone.  An
+        unknown culprit re-runs every segment solo.  Mates run uncharged.
+        """
+        try:
+            return run_launch(pack, scratch)
+        except Exception as exc:
+            with self._records_lock:
+                self.pack_splits += 1
+            culprit = pack.culprit
+            if culprit is None:
+                return [_run_solo(seg) for seg in pack.segments]
+            outcomes = []
+            segments = pack.segments
+            if culprit in degraded or not culprit.gpu._degrade(exc):
+                outcomes.append(_Failure(culprit.device_id, exc, culprit.tag, culprit))
+                segments = [seg for seg in segments if seg is not culprit]
+            else:
+                degraded = degraded | {culprit}
+            for key, run in itertools.groupby(segments, lambda s: pack_key(s.gpu)):
+                if key is None:
+                    outcomes.extend(_run_solo(seg) for seg in run)
+                else:
+                    outcomes += self._run_pack(SuperLaunch(list(run)), scratch, degraded)
+            return outcomes
 
     def next_completion(self, timeout: float) -> LaunchCompletion | None:
         """The next finished launch, in completion order; None on timeout,
@@ -434,19 +491,32 @@ class FleetWorkerGroup:
         if isinstance(item, WorkerError):  # settled by a lane reaper
             raise item
         if isinstance(item, _Failure):  # a run_on (reset) failure
-            raise WorkerError(item.device_id, item.detail, item.tag)
+            raise WorkerError(item.device_id, item.detail, item.tag) from item.exc
         ticket, payload = item
         with self._records_lock:
             record = self._records.pop(ticket, None)
         if record is None:
             return None  # superseded launch: result already re-issued
-        if isinstance(payload, _Failure):
+        if isinstance(payload, _Failure):  # the whole launch failed
             if isinstance(record.gpu, SuperLaunch) and record.tag is None:
                 return self._handle_pack_fault(record, payload.detail)
-            return self._handle_fault(record, payload.detail, kind="launch")
-        # one completion per segment; a super-launch's rest buffer FIFO
-        self._ready.extend(payload)
-        return self._ready.popleft()
+            return self._handle_fault(record, payload.detail, "launch", payload.exc)
+        # one outcome per segment; a super-launch's rest buffer FIFO, and a
+        # segment the pack-fault rule failed is charged to its own job (a
+        # fatal error waits on the stream behind the pack's completions)
+        for outcome in payload:
+            if not isinstance(outcome, _Failure):
+                self._ready.append(outcome)
+                continue
+            seg = outcome.segment
+            seg_record = _LaunchRecord(
+                record.lane, seg.device_id, seg.seq, seg.gpu, seg.batch, seg.tag
+            )
+            try:
+                self._handle_fault(seg_record, outcome.detail, "launch", outcome.exc)
+            except WorkerError as err:
+                self._completions.put(err)
+        return self._ready.popleft() if self._ready else None
 
     def take_ready(self) -> list[LaunchCompletion]:
         """Every buffered completion of an already delivered super-launch.
@@ -492,11 +562,10 @@ class FleetWorkerGroup:
             self._submit_record(seg_record)
         return None
 
-    def _handle_fault(
-        self, record: _LaunchRecord, detail: str, kind: str
-    ) -> None:
+    def _handle_fault(self, record: _LaunchRecord, detail: str, kind: str, cause=None) -> None:
         """Absorb one fault: re-issue after backoff, or raise when the
-        policy is exhausted.  Returns None (the caller polls again).
+        policy is exhausted — a :class:`WorkerError` caused by *cause*,
+        the launch's own exception.  Returns None (the caller polls again).
 
         A one-job super-launch is one launch here: it is re-issued whole
         (it committed nothing, so the re-run is bit-exact) and charged
@@ -528,7 +597,7 @@ class FleetWorkerGroup:
             tags = None
             if isinstance(record.gpu, SuperLaunch):
                 tags = tuple(seg.tag for seg in record.gpu.segments)
-            raise WorkerError(record.device_id, detail, record.tag, report, tags)
+            raise WorkerError(record.device_id, detail, record.tag, report, tags) from cause
         record.attempts += 1
         with self._records_lock:
             self.retries += 1
@@ -683,7 +752,7 @@ class FleetWorkerGroup:
                 )
                 for seg_record in split:
                     try:
-                        self._handle_fault(seg_record, detail, kind="hang")
+                        self._handle_fault(seg_record, detail, "hang")
                     except WorkerError as err:
                         errors.append(err)
             else:  # seized with the lane, not at fault: plain re-issue

@@ -24,8 +24,8 @@ class StallTracker:
 
     **Units contract**: ``threshold`` and the ``units`` argument of
     :meth:`update` are denominated in the *same* work unit, whatever the
-    caller's scheduler naturally counts — the round scheduler calls
-    ``update(improved)`` once per barrier (one unit = one round), while
+    caller's scheduler naturally counts — the virtual-time replay calls
+    ``update(improved)`` once per round (one unit = one round), while
     free-running service jobs have no rounds and call it once per device
     *launch* completion.  A threshold configured in rounds
     (``DABSConfig.restart_after_stall``) must therefore be converted to

@@ -32,10 +32,13 @@ the fleet lanes run launches.  A job's per-device state is resident on
 lanes, as matrices are resident on a GPU.  A *packable* job (coalescing
 on, every device under one non-``None`` pack key) gets one lane, the
 least-populated: its devices are row ranges of one pack, so each round is
-one lane pass, as a direct solve's ``RoundScheduler`` runs it.  Any other
-job requesting ``d`` devices gets ``d`` lane *affinities*, one per
-device.  Multiple jobs mapped to one lane interleave at launch
-granularity through the lane FIFO, and pack together when compatible.
+one lane pass.  Any other job requesting ``d`` devices gets ``d`` lane
+*affinities*, one per device.  Multiple jobs mapped to one lane
+interleave at launch granularity through the lane FIFO, and pack
+together when compatible.
+
+A direct ``DABSSolver.solve()`` is a one-job service too, over an inline
+group of zero lanes, stepped by the caller (:func:`_solve_inline`).
 
 Determinism: a job with ``config.virtual_time=True`` is scheduled with
 the event-driven :class:`~repro.engine.async_engine.VirtualTimeReplay`,
@@ -281,8 +284,9 @@ class SolveService:
 
     # -- lifecycle ---------------------------------------------------------
     def _ensure_running_locked(self) -> None:
-        """Start the fleet and scheduler thread once (caller holds _lock)."""
-        if self._thread is not None:
+        """Start the fleet and scheduler thread once (caller holds _lock);
+        a service given an inline group is stepped by its caller instead."""
+        if self._group is not None:
             return
         self._group = FleetWorkerGroup(self.num_devices, retry=self.retry)
         self._thread = threading.Thread(
@@ -570,27 +574,33 @@ class SolveService:
 
     # -- scheduler loop (one thread owns everything below) -----------------
     def _loop(self) -> None:
+        while self._step(_POLL_INTERVAL):
+            pass
+
+    def _step(self, timeout: float) -> bool:
+        """One scheduling pass (the scheduler thread's, or the caller's in
+        :func:`_solve_inline`): fold the next completion, waiting up to
+        *timeout*, then cancel, admit, check limits, refill and finalize.
+        False once a closing service has nothing left to run."""
         group = self._group
-        while True:
-            try:
-                completion = group.next_completion(_POLL_INTERVAL)
-            except WorkerError as err:
-                self._on_worker_error(err)
-                completion = None
-            if completion is not None:
+        try:
+            completion = group.next_completion(timeout)
+        except WorkerError as err:
+            self._on_worker_error(err)
+            completion = None
+        if completion is not None:
+            self._on_completion(completion)
+            # the rest of a finished pack, before any refill: its
+            # riders' next launches can then pack together again
+            for completion in group.take_ready():
                 self._on_completion(completion)
-                # the rest of a finished pack, before any refill: its
-                # riders' next launches can then pack together again
-                for completion in group.take_ready():
-                    self._on_completion(completion)
-            self._apply_cancels()
-            self._admit()
-            self._check_time_limits()
-            self._refill()
-            self._sweep_finalizable()
-            with self._lock:
-                if self._closing and not self._pending and not self._active:
-                    return
+        self._apply_cancels()
+        self._admit()
+        self._check_time_limits()
+        self._refill()
+        self._sweep_finalizable()
+        with self._lock:
+            return not (self._closing and not self._pending and not self._active)
 
     def _admit(self) -> None:
         while True:
@@ -635,9 +645,9 @@ class SolveService:
         job.weighted = min(
             (other.weighted for other in self._active.values()), default=0.0
         )
-        # a packable job runs each round as one lane pass, as a direct
-        # solve's RoundScheduler packs it: all of its devices share one
-        # lane, and each device is a row range of the pack (DESIGN.md §12)
+        # a packable job runs each round as one lane pass: all of its
+        # devices share one lane, and each device is a row range of the
+        # pack (DESIGN.md §12)
         keys = {pack_key(gpu) for gpu in job.solver.gpus}
         one_lane = (
             job.solver.config.coalesce_enabled()
@@ -863,7 +873,9 @@ class SolveService:
             self._fail_job(job, err)
 
     def _fail_job(self, job: _Job, exc: BaseException) -> None:
-        job.error = exc
+        # the first failure is the job's cause; later ones are its fallout
+        if job.error is None:
+            job.error = exc
         job.halt()
 
     def _sweep_finalizable(self) -> None:
@@ -920,6 +932,28 @@ class SolveService:
         self._outstanding -= 1
         self._space.notify_all()
         job.handle._finalize(status, result, error)
+
+
+def _solve_inline(solver: DABSSolver, limits: SolveLimits) -> SolveResult:
+    """A direct ``solve()`` (DESIGN.md §3): *solver* as the one job of a
+    service stepped on the calling thread over an inline group, so no
+    thread starts and every launch runs as it is submitted.  Always the
+    virtual-time replay and unsupervised; every lane packs on the
+    solver's own buffers, and a launch's exception leaves as itself."""
+    num = solver.config.num_gpus
+    # a lane depth of one round sends a whole round out in one pass
+    service = SolveService(num, lane_depth=num)
+    service._group = FleetWorkerGroup(0)
+    service._group._pack_scratch = dict.fromkeys(range(num), solver._pack_scratch)
+    cfg = replace(solver.config, virtual_time=True)
+    # priority 0, share 1, no callback; the queue is unbounded
+    handle = service._enqueue(None, solver, cfg, limits, 0, 1.0, None, True, None)
+    try:
+        while not handle.done():
+            service._step(0.0)
+    finally:
+        service.close()
+    return handle.result()
 
 
 def solve(

@@ -13,15 +13,16 @@ its pool with one sort-merge — :class:`PacketBatch` is the only
 interchange type; per-:class:`Packet` objects appear only on scalar
 reference paths (``_generate_batch_scalar``, tests, examples).
 
-Execution (DESIGN.md §3, §7): one round-loop policy — the solver's
-driver (:class:`_AsyncDriver`, limits, §IV.B restarts, folds, result)
-under the service's :class:`~repro.engine.async_engine.VirtualTimeReplay`
-— with two executors.  A direct ``solve()`` runs the replay inline in the
-calling thread: each step's launches go through a
-:class:`~repro.solver.scheduler.RoundScheduler`, which fuses the round's
-pack-compatible devices into one super-launch (``DABSConfig.coalesce``).
-``solve(service=SolveService(num_gpus))`` runs the solver as a one-job
-service over fleet lanes instead: free-running by default, where each
+Execution (DESIGN.md §3, §7): the solver's driver (:class:`_AsyncDriver`,
+limits, §IV.B restarts, folds, result) is scheduled by a
+:class:`~repro.service.SolveService` over a
+:class:`~repro.engine.workers.FleetWorkerGroup` — one executor.  A direct
+``solve()`` is a one-job service whose group is inline: the service's
+:class:`~repro.engine.async_engine.VirtualTimeReplay` is stepped in the
+calling thread, and each round's pack-compatible devices run as one
+super-launch (``DABSConfig.coalesce``).
+``solve(service=SolveService(num_gpus))`` runs the solver over the
+service's threaded lanes instead: free-running by default, where each
 device keeps ``inflight_per_device`` launches in flight, completions fold
 into the pools the moment they arrive, and each replacement batch is
 generated from the pools *as of arrival* on a per-device RNG stream; or,
@@ -54,7 +55,6 @@ from repro.core.packet import (
 )
 from repro.core.qubo import QUBOModel
 from repro.core.rng import host_generator
-from repro.engine.async_engine import VirtualTimeReplay
 from repro.ga.adaptive import AdaptiveSelector, SelectionCounters
 from repro.ga.island import IslandRing, StallTracker
 from repro.ga.operations import OperationParams, TargetGenerator
@@ -64,7 +64,6 @@ from repro.gpu.virtual_gpu import VirtualGPU
 from repro.resilience import RetryPolicy
 from repro.search.batch import BatchSearchConfig
 from repro.solver.result import ImprovementEvent, SolveResult
-from repro.solver.scheduler import RoundScheduler
 from repro.solver.termination import SolveLimits
 
 __all__ = ["DABSConfig", "DABSSolver", "require_integer_weights"]
@@ -125,8 +124,8 @@ class DABSConfig:
     #: keeps a device busy while the host folds its previous result)
     inflight_per_device: int = 2
     #: supervised-lane recovery (DESIGN.md §11), armed by a SolveService
-    #: built with this as its default config (a direct solve() has no
-    #: lanes): retry faulted launches with capped backoff, respawn hung
+    #: built with this as its default config (a direct solve() is never
+    #: supervised): retry faulted launches with capped backoff, respawn hung
     #: lanes, fail the job in isolation once the budget runs out; None
     #: (the default) keeps the fail-fast behavior
     retry_policy: RetryPolicy | None = None
@@ -260,11 +259,8 @@ class _AsyncDriver:
     """Implements :class:`~repro.engine.async_engine.EngineDriver` for one
     DABS solve — all solver policy (generation streams, insertion, limit
     checks, §IV.B restarts, result assembly) lives here, once; the
-    schedulers only schedule.
-
-    *virtual_time* picks the schedule: a direct ``solve()`` always runs
-    the virtual-time replay inline, and a service job runs the one its
-    ``DABSConfig.virtual_time`` names.
+    service only schedules.  *virtual_time* picks the schedule: the job's
+    ``DABSConfig.virtual_time``, always on for a direct ``solve()``.
     """
 
     def __init__(
@@ -544,9 +540,9 @@ class DABSSolver:
         )
         self.generator = self._make_generator()
         self.counters = SelectionCounters()
-        # merged (ΣB, n) buffers of packed rounds, keyed like the service
-        # lanes' (engine.coalesce.PackScratch); filled on the first packed
-        # round and dropped by close()
+        # merged (ΣB, n) buffers of a direct solve's packed rounds — its
+        # inline lanes' engine.coalesce.PackScratch map; filled on the
+        # first packed round and dropped by close()
         self._pack_scratch: dict = {}
 
     # -- lifecycle -------------------------------------------------------------
@@ -667,42 +663,25 @@ class DABSSolver:
     ) -> SolveResult:
         """Run until a limit fires; see :class:`SolveLimits` for semantics.
 
-        Without *service* the solve runs the virtual-time replay inline
-        in the calling thread (no threads are started): each step resets
-        the devices when a §IV.B restart asks for it, runs every device's
-        pending launch through one :class:`RoundScheduler` step and feeds
-        the completions back in device order.  With *service* (a
-        :class:`~repro.service.SolveService`), the call becomes a one-job
-        wrapper over the service's fleet: the solver — pools, RNG state,
-        per-device buffers — is submitted as one job, scheduled alongside
-        whatever else the service is running, and the blocked-on result
-        is returned.  That is the barrier-free
-        path: free-running by default, or with ``config.virtual_time`` the
-        same replay as a direct ``solve()``, hence bit-exact with it.
+        The solver — pools, RNG state, per-device buffers — runs as one
+        job of a :class:`~repro.service.SolveService`.  Without *service*
+        it is a private one-job service stepped in the calling thread (no
+        thread is started; always the virtual-time replay; a launch's
+        exception is raised as it is).  With *service* the job runs
+        alongside the service's other work — the barrier-free path:
+        free-running by default, or with ``config.virtual_time`` the same
+        replay as a direct ``solve()``, hence bit-exact with it.
         """
-        if service is not None:
-            handle = service.submit_solver(
-                self,
-                target_energy=target_energy,
-                time_limit=time_limit,
-                max_rounds=max_rounds,
-                max_launches=max_launches,
-            )
-            return handle.result()
-        cfg = self.config
-        limits = SolveLimits(target_energy, time_limit, max_rounds, max_launches)
-        driver = _AsyncDriver(self, limits, time.perf_counter(), virtual_time=True)
-        replay = VirtualTimeReplay(driver)
-        scheduler = RoundScheduler(
-            self.gpus,
-            pack_rows=cfg.coalesce_max_rows if cfg.coalesce_enabled() else None,
-            scratch=self._pack_scratch,
+        if service is None:
+            from repro.service.service import _solve_inline
+
+            limits = SolveLimits(target_energy, time_limit, max_rounds, max_launches)
+            return _solve_inline(self, limits)
+        handle = service.submit_solver(
+            self,
+            target_energy=target_energy,
+            time_limit=time_limit,
+            max_rounds=max_rounds,
+            max_launches=max_launches,
         )
-        while not replay.stopped:
-            if replay.take_reset_request():
-                for gpu in self.gpus:
-                    gpu.reset()
-            entries = [replay.take_pending(i) for i in range(cfg.num_gpus)]
-            for completion in scheduler.submit(entries):
-                replay.on_completion(completion)
-        return driver.result()
+        return handle.result()

@@ -10,9 +10,16 @@ import pytest
 
 from repro.core.packet import PacketBatch, SharedBatchSlab
 from repro.core.rng import host_generator
-from repro.engine.workers import WORKER_NAME_PREFIX, FleetWorkerGroup, WorkerError
+from repro.engine.coalesce import PackSegment
+from repro.engine.workers import (
+    WORKER_NAME_PREFIX,
+    FleetWorkerGroup,
+    WorkerError,
+    run_launch,
+)
 from repro.gpu.device import DeviceSpec
 from repro.gpu.virtual_gpu import VirtualGPU
+from repro.resilience import RetryPolicy
 from repro.search.batch import BatchSearchConfig
 from repro.core.packet import MainAlgorithm
 from tests.conftest import random_qubo
@@ -215,3 +222,63 @@ class TestFleetWorkerGroup:
             if t.name.startswith(WORKER_NAME_PREFIX)
         ]
         assert leftovers == []
+
+
+class TestInlineGroup:
+    """Zero lanes: every launch runs on the thread that submits it."""
+
+    def test_launch_runs_on_the_calling_thread(self):
+        direct = make_gpu()
+        inline = make_gpu()
+        batch = make_batch()
+        expect, expect_flips = direct.launch(batch)
+        before = threading.active_count()
+        seen = []
+        launch = inline.launch
+
+        def recorded(batch):
+            seen.append(threading.current_thread())
+            return launch(batch)
+
+        inline.launch = recorded
+        with FleetWorkerGroup(0) as group:
+            group.submit_launch(3, 0, 1, inline, batch)
+            comp = group.next_completion(0)
+            assert threading.active_count() == before
+        assert seen == [threading.current_thread()]
+        assert np.array_equal(comp.batch.vectors, expect.vectors)
+        assert np.array_equal(comp.flips, expect_flips)
+
+    def test_launch_error_raises_to_the_caller(self):
+        gpu = make_gpu()
+        gpu.launch = lambda batch: (_ for _ in ()).throw(RuntimeError("boom"))
+        with FleetWorkerGroup(0) as group:
+            with pytest.raises(RuntimeError, match="boom"):
+                group.submit_launch(0, 0, 1, gpu, make_batch())
+            assert group.next_completion(0) is None
+
+    def test_inline_group_is_unsupervised(self):
+        with pytest.raises(ValueError, match="unsupervised"):
+            FleetWorkerGroup(0, retry=RetryPolicy(max_retries=1))
+
+
+class _CountingGPU:
+    """Stand-in device: truncates two rows in one event per launch."""
+
+    def __init__(self):
+        self.greedy_truncations = 5
+        self.truncation_events = 0
+
+    def launch(self, batch):
+        self.greedy_truncations += 2
+        self.truncation_events += 1
+        return batch, np.zeros(1, dtype=np.int64)
+
+
+class TestRunLaunch:
+    def test_truncations_are_device_counter_deltas(self):
+        gpu = _CountingGPU()
+        (completion,) = run_launch(PackSegment(0, 1, gpu, "x", None))
+        assert (completion.device_id, completion.seq, completion.batch) == (0, 1, "x")
+        assert completion.truncations == 2
+        assert completion.truncation_events == 1

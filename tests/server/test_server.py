@@ -310,7 +310,7 @@ class TestMetrics:
 class TestBoundedThreads:
     def test_thread_count_does_not_grow_with_live_jobs(self):
         """Live jobs cost no threads: 40 in flight through one server run
-        on exactly the threads one job does, and no per-job watcher
+        on exactly the threads two jobs do, and no per-job watcher
         thread exists."""
         model = random_qubo(16, seed=4)
         # count only this test's threads (earlier tests' daemons may be
@@ -324,20 +324,25 @@ class TestBoundedThreads:
             service, metrics_port=None
         ) as server:
             with Client.connect("127.0.0.1", server.port) as client:
-                handles = [client.submit(model, rounds=100000, seed=0, job_id="j0")]
+                handles = [
+                    client.submit(model, rounds=100000, seed=i, job_id=f"j{i}")
+                    for i in range(2)
+                ]
                 try:
-                    # running, not just accepted: both lanes are busy
-                    next(handles[0].incumbents(timeout=30))
+                    # running, not just accepted: a packable job holds one
+                    # lane, so two jobs are needed to busy both lanes
+                    for handle in handles:
+                        next(handle.incumbents(timeout=30))
                     time.sleep(0.1)
-                    one_job = new_threads()
+                    two_jobs = new_threads()
                     handles += [
                         client.submit(model, rounds=100000, seed=i, job_id=f"j{i}")
-                        for i in range(1, 40)
+                        for i in range(2, 40)
                     ]
                     assert wait_accepted(handles)
                     assert all(not h.done() for h in handles)
                     forty_jobs = new_threads()
-                    assert len(forty_jobs) == len(one_job), (one_job, forty_jobs)
+                    assert len(forty_jobs) == len(two_jobs), (two_jobs, forty_jobs)
                     assert not [n for n in forty_jobs if n.startswith("serve-watch")]
                 finally:
                     for handle in handles:

@@ -17,8 +17,10 @@ import threading
 
 import pytest
 
+from repro.backends import BackendFallbackWarning
 from repro.core.qubo import brute_force
 from repro.engine.workers import WORKER_NAME_PREFIX, WorkerError
+from repro.resilience import ChaosConfig, chaos
 from repro.search.batch import BatchSearchConfig
 from repro.service import SolveService
 from repro.solver.abs_solver import ABSSolver
@@ -260,6 +262,21 @@ class TestLifecycle:
                 solver.solve(service=service, max_rounds=10)
             assert service.stats_snapshot().lane_inflight == (0, 0)
         assert leaked_workers() == []
+
+    def test_a_failed_job_reports_its_first_fault(self):
+        """Every device of a one-job pack faults on both backends: each
+        fails alone under the pack-fault rule, and the job fails with
+        the first fault (device 0), not with the last one folded."""
+        model = random_qubo(24, seed=5)
+        cfg = DABSConfig(**BASE, coalesce=True, virtual_time=True)
+        chaos.install(ChaosConfig(rates={"backend_raise": 1.0}))
+        try:
+            with SolveService(2) as service, pytest.warns(BackendFallbackWarning):
+                with pytest.raises(WorkerError) as caught:
+                    DABSSolver(model, cfg, seed=0).solve(max_rounds=2, service=service)
+        finally:
+            chaos.reset()
+        assert caught.value.device_id == 0
 
     def test_draining_never_triggers_restart_policy(self):
         """Regression: completions drained after a stop must still land in

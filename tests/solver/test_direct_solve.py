@@ -1,4 +1,11 @@
-"""Tests for the double-buffered round scheduler and the solver lifecycle."""
+"""A direct ``solve()``: the double-buffered round order and the solver
+lifecycle.
+
+A direct solve is a one-job service stepped on the calling thread over
+an inline lane group; these tests pin what that must keep: counters and
+restarts follow the replay's round order, the packed-round buffers are
+the solver's own, and no thread is ever started.
+"""
 
 from __future__ import annotations
 
@@ -9,9 +16,9 @@ import numpy as np
 import pytest
 
 from repro.engine.coalesce import SuperLaunch
+from repro.resilience import RetryPolicy
 from repro.search.batch import BatchSearchConfig
 from repro.solver.dabs import DABSConfig, DABSSolver
-from repro.solver.scheduler import RoundScheduler
 from tests.conftest import random_qubo
 
 CFG = DABSConfig(
@@ -20,84 +27,6 @@ CFG = DABSConfig(
     pool_capacity=10,
     batch=BatchSearchConfig(batch_flip_factor=2.0),
 )
-
-
-class _FakeGPU:
-    """Stand-in device: records launches, tags results."""
-
-    def __init__(self, tag):
-        self.tag = tag
-        self.launches = []
-        self.greedy_truncations = 0
-        self.truncation_events = 0
-
-    def launch(self, batch):
-        self.launches.append(batch)
-        return ((self.tag, batch), np.zeros(1, dtype=np.int64))
-
-
-class TestRoundScheduler:
-    def test_sequential_results_in_gpu_order(self):
-        gpus = [_FakeGPU("a"), _FakeGPU("b")]
-        sched = RoundScheduler(gpus)
-        completions = sched.submit([(1, "x"), (1, "y")])
-        assert [c.batch for c in completions] == [("a", "x"), ("b", "y")]
-        assert [(c.device_id, c.seq) for c in completions] == [(0, 1), (1, 1)]
-
-    def test_skips_devices_without_an_entry(self):
-        gpus = [_FakeGPU("a"), _FakeGPU("b")]
-        completions = RoundScheduler(gpus).submit([None, (3, "y")])
-        assert [(c.device_id, c.seq, c.batch) for c in completions] == [
-            (1, 3, ("b", "y"))
-        ]
-        assert gpus[0].launches == []
-
-    def test_truncations_are_device_counter_deltas(self):
-        gpu = _FakeGPU("a")
-        gpu.greedy_truncations = 5
-        original = gpu.launch
-
-        def truncating(batch):
-            gpu.greedy_truncations += 2
-            gpu.truncation_events += 1
-            return original(batch)
-
-        gpu.launch = truncating
-        (completion,) = RoundScheduler([gpu]).submit([(1, "x")])
-        assert completion.truncations == 2
-        assert completion.truncation_events == 1
-
-    def test_packed_results_in_gpu_order(self, monkeypatch):
-        """A packed round returns each device's result at its own index,
-        bit-exact with the same launches made solo on twin devices."""
-        packs = []
-        original = SuperLaunch.run
-
-        def run(self, scratch_map):
-            packs.append(len(self.segments))
-            return original(self, scratch_map)
-
-        monkeypatch.setattr(SuperLaunch, "run", run)
-        model = random_qubo(12, seed=23)
-        cfg = replace(CFG, num_gpus=3)
-        solo_solver = DABSSolver(model, cfg, seed=4)
-        packed_solver = DABSSolver(model, cfg, seed=4)
-        entries = [(1, solo_solver._generate_batch(i)) for i in range(3)]
-        solo = RoundScheduler(solo_solver.gpus).submit(entries)
-        assert packs == []
-        packed = RoundScheduler(packed_solver.gpus, pack_rows=256).submit(entries)
-        assert packs == [3]  # one super-launch of all three devices
-        assert len(packed) == 3
-        for i, (solo_done, done) in enumerate(zip(solo, packed)):
-            assert solo_done.device_id == done.device_id == i
-            assert np.array_equal(done.batch.vectors, solo_done.batch.vectors)
-            assert np.array_equal(done.batch.energies, solo_done.batch.energies)
-            assert np.array_equal(done.flips, solo_done.flips)
-
-    def test_rejects_wrong_entry_count(self):
-        sched = RoundScheduler([_FakeGPU("a")])
-        with pytest.raises(ValueError, match="expected 1 entries"):
-            sched.submit([(1, "x"), (1, "y")])
 
 
 class TestDoubleBufferedSolve:
@@ -176,3 +105,31 @@ class TestSolverLifecycle:
         with DABSSolver(model, CFG, seed=0) as solver:
             solver.solve(max_rounds=2)
             assert threading.active_count() == before
+
+
+class TestInlineExecutor:
+    def test_retry_policy_starts_no_threads(self):
+        """A direct solve is unsupervised whatever its config carries: no
+        retry timer, reaper or lane thread is started."""
+        model = random_qubo(10, seed=29)
+        cfg = replace(CFG, retry_policy=RetryPolicy(max_retries=2))
+        before = threading.active_count()
+        with DABSSolver(model, cfg, seed=0) as solver:
+            result = solver.solve(max_rounds=2)
+            assert threading.active_count() == before
+        assert result.retries == 0
+
+    def test_keyboard_interrupt_propagates_unchanged(self, monkeypatch):
+        """An interrupt inside a packed launch is the caller's: it leaves
+        ``solve()`` as itself, never as a failed job."""
+        interrupt = KeyboardInterrupt("stop")
+
+        def interrupted(self, scratch_map):
+            raise interrupt
+
+        monkeypatch.setattr(SuperLaunch, "run", interrupted)
+        model = random_qubo(10, seed=30)
+        solver = DABSSolver(model, replace(CFG, coalesce=True), seed=0)
+        with pytest.raises(KeyboardInterrupt) as caught:
+            solver.solve(max_rounds=2)
+        assert caught.value is interrupt

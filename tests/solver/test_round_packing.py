@@ -1,11 +1,13 @@
 """Packed rounds: a direct solve runs each round as fused super-launches.
 
-With coalescing on, :class:`~repro.solver.scheduler.RoundScheduler` runs
-pack-compatible devices as one :class:`~repro.engine.coalesce.SuperLaunch`
-per round (DESIGN.md §3, §12).  The contract under test: a packed solve
-is **bit-exact** against the same solve with ``coalesce=False`` — the
-result, the pools it leaves, and every device's persistent state — and
-devices that cannot pack keep launching solo.
+With coalescing on, a direct solve's one-job service puts a packable
+job's devices on one lane and runs each round's pack-compatible devices
+as one :class:`~repro.engine.coalesce.SuperLaunch` (DESIGN.md §3, §12).
+The contract under test: a packed solve is **bit-exact** against the
+same solve with ``coalesce=False`` — the result, the pools it leaves,
+and every device's persistent state — and devices that cannot pack keep
+launching solo.  A failing pack follows one rule on every path: the
+failure cases run direct and through a threaded one-job service.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ import pytest
 from repro.backends import BackendFallbackWarning
 from repro.core.packet import MainAlgorithm
 from repro.engine.coalesce import SuperLaunch
+from repro.engine.workers import WorkerError
 from repro.gpu.virtual_gpu import VirtualGPU
 from repro.resilience import ChaosConfig, chaos
 from repro.resilience.chaos import ChaosError
 from repro.search.batch import BatchSearchConfig
+from repro.service import SolveService
 from repro.solver.abs_solver import ABSSolver
 from repro.solver.dabs import DABSConfig, DABSSolver
 from tests.conftest import force_group_loop, random_qubo
@@ -59,6 +63,35 @@ def packs(monkeypatch):
 
 
 @pytest.fixture
+def passes(monkeypatch):
+    """Segment count of every one-kernel pass, in order: a super-launch
+    of a round's devices, or a device's own one-segment launch."""
+    seen: list[int] = []
+    original = SuperLaunch.execute
+
+    def execute(self, scratch_map):
+        seen.append(len(self.segments))
+        return original(self, scratch_map)
+
+    monkeypatch.setattr(SuperLaunch, "execute", execute)
+    return seen
+
+
+@pytest.fixture
+def group_loop(monkeypatch):
+    """Device name of every group-loop launch, in order."""
+    seen: list[str] = []
+    original = VirtualGPU._launch_groups
+
+    def launch_groups(self, batch):
+        seen.append(self.spec.name)
+        return original(self, batch)
+
+    monkeypatch.setattr(VirtualGPU, "_launch_groups", launch_groups)
+    return seen
+
+
+@pytest.fixture
 def solo_launches(monkeypatch):
     """Device name of every solo ``VirtualGPU.launch``, in order."""
     seen: list[str] = []
@@ -72,12 +105,21 @@ def solo_launches(monkeypatch):
     return seen
 
 
-def solve(model, cfg, coalesce, seed, solver_cls=DABSSolver, prepare=None):
-    solver = solver_cls(model, replace(cfg, coalesce=coalesce), seed=seed)
+def solve(
+    model, cfg, coalesce, seed, solver_cls=DABSSolver, prepare=None, path="direct"
+):
+    """Solve ``ROUNDS`` rounds directly, or (``path="served"``) as the
+    virtual-time job of a threaded service sized to the solver."""
+    cfg = replace(cfg, coalesce=coalesce, virtual_time=True)
+    solver = solver_cls(model, cfg, seed=seed)
     if prepare is not None:
         prepare(solver)
     with solver:
-        result = solver.solve(max_rounds=ROUNDS)
+        if path == "served":
+            with SolveService(cfg.num_gpus) as service:
+                result = solver.solve(max_rounds=ROUNDS, service=service)
+        else:
+            result = solver.solve(max_rounds=ROUNDS)
     return solver, result
 
 
@@ -156,13 +198,14 @@ class TestPackedRoundParity:
         # budget below one device still packs each device on its own
         [(8, [2, 1]), (1, [1, 1, 1])],
     )
-    def test_row_budget_splits_the_round(self, max_rows, per_round, backend, packs):
+    def test_row_budget_splits_the_round(self, max_rows, per_round, backend, passes):
         model = random_qubo(18, seed=61)
         cfg = replace(CFG, coalesce_max_rows=max_rows, backend=backend)
         solo = solve(model, cfg, False, 7)
+        del passes[:]
         packed = solve(model, cfg, True, 7)
         assert_bit_exact(*solo, *packed)
-        assert packs == per_round * ROUNDS
+        assert passes == per_round * ROUNDS
 
     def test_group_loop_devices_never_pack(self, packs, solo_launches):
         model = random_qubo(16, seed=63)
@@ -177,7 +220,7 @@ class TestPackedRoundParity:
         assert model.energy(result.best_vector) == result.best_energy
 
     def test_mixed_round_packs_only_compatible_neighbours(
-        self, packs, solo_launches
+        self, passes, group_loop
     ):
         model = random_qubo(16, seed=64)
 
@@ -185,11 +228,11 @@ class TestPackedRoundParity:
             force_group_loop(solver.gpus[1])
 
         solo = solve(model, CFG, False, 2, prepare=middle_group_loop)
-        del solo_launches[:]
+        del passes[:], group_loop[:]
         packed = solve(model, CFG, True, 2, prepare=middle_group_loop)
         assert_bit_exact(*solo, *packed)
-        assert packs == [1, 1] * ROUNDS
-        assert solo_launches == ["vgpu1"] * ROUNDS
+        assert passes == [1, 1] * ROUNDS
+        assert group_loop == ["vgpu1"] * ROUNDS
 
     def test_close_drops_the_pack_buffers(self):
         model = random_qubo(12, seed=65)
@@ -201,14 +244,15 @@ class TestPackedRoundParity:
         assert solver._pack_scratch == {}
 
 
+@pytest.mark.parametrize("path", ["direct", "served"])
 class TestPackedRoundFailures:
     def test_unknown_culprit_reruns_every_device_solo(
-        self, monkeypatch, solo_launches
+        self, monkeypatch, solo_launches, path
     ):
         """A pack that fails mid-batch committed nothing: the devices
         re-run solo and the solve stays bit-exact."""
         model = random_qubo(16, seed=66)
-        solo = solve(model, CFG, False, 4)
+        solo = solve(model, CFG, False, 4, path=path)
         original = SuperLaunch.run
         failures = [1]
 
@@ -220,12 +264,12 @@ class TestPackedRoundFailures:
 
         monkeypatch.setattr(SuperLaunch, "run", flaky)
         del solo_launches[:]
-        packed = solve(model, CFG, True, 4)
+        packed = solve(model, CFG, True, 4, path=path)
         assert_bit_exact(*solo, *packed)
         assert solo_launches == ["vgpu0", "vgpu1", "vgpu2"]
         assert not packed[1].degraded
 
-    def test_only_the_failing_device_degrades(self):
+    def test_only_the_failing_device_degrades(self, path):
         """An injected backend fault degrades exactly the device a solo
         round degrades, with the same warning and reason."""
         model = random_qubo(24, seed=5)
@@ -234,7 +278,7 @@ class TestPackedRoundFailures:
             chaos.reset()
             chaos.install(ChaosConfig(rates={"backend_raise": 1.0}, max_faults=1))
             with pytest.warns(BackendFallbackWarning) as caught:
-                solver, result = solve(model, CFG, coalesce, 0)
+                solver, result = solve(model, CFG, coalesce, 0, path=path)
             assert model.energy(result.best_vector) == result.best_energy
             warned = [
                 w for w in caught if issubclass(w.category, BackendFallbackWarning)
@@ -251,11 +295,18 @@ class TestPackedRoundFailures:
         assert outcomes[1][2] == [1, 0, 0] and outcomes[1][3] == 1
 
     @pytest.mark.parametrize("coalesce", [False, True])
-    def test_a_device_falls_back_once_per_round(self, coalesce):
+    def test_a_device_falls_back_once_per_round(self, coalesce, path):
         """A second fault on the replacement backend propagates, packed
-        or solo: the fallback chain is one link per launch."""
+        or solo: the fallback chain is one link per launch.  A direct
+        solve raises the fault itself; a served job fails with one
+        ``WorkerError`` caused by it.  Every backend call faults: with a
+        fault cap, concurrent lanes race for the second fault, and the
+        device that took the first would not reliably see it."""
         model = random_qubo(24, seed=5)
-        chaos.install(ChaosConfig(rates={"backend_raise": 1.0}, max_faults=2))
+        chaos.install(ChaosConfig(rates={"backend_raise": 1.0}))
+        expected = WorkerError if path == "served" else ChaosError
         with pytest.warns(BackendFallbackWarning):
-            with pytest.raises(ChaosError):
-                solve(model, CFG, coalesce, 0)
+            with pytest.raises(expected) as caught:
+                solve(model, CFG, coalesce, 0, path=path)
+        if path == "served":
+            assert isinstance(caught.value.__cause__, ChaosError)
