@@ -223,6 +223,17 @@ class _LaunchRecord:
         self.overdue = False
 
 
+def _segment_record(record: _LaunchRecord, seg: PackSegment) -> _LaunchRecord:
+    """One segment of *record*'s super-launch as a launch record of its
+    own, on the same lane; attempt count and failure history carry over,
+    so a segment's retry bound stays the pack's.  A split record is an
+    ordinary launch and can never re-pack, so splitting cannot loop."""
+    out = _LaunchRecord(record.lane, seg.device_id, seg.seq, seg.gpu, seg.batch, seg.tag)
+    out.attempts = record.attempts
+    out.failures = list(record.failures)
+    return out
+
+
 def _fault_key(tag: object) -> object:
     """The per-job failure-budget key of a submission tag.
 
@@ -435,7 +446,7 @@ class FleetWorkerGroup:
                 raise outcome.exc
         self._completions.put((ticket, outcomes))
 
-    def _run_pack(self, pack: SuperLaunch, scratch: dict, degraded=frozenset()):
+    def _run_pack(self, pack: SuperLaunch, scratch: dict, degraded=None):
         """Run *pack* on this lane's thread under the one pack-fault rule
         (DESIGN.md §11); one outcome per segment: its completion, or a
         :class:`_Failure` charged to that segment's job alone.  A failed
@@ -447,8 +458,10 @@ class FleetWorkerGroup:
         try:
             return run_launch(pack, scratch)
         except Exception as exc:
-            with self._records_lock:
-                self.pack_splits += 1
+            if degraded is None:  # a submitted pack, not one of its re-plans
+                with self._records_lock:
+                    self.pack_splits += 1
+                degraded = frozenset()
             culprit = pack.culprit
             if culprit is None:
                 return [_run_solo(seg) for seg in pack.segments]
@@ -508,10 +521,7 @@ class FleetWorkerGroup:
             if not isinstance(outcome, _Failure):
                 self._ready.append(outcome)
                 continue
-            seg = outcome.segment
-            seg_record = _LaunchRecord(
-                record.lane, seg.device_id, seg.seq, seg.gpu, seg.batch, seg.tag
-            )
+            seg_record = _segment_record(record, outcome.segment)
             try:
                 self._handle_fault(seg_record, outcome.detail, "launch", outcome.exc)
             except WorkerError as err:
@@ -530,22 +540,6 @@ class FleetWorkerGroup:
         return ready
 
     # -- supervision -------------------------------------------------------
-    def _split_pack(self, record: _LaunchRecord) -> list[_LaunchRecord]:
-        """A failed super-launch's segments as individual launch records.
-
-        Attempt counts and failure history carry over; split records are
-        ordinary launches and can never re-pack, so splitting cannot loop.
-        """
-        out = []
-        for seg in record.gpu.segments:
-            seg_record = _LaunchRecord(
-                record.lane, seg.device_id, seg.seq, seg.gpu, seg.batch, seg.tag
-            )
-            seg_record.attempts = record.attempts
-            seg_record.failures = list(record.failures)
-            out.append(seg_record)
-        return out
-
     def _handle_pack_fault(self, record: _LaunchRecord, detail: str) -> None:
         """Absorb a failed pack of several jobs: re-issue the segments solo.
 
@@ -558,8 +552,8 @@ class FleetWorkerGroup:
         record.failures.append(detail)
         with self._records_lock:
             self.pack_splits += 1
-        for seg_record in self._split_pack(record):
-            self._submit_record(seg_record)
+        for seg in record.gpu.segments:
+            self._submit_record(_segment_record(record, seg))
         return None
 
     def _handle_fault(self, record: _LaunchRecord, detail: str, kind: str, cause=None) -> None:
@@ -746,7 +740,7 @@ class FleetWorkerGroup:
                 # an overdue super-launch hung every job riding it: split
                 # and charge each segment, exactly as the solo hang would
                 split = (
-                    self._split_pack(record)
+                    [_segment_record(record, seg) for seg in record.gpu.segments]
                     if isinstance(record.gpu, SuperLaunch)
                     else [record]
                 )
@@ -786,8 +780,8 @@ class FleetWorkerGroup:
         so each riding job fails individually with its own tag."""
         if isinstance(record.gpu, SuperLaunch):
             return [
-                self._hang_error(seg_record, detail)
-                for seg_record in self._split_pack(record)
+                self._hang_error(_segment_record(record, seg), detail)
+                for seg in record.gpu.segments
             ]
         return [self._hang_error(record, detail)]
 

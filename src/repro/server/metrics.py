@@ -373,7 +373,7 @@ def render_prometheus(metrics: ServerMetrics, snapshot) -> str:
         emit(
             "repro_coalesce_pack_splits_total",
             "counter",
-            "Failed packs split back into solo launches.",
+            "Failed packs split or re-planned, once per submitted pack.",
             [({}, coalesce.pack_splits)],
         )
         emit(

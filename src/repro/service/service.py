@@ -948,6 +948,7 @@ def _solve_inline(solver: DABSSolver, limits: SolveLimits) -> SolveResult:
     cfg = replace(solver.config, virtual_time=True)
     # priority 0, share 1, no callback; the queue is unbounded
     handle = service._enqueue(None, solver, cfg, limits, 0, 1.0, None, True, None)
+    handle.set_listener(lambda update: None)  # no one reads its incumbent stream
     try:
         while not handle.done():
             service._step(0.0)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends import prepare_problem
+from repro.backends import BackendFallbackWarning, prepare_problem
 from repro.core.packet import MainAlgorithm, PacketBatch
 from repro.core.qubo import QUBOModel
 from repro.core.rng import host_generator
@@ -322,3 +322,36 @@ class TestWorkerPacking:
         assert len(errors) == 1
         assert errors[0].tag == ("job1", 1)
         assert errors[0].report is not None and errors[0].report.fatal
+
+    def test_culprit_keeps_the_pack_retry_bound(self, monkeypatch):
+        """A segment the pack-fault rule fails keeps its pack's attempt
+        count and failure history: a one-job pack already retried once
+        leaves its culprit no retry under ``max_retries=1``.  The culprit
+        degrades, faults again in its re-planned pack and fails alone;
+        the failed pack counts as one split, not one per re-plan."""
+        chaos.install(ChaosConfig(rates={"launch_exception": 1.0}, seed=0, max_faults=1))
+        gpus = make_fleet("numpy-dense", 20, 4, 2)
+        gpus[1].allow_fallback = True
+        batches = [make_batch(20, 4, ALL_ALGS, seed=j) for j in range(2)]
+        original = SuperLaunch.run
+
+        def device1_faults(self, scratch_map):
+            for seg in self.segments:
+                if seg.device_id == 1:
+                    self.culprit = seg
+                    raise RuntimeError("kernel fault on device 1")
+            return original(self, scratch_map)
+
+        monkeypatch.setattr(SuperLaunch, "run", device1_faults)
+        retry = RetryPolicy(max_retries=1, backoff_base=0.0)
+        with FleetWorkerGroup(1, retry=retry) as group:
+            segments = [PackSegment(j, 1, gpus[j], batches[j], ("job", j)) for j in range(2)]
+            group.submit_packed(0, segments)
+            with pytest.warns(BackendFallbackWarning):
+                completions, errors = collect(group, 2)
+            assert group.pack_splits == 1
+        assert gpus[1].backend_fallbacks == 1
+        assert [c.device_id for c in completions] == [0]
+        assert len(errors) == 1 and errors[0].tag == ("job", 1)
+        report = errors[0].report
+        assert report.attempts == 2 and len(report.details) == 2

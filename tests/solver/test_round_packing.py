@@ -299,11 +299,14 @@ class TestPackedRoundFailures:
         """A second fault on the replacement backend propagates, packed
         or solo: the fallback chain is one link per launch.  A direct
         solve raises the fault itself; a served job fails with one
-        ``WorkerError`` caused by it.  Every backend call faults: with a
-        fault cap, concurrent lanes race for the second fault, and the
-        device that took the first would not reliably see it."""
+        ``WorkerError`` caused by it.  The direct solve gets two faults,
+        so a second fallback in one launch would absorb the second and
+        finish.  A served job gets a fault on every backend call: with a
+        fault cap, its concurrent lanes race for the second fault, and
+        the device that took the first would not reliably see it."""
         model = random_qubo(24, seed=5)
-        chaos.install(ChaosConfig(rates={"backend_raise": 1.0}))
+        max_faults = None if path == "served" else 2
+        chaos.install(ChaosConfig(rates={"backend_raise": 1.0}, max_faults=max_faults))
         expected = WorkerError if path == "served" else ChaosError
         with pytest.warns(BackendFallbackWarning):
             with pytest.raises(expected) as caught:
