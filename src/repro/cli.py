@@ -9,7 +9,6 @@ Usage::
                            [--backend auto|numpy-dense|numpy-sparse|numba|cuda]
                            [--islands N] [--topology ring|all]
                            [--migration-period M] [--migration-k K]
-                           [--transport queue|slab]
 
     python -m repro serve [--gpus G] [--blocks B] [--max-queue Q]
                           [--islands N] ...
@@ -108,10 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--migration-k", type=int, default=4, metavar="K",
         help="elites each island publishes per migration (default: 4)",
     )
-    parser.add_argument(
-        "--transport", choices=("queue", "slab"), default="queue",
-        help="inter-island migration transport (default: queue)",
-    )
     return parser
 
 
@@ -147,7 +142,6 @@ def _solve(model: QUBOModel, args) -> tuple[np.ndarray, int, str]:
             with Federation(
                 args.islands,
                 topology=args.topology,
-                transport=args.transport,
                 migration_period=period,
                 migration_k=args.migration_k,
                 default_config=config,

@@ -18,16 +18,10 @@ Two representations:
   of HPC message passing), never Python objects.
 * :class:`Packet` — host-side dataclass view of one row, kept as a thin
   compatibility surface for tests, examples and scalar reference paths.
-* :class:`SharedBatchSlab` — the same SoA columns placed in one anonymous
-  shared ``mmap`` so a forked device-worker process and the host read and
-  write the *same* physical pages (DESIGN.md §7).  Crossing the process
-  boundary moves only a tiny ``(seq, slot)`` message through a queue —
-  no column is ever pickled.
 """
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -38,7 +32,6 @@ __all__ = [
     "GeneticOp",
     "Packet",
     "PacketBatch",
-    "SharedBatchSlab",
     "VOID_ENERGY",
 ]
 
@@ -186,95 +179,3 @@ class PacketBatch:
                 self.algorithms == alg
             )
         return groups
-
-
-class SharedBatchSlab:
-    """One launch slot of :class:`PacketBatch` columns in shared memory.
-
-    The columns live in a single anonymous ``MAP_SHARED`` mmap, so a child
-    process forked *after* allocation sees the very same pages — host and
-    device worker exchange whole batches by writing columns in place and
-    passing only ``(seq, slot)`` through a queue (the pickle-free process
-    boundary of DESIGN.md §7).  An extra ``flips`` int64 column rides along
-    so the device can report per-lane flip counts without a message payload.
-
-    Layout (one contiguous block, 8-byte fields first so the int64 views
-    stay aligned)::
-
-        energies  B × int64
-        flips     B × int64
-        vectors   B × n × uint8
-        algorithms B × uint8
-        operations B × uint8
-
-    Anonymous mmaps need no named-segment cleanup: the mapping disappears when the last
-    reference (parent or forked child) drops, so worker crashes can never
-    leak ``/dev/shm`` segments the way named shared memory can.
-    """
-
-    __slots__ = (
-        "batch_size",
-        "n",
-        "_mmap",
-        "vectors",
-        "energies",
-        "algorithms",
-        "operations",
-        "flips",
-    )
-
-    def __init__(self, batch_size: int, n: int) -> None:
-        if batch_size < 1 or n < 1:
-            raise ValueError("batch_size and n must be >= 1")
-        self.batch_size = batch_size
-        self.n = n
-        size = 16 * batch_size + batch_size * n + 2 * batch_size
-        self._mmap = mmap.mmap(-1, size)
-        buf = memoryview(self._mmap)
-        off = 0
-        self.energies = np.frombuffer(buf, np.int64, batch_size, offset=off)
-        off += 8 * batch_size
-        self.flips = np.frombuffer(buf, np.int64, batch_size, offset=off)
-        off += 8 * batch_size
-        self.vectors = np.frombuffer(
-            buf, np.uint8, batch_size * n, offset=off
-        ).reshape(batch_size, n)
-        off += batch_size * n
-        self.algorithms = np.frombuffer(buf, np.uint8, batch_size, offset=off)
-        off += batch_size
-        self.operations = np.frombuffer(buf, np.uint8, batch_size, offset=off)
-
-    def store(self, batch: PacketBatch) -> None:
-        """Copy *batch*'s columns into the shared pages (host → device)."""
-        if len(batch) != self.batch_size or batch.n != self.n:
-            raise ValueError(
-                f"batch is ({len(batch)}, {batch.n}), "
-                f"slab is ({self.batch_size}, {self.n})"
-            )
-        self.vectors[:] = batch.vectors
-        self.energies[:] = batch.energies
-        self.algorithms[:] = batch.algorithms
-        self.operations[:] = batch.operations
-
-    def store_result(self, batch: PacketBatch, flips: np.ndarray) -> None:
-        """Copy a launch result plus its flip counts in (device → host)."""
-        self.store(batch)
-        self.flips[:] = flips
-
-    def batch(self) -> PacketBatch:
-        """A zero-copy :class:`PacketBatch` aliasing the shared columns."""
-        return PacketBatch(
-            self.vectors, self.energies, self.algorithms, self.operations
-        )
-
-    def snapshot(self) -> tuple[PacketBatch, np.ndarray]:
-        """Private copies of the result columns (safe after slot reuse)."""
-        return (
-            PacketBatch(
-                self.vectors.copy(),
-                self.energies.copy(),
-                self.algorithms.copy(),
-                self.operations.copy(),
-            ),
-            self.flips.copy(),
-        )

@@ -3,8 +3,8 @@ periodic elite migration (DESIGN.md §9).
 
 :class:`Federation` owns N island processes — each a full
 :class:`~repro.service.SolveService` over its own fleet — fans jobs out
-as per-island shards, exchanges top-K elites through a pluggable
-transport every ``migration_period`` launches, and merges the shard
+as per-island shards, exchanges top-K elites through per-edge
+queues every ``migration_period`` launches, and merges the shard
 results into one :class:`~repro.solver.result.SolveResult`.
 """
 
@@ -15,12 +15,7 @@ from repro.federation.federation import (
     FederationHandle,
     solve,
 )
-from repro.federation.transport import (
-    TOPOLOGIES,
-    TRANSPORTS,
-    MigrationMessage,
-    make_transport,
-)
+from repro.federation.transport import TOPOLOGIES, MigrationMessage
 from repro.federation.worker import SOLVER_REGISTRY, island_seed
 
 __all__ = [
@@ -31,8 +26,6 @@ __all__ = [
     "PROCESS_NAME_PREFIX",
     "SOLVER_REGISTRY",
     "TOPOLOGIES",
-    "TRANSPORTS",
     "island_seed",
-    "make_transport",
     "solve",
 ]

@@ -8,8 +8,8 @@ its own fleet, pools and GIL — connected in a migration topology.  A
 submitted job fans out as one shard per island (same model and config,
 per-island RNG streams via :func:`~repro.federation.worker.island_seed`,
 an even split of the aggregate launch budget), the islands exchange
-top-K elites every ``migration_period`` launches through the transport
-seam (:mod:`repro.federation.transport`), and the controller merges the
+top-K elites every ``migration_period`` launches through per-edge queues
+(:mod:`repro.federation.transport`), and the controller merges the
 island results into one :class:`~repro.solver.result.SolveResult`.
 
 Lifecycle: islands fork lazily on the first submit and live until
@@ -54,11 +54,12 @@ from dataclasses import replace
 import numpy as np
 
 from repro.core.packet import VOID_ENERGY
-from repro.federation.transport import TOPOLOGIES, TRANSPORTS, make_transport
+from repro.federation.transport import TOPOLOGIES, QueueTransport
 from repro.federation.worker import SOLVER_REGISTRY, island_main, island_seed
 from repro.ga.adaptive import SelectionCounters
 from repro.service.job import IncumbentUpdate, JobHandle, JobStatus
 from repro.service.service import ServiceClosedError, ServiceOverloadedError
+from repro.service.stats import FederationStats, ServiceStats
 from repro.solver.dabs import DABSConfig, require_integer_weights
 from repro.solver.result import SolveResult
 from repro.solver.termination import SolveLimits
@@ -162,7 +163,6 @@ class Federation:
         islands: int = 2,
         *,
         topology: str = "ring",
-        transport: str = "queue",
         migration_period: int | None = 16,
         migration_k: int = 4,
         default_config: DABSConfig | None = None,
@@ -170,7 +170,6 @@ class Federation:
         lane_depth: int = 2,
         seed: int | None = None,
         max_queue: int | None = None,
-        slab_vars: int = 4096,
         island_timeout: float | None = None,
         on_island_failure: str = "degrade",
         migration_timeout: float | None = None,
@@ -190,20 +189,16 @@ class Federation:
             raise ValueError(
                 f"unknown topology {topology!r} (known: {', '.join(TOPOLOGIES)})"
             )
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r} "
-                f"(known: {', '.join(TRANSPORTS)})"
-            )
         if migration_period is not None and migration_period < 1:
             raise ValueError("migration_period must be >= 1 or None")
         if migration_k < 1:
             raise ValueError("migration_k must be >= 1")
         if max_queue is not None and max_queue < 1:
             raise ValueError("max_queue must be >= 1 or None")
+        if lane_depth < 1:
+            raise ValueError("lane_depth must be >= 1")
         self.num_islands = islands
         self.topology = topology
-        self.transport_name = transport
         self.migration_period = migration_period
         self.migration_k = migration_k
         self.devices = (
@@ -218,7 +213,6 @@ class Federation:
             num_gpus=self.devices, blocks_per_gpu=8, pool_capacity=20
         )
         self.max_queue = max_queue
-        self.slab_vars = slab_vars
         self.island_timeout = island_timeout
         self.on_island_failure = on_island_failure
         self.migration_timeout = migration_timeout
@@ -239,7 +233,9 @@ class Federation:
         self._dead_islands: set[int] = set()
         self._last_seen: dict[int, float] = {}
         self._watchdog: threading.Thread | None = None
-        self._watchdog_stop = threading.Event()
+        #: set once close() has drained and sends "stop": from then on an
+        #: island's EOF is an orderly exit, not a loss
+        self._stopping = threading.Event()
 
     # -- lifecycle ---------------------------------------------------------
     def _ensure_running_locked(self) -> None:
@@ -253,13 +249,8 @@ class Federation:
                 "(POSIX only)"
             ) from exc
         if self.num_islands > 1:
-            self._transport = make_transport(
-                self.transport_name,
-                ctx,
-                self.num_islands,
-                self.topology,
-                migration_k=self.migration_k,
-                slab_vars=self.slab_vars,
+            self._transport = QueueTransport(
+                ctx, self.num_islands, self.topology
             )
         base_seed = int(self._rng.integers(2**63))
         for island in range(self.num_islands):
@@ -318,10 +309,10 @@ class Federation:
         its reader thread sees EOF and the normal island-loss path
         (:meth:`_on_island_exit`) takes over."""
         period = max(0.05, self.island_timeout / 4.0)
-        while not self._watchdog_stop.wait(period):
+        while not self._stopping.wait(period):
             now = time.monotonic()
             with self._lock:
-                if self._closing or not self._processes:
+                if not self._processes:
                     return
                 stale = [
                     (island, self._processes[island])
@@ -356,7 +347,7 @@ class Federation:
                 self._request_cancel(job.id)
         for job in outstanding:
             job.handle.wait()
-        self._watchdog_stop.set()
+        self._stopping.set()
         for island in range(len(self._cmd_conns)):
             self._send(island, ("stop",))
         for process in self._processes:
@@ -537,33 +528,24 @@ class Federation:
         return [handle.result() for handle in handles]
 
     # -- introspection -----------------------------------------------------
-    def stats_snapshot(self):
+    def stats_snapshot(self) -> FederationStats:
         """Typed federation snapshot (DESIGN.md §13): the controller state
-        plus one :class:`~repro.service.stats.ServiceStats` per island —
-        the structure the Prometheus exporter and tests read, of which
-        :meth:`stats` is the dict projection."""
-        from repro.service.stats import FederationStats
-
-        return FederationStats.from_dict(self.stats())
-
-    def stats(self) -> dict:
-        """Federation-wide snapshot: controller state plus each island's
-        service stats (lanes, queues, cache and per-lane utilization)."""
+        plus one :class:`~repro.service.stats.ServiceStats` per island
+        (``None`` for a dead or silent island) — the structure the
+        Prometheus exporter and tests read."""
         with self._lock:
-            snapshot = {
-                "islands": self.num_islands,
-                "topology": self.topology,
-                "transport": self.transport_name,
-                "migration_period": self.migration_period,
-                "migration_k": self.migration_k,
-                "outstanding": len(self._jobs),
-                "running": bool(self._processes),
-                "healthy": all(p.is_alive() for p in self._processes),
-                "dead_islands": sorted(self._dead_islands),
-            }
+            controller = dict(
+                islands=self.num_islands,
+                topology=self.topology,
+                migration_period=self.migration_period,
+                migration_k=self.migration_k,
+                outstanding=len(self._jobs),
+                running=bool(self._processes),
+                healthy=all(p.is_alive() for p in self._processes),
+                dead_islands=tuple(sorted(self._dead_islands)),
+            )
             if not self._processes:
-                snapshot["island_stats"] = []
-                return snapshot
+                return FederationStats(**controller)
             live = [
                 island
                 for island in range(self.num_islands)
@@ -584,20 +566,19 @@ class Federation:
             pending["event"].clear()
         with self._lock:
             self._stats_pending.pop(request_id, None)
-        island_stats = [
-            pending["payloads"].get(i) for i in range(self.num_islands)
-        ]
-        snapshot["island_stats"] = island_stats
-        snapshot["devices"] = sum(
-            s["devices"] for s in island_stats if s is not None
+        payloads = [pending["payloads"].get(i) for i in range(self.num_islands)]
+        return FederationStats(
+            **controller,
+            island_stats=tuple(
+                ServiceStats.from_dict(p) if p is not None else None
+                for p in payloads
+            ),
         )
-        snapshot["lane_launches"] = [
-            lane
-            for s in island_stats
-            if s is not None
-            for lane in s["lane_launches"]
-        ]
-        return snapshot
+
+    def stats(self) -> dict:
+        """Federation-wide snapshot as a dict: controller state plus each
+        island's service stats (the wire layout of :meth:`stats_snapshot`)."""
+        return self.stats_snapshot().to_dict()
 
     # -- cancellation ------------------------------------------------------
     def _request_cancel(self, job_id: str) -> None:
@@ -730,7 +711,7 @@ class Federation:
         notify: list[int] = []
         cancels: list[str] = []
         with self._lock:
-            if self._closing or island in self._dead_islands:
+            if self._stopping.is_set() or island in self._dead_islands:
                 return
             self._dead_islands.add(island)
             degrade = self.on_island_failure == "degrade"
@@ -907,7 +888,6 @@ def solve(
     seed: int | None = None,
     *,
     topology: str = "ring",
-    transport: str = "queue",
     migration_period: int | None = 16,
     migration_k: int = 4,
     island_timeout: float | None = None,
@@ -920,7 +900,6 @@ def solve(
     with Federation(
         islands,
         topology=topology,
-        transport=transport,
         migration_period=migration_period,
         migration_k=migration_k,
         default_config=config,

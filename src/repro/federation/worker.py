@@ -620,7 +620,7 @@ def island_main(
                     if job is not None:
                         job.extra += message[2]
                 elif op == "stats":
-                    emit(("stats", message[1], {"island": island, **service.stats()}))
+                    emit(("stats", message[1], service.stats()))
                 elif op == "stop":
                     break
             for job in jobs.values():

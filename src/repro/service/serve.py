@@ -113,12 +113,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="elites each island publishes per migration",
     )
     parser.add_argument(
-        "--transport",
-        choices=("queue", "slab"),
-        default="queue",
-        help="inter-island migration transport (federation mode only)",
-    )
-    parser.add_argument(
         "--coalesce",
         choices=("on", "off", "auto"),
         default="auto",
@@ -205,7 +199,6 @@ def _build_service(args):
         return Federation(
             args.islands,
             topology=args.topology,
-            transport=args.transport,
             migration_period=(
                 args.migration_period if args.migration_period > 0 else None
             ),

@@ -159,7 +159,6 @@ class FederationStats:
 
     islands: int = 0
     topology: str = "ring"
-    transport: str = "queue"
     migration_period: int | None = None
     migration_k: int = 0
     outstanding: int = 0
@@ -236,11 +235,10 @@ class FederationStats:
         )
 
     def to_dict(self) -> dict:
-        """The legacy ``Federation.stats()`` dict layout, verbatim."""
+        """The ``Federation.stats()`` dict layout (the wire form)."""
         return {
             "islands": self.islands,
             "topology": self.topology,
-            "transport": self.transport,
             "migration_period": self.migration_period,
             "migration_k": self.migration_k,
             "outstanding": self.outstanding,
@@ -260,7 +258,6 @@ class FederationStats:
         return cls(
             islands=int(data.get("islands", 0)),
             topology=str(data.get("topology", "ring")),
-            transport=str(data.get("transport", "queue")),
             migration_period=data.get("migration_period"),
             migration_k=int(data.get("migration_k", 0)),
             outstanding=int(data.get("outstanding", 0)),

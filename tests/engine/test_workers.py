@@ -1,14 +1,13 @@
-"""Tests for the fleet worker group and the shared-memory batch slabs."""
+"""Tests for the fleet worker group."""
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
 
 import numpy as np
 import pytest
 
-from repro.core.packet import PacketBatch, SharedBatchSlab
+from repro.core.packet import PacketBatch
 from repro.core.rng import host_generator
 from repro.engine.coalesce import PackSegment
 from repro.engine.workers import (
@@ -54,65 +53,6 @@ def collect_all(group, count, timeout=30.0):
         assert comp is not None, "worker timed out"
         out.append(comp)
     return out
-
-
-class TestSharedBatchSlab:
-    def test_store_and_view_roundtrip(self):
-        slab = SharedBatchSlab(B, N)
-        batch = make_batch()
-        slab.store(batch)
-        view = slab.batch()
-        assert np.array_equal(view.vectors, batch.vectors)
-        assert np.array_equal(view.energies, batch.energies)
-        assert np.array_equal(view.algorithms, batch.algorithms)
-        assert np.array_equal(view.operations, batch.operations)
-
-    def test_view_is_zero_copy(self):
-        """The PacketBatch aliases the shared pages — a write through the
-        view must land in the slab (that is the whole point)."""
-        slab = SharedBatchSlab(B, N)
-        slab.store(make_batch())
-        view = slab.batch()
-        view.vectors[0, 0] ^= 1
-        assert slab.vectors[0, 0] == view.vectors[0, 0]
-
-    def test_snapshot_is_a_copy(self):
-        slab = SharedBatchSlab(B, N)
-        slab.store(make_batch())
-        slab.flips[:] = 5
-        batch, flips = slab.snapshot()
-        slab.vectors[:] = 0
-        slab.flips[:] = 0
-        assert batch.vectors.any()
-        assert (flips == 5).all()
-
-    def test_shape_mismatch_rejected(self):
-        slab = SharedBatchSlab(B, N)
-        with pytest.raises(ValueError, match="slab is"):
-            slab.store(
-                PacketBatch.void(
-                    np.zeros((B, N + 1), dtype=np.uint8),
-                    np.zeros(B, dtype=np.uint8),
-                    np.zeros(B, dtype=np.uint8),
-                )
-            )
-
-    def test_visible_across_fork(self):
-        """A forked child's writes must be visible to the parent."""
-        slab = SharedBatchSlab(B, N)
-        slab.vectors[:] = 0
-        ctx = multiprocessing.get_context("fork")
-
-        def child():
-            slab.vectors[:] = 9
-            slab.energies[:] = -42
-
-        proc = ctx.Process(target=child)
-        proc.start()
-        proc.join(timeout=10)
-        assert proc.exitcode == 0
-        assert (slab.vectors == 9).all()
-        assert (slab.energies == -42).all()
 
 
 class TestFleetWorkerGroup:

@@ -7,7 +7,7 @@ The two contracts under test (DESIGN.md §9):
   merged result, the final pools and the per-device RNG lanes;
 * **migration determinism** — with fixed seeds and ``virtual_time``, two
   identical federated runs produce identical merged pools and results,
-  for the ring and all-to-all topologies, over both live transports.
+  for the ring and all-to-all topologies.
 """
 
 from __future__ import annotations
@@ -99,12 +99,11 @@ class TestSingleIslandIdentity:
         assert all(0 <= s < 2**63 for s in derived)
 
 
-def run_federated(topology, transport, *, islands=3, launches=18):
+def run_federated(topology, *, islands=3, launches=18):
     model = random_qubo(24, seed=9)
     with Federation(
         islands,
         topology=topology,
-        transport=transport,
         migration_period=3,
         migration_k=3,
         default_config=vt_config(),
@@ -132,21 +131,13 @@ class TestMigrationDeterminism:
     def test_identical_runs_produce_identical_pools(self, topology):
         """Fixed seeds + virtual_time: reruns are bit-identical, island
         by island, pool by pool."""
-        _, _, first = run_federated(topology, "queue")
-        _, _, second = run_federated(topology, "queue")
+        _, _, first = run_federated(topology)
+        _, _, second = run_federated(topology)
         assert first == second
         assert leaked_islands() == []
 
-    @pytest.mark.parametrize("topology", ["ring", "all"])
-    def test_slab_transport_matches_queue(self, topology):
-        """The transport is a pure carrier: swapping pickled queues for
-        shared-memory slabs changes nothing observable."""
-        _, _, queued = run_federated(topology, "queue")
-        _, _, slabbed = run_federated(topology, "slab")
-        assert queued == slabbed
-
     def test_migration_actually_moves_elites(self):
-        result, reports, _ = run_federated("ring", "queue")
+        result, reports, _ = run_federated("ring")
         model = random_qubo(24, seed=9)
         assert model.energy(result.best_vector) == result.best_energy
         assert result.launches == 18
@@ -278,10 +269,65 @@ class TestStatsAndValidation:
             Federation(0)
         with pytest.raises(ValueError, match="topology"):
             Federation(2, topology="torus")
-        with pytest.raises(ValueError, match="transport"):
-            Federation(2, transport="carrier-pigeon")
         with pytest.raises(ValueError, match="migration_period"):
             Federation(2, migration_period=0)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("migration_k", 0),
+            ("max_queue", 0),
+            ("devices", 0),
+            ("island_timeout", 0),
+            ("migration_timeout", 0),
+            ("on_island_failure", "panic"),
+        ],
+    )
+    def test_rejects_out_of_range_parameter(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            Federation(2, **{name: value})
+
+    def test_stats_before_spawn_report_the_controller_alone(self):
+        federation = Federation(2, default_config=vt_config())
+        stats = federation.stats()
+        federation.close()
+        assert stats == {
+            "islands": 2,
+            "topology": "ring",
+            "migration_period": 16,
+            "migration_k": 4,
+            "outstanding": 0,
+            "running": False,
+            "healthy": True,
+            "dead_islands": [],
+            "island_stats": [],
+            "devices": 0,
+            "lane_launches": [],
+        }
+        assert leaked_islands() == []
+
+    def test_rejects_lane_depth_below_one_before_forking(self, monkeypatch):
+        """Each island's SolveService refuses ``lane_depth < 1``; the
+        federation must refuse it at construction, not fork islands that
+        die on it."""
+        started = []
+        process_cls = mp.get_context("fork").Process
+        start = process_cls.start
+
+        def recording_start(process):
+            started.append(process.name)
+            start(process)
+
+        monkeypatch.setattr(process_cls, "start", recording_start)
+        with pytest.raises(ValueError, match="lane_depth must be >= 1"):
+            with Federation(
+                2, lane_depth=0, default_config=vt_config(), seed=0
+            ) as federation:
+                federation.submit(
+                    random_qubo(8, seed=0), seed=1, max_rounds=2
+                ).result(timeout=60)
+        assert not [n for n in started if n.startswith(PROCESS_NAME_PREFIX)]
+        assert leaked_islands() == []
 
     def test_submit_requires_some_limit(self):
         federation = Federation(2, default_config=vt_config())

@@ -1,4 +1,4 @@
-"""Migration transport seam: topologies, message flow, slab rings."""
+"""Migration transport: topologies and per-edge queue message flow."""
 
 from __future__ import annotations
 
@@ -10,9 +10,7 @@ import pytest
 from repro.federation.transport import (
     MigrationMessage,
     QueueTransport,
-    SlabTransport,
     in_neighbors,
-    make_transport,
     out_neighbors,
     topology_edges,
 )
@@ -63,6 +61,26 @@ class TestTopologies:
         assert out_neighbors("ring", 3, 2) == [0]
         assert in_neighbors("ring", 3, 2) == [1]
 
+    @pytest.mark.parametrize("islands", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("topology", ["ring", "all"])
+    def test_neighbors_partition_the_edges(self, topology, islands):
+        """Every directed edge is listed once, never a self-loop, and is
+        exactly one out-neighbor and one in-neighbor entry."""
+        edges = topology_edges(topology, islands)
+        assert len(set(edges)) == len(edges)
+        assert all(s != d for s, d in edges)
+        outgoing = {
+            (i, d)
+            for i in range(islands)
+            for d in out_neighbors(topology, islands, i)
+        }
+        incoming = {
+            (s, i)
+            for i in range(islands)
+            for s in in_neighbors(topology, islands, i)
+        }
+        assert outgoing == set(edges) == incoming
+
     def test_unknown_topology_raises(self):
         with pytest.raises(ValueError, match="unknown topology"):
             topology_edges("torus", 4)
@@ -79,65 +97,47 @@ class TestQueueTransport:
         assert_same(message, received)
         transport.close()
 
-    def test_recv_timeout_returns_none(self):
+    def test_done_sentinel_carries_no_columns(self):
         ctx = mp.get_context("fork")
         transport = QueueTransport(ctx, 2, "ring")
-        assert transport.endpoint(1).recv(0, timeout=0.05) is None
-        transport.close()
-
-
-class TestSlabTransport:
-    def test_roundtrip_through_shared_pages(self):
-        ctx = mp.get_context("fork")
-        transport = SlabTransport(ctx, 2, "ring", migration_k=4, slab_vars=16)
-        sender, receiver = transport.endpoint(0), transport.endpoint(1)
-        message = elites(src=0, rows=4, n=16)
-        sender.send(1, message)
-        received = receiver.recv(0, timeout=5.0)
-        assert_same(message, received)
-        transport.close()
-
-    def test_slot_recycles_across_many_sends(self):
-        ctx = mp.get_context("fork")
-        transport = SlabTransport(ctx, 2, "ring", migration_k=2, slab_vars=8)
-        sender, receiver = transport.endpoint(0), transport.endpoint(1)
-        for epoch in range(3 * SlabTransport.DEPTH):
-            message = elites(src=0, epoch=epoch, rows=2, n=8, seed=epoch)
-            sender.send(1, message)
-            assert_same(message, receiver.recv(0, timeout=5.0))
-        transport.close()
-
-    def test_oversized_payload_falls_back_inline(self):
-        ctx = mp.get_context("fork")
-        transport = SlabTransport(ctx, 2, "ring", migration_k=2, slab_vars=4)
-        sender, receiver = transport.endpoint(0), transport.endpoint(1)
-        message = elites(src=0, rows=2, n=64)  # wider than the slab pages
-        sender.send(1, message)
-        assert_same(message, receiver.recv(0, timeout=5.0))
-        transport.close()
-
-    def test_done_sentinel_travels_inline(self):
-        ctx = mp.get_context("fork")
-        transport = SlabTransport(ctx, 2, "ring", migration_k=2, slab_vars=8)
         transport.endpoint(0).send(1, MigrationMessage.done("j", 0, -1))
         received = transport.endpoint(1).recv(0, timeout=5.0)
         assert received.kind == "done" and received.vectors is None
         transport.close()
 
-
-class TestRegistry:
-    def test_make_transport_resolves_names(self):
+    def test_edge_preserves_send_order(self):
         ctx = mp.get_context("fork")
-        assert isinstance(make_transport("queue", ctx, 2, "ring"), QueueTransport)
-        slab = make_transport("slab", ctx, 2, "ring", migration_k=2, slab_vars=8)
-        assert isinstance(slab, SlabTransport)
+        transport = QueueTransport(ctx, 2, "ring")
+        sender, receiver = transport.endpoint(0), transport.endpoint(1)
+        sent = [elites(src=0, epoch=e, seed=e) for e in range(8)]
+        for message in sent:
+            sender.send(1, message)
+        for message in sent:
+            assert_same(message, receiver.recv(0, timeout=5.0))
+        transport.close()
 
-    def test_unknown_transport_raises(self):
+    @pytest.mark.parametrize("topology", ["ring", "all"])
+    def test_forked_island_sends_over_inherited_queue(self, topology):
+        """The queues are built before the fork and inherited: elites a
+        forked island sends arrive intact at the receiving endpoint."""
         ctx = mp.get_context("fork")
-        with pytest.raises(ValueError, match="unknown transport"):
-            make_transport("carrier-pigeon", ctx, 2, "ring")
+        transport = QueueTransport(ctx, 3, topology)
+        message = elites(src=2, n=64)
+        dst = out_neighbors(topology, 3, 2)[0]
 
-    def test_socket_is_not_a_transport(self):
+        def island():
+            transport.endpoint(2).send(dst, message)
+
+        child = ctx.Process(target=island)
+        child.start()
+        received = transport.endpoint(dst).recv(2, timeout=10.0)
+        child.join(10.0)
+        assert child.exitcode == 0
+        assert_same(message, received)
+        transport.close()
+
+    def test_recv_timeout_returns_none(self):
         ctx = mp.get_context("fork")
-        with pytest.raises(ValueError, match="unknown transport 'socket'"):
-            make_transport("socket", ctx, 2, "ring")
+        transport = QueueTransport(ctx, 2, "ring")
+        assert transport.endpoint(1).recv(0, timeout=0.05) is None
+        transport.close()

@@ -11,6 +11,8 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import signal
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -81,6 +83,27 @@ class TestIslandLoss:
             handle = federation.submit(model, seed=3, max_launches=20)
             with pytest.raises(FederationError, match="islands lost"):
                 handle.result(timeout=60)
+        assert leaked_islands() == []
+
+    def test_islands_lost_while_close_drains_fail_the_job(self):
+        """close() drains outstanding jobs before it stops the islands;
+        islands that die during the drain fail the job instead of
+        leaving close() waiting on it forever."""
+        model = random_qubo(20, seed=1)
+        federation = Federation(2, default_config=vt_config(), seed=0)
+        handle = federation.submit(model, seed=3, max_launches=1_000_000)
+        closer = threading.Thread(target=federation.close, daemon=True)
+        closer.start()
+        deadline = time.monotonic() + 10.0
+        while not federation._closing and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert federation._closing
+        for process in federation._processes:
+            os.kill(process.pid, signal.SIGKILL)
+        closer.join(30.0)
+        assert not closer.is_alive()
+        with pytest.raises(FederationError, match="islands lost"):
+            handle.result(timeout=0)
         assert leaked_islands() == []
 
     def test_fail_mode_keeps_strict_semantics(self):
@@ -163,8 +186,7 @@ class TestWatchdog:
 
 
 class TestLossyTransport:
-    @pytest.mark.parametrize("transport", ["queue", "slab"])
-    def test_dropped_migrations_never_stall_the_solve(self, transport):
+    def test_dropped_migrations_never_stall_the_solve(self):
         """transport_drop at rate 1 loses every elite batch and every
         done sentinel; the migration timeout keeps the epochs moving."""
         model = random_qubo(24, seed=4)
@@ -175,7 +197,6 @@ class TestLossyTransport:
             2,
             default_config=vt_config(),
             seed=0,
-            transport=transport,
             migration_period=4,
             migration_timeout=0.5,
         ) as federation:

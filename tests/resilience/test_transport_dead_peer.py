@@ -1,20 +1,15 @@
 """Dead-peer transport hardening: sends to a lost island are counted
-no-ops, and a sender blocked on a full slab ring converts into a drop
-the moment the peer is marked dead — never a deadlock."""
+no-ops, so a survivor never blocks or grows a queue publishing elites to
+a peer that will never drain them."""
 
 from __future__ import annotations
 
 import multiprocessing
-import threading
 
 import numpy as np
 import pytest
 
-from repro.federation.transport import (
-    MigrationMessage,
-    QueueTransport,
-    SlabTransport,
-)
+from repro.federation.transport import MigrationMessage, QueueTransport
 from repro.resilience import ChaosConfig, chaos
 from tests.resilience.conftest import CHAOS_SEED
 
@@ -68,75 +63,6 @@ class TestQueueDeadPeer:
             ChaosConfig(rates={"transport_drop": 1.0}, seed=CHAOS_SEED)
         )
         transport = QueueTransport(ctx, 2, "ring")
-        sender, receiver = transport.endpoint(0), transport.endpoint(1)
-        sender.send(1, elites())
-        assert sender.dropped == 1
-        assert receiver.recv(0, timeout=0.1) is None
-        transport.close()
-
-
-class TestSlabDeadPeer:
-    def make(self, ctx, islands: int = 2):
-        return SlabTransport(
-            ctx, islands, "ring", migration_k=ROWS, slab_vars=N
-        )
-
-    def test_send_to_dead_island_is_a_counted_noop(self, ctx):
-        transport = self.make(ctx)
-        sender, receiver = transport.endpoint(0), transport.endpoint(1)
-        sender.mark_dead(1)
-        sender.send(1, elites())
-        sender.send(1, MigrationMessage.done("job", 0, 0))
-        assert sender.dropped == 2
-        assert receiver.recv(0, timeout=0.1) is None
-        transport.close()
-
-    def test_full_ring_send_unblocks_when_peer_dies(self, ctx):
-        """Fill every slab slot so the next send blocks polling for a
-        free one, then mark the peer dead: the blocked send must return
-        as a drop instead of wedging the sender's epoch loop."""
-        transport = self.make(ctx)
-        sender = transport.endpoint(0)
-        for epoch in range(SlabTransport.DEPTH):  # consume every slot
-            sender.send(1, elites(epoch=epoch))
-        assert sender.dropped == 0
-
-        unblocked = threading.Event()
-
-        def blocked_send():
-            sender.send(1, elites(epoch=SlabTransport.DEPTH))
-            unblocked.set()
-
-        thread = threading.Thread(target=blocked_send, daemon=True)
-        thread.start()
-        assert not unblocked.wait(0.2)  # genuinely stuck on the ring
-        sender.mark_dead(1)
-        assert unblocked.wait(5.0)
-        thread.join(5.0)
-        assert sender.dropped == 1
-        transport.close()
-
-    def test_roundtrip_survives_a_dead_third_party(self, ctx):
-        """Marking island 1 dead must not disturb 0 -> 2 slab traffic."""
-        transport = SlabTransport(
-            ctx, 3, "all", migration_k=ROWS, slab_vars=N
-        )
-        sender, receiver = transport.endpoint(0), transport.endpoint(2)
-        sender.mark_dead(1)
-        sent = elites(src=0, epoch=4)
-        sender.send(2, sent)
-        message = receiver.recv(0, timeout=5.0)
-        assert message is not None
-        assert np.array_equal(message.vectors, sent.vectors)
-        assert np.array_equal(message.energies, sent.energies)
-        assert sender.dropped == 0
-        transport.close()
-
-    def test_chaos_transport_drop_counts_as_dropped(self, ctx):
-        chaos.install(
-            ChaosConfig(rates={"transport_drop": 1.0}, seed=CHAOS_SEED)
-        )
-        transport = self.make(ctx)
         sender, receiver = transport.endpoint(0), transport.endpoint(1)
         sender.send(1, elites())
         assert sender.dropped == 1

@@ -64,7 +64,6 @@ class TestFederationStats:
         return {
             "islands": 2,
             "topology": "ring",
-            "transport": "queue",
             "migration_period": 16,
             "migration_k": 4,
             "outstanding": 6,

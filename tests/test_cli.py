@@ -53,7 +53,6 @@ class TestParser:
         assert args.topology == "ring"
         assert args.migration_period == 16
         assert args.migration_k == 4
-        assert args.transport == "queue"
 
     def test_rejects_unknown_topology(self):
         with pytest.raises(SystemExit):
