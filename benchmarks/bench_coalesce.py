@@ -75,6 +75,12 @@ DIRECT_FULL = {"n": 384, "gpus": 2, "blocks": 16, "rounds": 2, "seeds": 6}
 DIRECT_SMOKE = {"n": 256, "gpus": 2, "blocks": 16, "rounds": 2, "seeds": 3}
 
 
+def solo_rows(blocks: int, coalesce: bool) -> dict:
+    """Config fields of a mode: packing is always on, and a row budget of
+    one device (``coalesce_max_rows=blocks``) keeps every launch solo."""
+    return {} if coalesce else {"coalesce_max_rows": blocks}
+
+
 def run_sweep(spec: dict, coalesce: bool) -> dict:
     """One full sweep: *jobs* submissions of the same Q, shared fleet.
 
@@ -89,7 +95,7 @@ def run_sweep(spec: dict, coalesce: bool) -> dict:
         blocks_per_gpu=spec["blocks"],
         pool_capacity=20,
         virtual_time=True,
-        coalesce=coalesce,
+        **solo_rows(spec["blocks"], coalesce),
     )
     with SolveService(devices=spec["devices"], default_config=config) as service:
         start = time.perf_counter()
@@ -167,7 +173,7 @@ def run_direct(spec: dict) -> dict:
             config = DABSConfig(
                 num_gpus=spec["gpus"],
                 blocks_per_gpu=spec["blocks"],
-                coalesce=coalesce,
+                **solo_rows(spec["blocks"], coalesce),
             )
             with DABSSolver(model, config, seed=seed) as solver:
                 start = time.perf_counter()

@@ -20,8 +20,9 @@ Run as a report generator (writes ``results/bench_federation.md``)::
 
     PYTHONPATH=src python benchmarks/bench_federation.py
 
-or as the CI smoke gate (2 islands, asserts ≥ 1.5x over 1 island when
-the host has ≥ 2 cores)::
+or as the CI smoke gate (three alternating 1-island/2-island pairs,
+asserts the median pair's 2-island speed-up is ≥ 1.5x when the host has
+≥ 2 cores; one pair of sub-second runs is too noisy to gate on)::
 
     PYTHONPATH=src python benchmarks/bench_federation.py --smoke
 
@@ -49,8 +50,10 @@ from repro.solver.dabs import DABSConfig
 from tests.conftest import random_qubo
 
 SEED = 0
-#: CI smoke floor at 2 islands (needs >= 2 cores)
+#: CI smoke floor at 2 islands (needs >= 2 cores), on the median pair
 SMOKE_MIN_SPEEDUP = 1.5
+#: alternating 1-island/2-island pairs the smoke gate takes the median of
+SMOKE_PAIRS = 3
 #: committed full-run floor at 4 islands (needs >= 4 cores)
 FULL_MIN_SPEEDUP = 3.0
 
@@ -206,28 +209,41 @@ def run_full() -> None:
 
 
 def run_smoke() -> None:
-    """CI gate: 2 islands must beat 1 island by >= 1.5x on >= 2 cores."""
+    """CI gate: 2 islands must beat 1 island by >= 1.5x on >= 2 cores.
+
+    Runs :data:`SMOKE_PAIRS` pairs, alternating which island count goes
+    first, and gates on the median pair speed-up, so one run slowed by
+    a busy shared host does not decide the verdict.
+    """
     cores = os.cpu_count() or 1
     p = SMOKE_PARAMS
     common = dict(
-        n=p["n"], blocks=p["blocks"], launches_per_island=p["launches_per_island"]
+        n=p["n"],
+        blocks=p["blocks"],
+        launches_per_island=p["launches_per_island"],
+        migration_period=p["migration_period"],
     )
-    one = run_federation(1, migration_period=p["migration_period"], **common)
-    two = run_federation(2, migration_period=p["migration_period"], **common)
-    speedup = two["lps"] / one["lps"]
-    for row in (one, two):
-        print(
-            f"{row['label']:>10}: {row['launches']} launches in "
-            f"{row['elapsed']:.2f}s ({row['lps']:,.0f} launches/s), "
-            f"best {row['best']}, {row['migrants']} migrants in"
-        )
-    assert two["launches"] == 2 * one["launches"], "budget split broken"
+    speedups = []
+    for pair in range(SMOKE_PAIRS):
+        order = (1, 2) if pair % 2 == 0 else (2, 1)
+        rows = {islands: run_federation(islands, **common) for islands in order}
+        one, two = rows[1], rows[2]
+        assert two["launches"] == 2 * one["launches"], "budget split broken"
+        speedups.append(two["lps"] / one["lps"])
+        print(f"pair {pair + 1} ({order[0]} island(s) first): {speedups[-1]:.2f}x")
+        for row in (one, two):
+            print(
+                f"{row['label']:>10}: {row['launches']} launches in "
+                f"{row['elapsed']:.2f}s ({row['lps']:,.0f} launches/s), "
+                f"best {row['best']}, {row['migrants']} migrants in"
+            )
+    speedup = sorted(speedups)[len(speedups) // 2]
     if cores >= 2:
         assert speedup >= SMOKE_MIN_SPEEDUP, (
-            f"2-island federation only {speedup:.2f}x over 1 island "
-            f"on a {cores}-core host (floor {SMOKE_MIN_SPEEDUP}x)"
+            f"2-island federation only {speedup:.2f}x (median pair) over "
+            f"1 island on a {cores}-core host (floor {SMOKE_MIN_SPEEDUP}x)"
         )
-        print(f"bench smoke OK ({speedup:.2f}x at 2 islands)")
+        print(f"bench smoke OK (median {speedup:.2f}x at 2 islands)")
     else:
         print(
             f"bench smoke OK (functional only: {cores}-core host, "

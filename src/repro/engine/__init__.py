@@ -5,7 +5,7 @@ Every solve is a service job (DESIGN.md §7, §8): the solver's
 :class:`~repro.engine.async_engine.VirtualTimeReplay` defined here, or
 the free-running schedule, over one executor — the lanes of a
 :class:`~repro.engine.workers.FleetWorkerGroup`, which fuse a round's
-pack-compatible devices into one :class:`~repro.engine.coalesce.SuperLaunch`
+pack-compatible devices (always) into one :class:`~repro.engine.coalesce.SuperLaunch`
 and build completions with :func:`~repro.engine.workers.run_launch`.
 A direct ``DABSSolver.solve()`` steps a one-job service over an inline
 group of zero lanes in the caller's thread.

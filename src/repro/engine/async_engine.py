@@ -15,10 +15,10 @@ completion-order merging and draining.
 Two schedules:
 
 * **free-running** (``driver.virtual_time == False``) — the throughput
-  path.  Every device keeps up to ``inflight_per_device`` launches in
-  flight; each completion is collected the moment it arrives (pool
-  insertion as-of-arrival) and back-fills that device's slot with a
-  batch generated from the pools *as they are now*.  No barrier exists
+  path.  Every device keeps up to two launches in flight; each
+  completion is collected the moment it arrives (pool insertion
+  as-of-arrival) and back-fills that device's slot with a batch
+  generated from the pools *as they are now*.  No barrier exists
   anywhere; completion order (and therefore pool content) depends on
   device timing.
 * **virtual time** (``driver.virtual_time == True``) — the determinism
@@ -30,11 +30,9 @@ Two schedules:
   as of round *r−1*.  A direct ``solve()`` is this replay in a one-job
   service stepped in the calling thread, whose inline lanes run each
   launch as it is submitted, while a served job's lanes run them
-  concurrently — the two are bit-identical by construction.  When the
-  run is purely launch-budgeted
-  (``driver.can_pipeline``), a device's next launch is released the
-  moment its previous one completes — ahead of slower devices — which
-  pipelines rounds on the lanes without breaking the replay.
+  concurrently — the two are bit-identical by construction.  Round
+  *r+1* goes out when round *r* folds, so a device has at most one
+  launch in flight.
 """
 
 from __future__ import annotations
@@ -60,9 +58,6 @@ class EngineDriver(Protocol):
     num_devices: int
     #: True → deterministic virtual-time replay; False → free-running
     virtual_time: bool
-    #: True when the virtual-time run can pipeline round ``r+1`` launches
-    #: behind round ``r`` (no reactive limit can cancel work in flight)
-    can_pipeline: bool
 
     # -- free-running hooks ------------------------------------------------
     def can_submit(self, device_id: int) -> bool:
@@ -105,18 +100,17 @@ class VirtualTimeReplay:
 
     The one implementation of the round loop: generate round *r+1*
     while *r* flies, merge completions in ``(launch_seq, device)``
-    order, collect device-ordered, pipeline pure launch budgets, and
-    sequence §IV.B restarts before the regenerated round.  The service
-    (DESIGN.md §8) advances it one completion at a time between other
-    tenants' work — a direct ``solve()`` too, as the only job of a
-    service it steps inline — so both produce the same result.
+    order, collect device-ordered, release round *r+1* when round *r*
+    folds, and sequence §IV.B restarts before the regenerated round.
+    The service (DESIGN.md §8) advances it one completion at a time
+    between other tenants' work — a direct ``solve()`` too, as the only
+    job of a service it steps inline — so both produce the same result.
 
-    Protocol: the owner drains :attr:`pending` via :meth:`take_pending`
-    (executing each ``(seq, batch)`` on the device, in the device's
-    submission order), feeds every completion to :meth:`on_completion`,
-    and — *before* executing newly pending launches — resets the devices
-    whenever :meth:`take_reset_request` reports a restart.
-    :attr:`stopped` means no further launches will be produced.
+    Protocol: the owner pops each device's ``(seq, batch)`` from
+    :attr:`pending` and runs it on the device, feeds every completion to
+    :meth:`on_completion`, and — *before* executing newly pending
+    launches — resets the devices whenever :meth:`take_reset_request`
+    reports a restart.  :attr:`stopped` means no more launches come.
     """
 
     def __init__(self, driver: EngineDriver) -> None:
@@ -127,8 +121,6 @@ class VirtualTimeReplay:
         #: device → (seq, batch) ready for its lane
         self.pending: dict[int, tuple[int, PacketBatch]] = {}
         self._results: dict[int, LaunchCompletion] = {}
-        self._stash: dict[tuple[int, int], LaunchCompletion] = {}
-        self._submitted: set[tuple[int, int]] = set()
         self._reset_due = False
         self._next_batches = driver.generate_round()
         self._begin_round()
@@ -137,28 +129,12 @@ class VirtualTimeReplay:
         self.round += 1
         batches = self._next_batches
         for device_id in range(self.num_devices):
-            if (device_id, self.round) not in self._submitted:
-                self.pending[device_id] = (self.round, batches[device_id])
+            self.pending[device_id] = (self.round, batches[device_id])
         self.driver.record_round(batches)
+        # round r+1 is generated while round r is in flight — it reads the
+        # pools as of round r−1 (the double-buffered round order)
         want_next = self.driver.wants_round(self.round + 1)
-        if want_next:
-            # generated while round r is in flight — reads the pools as of
-            # round r−1 (the double-buffered round order)
-            self._next_batches = self.driver.generate_round()
-        else:
-            self._next_batches = None
-        self._pipeline = want_next and self.driver.can_pipeline
-        for device_id in range(self.num_devices):
-            early = self._stash.pop((device_id, self.round), None)
-            if early is not None:
-                self._land(early)
-
-    def take_pending(self, device_id: int) -> tuple[int, PacketBatch] | None:
-        """Hand the device's ready launch to its lane (marks submitted)."""
-        entry = self.pending.pop(device_id, None)
-        if entry is not None:
-            self._submitted.add((device_id, entry[0]))
-        return entry
+        self._next_batches = self.driver.generate_round() if want_next else None
 
     def halt(self) -> None:
         """Stop the replay (cancellation): pending launches are dropped
@@ -174,39 +150,20 @@ class VirtualTimeReplay:
         return due
 
     def on_completion(self, completion: LaunchCompletion) -> None:
-        if completion.seq == self.round:
-            self._land(completion)
-        else:
-            self._stash[(completion.device_id, completion.seq)] = completion
-
-    def _land(self, completion: LaunchCompletion) -> None:
         self._results[completion.device_id] = completion
-        if self._pipeline:
-            device_id = completion.device_id
-            if (device_id, self.round + 1) not in self._submitted:
-                self.pending[device_id] = (
-                    self.round + 1,
-                    self._next_batches[device_id],
-                )
-        if len(self._results) == self.num_devices:
-            self._finish_round()
-
-    def _finish_round(self) -> None:
-        # merge strictly in device order — the insertion order that fixes
-        # pool content bit-exactly
+        if len(self._results) < self.num_devices:
+            return
+        # round complete: merge in device order, which fixes pool content
         for device_id in range(self.num_devices):
             self.driver.collect_ordered(self._results[device_id])
         self._results = {}
         verdict = self.driver.finish_round(self.round)
-        self._submitted = {
-            key for key in self._submitted if key[1] > self.round
-        }
         if verdict == "stop":
             self.halt()
             return
         if verdict == "restart":
-            # nothing is in flight here (restarts disable pipelining), so
-            # the caller's queued resets land before the regenerated round
+            # nothing is in flight between rounds, so the caller's queued
+            # resets land before the regenerated round
             self._reset_due = True
             self._next_batches = self.driver.generate_round()
         self._begin_round()

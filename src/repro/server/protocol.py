@@ -63,6 +63,7 @@ __all__ = [
     "load_model",
     "model_digest",
     "model_ref",
+    "solver_fields",
     "submit_kwargs",
 ]
 
@@ -323,6 +324,19 @@ def load_model(params: dict):
         np.add.at(matrix, (rows, cols), weights)
         return QUBOModel(matrix, name=str(params.get("name", "")))
     raise ProtocolError(E_BAD_REQUEST, 'submit needs "file" or "n"+"terms"')
+
+
+def solver_fields(params: dict) -> tuple[str, bool]:
+    """A submit's ``solver`` (``"dabs"``, the default, or ``"abs"``) and
+    ``virtual_time`` (a JSON bool, default false); any other value is one
+    :data:`E_BAD_REQUEST`, never a solver or schedule not asked for."""
+    solver = params.get("solver", "dabs")
+    if solver not in ("dabs", "abs"):
+        raise ProtocolError(E_BAD_REQUEST, f'"solver" must be "dabs" or "abs", got {solver!r}')
+    virtual_time = params.get("virtual_time", False)
+    if not isinstance(virtual_time, bool):
+        raise ProtocolError(E_BAD_REQUEST, f'"virtual_time" must be a bool, got {virtual_time!r}')
+    return solver, virtual_time
 
 
 def limit_kwargs(params: dict) -> dict:

@@ -572,6 +572,7 @@ class ServeServer:
                 protocol.E_DUPLICATE_ID,
                 f"duplicate job id {client_id!r} (still running)",
             )
+        solver, virtual_time = protocol.solver_fields(params)
         digest = protocol.model_ref(params)
         model = None
         if digest is not None:
@@ -616,12 +617,10 @@ class ServeServer:
                 model = protocol.load_model(params)
                 if "terms" in params:
                     digest = self._file_model(model)
-            solver_cls = (
-                ABSSolver if params.get("solver") == "abs" else DABSSolver
-            )
+            solver_cls = ABSSolver if solver == "abs" else DABSSolver
             kwargs = protocol.submit_kwargs(params)
             kwargs.update(protocol.limit_kwargs(params))
-            if params.get("virtual_time"):
+            if virtual_time:
                 default = getattr(self.service, "default_config", None)
                 if default is None:
                     raise ProtocolError(

@@ -57,6 +57,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
         description="Run a long-lived multi-tenant solve service speaking "
         "the versioned JSON-lines protocol — over stdin/stdout by default, "
         "or as an asyncio TCP server with --listen.",
+        # no prefix matching: a removed flag must not resolve to a longer
+        # one (``--coalesce`` to ``--coalesce-max-rows``)
+        allow_abbrev=False,
     )
     parser.add_argument(
         "--gpus", type=int, default=2, help="fleet lanes (virtual GPUs)"
@@ -113,19 +116,11 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="elites each island publishes per migration",
     )
     parser.add_argument(
-        "--coalesce",
-        choices=("on", "off", "auto"),
-        default="auto",
-        help="continuous batching: fuse pack-compatible co-tenant "
-        "launches into one super-launch per lane slot (bit-exact per "
-        "job; auto defers to REPRO_COALESCE, then on)",
-    )
-    parser.add_argument(
         "--coalesce-max-rows",
         type=int,
         default=256,
         metavar="R",
-        help="row budget (total blocks) of one fused super-launch",
+        help="row budget (total blocks) of one fused super-launch (always on)",
     )
     # -- network serving (repro.server) ------------------------------------
     parser.add_argument(
@@ -187,7 +182,6 @@ def _build_service(args):
         blocks_per_gpu=args.blocks,
         pool_capacity=args.pool,
         backend=args.backend,
-        coalesce={"on": True, "off": False, "auto": None}[args.coalesce],
         coalesce_max_rows=args.coalesce_max_rows,
     )
     if args.islands > 1:

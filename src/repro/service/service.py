@@ -29,13 +29,13 @@ pools, limits and RNG stream) across it:
 Execution model: one scheduler thread owns all solver-side state (pools,
 RNG, drivers) — the single-policy-thread rule of DESIGN.md §7 — while
 the fleet lanes run launches.  A job's per-device state is resident on
-lanes, as matrices are resident on a GPU.  A *packable* job (coalescing
-on, every device under one non-``None`` pack key) gets one lane, the
+lanes, as matrices are resident on a GPU.  A *packable* job (every
+device under one non-``None`` pack key) always gets one lane, the
 least-populated: its devices are row ranges of one pack, so each round is
 one lane pass.  Any other job requesting ``d`` devices gets ``d`` lane
 *affinities*, one per device.  Multiple jobs mapped to one lane
 interleave at launch granularity through the lane FIFO, and pack
-together when compatible.
+together when compatible, within ``coalesce_max_rows``.
 
 A direct ``DABSSolver.solve()`` is a one-job service too, over an inline
 group of zero lanes, stepped by the caller (:func:`_solve_inline`).
@@ -86,6 +86,9 @@ __all__ = [
 
 #: seconds the scheduler waits on the completion stream per iteration
 _POLL_INTERVAL = 0.005
+
+#: launches in flight per free-running device (one runs while one folds)
+FREE_RUNNING_DEPTH = 2
 
 
 class ServiceClosedError(RuntimeError):
@@ -183,16 +186,15 @@ class _Job:
     def can_submit(self, device_id: int) -> bool:
         if self.stopping or self.error is not None:
             return False
-        depth = self.solver.config.inflight_per_device
-        if self.dev_inflight[device_id] >= depth:
-            return False
         if self.virtual_time:
             return device_id in self.replay.pending
+        if self.dev_inflight[device_id] >= FREE_RUNNING_DEPTH:
+            return False
         return self.driver.can_submit(device_id)
 
     def take_batch(self, device_id: int) -> tuple[int, PacketBatch] | None:
         if self.virtual_time:
-            return self.replay.take_pending(device_id)
+            return self.replay.pending.pop(device_id, None)
         batch = self.driver.next_batch(device_id)
         if batch is None:
             return None
@@ -649,11 +651,7 @@ class SolveService:
         # devices share one lane, and each device is a row range of the
         # pack (DESIGN.md §12)
         keys = {pack_key(gpu) for gpu in job.solver.gpus}
-        one_lane = (
-            job.solver.config.coalesce_enabled()
-            and len(keys) == 1
-            and None not in keys
-        )
+        one_lane = len(keys) == 1 and None not in keys
         with self._lock:
             # affinity: the job's per-device state is resident on the
             # least-populated lanes, like matrices resident on a GPU
@@ -709,11 +707,7 @@ class SolveService:
                 # continuous batching (DESIGN.md §12): fill the lane slot
                 # with every pack-compatible co-tenant launch, in the same
                 # fair order fair_pick would have served them
-                key = (
-                    pack_key(gpu)
-                    if job.solver.config.coalesce_enabled()
-                    else None
-                )
+                key = pack_key(gpu)
                 if key is not None and len(candidates) > 1:
                     self._gather_pack_mates(
                         job, device_id, key, candidates, segments, seg_jobs
@@ -770,8 +764,6 @@ class SolveService:
         )
         for job, device_id in mates:
             cfg = job.solver.config
-            if not cfg.coalesce_enabled():
-                continue
             gpu = job.solver.gpus[device_id]
             if pack_key(gpu) != key:  # also rejects stub devices
                 continue

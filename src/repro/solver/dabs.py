@@ -20,14 +20,14 @@ limits, §IV.B restarts, folds, result) is scheduled by a
 ``solve()`` is a one-job service whose group is inline: the service's
 :class:`~repro.engine.async_engine.VirtualTimeReplay` is stepped in the
 calling thread, and each round's pack-compatible devices run as one
-super-launch (``DABSConfig.coalesce``).
+super-launch, up to ``DABSConfig.coalesce_max_rows`` rows.
 ``solve(service=SolveService(num_gpus))`` runs the solver over the
 service's threaded lanes instead: free-running by default, where each
-device keeps ``inflight_per_device`` launches in flight, completions fold
-into the pools the moment they arrive, and each replacement batch is
-generated from the pools *as of arrival* on a per-device RNG stream; or,
-with ``DABSConfig.virtual_time``, the same replay as the direct solve,
-which makes the two bit-exact by construction.
+device keeps two launches in flight, completions fold into the pools
+the moment they arrive, and each replacement batch is generated from
+the pools *as of arrival* on a per-device RNG stream; or, with
+``DABSConfig.virtual_time``, the same replay as the direct solve, which
+makes the two bit-exact by construction.
 
 The per-flip kernels below the solver are pluggable
 (:mod:`repro.backends`); ``DABSConfig.backend`` selects one by name, with
@@ -37,7 +37,6 @@ and the coupling-density auto rule.
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -120,9 +119,6 @@ class DABSConfig:
     #: job is bit-exact with it — instead of free-running (the
     #: determinism/debug mode; throughput stays with virtual_time=False)
     virtual_time: bool = False
-    #: service jobs only: launches each device keeps in flight (depth ≥ 2
-    #: keeps a device busy while the host folds its previous result)
-    inflight_per_device: int = 2
     #: supervised-lane recovery (DESIGN.md §11), armed by a SolveService
     #: built with this as its default config (a direct solve() is never
     #: supervised): retry faulted launches with capped backoff, respawn hung
@@ -133,30 +129,12 @@ class DABSConfig:
     #: BackendFallbackWarning) when the chosen one fails at prepare or
     #: mid-launch, instead of crashing the solve
     backend_fallback: bool = True
-    #: fuse launches into super-launches (DESIGN.md §12): a direct solve
-    #: runs each round's pack-compatible devices as one fused
-    #: super-launch (DESIGN.md §3), and the service coalesces this job's
-    #: launches with pack-compatible co-tenant launches, one super-launch
-    #: per lane slot.  None defers to the REPRO_COALESCE env var
-    #: ("0"/"false"/"off" disables), then on.  Packing is bit-exact per
-    #: device, so there is no accuracy knob here — only an opt-out for
-    #: isolating benchmarks and covering the solo launch path.
-    coalesce: bool | None = None
-    #: row budget of one super-launch (ΣB over its segments); a launch
-    #: joins a pack only while the packed row total stays within both its
-    #: own and the pack head's budget.  A round with more rows packs
-    #: consecutive devices greedily, at least one device per pack.
+    #: row budget of one super-launch (ΣB over its segments); packing is
+    #: always on and bit-exact, but a launch joins a pack only while the
+    #: row total stays within both its own and the pack head's budget.  A
+    #: round packs consecutive devices greedily, at least one device per
+    #: pack; ``blocks_per_gpu`` keeps every launch solo (DESIGN.md §12).
     coalesce_max_rows: int = 256
-
-    def coalesce_enabled(self) -> bool:
-        """Resolve the coalesce flag: explicit setting, else env, else on."""
-        if self.coalesce is not None:
-            return self.coalesce
-        return os.environ.get("REPRO_COALESCE", "1").strip().lower() not in (
-            "0",
-            "false",
-            "off",
-        )
 
     def __post_init__(self) -> None:
         if self.num_gpus < 1:
@@ -182,8 +160,6 @@ class DABSConfig:
                     f"unknown backend {self.backend!r} "
                     f"(known: auto, {', '.join(known)})"
                 )
-        if self.inflight_per_device < 1:
-            raise ValueError("inflight_per_device must be >= 1")
         if self.coalesce_max_rows < 1:
             raise ValueError("coalesce_max_rows must be >= 1")
 
@@ -314,19 +290,6 @@ class _AsyncDriver:
             self._halted
             or self.limits.device_launch_budget(self._submitted[device_id])
             or self.limits.out_of_launches(sum(self._submitted))
-        )
-
-    @property
-    def can_pipeline(self) -> bool:
-        """True when no reactive limit (target/time/restart) could cancel a
-        launch submitted ahead of the merge — the virtual-time replay then
-        pipelines round r+1 behind round r without breaking the replay."""
-        cfg = self.solver.config
-        return (
-            self.limits.target_energy is None
-            and self.limits.time_limit is None
-            and cfg.restart_after_stall is None
-            and cfg.restart_on_collapse is None
         )
 
     def next_batch(self, device_id: int) -> PacketBatch | None:

@@ -5,9 +5,9 @@ one lockstep loop per contiguous span of running cells: each
 same-algorithm run of cells is one row-range part of a single
 ``run_main_phase`` call, and one flip and one best-tracker fold per
 iteration cover every part.  The contract under test: such rounds are
-**bit-exact** against ``coalesce=False`` — the result, history, pools,
-``block_x``, RNG lanes and CyclicMin cursor — and the lockstep path is
-really taken (a silent per-algorithm fallback would also be bit-exact,
+**bit-exact** against solo launches (a row budget of one device) — the
+result, history, pools, ``block_x``, RNG lanes and CyclicMin cursor —
+and the lockstep path is really taken (a silent per-algorithm fallback would also be bit-exact,
 so the flip calls are pinned too).
 """
 
@@ -110,8 +110,12 @@ def wave_log(monkeypatch):
     return log
 
 
-def solve(model, cfg, coalesce, seed, rounds):
-    solver = DABSSolver(model, replace(cfg, coalesce=coalesce), seed=seed)
+def solve(model, cfg, packed, seed, rounds):
+    """A direct solve; unpacked, the row budget of one device keeps every
+    launch solo."""
+    if not packed:
+        cfg = replace(cfg, coalesce_max_rows=cfg.blocks_per_gpu)
+    solver = DABSSolver(model, cfg, seed=seed)
     with solver:
         result = solver.solve(max_rounds=rounds)
     return solver, result

@@ -11,6 +11,7 @@ from repro.server import protocol
 from repro.server.protocol import ProtocolError, decode_request, encode_event
 from repro.server.quota import TenantQuota, TokenBucket
 from repro.service import serve_main
+from tests.service.test_serve_cli import TERMS, events_of, run_serve
 
 
 def code_of(excinfo) -> str:
@@ -52,6 +53,26 @@ class TestDecodeRequest:
         assert '"v"' in events[1]["error"]
         assert events[2]["id"] == "new"
         assert events[2]["server"]["frames"] == 1
+
+    def test_unchecked_solver_fields_are_one_bad_request_over_stdin(self):
+        events = run_serve(
+            [
+                {"op": "submit", "id": "vt", "n": 4, "terms": TERMS,
+                 "rounds": 2, "virtual_time": "false"},
+                {"op": "submit", "id": "slv", "n": 4, "terms": TERMS,
+                 "rounds": 2, "solver": "abss"},
+                {"op": "submit", "id": "ok", "n": 4, "terms": TERMS,
+                 "rounds": 2, "solver": "abs", "virtual_time": False},
+                {"op": "shutdown"},
+            ]
+        )
+        errors = events_of(events, "error")
+        assert [(e["id"], e["code"]) for e in errors] == [
+            ("vt", "bad-request"),
+            ("slv", "bad-request"),
+        ]
+        assert [e["id"] for e in events_of(events, "accepted")] == ["ok"]
+        assert [e["id"] for e in events_of(events, "done")] == ["ok"]
 
     def test_integer_id_is_coerced_to_string(self):
         assert decode_request(json.dumps({"v": 1, "op": "query", "id": 7})).id == "7"
@@ -145,6 +166,35 @@ class TestSubmitHelpers:
             {"seed": "3", "devices": "2", "priority": "1", "share": "2.5"}
         )
         assert kwargs == {"seed": 3, "devices": 2, "priority": 1, "share": 2.5}
+
+    def test_solver_fields_default_and_accept_the_known_values(self):
+        assert protocol.solver_fields({}) == ("dabs", False)
+        assert protocol.solver_fields(
+            {"solver": "abs", "virtual_time": True}
+        ) == ("abs", True)
+        assert protocol.solver_fields(
+            {"solver": "dabs", "virtual_time": False}
+        ) == ("dabs", False)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"virtual_time": "false"},
+            {"virtual_time": "true"},
+            {"virtual_time": 1},
+            {"virtual_time": 0},
+            {"virtual_time": None},
+            {"solver": "abss"},
+            {"solver": "ABS"},
+            {"solver": None},
+            {"solver": ["abs"]},
+            {"solver": 1},
+        ],
+    )
+    def test_solver_fields_reject_anything_else(self, params):
+        with pytest.raises(ProtocolError) as excinfo:
+            protocol.solver_fields(params)
+        assert code_of(excinfo) == protocol.E_BAD_REQUEST
 
 
 class TestTokenBucket:

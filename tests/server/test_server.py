@@ -120,6 +120,34 @@ class TestWireOverTcp:
             assert stats["server"]["connections"] == 1
             raw.close()
 
+    def test_unchecked_solver_fields_are_one_bad_request_over_tcp(self):
+        """A ``virtual_time`` that is not a JSON bool or a ``solver`` that
+        is not dabs/abs is one bad-request, and no job is accepted; the
+        connection then serves a valid submit."""
+        with make_service() as service, ServeServer(
+            service, metrics_port=None
+        ) as server:
+            raw = RawClient(server.port)
+            raw.recv()  # ready
+            for job_id, field in (
+                ("vt", {"virtual_time": "false"}),
+                ("slv", {"solver": "abss"}),
+            ):
+                raw.send({"v": 1, "op": "submit", "id": job_id, "n": 4,
+                          "terms": TERMS, "rounds": 2, **field})
+                error = raw.recv()
+                assert error["event"] == "error", error
+                assert (error["code"], error["id"]) == ("bad-request", job_id)
+            raw.send({"v": 1, "op": "submit", "id": "ok", "n": 4,
+                      "terms": TERMS, "rounds": 2, "solver": "abs",
+                      "virtual_time": True})
+            events = raw.recv_until("done", "failed")
+            assert [events[0]["event"], events[-1]["event"]] == [
+                "accepted", "done"
+            ]
+            assert events[0]["job"] == "job-1"  # the refused ones made none
+            raw.close()
+
     def test_duplicate_id_rejected_while_running(self):
         model = random_qubo(16, seed=3)
         with make_service() as service, ServeServer(

@@ -14,6 +14,7 @@ cases live in ``tests/service/test_service.py``.
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -237,19 +238,22 @@ class TestLifecycle:
             one_job(solver, max_rounds=50)
         assert leaked_workers() == []
 
+    @pytest.mark.parametrize("packed", [True, False], ids=["packed", "solo"])
     @MODES
-    def test_no_leak_after_device_failure(self, monkeypatch, virtual_time):
+    def test_no_leak_after_device_failure(self, monkeypatch, virtual_time, packed):
         """A failing device surfaces as a WorkerError on the host, every
         in-flight slot of the failed launch is released and the lanes
         are still reaped.
 
         Each launch-equivalent passes exactly one device seam: a packed
-        launch commits through ``commit_packed``, a solo one (coalescing
-        off) runs ``launch``.  The fault sits on both, so it fires with
-        coalescing on — a fatal one-job pack — and off.
+        launch commits through ``commit_packed``, a solo one (a row
+        budget of one device) runs ``launch``.  The fault sits on both,
+        so it fires packed — a fatal one-job pack — and solo.
         """
         model = random_qubo(12, seed=35)
         cfg = DABSConfig(**BASE, virtual_time=virtual_time)
+        if not packed:
+            cfg = replace(cfg, coalesce_max_rows=cfg.blocks_per_gpu)
         solver = DABSSolver(model, cfg, seed=0)
 
         def boom(*args, **kwargs):
@@ -268,7 +272,7 @@ class TestLifecycle:
         fails alone under the pack-fault rule, and the job fails with
         the first fault (device 0), not with the last one folded."""
         model = random_qubo(24, seed=5)
-        cfg = DABSConfig(**BASE, coalesce=True, virtual_time=True)
+        cfg = DABSConfig(**BASE, virtual_time=True)
         chaos.install(ChaosConfig(rates={"backend_raise": 1.0}))
         try:
             with SolveService(2) as service, pytest.warns(BackendFallbackWarning):

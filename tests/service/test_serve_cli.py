@@ -7,6 +7,7 @@ import json
 import threading
 
 import numpy as np
+import pytest
 
 from repro.cli import main
 from repro.core.qubo import QUBOModel, brute_force
@@ -194,6 +195,17 @@ class TestServeRoundTrip:
         lines = [json.loads(line) for line in out.splitlines()]
         assert lines[0]["event"] == "ready"
         assert lines[-1]["event"] == "bye"
+
+    @pytest.mark.parametrize(
+        "argv", [["--coalesce", "on"], ["--coalesce-max", "4"]]
+    )
+    def test_no_packing_switch_and_no_flag_prefixes(self, capsys, argv):
+        """Packing is always on (``--coalesce-max-rows`` caps it), and a
+        flag prefix is not expanded to a longer flag."""
+        with pytest.raises(SystemExit) as excinfo:
+            serve_main(argv, stdin=io.StringIO(""), stdout=io.StringIO())
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestServeFederation:

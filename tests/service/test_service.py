@@ -32,7 +32,7 @@ from repro.service import service as service_module
 from repro.service.service import fair_pick
 from repro.solver.abs_solver import ABSSolver
 from repro.solver.dabs import DABSConfig, DABSSolver
-from tests.conftest import random_qubo
+from tests.conftest import force_group_loop, random_qubo
 
 BASE = dict(num_gpus=2, blocks_per_gpu=4, pool_capacity=10)
 
@@ -138,7 +138,7 @@ class TestRoundTrip:
         packable job runs each round as one pass of one lane, so two
         concurrent jobs cover both lanes while a lone job uses one."""
         model = random_qubo(16, seed=4)
-        config = DABSConfig(**BASE, coalesce=True)
+        config = DABSConfig(**BASE)
         # admit both jobs in one scheduler pass, so they run concurrently
         gate = threading.Event()
         admit = SolveService._admit
@@ -238,7 +238,6 @@ PARITY_BASE = dict(BASE, batch=BatchSearchConfig(batch_flip_factor=2.0))
 #: name -> (solver class, config overrides, model (n, seed), limits); the
 #: "target" case's limit is filled in with the brute-force optimum
 PARITY_CASES = {
-    # pure launch budgets pipeline round r+1 behind round r
     "dabs-rounds": (DABSSolver, {}, (16, 20), dict(max_rounds=8)),
     "dabs-stall-restarts": (
         DABSSolver,
@@ -261,21 +260,14 @@ PARITY_CASES = {
         (16, 20),
         dict(max_launches=7),
     ),
-    "dabs-three-devices-depth-three": (
+    "dabs-three-devices": (
         DABSSolver,
-        dict(num_gpus=3, pool_capacity=8, inflight_per_device=3),
+        dict(num_gpus=3, pool_capacity=8),
         (20, 3),
         dict(max_rounds=9),
     ),
     # one device: the replay's per-device clock has no peer to order against
     "dabs-one-device": (DABSSolver, dict(num_gpus=1), (16, 21), dict(max_rounds=8)),
-    # depth one: no pipelining, round r+1 waits for round r's fold
-    "dabs-depth-one": (
-        DABSSolver,
-        dict(inflight_per_device=1),
-        (16, 20),
-        dict(max_rounds=8),
-    ),
     "abs-rounds": (ABSSolver, {}, (16, 20), dict(max_rounds=8)),
     "abs-launch-budget": (ABSSolver, {}, (16, 20), dict(max_launches=10)),
     "abs-stall-restarts": (
@@ -325,16 +317,19 @@ class TestVirtualTimeParity:
             via = via_solver.solve(service=service, **limits)
         assert_same_solve(direct_solver, direct, via_solver, via)
 
-    @pytest.mark.parametrize("coalesce", [True, False], ids=["packed", "solo"])
+    @pytest.mark.parametrize("packed", [True, False], ids=["packed", "solo"])
     @pytest.mark.parametrize("case", sorted(PARITY_CASES))
-    def test_one_job_service_matches_direct_solve(self, case, coalesce):
+    def test_one_job_service_matches_direct_solve(self, case, packed):
         """``solve(service=SolveService(g))`` — the barrier-free way to
-        run one solve — replays the direct round loop bit-exactly."""
+        run one solve — replays the direct round loop bit-exactly, packed
+        or with a row budget of one device (every launch solo)."""
         cls, overrides, (n, model_seed), limits = PARITY_CASES[case]
         model = random_qubo(n, seed=model_seed)
         if case.endswith("-target"):
             limits = dict(limits, target_energy=brute_force(model)[1])
-        cfg = DABSConfig(**dict(PARITY_BASE, **overrides), coalesce=coalesce)
+        cfg = DABSConfig(**dict(PARITY_BASE, **overrides))
+        if not packed:
+            cfg = replace(cfg, coalesce_max_rows=cfg.blocks_per_gpu)
         direct_solver = cls(model, cfg, seed=5)
         direct = direct_solver.solve(**limits)
         via_solver = cls(model, replace(cfg, virtual_time=True), seed=5)
@@ -349,13 +344,51 @@ class TestVirtualTimeParity:
         if case.endswith("-mid-round"):
             assert via.launches == 8
 
+    @pytest.mark.parametrize("cls", [DABSSolver, ABSSolver], ids=["dabs", "abs"])
+    @pytest.mark.parametrize(
+        "overrides, limits",
+        [
+            ({}, dict(max_rounds=8)),
+            ({}, dict(max_launches=7)),  # ends inside a round
+            (dict(restart_after_stall=2), dict(max_rounds=10)),
+        ],
+        ids=["rounds", "launch-budget-mid-round", "stall-restarts"],
+    )
+    def test_multi_lane_job_matches_direct_solve(self, cls, overrides, limits):
+        """Devices that cannot pack (the group loop) take one lane each, so
+        a round's launches run concurrently and complete in any order;
+        round r+1 goes out when round r folds, bit-exact with the direct
+        solve."""
+        model = random_qubo(16, seed=20)
+        cfg = DABSConfig(**dict(PARITY_BASE, **overrides))
+
+        def build(config):
+            solver = cls(model, config, seed=5)
+            for gpu in solver.gpus:
+                force_group_loop(gpu)
+            return solver
+
+        direct_solver = build(cfg)
+        direct = direct_solver.solve(**limits)
+        via_solver = build(replace(cfg, virtual_time=True))
+        with SolveService(cfg.num_gpus) as service:
+            via = via_solver.solve(service=service, **limits)
+            stats = service.stats_snapshot()
+        assert_same_solve(direct_solver, direct, via_solver, via)
+        assert stats.lane_launches == (via.rounds,) * cfg.num_gpus
+        assert stats.coalesce.packs == 0
+        if overrides:
+            assert via.restarts >= 1
+        if "max_launches" in limits:
+            assert via.launches == 8
+
     def test_one_job_round_is_one_pack(self):
         """A packable one-job service runs each round as one lane pass:
         ``R`` rounds on 2 devices are ``R`` packs of 2 segments on one
         lane, bit-exact with the direct solve."""
         rounds = 6
         model = random_qubo(16, seed=20)
-        cfg = DABSConfig(**PARITY_BASE, coalesce=True)
+        cfg = DABSConfig(**PARITY_BASE)
         direct_solver = DABSSolver(model, cfg, seed=5)
         direct = direct_solver.solve(max_rounds=rounds)
         via_solver = DABSSolver(model, replace(cfg, virtual_time=True), seed=5)

@@ -1,10 +1,10 @@
 """Service-level continuous batching (DESIGN.md §12).
 
 Coalescing is a scheduling optimization, never a numerics change: a
-``virtual_time`` sweep must produce bit-identical per-job results with
-coalescing on, off, or re-run — while the coalesce counters prove the on
-runs actually packed.  Per-job and environment opt-outs gate packing
-without touching results.
+``virtual_time`` sweep must produce bit-identical per-job results packed,
+solo, or re-run — while the coalesce counters prove the packed runs
+actually packed.  Packing is always on; a job's ``coalesce_max_rows``
+budget of one device keeps its launches solo without touching results.
 """
 
 from __future__ import annotations
@@ -21,9 +21,24 @@ from tests.conftest import random_qubo
 
 JOBS = 6
 ROUNDS = 4
+BLOCKS = 4
 
 
-def sweep(backend, coalesce, seed_base=500, jobs=JOBS, configs=None):
+def job_config(packed=True, **fields):
+    """A one-device virtual-time job; unpacked, its row budget of one
+    device keeps every launch solo."""
+    if not packed:
+        fields["coalesce_max_rows"] = BLOCKS
+    return DABSConfig(
+        num_gpus=1,
+        blocks_per_gpu=BLOCKS,
+        pool_capacity=10,
+        virtual_time=True,
+        **fields,
+    )
+
+
+def sweep(backend, packed, seed_base=500, jobs=JOBS, configs=None):
     """One multi-tenant sweep: *jobs* tenants of the same Q over 2 lanes.
 
     Returns (per-job results, service stats).  All jobs run under
@@ -32,14 +47,7 @@ def sweep(backend, coalesce, seed_base=500, jobs=JOBS, configs=None):
     """
     density = 0.3 if backend == "numpy-sparse" else 1.0
     model = random_qubo(24, seed=9, density=density)
-    config = DABSConfig(
-        num_gpus=1,
-        blocks_per_gpu=4,
-        pool_capacity=10,
-        virtual_time=True,
-        backend=backend,
-        coalesce=coalesce,
-    )
+    config = job_config(packed, backend=backend)
     with SolveService(devices=2, default_config=config) as service:
         handles = [
             service.submit(
@@ -72,9 +80,9 @@ def assert_results_equal(a, b):
 class TestCoalescedParity:
     def test_on_off_and_replay_are_bit_exact(self, backend):
         """Coalesced results == solo results == a coalesced re-run."""
-        solo, solo_stats = sweep(backend, coalesce=False)
-        packed, packed_stats = sweep(backend, coalesce=True)
-        again, _ = sweep(backend, coalesce=True)
+        solo, solo_stats = sweep(backend, packed=False)
+        packed, packed_stats = sweep(backend, packed=True)
+        again, _ = sweep(backend, packed=True)
         assert_results_equal(solo, packed)
         assert_results_equal(packed, again)
         assert solo_stats["coalesce"]["packs"] == 0
@@ -115,14 +123,8 @@ class TestPackMatesRefillTogether:
         )
         model = random_qubo(24, seed=9)
         results = {}
-        for coalesce in (False, True):
-            config = DABSConfig(
-                num_gpus=1,
-                blocks_per_gpu=4,
-                pool_capacity=10,
-                virtual_time=True,
-                coalesce=coalesce,
-            )
+        for packed in (False, True):
+            config = job_config(packed)
             gate.clear()
             del widths[:]
             with SolveService(
@@ -133,60 +135,44 @@ class TestPackMatesRefillTogether:
                     for i in range(k)
                 ]
                 gate.set()
-                results[coalesce] = [h.result(timeout=60) for h in handles]
+                results[packed] = [h.result(timeout=60) for h in handles]
         assert widths == [k] * ROUNDS
         assert_results_equal(results[False], results[True])
 
 
 class TestCoalesceKnobs:
-    def test_per_job_opt_out_blocks_packing(self):
-        """All tenants opted out → zero packs, identical results."""
-        config = DABSConfig(
-            num_gpus=1,
-            blocks_per_gpu=4,
-            pool_capacity=10,
-            virtual_time=True,
-            coalesce=False,
-        )
-        solo, stats = sweep(
-            "numpy-dense", coalesce=False, configs=[config] * JOBS
-        )
-        assert stats["coalesce"]["packs"] == 0
-        packed, _ = sweep("numpy-dense", coalesce=True)
-        assert_results_equal(solo, packed)
+    def test_per_job_opt_out_blocks_packing(self, monkeypatch):
+        """A tenant whose row budget is one device never packs — neither
+        as a pack's head nor as a mate — while its co-tenants keep packing
+        with each other; every result is unchanged."""
+        packed_tags = []
+        submit_packed = FleetWorkerGroup.submit_packed
 
-    def test_env_var_resolution(self, monkeypatch):
-        cfg = DABSConfig(coalesce=None)
-        monkeypatch.delenv("REPRO_COALESCE", raising=False)
-        assert cfg.coalesce_enabled()
-        for off in ("0", "false", "OFF"):
-            monkeypatch.setenv("REPRO_COALESCE", off)
-            assert not cfg.coalesce_enabled()
-        monkeypatch.setenv("REPRO_COALESCE", "1")
-        assert cfg.coalesce_enabled()
-        # an explicit setting wins over the environment
-        monkeypatch.setenv("REPRO_COALESCE", "0")
-        assert DABSConfig(coalesce=True).coalesce_enabled()
-        monkeypatch.setenv("REPRO_COALESCE", "1")
-        assert not DABSConfig(coalesce=False).coalesce_enabled()
+        def record(self, lane, segments):
+            packed_tags.append([seg.tag for seg in segments])
+            return submit_packed(self, lane, segments)
+
+        monkeypatch.setattr(FleetWorkerGroup, "submit_packed", record)
+        configs = [job_config(packed=i % 2 == 0) for i in range(JOBS)]
+        mixed, stats = sweep("numpy-dense", packed=True, configs=configs)
+        assert stats["coalesce"]["packs"] == len(packed_tags) > 0
+        opted_out = {f"job-{i + 1}" for i in range(JOBS) if i % 2}
+        assert not any(
+            job_id in opted_out for tags in packed_tags for job_id, _ in tags
+        )
+        solo, _ = sweep("numpy-dense", packed=False)
+        assert_results_equal(mixed, solo)
 
     def test_max_rows_validated(self):
         with pytest.raises(ValueError, match="coalesce_max_rows"):
             DABSConfig(coalesce_max_rows=0)
 
     def test_max_rows_caps_pack_width(self):
-        """A row budget of one launch forces every launch to fly solo."""
-        config = DABSConfig(
-            num_gpus=1,
-            blocks_per_gpu=4,
-            pool_capacity=10,
-            virtual_time=True,
-            coalesce=True,
-            coalesce_max_rows=4,
-        )
-        results, stats = sweep(
-            "numpy-dense", coalesce=True, configs=[config] * JOBS
-        )
-        assert stats["coalesce"]["packs"] == 0
-        solo, _ = sweep("numpy-dense", coalesce=False)
+        """A row budget of two launches caps every pack at two segments."""
+        config = job_config(coalesce_max_rows=2 * BLOCKS)
+        results, stats = sweep("numpy-dense", packed=True, configs=[config] * JOBS)
+        co = stats["coalesce"]
+        assert co["packs"] > 0 and co["rows_max"] == 2 * BLOCKS
+        assert co["segments"] == 2 * co["packs"]
+        solo, _ = sweep("numpy-dense", packed=False)
         assert_results_equal(results, solo)

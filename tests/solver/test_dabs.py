@@ -27,7 +27,6 @@ class TestDABSConfig:
             {"num_gpus": 0},
             {"blocks_per_gpu": 0},
             {"pool_capacity": 0},
-            {"inflight_per_device": 0},
             {"algorithm_set": ()},
             {"operation_set": ()},
             {"restart_after_stall": 0},

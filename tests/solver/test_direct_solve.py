@@ -82,7 +82,7 @@ class TestSolverLifecycle:
         """The solver fills its pack buffers on the first packed round and
         later solves run on the same buffers."""
         model = random_qubo(10, seed=26)
-        solver = DABSSolver(model, replace(CFG, coalesce=True), seed=0)
+        solver = DABSSolver(model, CFG, seed=0)
         solver.solve(max_rounds=1)
         first = dict(solver._pack_scratch)
         assert first
@@ -93,7 +93,7 @@ class TestSolverLifecycle:
 
     def test_context_manager_closes(self):
         model = random_qubo(10, seed=24)
-        with DABSSolver(model, replace(CFG, coalesce=True), seed=0) as solver:
+        with DABSSolver(model, CFG, seed=0) as solver:
             solver.solve(max_rounds=1)
             assert solver._pack_scratch
         assert solver._pack_scratch == {}
@@ -129,7 +129,7 @@ class TestInlineExecutor:
 
         monkeypatch.setattr(SuperLaunch, "run", interrupted)
         model = random_qubo(10, seed=30)
-        solver = DABSSolver(model, replace(CFG, coalesce=True), seed=0)
+        solver = DABSSolver(model, CFG, seed=0)
         with pytest.raises(KeyboardInterrupt) as caught:
             solver.solve(max_rounds=2)
         assert caught.value is interrupt

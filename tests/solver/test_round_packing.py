@@ -1,10 +1,11 @@
 """Packed rounds: a direct solve runs each round as fused super-launches.
 
-With coalescing on, a direct solve's one-job service puts a packable
-job's devices on one lane and runs each round's pack-compatible devices
-as one :class:`~repro.engine.coalesce.SuperLaunch` (DESIGN.md §3, §12).
-The contract under test: a packed solve is **bit-exact** against the
-same solve with ``coalesce=False`` — the result, the pools it leaves,
+A direct solve's one-job service puts a packable job's devices on one
+lane and runs each round's pack-compatible devices as one
+:class:`~repro.engine.coalesce.SuperLaunch` (DESIGN.md §3, §12).  The
+contract under test: a packed solve is **bit-exact** against the same
+solve with every launch solo (``coalesce_max_rows=blocks_per_gpu``, a
+row budget of one device) — the result, the pools it leaves,
 and every device's persistent state — and devices that cannot pack keep
 launching solo.  A failing pack follows one rule on every path: the
 failure cases run direct and through a threaded one-job service.
@@ -106,11 +107,14 @@ def solo_launches(monkeypatch):
 
 
 def solve(
-    model, cfg, coalesce, seed, solver_cls=DABSSolver, prepare=None, path="direct"
+    model, cfg, packed, seed, solver_cls=DABSSolver, prepare=None, path="direct"
 ):
     """Solve ``ROUNDS`` rounds directly, or (``path="served"``) as the
-    virtual-time job of a threaded service sized to the solver."""
-    cfg = replace(cfg, coalesce=coalesce, virtual_time=True)
+    virtual-time job of a threaded service sized to the solver.  Unpacked,
+    the row budget of one device keeps every launch solo."""
+    cfg = replace(cfg, virtual_time=True)
+    if not packed:
+        cfg = replace(cfg, coalesce_max_rows=cfg.blocks_per_gpu)
     solver = solver_cls(model, cfg, seed=seed)
     if prepare is not None:
         prepare(solver)
@@ -236,7 +240,7 @@ class TestPackedRoundParity:
 
     def test_close_drops_the_pack_buffers(self):
         model = random_qubo(12, seed=65)
-        solver = DABSSolver(model, replace(CFG, coalesce=True), seed=0)
+        solver = DABSSolver(model, CFG, seed=0)
         assert solver._pack_scratch == {}
         solver.solve(max_rounds=1)
         assert solver._pack_scratch
@@ -274,11 +278,11 @@ class TestPackedRoundFailures:
         round degrades, with the same warning and reason."""
         model = random_qubo(24, seed=5)
         outcomes = []
-        for coalesce in (False, True):
+        for packed in (False, True):
             chaos.reset()
             chaos.install(ChaosConfig(rates={"backend_raise": 1.0}, max_faults=1))
             with pytest.warns(BackendFallbackWarning) as caught:
-                solver, result = solve(model, CFG, coalesce, 0, path=path)
+                solver, result = solve(model, CFG, packed, 0, path=path)
             assert model.energy(result.best_vector) == result.best_energy
             warned = [
                 w for w in caught if issubclass(w.category, BackendFallbackWarning)
@@ -294,8 +298,8 @@ class TestPackedRoundFailures:
         assert outcomes[0] == outcomes[1]
         assert outcomes[1][2] == [1, 0, 0] and outcomes[1][3] == 1
 
-    @pytest.mark.parametrize("coalesce", [False, True])
-    def test_a_device_falls_back_once_per_round(self, coalesce, path):
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_a_device_falls_back_once_per_round(self, packed, path):
         """A second fault on the replacement backend propagates, packed
         or solo: the fallback chain is one link per launch.  A direct
         solve raises the fault itself; a served job fails with one
@@ -310,6 +314,6 @@ class TestPackedRoundFailures:
         expected = WorkerError if path == "served" else ChaosError
         with pytest.warns(BackendFallbackWarning):
             with pytest.raises(expected) as caught:
-                solve(model, CFG, coalesce, 0, path=path)
+                solve(model, CFG, packed, 0, path=path)
         if path == "served":
             assert isinstance(caught.value.__cause__, ChaosError)
