@@ -15,15 +15,16 @@ or as a CI smoke gate (small instance, asserts parity + speedup floors)::
 Measurements on a G22-family MaxCut instance (2000 nodes, ~20k edges —
 the paper's §VI.A scale):
 
-* the raw lockstep flip kernel per backend (``numpy-dense``,
-  ``numpy-sparse``, and ``numba`` when installed);
+* the raw lockstep flip kernel per backend (``numpy-dense`` and
+  ``numpy-sparse``);
 * the greedy-polish phase (§III.A.1) on the cached-state sparse path
   against the seed path (fresh state per launch, per-flip tracker folds);
 * a **full batch-search launch** (straight + greedy + MaxMin phases) on
-  the stepwise reference path vs the fused phase runners (DESIGN.md §6),
-  per backend, with speedups against the committed PR-2 seed baseline;
+  the stepwise reference path (``run_batch_search``) vs a device launch —
+  one super-launch over the fused phase runners (DESIGN.md §6, §12) —
+  with speedups against the committed PR-2 seed baseline;
 * a **TwoNeighbor full launch** (straight + greedy + one 2n − 1-flip
-  traversal + greedy) on the stepwise path vs the fused path, whose
+  traversal + greedy) on the stepwise path vs a device launch, whose
   traversal runs as one closed-form kernel on integer models.
 
 Fused and stepwise launches are asserted bit-identical before timing.
@@ -41,18 +42,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 import pytest
 
+from benchmarks._launch import LaunchBench, start_vectors
 from benchmarks._util import save_report
-from repro.backends import NumbaBackend, available_backends
+from repro.backends import available_backends
 from repro.core.delta import BatchDeltaState
-from repro.core.rng import XorShift64Star, host_generator, spawn_device_seeds
+from repro.core.packet import MainAlgorithm
 from repro.core.sparse import SparseQUBOModel
 from repro.problems.gset import g22_like
 from repro.problems.maxcut import maxcut_to_qubo
-from repro.search.batch import BatchSearchConfig, BestTracker, run_batch_search
+from repro.search.batch import BestTracker
 from repro.search.greedy import greedy_descent, greedy_select
-from repro.search.maxmin import MaxMinSearch
-from repro.search.tabu import TabuTracker
-from repro.search.twoneighbor import TwoNeighborSearch
 
 N = 2000
 BLOCKS = 16
@@ -66,11 +65,6 @@ SEED_BASELINE_FLIPS_PER_S = 71_454
 
 def gset_sparse_model(n: int = N, seed: int = SEED) -> SparseQUBOModel:
     return SparseQUBOModel.from_dense(maxcut_to_qubo(g22_like(n, seed=seed)))
-
-
-def start_vectors(model, batch: int = BLOCKS, seed: int = 1) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, 2, size=(batch, model.n), dtype=np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -104,60 +98,6 @@ def cached_greedy_polish(state, start: np.ndarray):
     return tracker, flips
 
 
-# ---------------------------------------------------------------------------
-# Full batch-search launches: stepwise reference vs fused phase runners
-# ---------------------------------------------------------------------------
-
-class LaunchBench:
-    """One reusable launch setup (cached device buffers, fixed draws)."""
-
-    def __init__(
-        self, model, backend: str, batch: int = BLOCKS, algorithm=MaxMinSearch
-    ) -> None:
-        self.model = model
-        self.algorithm = algorithm
-        self.batch = batch
-        self.config = BatchSearchConfig(batch_flip_factor=1.0)
-        self.start = start_vectors(model, batch)
-        self.targets = start_vectors(model, batch, seed=5)
-        self.state = BatchDeltaState(model, batch=batch, backend=backend)
-        self.tabu = TabuTracker(batch, model.n, self.config.tabu_period)
-        self.tracker = BestTracker(self.state)
-
-    def launch(self, fused: bool):
-        self.state.reset(self.start)
-        lanes = XorShift64Star(
-            spawn_device_seeds(host_generator(2), (self.batch, self.model.n))
-        )
-        return run_batch_search(
-            self.state,
-            self.targets,
-            self.algorithm(),
-            lanes,
-            self.config,
-            tabu=self.tabu,
-            tracker=self.tracker,
-            fused=fused,
-        )
-
-    def assert_paths_bit_identical(self):
-        ref_tracker, ref_flips = self.launch(False)
-        ref = (
-            ref_tracker.best_x.copy(),
-            ref_tracker.best_energy.copy(),
-            ref_flips.copy(),
-            self.state.x.copy(),
-            self.state.energy.copy(),
-        )
-        tracker, flips = self.launch(True)
-        assert np.array_equal(tracker.best_x, ref[0])
-        assert np.array_equal(tracker.best_energy, ref[1])
-        assert np.array_equal(flips, ref[2])
-        assert np.array_equal(self.state.x, ref[3])
-        assert np.array_equal(self.state.energy, ref[4])
-        return int(ref_flips.sum())
-
-
 def _best_time(fn, rounds: int = 5) -> float:
     return _best_times_interleaved([fn], rounds)[0]
 
@@ -185,7 +125,7 @@ def test_flip_kernel_throughput(benchmark, backend):
     """Raw lockstep flip kernel, block-flips/second, per backend."""
     model = gset_sparse_model()
     state = BatchDeltaState(model, batch=BLOCKS, backend=backend)
-    state.reset(start_vectors(model))
+    state.reset(start_vectors(model, BLOCKS))
     rng = np.random.default_rng(3)
     idx = rng.integers(0, model.n, size=(64, BLOCKS))
     slot = [0]
@@ -203,7 +143,7 @@ def test_flip_kernel_throughput(benchmark, backend):
 def test_cached_sparse_greedy_vs_seed(benchmark):
     """Acceptance: cached-state sparse greedy polish ≥1.3× the seed path."""
     model = gset_sparse_model()
-    start = start_vectors(model)
+    start = start_vectors(model, BLOCKS)
     cached = BatchDeltaState(model, batch=BLOCKS, backend="numpy-sparse")
 
     ref_tracker, ref_flips = seed_greedy_polish(model, start)
@@ -223,13 +163,10 @@ def test_cached_sparse_greedy_vs_seed(benchmark):
     assert speedup >= 1.3
 
 
-@pytest.mark.parametrize(
-    "backend",
-    sorted(set(available_backends()) & {"numpy-sparse", "numba"}),
-)
+@pytest.mark.parametrize("backend", ["numpy-sparse"])
 def test_fused_launch_vs_stepwise(benchmark, backend):
     """Fused full launch: bit-identical to stepwise and ≥1.3× faster."""
-    bench = LaunchBench(gset_sparse_model(), backend)
+    bench = LaunchBench(gset_sparse_model(), backend, BLOCKS)
     total = bench.assert_paths_bit_identical()
     stepwise_t = _best_time(lambda: bench.launch(False), rounds=3)
     benchmark(lambda: bench.launch(True))
@@ -247,7 +184,7 @@ def test_twoneighbor_launch_vs_stepwise(benchmark):
     """TwoNeighbor full launch: the closed-form traversal is bit-identical
     to the stepwise path and ≥1.5× faster end to end."""
     bench = LaunchBench(
-        gset_sparse_model(), "numpy-sparse", algorithm=TwoNeighborSearch
+        gset_sparse_model(), "numpy-sparse", BLOCKS, algorithm=MainAlgorithm.TWONEIGHBOR
     )
     total = bench.assert_paths_bit_identical()
     stepwise_t = _best_time(lambda: bench.launch(False), rounds=3)
@@ -267,7 +204,7 @@ def run_report() -> tuple[str, dict]:
     """The markdown report and its headline numbers (for the sidecar)."""
     model = gset_sparse_model()
     metrics = {}
-    start = start_vectors(model)
+    start = start_vectors(model, BLOCKS)
     lines = [
         "# Backend benchmarks (G22-family MaxCut, n=2000, ~20k edges, "
         f"B={BLOCKS})",
@@ -289,8 +226,6 @@ def run_report() -> tuple[str, dict]:
 
         per_burst = _best_time(burst)
         lines.append(f"| {backend} | {64 * BLOCKS / per_burst:,.0f} |")
-    if not NumbaBackend.is_available():
-        lines.append("| numba | (not installed — skipped) |")
 
     cached = BatchDeltaState(model, batch=BLOCKS, backend="numpy-sparse")
     ref_tracker, ref_flips = seed_greedy_polish(model, start)
@@ -318,8 +253,9 @@ def run_report() -> tuple[str, dict]:
         "",
         "## Full batch-search launch (straight + greedy + MaxMin phases)",
         "",
-        "Stepwise = the per-flip reference schedule; fused = whole phases",
-        "below the backend seam (DESIGN.md §6).  Outputs are bit-identical",
+        "Stepwise = the per-flip reference schedule; fused = one device",
+        "launch, whole phases below the backend seam in one super-launch",
+        "(DESIGN.md §6, §12).  Outputs are bit-identical",
         "(asserted before timing).  Speedups are against the committed PR-2",
         f"seed baseline of {SEED_BASELINE_FLIPS_PER_S:,} flips/s (same",
         "instance, B, schedule and machine class).",
@@ -327,29 +263,22 @@ def run_report() -> tuple[str, dict]:
         "| path | time/launch | flips/s | vs seed baseline |",
         "|---|---|---|---|",
     ]
-    for backend in sorted(set(available_backends()) & {"numpy-sparse", "numba"}):
-        bench = LaunchBench(model, backend)
-        total = bench.assert_paths_bit_identical()
-        stepwise_t, fused_t = _best_times_interleaved(
-            [lambda: bench.launch(False), lambda: bench.launch(True)], rounds=3
-        )
-        tag = "numpy" if backend == "numpy-sparse" else backend
-        metrics[f"maxmin_fused_speedup_{tag}"] = stepwise_t / fused_t
-        lines += [
-            f"| stepwise ({tag}) | {stepwise_t * 1e3:.0f} ms "
-            f"| {total / stepwise_t:,.0f} "
-            f"| {total / stepwise_t / SEED_BASELINE_FLIPS_PER_S:.2f}× |",
-            f"| fused ({tag}) | {fused_t * 1e3:.0f} ms "
-            f"| {total / fused_t:,.0f} "
-            f"| {total / fused_t / SEED_BASELINE_FLIPS_PER_S:.2f}× |",
-        ]
-    if not NumbaBackend.is_available():
-        lines.append(
-            "| fused (numba) | (not installed — skipped; run in the CI "
-            "bench-smoke job) | | |"
-        )
+    bench = LaunchBench(model, "numpy-sparse", BLOCKS)
+    total = bench.assert_paths_bit_identical()
+    stepwise_t, fused_t = _best_times_interleaved(
+        [lambda: bench.launch(False), lambda: bench.launch(True)], rounds=3
+    )
+    metrics["maxmin_fused_speedup_numpy"] = stepwise_t / fused_t
+    lines += [
+        f"| stepwise (numpy) | {stepwise_t * 1e3:.0f} ms "
+        f"| {total / stepwise_t:,.0f} "
+        f"| {total / stepwise_t / SEED_BASELINE_FLIPS_PER_S:.2f}× |",
+        f"| fused (numpy) | {fused_t * 1e3:.0f} ms "
+        f"| {total / fused_t:,.0f} "
+        f"| {total / fused_t / SEED_BASELINE_FLIPS_PER_S:.2f}× |",
+    ]
 
-    bench = LaunchBench(model, "numpy-sparse", algorithm=TwoNeighborSearch)
+    bench = LaunchBench(model, "numpy-sparse", BLOCKS, algorithm=MainAlgorithm.TWONEIGHBOR)
     total = bench.assert_paths_bit_identical()
     stepwise_t, fused_t = _best_times_interleaved(
         [lambda: bench.launch(False), lambda: bench.launch(True)], rounds=3
@@ -396,21 +325,7 @@ def run_smoke() -> None:
         f"fused {total / fused_t:,.0f} flips/s ({ratio:.2f}x)"
     )
     assert ratio >= 1.05, f"fused numpy launch only {ratio:.2f}x vs stepwise"
-    if NumbaBackend.is_available():
-        nb = LaunchBench(model, "numba", batch=8)
-        nb.assert_paths_bit_identical()
-        nb_fused_t = _best_time(lambda: nb.launch(True), rounds=5)
-        nb_ratio = stepwise_t / nb_fused_t
-        report.append(
-            f"numba: fused {total / nb_fused_t:,.0f} flips/s "
-            f"({nb_ratio:.2f}x vs numpy stepwise)"
-        )
-        assert nb_ratio >= 2.5, (
-            f"numba fused launch only {nb_ratio:.2f}x vs numpy stepwise"
-        )
-    else:
-        report.append("numba: not installed — skipped")
-    tn = LaunchBench(model, "numpy-sparse", batch=8, algorithm=TwoNeighborSearch)
+    tn = LaunchBench(model, "numpy-sparse", batch=8, algorithm=MainAlgorithm.TWONEIGHBOR)
     tn_total = tn.assert_paths_bit_identical()
     tn_stepwise_t, tn_fused_t = _best_times_interleaved(
         [lambda: tn.launch(False), lambda: tn.launch(True)], rounds=5

@@ -29,9 +29,10 @@ Two measurements per backend:
 * the **straight-phase flip kernel** — every iteration selects and flips
   exactly one differing bit per row, so elapsed time divided by total
   Hamming distance is the per-flip device cost (launch + staging included);
-* a **full fused batch-search launch** (straight + greedy + MaxMin phases)
-  against the numpy-sparse stepwise reference, asserted bit-identical
-  (including tracker bests) before timing.
+* a **full batch-search launch** (straight + greedy + MaxMin phases) — a
+  device launch, one super-launch over the fused phase runners — against
+  the numpy-sparse stepwise reference, asserted bit-identical (including
+  block solutions and RNG lanes) before timing.
 """
 
 from __future__ import annotations
@@ -50,15 +51,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 if os.environ.get("NUMBA_ENABLE_CUDASIM") == "1":
     os.environ.setdefault("REPRO_CUDA_TPB", "4")
 
+from benchmarks._launch import LaunchBench, start_vectors
 from benchmarks._util import save_report
-from repro.backends import CudaBackend, NumbaBackend
+from repro.backends import CudaBackend
 from repro.core.delta import BatchDeltaState
-from repro.core.rng import XorShift64Star, host_generator, spawn_device_seeds
 from repro.core.sparse import SparseQUBOModel
 from repro.problems.gset import g22_like
 from repro.problems.maxcut import maxcut_to_qubo
-from repro.search.batch import BatchSearchConfig, BestTracker, run_batch_search
-from repro.search.maxmin import MaxMinSearch
+from repro.search.batch import BestTracker
 from repro.search.tabu import TabuTracker
 
 SIMULATOR = os.environ.get("NUMBA_ENABLE_CUDASIM") == "1"
@@ -73,7 +73,6 @@ SEED = 0
 #: (name, availability probe, reason when unavailable)
 CANDIDATES = (
     ("numpy-sparse", lambda: True, ""),
-    ("numba", NumbaBackend.is_available, "numba not installed"),
     ("cuda", CudaBackend.is_available, ""),
 )
 
@@ -91,11 +90,6 @@ def candidate_rows():
 
 def gset_sparse_model(n: int = N, seed: int = SEED) -> SparseQUBOModel:
     return SparseQUBOModel.from_dense(maxcut_to_qubo(g22_like(n, seed=seed)))
-
-
-def start_vectors(model, batch: int, seed: int = 1) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, 2, size=(batch, model.n), dtype=np.uint8)
 
 
 def _best_time(fn, rounds: int = ROUNDS) -> float:
@@ -132,63 +126,6 @@ class StraightBench:
     def snapshot(self):
         self.launch()
         return self.state.x.copy(), self.state.energy.copy()
-
-
-# ---------------------------------------------------------------------------
-# Full fused batch-search launch vs the numpy stepwise reference
-# ---------------------------------------------------------------------------
-
-class LaunchBench:
-    """One reusable full-launch setup (straight + greedy + MaxMin phases)."""
-
-    def __init__(self, model, backend: str, batch: int = BLOCKS) -> None:
-        self.model = model
-        self.batch = batch
-        self.config = BatchSearchConfig(batch_flip_factor=1.0)
-        self.start = start_vectors(model, batch)
-        self.targets = start_vectors(model, batch, seed=5)
-        self.state = BatchDeltaState(model, batch=batch, backend=backend)
-        self.tabu = TabuTracker(batch, model.n, self.config.tabu_period)
-        self.tracker = BestTracker(self.state)
-
-    def launch(self, fused: bool):
-        self.state.reset(self.start)
-        lanes = XorShift64Star(
-            spawn_device_seeds(host_generator(2), (self.batch, self.model.n))
-        )
-        return run_batch_search(
-            self.state,
-            self.targets,
-            MaxMinSearch(),
-            lanes,
-            self.config,
-            tabu=self.tabu,
-            tracker=self.tracker,
-            fused=fused,
-        )
-
-    def snapshot(self, fused: bool):
-        tracker, flips = self.launch(fused)
-        return (
-            tracker.best_x.copy(),
-            tracker.best_energy.copy(),
-            flips.copy(),
-            self.state.x.copy(),
-            self.state.energy.copy(),
-            self.state.delta.copy(),
-        )
-
-
-def assert_matches_reference(bench: LaunchBench, ref) -> int:
-    got = bench.snapshot(fused=True)
-    for name, a, b in zip(
-        ("best_x", "best_energy", "flips", "x", "energy", "delta"), got, ref
-    ):
-        assert np.array_equal(a, b), (
-            f"{bench.state.backend.name} fused launch diverged from the "
-            f"numpy stepwise reference on {name}"
-        )
-    return int(got[2].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -235,20 +172,19 @@ def run_report() -> str:
 
     lines += [
         "",
-        "## Full fused batch-search launch "
-        "(straight + greedy + MaxMin phases)",
+        "## Full batch-search launch (straight + greedy + MaxMin phases)",
         "",
-        "Every fused launch is asserted bit-identical to the numpy-sparse",
-        "stepwise reference — state, deltas, flip counts and tracker bests —",
-        "before timing.  The cuda row includes phase-boundary staging",
+        "Every fused launch — one device launch, one super-launch — is",
+        "asserted bit-identical to the numpy-sparse stepwise reference —",
+        "block solutions, RNG lanes, flip counts and tracker bests — before",
+        "timing.  The cuda row includes phase-boundary staging",
         "(host→device upload, device→host download).",
         "",
         "| path | time/launch | flips/s |",
         "|---|---|---|",
     ]
-    ref_bench = LaunchBench(model, "numpy-sparse")
-    ref = ref_bench.snapshot(fused=False)
-    total = int(ref[2].sum())
+    ref_bench = LaunchBench(model, "numpy-sparse", BLOCKS)
+    total = ref_bench.assert_paths_bit_identical()
     stepwise_t = _best_time(lambda: ref_bench.launch(False))
     lines.append(
         f"| stepwise (numpy-sparse) | {stepwise_t * 1e3:.0f} ms "
@@ -258,8 +194,8 @@ def run_report() -> str:
         if reason:
             lines.append(f"| fused ({backend}) | (unavailable — {reason}) | |")
             continue
-        bench = LaunchBench(model, backend)
-        assert_matches_reference(bench, ref)
+        bench = LaunchBench(model, backend, BLOCKS)
+        bench.assert_paths_bit_identical(ref_bench)
         t = _best_time(lambda: bench.launch(True))
         lines.append(
             f"| fused ({backend}) | {t * 1e3:.0f} ms | {total / t:,.0f} |"
@@ -302,15 +238,14 @@ def run_smoke() -> None:
         )
     model = gset_sparse_model(n=48 if SIMULATOR else 256, seed=SEED)
     batch = 4
-    ref_bench = LaunchBench(model, "numpy-sparse", batch=batch)
-    ref = ref_bench.snapshot(fused=False)
+    ref_bench = LaunchBench(model, "numpy-sparse", batch)
     report = [f"instance: n={model.n}, B={batch}"]
     for backend, reason in candidate_rows():
         if reason:
             report.append(f"{backend}: unavailable — {reason}")
             continue
-        bench = LaunchBench(model, backend, batch=batch)
-        total = assert_matches_reference(bench, ref)
+        bench = LaunchBench(model, backend, batch)
+        total = bench.assert_paths_bit_identical(ref_bench)
         t = _best_time(lambda: bench.launch(True), rounds=1)
         report.append(
             f"{backend}: fused launch bit-identical to stepwise reference "

@@ -18,7 +18,7 @@ Quickstart::
 Package layout (see DESIGN.md for the full inventory):
 
 * :mod:`repro.core`      — QUBO/Ising models, incremental Δ engine, RNG, packets
-* :mod:`repro.backends`  — pluggable flip-kernel backends (dense/CSR/numba)
+* :mod:`repro.backends`  — pluggable flip-kernel backends (dense/CSR/cuda)
 * :mod:`repro.search`    — the 5 main search algorithms + greedy/straight/tabu
 * :mod:`repro.ga`        — solution pools, genetic operations, adaptive selection
 * :mod:`repro.gpu`       — the virtual-GPU lockstep execution substrate

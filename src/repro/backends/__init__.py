@@ -1,20 +1,19 @@
 """Pluggable compute backends for the batch-search hot path.
 
 The registry maps names to :class:`~repro.backends.base.ComputeBackend`
-singletons.  Four implementations ship here:
+singletons.  Three implementations ship here, and every one of them runs
+a virtual GPU's launch as one super-launch (DESIGN.md §12):
 
 * ``numpy-dense`` — vectorized dense kernels (O(B·n) per flip),
 * ``numpy-sparse`` — CSR kernels (O(B·degree) per flip),
-* ``numba`` — optional JIT of the dense flip; cleanly absent without numba,
 * ``cuda`` — real GPU phase kernels via ``numba.cuda`` (or the CUDA
   simulator under ``NUMBA_ENABLE_CUDASIM=1``); cleanly absent without
   numba or a device.
 
-The optional backends (``numba``, ``cuda``) are registered **lazily**: the
-names are always known, but their modules — and hence the optional
-packages they probe for — are only imported when a backend function first
-needs them, so a broken or missing dependency can never break
-``import repro``.
+The optional ``cuda`` backend is registered **lazily**: the name is
+always known, but its module — and hence the optional package it probes
+for — is only imported when a backend function first needs it, so a
+broken or missing dependency can never break ``import repro``.
 
 Selection (first match wins):
 
@@ -65,7 +64,6 @@ __all__ = [
     "CudaBackend",
     "GreedyTruncationWarning",
     "INT_SENTINEL",
-    "NumbaBackend",
     "PreparedProblem",
     "SelectionSpec",
     "NumpyDenseBackend",
@@ -96,7 +94,6 @@ _REGISTRY: dict[str, ComputeBackend] = {}
 #: optional backends: name → (module, class); imported on first use so a
 #: missing optional dependency never breaks ``import repro``
 _LAZY_BACKENDS: dict[str, tuple[str, str]] = {
-    "numba": ("repro.backends.numba_backend", "NumbaBackend"),
     "cuda": ("repro.backends.cuda", "CudaBackend"),
 }
 
@@ -344,28 +341,14 @@ def pack_compatibility_key(backend, kernel, model, search_config):
     the same batch-search phase configuration.  Identity (not content)
     comparison is deliberate: distinct kernels never fuse, so a degraded
     device's rebuilt kernel simply stops matching its former pack-mates.
-
-    Returns ``None`` when launches on this substrate must not be packed:
-
-    * the backend's fused runners cannot take a per-row vector tabu clock
-      (``packable`` is False — JIT/CUDA kernels), or
-    * the model's arithmetic is floating-point — float reductions may
-      round differently across batch shapes, and packing is only offered
-      where bit-exactness per job is provable.
+    Every backend's phase runners take a per-row tabu clock, and a
+    virtual GPU only holds integer models, so every launch has a key.
     """
-    if not getattr(backend, "packable", False):
-        return None
-    if not np.issubdtype(np.dtype(model.dtype), np.integer):
-        return None
     return (id(backend), id(kernel), int(model.n), search_config)
 
 
 def __getattr__(name: str):
-    """Lazy re-exports of the optional backend classes (PEP 562)."""
-    if name == "NumbaBackend":
-        from repro.backends.numba_backend import NumbaBackend
-
-        return NumbaBackend
+    """Lazy re-export of the optional backend class (PEP 562)."""
     if name == "CudaBackend":
         from repro.backends.cuda import CudaBackend
 

@@ -138,27 +138,10 @@ class ComputeBackend(ABC):
     #: registry name, e.g. ``"numpy-dense"``
     name: str = ""
 
-    #: True when the fused phase runners accept a per-row vector tabu
-    #: clock, the requirement for coalesced super-launches (DESIGN.md
-    #: §12).  Backends whose kernels take a scalar clock (JIT/CUDA)
-    #: opt out and their launches are never packed.
-    packable: bool = True
-
-    #: selection-spec kinds this backend can run as fused phases
-    lowered_kinds: frozenset = frozenset(
-        {
-            KIND_MAXMIN_THRESHOLD,
-            KIND_CYCLIC_WINDOW,
-            KIND_RANDOM_CANDIDATE_MIN,
-            KIND_POSITIVE_MIN,
-            KIND_FIXED_SEQUENCE,
-        }
-    )
-
     # -- lifecycle ---------------------------------------------------------
     @classmethod
     def is_available(cls) -> bool:
-        """False when a runtime dependency (e.g. numba) is missing."""
+        """False when a runtime dependency (e.g. ``numba.cuda``) is missing."""
         return True
 
     @classmethod

@@ -135,12 +135,15 @@ def _get_kernels(tpb: int):
 def _build_kernels(tpb: int):
     """Compile the phase kernels for one block width.
 
-    Every device helper mirrors its CPU counterpart
-    (:mod:`repro.backends.numba_backend`) line by line; where the CPU
-    kernel scans a row sequentially, the CUDA kernel scans it with a
-    strided thread loop plus a shared-memory reduction whose tie-breaks
-    are provably identical (strict comparisons in ascending-index order
-    per thread, smaller index wins across threads).  All cross-thread
+    Every device helper mirrors its reference counterpart (the NumPy
+    selectors of :class:`~repro.backends.base.ComputeBackend` and the
+    stepwise ``MainSearch.select`` rules) line by line; where a reference
+    scans a row, the CUDA kernel scans it with a strided thread loop plus
+    a shared-memory reduction whose tie-breaks are provably identical
+    (strict comparisons in ascending-index order per thread, smaller
+    index wins across threads).  Tabu stamps are ``clock[r] + t``: each
+    row carries its own clock, so a super-launch may stack rows whose
+    phases started at different clocks (DESIGN.md §12).  All cross-thread
     branches are taken uniformly by the whole block, so the barriers
     inside ``flip_row``/``fold_row`` are always reached by every thread.
     """
@@ -390,7 +393,7 @@ def _build_kernels(tpb: int):
                 x, energy, delta, sig, storage, s, ell_cols, ell_data, indptr, indices, data, r, mi
             )
             if stamp_on != 0 and tid == 0:
-                stamps[r, mi] = clock + t
+                stamps[r, mi] = clock[r] + t
             fold_row(x, energy, delta, best_x, best_e, r, sv, si)
         if tid == 0:
             flips[r] = dist
@@ -431,7 +434,7 @@ def _build_kernels(tpb: int):
                 x, energy, delta, sig, storage, s, ell_cols, ell_data, indptr, indices, data, r, j
             )
             if stamp_on != 0 and tid == 0:
-                stamps[r, j] = clock + t
+                stamps[r, j] = clock[r] + t
             f += 1
         trunc = np.int64(0)
         if f >= max_iters:
@@ -482,7 +485,7 @@ def _build_kernels(tpb: int):
         n = x.shape[1]
         seq_len = sequence.shape[0]
         for t in range(iterations):
-            cut = clock + t - period
+            cut = clock[r] + t - period
             idx = np.int64(0)
             if kind == 0:  # maxmin-threshold
                 all_usable = True
@@ -616,7 +619,7 @@ def _build_kernels(tpb: int):
                 x, energy, delta, sig, storage, s, ell_cols, ell_data, indptr, indices, data, r, idx
             )
             if stamp_on != 0 and tid == 0:
-                stamps[r, idx] = clock + t
+                stamps[r, idx] = clock[r] + t
             cuda.syncthreads()
             fold_row(x, energy, delta, best_x, best_e, r, sv, si)
 
@@ -735,6 +738,7 @@ class _DeviceMirror:
         "d_flips",
         "d_trunc",
         "d_cursor",
+        "d_clock",
     )
 
     def __init__(self, batch: int, n: int) -> None:
@@ -756,6 +760,7 @@ class _DeviceMirror:
         self.d_flips = cuda.device_array(b, dtype=np.int64)
         self.d_trunc = cuda.device_array(b, dtype=np.bool_)
         self.d_cursor = cuda.device_array(b, dtype=np.int64)
+        self.d_clock = cuda.device_array(b, dtype=np.int64)
         self.pid = os.getpid()
 
 
@@ -769,10 +774,6 @@ class CudaBackend(ComputeBackend):
     """
 
     name = "cuda"
-
-    #: device kernels take a scalar tabu clock — no vector-clock support,
-    #: so launches on this backend are never coalesced
-    packable = False
 
     @classmethod
     def is_available(cls) -> bool:
@@ -855,6 +856,20 @@ class CudaBackend(ComputeBackend):
             mirror._allocate()
         return mirror
 
+    @staticmethod
+    def _part_state(state, lo: int, hi: int):
+        """Rows ``[lo, hi)`` of *state* as a state that keeps its device
+        mirror across phases and launches: the whole span is *state*
+        itself, any other window is made once and cached in its scratch
+        (``reset`` never reallocates the buffers it slices)."""
+        if (lo, hi) == (0, state.batch):
+            return state
+        key = ("cuda-window", lo, hi)
+        window = state._scratch.get(key)
+        if window is None:
+            window = state._scratch[key] = state.row_window(lo, hi)
+        return window
+
     def _stage_in(self, state, tabu, tracker, mirror, tpb: int, kernels) -> None:
         mirror.d_x.copy_to_device(state.x)
         mirror.d_energy.copy_to_device(state.energy)
@@ -862,6 +877,11 @@ class CudaBackend(ComputeBackend):
         mirror.d_stamps.copy_to_device(tabu.stamps)
         mirror.d_best_x.copy_to_device(tracker.best_x)
         mirror.d_best_e.copy_to_device(tracker.best_energy)
+        # one tabu clock per row: a scalar clock broadcast, or the
+        # super-launch's vector clock as it is (DESIGN.md §12)
+        mirror.d_clock.copy_to_device(
+            np.ascontiguousarray(np.broadcast_to(tabu.clock, (state.batch,)), dtype=np.int64)
+        )
         kernels["sigma_init"][state.batch, tpb](mirror.d_x, mirror.d_sig)
 
     def _stage_out(self, state, tabu, tracker, mirror) -> None:
@@ -895,7 +915,7 @@ class CudaBackend(ComputeBackend):
             mirror.d_targets,
             mirror.d_stamps,
             1 if tabu.enabled else 0,
-            tabu.clock,
+            mirror.d_clock,
             mirror.d_best_x,
             mirror.d_best_e,
             mirror.d_flips,
@@ -925,7 +945,7 @@ class CudaBackend(ComputeBackend):
             *tables,
             mirror.d_stamps,
             1 if tabu.enabled else 0,
-            tabu.clock,
+            mirror.d_clock,
             mirror.d_best_x,
             mirror.d_best_e,
             mirror.d_flips,
@@ -941,13 +961,26 @@ class CudaBackend(ComputeBackend):
         tabu.advance(int(flips.max(initial=0)))
         return flips, truncated
 
-    def run_main_phase(
-        self, state, spec: SelectionSpec, iterations: int, rng, tabu, tracker
-    ) -> np.ndarray:
+    def run_main_phase(self, state, spec, iterations: int, rng, tabu, tracker) -> np.ndarray:
         if not self._device_supported(state):
             return super().run_main_phase(
                 state, spec, iterations, rng, tabu, tracker
             )
+        if not isinstance(spec, SelectionSpec):
+            # a mixed-algorithm super-launch span (DESIGN.md §12): rows are
+            # independent in a main phase, so one kernel launch per
+            # row-range part is bit-identical to the lockstep interleave
+            for lo, hi, part, lanes in spec:
+                self.run_main_phase(
+                    self._part_state(state, lo, hi),
+                    part,
+                    iterations,
+                    lanes,
+                    tabu.window(lo, hi),
+                    tracker.window(lo, hi),
+                )
+            self._invalidate_derived(state)
+            return np.full(state.batch, iterations, dtype=np.int64)
         tpb = _threads_per_block()
         kernels = _get_kernels(tpb)
         mirror = self._mirror(state)
@@ -973,7 +1006,7 @@ class CudaBackend(ComputeBackend):
             mirror.d_lanes,
             mirror.d_stamps,
             tabu.period,
-            tabu.clock,
+            mirror.d_clock,
             1 if (spec.supports_tabu and tabu.enabled) else 0,
             1 if tabu.enabled else 0,
             cuda.to_device(np.ascontiguousarray(schedule)),

@@ -6,7 +6,7 @@ Usage::
                            [--solver dabs|abs|sa|tabu|sbm|exact|mip]
                            [--time-limit S] [--rounds N] [--target E]
                            [--seed K] [--gpus G] [--blocks B]
-                           [--backend auto|numpy-dense|numpy-sparse|numba|cuda]
+                           [--backend auto|numpy-dense|numpy-sparse|cuda]
                            [--islands N] [--topology ring|all]
                            [--migration-period M] [--migration-k K]
 
@@ -79,9 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("auto",) + backend_names(),
         default=None,
-        help="compute backend for the dabs/abs flip kernels; other solvers "
-        "ignore it (default: the REPRO_BACKEND env var if set, else auto — "
-        "chosen by coupling density)",
+        help="compute backend for the dabs/abs kernels, every launch one "
+        "super-launch; other solvers ignore it (default: the REPRO_BACKEND "
+        "env var if set, else auto — chosen by coupling density)",
     )
     parser.add_argument(
         "--batch-flip-factor", type=float, default=4.0, metavar="B",

@@ -23,7 +23,7 @@ Two implementations share the math:
   the role of CUDA blocks.  It is a thin facade over a pluggable
   :class:`~repro.backends.base.ComputeBackend` (see :mod:`repro.backends`,
   DESIGN.md §2), which owns the actual kernels: dense NumPy row-gather
-  updates, CSR neighbourhood updates, or an optional numba JIT.  Every
+  updates, CSR neighbourhood updates, or ``numba.cuda`` kernels.  Every
   backend is bit-exactly interchangeable on integer models.
 """
 
@@ -110,7 +110,7 @@ class BatchDeltaState:
     A facade: the arrays live here, the kernels live on a pluggable
     :class:`~repro.backends.base.ComputeBackend`.  ``backend`` may be a
     backend instance, a registered name (``"numpy-dense"``,
-    ``"numpy-sparse"``, ``"numba"``), ``"auto"`` or ``None`` (consults the
+    ``"numpy-sparse"``, ``"cuda"``), ``"auto"`` or ``None`` (consults the
     ``REPRO_BACKEND`` environment variable, then the auto density rule).
 
     Attributes
@@ -183,49 +183,24 @@ class BatchDeltaState:
         """Number of binary variables."""
         return self.model.n
 
-    def row_view(self, batch: int) -> "BatchDeltaState":
-        """A facade over the first *batch* rows, sharing buffers and kernel.
-
-        Row slices of C-contiguous arrays stay contiguous, so the view runs
-        the same kernels at full speed; flips/resets through it mutate the
-        parent's rows.  The virtual GPU uses this to run lockstep sub-groups
-        of any size without allocating per-size device buffers.
-        """
-        if not 1 <= batch <= self.batch:
-            raise ValueError(
-                f"view batch must be in [1, {self.batch}], got {batch}"
-            )
-        view = self._rows_view(0, batch)
-        view._rows = self._rows[:batch]
-        return view
-
     def row_window(self, start: int, stop: int) -> "BatchDeltaState":
         """A facade over rows ``[start, stop)``, sharing buffers and kernel.
 
-        The row-range generalisation of :meth:`row_view`, used by the
-        super-launch executor (DESIGN.md §12) to phase over contiguous
-        spans of a stacked multi-job batch.  ``_rows`` is re-based to the
-        window so fancy row indexing inside kernels stays window-local.
+        Row slices of C-contiguous arrays stay contiguous, so the view runs
+        the same kernels at full speed; flips/resets through it mutate the
+        parent's rows.  The super-launch executor (DESIGN.md §12) uses it
+        to phase over contiguous spans of a stacked batch.  ``_rows`` is
+        re-based to the window so fancy row indexing inside kernels stays
+        window-local.
         """
         if not 0 <= start < stop <= self.batch:
             raise ValueError(
                 f"window must satisfy 0 <= start < stop <= {self.batch}, "
                 f"got [{start}, {stop})"
             )
-        view = self._rows_view(start, stop)
-        view._rows = np.arange(stop - start)
-        return view
-
-    def _rows_view(self, start: int, stop: int) -> "BatchDeltaState":
-        """The facade over rows ``[start, stop)`` behind :meth:`row_view`
-        and :meth:`row_window` (``_rows`` left to the caller).
-
-        Kernels may flatten ``x``/``delta`` with ``reshape(-1)`` (the
-        sparse backend's flat-indexed flip), which is a view — so writes
-        go through — only on a C-contiguous buffer.  A leading-row slice
-        of a C-contiguous buffer always is one; this is the one place
-        that checks it.
-        """
+        # kernels may flatten x/delta with reshape(-1) (the sparse
+        # backend's flat-indexed flip), which is a view — so writes go
+        # through — only on a C-contiguous buffer
         view = object.__new__(BatchDeltaState)
         view.model = self.model
         view.batch = stop - start
@@ -238,6 +213,7 @@ class BatchDeltaState:
             raise ValueError("state buffers must be C-contiguous")
         view.device = None  # device mirrors are per-(object, shape)
         view._scratch = {}
+        view._rows = np.arange(stop - start)
         return view
 
     def reset(self, x=None) -> None:

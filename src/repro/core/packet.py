@@ -170,8 +170,9 @@ class PacketBatch:
     def group_by_algorithm(self) -> dict[MainAlgorithm, np.ndarray]:
         """Row indices grouped by main search algorithm.
 
-        The virtual GPU launches one lockstep sub-batch per algorithm, since
-        lanes running different algorithms cannot share a flip schedule.
+        A super-launch makes one cell per (device, algorithm) group: the
+        group's rows share a straight/greedy/main schedule, and cells of
+        different algorithms share one main loop (DESIGN.md §12).
         """
         groups: dict[MainAlgorithm, np.ndarray] = {}
         for alg in np.unique(self.algorithms):

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.utils.validation import check_bit_vector, check_square_matrix
 
-__all__ = ["QUBOModel", "brute_force"]
+__all__ = ["QUBOModel", "brute_force", "require_integer_weights"]
 
 #: Enumerating more than this many bits is refused by :func:`brute_force`.
 _BRUTE_FORCE_MAX_BITS = 24
@@ -164,6 +164,21 @@ class QUBOModel:
         return (
             f"QUBOModel(name={self.name!r}, n={self.n}, "
             f"interactions={self.num_interactions}, dtype={self.dtype})"
+        )
+
+
+def require_integer_weights(model) -> None:
+    """Refuse a fractional-weight *model* with one ``ValueError``: the
+    DABS/ABS kernels accumulate Δ and energies in int64.  Checked by
+    every virtual GPU and the solvers at construction and, so a job fails
+    before it is accepted, at every submit (``SolveService.submit``,
+    ``Federation.submit``).  An object without a ``dtype`` is not judged
+    here; it fails where it is used."""
+    dtype = getattr(model, "dtype", None)
+    if dtype is not None and not np.issubdtype(dtype, np.integer):
+        raise ValueError(
+            f"DABS/ABS need integer weights; {model.name!r} has "
+            f"fractional ones (scale them to integers first)"
         )
 
 

@@ -11,12 +11,12 @@ stacked ``(ΣB, n)`` batch, and completions are split back per job by row
 segment (DESIGN.md §12).
 
 Super-launches come from three places: the service packs the launches
-queued on one lane — a packable job's devices (a direct solve's too)
-and compatible co-tenants (``SolveService._refill``); a lane re-plans a
-failed pack (``FleetWorkerGroup._run_pack``); and a packable device runs
-each of its own solo launches as a one-segment super-launch
+queued on one lane — a job's devices (a direct solve's too) and
+compatible co-tenants (``SolveService._refill``); a lane re-plans a
+failed pack (``FleetWorkerGroup._run_pack``); and every device runs each
+of its own solo launches as a one-segment super-launch
 (``VirtualGPU.launch``) — the paper's one kernel per launch, whatever
-each block's algorithm.  The first two commit through
+each block's algorithm, on every backend.  The first two commit through
 ``VirtualGPU.commit_packed`` (:meth:`SuperLaunch.run`); the device
 commits its own segment, so each launch-equivalent passes one seam only.
 
@@ -74,11 +74,11 @@ __all__ = ["PackScratch", "PackSegment", "SegmentResult", "SuperLaunch", "pack_k
 def pack_key(gpu):
     """The compatibility key under which *gpu*'s launches may coalesce.
 
-    The device's own :attr:`~repro.gpu.virtual_gpu.VirtualGPU.pack_key`
-    (``None`` for a non-builtin algorithm implementation, a non-packable
-    backend or float arithmetic), and ``None`` for anything that is not
-    a real :class:`~repro.gpu.virtual_gpu.VirtualGPU` (tests inject stub
-    devices; a stub cannot honor the packed execution contract).
+    The device's own :attr:`~repro.gpu.virtual_gpu.VirtualGPU.pack_key`,
+    and ``None`` for anything that is not a real
+    :class:`~repro.gpu.virtual_gpu.VirtualGPU` (tests and benchmarks wrap
+    devices in proxies; a proxy cannot honor the packed execution
+    contract, so it launches alone on a lane of its own).
     """
     if not isinstance(gpu, VirtualGPU):
         return None
@@ -152,8 +152,7 @@ class PackScratch:
     Owned by the lane that executes packs (single-threaded), keyed by
     (backend, kernel, n, config) and grown geometrically to the largest
     super-batch seen.  Row-window views over the merged state/tabu/best
-    buffers are cached per span, mirroring how a virtual GPU caches its
-    lockstep-group views.
+    buffers are cached per span.
     """
 
     def __init__(self, model, backend, kernel, config, capacity: int) -> None:
@@ -222,8 +221,8 @@ class SuperLaunch:
     """A set of pack-compatible launches executed as one fused batch.
 
     Created by the service scheduler and by a lane re-planning a failed
-    pack, both run via :meth:`run` on the lane, and by a packable
-    device's own ``VirtualGPU.launch``, a one-segment pack it runs via
+    pack, both run via :meth:`run` on the lane, and by every device's
+    own ``VirtualGPU.launch``, a one-segment pack it runs via
     :meth:`execute` and commits itself.
     Exposes the segments so a failed or wedged pack can be split back
     into individual launches, and :attr:`culprit` — the segment whose

@@ -9,7 +9,7 @@ completions carry an opaque ``tag`` routed back to the caller.  A
 :class:`~repro.service.SolveService` owns one fleet and multiplexes many
 jobs' launches over it, with the tag identifying the owning job
 (DESIGN.md §8).  The per-lane FIFO is what gives each device in-flight
-depth (a launch can be queued behind the running one) while NumPy/numba
+depth (a launch can be queued behind the running one) while NumPy
 kernels release the GIL, so lanes genuinely overlap.
 
 Completions land on one host-side stream as :class:`LaunchCompletion`
@@ -472,11 +472,8 @@ class FleetWorkerGroup:
                 segments = [seg for seg in segments if seg is not culprit]
             else:
                 degraded = degraded | {culprit}
-            for key, run in itertools.groupby(segments, lambda s: pack_key(s.gpu)):
-                if key is None:
-                    outcomes.extend(_run_solo(seg) for seg in run)
-                else:
-                    outcomes += self._run_pack(SuperLaunch(list(run)), scratch, degraded)
+            for _, run in itertools.groupby(segments, lambda s: pack_key(s.gpu)):
+                outcomes += self._run_pack(SuperLaunch(list(run)), scratch, degraded)
             return outcomes
 
     def next_completion(self, timeout: float) -> LaunchCompletion | None:

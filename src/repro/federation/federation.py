@@ -54,13 +54,14 @@ from dataclasses import replace
 import numpy as np
 
 from repro.core.packet import VOID_ENERGY
+from repro.core.qubo import require_integer_weights
 from repro.federation.transport import TOPOLOGIES, QueueTransport
 from repro.federation.worker import SOLVER_REGISTRY, island_main, island_seed
 from repro.ga.adaptive import SelectionCounters
 from repro.service.job import IncumbentUpdate, JobHandle, JobStatus
 from repro.service.service import ServiceClosedError, ServiceOverloadedError
 from repro.service.stats import FederationStats, ServiceStats
-from repro.solver.dabs import DABSConfig, require_integer_weights
+from repro.solver.dabs import DABSConfig
 from repro.solver.result import SolveResult
 from repro.solver.termination import SolveLimits
 

@@ -14,17 +14,15 @@ of the incremental search algorithm) is maintained by :class:`BestTracker`,
 which copies rows only when they improve — the vectorized counterpart of the
 paper's rarely-firing ``atomicMin``.
 
-Two execution paths share this schedule (DESIGN.md §6):
-
-* **fused** (default): each phase is one
-  :class:`~repro.backends.base.ComputeBackend` call — the straight/greedy
-  loops and whole main phases lowered from the algorithm's
-  :class:`~repro.backends.spec.SelectionSpec`;
-* **stepwise** (``fused=False``): the reference path dispatching one
-  ``select → flip → record → fold`` round-trip per iteration.
-
-Both produce bit-identical (vector, energy, flip-count) trajectories under
-a fixed seed — asserted per algorithm × backend × tabu setting by
+:func:`run_batch_search` is the **stepwise oracle** of this schedule: one
+``select → flip → record → fold`` round-trip per iteration.  Launches do
+not run it; a virtual GPU runs every launch as one super-launch
+(:mod:`repro.engine.coalesce`), whose phases are
+:class:`~repro.backends.base.ComputeBackend` calls — the straight/greedy
+loops and whole main phases lowered from each algorithm's
+:class:`~repro.backends.spec.SelectionSpec` (DESIGN.md §6, §12).  The two
+produce bit-identical (vector, energy, flip-count) trajectories under a
+fixed seed — asserted per algorithm × backend × tabu setting by
 ``tests/backends/test_fused_parity.py``.
 """
 
@@ -86,8 +84,8 @@ class BestTracker:
     visited vector *and* every 1-bit neighbour of a visited vector.
 
     The buffers are device-owned state: allocated once, reset in place
-    across launches (:meth:`reset`), with row-slice views for lockstep
-    sub-groups (:meth:`row_view`).  ``greedy_truncated`` flags rows whose
+    across launches (:meth:`reset`), with row-range views for the spans of
+    a super-launch (:meth:`window`).  ``greedy_truncated`` flags rows whose
     greedy polish hit the iteration safety cap before converging.
     """
 
@@ -139,19 +137,6 @@ class BestTracker:
     #: historic name of :meth:`fold`, kept for callers/tests
     update = fold
 
-    def row_view(self, batch: int) -> "BestTracker":
-        """A tracker over the first *batch* rows, sharing the buffers
-        (the best-memory analogue of :meth:`BatchDeltaState.row_view`)."""
-        if not 1 <= batch <= self.best_x.shape[0]:
-            raise ValueError(
-                f"view batch must be in [1, {self.best_x.shape[0]}], got {batch}"
-            )
-        view = object.__new__(BestTracker)
-        view.best_x = self.best_x[:batch]
-        view.best_energy = self.best_energy[:batch]
-        view.greedy_truncated = self.greedy_truncated[:batch]
-        return view
-
     def window(self, start: int, stop: int) -> "BestTracker":
         """A tracker over rows ``[start, stop)``, sharing the buffers.
 
@@ -182,15 +167,9 @@ def run_main_phase(
     """Stepwise reference main phase: one ``select`` round-trip per flip.
 
     The fused path (:meth:`ComputeBackend.run_main_phase`) must reproduce
-    this loop bit-exactly; unlowerable algorithms always run here.
-    Returns per-row flip counts.
+    this loop bit-exactly.  Returns per-row flip counts.
     """
     algorithm.begin(state, iterations)
-    return _stepwise_main_loop(state, algorithm, iterations, rng, tabu, tracker)
-
-
-def _stepwise_main_loop(state, algorithm, iterations, rng, tabu, tracker):
-    """The per-flip loop of :func:`run_main_phase`, after ``begin``."""
     use_tabu = algorithm.supports_tabu and tabu.enabled
     for t in range(1, iterations + 1):
         mask = tabu.mask() if use_tabu else None
@@ -201,29 +180,6 @@ def _stepwise_main_loop(state, algorithm, iterations, rng, tabu, tracker):
     return np.full(state.batch, iterations, dtype=np.int64)
 
 
-def _run_lowered_main_phase(
-    state: BatchDeltaState,
-    algorithm: MainSearch,
-    iterations: int,
-    rng: XorShift64Star,
-    tabu: TabuTracker,
-    tracker: BestTracker,
-) -> np.ndarray:
-    """One main phase on the fused path (falls back to stepwise when the
-    algorithm does not lower or the backend cannot run the spec).
-
-    ``begin`` runs exactly once per phase on either outcome, so custom
-    algorithms with non-idempotent per-phase state behave identically to
-    the stepwise path.
-    """
-    algorithm.begin(state, iterations)
-    spec = algorithm.lower(state, iterations)
-    backend = state.backend
-    if spec is None or spec.kind not in backend.lowered_kinds:
-        return _stepwise_main_loop(state, algorithm, iterations, rng, tabu, tracker)
-    return backend.run_main_phase(state, spec, iterations, rng, tabu, tracker)
-
-
 def run_batch_search(
     state: BatchDeltaState,
     targets: np.ndarray,
@@ -232,9 +188,8 @@ def run_batch_search(
     config: BatchSearchConfig,
     tabu: TabuTracker | None = None,
     tracker: BestTracker | None = None,
-    fused: bool = True,
 ) -> tuple[BestTracker, np.ndarray]:
-    """Execute one full batch search on all rows of *state*.
+    """Execute one full batch search on all rows of *state*, stepwise.
 
     Parameters
     ----------
@@ -244,13 +199,10 @@ def run_batch_search(
     targets:
         ``(B, n)`` target vectors from the host packets.
     algorithm:
-        The main search algorithm for this launch (one per lockstep group).
+        The main search algorithm of every row.
     tabu, tracker:
-        Device-owned bookkeeping to reuse across launches (reset in
-        place); fresh ones are allocated when omitted.
-    fused:
-        Run whole phases below the backend seam (default); ``False`` takes
-        the stepwise reference path, bit-identical by contract.
+        Bookkeeping to reuse (reset in place); fresh ones are allocated
+        when omitted.
 
     Returns
     -------
@@ -267,46 +219,6 @@ def run_batch_search(
     else:
         tracker.reset(state)
     tracker.fold(state)
-    if fused:
-        return _run_fused(state, targets, algorithm, rng, config, tabu, tracker)
-    return _run_stepwise(state, targets, algorithm, rng, config, tabu, tracker)
-
-
-def _run_fused(state, targets, algorithm, rng, config, tabu, tracker):
-    """The fused schedule: one backend call per phase."""
-    n = state.n
-    backend = state.backend
-
-    def greedy_polish() -> np.ndarray:
-        f, truncated = backend.run_greedy_phase(state, tabu, tracker)
-        tracker.greedy_truncated |= truncated
-        return f
-
-    flips = backend.run_straight_phase(state, targets, tabu, tracker)
-    if isinstance(algorithm, TwoNeighborSearch):
-        # greedy → single 2n−1-flip traversal → greedy, regardless of budget
-        flips += greedy_polish()
-        flips += _run_lowered_main_phase(
-            state, algorithm, algorithm.num_iterations(n), rng, tabu, tracker
-        )
-        flips += greedy_polish()
-        return tracker, flips
-
-    budget = config.batch_budget(n)
-    main_iters = config.main_iterations(n)
-    while True:
-        flips += greedy_polish()
-        if np.all(flips >= budget):
-            break
-        flips += _run_lowered_main_phase(
-            state, algorithm, main_iters, rng, tabu, tracker
-        )
-    return tracker, flips
-
-
-def _run_stepwise(state, targets, algorithm, rng, config, tabu, tracker):
-    """The stepwise reference schedule (one Python round-trip per flip)."""
-    n = state.n
     greedy_cap = greedy_iteration_cap(n)
 
     def on_flip(idx: np.ndarray, active: np.ndarray) -> None:

@@ -13,12 +13,12 @@ stepwise per-flip :meth:`record`, because within any phase a row's k-th
 flip always lands on lockstep iteration k.  :meth:`mask` writes into one
 reused buffer instead of allocating a fresh ``(B, n)`` array per flip.
 
-``clock`` is normally a scalar (every row of a lockstep group advances
-together).  A coalesced super-launch (DESIGN.md §12) stacks lockstep
-groups of *different* jobs into one row range, and those groups run
-different straight/greedy iteration counts — so the tracker also accepts
-a per-row **vector clock** (:meth:`vectorize_clock`): all arithmetic here
-and in the fused phase runners broadcasts either form, and
+``clock`` is a scalar in the stepwise oracle (every row advances
+together).  A super-launch (DESIGN.md §12) stacks lockstep groups — of
+one launch or of *different* jobs — into one row range, and those groups
+run different straight/greedy iteration counts, so it uses a per-row
+**vector clock** (:meth:`vectorize_clock`): all arithmetic here and in
+every backend's fused phase runners broadcasts either form, and
 :meth:`window` hands out row-range views whose clock slice aliases the
 parent, so an in-place ``advance`` on a window propagates.
 """
@@ -101,20 +101,6 @@ class TabuTracker:
         """Forget all stamps (used between batch searches)."""
         self._stamp.fill(-(self.period + 1))
         self.clock = 0
-
-    def row_view(self, batch: int) -> "TabuTracker":
-        """A tracker over the first *batch* rows, sharing the stamp buffer
-        (the tabu analogue of :meth:`BatchDeltaState.row_view`)."""
-        if not 1 <= batch <= self._stamp.shape[0]:
-            raise ValueError(
-                f"view batch must be in [1, {self._stamp.shape[0]}], got {batch}"
-            )
-        view = object.__new__(TabuTracker)
-        view.period = self.period
-        view.clock = 0
-        view._stamp = self._stamp[:batch]
-        view._mask_buf = None
-        return view
 
     def vectorize_clock(self) -> np.ndarray:
         """Switch to a per-row vector clock and return it.

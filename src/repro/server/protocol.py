@@ -311,14 +311,7 @@ def load_model(params: dict):
         model, _ = load_instance(params["file"], params.get("format", "auto"))
         return model
     if "terms" in params:
-        n = params.get("n")
-        if isinstance(n, float) and n.is_integer():
-            n = int(n)
-        if type(n) is not int or not 0 < n <= MAX_TERMS_N:
-            raise ProtocolError(
-                E_BAD_REQUEST,
-                f'"n" must be an integer in [1, {MAX_TERMS_N}], got {n!r}',
-            )
+        n = _int_field(params, "n", minimum=1, maximum=MAX_TERMS_N)
         rows, cols, weights = _decode_terms(params["terms"], n)
         matrix = np.zeros((n, n))
         np.add.at(matrix, (rows, cols), weights)
@@ -339,19 +332,51 @@ def solver_fields(params: dict) -> tuple[str, bool]:
     return solver, virtual_time
 
 
+def _int_field(
+    params: dict, name: str, minimum: int | None = None, maximum: int | None = None
+) -> int:
+    """A submit's integer field: a JSON integer or an integral float,
+    never a bool, truncated float or string; anything else (a missing
+    field, or a value outside *minimum*..*maximum*) is one
+    :data:`E_BAD_REQUEST`."""
+    value = params.get(name)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if (
+        type(value) is not int
+        or (minimum is not None and value < minimum)
+        or (maximum is not None and value > maximum)
+    ):
+        if maximum is not None:
+            bound = f" in [{minimum}, {maximum}]"
+        else:
+            bound = "" if minimum is None else f" >= {minimum}"
+        raise ProtocolError(E_BAD_REQUEST, f'"{name}" must be an integer{bound}, got {value!r}')
+    return value
+
+
+def _number_field(params: dict, name: str) -> float:
+    """A submit's numeric field: a JSON number, never a bool or string
+    (the range is the service's to check); else one :data:`E_BAD_REQUEST`."""
+    value = params[name]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProtocolError(E_BAD_REQUEST, f'"{name}" must be a number, got {value!r}')
+    return float(value)
+
+
 def limit_kwargs(params: dict) -> dict:
     """Map a submit's wire limit fields onto ``SolveService.submit``
     keyword arguments (defaulting to a 20-round budget, as the solve CLI
     does)."""
     kwargs: dict = {}
     if "target" in params:
-        kwargs["target_energy"] = int(params["target"])
+        kwargs["target_energy"] = _int_field(params, "target")
     if "time_limit" in params:
-        kwargs["time_limit"] = float(params["time_limit"])
+        kwargs["time_limit"] = _number_field(params, "time_limit")
     if "rounds" in params:
-        kwargs["max_rounds"] = int(params["rounds"])
+        kwargs["max_rounds"] = _int_field(params, "rounds")
     if "launches" in params:
-        kwargs["max_launches"] = int(params["launches"])
+        kwargs["max_launches"] = _int_field(params, "launches")
     if not kwargs:
         kwargs["max_rounds"] = 20
     return kwargs
@@ -359,15 +384,15 @@ def limit_kwargs(params: dict) -> dict:
 
 def submit_kwargs(params: dict) -> dict:
     """Map a submit's scheduling fields (seed, devices, priority, share)
-    onto ``SolveService.submit`` keyword arguments."""
-    kwargs: dict = {
-        "seed": params.get("seed"),
-        "devices": params.get("devices"),
-        "priority": int(params.get("priority", 0)),
-        "share": float(params.get("share", 1.0)),
-    }
-    if kwargs["seed"] is not None:
-        kwargs["seed"] = int(kwargs["seed"])
-    if kwargs["devices"] is not None:
-        kwargs["devices"] = int(kwargs["devices"])
+    onto ``SolveService.submit`` keyword arguments; a ``seed`` must be a
+    non-negative integer."""
+    kwargs: dict = {"seed": None, "devices": None, "priority": 0, "share": 1.0}
+    if params.get("seed") is not None:
+        kwargs["seed"] = _int_field(params, "seed", minimum=0)
+    if params.get("devices") is not None:
+        kwargs["devices"] = _int_field(params, "devices")
+    if "priority" in params:
+        kwargs["priority"] = _int_field(params, "priority")
+    if "share" in params:
+        kwargs["share"] = _number_field(params, "share")
     return kwargs

@@ -29,11 +29,11 @@ pools, limits and RNG stream) across it:
 Execution model: one scheduler thread owns all solver-side state (pools,
 RNG, drivers) — the single-policy-thread rule of DESIGN.md §7 — while
 the fleet lanes run launches.  A job's per-device state is resident on
-lanes, as matrices are resident on a GPU.  A *packable* job (every
-device under one non-``None`` pack key) always gets one lane, the
-least-populated: its devices are row ranges of one pack, so each round is
-one lane pass.  Any other job requesting ``d`` devices gets ``d`` lane
-*affinities*, one per device.  Multiple jobs mapped to one lane
+lanes, as matrices are resident on a GPU.  A job whose devices share one
+non-``None`` pack key — every job of real virtual GPUs — always gets one
+lane, the least-populated: its devices are row ranges of one pack, so
+each round is one lane pass.  A job of keyless proxy devices requesting
+``d`` devices gets ``d`` lane *affinities*, one per device.  Multiple jobs mapped to one lane
 interleave at launch granularity through the lane FIFO, and pack
 together when compatible, within ``coalesce_max_rows``.
 
@@ -53,6 +53,7 @@ one-job service — the barrier-free way to run a single solve.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import time
 import warnings
@@ -61,6 +62,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.core.packet import PacketBatch
+from repro.core.qubo import require_integer_weights
 from repro.engine.async_engine import VirtualTimeReplay
 from repro.engine.coalesce import PackSegment, pack_key
 from repro.engine.workers import FleetWorkerGroup, WorkerError
@@ -68,12 +70,7 @@ from repro.resilience import RetryPolicy
 from repro.service.cache import ProblemCache
 from repro.service.job import IncumbentUpdate, JobHandle, JobStatus
 from repro.service.stats import CacheStatsSnapshot, CoalesceStats, ServiceStats
-from repro.solver.dabs import (
-    DABSConfig,
-    DABSSolver,
-    _AsyncDriver,
-    require_integer_weights,
-)
+from repro.solver.dabs import DABSConfig, DABSSolver, _AsyncDriver
 from repro.solver.result import SolveResult
 from repro.solver.termination import SolveLimits
 
@@ -431,8 +428,8 @@ class SolveService:
     def _enqueue(
         self, spec, solver, cfg, limits, priority, share, on_improvement, block, timeout
     ) -> JobHandle:
-        if share <= 0:
-            raise ValueError("share must be > 0")
+        if not (math.isfinite(share) and share > 0):
+            raise ValueError(f"share must be finite and > 0, got {share!r}")
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
             while True:
@@ -647,9 +644,10 @@ class SolveService:
         job.weighted = min(
             (other.weighted for other in self._active.values()), default=0.0
         )
-        # a packable job runs each round as one lane pass: all of its
-        # devices share one lane, and each device is a row range of the
-        # pack (DESIGN.md §12)
+        # a job whose devices share one pack key runs each round as one
+        # lane pass: all of its devices share one lane, and each device is
+        # a row range of the pack (DESIGN.md §12); keyless proxies take one
+        # lane each
         keys = {pack_key(gpu) for gpu in job.solver.gpus}
         one_lane = len(keys) == 1 and None not in keys
         with self._lock:

@@ -52,7 +52,7 @@ from repro.core.packet import (
     Packet,
     PacketBatch,
 )
-from repro.core.qubo import QUBOModel
+from repro.core.qubo import QUBOModel, require_integer_weights
 from repro.core.rng import host_generator
 from repro.ga.adaptive import AdaptiveSelector, SelectionCounters
 from repro.ga.island import IslandRing, StallTracker
@@ -65,21 +65,7 @@ from repro.search.batch import BatchSearchConfig
 from repro.solver.result import ImprovementEvent, SolveResult
 from repro.solver.termination import SolveLimits
 
-__all__ = ["DABSConfig", "DABSSolver", "require_integer_weights"]
-
-
-def require_integer_weights(model) -> None:
-    """Refuse a fractional-weight *model* with one ``ValueError``: the
-    fused DABS/ABS kernels accumulate Δ and energies in int64.  Checked
-    at construction and, so a job fails before it is accepted, at every
-    submit (``SolveService.submit``, ``Federation.submit``).  An object
-    without a ``dtype`` is not judged here; it fails where it is used."""
-    dtype = getattr(model, "dtype", None)
-    if dtype is not None and not np.issubdtype(dtype, np.integer):
-        raise ValueError(
-            f"DABS/ABS need integer weights; {model.name!r} has "
-            f"fractional ones (scale them to integers first)"
-        )
+__all__ = ["DABSConfig", "DABSSolver"]
 
 
 @dataclass(frozen=True)
@@ -110,9 +96,9 @@ class DABSConfig:
     #: this fraction of n (§IV.B's "all solutions are relatives" collapse
     #: signal, measured rather than inferred from stalling); None disables
     restart_on_collapse: float | None = None
-    #: compute backend name ("auto", "numpy-dense", "numpy-sparse", "numba",
-    #: "cuda");
-    #: None defers to the REPRO_BACKEND env var, then the auto density rule
+    #: compute backend name ("auto", "numpy-dense", "numpy-sparse", "cuda"),
+    #: each running every launch as one super-launch; None defers to the
+    #: REPRO_BACKEND env var, then the auto density rule
     backend: str | None = None
     #: service jobs only: merge completions in (launch_seq, device) order —
     #: the virtual-time replay a direct solve() always runs inline, so the

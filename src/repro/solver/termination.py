@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["SolveLimits"]
@@ -42,8 +43,11 @@ class SolveLimits:
                 "set at least one of target_energy / time_limit / "
                 "max_rounds / max_launches"
             )
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError("time_limit must be > 0")
+        # NaN compares false both ways, so test the accepted range
+        if self.time_limit is not None and not (
+            math.isfinite(self.time_limit) and self.time_limit > 0
+        ):
+            raise ValueError(f"time_limit must be finite and > 0, got {self.time_limit!r}")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
         if self.max_launches is not None and self.max_launches < 1:

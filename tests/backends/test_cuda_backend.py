@@ -5,8 +5,10 @@ the CUDA simulator (``NUMBA_ENABLE_CUDASIM=1``, the CI ``cuda-sim`` job) —
 and falls back to the pure-Python stub in ``tests/backends/cuda_stub.py``
 when neither is available, so the kernels' cooperative structure is
 exercised on every box.  The parity assertions are the backend contract:
-the fused cuda phases must reproduce the numpy stepwise trajectory
-bit-exactly, including the final RNG lane states.
+a cuda launch — one super-launch, like every launch — must reproduce the
+numpy stepwise trajectory bit-exactly, including the final RNG lane
+states; and cuda devices pack, solo or across jobs, bit-exactly with
+numpy-dense.
 """
 
 from __future__ import annotations
@@ -25,25 +27,32 @@ from repro.backends import (
 )
 from repro.backends.base import GreedyTruncationWarning
 from repro.core.delta import BatchDeltaState
+from repro.core.packet import MainAlgorithm
 from repro.core.rng import XorShift64Star, host_generator, spawn_device_seeds
 from repro.core.sparse import SparseQUBOModel
+from repro.engine.coalesce import PackSegment, SuperLaunch
 from repro.search.batch import BatchSearchConfig, BestTracker, run_batch_search
-from repro.search.cyclicmin import CyclicMinSearch
 from repro.search.maxmin import MaxMinSearch
-from repro.search.positivemin import PositiveMinSearch
 from repro.search.randommin import RandomMinSearch
 from repro.search.tabu import TabuTracker
-from repro.search.twoneighbor import TwoNeighborSearch
 from tests.backends import cuda_stub
+from tests.backends.launch_parity import (
+    assert_same,
+    launch_vs_stepwise,
+    make_batch,
+    make_gpu,
+    observe,
+    stepwise_launch,
+)
 from tests.conftest import random_qubo
 
-ALGORITHMS = [
-    MaxMinSearch,
-    CyclicMinSearch,
-    RandomMinSearch,
-    PositiveMinSearch,
-    TwoNeighborSearch,
-]
+M, C, R, P, T = (
+    MainAlgorithm.MAXMIN,
+    MainAlgorithm.CYCLICMIN,
+    MainAlgorithm.RANDOMMIN,
+    MainAlgorithm.POSITIVEMIN,
+    MainAlgorithm.TWONEIGHBOR,
+)
 
 N = 24
 BATCH = 5
@@ -77,17 +86,15 @@ def sparse_model():
     return SparseQUBOModel.from_dense(dense_model())
 
 
-def run_search(model, algorithm_cls, backend, fused, tabu_period):
-    """One full batch search; returns every observable of the trajectory."""
-    config = BatchSearchConfig(batch_flip_factor=2.0, tabu_period=tabu_period)
+def stepwise_search(model, backend):
+    """One stepwise MaxMin batch search; every observable of it."""
+    config = BatchSearchConfig(batch_flip_factor=2.0, tabu_period=8)
     state = BatchDeltaState(model, batch=BATCH, backend=backend)
     host = np.random.default_rng(6)
     state.reset(host.integers(0, 2, size=(BATCH, model.n), dtype=np.uint8))
     lanes = XorShift64Star(spawn_device_seeds(host_generator(5), (BATCH, model.n)))
     targets = host.integers(0, 2, size=(BATCH, model.n), dtype=np.uint8)
-    tracker, flips = run_batch_search(
-        state, targets, algorithm_cls(), lanes, config, fused=fused
-    )
+    tracker, flips = run_batch_search(state, targets, MaxMinSearch(), lanes, config)
     return {
         "x": state.x.copy(),
         "energy": state.energy.copy(),
@@ -104,25 +111,18 @@ def assert_same_trajectory(ref, got, label):
         assert np.array_equal(got[key], expected), f"{key} diverged for {label}"
 
 
-@pytest.mark.parametrize("algorithm_cls", ALGORITHMS)
+@pytest.mark.parametrize("algorithm", list(MainAlgorithm), ids=lambda a: a.name)
 @pytest.mark.parametrize("tabu_period", [0, 8])
-def test_cuda_fused_matches_numpy_stepwise(algorithm_cls, tabu_period):
+def test_cuda_launch_matches_numpy_stepwise(algorithm, tabu_period):
     """Full searches on the device kernels are bit-exact vs the reference."""
-    model = dense_model()
-    ref = run_search(model, algorithm_cls, "numpy-dense", False, tabu_period)
-    got = run_search(model, algorithm_cls, "cuda", True, tabu_period)
-    assert_same_trajectory(
-        ref, got, f"{algorithm_cls.__name__} (tabu_period={tabu_period})"
-    )
+    assert_same(*launch_vs_stepwise(dense_model(), algorithm, "cuda", tabu_period, "numpy-dense"))
 
 
-@pytest.mark.parametrize("algorithm_cls", [MaxMinSearch, RandomMinSearch])
-def test_cuda_sparse_ell_matches_reference(algorithm_cls):
+@pytest.mark.parametrize("algorithm", list(MainAlgorithm), ids=lambda a: a.name)
+@pytest.mark.parametrize("tabu_period", [0, 8])
+def test_cuda_sparse_ell_matches_reference(algorithm, tabu_period):
     """The ELL coupling path on the device matches the CSR host reference."""
-    model = sparse_model()
-    ref = run_search(model, algorithm_cls, "numpy-sparse", False, 8)
-    got = run_search(model, algorithm_cls, "cuda", True, 8)
-    assert_same_trajectory(ref, got, f"{algorithm_cls.__name__} (sparse/ELL)")
+    assert_same(*launch_vs_stepwise(sparse_model(), algorithm, "cuda", tabu_period, "numpy-sparse"))
 
 
 def test_cuda_sparse_csr_matches_reference(monkeypatch):
@@ -131,27 +131,120 @@ def test_cuda_sparse_csr_matches_reference(monkeypatch):
 
     monkeypatch.setattr(nps, "_ELL_MAX_BLOWUP", 0.0)
     model = sparse_model()
-    ref = run_search(model, MaxMinSearch, "numpy-sparse", False, 8)
-    got = run_search(model, MaxMinSearch, "cuda", True, 8)
-    assert got["x"].shape == ref["x"].shape  # sanity: both actually ran
-    assert_same_trajectory(ref, got, "MaxMinSearch (sparse/CSR)")
+    assert cuda_mod.CudaBackend().prepare(model).storage == cuda_mod._STORAGE_CSR
+    assert_same(*launch_vs_stepwise(model, M, "cuda", 8, "numpy-sparse"))
 
 
 def test_cuda_wide_tabu_all_tabu_fallback():
     """tabu_period ≥ n exercises the all-tabu full-fallback branch."""
-    model = dense_model()
-    ref = run_search(model, MaxMinSearch, "numpy-dense", False, N + 6)
-    got = run_search(model, MaxMinSearch, "cuda", True, N + 6)
-    assert_same_trajectory(ref, got, "MaxMinSearch (wide tabu)")
+    assert_same(*launch_vs_stepwise(dense_model(), M, "cuda", N + 6, "numpy-dense"))
 
 
 def test_cuda_tpb_one_degenerate_block(monkeypatch):
     """A one-thread block degenerates every reduction; still bit-exact."""
     monkeypatch.setenv(cuda_mod._TPB_ENV, "1")
-    model = dense_model()
-    ref = run_search(model, MaxMinSearch, "numpy-dense", False, 8)
-    got = run_search(model, MaxMinSearch, "cuda", True, 8)
-    assert_same_trajectory(ref, got, "MaxMinSearch (tpb=1)")
+    assert_same(*launch_vs_stepwise(dense_model(), M, "cuda", 8, "numpy-dense"))
+
+
+class TestPackedCuda:
+    """cuda devices pack: the per-row tabu clock lets one super-launch
+    stack several devices' rows, every algorithm mixed."""
+
+    #: three launches in a row, all five algorithms mixed per device
+    ROUNDS = [
+        ([M, C, R, P, T], [T, P, C, M, R]),
+        ([R, R, T, M, C], [M, C, P, T, R]),
+        ([C, T, M, P, R], [P, M, R, C, T]),
+    ]
+
+    def devices(self, backend, tabu_period, blocks, seeds):
+        model = dense_model()
+        config = BatchSearchConfig(tabu_period=tabu_period, cyclicmin_c=8, randommin_c=8)
+        prepared = prepare_problem(model, backend)
+        assert prepared.backend.name == backend
+        return [
+            make_gpu(model, b, config, seed=seed, backend=prepared.backend, kernel=prepared.kernel)
+            for b, seed in zip(blocks, seeds)
+        ]
+
+    def check_packed(self, tabu_period, blocks, seeds):
+        packed = self.devices("cuda", tabu_period, blocks, seeds)
+        assert len({gpu.pack_key for gpu in packed}) == 1
+        solo = self.devices("numpy-dense", tabu_period, blocks, seeds)
+        oracle = self.devices("numpy-dense", tabu_period, blocks, seeds)
+        scratch = {}
+        for i, algs in enumerate(self.ROUNDS):
+            batches = [
+                make_batch(alg_row[: gpu.num_blocks], N, seed=10 * i + d)
+                for d, (gpu, alg_row) in enumerate(zip(packed, algs))
+            ]
+            pack = SuperLaunch(
+                [
+                    PackSegment(d, i, gpu, batch, None)
+                    for d, (gpu, batch) in enumerate(zip(packed, batches))
+                ]
+            )
+            results = pack.run(scratch)
+            for d, res in enumerate(results):
+                got = observe(packed[d], (res.result, res.flips))
+                assert_same(got, observe(solo[d], solo[d].launch(batches[d])))
+                assert_same(got, observe(oracle[d], stepwise_launch(oracle[d], batches[d])))
+        assert all(gpu.algorithms[C]._cursor is not None for gpu in packed)
+
+    @pytest.mark.parametrize("tabu_period", [0, 8], ids=["no-tabu", "tabu"])
+    def test_two_devices_pack_bit_exact(self, tabu_period):
+        """One job's two devices as one super-launch per round."""
+        self.check_packed(tabu_period, blocks=[5, 5], seeds=[5, 5])
+
+    @pytest.mark.parametrize("tabu_period", [0, 8], ids=["no-tabu", "tabu"])
+    def test_two_jobs_pack_bit_exact(self, tabu_period):
+        """Two jobs' devices — other seeds, other block counts — as one
+        super-launch per round."""
+        self.check_packed(tabu_period, blocks=[5, 3], seeds=[5, 9])
+
+    def test_served_job_packs_and_matches_direct_solve(self):
+        """A served virtual-time cuda job packs its round on one lane and
+        equals the direct solve."""
+        from dataclasses import replace
+
+        from repro.service import SolveService
+        from repro.solver.dabs import DABSConfig, DABSSolver
+
+        model = random_qubo(12, seed=5, density=0.5)
+        cfg = DABSConfig(num_gpus=2, blocks_per_gpu=3, pool_capacity=8, backend="cuda")
+        rounds = 3
+        direct_solver = DABSSolver(model, cfg, seed=7)
+        direct = direct_solver.solve(max_rounds=rounds)
+        via_solver = DABSSolver(model, replace(cfg, virtual_time=True), seed=7)
+        with SolveService(cfg.num_gpus) as service:
+            via = via_solver.solve(service=service, max_rounds=rounds)
+            coalesce = service.stats_snapshot().coalesce
+        assert {gpu.backend.name for gpu in via_solver.gpus} == {"cuda"}
+        assert coalesce.packs == rounds > 0
+        assert sorted(coalesce.lane_packs) == [0, rounds]
+        assert via.best_energy == direct.best_energy
+        assert np.array_equal(via.best_vector, direct.best_vector)
+        assert via.total_flips == direct.total_flips
+        for a, b in zip(direct_solver.gpus, via_solver.gpus):
+            assert np.array_equal(a.block_x, b.block_x)
+            assert np.array_equal(a.rng_state, b.rng_state)
+
+    def test_fractional_model_refused(self):
+        from repro.core.qubo import QUBOModel
+        from repro.gpu.device import DeviceSpec
+        from repro.gpu.virtual_gpu import VirtualGPU
+
+        mat = np.zeros((4, 4))
+        mat[0, 1] = 1.5
+        with pytest.raises(ValueError, match="integer weights"):
+            VirtualGPU(
+                QUBOModel(mat, name="f"),
+                DeviceSpec(num_blocks=2),
+                BatchSearchConfig(),
+                tuple(MainAlgorithm),
+                host_generator(0),
+                backend="cuda",
+            )
 
 
 class TestLargeNRngParity:
@@ -245,6 +338,32 @@ class TestDeviceMemoryOwnership:
         state.backend.run_greedy_phase(state, tabu, tracker)
         assert state.device is mirror  # no reallocation churn
 
+    def test_repeated_mixed_launch_builds_no_mirror(self, monkeypatch):
+        """A super-launch's span and part windows keep their device
+        mirrors: replaying a mixed-algorithm launch from the same device
+        state walks the same windows and allocates nothing new."""
+        built = []
+        init = cuda_mod._DeviceMirror.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(cuda_mod._DeviceMirror, "__init__", counting_init)
+        config = BatchSearchConfig(batch_flip_factor=2.0, tabu_period=8)
+        gpu = make_gpu(dense_model(), BATCH, config, backend="cuda", start=7)
+        batch = make_batch([M, C, R, P, M], N, seed=3)
+        x, lanes = gpu.block_x.copy(), gpu.rng_state.copy()
+        first, _ = gpu.launch(batch)
+        assert built
+        cyclic = gpu.algorithms[C]
+        cyclic._cursor = None  # replay from the same fresh cursor
+        gpu.block_x[...], gpu.rng_state[...] = x, lanes
+        count = len(built)
+        again, _ = gpu.launch(batch)
+        assert np.array_equal(again.vectors, first.vectors)
+        assert len(built) == count
+
     def test_prepared_problem_carries_device_tables(self):
         """ProblemCache-style reuse: one upload, shared by many states."""
         model = dense_model()
@@ -259,8 +378,8 @@ class TestDeviceMemoryOwnership:
     def test_stepwise_host_path_delegates(self):
         """Stepwise flips run on the host delegate, bit-exactly."""
         model = dense_model()
-        ref = run_search(model, MaxMinSearch, "numpy-dense", False, 8)
-        got = run_search(model, MaxMinSearch, "cuda", False, 8)
+        ref = stepwise_search(model, "numpy-dense")
+        got = stepwise_search(model, "cuda")
         assert_same_trajectory(ref, got, "MaxMinSearch (cuda stepwise)")
 
 

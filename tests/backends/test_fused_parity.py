@@ -1,10 +1,11 @@
-"""Fused-vs-stepwise parity: whole phases below the seam stay bit-exact.
+"""Launch-vs-stepwise parity: whole phases below the seam stay bit-exact.
 
-The fused path (selection specs lowered into backend phase runners,
-DESIGN.md §6) and the stepwise reference path (one ``select → flip →
-record → fold`` round-trip per iteration) must produce identical
-(vector, energy, flip-count) trajectories — including the best tracker and
-the final RNG lane states — for every main search algorithm × backend ×
+A device launch runs its phases below the backend seam — selection specs
+lowered into backend phase runners, DESIGN.md §6 — as one super-launch
+(§12).  It must produce the trajectory of the stepwise oracle
+(``run_batch_search``, one ``select → flip → record → fold`` round-trip
+per iteration): results, flips, block solutions and the final RNG lane
+states and CyclicMin cursor, for every main search algorithm × backend ×
 tabu setting.  The lane-state comparison is the strictest part: it proves
 the fused kernels consume the device RNG in exactly the canonical order.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends import NumbaBackend, available_backends
+from repro.backends import available_backends
 from repro.backends.spec import (
     KIND_CYCLIC_WINDOW,
     KIND_FIXED_SEQUENCE,
@@ -23,6 +24,7 @@ from repro.backends.spec import (
     KIND_RANDOM_CANDIDATE_MIN,
 )
 from repro.core.delta import BatchDeltaState
+from repro.core.packet import MainAlgorithm
 from repro.core.rng import XorShift64Star, host_generator, spawn_device_seeds
 from repro.core.sparse import SparseQUBOModel
 from repro.search.batch import BatchSearchConfig, BestTracker, run_batch_search
@@ -32,18 +34,18 @@ from repro.search.positivemin import PositiveMinSearch
 from repro.search.randommin import RandomMinSearch
 from repro.search.tabu import TabuTracker
 from repro.search.twoneighbor import TwoNeighborSearch
+from tests.backends.launch_parity import (
+    assert_same,
+    launch_vs_stepwise,
+    make_batch,
+    make_gpu,
+)
 from tests.conftest import random_qubo
 
 BACKENDS = sorted(available_backends())
-ALGORITHMS = [
-    MaxMinSearch,
-    CyclicMinSearch,
-    RandomMinSearch,
-    PositiveMinSearch,
-    TwoNeighborSearch,
-]
 
 N = 24
+#: rows per launch
 BATCH = 5
 
 
@@ -55,64 +57,18 @@ def sparse_model():
     return SparseQUBOModel.from_dense(dense_model())
 
 
-def run_search(model, algorithm_cls, backend, fused, tabu_period):
-    """One full batch search; returns every observable of the trajectory."""
-    config = BatchSearchConfig(batch_flip_factor=2.0, tabu_period=tabu_period)
-    state = BatchDeltaState(model, batch=BATCH, backend=backend)
-    host = np.random.default_rng(6)
-    state.reset(host.integers(0, 2, size=(BATCH, model.n), dtype=np.uint8))
-    lanes = XorShift64Star(spawn_device_seeds(host_generator(5), (BATCH, model.n)))
-    targets = host.integers(0, 2, size=(BATCH, model.n), dtype=np.uint8)
-    tracker, flips = run_batch_search(
-        state, targets, algorithm_cls(), lanes, config, fused=fused
-    )
-    return {
-        "x": state.x.copy(),
-        "energy": state.energy.copy(),
-        "flips": flips,
-        "best_x": tracker.best_x.copy(),
-        "best_energy": tracker.best_energy.copy(),
-        "lanes": lanes.state.copy(),
-    }
-
-
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("algorithm_cls", ALGORITHMS)
+@pytest.mark.parametrize("algorithm", list(MainAlgorithm), ids=lambda a: a.name)
 @pytest.mark.parametrize("tabu_period", [0, 8])
 @pytest.mark.parametrize("make_model", [dense_model, sparse_model])
-def test_fused_matches_stepwise(backend, algorithm_cls, tabu_period, make_model):
-    model = make_model()
-    ref = run_search(model, algorithm_cls, backend, False, tabu_period)
-    got = run_search(model, algorithm_cls, backend, True, tabu_period)
-    for key, expected in ref.items():
-        assert np.array_equal(got[key], expected), (
-            f"{key} diverged for {algorithm_cls.__name__} on {backend} "
-            f"(tabu_period={tabu_period})"
-        )
+def test_launch_matches_stepwise(backend, algorithm, tabu_period, make_model):
+    assert_same(*launch_vs_stepwise(make_model(), algorithm, backend, tabu_period))
 
 
-def test_fused_matches_stepwise_wide_tabu():
+def test_launch_matches_stepwise_wide_tabu():
     """tabu_period ≥ n exercises the all-tabu fallback (non-incremental)."""
     model = dense_model()
-    ref = run_search(model, MaxMinSearch, "numpy-dense", False, N + 6)
-    got = run_search(model, MaxMinSearch, "numpy-dense", True, N + 6)
-    for key, expected in ref.items():
-        assert np.array_equal(got[key], expected), key
-
-
-@pytest.mark.skipif(
-    not NumbaBackend.is_available(), reason="numba is not installed"
-)
-@pytest.mark.parametrize("algorithm_cls", ALGORITHMS)
-def test_numba_fused_matches_numpy_stepwise(algorithm_cls):
-    """The JIT phase kernels reproduce the numpy stepwise trajectory."""
-    model = dense_model()
-    ref = run_search(model, algorithm_cls, "numpy-dense", False, 8)
-    got = run_search(model, algorithm_cls, "numba", True, 8)
-    for key, expected in ref.items():
-        assert np.array_equal(got[key], expected), (
-            f"{key} diverged for {algorithm_cls.__name__} (numba fused)"
-        )
+    assert_same(*launch_vs_stepwise(model, MainAlgorithm.MAXMIN, "numpy-dense", N + 6))
 
 
 class TestTwoNeighborSchedule:
@@ -121,17 +77,9 @@ class TestTwoNeighborSchedule:
     def test_single_traversal_flip_counts(self):
         model = dense_model()
         config = BatchSearchConfig(batch_flip_factor=50.0)
-        state = BatchDeltaState(model, batch=BATCH)
-        host = np.random.default_rng(2)
-        start = host.integers(0, 2, size=(BATCH, model.n), dtype=np.uint8)
-        targets = host.integers(0, 2, size=(BATCH, model.n), dtype=np.uint8)
-        lanes = XorShift64Star(
-            spawn_device_seeds(host_generator(7), (BATCH, model.n))
-        )
-        state.reset(start)
-        tracker, flips = run_batch_search(
-            state, targets, TwoNeighborSearch(), lanes, config, fused=True
-        )
+        gpu = make_gpu(model, BATCH, config, seed=7, start=2)
+        batch = make_batch([MainAlgorithm.TWONEIGHBOR] * BATCH, model.n, seed=2)
+        _, flips = gpu.launch(batch)
         # straight + greedy + exactly (2n − 1) + greedy, far below 50·n
         assert np.all(flips >= 2 * model.n - 1)
         assert np.all(flips < config.batch_budget(model.n))
@@ -139,12 +87,11 @@ class TestTwoNeighborSchedule:
     def test_lanes_untouched(self):
         """TwoNeighbor consumes no RNG on either path."""
         model = dense_model()
-        ref = run_search(model, TwoNeighborSearch, "numpy-dense", True, 8)
-        state = BatchDeltaState(model, batch=BATCH)
-        lanes = XorShift64Star(
-            spawn_device_seeds(host_generator(5), (BATCH, model.n))
-        )
-        assert np.array_equal(ref["lanes"], lanes.state)
+        config = BatchSearchConfig(batch_flip_factor=2.0)
+        gpu = make_gpu(model, BATCH, config, start=7)
+        lanes = gpu.rng_state.copy()
+        gpu.launch(make_batch([MainAlgorithm.TWONEIGHBOR] * BATCH, model.n, seed=6))
+        assert np.array_equal(gpu.rng_state, lanes)
 
 
 class TestSelectionSpecLowering:
@@ -198,28 +145,6 @@ class TestSelectionSpecLowering:
         alg = MaxMinSearch()
         assert alg.lower(state, 40) is alg.lower(state, 40)
 
-    def test_unlowered_algorithm_falls_back_to_stepwise(self):
-        """A custom MainSearch without lower() still runs (stepwise)."""
-        from repro.search.base import MainSearch
-
-        class FirstBit(MainSearch):
-            enum = None
-            uses_rng = False
-
-            def select(self, state, t, total, rng, tabu_mask):
-                return np.zeros(state.batch, dtype=np.int64)
-
-        model = dense_model()
-        state = BatchDeltaState(model, batch=2)
-        lanes = XorShift64Star(spawn_device_seeds(host_generator(1), (2, model.n)))
-        config = BatchSearchConfig(batch_flip_factor=1.0)
-        host = np.random.default_rng(0)
-        targets = host.integers(0, 2, size=(2, model.n), dtype=np.uint8)
-        tracker, flips = run_batch_search(
-            state, targets, FirstBit(), lanes, config, fused=True
-        )
-        assert np.all(flips >= config.batch_budget(model.n))
-
 
 class TestDeviceOwnedBookkeeping:
     def test_tabu_mask_buffer_reused(self):
@@ -251,11 +176,11 @@ class TestDeviceOwnedBookkeeping:
         assert tracker.best_x is buf_x and tracker.best_energy is buf_e
         assert np.array_equal(tracker.best_x, state.x)
 
-    def test_tracker_row_view_shares_buffers(self):
+    def test_tracker_window_shares_buffers(self):
         model = dense_model()
         state = BatchDeltaState(model, batch=4)
         tracker = BestTracker(state)
-        view = tracker.row_view(2)
+        view = tracker.window(1, 3)
         assert np.shares_memory(view.best_x, tracker.best_x)
         assert np.shares_memory(view.greedy_truncated, tracker.greedy_truncated)
 
@@ -308,8 +233,6 @@ class TestGreedyTruncation:
         config = BatchSearchConfig(batch_flip_factor=1.0)
         host = np.random.default_rng(0)
         targets = host.integers(0, 2, size=(2, model.n), dtype=np.uint8)
-        tracker, _ = run_batch_search(
-            state, targets, MaxMinSearch(), lanes, config, fused=True
-        )
+        tracker, _ = run_batch_search(state, targets, MaxMinSearch(), lanes, config)
         # integer model: greedy always converges, flag must stay clear
         assert not tracker.greedy_truncated.any()

@@ -2,8 +2,8 @@
 
 The backends are only allowed to differ in *how* they compute, never in
 *what*: for the same model and seed, the (vector, energy, flip-count)
-trajectory must match across ``numpy-dense``, ``numpy-sparse`` and (when
-installed) ``numba`` — on dense and sparse models alike.  This is the
+trajectory must match across every available backend — on dense and
+sparse models alike.  This is the
 contract that lets ``auto`` switch kernels by density without changing
 results.
 """
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import NumbaBackend, available_backends
+from repro.backends import available_backends
 from repro.core.delta import BatchDeltaState
 from repro.core.rng import XorShift64Star, host_generator, spawn_device_seeds
 from repro.core.sparse import SparseQUBOModel
@@ -27,11 +27,6 @@ from repro.solver.dabs import DABSConfig, DABSSolver
 from tests.conftest import random_qubo
 
 BACKENDS = sorted(available_backends())
-
-needs_numba = pytest.mark.skipif(
-    not NumbaBackend.is_available(), reason="numba is not installed"
-)
-
 
 def dense_model(n=24, seed=3, density=0.4):
     return random_qubo(n, seed=seed, density=density)
@@ -131,9 +126,7 @@ class TestSolverParity:
         cfg = DABSConfig(backend=backend, **self.CFG)
         return DABSSolver(model, cfg, seed=11).solve(max_rounds=4)
 
-    @pytest.mark.parametrize("backend", ["numpy-sparse", "auto", None] + (
-        ["numba"] if NumbaBackend.is_available() else []
-    ))
+    @pytest.mark.parametrize("backend", ["numpy-sparse", "auto", None])
     def test_dense_model_identical_across_backends(self, backend):
         model = dense_model(n=18)
         ref = self._solve(model, "numpy-dense")

@@ -8,7 +8,6 @@ import pytest
 from repro.backends import (
     BackendUnavailableError,
     ComputeBackend,
-    NumbaBackend,
     auto_backend_name,
     available_backends,
     backend_names,
@@ -27,8 +26,8 @@ class TestRegistry:
         assert {"numpy-dense", "numpy-sparse"} <= set(available_backends())
 
     def test_optional_backends_registered_even_when_missing(self):
-        """numba/cuda names are always known (lazily imported on use)."""
-        assert {"numba", "cuda"} <= set(backend_names())
+        """The cuda name is always known (lazily imported on use)."""
+        assert set(backend_names()) == {"cuda", "numpy-dense", "numpy-sparse"}
 
     def test_get_backend_unknown_name(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -67,13 +66,10 @@ class TestRegistry:
     def test_get_backend_returns_singleton(self):
         assert get_backend("numpy-dense") is get_backend("numpy-dense")
 
-    def test_get_numba_importable_or_skipped(self):
-        """Acceptance: the numba backend is importable-or-skipped, never broken."""
-        if NumbaBackend.is_available():
-            assert get_backend("numba").name == "numba"
-        else:
-            with pytest.raises(BackendUnavailableError, match="numba"):
-                get_backend("numba")
+    def test_numba_is_not_a_backend(self):
+        """numba is only the cuda backend's runtime, not a backend name."""
+        with pytest.raises(ValueError, match="unknown backend 'numba'"):
+            get_backend("numba")
 
 
 class TestAutoRule:
@@ -172,14 +168,6 @@ class TestResolve:
         with pytest.warns(RuntimeWarning, match="falling back"):
             sim.sample(num_reads=2)
 
-    def test_unavailable_backend_falls_back_with_warning(self):
-        if NumbaBackend.is_available():
-            pytest.skip("numba installed — no fallback to exercise")
-        model = random_qubo(8, seed=0)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            backend = resolve_backend("numba", model)
-        assert backend.name == "numpy-dense"
-
     def test_unavailable_cuda_falls_back_with_warning(self):
         from repro.backends import CudaBackend
 
@@ -216,7 +204,7 @@ class TestResolve:
 
 class TestConfigValidation:
     def test_config_accepts_known_backends(self):
-        for name in ("auto", "numpy-dense", "numpy-sparse", "numba", "cuda", None):
+        for name in ("auto", "numpy-dense", "numpy-sparse", "cuda", None):
             assert DABSConfig(backend=name).backend == name
 
     def test_config_rejects_unknown_backend(self):

@@ -19,15 +19,34 @@ def random_qubo(n: int, seed: int, density: float = 1.0, wmax: int = 9) -> QUBOM
     return QUBOModel(np.triu(mat))
 
 
-def force_group_loop(gpu) -> None:
-    """Take *gpu*'s pack key away, so its launches take the group loop.
+class KeylessGPU:
+    """Proxy device without a pack key.
 
-    Each algorithm is re-typed as a behaviour-identical subclass: a
-    non-builtin implementation has no proven packed execution, so the
-    device neither packs nor runs its launch as one kernel.
+    Only a real :class:`~repro.gpu.virtual_gpu.VirtualGPU` has one, so the
+    service gives each proxy a lane of its own and never packs its
+    launches; each launch is still the device's own one-kernel launch.
     """
-    for alg in gpu.algorithms.values():
-        alg.__class__ = type(f"Custom{type(alg).__name__}", (type(alg),), {})
+
+    def __init__(self, gpu) -> None:
+        self._gpu = gpu
+
+    def launch(self, batch):
+        return self._gpu.launch(batch)
+
+    def reset(self) -> None:
+        self._gpu.reset()
+
+    def __getattr__(self, name):
+        return getattr(self._gpu, name)
+
+
+def keyless(solver, devices=None):
+    """Wrap *solver*'s devices (all, or the indices in *devices*) in
+    :class:`KeylessGPU` proxies; returns the solver."""
+    for i, gpu in enumerate(solver.gpus):
+        if devices is None or i in devices:
+            solver.gpus[i] = KeylessGPU(gpu)
+    return solver
 
 
 @pytest.fixture

@@ -24,7 +24,7 @@ from repro.gpu.device import DeviceSpec
 from repro.gpu.virtual_gpu import VirtualGPU
 from repro.resilience import ChaosConfig, RetryPolicy, chaos
 from repro.search.batch import BatchSearchConfig
-from tests.conftest import force_group_loop, random_qubo
+from tests.conftest import KeylessGPU, random_qubo
 
 BACKENDS = ("numpy-dense", "numpy-sparse")
 ALL_ALGS = list(MainAlgorithm)
@@ -165,23 +165,23 @@ class TestPackKey:
         ]
         assert pack_key(gpus[0]) != pack_key(gpus[1])
 
-    def test_custom_algorithm_is_not_packable(self):
+    def test_keyless_proxy_is_not_packable(self):
         gpu = make_fleet("numpy-dense", 16, 4, 1)[0]
         assert pack_key(gpu) is not None
-        force_group_loop(gpu)
-        assert pack_key(gpu) is None
+        assert pack_key(KeylessGPU(gpu)) is None
 
-    def test_float_model_is_not_packable(self):
+    def test_float_model_is_refused(self):
+        """A device never holds a float model, so it always has a key."""
         rng = np.random.default_rng(0)
         mat = np.triu(rng.normal(size=(12, 12)))
-        gpu = VirtualGPU(
-            QUBOModel(mat),
-            DeviceSpec(num_blocks=4),
-            BatchSearchConfig(),
-            tuple(MainAlgorithm),
-            host_generator(1),
-        )
-        assert pack_key(gpu) is None
+        with pytest.raises(ValueError, match="integer weights"):
+            VirtualGPU(
+                QUBOModel(mat),
+                DeviceSpec(num_blocks=4),
+                BatchSearchConfig(),
+                tuple(MainAlgorithm),
+                host_generator(1),
+            )
 
     def test_stub_device_is_not_packable(self):
         class Stub:

@@ -82,7 +82,10 @@ class WaveLog:
 @pytest.fixture
 def wave_log(monkeypatch):
     # patched on the registry instances the solvers resolve to, calling
-    # the class methods: instance attributes shadow class patches
+    # the class methods: instance attributes shadow class patches.  Set
+    # in the instance __dict__, so undoing deletes them again (a
+    # setattr undo would leave the old bound methods behind, shadowing
+    # later class patches)
     log = WaveLog()
     for name in BACKENDS:
         backend = get_backend(name)
@@ -104,9 +107,9 @@ def wave_log(monkeypatch):
                 log.current["flips"] += 1
             return _cls.flip(_be, state, idx, active)
 
-        monkeypatch.setattr(backend, "run_main_phase", main_phase)
-        monkeypatch.setattr(backend, "run_greedy_phase", greedy_phase)
-        monkeypatch.setattr(backend, "flip", flip)
+        monkeypatch.setitem(vars(backend), "run_main_phase", main_phase)
+        monkeypatch.setitem(vars(backend), "run_greedy_phase", greedy_phase)
+        monkeypatch.setitem(vars(backend), "flip", flip)
     return log
 
 

@@ -161,11 +161,87 @@ class TestSubmitHelpers:
             "max_launches": 3,
         }
 
-    def test_submit_kwargs_coerce_types(self):
-        kwargs = protocol.submit_kwargs(
-            {"seed": "3", "devices": "2", "priority": "1", "share": "2.5"}
-        )
-        assert kwargs == {"seed": 3, "devices": 2, "priority": 1, "share": 2.5}
+    def test_submit_kwargs_take_json_numbers(self):
+        kwargs = protocol.submit_kwargs({"seed": 3, "devices": 2.0, "priority": 1, "share": 2})
+        assert kwargs == {"seed": 3, "devices": 2, "priority": 1, "share": 2.0}
+        assert type(kwargs["devices"]) is int and type(kwargs["share"]) is float
+        assert protocol.submit_kwargs({"seed": None, "devices": None}) == {
+            "seed": None,
+            "devices": None,
+            "priority": 0,
+            "share": 1.0,
+        }
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"rounds": [1]},
+            {"rounds": 2.7},
+            {"rounds": True},
+            {"rounds": "2"},
+            {"launches": 1.5},
+            {"target": -3.5},
+            {"target": None},
+            {"time_limit": "nan"},
+            {"time_limit": None},
+            {"time_limit": False},
+        ],
+    )
+    def test_limit_kwargs_reject_non_integral_and_non_numeric(self, params):
+        with pytest.raises(ProtocolError) as excinfo:
+            protocol.limit_kwargs(params)
+        assert code_of(excinfo) == protocol.E_BAD_REQUEST
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"seed": -5},
+            {"seed": 1.5},
+            {"seed": "3"},
+            {"seed": True},
+            {"devices": "2"},
+            {"priority": None},
+            {"priority": 0.5},
+            {"share": None},
+            {"share": "2.5"},
+            {"share": True},
+        ],
+    )
+    def test_submit_kwargs_reject_anything_else(self, params):
+        with pytest.raises(ProtocolError) as excinfo:
+            protocol.submit_kwargs(params)
+        assert code_of(excinfo) == protocol.E_BAD_REQUEST
+
+    def test_bad_limits_and_fields_are_one_bad_request_before_accepted(self):
+        """Over stdin: each bad field is one bad-request carrying the job
+        id, never an ``internal`` error, an accepted job that fails, or a
+        job that never ends (a NaN time limit used to hang ``drain``)."""
+        bad = {
+            "nan-limit": {"time_limit": "nan"},
+            "nan-literal": {"time_limit": float("nan")},
+            "inf-limit": {"time_limit": float("inf")},
+            "nan-share": {"rounds": 2, "share": float("nan")},
+            "list-rounds": {"rounds": [1]},
+            "null-priority": {"rounds": 2, "priority": None},
+            "null-share": {"rounds": 2, "share": None},
+            "float-rounds": {"rounds": 2.7},
+            "negative-seed": {"rounds": 2, "seed": -5},
+        }
+        frames = [
+            {"op": "submit", "id": job, "n": 4, "terms": TERMS, **fields}
+            for job, fields in bad.items()
+        ]
+        frames += [
+            {"op": "submit", "id": "ok", "n": 4, "terms": TERMS, "rounds": 2.0, "seed": 0},
+            {"op": "drain"},
+            {"op": "shutdown"},
+        ]
+        events = run_serve(frames)
+        errors = events_of(events, "error")
+        assert [(e["id"], e["code"]) for e in errors] == [(job, "bad-request") for job in bad]
+        assert [e["id"] for e in events_of(events, "accepted")] == ["ok"]
+        assert [e["id"] for e in events_of(events, "done")] == ["ok"]
+        assert events_of(events, "drained")
 
     def test_solver_fields_default_and_accept_the_known_values(self):
         assert protocol.solver_fields({}) == ("dabs", False)

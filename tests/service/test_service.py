@@ -32,7 +32,7 @@ from repro.service import service as service_module
 from repro.service.service import fair_pick
 from repro.solver.abs_solver import ABSSolver
 from repro.solver.dabs import DABSConfig, DABSSolver
-from tests.conftest import force_group_loop, random_qubo
+from tests.conftest import keyless, random_qubo
 
 BASE = dict(num_gpus=2, blocks_per_gpu=4, pool_capacity=10)
 
@@ -355,18 +355,15 @@ class TestVirtualTimeParity:
         ids=["rounds", "launch-budget-mid-round", "stall-restarts"],
     )
     def test_multi_lane_job_matches_direct_solve(self, cls, overrides, limits):
-        """Devices that cannot pack (the group loop) take one lane each, so
-        a round's launches run concurrently and complete in any order;
+        """Devices without a pack key (proxies) take one lane each, so a
+        round's launches run concurrently and complete in any order;
         round r+1 goes out when round r folds, bit-exact with the direct
         solve."""
         model = random_qubo(16, seed=20)
         cfg = DABSConfig(**dict(PARITY_BASE, **overrides))
 
         def build(config):
-            solver = cls(model, config, seed=5)
-            for gpu in solver.gpus:
-                force_group_loop(gpu)
-            return solver
+            return keyless(cls(model, config, seed=5))
 
         direct_solver = build(cfg)
         direct = direct_solver.solve(**limits)

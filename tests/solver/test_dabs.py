@@ -66,6 +66,25 @@ class TestSolveLimits:
         with pytest.raises(ValueError):
             SolveLimits(max_rounds=0)
 
+    @pytest.mark.parametrize("limit", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_time_limit_refused(self, limit):
+        """NaN passes a ``<= 0`` test and never runs out: refused up front."""
+        with pytest.raises(ValueError, match="finite"):
+            SolveLimits(time_limit=limit)
+
+    def test_nan_time_limit_solve_raises_instead_of_hanging(self):
+        solver = DABSSolver(random_qubo(2, seed=0), SMALL_CFG, seed=0)
+        with pytest.raises(ValueError, match="time_limit must be finite"):
+            solver.solve(time_limit=float("nan"))
+
+    @pytest.mark.parametrize("share", [float("nan"), float("inf"), 0.0])
+    def test_service_refuses_non_finite_share(self, share):
+        from repro.service import SolveService
+
+        with SolveService(devices=1) as service:
+            with pytest.raises(ValueError, match="share must be finite"):
+                service.submit(random_qubo(4, seed=0), max_rounds=1, share=share)
+
 
 class TestDABSSolver:
     def test_rejects_fractional_weights(self):

@@ -6,8 +6,8 @@ lane and runs each round's pack-compatible devices as one
 contract under test: a packed solve is **bit-exact** against the same
 solve with every launch solo (``coalesce_max_rows=blocks_per_gpu``, a
 row budget of one device) — the result, the pools it leaves,
-and every device's persistent state — and devices that cannot pack keep
-launching solo.  A failing pack follows one rule on every path: the
+and every device's persistent state — and devices without a pack key
+(proxies) keep launching solo.  A failing pack follows one rule on every path: the
 failure cases run direct and through a threaded one-job service.
 """
 
@@ -29,7 +29,7 @@ from repro.search.batch import BatchSearchConfig
 from repro.service import SolveService
 from repro.solver.abs_solver import ABSSolver
 from repro.solver.dabs import DABSConfig, DABSSolver
-from tests.conftest import force_group_loop, random_qubo
+from tests.conftest import keyless, random_qubo
 
 CFG = DABSConfig(
     num_gpus=3,
@@ -75,20 +75,6 @@ def passes(monkeypatch):
         return original(self, scratch_map)
 
     monkeypatch.setattr(SuperLaunch, "execute", execute)
-    return seen
-
-
-@pytest.fixture
-def group_loop(monkeypatch):
-    """Device name of every group-loop launch, in order."""
-    seen: list[str] = []
-    original = VirtualGPU._launch_groups
-
-    def launch_groups(self, batch):
-        seen.append(self.spec.name)
-        return original(self, batch)
-
-    monkeypatch.setattr(VirtualGPU, "_launch_groups", launch_groups)
     return seen
 
 
@@ -211,32 +197,28 @@ class TestPackedRoundParity:
         assert_bit_exact(*solo, *packed)
         assert passes == per_round * ROUNDS
 
-    def test_group_loop_devices_never_pack(self, packs, solo_launches):
+    def test_keyless_devices_never_pack(self, packs, solo_launches):
         model = random_qubo(16, seed=63)
-
-        def group_loop(solver):
-            for gpu in solver.gpus:
-                force_group_loop(gpu)
-
-        _, result = solve(model, CFG, True, 0, prepare=group_loop)
+        _, result = solve(model, CFG, True, 0, prepare=keyless)
         assert packs == []
         assert len(solo_launches) == CFG.num_gpus * ROUNDS
         assert model.energy(result.best_vector) == result.best_energy
 
-    def test_mixed_round_packs_only_compatible_neighbours(
-        self, passes, group_loop
-    ):
+    def test_one_keyless_device_keeps_the_round_solo(self, packs, passes, solo_launches):
+        """A job with one keyless device spreads over lanes, so no device
+        of it packs; each still launches as its own one-kernel pass."""
         model = random_qubo(16, seed=64)
 
-        def middle_group_loop(solver):
-            force_group_loop(solver.gpus[1])
+        def middle_keyless(solver):
+            keyless(solver, devices={1})
 
-        solo = solve(model, CFG, False, 2, prepare=middle_group_loop)
-        del passes[:], group_loop[:]
-        packed = solve(model, CFG, True, 2, prepare=middle_group_loop)
+        solo = solve(model, CFG, False, 2, prepare=middle_keyless)
+        del passes[:], solo_launches[:]
+        packed = solve(model, CFG, True, 2, prepare=middle_keyless)
         assert_bit_exact(*solo, *packed)
-        assert passes == [1, 1] * ROUNDS
-        assert group_loop == ["vgpu1"] * ROUNDS
+        assert packs == []
+        assert passes == [1, 1, 1] * ROUNDS
+        assert sorted(solo_launches) == sorted(["vgpu0", "vgpu1", "vgpu2"] * ROUNDS)
 
     def test_close_drops_the_pack_buffers(self):
         model = random_qubo(12, seed=65)

@@ -38,9 +38,10 @@ class TestParser:
     def test_accepts_optional_backends(self):
         # registered even when the package is missing; availability is
         # resolved (with fallback) at solve time, not at parse time
-        for name in ("numba", "cuda"):
-            args = build_parser().parse_args(["x", "--backend", name])
-            assert args.backend == name
+        args = build_parser().parse_args(["x", "--backend", "cuda"])
+        assert args.backend == "cuda"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["x", "--backend", "numba"])
 
     def test_rejects_engine_flag(self):
         # a direct solve has one engine; --engine is not an option
