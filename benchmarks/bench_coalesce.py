@@ -155,10 +155,10 @@ def run_direct(spec: dict) -> dict:
                 blocks_per_gpu=spec["blocks"],
                 **solo_rows(spec["blocks"], coalesce),
             )
-            with DABSSolver(model, config, seed=seed) as solver:
-                start = time.perf_counter()
-                results[mode] = solver.solve(max_rounds=spec["rounds"])
-                seconds[mode] += time.perf_counter() - start
+            solver = DABSSolver(model, config, seed=seed)
+            start = time.perf_counter()
+            results[mode] = solver.solve(max_rounds=spec["rounds"])
+            seconds[mode] += time.perf_counter() - start
         assert_parity({"results": [results["segments"]]}, {"results": [results["packed"]]})
     return {
         "segments_s": seconds["segments"] / spec["seeds"],

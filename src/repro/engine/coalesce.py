@@ -10,15 +10,15 @@ into one **super-launch**: the fused phase runners execute once over the
 stacked ``(ΣB, n)`` batch, and completions are split back per job by row
 segment (DESIGN.md §12).
 
-Super-launches come from three places: the service packs the launches
-queued on one lane — a job's devices (a direct solve's too) and
-compatible co-tenants (``SolveService._refill``); a lane re-plans a
-failed pack (``FleetWorkerGroup._run_pack``); and every device runs each
-of its own solo launches as a one-segment super-launch
-(``VirtualGPU.launch``) — the paper's one kernel per launch, whatever
-each block's algorithm, on every backend.  The first two commit through
-``VirtualGPU.commit_packed`` (:meth:`SuperLaunch.run`); the device
-commits its own segment, so each launch-equivalent passes one seam only.
+Every launch is a super-launch.  The service packs the launches queued
+on one lane — a job's devices (a direct solve's too) and compatible
+co-tenants (``SolveService._refill``); a lone launch is a one-segment
+pack.  A device's standalone ``VirtualGPU.launch`` (tests, benchmarks)
+runs a one-segment pack on the device's own buffers — the paper's one
+kernel per launch, whatever each block's algorithm, on every backend.
+Either way the pack runs through :func:`run_pack`, the one pack-fault
+rule, and :meth:`SuperLaunch.run` commits each segment through
+``VirtualGPU.commit_packed``, so each launch-equivalent passes one seam.
 
 Packing is bit-exact per job — including final RNG lane states, tabu
 stamps carried into the next launch, and CyclicMin's persistent window
@@ -57,6 +57,7 @@ and its segments can simply be re-issued individually.
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import groupby
 
 import numpy as np
 
@@ -69,7 +70,14 @@ from repro.resilience.chaos import ChaosError
 from repro.search.batch import BestTracker
 from repro.search.tabu import TabuTracker
 
-__all__ = ["PackScratch", "PackSegment", "SegmentResult", "SuperLaunch", "pack_key"]
+__all__ = [
+    "PackScratch",
+    "PackSegment",
+    "SegmentResult",
+    "SuperLaunch",
+    "pack_key",
+    "run_pack",
+]
 
 def pack_key(gpu):
     """The compatibility key under which *gpu*'s launches may coalesce.
@@ -99,31 +107,15 @@ class PackSegment:
 
 
 class SegmentResult:
-    """One segment's completed launch, split out of a super-launch.
+    """One segment's completed launch, split out of a super-launch: its
+    result batch and per-row flip counts."""
 
-    Besides the launch result it carries the segment's advanced device
-    state — solutions ``x``, RNG lanes and CyclicMin ``cursors``
-    (``(algorithm, cursor)`` pairs) — for the commit step.
-    """
+    __slots__ = ("segment", "result", "flips")
 
-    __slots__ = (
-        "segment",
-        "result",
-        "flips",
-        "truncations",
-        "x",
-        "rng_state",
-        "cursors",
-    )
-
-    def __init__(self, segment, result, flips, truncations, x, rng_state, cursors) -> None:
+    def __init__(self, segment, result, flips) -> None:
         self.segment = segment
         self.result = result
         self.flips = flips
-        self.truncations = truncations
-        self.x = x
-        self.rng_state = rng_state
-        self.cursors = cursors
 
 
 class _Cell:
@@ -147,12 +139,12 @@ class _Cell:
 
 
 class PackScratch:
-    """Merged device buffers for one lane's super-launches.
+    """Merged device buffers for one pack key's super-launches.
 
-    Owned by the lane that executes packs (single-threaded), keyed by
-    (backend, kernel, n, config) and grown geometrically to the largest
-    super-batch seen.  Row-window views over the merged state/tabu/best
-    buffers are cached per span.
+    Owned by the lane that executes packs (single-threaded; a standalone
+    device owns its own), keyed by the devices' pack key and grown
+    geometrically to the largest super-batch seen.  Row-window views over
+    the merged state/tabu/best buffers are cached per span.
     """
 
     def __init__(self, model, backend, kernel, config, capacity: int) -> None:
@@ -220,10 +212,9 @@ def _is_twoneighbor(cell) -> bool:
 class SuperLaunch:
     """A set of pack-compatible launches executed as one fused batch.
 
-    Created by the service scheduler and by a lane re-planning a failed
-    pack, both run via :meth:`run` on the lane, and by every device's
-    own ``VirtualGPU.launch``, a one-segment pack it runs via
-    :meth:`execute` and commits itself.
+    Built by the service scheduler (every lane launch), by
+    :func:`run_pack` re-planning a failed pack, and by a device's own
+    standalone ``VirtualGPU.launch``; all of them run via :meth:`run`.
     Exposes the segments so a failed or wedged pack can be split back
     into individual launches, and :attr:`culprit` — the segment whose
     injected backend fault failed the pack, when known.
@@ -242,28 +233,31 @@ class SuperLaunch:
         """The distinct devices this pack runs (hang-poisoning checks)."""
         return {id(seg.gpu): seg.gpu for seg in self.segments}.values()
 
-    def run(self, scratch_map: dict) -> list[SegmentResult]:
-        """Execute every segment, then commit each one to its device.
+    def check(self) -> None:
+        """Refuse a segment whose batch does not fit its device.
 
-        Device state (solutions, RNG lanes, cursors, counters) is only
-        committed once **all** cells finished — an exception anywhere
-        leaves every device exactly as before the pack, so the caller can
-        re-issue the segments individually.
+        :func:`run_pack` checks before it runs the pack, so a malformed
+        batch raises as itself and is never taken for a backend fault.
         """
-        results = self.execute(scratch_map)
-        for res in results:
-            res.segment.gpu.commit_packed(
-                res.x, res.rng_state, int(res.flips.sum()), res.truncations, res.cursors
-            )
-        return results
+        for seg in self.segments:
+            gpu, batch = seg.gpu, seg.batch
+            if len(batch) != gpu.num_blocks:
+                raise ValueError(f"expected {gpu.num_blocks} packets, got {len(batch)}")
+            if batch.n != gpu.model.n:
+                raise ValueError(
+                    f"packet vectors have length {batch.n}, model has {gpu.model.n}"
+                )
 
-    def execute(self, scratch_map: dict) -> list[SegmentResult]:
-        """Execute every segment bit-exactly and split the completions.
+    def run(self, scratch_map: dict) -> list[SegmentResult]:
+        """Execute every segment bit-exactly, split the completions and
+        commit each one to its device.
 
-        Commits nothing: each result carries its segment's advanced device
-        state for the caller's commit step.  *scratch_map* holds the
-        merged buffers (:class:`PackScratch`) keyed by (backend, kernel,
-        n, config), grown to the largest pack seen.
+        *scratch_map* holds the merged buffers (:class:`PackScratch`)
+        keyed by pack key, grown to the largest pack seen.  Device state
+        (solutions, RNG lanes, cursors, counters) is only committed once
+        **all** cells finished — an exception anywhere leaves every
+        device exactly as before the pack, so :func:`run_pack` can
+        re-plan the segments.
         """
         segments = self.segments
         first = segments[0].gpu
@@ -284,14 +278,6 @@ class SuperLaunch:
 
         cells: list[_Cell] = []
         for si, seg in enumerate(segments):
-            if len(seg.batch) != seg.gpu.num_blocks:
-                raise ValueError(
-                    f"expected {seg.gpu.num_blocks} packets, got {len(seg.batch)}"
-                )
-            if seg.batch.n != n:
-                raise ValueError(
-                    f"packet vectors have length {seg.batch.n}, model has {n}"
-                )
             for alg_enum, rows in seg.batch.group_by_algorithm().items():
                 if alg_enum not in seg.gpu.algorithms:
                     raise ValueError(
@@ -308,7 +294,7 @@ class SuperLaunch:
             total += cell.size
             cell.stop = total
 
-        key = (id(backend), id(kernel), n, config)
+        key = first.pack_key
         scratch = scratch_map.get(key)
         if scratch is None or scratch.capacity < total:
             grown = max(total, 2 * scratch.capacity if scratch is not None else 0)
@@ -415,11 +401,11 @@ class SuperLaunch:
                 for cell in span_cells:
                     cell.mains_done += 1
 
-        # harvest: split per segment (committed by the caller)
+        # harvest: split per segment, then commit each to its device
         by_segment: list[list[_Cell]] = [[] for _ in segments]
         for cell in cells:
             by_segment[cell.seg].append(cell)
-        results = []
+        results, commits = [], []
         for si, seg in enumerate(segments):
             batch = seg.batch
             gpu = seg.gpu
@@ -440,17 +426,47 @@ class SuperLaunch:
                 new_rng[cell.rows] = rng_block[sl]
                 if cell.cursor_ready:
                     cursors.append((cell.alg, scratch.cursor[sl].copy()))
-            results.append(
-                SegmentResult(
-                    seg,
-                    PacketBatch(
-                        out_vectors, out_energies, batch.algorithms, batch.operations
-                    ),
-                    seg_flips,
-                    int(trunc.sum()),
-                    new_x,
-                    new_rng,
-                    cursors,
-                )
-            )
+            result = PacketBatch(out_vectors, out_energies, batch.algorithms, batch.operations)
+            results.append(SegmentResult(seg, result, seg_flips))
+            commits.append((gpu, new_x, new_rng, int(seg_flips.sum()), int(trunc.sum()), cursors))
+        # every segment is harvested: only now does any device change
+        for gpu, *advanced in commits:
+            gpu.commit_packed(*advanced)
         return results
+
+
+def run_pack(pack: SuperLaunch, scratch_map: dict, on_split=None, degraded=frozenset()):
+    """Run *pack* under the one pack-fault rule (DESIGN.md §11).
+
+    Returns one ``(segment, outcome)`` pair per segment: its
+    :class:`SegmentResult`, or the exception that fails that segment
+    alone.  A failed pack committed nothing, so its segments re-run
+    bit-exactly.  The culprit of a one-segment pack is its segment.  A
+    known culprit degrades to its fallback backend once per launch
+    (*degraded* holds the segments that already did) and the segments
+    re-plan by pack key; a culprit that cannot degrade fails alone.  An
+    unknown culprit re-runs each segment as a one-segment pack.  Mates
+    are never charged.  *on_split* is called once when *pack*, a pack of
+    several segments, fails (its re-plans are not counted again).
+    """
+    pack.check()
+    try:
+        return [(res.segment, res) for res in pack.run(scratch_map)]
+    except Exception as exc:
+        segments = pack.segments
+        if len(segments) > 1 and on_split is not None:
+            on_split()
+        culprit = segments[0] if len(segments) == 1 else pack.culprit
+        outcomes = []
+        if culprit is None:
+            plans = [[seg] for seg in segments]
+        else:
+            if culprit in degraded or not culprit.gpu._degrade(exc):
+                outcomes.append((culprit, exc))
+                segments = [seg for seg in segments if seg is not culprit]
+            else:
+                degraded = degraded | {culprit}
+            plans = [list(run) for _, run in groupby(segments, lambda s: s.gpu.pack_key)]
+        for plan in plans:
+            outcomes += run_pack(SuperLaunch(plan), scratch_map, None, degraded)
+        return outcomes

@@ -4,13 +4,20 @@ The paper drives every physical GPU from its own host thread; a device
 fetches work, runs a bulk search, and returns solutions at its own pace
 (§III.C).  :class:`FleetWorkerGroup` reproduces that seam for the
 virtual GPUs: one single-thread executor per *lane*, not bound to any
-solver's devices.  Each submission names the virtual GPU to run, and
-completions carry an opaque ``tag`` routed back to the caller.  A
-:class:`~repro.service.SolveService` owns one fleet and multiplexes many
+solver's devices.  Every submission is a
+:class:`~repro.engine.coalesce.SuperLaunch` — one or more devices'
+launches run as one fused batch on the lane's own merged buffers — and
+each segment's completion carries an opaque ``tag`` routed back to the
+caller.  A :class:`~repro.service.SolveService` owns one fleet and multiplexes many
 jobs' launches over it, with the tag identifying the owning job
 (DESIGN.md §8).  The per-lane FIFO is what gives each device in-flight
 depth (a launch can be queued behind the running one) while NumPy
 kernels release the GIL, so lanes genuinely overlap.
+
+A lane is the only owner of its pack buffers: one
+:class:`~repro.engine.coalesce.PackScratch` per pack key, touched only by
+the lane's thread, and freed by :meth:`FleetWorkerGroup.free_buffers` once
+no remaining job or cached problem can use it (DESIGN.md §12).
 
 Completions land on one host-side stream as :class:`LaunchCompletion`
 records; the scheduler consumes them with
@@ -20,11 +27,11 @@ the host, so a dead lane can never strand the event loop.
 
 Supervision (DESIGN.md §11): with a
 :class:`~repro.resilience.RetryPolicy` the group becomes *supervised* —
-every launch is recorded as a ticketed ``(lane, device, seq, batch)``
-in-flight entry, and a fault (worker exception, hung launch past
+every launch is recorded as a ticketed ``(lane, pack)`` in-flight
+entry, and a fault (worker exception, hung launch past
 ``launch_timeout``) re-issues the recorded launch after capped
 exponential backoff instead of failing the solve.  The re-issue replays
-the identical batch at the identical per-device sequence number, so
+the identical batches at the identical per-device sequence numbers, so
 ``virtual_time`` replay stays bit-exact whenever the fault pre-empted
 the launch (chaos injection, a killed worker) and free-running results
 stay valid in every case.  Once ``max_retries`` or the per-job
@@ -44,7 +51,8 @@ A group of zero lanes is *inline* — what a direct ``DABSSolver.solve()``
 runs on: no thread, no supervision, no worker to kill.  Every launch runs
 on the submitting thread, and a launch's exception (a fault the
 pack-fault rule cannot absorb, or a ``KeyboardInterrupt``) is raised
-there as it is, never posted as a job failure.
+there as it is, never posted as a job failure.  Its lanes' buffers live
+as long as the group: one solve.
 
 Lifecycle: the group is a context manager and
 :meth:`FleetWorkerGroup.close` is idempotent; closing joins every lane
@@ -65,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.packet import PacketBatch
-from repro.engine.coalesce import PackSegment, SuperLaunch, pack_key
+from repro.engine.coalesce import PackSegment, SuperLaunch, pack_key, run_pack
 from repro.resilience import chaos
 from repro.resilience.chaos import ChaosError
 from repro.resilience.policy import FailureReport, RetryPolicy
@@ -85,11 +93,11 @@ class WorkerError(RuntimeError):
     ``tag`` is the opaque submission tag of the failed launch (None for
     untagged submissions) — the service uses it to fail only the
     owning job instead of the whole fleet.  ``tags`` holds the tag of
-    every launch the failure ends: ``(tag,)`` for a solo launch, one per
-    segment for a one-job super-launch, so the owner can release each
-    in-flight slot.  ``report`` is the structured
-    :class:`~repro.resilience.FailureReport` when a supervised group
-    exhausted its retry policy (None on unsupervised failures).
+    every launch the failure ends, one per segment (``(tag,)`` for a
+    one-segment pack), so the owner can release each in-flight slot.
+    ``report`` is the structured :class:`~repro.resilience.FailureReport`
+    when a supervised group exhausted its retry policy (None on
+    unsupervised failures).
     """
 
     def __init__(
@@ -129,38 +137,48 @@ class LaunchCompletion:
     tag: object = None
 
 
-def run_launch(launch, scratch: dict | None = None) -> list[LaunchCompletion]:
-    """Execute one launch and return its completions, one per segment.
+def run_launch(pack: SuperLaunch, scratch: dict, on_split=None) -> list:
+    """Run *pack* on the merged buffers of *scratch*; one outcome per
+    segment: its :class:`LaunchCompletion`, or the :class:`_Failure` the
+    pack-fault rule (:func:`~repro.engine.coalesce.run_pack`) ends that
+    segment with.
 
-    *launch* is a :class:`~repro.engine.coalesce.PackSegment` run solo
-    through ``gpu.launch``, or a :class:`~repro.engine.coalesce.SuperLaunch`
-    run on the merged buffers of *scratch*.  Truncations are read as
-    deltas of each device's counters, so a launch-equivalent counts
-    whatever its seam (``launch`` or ``commit_packed``) recorded.
+    A device without a pack key — a test or benchmark proxy — never
+    packs: its one-segment pack runs through its own ``gpu.launch``, and
+    an exception there ends the whole launch.  Truncations are read as
+    deltas of each device's counters.
     """
-    packed = isinstance(launch, SuperLaunch)
-    segments = launch.segments if packed else [launch]
-    before = [
-        (seg.gpu.greedy_truncations, seg.gpu.truncation_events) for seg in segments
-    ]
-    if packed:
-        outputs = [(res.result, res.flips) for res in launch.run(scratch)]
+    before = {
+        id(seg): (seg.gpu.greedy_truncations, seg.gpu.truncation_events)
+        for seg in pack.segments
+    }
+    seg = pack.segments[0]
+    if pack_key(seg.gpu) is None:
+        outputs = [(seg, seg.gpu.launch(seg.batch))]
     else:
-        outputs = [launch.gpu.launch(launch.batch)]
-    return [
-        LaunchCompletion(
-            seg.device_id,
-            seg.seq,
-            result,
-            flips,
-            seg.gpu.greedy_truncations - trunc0,
-            seg.gpu.truncation_events - events0,
-            seg.tag,
+        outputs = [
+            (seg, done if isinstance(done, Exception) else (done.result, done.flips))
+            for seg, done in run_pack(pack, scratch, on_split)
+        ]
+    outcomes = []
+    for seg, done in outputs:
+        if isinstance(done, Exception):
+            outcomes.append(_Failure(seg.device_id, done, seg.tag, seg))
+            continue
+        result, flips = done
+        trunc0, events0 = before[id(seg)]
+        outcomes.append(
+            LaunchCompletion(
+                seg.device_id,
+                seg.seq,
+                result,
+                flips,
+                seg.gpu.greedy_truncations - trunc0,
+                seg.gpu.truncation_events - events0,
+                seg.tag,
+            )
         )
-        for seg, (trunc0, events0), (result, flips) in zip(
-            segments, before, outputs
-        )
-    ]
+    return outcomes
 
 
 class _Failure:
@@ -177,25 +195,13 @@ class _Failure:
         self.segment = segment
 
 
-def _run_solo(seg: PackSegment):
-    """*seg* launched on its own (``gpu.launch`` degrades itself); its
-    completion, or the :class:`_Failure` that ends it."""
-    try:
-        return run_launch(seg)[0]
-    except Exception as exc:
-        return _Failure(seg.device_id, exc, seg.tag, seg)
-
-
 class _LaunchRecord:
-    """Host-side record of one in-flight launch — everything needed to
-    re-issue it verbatim after a fault (same batch, same seq)."""
+    """Host-side record of one in-flight super-launch — everything needed
+    to re-issue it verbatim after a fault (same batches, same seqs)."""
 
     __slots__ = (
         "lane",
-        "device_id",
-        "seq",
-        "gpu",
-        "batch",
+        "pack",
         "tag",
         "attempts",
         "deadline",
@@ -204,12 +210,11 @@ class _LaunchRecord:
         "overdue",
     )
 
-    def __init__(self, lane, device_id, seq, gpu, batch, tag):
+    def __init__(self, lane: int, pack: SuperLaunch, tag) -> None:
         self.lane = lane
-        self.device_id = device_id
-        self.seq = seq
-        self.gpu = gpu
-        self.batch = batch
+        self.pack = pack
+        #: the one job's tag the pack belongs to, or None for a pack of
+        #: several jobs (a worker-level fault splits it uncharged)
         self.tag = tag
         self.attempts = 1
         self.deadline = None
@@ -222,13 +227,18 @@ class _LaunchRecord:
         #: quarantined (decides whether a re-issue is charged as a fault)
         self.overdue = False
 
+    @property
+    def device_id(self) -> int:
+        """The first segment's device (a failure report's subject)."""
+        return self.pack.segments[0].device_id
+
 
 def _segment_record(record: _LaunchRecord, seg: PackSegment) -> _LaunchRecord:
-    """One segment of *record*'s super-launch as a launch record of its
-    own, on the same lane; attempt count and failure history carry over,
-    so a segment's retry bound stays the pack's.  A split record is an
-    ordinary launch and can never re-pack, so splitting cannot loop."""
-    out = _LaunchRecord(record.lane, seg.device_id, seg.seq, seg.gpu, seg.batch, seg.tag)
+    """One segment of *record*'s pack as a one-segment record of its own,
+    on the same lane; attempt count and failure history carry over, so a
+    segment's retry bound stays the pack's.  A one-segment record is
+    never split again, so splitting cannot loop."""
+    out = _LaunchRecord(record.lane, SuperLaunch([seg]), seg.tag)
     out.attempts = record.attempts
     out.failures = list(record.failures)
     return out
@@ -292,9 +302,9 @@ class FleetWorkerGroup:
         self.respawns = 0
         #: super-launch completions split but not yet delivered
         self._ready: deque = deque()
-        #: lane -> merged pack buffers (only ever touched by that lane's
-        #: single worker thread; dropped when a wedged thread may still
-        #: own them)
+        #: lane -> pack key -> merged pack buffers (only ever run on by
+        #: that lane's single worker thread; freed by free_buffers, and
+        #: dropped whole when a wedged thread may still own them)
         self._pack_scratch: dict[int, dict] = {}
         #: super-launches split back into individual launches after a fault
         self.pack_splits = 0
@@ -318,42 +328,39 @@ class FleetWorkerGroup:
         batch: PacketBatch,
         tag: object = None,
     ) -> None:
-        """Queue ``gpu.launch(batch)`` on *lane*'s FIFO.
+        """Queue one launch of *gpu* on *lane*: a one-segment
+        :meth:`submit_packed`.
 
         *device_id* and *seq* are the submitter's coordinates (a job's
         device index and per-device launch sequence) and are echoed back
         on the completion along with *tag*.
         """
-        record = _LaunchRecord(lane, device_id, seq, gpu, batch, tag)
-        self._submit_record(record)
+        self.submit_packed(lane, [PackSegment(device_id, seq, gpu, batch, tag)])
 
     def submit_packed(self, lane: int, segments) -> None:
-        """Queue a coalesced super-launch on *lane*'s FIFO (DESIGN.md §12).
+        """Queue a super-launch on *lane*'s FIFO (DESIGN.md §12).
 
         *segments* is a list of :class:`~repro.engine.coalesce.PackSegment`
-        — pack-compatible launches of different jobs.  The lane executes
-        them as one fused batch and the completion stream delivers one
-        :class:`LaunchCompletion` per segment, carrying the segment's own
-        ``(device_id, seq, tag)`` — callers cannot tell a packed launch
-        from a solo one.
+        — pack-compatible launches, of one job or several.  The lane
+        executes them as one fused batch and the completion stream
+        delivers one :class:`LaunchCompletion` per segment, carrying the
+        segment's own ``(device_id, seq, tag)``.
 
-        A pack that raises fails over on its lane (:meth:`_run_pack`).
-        A worker-level fault (a killed or hung lane) ends the whole
-        launch.  When every segment belongs to one job (one non-None
-        fault key), the pack is that job's launch: its record carries the
-        first segment's tag, and such a fault is retried whole and
-        charged once, as a solo launch's would be.  A pack of several
-        jobs is split: its segments are re-issued as individual launches
-        without charging any job's fault budget (a persistent fault
-        fails — and is charged — on the solo re-run).
+        A pack that raises fails over on its lane under the one
+        pack-fault rule (:func:`~repro.engine.coalesce.run_pack`).  A
+        worker-level fault (a killed or hung lane) ends the whole launch.
+        When every segment belongs to one job (one non-None fault key),
+        the pack is that job's launch: its record carries the first
+        segment's tag, and such a fault is retried whole and charged
+        once.  A pack of several jobs is split: its segments are
+        re-issued as one-segment packs without charging any job's fault
+        budget (a persistent fault fails — and is charged — on the
+        re-run).
         """
         pack = SuperLaunch(segments)
         keys = {_fault_key(seg.tag) for seg in segments}
         tag = segments[0].tag if len(keys) == 1 and None not in keys else None
-        record = _LaunchRecord(
-            lane, segments[0].device_id, segments[0].seq, pack, None, tag
-        )
-        self._submit_record(record)
+        self._submit_record(_LaunchRecord(lane, pack, tag))
 
     def _submit_record(self, record: _LaunchRecord) -> None:
         with self._records_lock:
@@ -407,20 +414,14 @@ class FleetWorkerGroup:
     def _run(self, ticket: int) -> None:
         with self._records_lock:
             record = self._records.get(ticket)
-        if record is None:  # superseded before it started
-            return
+            if record is None:  # superseded before it started
+                return
+            scratch = self._pack_scratch.setdefault(record.lane, {})
         try:
-            launch = record.gpu
-            packed = isinstance(launch, SuperLaunch)
-            if not packed:
-                launch = PackSegment(
-                    record.device_id, record.seq, launch, record.batch, record.tag
-                )
             # worker-level chaos fires per segment, as each launch would
-            # have seen solo (``who`` = that job's device index); an
+            # have seen alone (``who`` = that job's device index); an
             # inline group has no worker to kill
-            segments = launch.segments if packed else (launch,)
-            for seg in segments if self._executors else ():
+            for seg in record.pack.segments if self._executors else ():
                 if chaos.fire("worker_kill", who=seg.device_id):
                     raise ChaosError(
                         f"chaos: worker lane killed (device {seg.device_id})"
@@ -430,12 +431,7 @@ class FleetWorkerGroup:
                         f"chaos: injected launch exception "
                         f"(device {seg.device_id})"
                     )
-            if packed:
-                with self._records_lock:
-                    scratch = self._pack_scratch.setdefault(record.lane, {})
-                outcomes = self._run_pack(launch, scratch)
-            else:
-                outcomes = run_launch(launch)
+            outcomes = run_launch(record.pack, scratch, self._count_split)
         except BaseException as exc:
             if not self._executors:
                 raise  # inline: the caller's own exception
@@ -446,35 +442,9 @@ class FleetWorkerGroup:
                 raise outcome.exc
         self._completions.put((ticket, outcomes))
 
-    def _run_pack(self, pack: SuperLaunch, scratch: dict, degraded=None):
-        """Run *pack* on this lane's thread under the one pack-fault rule
-        (DESIGN.md §11); one outcome per segment: its completion, or a
-        :class:`_Failure` charged to that segment's job alone.  A failed
-        pack committed nothing.  A known culprit degrades here, as its own
-        ``launch`` would, once per launch (*degraded*), and the segments
-        re-plan by pack key; one that cannot degrade fails alone.  An
-        unknown culprit re-runs every segment solo.  Mates run uncharged.
-        """
-        try:
-            return run_launch(pack, scratch)
-        except Exception as exc:
-            if degraded is None:  # a submitted pack, not one of its re-plans
-                with self._records_lock:
-                    self.pack_splits += 1
-                degraded = frozenset()
-            culprit = pack.culprit
-            if culprit is None:
-                return [_run_solo(seg) for seg in pack.segments]
-            outcomes = []
-            segments = pack.segments
-            if culprit in degraded or not culprit.gpu._degrade(exc):
-                outcomes.append(_Failure(culprit.device_id, exc, culprit.tag, culprit))
-                segments = [seg for seg in segments if seg is not culprit]
-            else:
-                degraded = degraded | {culprit}
-            for _, run in itertools.groupby(segments, lambda s: pack_key(s.gpu)):
-                outcomes += self._run_pack(SuperLaunch(list(run)), scratch, degraded)
-            return outcomes
+    def _count_split(self) -> None:
+        with self._records_lock:
+            self.pack_splits += 1
 
     def next_completion(self, timeout: float) -> LaunchCompletion | None:
         """The next finished launch, in completion order; None on timeout,
@@ -508,16 +478,19 @@ class FleetWorkerGroup:
         if record is None:
             return None  # superseded launch: result already re-issued
         if isinstance(payload, _Failure):  # the whole launch failed
-            if isinstance(record.gpu, SuperLaunch) and record.tag is None:
+            if record.tag is None and len(record.pack.segments) > 1:
                 return self._handle_pack_fault(record, payload.detail)
             return self._handle_fault(record, payload.detail, "launch", payload.exc)
-        # one outcome per segment; a super-launch's rest buffer FIFO, and a
-        # segment the pack-fault rule failed is charged to its own job (a
-        # fatal error waits on the stream behind the pack's completions)
+        # one outcome per segment; the rest buffer FIFO.  A segment the
+        # pack-fault rule failed is charged to its own job: a one-segment
+        # pack's fatal error raises at once, a pack's waits on the stream
+        # behind the pack's completions
         for outcome in payload:
             if not isinstance(outcome, _Failure):
                 self._ready.append(outcome)
                 continue
+            if len(payload) == 1:
+                return self._handle_fault(record, outcome.detail, "launch", outcome.exc)
             seg_record = _segment_record(record, outcome.segment)
             try:
                 self._handle_fault(seg_record, outcome.detail, "launch", outcome.exc)
@@ -538,18 +511,19 @@ class FleetWorkerGroup:
 
     # -- supervision -------------------------------------------------------
     def _handle_pack_fault(self, record: _LaunchRecord, detail: str) -> None:
-        """Absorb a failed pack of several jobs: re-issue the segments solo.
+        """Absorb a failed pack of several jobs: re-issue each segment as a
+        one-segment pack.
 
         No job's fault budget is charged — inside a fused batch the
         culprit is unknown, and a pack-mate must not pay for it.  The
-        executor commits no device state before finishing, so the solo
-        re-runs start bit-exactly where the pack would have; a persistent
+        executor commits no device state before finishing, so the re-runs
+        start bit-exactly where the pack would have; a persistent
         fault then fails (and is charged to) only the job that owns it.
         """
         record.failures.append(detail)
         with self._records_lock:
             self.pack_splits += 1
-        for seg in record.gpu.segments:
+        for seg in record.pack.segments:
             self._submit_record(_segment_record(record, seg))
         return None
 
@@ -558,9 +532,9 @@ class FleetWorkerGroup:
         policy is exhausted — a :class:`WorkerError` caused by *cause*,
         the launch's own exception.  Returns None (the caller polls again).
 
-        A one-job super-launch is one launch here: it is re-issued whole
-        (it committed nothing, so the re-run is bit-exact) and charged
-        once; its fatal error carries every segment's tag.
+        A one-job pack is one launch here: it is re-issued whole (it
+        committed nothing, so the re-run is bit-exact) and charged once;
+        its fatal error carries every segment's tag.
         """
         record.failures.append(detail)
         key = _fault_key(record.tag)
@@ -585,9 +559,7 @@ class FleetWorkerGroup:
                 fatal=True,
                 details=tuple(record.failures),
             )
-            tags = None
-            if isinstance(record.gpu, SuperLaunch):
-                tags = tuple(seg.tag for seg in record.gpu.segments)
+            tags = tuple(seg.tag for seg in record.pack.segments)
             raise WorkerError(record.device_id, detail, record.tag, report, tags) from cause
         record.attempts += 1
         with self._records_lock:
@@ -619,7 +591,7 @@ class FleetWorkerGroup:
         A stuck lane thread cannot be killed, but the lane can be
         respawned so every other tenant keeps running.  The overdue
         launch itself is NOT re-issued here — the abandoned thread may
-        still be executing ``gpu.launch`` on the very same device state,
+        still be executing it on the very same device state,
         so a reaper thread first waits for the old executor to exit and
         only then settles the lane's launches (:meth:`_reap_lane`).
         Submissions to a quarantined lane are buffered until the reaper
@@ -669,7 +641,7 @@ class FleetWorkerGroup:
         executor — charged as a hang fault only if its own deadline had
         expired.  A thread that outlives ``hang_grace`` is wedged: the
         launch it is executing fails with a ``kind="hang"`` report and
-        its gpu is never re-issued — handing device state a live thread
+        its devices are never re-issued — handing device state a live thread
         still owns to a second thread would be a data race.  Every
         fatal error is routed through the completion stream, so one
         exhausted job never strands the other seized launches."""
@@ -713,11 +685,9 @@ class FleetWorkerGroup:
                 for _, record in entries:
                     if not record.done:
                         # max_workers=1: the earliest unfinished record
-                        # is the one the live thread still executes; a
-                        # super-launch poisons every device it touches
-                        poisoned = frozenset(
-                            id(g) for g in self._record_gpus(record)
-                        )
+                        # is the one the live thread still executes; it
+                        # poisons every device its pack touches
+                        poisoned = frozenset(id(g) for g in record.pack.gpus())
                         break
             for ticket, record in entries:
                 if record.done:
@@ -734,16 +704,11 @@ class FleetWorkerGroup:
             errors.extend(self._hang_errors(record, detail))
         for record in reissue:
             if record.overdue:
-                # an overdue super-launch hung every job riding it: split
-                # and charge each segment, exactly as the solo hang would
-                split = (
-                    [_segment_record(record, seg) for seg in record.gpu.segments]
-                    if isinstance(record.gpu, SuperLaunch)
-                    else [record]
-                )
-                for seg_record in split:
+                # an overdue pack hung every job riding it: split and
+                # charge each segment, as its own hang would be
+                for seg in record.pack.segments:
                     try:
-                        self._handle_fault(seg_record, detail, "hang")
+                        self._handle_fault(_segment_record(record, seg), detail, "hang")
                     except WorkerError as err:
                         errors.append(err)
             else:  # seized with the lane, not at fault: plain re-issue
@@ -757,30 +722,18 @@ class FleetWorkerGroup:
             self._completions.put(error)
 
     @staticmethod
-    def _record_gpus(record: _LaunchRecord):
-        """The device(s) a record's launch runs on (one, or a pack's set)."""
-        gpu = record.gpu
-        if isinstance(gpu, SuperLaunch):
-            return list(gpu.gpus())
-        return [gpu]
-
-    @classmethod
-    def _touches(cls, record: _LaunchRecord, poisoned: frozenset) -> bool:
-        if not poisoned:
-            return False
-        return any(id(g) in poisoned for g in cls._record_gpus(record))
+    def _touches(record: _LaunchRecord, poisoned: frozenset) -> bool:
+        return any(id(g) in poisoned for g in record.pack.gpus())
 
     def _hang_errors(
         self, record: _LaunchRecord, detail: str
     ) -> list[WorkerError]:
-        """The hang failure(s) of a record — one per segment for a pack,
-        so each riding job fails individually with its own tag."""
-        if isinstance(record.gpu, SuperLaunch):
-            return [
-                self._hang_error(_segment_record(record, seg), detail)
-                for seg in record.gpu.segments
-            ]
-        return [self._hang_error(record, detail)]
+        """The hang failures of a record — one per segment, so each
+        riding job fails individually with its own tag."""
+        return [
+            self._hang_error(_segment_record(record, seg), detail)
+            for seg in record.pack.segments
+        ]
 
     @staticmethod
     def _hang_error(record: _LaunchRecord, detail: str) -> WorkerError:
@@ -794,6 +747,25 @@ class FleetWorkerGroup:
             details=tuple(record.failures),
         )
         return WorkerError(record.device_id, detail, record.tag, report)
+
+    def free_buffers(self, lane: int, keys, kernels) -> None:
+        """Free *lane*'s pack buffers that no queued job can use: those
+        whose pack key is not in *keys* and whose kernel is none of
+        *kernels* (by identity).
+
+        The service calls this at job finalization with the pack keys of
+        the lane's remaining jobs and the kernels of its cached problems,
+        so a lane holds at most one buffer set per cached problem plus
+        those of its active jobs, and a cache-hit instance keeps its
+        buffers (DESIGN.md §12).  A live key's buffers may be in use on
+        the lane's thread; a dead key's cannot be.
+        """
+        kept = {id(kernel) for kernel in kernels}
+        with self._records_lock:
+            scratch = self._pack_scratch.get(lane, {})
+            for key in list(scratch):
+                if key not in keys and id(scratch[key].state.kernel) not in kept:
+                    del scratch[key]
 
     def forget(self, key: object) -> None:
         """Drop a finished job's supervision tallies (failure budget and

@@ -7,10 +7,12 @@ GPU's blocks as one kernel launch, whatever each block's main algorithm
 phases are executed by a pluggable compute backend (:mod:`repro.backends`)
 — the straight/greedy loops and fused main phases lowered from each
 algorithm's selection spec (DESIGN.md §6).  Every launch is the paper's one
-kernel: a one-segment :class:`~repro.engine.coalesce.SuperLaunch` — one
-straight loop over all rows and one mixed-algorithm main loop (DESIGN.md
-§12), on every backend.  A device has a :attr:`~VirtualGPU.pack_key`, so
-launches of devices with equal keys may also ride one super-launch.  It
+kernel: a :class:`~repro.engine.coalesce.SuperLaunch` — one straight loop
+over all rows and one mixed-algorithm main loop (DESIGN.md §12), on every
+backend.  A device has a :attr:`~VirtualGPU.pack_key`; the engine runs the
+launches of devices with equal keys as row ranges of one super-launch on
+its lane, and :meth:`VirtualGPU.launch` is the standalone entry (tests and
+benchmarks): a one-segment pack on the device's own buffers.  A device
 holds only the built-in algorithms and integer models, the two things the
 packed execution is proven bit-exact for.
 
@@ -21,9 +23,10 @@ State that persists across launches, mirroring §III.B / Fig. 4 (2):
 * per-(block, thread) xorshift64* RNG lanes, seeded once from the host
   Mersenne twister (§V).
 
-The device-side working buffers persist across launches too, the analogue
-of device memory staying allocated between kernel launches: the merged
-:class:`~repro.engine.coalesce.PackScratch` built by the first launch.  A
+The working buffers persist across launches too, the analogue of device
+memory staying allocated between kernel launches: the merged
+:class:`~repro.engine.coalesce.PackScratch` of the lane the launch runs
+on (DESIGN.md §12), or the device's own for a standalone launch.  A
 launch resets it in place from the persistent ``X`` rows, which is
 bit-identical to building fresh state but skips the per-launch allocation
 churn.  Device backends ride the same lifetime: the cuda backend stows its
@@ -76,7 +79,7 @@ class VirtualGPU:
         #: identity is one component of the pack key (DESIGN.md §12).
         self.kernel = kernel if kernel is not None else self.backend.prepare(model)
         # graceful degradation (DESIGN.md §11): when enabled, a backend
-        # failure inside launch() swaps to the next available backend and
+        # failure inside a launch swaps to the next available backend and
         # re-runs the launch instead of crashing the solve.  Off by
         # default so directly-constructed GPUs (parity tests) never mask
         # a backend bug; DABSSolver turns it on via config.
@@ -100,8 +103,8 @@ class VirtualGPU:
         # launches in which at least one row truncated — one per emitted
         # GreedyTruncationWarning, aggregated into SolveResult stats
         self.truncation_events = 0
-        # the launch's merged buffers (a one-entry PackScratch map), built
-        # by the first launch
+        # a standalone launch's merged buffers (a PackScratch map keyed by
+        # pack key), built by the first launch
         self._pack_scratch: dict = {}
 
     @property
@@ -126,20 +129,13 @@ class VirtualGPU:
         truncations: int,
         cursors=(),
     ) -> None:
-        """Fold one coalesced super-launch segment back into this device.
+        """Fold one finished super-launch segment back into this device.
 
         The executor ran this device's rows inside a merged super-batch
         and hands back the advanced solutions, RNG lanes, CyclicMin
         cursors (``(algorithm, cursor)`` pairs) and counters for the whole
-        launch-equivalent segment.  This is the pack seam only: a device's
-        own :meth:`launch` commits through :meth:`_commit`, so
-        each launch-equivalent passes exactly one of ``launch`` and
-        ``commit_packed``.
+        launch-equivalent segment; every launch commits here once.
         """
-        self._commit(x, rng_state, flips_total, truncations, cursors)
-
-    def _commit(self, x, rng_state, flips_total, truncations, cursors) -> None:
-        """Adopt a finished segment's device state and count the launch."""
         np.copyto(self.block_x, x)
         np.copyto(self.rng_state, rng_state)
         for alg, cursor in cursors:
@@ -155,44 +151,29 @@ class VirtualGPU:
 
         The result batch carries the best solution/energy each block found,
         with the algorithm/operation fields passed through untouched
-        (§III.C) so the host can attribute the result.
+        (§III.C) so the host can attribute the result.  The launch is a
+        one-segment pack on this device's own buffers under the engine's
+        pack-fault rule: a backend failure degrades the device once (when
+        fallback is enabled) and re-runs it; a second failure propagates.
         """
-        if len(batch) != self.num_blocks:
-            raise ValueError(
-                f"expected {self.num_blocks} packets, got {len(batch)}"
-            )
-        if batch.n != self.model.n:
-            raise ValueError(
-                f"packet vectors have length {batch.n}, model has {self.model.n}"
-            )
-        try:
-            return self._launch(batch)
-        except Exception as exc:
-            if not self._degrade(exc):
-                raise
-            # one re-run on the replacement backend; a second failure
-            # propagates (the fallback chain is one link per launch)
-            return self._launch(batch)
-
-    def _launch(self, batch: PacketBatch) -> tuple[PacketBatch, np.ndarray]:
         # the pack executor builds on this module
-        from repro.engine.coalesce import PackSegment, SuperLaunch
+        from repro.engine.coalesce import PackSegment, SuperLaunch, run_pack
 
         pack = SuperLaunch([PackSegment(0, 0, self, batch, None)])
-        (done,) = pack.execute(self._pack_scratch)
-        flips = done.flips
-        self._commit(done.x, done.rng_state, int(flips.sum()), done.truncations, done.cursors)
-        return done.result, flips
+        ((_, done),) = run_pack(pack, self._pack_scratch)
+        if isinstance(done, Exception):
+            raise done
+        return done.result, done.flips
 
     def _degrade(self, exc: Exception) -> bool:
         """Swap to the next available backend after a launch failure.
 
-        Drops the working buffers (they are rebuilt on the replacement
-        kernels by the re-run); the per-block solutions and RNG lanes
-        carry over untouched.  A launch commits nothing before it
-        finishes, so the re-run starts from the device state the failed
-        launch started from.  Returns False (caller re-raises) when
-        fallback is disabled or no backend qualifies.
+        Drops the device's own working buffers (the re-run builds them on
+        the replacement kernels, under the new pack key); the per-block
+        solutions and RNG lanes carry over untouched.  A launch commits
+        nothing before it finishes, so the re-run starts from the device
+        state the failed launch started from.  Returns False (the launch
+        fails) when fallback is disabled or no backend qualifies.
         """
         if not self.allow_fallback:
             return False

@@ -121,6 +121,12 @@ class ProblemCache:
                 self.stats.evictions += 1
         return prepared
 
+    def kernels(self) -> list:
+        """The kernel caches of the resident entries — a lane keeps the
+        pack buffers built on one of them (DESIGN.md §12)."""
+        with self._lock:
+            return [entry.kernel for entry in self._entries.values()]
+
     def contains(self, model, backend=None) -> bool:
         """True when a prepared handle is resident (does not touch stats)."""
         resolved = resolve_backend(backend, model)

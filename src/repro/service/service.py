@@ -710,12 +710,7 @@ class SolveService:
                     self._gather_pack_mates(
                         job, device_id, key, candidates, segments, seg_jobs
                     )
-                if len(segments) == 1:
-                    self._group.submit_launch(
-                        lane, device_id, seq, gpu, batch, tag=(job.id, device_id)
-                    )
-                else:
-                    self._group.submit_packed(lane, segments)
+                self._group.submit_packed(lane, segments)
                 for seg, seg_job in zip(segments, seg_jobs):
                     seg_job.started = True
                     seg_job.handle._mark_running()
@@ -919,6 +914,15 @@ class SolveService:
                 member for member in self._lane_members[lane]
                 if member[0] is not job
             ]
+        # the lane frees the pack buffers nothing queued can use: it keeps
+        # its remaining jobs' and the cached problems' (DESIGN.md §12)
+        kernels = self.cache.kernels()
+        for lane in set(job.lanes):
+            keys = {
+                pack_key(member.solver.gpus[device_id])
+                for member, device_id in self._lane_members[lane]
+            }
+            self._group.free_buffers(lane, keys, kernels)
         self._outstanding -= 1
         self._space.notify_all()
         job.handle._finalize(status, result, error)
@@ -928,13 +932,13 @@ def _solve_inline(solver: DABSSolver, limits: SolveLimits) -> SolveResult:
     """A direct ``solve()`` (DESIGN.md §3): *solver* as the one job of a
     service stepped on the calling thread over an inline group, so no
     thread starts and every launch runs as it is submitted.  Always the
-    virtual-time replay and unsupervised; every lane packs on the
-    solver's own buffers, and a launch's exception leaves as itself."""
+    virtual-time replay and unsupervised; the inline lanes own their pack
+    buffers for this one solve, and a launch's exception leaves as
+    itself."""
     num = solver.config.num_gpus
     # a lane depth of one round sends a whole round out in one pass
     service = SolveService(num, lane_depth=num)
     service._group = FleetWorkerGroup(0)
-    service._group._pack_scratch = dict.fromkeys(range(num), solver._pack_scratch)
     cfg = replace(solver.config, virtual_time=True)
     # priority 0, share 1, no callback; the queue is unbounded
     handle = service._enqueue(None, solver, cfg, limits, 0, 1.0, None, True, None)

@@ -20,7 +20,8 @@ limits, §IV.B restarts, folds, result) is scheduled by a
 ``solve()`` is a one-job service whose group is inline: the service's
 :class:`~repro.engine.async_engine.VirtualTimeReplay` is stepped in the
 calling thread, and each round's pack-compatible devices run as one
-super-launch, up to ``DABSConfig.coalesce_max_rows`` rows.
+super-launch, up to ``DABSConfig.coalesce_max_rows`` rows, on buffers
+the inline lane owns for that one solve.
 ``solve(service=SolveService(num_gpus))`` runs the solver over the
 service's threaded lanes instead: free-running by default, where each
 device keeps two launches in flight, completions fold into the pools
@@ -489,25 +490,6 @@ class DABSSolver:
         )
         self.generator = self._make_generator()
         self.counters = SelectionCounters()
-        # merged (ΣB, n) buffers of a direct solve's packed rounds — its
-        # inline lanes' engine.coalesce.PackScratch map; filled on the
-        # first packed round and dropped by close()
-        self._pack_scratch: dict = {}
-
-    # -- lifecycle -------------------------------------------------------------
-    def close(self) -> None:
-        """Drop the packed-round buffers.
-
-        Idempotent; the solver can still solve() afterwards (fresh
-        buffers are created on demand).
-        """
-        self._pack_scratch.clear()
-
-    def __enter__(self) -> "DABSSolver":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # -- degradation bookkeeping ------------------------------------------------
     def _fallback_snapshot(self) -> list[int]:
@@ -612,8 +594,9 @@ class DABSSolver:
     ) -> SolveResult:
         """Run until a limit fires; see :class:`SolveLimits` for semantics.
 
-        The solver — pools, RNG state, per-device buffers — runs as one
-        job of a :class:`~repro.service.SolveService`.  Without *service*
+        The solver — pools, RNG state, per-device solutions and RNG
+        lanes — runs as one job of a :class:`~repro.service.SolveService`,
+        whose lanes own the launches' working buffers.  Without *service*
         it is a private one-job service stepped in the calling thread (no
         thread is started; always the virtual-time replay; a launch's
         exception is raised as it is).  With *service* the job runs

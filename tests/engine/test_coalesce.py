@@ -5,8 +5,9 @@ segments is **bit-exact per job** against running each segment's launch
 solo — result vectors and energies, flip counts, the device-persistent
 block solutions and RNG lane states, and the device counters.  On top of
 that, the worker group must split a failed pack of several jobs back
-into solo launches without charging any rider's fault budget, and retry a
-failed one-job pack whole, charged once, as that job's launch.
+into one-segment packs without charging any rider's fault budget, retry a
+failed one-job pack whole, charged once, as that job's launch, and treat
+a failing one-segment pack as the solo launch it is.
 """
 
 from __future__ import annotations
@@ -355,3 +356,34 @@ class TestWorkerPacking:
         assert len(errors) == 1 and errors[0].tag == ("job", 1)
         report = errors[0].report
         assert report.attempts == 2 and len(report.details) == 2
+
+    @pytest.mark.filterwarnings("ignore::repro.backends.BackendFallbackWarning")
+    def test_failing_lone_launch_degrades_once_and_retries_whole(self):
+        """A one-segment pack whose backend raises degrades its device
+        once, is charged one fault and is retried whole, bit-exact with
+        a twin that degraded before launching; it is no pack split."""
+        chaos.install(ChaosConfig(rates={"backend_raise": 1.0}, seed=0, max_faults=2))
+        gpu, twin = make_fleet("numpy-dense", 20, 4, 2, seed=3)
+        twin.rng_state[...] = gpu.rng_state
+        gpu.allow_fallback = twin.allow_fallback = True
+        batch = make_batch(20, 4, ALL_ALGS, seed=0)
+        with FleetWorkerGroup(1, retry=FAST_RETRY) as group:
+            group.submit_launch(0, 0, 1, gpu, batch, tag=("job", 0))
+            completions, errors = collect(group, 1)
+            counts = (
+                group.pack_splits,
+                group.retries,
+                dict(group.retry_counts),
+                dict(group._fault_counts),
+            )
+        assert not errors
+        assert counts == (0, 1, {"job": 1}, {"job": 1})
+        assert gpu.backend_fallbacks == 1 and gpu.launch_count == 1
+        chaos.install(None)
+        twin._degrade(RuntimeError("twin"))
+        expect, expect_flips = twin.launch(batch)
+        (got,) = completions
+        assert got.tag == ("job", 0)
+        assert np.array_equal(got.batch.vectors, expect.vectors)
+        assert np.array_equal(got.flips, expect_flips)
+        assert_device_parity(twin, gpu)

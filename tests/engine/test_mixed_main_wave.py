@@ -119,9 +119,7 @@ def solve(model, cfg, packed, seed, rounds):
     if not packed:
         cfg = replace(cfg, coalesce_max_rows=cfg.blocks_per_gpu)
     solver = DABSSolver(model, cfg, seed=seed)
-    with solver:
-        result = solver.solve(max_rounds=rounds)
-    return solver, result
+    return solver, solver.solve(max_rounds=rounds)
 
 
 def run_pair(wave_log, cfg, seed, rounds=3):

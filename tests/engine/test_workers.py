@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.packet import PacketBatch
 from repro.core.rng import host_generator
-from repro.engine.coalesce import PackSegment
+from repro.engine.coalesce import PackSegment, SuperLaunch
 from repro.engine.workers import (
     WORKER_NAME_PREFIX,
     FleetWorkerGroup,
@@ -46,6 +46,10 @@ def make_batch(seed: int = 7) -> PacketBatch:
     )
 
 
+def boom(self, scratch_map):
+    raise RuntimeError("boom")
+
+
 def collect_all(group, count, timeout=30.0):
     out = []
     while len(out) < count:
@@ -79,18 +83,18 @@ class TestFleetWorkerGroup:
         assert [c.seq for c in comps] == [1, 2]
         assert gpu.launch_count == 2
 
-    def test_reset_runs_behind_queued_launches(self):
+    def test_reset_runs_behind_queued_launches(self, monkeypatch):
         """``run_on`` queues a reset in the lane FIFO: it runs after the
         launch submitted before it and before the one submitted after."""
         events = []
         gpu = make_gpu()
-        launch = gpu.launch
+        run = SuperLaunch.run
 
-        def logged(batch):
+        def logged(self, scratch_map):
             events.append("launch")
-            return launch(batch)
+            return run(self, scratch_map)
 
-        gpu.launch = logged
+        monkeypatch.setattr(SuperLaunch, "run", logged)
         with FleetWorkerGroup(1) as group:
             group.submit_launch(0, 0, 1, gpu, make_batch(seed=1))
             group.run_on(0, lambda: events.append("reset"))
@@ -142,9 +146,9 @@ class TestFleetWorkerGroup:
         assert group.next_completion(0.05) is None
         assert gpu.launch_count == 0
 
-    def test_worker_error_propagates(self):
+    def test_worker_error_propagates(self, monkeypatch):
         gpu = make_gpu()
-        gpu.launch = lambda batch: (_ for _ in ()).throw(RuntimeError("boom"))
+        monkeypatch.setattr(SuperLaunch, "run", boom)
         with FleetWorkerGroup(1) as group:
             group.submit_launch(0, 0, 1, gpu, make_batch())
             with pytest.raises(WorkerError, match="boom"):
@@ -167,20 +171,20 @@ class TestFleetWorkerGroup:
 class TestInlineGroup:
     """Zero lanes: every launch runs on the thread that submits it."""
 
-    def test_launch_runs_on_the_calling_thread(self):
+    def test_launch_runs_on_the_calling_thread(self, monkeypatch):
         direct = make_gpu()
         inline = make_gpu()
         batch = make_batch()
         expect, expect_flips = direct.launch(batch)
         before = threading.active_count()
         seen = []
-        launch = inline.launch
+        run = SuperLaunch.run
 
-        def recorded(batch):
+        def recorded(self, scratch_map):
             seen.append(threading.current_thread())
-            return launch(batch)
+            return run(self, scratch_map)
 
-        inline.launch = recorded
+        monkeypatch.setattr(SuperLaunch, "run", recorded)
         with FleetWorkerGroup(0) as group:
             group.submit_launch(3, 0, 1, inline, batch)
             comp = group.next_completion(0)
@@ -189,9 +193,9 @@ class TestInlineGroup:
         assert np.array_equal(comp.batch.vectors, expect.vectors)
         assert np.array_equal(comp.flips, expect_flips)
 
-    def test_launch_error_raises_to_the_caller(self):
+    def test_launch_error_raises_to_the_caller(self, monkeypatch):
         gpu = make_gpu()
-        gpu.launch = lambda batch: (_ for _ in ()).throw(RuntimeError("boom"))
+        monkeypatch.setattr(SuperLaunch, "run", boom)
         with FleetWorkerGroup(0) as group:
             with pytest.raises(RuntimeError, match="boom"):
                 group.submit_launch(0, 0, 1, gpu, make_batch())
@@ -218,7 +222,7 @@ class _CountingGPU:
 class TestRunLaunch:
     def test_truncations_are_device_counter_deltas(self):
         gpu = _CountingGPU()
-        (completion,) = run_launch(PackSegment(0, 1, gpu, "x", None))
+        (completion,) = run_launch(SuperLaunch([PackSegment(0, 1, gpu, "x", None)]), {})
         assert (completion.device_id, completion.seq, completion.batch) == (0, 1, "x")
         assert completion.truncations == 2
         assert completion.truncation_events == 1

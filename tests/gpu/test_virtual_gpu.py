@@ -104,14 +104,19 @@ class TestVirtualGPU:
         assert np.array_equal(out1.vectors, out2.vectors)
 
     def test_rejects_wrong_batch_size(self):
+        """A malformed batch is no backend fault: it never degrades."""
         _, gpu = make_gpu()
+        gpu.allow_fallback = True
         with pytest.raises(ValueError, match="expected"):
             gpu.launch(make_batch(blocks=BLOCKS + 1))
+        assert gpu.backend_fallbacks == 0
 
     def test_rejects_wrong_vector_length(self):
         _, gpu = make_gpu()
+        gpu.allow_fallback = True
         with pytest.raises(ValueError, match="length"):
             gpu.launch(make_batch(n=N + 1))
+        assert gpu.backend_fallbacks == 0
 
     def test_rejects_disabled_algorithm(self):
         _, gpu = make_gpu(algorithm_set=(MainAlgorithm.MAXMIN,))

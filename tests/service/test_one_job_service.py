@@ -239,16 +239,17 @@ class TestLifecycle:
         assert leaked_workers() == []
 
     @pytest.mark.parametrize("packed", [True, False], ids=["packed", "solo"])
+    @pytest.mark.filterwarnings("ignore::repro.backends.BackendFallbackWarning")
     @MODES
     def test_no_leak_after_device_failure(self, monkeypatch, virtual_time, packed):
         """A failing device surfaces as a WorkerError on the host, every
         in-flight slot of the failed launch is released and the lanes
         are still reaped.
 
-        Each launch-equivalent passes exactly one device seam: a packed
-        launch commits through ``commit_packed``, a solo one (a row
-        budget of one device) runs ``launch``.  The fault sits on both,
-        so it fires packed — a fatal one-job pack — and solo.
+        Every launch-equivalent commits through ``commit_packed``, packed
+        or solo (a row budget of one device: one-segment packs).  The
+        fault sits there, so it fires packed — a fatal one-job pack — and
+        solo, on the degraded backend too.
         """
         model = random_qubo(12, seed=35)
         cfg = DABSConfig(**BASE, virtual_time=virtual_time)
@@ -259,7 +260,6 @@ class TestLifecycle:
         def boom(*args, **kwargs):
             raise RuntimeError("device fault")
 
-        monkeypatch.setattr(solver.gpus[0], "launch", boom)
         monkeypatch.setattr(solver.gpus[0], "commit_packed", boom)
         with SolveService(solver.config.num_gpus) as service:
             with pytest.raises(WorkerError, match="device fault"):

@@ -9,14 +9,16 @@ budget of one device keeps its launches solo without touching results.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+from repro.engine.coalesce import PackScratch
 from repro.engine.workers import FleetWorkerGroup
 from repro.solver.dabs import DABSConfig
-from repro.service import SolveService
+from repro.service import ProblemCache, SolveService
 from tests.conftest import random_qubo
 
 JOBS = 6
@@ -103,18 +105,12 @@ class TestPackMatesRefillTogether:
         k = 3
         widths = []
         submit_packed = FleetWorkerGroup.submit_packed
-        submit_launch = FleetWorkerGroup.submit_launch
 
         def packed(self, lane, segments):
             widths.append(len(segments))
             return submit_packed(self, lane, segments)
 
-        def solo(self, *args, **kwargs):
-            widths.append(1)
-            return submit_launch(self, *args, **kwargs)
-
         monkeypatch.setattr(FleetWorkerGroup, "submit_packed", packed)
-        monkeypatch.setattr(FleetWorkerGroup, "submit_launch", solo)
         # admit the jobs together, so their first launches pack too
         gate = threading.Event()
         admit = SolveService._admit
@@ -149,7 +145,8 @@ class TestCoalesceKnobs:
         submit_packed = FleetWorkerGroup.submit_packed
 
         def record(self, lane, segments):
-            packed_tags.append([seg.tag for seg in segments])
+            if len(segments) > 1:  # a lone launch is a one-segment pack
+                packed_tags.append([seg.tag for seg in segments])
             return submit_packed(self, lane, segments)
 
         monkeypatch.setattr(FleetWorkerGroup, "submit_packed", record)
@@ -176,3 +173,62 @@ class TestCoalesceKnobs:
         assert co["segments"] == 2 * co["packs"]
         solo, _ = sweep("numpy-dense", packed=False)
         assert_results_equal(results, solo)
+
+
+class TestLaneBuffers:
+    """A lane owns one pack-buffer set per pack key and frees the sets
+    that neither its remaining jobs nor the problem cache can use."""
+
+    CONFIG = DABSConfig(num_gpus=2, blocks_per_gpu=2, pool_capacity=4)
+
+    def lane_buffers(self, service):
+        return [dict(buffers) for buffers in service._group._pack_scratch.values()]
+
+    def test_unique_models_keep_at_most_the_cached_buffers(self):
+        """Every job brings a new model: once the jobs are done, a lane
+        holds the buffers of cached problems only, at most the cache's
+        capacity, instead of one set per job it ever ran.  The scheduler
+        frees buffers while the lane threads run on others; a short
+        switch interval interleaves the two."""
+        cache = ProblemCache(capacity=4)
+        models = [random_qubo(12, seed=200 + i) for i in range(16)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with SolveService(2, default_config=self.CONFIG, cache=cache) as service:
+                handles = [
+                    service.submit(model, seed=i, max_rounds=2)
+                    for i, model in enumerate(models)
+                ]
+                results = [handle.result(timeout=60) for handle in handles]
+                lanes = self.lane_buffers(service)
+                cached = {id(kernel) for kernel in cache.kernels()}
+        finally:
+            sys.setswitchinterval(interval)
+        for model, result in zip(models, results):
+            assert model.energy(result.best_vector) == result.best_energy
+        assert sum(map(len, lanes)) > 0
+        for buffers in lanes:
+            assert len(buffers) <= cache.capacity
+            assert all(id(s.state.kernel) in cached for s in buffers.values())
+
+    def test_cache_hits_reuse_their_buffers(self, monkeypatch):
+        """Jobs over three shared instances build one buffer set each,
+        once, and every later job runs on it."""
+        built = []
+        init = PackScratch.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PackScratch, "__init__", counted)
+        models = [random_qubo(12, seed=300 + i) for i in range(3)]
+        with SolveService(2, default_config=self.CONFIG) as service:
+            for i in range(9):
+                service.submit(models[i % 3], seed=i, max_rounds=2).result(timeout=60)
+            lanes = self.lane_buffers(service)
+        assert len(built) == 3
+        assert sorted(id(s) for buffers in lanes for s in buffers.values()) == sorted(
+            map(id, built)
+        )

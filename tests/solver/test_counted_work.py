@@ -60,13 +60,13 @@ def counted(monkeypatch):
             return _original(self, *args, **kwargs)
 
         monkeypatch.setattr(ComputeBackend, name, phase)
-    execute = SuperLaunch.execute
+    run = SuperLaunch.run
 
-    def counted_execute(self, scratch_map):
+    def counted_run(self, scratch_map):
         passes.append((len(self.segments), self.total_rows))
-        return execute(self, scratch_map)
+        return run(self, scratch_map)
 
-    monkeypatch.setattr(SuperLaunch, "execute", counted_execute)
+    monkeypatch.setattr(SuperLaunch, "run", counted_run)
     return calls, passes
 
 

@@ -1,10 +1,9 @@
-"""A direct ``solve()``: the double-buffered round order and the solver
-lifecycle.
+"""A direct ``solve()``: the double-buffered round order and the inline
+executor.
 
 A direct solve is a one-job service stepped on the calling thread over
 an inline lane group; these tests pin what that must keep: counters and
-restarts follow the replay's round order, the packed-round buffers are
-the solver's own, and no thread is ever started.
+restarts follow the replay's round order and no thread is ever started.
 """
 
 from __future__ import annotations
@@ -69,42 +68,12 @@ class TestDoubleBufferedSolve:
 
 
 class TestSolverLifecycle:
-    def test_close_is_idempotent_and_solve_still_works(self):
-        model = random_qubo(10, seed=25)
-        solver = DABSSolver(model, CFG, seed=0)
-        solver.solve(max_rounds=1)
-        solver.close()
-        solver.close()
-        result = solver.solve(max_rounds=1)
-        assert model.energy(result.best_vector) == result.best_energy
-
-    def test_pack_buffers_are_reused_across_solves(self):
-        """The solver fills its pack buffers on the first packed round and
-        later solves run on the same buffers."""
-        model = random_qubo(10, seed=26)
-        solver = DABSSolver(model, CFG, seed=0)
-        solver.solve(max_rounds=1)
-        first = dict(solver._pack_scratch)
-        assert first
-        solver.solve(max_rounds=2)
-        assert solver._pack_scratch.keys() == first.keys()
-        for key, scratch in first.items():
-            assert solver._pack_scratch[key] is scratch
-
-    def test_context_manager_closes(self):
-        model = random_qubo(10, seed=24)
-        with DABSSolver(model, CFG, seed=0) as solver:
-            solver.solve(max_rounds=1)
-            assert solver._pack_scratch
-        assert solver._pack_scratch == {}
-
     def test_solve_starts_no_threads(self):
         """A direct solve runs the round loop in the calling thread."""
         model = random_qubo(10, seed=27)
         before = threading.active_count()
-        with DABSSolver(model, CFG, seed=0) as solver:
-            solver.solve(max_rounds=2)
-            assert threading.active_count() == before
+        DABSSolver(model, CFG, seed=0).solve(max_rounds=2)
+        assert threading.active_count() == before
 
 
 class TestInlineExecutor:
@@ -114,9 +83,8 @@ class TestInlineExecutor:
         model = random_qubo(10, seed=29)
         cfg = replace(CFG, retry_policy=RetryPolicy(max_retries=2))
         before = threading.active_count()
-        with DABSSolver(model, cfg, seed=0) as solver:
-            result = solver.solve(max_rounds=2)
-            assert threading.active_count() == before
+        result = DABSSolver(model, cfg, seed=0).solve(max_rounds=2)
+        assert threading.active_count() == before
         assert result.retries == 0
 
     def test_keyboard_interrupt_propagates_unchanged(self, monkeypatch):

@@ -22,7 +22,6 @@ from repro.backends import BackendFallbackWarning
 from repro.core.packet import MainAlgorithm
 from repro.engine.coalesce import SuperLaunch
 from repro.engine.workers import WorkerError
-from repro.gpu.virtual_gpu import VirtualGPU
 from repro.resilience import ChaosConfig, chaos
 from repro.resilience.chaos import ChaosError
 from repro.search.batch import BatchSearchConfig
@@ -49,46 +48,49 @@ def clean_chaos():
     chaos.install(None)
 
 
-@pytest.fixture
-def packs(monkeypatch):
-    """Segment count of every super-launch run, in order."""
-    seen: list[int] = []
+def record_runs(monkeypatch, record):
+    """Call ``record(pack)`` before every ``SuperLaunch.run``."""
     original = SuperLaunch.run
 
     def run(self, scratch_map):
-        seen.append(len(self.segments))
+        record(self)
         return original(self, scratch_map)
 
     monkeypatch.setattr(SuperLaunch, "run", run)
+
+
+@pytest.fixture
+def packs(monkeypatch):
+    """Segment count of every super-launch of several devices, in order."""
+    seen: list[int] = []
+
+    def record(pack):
+        if len(pack.segments) > 1:
+            seen.append(len(pack.segments))
+
+    record_runs(monkeypatch, record)
     return seen
 
 
 @pytest.fixture
 def passes(monkeypatch):
     """Segment count of every one-kernel pass, in order: a super-launch
-    of a round's devices, or a device's own one-segment launch."""
+    of a round's devices, or one device's one-segment launch."""
     seen: list[int] = []
-    original = SuperLaunch.execute
-
-    def execute(self, scratch_map):
-        seen.append(len(self.segments))
-        return original(self, scratch_map)
-
-    monkeypatch.setattr(SuperLaunch, "execute", execute)
+    record_runs(monkeypatch, lambda pack: seen.append(len(pack.segments)))
     return seen
 
 
 @pytest.fixture
 def solo_launches(monkeypatch):
-    """Device name of every solo ``VirtualGPU.launch``, in order."""
+    """Device name of every solo launch (a one-segment run), in order."""
     seen: list[str] = []
-    original = VirtualGPU.launch
 
-    def launch(self, batch):
-        seen.append(self.spec.name)
-        return original(self, batch)
+    def record(pack):
+        if len(pack.segments) == 1:
+            seen.append(pack.segments[0].gpu.spec.name)
 
-    monkeypatch.setattr(VirtualGPU, "launch", launch)
+    record_runs(monkeypatch, record)
     return seen
 
 
@@ -104,12 +106,11 @@ def solve(
     solver = solver_cls(model, cfg, seed=seed)
     if prepare is not None:
         prepare(solver)
-    with solver:
-        if path == "served":
-            with SolveService(cfg.num_gpus) as service:
-                result = solver.solve(max_rounds=ROUNDS, service=service)
-        else:
-            result = solver.solve(max_rounds=ROUNDS)
+    if path == "served":
+        with SolveService(cfg.num_gpus) as service:
+            result = solver.solve(max_rounds=ROUNDS, service=service)
+    else:
+        result = solver.solve(max_rounds=ROUNDS)
     return solver, result
 
 
@@ -220,14 +221,12 @@ class TestPackedRoundParity:
         assert passes == [1, 1, 1] * ROUNDS
         assert sorted(solo_launches) == sorted(["vgpu0", "vgpu1", "vgpu2"] * ROUNDS)
 
-    def test_close_drops_the_pack_buffers(self):
-        model = random_qubo(12, seed=65)
-        solver = DABSSolver(model, CFG, seed=0)
-        assert solver._pack_scratch == {}
-        solver.solve(max_rounds=1)
-        assert solver._pack_scratch
-        solver.close()
-        assert solver._pack_scratch == {}
+    @pytest.mark.parametrize("path", ["direct", "served"])
+    def test_devices_build_no_pack_buffers(self, path):
+        """A lane owns the buffers of every launch it runs: no device of
+        a direct or served solve builds its own."""
+        solver, _ = solve(random_qubo(12, seed=65), CFG, True, 0, path=path)
+        assert [gpu._pack_scratch for gpu in solver.gpus] == [{}] * CFG.num_gpus
 
 
 @pytest.mark.parametrize("path", ["direct", "served"])
@@ -236,7 +235,7 @@ class TestPackedRoundFailures:
         self, monkeypatch, solo_launches, path
     ):
         """A pack that fails mid-batch committed nothing: the devices
-        re-run solo and the solve stays bit-exact."""
+        re-run as one-segment packs and the solve stays bit-exact."""
         model = random_qubo(16, seed=66)
         solo = solve(model, CFG, False, 4, path=path)
         original = SuperLaunch.run
