@@ -20,11 +20,15 @@ Selection (first match wins):
 1. an explicit backend — a name or instance via ``DABSConfig.backend``,
    ``BatchDeltaState(backend=...)`` or the CLI ``--backend`` flag,
 2. the ``REPRO_BACKEND`` environment variable,
-3. ``"auto"`` — CSR-coupled models use ``numpy-sparse``; dense integer
-   models at/below :data:`AUTO_SPARSE_DENSITY` density (and at least
+3. ``"auto"`` — CSR-coupled models use ``numpy-sparse``; dense models
+   at/below :data:`AUTO_SPARSE_DENSITY` density (and at least
    :data:`AUTO_SPARSE_MIN_N` bits) also route to the CSR kernels, which is
    bit-exact and much faster for G-set/Pegasus-style graphs; everything
    else uses ``numpy-dense``.
+
+Every resolution first refuses a fractional-weight model with one
+``ValueError`` (:func:`~repro.core.qubo.require_integer_weights`): the
+kernels are int64 only, and every kernel consumer resolves here.
 
 Requesting an unavailable backend by name falls back to the ``auto`` choice
 with a :class:`RuntimeWarning`; :func:`get_backend` instead raises
@@ -81,7 +85,7 @@ __all__ = [
     "validate_backend_name",
 ]
 
-#: ``auto`` routes dense integer models at/below this coupling density to CSR.
+#: ``auto`` routes dense models at/below this coupling density to CSR.
 AUTO_SPARSE_DENSITY = 0.05
 #: ... but only from this size on (below it, dense vectorization wins).
 AUTO_SPARSE_MIN_N = 256
@@ -176,7 +180,7 @@ def auto_backend_name(model) -> str:
     couplings = model.couplings
     if sp.issparse(couplings):
         return NumpySparseBackend.name
-    if np.issubdtype(model.dtype, np.integer) and model.n >= AUTO_SPARSE_MIN_N:
+    if model.n >= AUTO_SPARSE_MIN_N:
         possible = model.n * (model.n - 1) // 2
         if possible and model.num_interactions / possible <= AUTO_SPARSE_DENSITY:
             return NumpySparseBackend.name
@@ -186,16 +190,21 @@ def auto_backend_name(model) -> str:
 def resolve_backend(spec, model) -> ComputeBackend:
     """Resolve a backend spec against *model*.
 
-    *spec* may be a :class:`ComputeBackend` instance (returned as-is), a
-    registered name, ``"auto"``, or ``None`` — which consults the
-    ``REPRO_BACKEND`` environment variable and then the ``auto`` rule.
+    A fractional-weight *model* raises ``ValueError`` whatever *spec*
+    is.  *spec* may be a :class:`ComputeBackend` instance (returned
+    as-is), a registered name, ``"auto"``, or ``None`` — which consults
+    the ``REPRO_BACKEND`` environment variable and then the ``auto`` rule.
     A named-but-unavailable backend falls back to the ``auto`` choice with
     a :class:`RuntimeWarning`.  Env-derived problems — an unknown name, or
-    a backend that cannot represent the model (e.g. ``numpy-sparse`` on a
-    float model) — also warn and fall back rather than raise: the env var
-    is a process-wide hint and must not break unrelated consumers.  An
-    explicitly passed unknown name still raises ``ValueError``.
+    ``numpy-dense`` on a CSR model too large to densify — also warn and
+    fall back rather than raise: the env var is a process-wide hint and
+    must not break unrelated consumers.  An explicitly passed unknown name
+    still raises ``ValueError``.
     """
+    # a function-level import: repro.core imports this package
+    from repro.core.qubo import require_integer_weights
+
+    require_integer_weights(model)
     if isinstance(spec, ComputeBackend):
         return spec
     name = spec
@@ -232,8 +241,8 @@ def resolve_backend(spec, model) -> ComputeBackend:
     if from_env and not backend.supports(model):
         fallback = auto_backend_name(model)
         warnings.warn(
-            f"{_ENV_VAR}={name!r} cannot represent model {model.name!r} "
-            f"exactly; falling back to {fallback!r}",
+            f"{_ENV_VAR}={name!r} would densify model {model.name!r}; "
+            f"falling back to {fallback!r}",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -247,9 +256,9 @@ def fallback_backend(current, model) -> ComputeBackend | None:
     Candidates, in order: the ``auto`` choice for *model*, then
     ``numpy-dense``, then ``numpy-sparse`` — skipping *current* itself, so
     a failing ``numpy-dense`` can still degrade to the CSR kernels.  Only
-    available backends that can represent *model* exactly qualify; the
-    NumPy pair has no runtime dependencies, so in practice a fallback
-    always exists unless *current* is the only representation (a sparse
+    available backends that :meth:`~ComputeBackend.supports` *model*
+    qualify; the NumPy pair has no runtime dependencies, so in practice a
+    fallback always exists unless *current* is the only one (a large CSR
     model on ``numpy-sparse``).
     """
     current_name = getattr(current, "name", None)
@@ -274,7 +283,7 @@ class PreparedProblem:
     """A backend-resident, ready-to-launch representation of one model.
 
     The handle bundles the resolved backend with its per-model kernel
-    cache (coupling views, ELL padding, JIT handles, device-resident
+    cache (coupling views, ELL padding, traversal tables, device-resident
     coupling tables for the ``cuda`` backend — whatever
     :meth:`ComputeBackend.prepare` built), which is the expensive,
     read-only part of standing a problem up on a device.  Solvers accept

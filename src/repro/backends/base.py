@@ -2,31 +2,42 @@
 
 The paper specializes one kernel — the per-flip Δ update with X and Δ in
 CUDA registers (§III) — per execution substrate.  This module is the seam
-that makes the same specialization possible here: a :class:`ComputeBackend`
-owns everything the batch search does per iteration on device-shaped data:
+that makes the same specialization possible here.  A
+:class:`ComputeBackend` keeps a three-call contract on int64 Δ:
 
-* state allocation/reset (``(B, n)`` solutions, energies, flip gains),
-* the per-flip Δ update (Eq. 4/5), dense or CSR,
-* the energy/argmin scans (``neighbor_min``, ``is_local_minimum``),
-* **whole search phases** (DESIGN.md §6): the straight/greedy inner loops
-  (§III.A.1–2) and, via :meth:`run_main_phase`, entire main phases lowered
-  from a declarative :class:`~repro.backends.spec.SelectionSpec` — one
-  backend call per phase instead of one per flip, with the tabu stamps and
-  best-tracker folds computed in place on reused buffers.
+* :meth:`~ComputeBackend.prepare` builds the per-model kernel cache,
+* :meth:`~ComputeBackend._compute_from_x` fills energies and Δ from
+  ``(B, n)`` solutions (resets),
+* :meth:`~ComputeBackend.flip` applies the per-flip Δ update (Eq. 4/5),
+  dense or CSR,
+
+and runs **whole search phases** (DESIGN.md §6) on them: the
+straight/greedy inner loops (§III.A.1–2) and, via :meth:`run_main_phase`,
+entire main phases lowered from a declarative
+:class:`~repro.backends.spec.SelectionSpec` — one backend call per phase
+instead of one per flip, with the tabu stamps and best-tracker folds
+computed in place on reused buffers.  A backend inherits these phase
+runners or overrides them (``cuda`` runs each as one device kernel).
 
 Layers above (:class:`~repro.core.delta.BatchDeltaState`, the search
 algorithms, the virtual GPU) consume only this interface, so a new
-substrate — a different array library, a JIT, a real GPU — plugs in by
-registering one class (see :mod:`repro.backends`).
+substrate — a different array library, a native kernel, a real GPU —
+plugs in by registering one class (see :mod:`repro.backends`).  The
+stepwise oracle the phase runners are checked against lives with its
+callers: ``greedy_descent``/``straight_walk`` in :mod:`repro.search`, the
+scans on :class:`~repro.core.delta.BatchDeltaState`.
 
-Backends must be **bit-exactly interchangeable**: for integer models every
-implementation produces the identical (vector, energy, flip-count)
-trajectory under a fixed seed, which the parity tests assert.  The fused
-phase runners carry the same contract against the stepwise reference path
-(``MainSearch.select`` + per-flip ``flip``/``record``/``fold``).  All
-per-model precomputation lives in the object returned by :meth:`prepare`
-(kept on the state), so backend instances themselves are stateless
-singletons shared across solvers and threads.
+Models are integer: :func:`~repro.core.qubo.require_integer_weights`
+refuses a fractional one in :func:`~repro.backends.resolve_backend`,
+which every kernel consumer passes.  Backends must be **bit-exactly
+interchangeable**: every implementation produces the identical (vector,
+energy, flip-count) trajectory under a fixed seed, which the parity
+tests assert.  The fused phase runners carry the same contract against
+the stepwise reference path (``MainSearch.select`` + per-flip
+``flip``/``record``/``fold``).  All per-model precomputation lives in
+the object returned by :meth:`prepare` (kept on the state), so backend
+instances themselves are stateless singletons shared across solvers and
+threads.
 
 Selection helpers (:func:`masked_argmin`, :data:`INT_SENTINEL`) live here —
 rather than in :mod:`repro.search.base`, which re-exports them — because
@@ -82,7 +93,7 @@ class BackendFallbackWarning(RuntimeWarning):
 def greedy_iteration_cap(n: int) -> int:
     """Default greedy-descent safety cap (``16·n + 64``).
 
-    One definition shared by the stepwise loop, the fused phase runners
+    One definition shared by the stepwise descent, the fused phase runners
     and the truncation-flagging logic, so the paths can never disagree on
     when a descent counts as truncated.
     """
@@ -131,8 +142,12 @@ class ComputeBackend(ABC):
     read-only data in the kernel cache produced by :meth:`prepare` and
     stored at ``state.kernel``.  The state object exposes ``model``,
     ``batch``, ``kernel``, the arrays ``x`` (``(B, n)`` uint8), ``energy``
-    (``(B,)``) and ``delta`` (``(B, n)``), plus ``scratch`` — named reused
-    ``(B, n)`` work buffers for the fused phase runners.
+    (``(B,)`` int64) and ``delta`` (``(B, n)`` int64), plus ``scratch``
+    — named reused ``(B, n)`` work buffers for the fused phase runners.
+
+    Subclasses implement :meth:`prepare`, :meth:`_compute_from_x` and
+    :meth:`flip`; :meth:`run_straight_phase`, :meth:`run_greedy_phase`
+    and :meth:`run_main_phase` are built on them.
     """
 
     #: registry name, e.g. ``"numpy-dense"``
@@ -150,15 +165,14 @@ class ComputeBackend(ABC):
         return None
 
     def supports(self, model) -> bool:
-        """False when this backend cannot represent *model* exactly
-        (e.g. CSR int64 kernels given float couplings).  Used by implicit
-        selection (env var) to fall back instead of failing; an explicit
-        request still hard-fails in :meth:`prepare`."""
+        """False when implicit selection (the env var) should not pick
+        this backend for *model* (numpy-dense on a CSR model too large to
+        densify); an explicit request bypasses the check."""
         return True
 
     @abstractmethod
     def prepare(self, model) -> object:
-        """Build the per-model kernel cache (coupling views, JIT handles).
+        """Build the per-model kernel cache (coupling views, tables).
 
         Called once per state; the result is shared read-only by every
         kernel invocation and must not be mutated afterwards.  The default
@@ -196,10 +210,6 @@ class ComputeBackend(ABC):
     def flip(self, state, idx: np.ndarray, active: np.ndarray | None = None) -> None:
         """Flip bit ``idx[r]`` in every active row *r* (Eq. 4/5 update)."""
 
-    def recompute(self, state) -> None:
-        """Recompute energies/deltas from scratch (consistency checks)."""
-        self._compute_from_x(state)
-
     @abstractmethod
     def _compute_from_x(self, state) -> None:
         """Non-incremental energy/Δ computation from ``state.x`` into the
@@ -212,14 +222,10 @@ class ComputeBackend(ABC):
         With ``S`` symmetric and zero-diagonal, ``x·(contrib + lin) = 2E``
         exactly in integer arithmetic: O(B·n) on top of the product the
         reset already needs, instead of the model's O(B·n²) energy
-        evaluation.  Float models keep the model's own evaluation, whose
-        rounding the rest of the stack is pinned to.
+        evaluation.
         """
-        if np.issubdtype(state.energy.dtype, np.integer):
-            doubled = np.einsum("bi,bi->b", xi, contrib + state.kernel.lin)
-            np.floor_divide(doubled, 2, out=state.energy)
-        else:
-            state.energy[...] = state.model.energies(state.x)
+        doubled = np.einsum("bi,bi->b", xi, contrib + state.kernel.lin)
+        np.floor_divide(doubled, 2, out=state.energy)
 
     @staticmethod
     def _active_rows_cols(state, idx, active):
@@ -253,81 +259,6 @@ class ComputeBackend(ABC):
             else:
                 tabu.stamps[act, idx[act]] = value
 
-    # -- scans -------------------------------------------------------------
-    def neighbor_min(self, state) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row best 1-bit neighbour: ``(argmin_k Δ, E + min_k Δ)``."""
-        j = np.argmin(state.delta, axis=1)
-        return j, state.energy + state.delta[state._rows, j]
-
-    def is_local_minimum(self, state) -> np.ndarray:
-        """Per-row flag: no 1-bit flip decreases the energy."""
-        return np.all(state.delta >= 0, axis=1)
-
-    # -- stepwise inner loops (§III.A.1–2, reference path) ------------------
-    def greedy_descent(self, state, max_iters=None, on_flip=None) -> np.ndarray:
-        """Steepest descent to a per-row 1-bit local minimum.
-
-        ``max_iters`` is a safety cap (greedy always terminates on integer
-        models because every flip strictly decreases the energy, but float
-        models could cycle through ties).  Hitting the cap with rows still
-        descending emits a :class:`GreedyTruncationWarning` — use
-        :meth:`run_greedy_phase` to obtain the per-row truncation flags.
-        ``on_flip(idx, active)`` is invoked after each lockstep flip so
-        callers can track bests/budgets.  Returns per-row flip counts.
-        """
-        b, n = state.x.shape
-        if max_iters is None:
-            max_iters = greedy_iteration_cap(n)
-        flips = np.zeros(b, dtype=np.int64)
-        rows = np.arange(b)
-        converged = False
-        for _ in range(max_iters):
-            idx = np.argmin(state.delta, axis=1)
-            active = state.delta[rows, idx] < 0
-            if not active.any():
-                converged = True
-                break
-            self.flip(state, idx, active)
-            flips += active
-            if on_flip is not None:
-                on_flip(idx, active)
-        if not converged:
-            still = int(np.count_nonzero(state.delta.min(axis=1) < 0))
-            if still:
-                _warn_truncated(still, max_iters)
-        return flips
-
-    def straight_walk(self, state, targets, on_flip=None) -> np.ndarray:
-        """Best-gain walk of every row to its target vector.
-
-        The loop bound is exact: the maximum initial Hamming distance.
-        The difference mask and the per-row remaining distances are
-        maintained incrementally — every straight flip turns exactly one
-        differing bit into a matching one — instead of recomputed per step.
-        Returns per-row flip counts.
-        """
-        targets = np.asarray(targets, dtype=np.uint8)
-        b = state.x.shape[0]
-        rows = np.arange(b)
-        flips = np.zeros(b, dtype=np.int64)
-        diff = state.x != targets
-        remaining = diff.sum(axis=1)
-        for _ in range(int(remaining.max(initial=0))):
-            active = remaining > 0
-            if not active.any():
-                break
-            sentinel = np.where(diff, state.delta, INT_SENTINEL)
-            idx = np.argmin(sentinel, axis=1)
-            self.flip(state, idx, active)
-            # inactive rows have an all-False diff row, so clearing their
-            # (meaningless) argmin position is a no-op
-            diff[rows, idx] = False
-            remaining -= active
-            flips += active
-            if on_flip is not None:
-                on_flip(idx, active)
-        return flips
-
     # -- fused phase runners (DESIGN.md §6) --------------------------------
     #
     # One backend call per *phase*.  Tabu stamps are written row-locally
@@ -355,8 +286,8 @@ class ComputeBackend(ABC):
     def run_straight_phase(self, state, targets, tabu, tracker) -> np.ndarray:
         """Fused straight phase: walk every row to its target vector.
 
-        Bit-identical to :meth:`straight_walk` + per-flip tabu/tracker
-        bookkeeping.  The sentinel penalty matrix is maintained
+        Bit-identical to :func:`repro.search.straight.straight_walk` +
+        per-flip tabu/tracker bookkeeping.  The sentinel penalty matrix is maintained
         incrementally — each straight flip converts exactly one differing
         bit — so the per-iteration cost is one add + one argmin.
         Returns per-row flip counts.
@@ -466,9 +397,9 @@ class ComputeBackend(ABC):
         else:
             parts = list(spec)
         if len(parts) == 1 and parts[0][2].kind == KIND_FIXED_SEQUENCE:
-            # a full traversal on an integer model runs as one closed-form
-            # kernel (repro.backends.traversal); float models and partial
-            # traversals keep the per-flip loop
+            # a full traversal runs as one closed-form kernel
+            # (repro.backends.traversal); a partial traversal, or a kernel
+            # without tables, keeps the per-flip loop
             tables = getattr(state.kernel, "traversal", None)
             if tables is not None and tables.covers(parts[0][2].sequence, iterations):
                 tables.run(self, state, tabu, tracker)

@@ -768,7 +768,7 @@ class CudaBackend(ComputeBackend):
     """GPU phase kernels via ``numba.cuda`` (hardware or CUDA simulator).
 
     Fused phases launch one cooperative kernel per phase (block-per-row);
-    everything stepwise — per-flip updates, scans, resets — delegates to
+    the two stepwise calls — per-flip updates and resets — delegate to
     the matching host backend on the authoritative host arrays, so the
     stepwise reference path stays fast and trivially bit-identical.
     """
@@ -798,12 +798,6 @@ class CudaBackend(ComputeBackend):
             "(set NUMBA_ENABLE_CUDASIM=1 for the simulator)"
         )
 
-    def supports(self, model) -> bool:
-        """Bit-exact int64 kernels only; float dense models are out."""
-        return sp.issparse(model.couplings) or np.issubdtype(
-            model.dtype, np.integer
-        )
-
     def prepare(self, model) -> _CudaKernel:
         if not self.is_available():
             raise BackendUnavailableError(
@@ -816,16 +810,11 @@ class CudaBackend(ComputeBackend):
                 _STORAGE_ELL if host.ell_cols is not None else _STORAGE_CSR
             )
             return _CudaKernel(host, _HOST_SPARSE, storage)
-        if not np.issubdtype(np.asarray(couplings).dtype, np.integer):
-            raise ValueError(
-                "the cuda backend requires integer couplings "
-                f"(model {model.name!r} has dtype {model.dtype})"
-            )
         return _CudaKernel(
             _HOST_DENSE.prepare(model), _HOST_DENSE, _STORAGE_DENSE
         )
 
-    # -- host-side delegation (stepwise path, scans, resets) ---------------
+    # -- host-side delegation (stepwise path, resets) ----------------------
     def flip(self, state, idx: np.ndarray, active: np.ndarray | None = None) -> None:
         state.kernel.host_backend.flip(state, idx, active)
 
@@ -836,12 +825,6 @@ class CudaBackend(ComputeBackend):
         state.kernel.host_backend._invalidate_derived(state)
 
     # -- staging -----------------------------------------------------------
-    @staticmethod
-    def _device_supported(state) -> bool:
-        """The device kernels hold Δ/E in int64; anything else (exotic
-        integer dtypes via a custom model) runs the NumPy phase runners."""
-        return state.delta.dtype == np.int64 and state.energy.dtype == np.int64
-
     def _mirror(self, state) -> _DeviceMirror:
         mirror = state.device
         n = state.x.shape[1]
@@ -896,8 +879,6 @@ class CudaBackend(ComputeBackend):
 
     # -- fused phase runners (one kernel launch per phase) -----------------
     def run_straight_phase(self, state, targets, tabu, tracker) -> np.ndarray:
-        if not self._device_supported(state):
-            return super().run_straight_phase(state, targets, tabu, tracker)
         tpb = _threads_per_block()
         kernels = _get_kernels(tpb)
         mirror = self._mirror(state)
@@ -928,8 +909,6 @@ class CudaBackend(ComputeBackend):
     def run_greedy_phase(
         self, state, tabu, tracker, max_iters=None
     ) -> tuple[np.ndarray, np.ndarray]:
-        if not self._device_supported(state):
-            return super().run_greedy_phase(state, tabu, tracker, max_iters)
         if max_iters is None:
             max_iters = greedy_iteration_cap(state.x.shape[1])
         tpb = _threads_per_block()
@@ -962,10 +941,6 @@ class CudaBackend(ComputeBackend):
         return flips, truncated
 
     def run_main_phase(self, state, spec, iterations: int, rng, tabu, tracker) -> np.ndarray:
-        if not self._device_supported(state):
-            return super().run_main_phase(
-                state, spec, iterations, rng, tabu, tracker
-            )
         if not isinstance(spec, SelectionSpec):
             # a mixed-algorithm super-launch span (DESIGN.md §12): rows are
             # independent in a main phase, so one kernel launch per

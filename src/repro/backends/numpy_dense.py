@@ -30,10 +30,8 @@ class _DenseKernel:
     def __init__(self, s: np.ndarray, lin: np.ndarray) -> None:
         self.s = s
         self.lin = lin
-        #: closed-form TwoNeighbor tables (integer models only)
-        self.traversal = (
-            DenseTraversal(s) if np.issubdtype(s.dtype, np.integer) else None
-        )
+        #: closed-form TwoNeighbor tables
+        self.traversal = DenseTraversal(s)
 
 
 class NumpyDenseBackend(ComputeBackend):

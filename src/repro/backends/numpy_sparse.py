@@ -14,7 +14,7 @@ and the pad position ``(r, i)`` for flipped bit ``i`` is overwritten by
 collide with a real neighbour update).  Degree-skewed graphs whose ELL
 matrix would exceed 4× the CSR footprint fall back to the range path.
 
-Integer weights stay in exact int64 arithmetic, so this backend is
+Weights stay in exact int64 arithmetic, so this backend is
 bit-identical with ``numpy-dense`` on the same model (asserted by the
 backend parity tests).
 """
@@ -104,24 +104,13 @@ class _SparseKernel:
 
 
 class NumpySparseBackend(ComputeBackend):
-    """CSR kernels (auto-selected for sparse/low-density integer models)."""
+    """CSR kernels (auto-selected for sparse/low-density models)."""
 
     name = "numpy-sparse"
-
-    def supports(self, model) -> bool:
-        """The CSR kernels are exact int64; float dense models are out."""
-        return sp.issparse(model.couplings) or np.issubdtype(
-            model.dtype, np.integer
-        )
 
     def prepare(self, model) -> _SparseKernel:
         s = model.couplings
         if not sp.issparse(s):
-            if not np.issubdtype(np.asarray(s).dtype, np.integer):
-                raise ValueError(
-                    "the numpy-sparse backend requires integer couplings "
-                    f"(model {model.name!r} has dtype {model.dtype})"
-                )
             s = sp.csr_array(np.asarray(s))
         elif not isinstance(s, sp.csr_array):
             s = sp.csr_array(s)

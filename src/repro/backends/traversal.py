@@ -4,8 +4,8 @@ TwoNeighbor flips the fixed sequence 0, 1, 0, 2, 1, 3, …, n−1, n−2 and
 folds the best tracker after every flip.  On a GPU each flip is a
 register update; here a flip is a NumPy round trip, so the ``2n − 1``
 flips of one traversal cost ``2n − 1`` interpreter crossings.  The
-sequence does not depend on the data, so for integer models the whole
-traversal can be computed at once, bit-exactly (DESIGN.md §6):
+sequence does not depend on the data, so the whole traversal can be
+computed at once, bit-exactly (DESIGN.md §6):
 
 * **Visited states.**  From the start state ``x`` (energy ``E``, flip
   gains ``Δ``, spins ``σ = 2x − 1``, couplings ``S``) the traversal
@@ -31,8 +31,7 @@ traversal can be computed at once, bit-exactly (DESIGN.md §6):
   ``clock + last flip step`` and the clock advances by ``2n − 1``.
 
 Integer arithmetic is exact, so every energy and gain computed here
-equals the one the per-flip loop accumulates.  Float models keep the
-loop: their running energy sum depends on the order of the additions.
+equals the one the per-flip loop accumulates.
 
 Temporaries are chunked over the traversal positions so one chunk's
 working arrays stay near :data:`CHUNK_BYTES`.

@@ -15,6 +15,10 @@ values (§II.C).  Both effects are reproduced here:
   handful of annealing sweeps from a random state: single anneals are fast
   but shallow, so quality comes from many reads, as with the device.
 
+The noisy coefficients are fractional, so the anneal runs its own
+lockstep Metropolis over a float64 ``(R, n)`` Δ instead of the int64
+search kernels (which refuse fractional weights).
+
 The API mirrors the D-Wave sampler: :meth:`QuantumAnnealerSim.sample` takes
 ``num_reads`` (≤ 10 000 per call, the service cap the paper mentions) and
 returns per-read energies evaluated on the *true* (noiseless) model.
@@ -26,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.delta import BatchDeltaState
 from repro.core.ising import IsingModel, ising_to_qubo
 from repro.core.qubo import QUBOModel
 
@@ -108,10 +111,10 @@ class QuantumAnnealerSim:
             )
         n = self.ising.n
         noisy = self._noisy_model()
-        state = BatchDeltaState(noisy, batch=num_reads)
-        state.reset(
-            self._rng.integers(0, 2, size=(num_reads, n), dtype=np.uint8)
-        )
+        s = np.asarray(noisy.couplings, dtype=np.float64)
+        x = self._rng.integers(0, 2, size=(num_reads, n), dtype=np.uint8)
+        xf = x.astype(np.float64)
+        delta = (1 - 2 * xf) * (xf @ s + noisy.linear)
         rows = np.arange(num_reads)
         iters = self.sweeps_per_anneal * n
         # fast geometric quench — one anneal is fast, not thorough
@@ -121,17 +124,24 @@ class QuantumAnnealerSim:
         temperature = t0
         for _ in range(iters):
             idx = self._rng.integers(0, n, size=num_reads)
-            delta = state.delta[rows, idx]
-            accept = delta <= 0
+            gain = delta[rows, idx]
+            accept = gain <= 0
             uphill = ~accept
             if uphill.any():
-                prob = np.exp(-delta[uphill].astype(np.float64) / temperature)
+                prob = np.exp(-gain[uphill] / temperature)
                 accept[uphill] = self._rng.random(int(uphill.sum())) < prob
-            state.flip(idx, accept)
+            # the Eq. 4/5 update on the accepted rows
+            r = np.flatnonzero(accept)
+            c = idx[r]
+            d_i = delta[r, c]
+            s_old = (2 * x[r, c].astype(np.float64) - 1)[:, None]
+            x[r, c] ^= 1
+            delta[r] += s[c] * (s_old * (2 * x[r].astype(np.float64) - 1))
+            delta[r, c] = -d_i
             temperature *= ratio
-        spins = 2 * state.x.astype(np.int64) - 1
+        spins = 2 * x.astype(np.int64) - 1
         # evaluate on the TRUE model: E(X) − offset = H(S)
-        true_energies = self._qubo.energies(state.x) - self._offset
+        true_energies = self._qubo.energies(x) - self._offset
         model_time = self.per_call_overhead + num_reads * 20e-6
         return AnnealerSample(
             spins=spins,

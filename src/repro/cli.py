@@ -36,7 +36,7 @@ from repro.baselines.exact import BranchAndBoundSolver, MipLikeSolver
 from repro.baselines.sbm import SBMConfig, sbm_solve_qubo
 from repro.baselines.simulated_annealing import SAConfig, simulated_annealing
 from repro.baselines.tabu_search import TabuSearchConfig, tabu_search
-from repro.core.qubo import QUBOModel
+from repro.core.qubo import QUBOModel, require_integer_weights
 from repro.io.formats import load_instance
 from repro.problems.maxcut import cut_value
 from repro.resilience import chaos
@@ -193,6 +193,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         model, context = _load(args)
+        # every solver reports an integer energy, so a fractional model
+        # is one error for all of them
+        require_integer_weights(model)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -212,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
           f"{model.num_interactions} interactions)")
     try:
         vector, energy, detail = _solve(model, args)
-    except ValueError as exc:  # e.g. fractional weights for DABS/ABS
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"solver  : {args.solver} — {detail}")

@@ -24,7 +24,8 @@ Two implementations share the math:
   :class:`~repro.backends.base.ComputeBackend` (see :mod:`repro.backends`,
   DESIGN.md §2), which owns the actual kernels: dense NumPy row-gather
   updates, CSR neighbourhood updates, or ``numba.cuda`` kernels.  Every
-  backend is bit-exactly interchangeable on integer models.
+  backend is bit-exactly interchangeable; the kernels are int64, so a
+  fractional-weight model is refused when the backend is resolved.
 """
 
 from __future__ import annotations
@@ -236,12 +237,13 @@ class BatchDeltaState:
 
     def neighbor_min(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-row best 1-bit neighbour: ``(argmin_k Δ, E + min_k Δ)``."""
-        return self.backend.neighbor_min(self)
+        j = np.argmin(self.delta, axis=1)
+        return j, self.energy + self.delta[self._rows, j]
 
     def is_local_minimum(self) -> np.ndarray:
         """Per-row flag: no 1-bit flip decreases the energy."""
-        return self.backend.is_local_minimum(self)
+        return np.all(self.delta >= 0, axis=1)
 
     def recompute(self) -> None:
         """Recompute energies/deltas from scratch (O(B·n²), tests only)."""
-        self.backend.recompute(self)
+        self.backend._compute_from_x(self)

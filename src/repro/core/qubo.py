@@ -169,15 +169,16 @@ class QUBOModel:
 
 def require_integer_weights(model) -> None:
     """Refuse a fractional-weight *model* with one ``ValueError``: the
-    DABS/ABS kernels accumulate Δ and energies in int64.  Checked by
-    every virtual GPU and the solvers at construction and, so a job fails
-    before it is accepted, at every submit (``SolveService.submit``,
-    ``Federation.submit``).  An object without a ``dtype`` is not judged
+    search kernels accumulate Δ and energies in int64.  Checked once for
+    every kernel consumer in :func:`~repro.backends.resolve_backend`
+    and, so a job fails before it is accepted, at every submit
+    (``SolveService.submit``, ``Federation.submit``) and by the CLI for
+    every ``--solver``.  An object without a ``dtype`` is not judged
     here; it fails where it is used."""
     dtype = getattr(model, "dtype", None)
     if dtype is not None and not np.issubdtype(dtype, np.integer):
         raise ValueError(
-            f"DABS/ABS need integer weights; {model.name!r} has "
+            f"the solvers need integer weights; {model.name!r} has "
             f"fractional ones (scale them to integers first)"
         )
 

@@ -750,21 +750,27 @@ class FleetWorkerGroup:
 
     def free_buffers(self, lane: int, keys, kernels) -> None:
         """Free *lane*'s pack buffers that no queued job can use: those
-        whose pack key is not in *keys* and whose kernel is none of
-        *kernels* (by identity).
+        whose pack key is not in *keys*, except the most recently built
+        set of each of *kernels* (by identity).
 
         The service calls this at job finalization with the pack keys of
         the lane's remaining jobs and the kernels of its cached problems,
         so a lane holds at most one buffer set per cached problem plus
-        those of its active jobs, and a cache-hit instance keeps its
-        buffers (DESIGN.md §12).  A live key's buffers may be in use on
-        the lane's thread; a dead key's cannot be.
+        those of its active jobs — also under a config sweep, whose jobs
+        share a kernel but not a pack key — and a cache-hit instance
+        keeps its buffers (DESIGN.md §12).  A live key's buffers may be
+        in use on the lane's thread; a dead key's cannot be.
         """
         kept = {id(kernel) for kernel in kernels}
         with self._records_lock:
             scratch = self._pack_scratch.get(lane, {})
-            for key in list(scratch):
-                if key not in keys and id(scratch[key].state.kernel) not in kept:
+            for key in reversed(list(scratch)):  # newest first
+                if key in keys:
+                    continue
+                kernel = id(scratch[key].state.kernel)
+                if kernel in kept:
+                    kept.discard(kernel)
+                else:
                     del scratch[key]
 
     def forget(self, key: object) -> None:

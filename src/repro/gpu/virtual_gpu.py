@@ -42,7 +42,7 @@ import numpy as np
 from repro.backends import fallback_backend, pack_compatibility_key, resolve_backend
 from repro.backends.base import BackendFallbackWarning
 from repro.core.packet import MainAlgorithm, PacketBatch
-from repro.core.qubo import QUBOModel, require_integer_weights
+from repro.core.qubo import QUBOModel
 from repro.core.rng import spawn_device_seeds
 from repro.gpu.device import DeviceSpec
 from repro.search import build_main_algorithms
@@ -68,7 +68,6 @@ class VirtualGPU:
         kernel=None,
         allow_fallback: bool = False,
     ) -> None:
-        require_integer_weights(model)
         self.model = model
         self.spec = spec
         self.config = config

@@ -53,7 +53,7 @@ from repro.core.packet import (
     Packet,
     PacketBatch,
 )
-from repro.core.qubo import QUBOModel, require_integer_weights
+from repro.core.qubo import QUBOModel
 from repro.core.rng import host_generator
 from repro.ga.adaptive import AdaptiveSelector, SelectionCounters
 from repro.ga.island import IslandRing, StallTracker
@@ -419,7 +419,6 @@ class DABSSolver:
         seed: int | None = None,
         prepared=None,
     ) -> None:
-        require_integer_weights(model)
         self.model = model
         self.config = config or DABSConfig()
         self.seed = seed

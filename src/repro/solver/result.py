@@ -58,7 +58,6 @@ class SolveResult:
     #: scheduler; free-running service jobs count every completion)
     launches: int = 0
     #: greedy-polish rows that hit the safety cap, summed over all devices
-    #: (float-valued models only; always 0 on integer models)
     greedy_truncations: int = 0
     #: launches that emitted a GreedyTruncationWarning (one per launch with
     #: at least one truncated row), summed over all devices

@@ -421,17 +421,6 @@ class TestRegistryAndConfig:
         monkeypatch.delenv(cuda_mod._TPB_ENV)
         assert cuda_mod._threads_per_block() == cuda_mod._TPB_DEFAULT
 
-    def test_float_dense_model_rejected(self):
-        from repro.core.qubo import QUBOModel
-
-        mat = np.zeros((4, 4))
-        mat[0, 1] = 1.5
-        model = QUBOModel(mat, name="f")
-        backend = get_backend("cuda")
-        assert not backend.supports(model)
-        with pytest.raises(ValueError, match="integer couplings"):
-            backend.prepare(model)
-
 
 def test_solver_end_to_end_matches_numpy():
     """DABSConfig(backend="cuda") solves bit-identically to numpy-dense."""

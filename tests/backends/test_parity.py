@@ -153,19 +153,6 @@ class TestSolverParity:
         assert np.array_equal(res.best_vector, ref.best_vector)
 
 
-class TestSparseBackendGuards:
-    def test_rejects_float_couplings(self):
-        from repro.backends import get_backend
-        from repro.core.qubo import QUBOModel
-
-        mat = np.zeros((4, 4))
-        mat[0, 1] = 0.5
-        with pytest.raises(ValueError, match="integer couplings"):
-            BatchDeltaState(QUBOModel(mat), batch=2, backend="numpy-sparse")
-        # the dense backend happily takes the same model
-        BatchDeltaState(QUBOModel(mat), batch=2, backend=get_backend("numpy-dense"))
-
-
 class TestRowWindowFlip:
     """Flips through a mid-pack row window (the super-launch span shape):
     the sparse backend's flat ``row·n + col`` indexing must land on the

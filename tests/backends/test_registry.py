@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import numpy as np
+import warnings
+
 import pytest
 
 from repro.backends import (
@@ -12,8 +13,11 @@ from repro.backends import (
     available_backends,
     backend_names,
     get_backend,
+    prepare_problem,
     resolve_backend,
 )
+from repro.baselines.simulated_annealing import simulated_annealing
+from repro.core.delta import BatchDeltaState
 from repro.core.sparse import SparseQUBOModel
 from repro.core.qubo import QUBOModel
 from repro.solver.dabs import DABSConfig
@@ -88,12 +92,35 @@ class TestAutoRule:
         model = random_qubo(300, seed=2, density=0.5)
         assert auto_backend_name(model) == "numpy-dense"
 
-    def test_float_models_stay_dense(self):
-        n = 300
-        mat = np.zeros((n, n))
-        mat[0, 1] = 0.5  # non-integer → CSR int64 kernels cannot represent it
-        model = QUBOModel(mat)
-        assert auto_backend_name(model) == "numpy-dense"
+
+class TestFractionalRefusal:
+    """The kernels are int64 only: every kernel consumer resolves a
+    backend, and resolution refuses a fractional model with one error."""
+
+    MODEL = QUBOModel.from_dict(2, {(0, 0): -1.5, (0, 1): 0.25, (1, 1): -1.25})
+
+    @pytest.mark.parametrize(
+        "consumer",
+        ["numpy-dense", "numpy-sparse", "cuda", "prepare_problem", "simulated_annealing"],
+    )
+    def test_one_value_error_naming_integer_weights(self, consumer, monkeypatch):
+        """``BatchDeltaState`` on each backend (cuda on the stub when no
+        runtime is present), ``prepare_problem`` and the SA baseline."""
+        import repro.backends.cuda as cuda_mod
+        from tests.backends import cuda_stub
+
+        if not cuda_mod.CudaBackend.is_available():
+            monkeypatch.setattr(cuda_mod, "cuda", cuda_stub)
+            monkeypatch.setattr(cuda_mod, "_CUDA_IMPORT_ERROR", None)
+        calls = {
+            "prepare_problem": lambda: prepare_problem(self.MODEL),
+            "simulated_annealing": lambda: simulated_annealing(self.MODEL, seed=0),
+        }
+        call = calls.get(consumer, lambda: BatchDeltaState(self.MODEL, 2, backend=consumer))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no fallback warning either
+            with pytest.raises(ValueError, match="integer weights"):
+                call()
 
 
 class TestResolve:
@@ -140,33 +167,6 @@ class TestResolve:
         # small sparse models may still be densified on request
         small = SparseQUBOModel(8, {(0, 1): -2})
         assert resolve_backend(None, small).name == "numpy-dense"
-
-    def test_env_backend_falls_back_on_unsupported_model(self, monkeypatch):
-        """A process-wide REPRO_BACKEND hint must not break float-model
-        consumers the CSR kernels cannot represent."""
-        monkeypatch.setenv("REPRO_BACKEND", "numpy-sparse")
-        n = 6
-        mat = np.zeros((n, n))
-        mat[0, 1] = 0.5  # genuinely float
-        model = QUBOModel(mat)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            backend = resolve_backend(None, model)
-        assert backend.name == "numpy-dense"
-        # an explicit request for the same combination still hard-fails
-        with pytest.raises(ValueError, match="integer couplings"):
-            resolve_backend("numpy-sparse", model).prepare(model)
-
-    def test_env_backend_float_baseline_still_runs(self, monkeypatch):
-        """Reviewer scenario: the noisy-annealer baseline builds float
-        models internally and must survive a global REPRO_BACKEND hint."""
-        from repro.baselines.annealer import QuantumAnnealerSim
-        from repro.core.ising import qubo_to_ising
-
-        monkeypatch.setenv("REPRO_BACKEND", "numpy-sparse")
-        ising, _, _ = qubo_to_ising(random_qubo(8, seed=0))
-        sim = QuantumAnnealerSim(ising, resolution=4, seed=1)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            sim.sample(num_reads=2)
 
     def test_unavailable_cuda_falls_back_with_warning(self):
         from repro.backends import CudaBackend

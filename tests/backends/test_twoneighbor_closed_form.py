@@ -202,15 +202,6 @@ class TestWhichPathRuns:
         self.main_phase(model, backend, calls)
         assert len(calls) == 1
 
-    def test_float_model_keeps_the_loop(self, monkeypatch):
-        rng = np.random.default_rng(4)
-        model = QUBOModel(np.triu(rng.normal(size=(9, 9))))
-        state = BatchDeltaState(model, batch=2, backend="numpy-dense")
-        assert state.kernel.traversal is None
-        calls = self.count_flips(monkeypatch, "numpy-dense")
-        self.main_phase(model, "numpy-dense", calls)
-        assert len(calls) == 2 * model.n - 1
-
     @pytest.mark.parametrize("backend", NUMPY_BACKENDS)
     def test_partial_traversal_keeps_the_loop(self, monkeypatch, backend):
         model = maxcut_model(33)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -74,3 +77,41 @@ class TestQuantumAnnealerSim:
             QuantumAnnealerSim(qasp.ising, resolution=1, noise_sigma=-1)
         with pytest.raises(ValueError):
             QuantumAnnealerSim(qasp.ising, resolution=1, sweeps_per_anneal=0)
+
+
+#: ``sample(12)`` then ``sample(5)`` on the fixture instance, recorded when
+#: the anneal still ran on the dense search kernels: the hamiltonians of
+#: both calls and the sha256 of their spins as int8
+RECORDED = {
+    7: (
+        [-617, -661, -635, -647, -675, -583, -631, -663, -681, -657, -595, -631]
+        + [-617, -665, -651, -639, -673],
+        "5ad1177c0180dcb5296e17e70aba17c9a0cb7172cdf9cc77d5dc966e7867b898",
+    ),
+    8: (
+        [-605, -631, -695, -685, -675, -613, -709, -681, -619, -653, -653, -603]
+        + [-571, -683, -567, -661, -575],
+        "66845d5e895592179f200481ed3eafb425f5dec6c825f217ad7701efe2fc6926",
+    ),
+}
+
+
+@pytest.mark.parametrize("env_backend", [None, "numpy-sparse"])
+@pytest.mark.parametrize("seed", sorted(RECORDED))
+def test_seeded_samples_match_the_recorded_ones(qasp, seed, env_backend, monkeypatch):
+    """The anneal's own float Metropolis is bit-identical to the kernel
+    run it replaced, and a REPRO_BACKEND hint neither changes it nor
+    warns (the anneal uses no backend)."""
+    if env_backend is None:
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_BACKEND", env_backend)
+    sim = QuantumAnnealerSim(qasp.ising, qasp.resolution, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = [sim.sample(num_reads=12), sim.sample(num_reads=5)]
+    hamiltonians = np.concatenate([r.hamiltonians for r in results])
+    spins = np.concatenate([r.spins.ravel() for r in results]).astype(np.int8)
+    expected_h, expected_spins = RECORDED[seed]
+    assert hamiltonians.tolist() == expected_h
+    assert hashlib.sha256(spins.tobytes()).hexdigest() == expected_spins

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.engine.coalesce import PackScratch
 from repro.engine.workers import FleetWorkerGroup
+from repro.search.batch import BatchSearchConfig
 from repro.solver.dabs import DABSConfig
 from repro.service import ProblemCache, SolveService
 from tests.conftest import random_qubo
@@ -211,6 +213,25 @@ class TestLaneBuffers:
         for buffers in lanes:
             assert len(buffers) <= cache.capacity
             assert all(id(s.state.kernel) in cached for s in buffers.values())
+
+    def test_config_sweep_keeps_one_set_per_cached_kernel(self):
+        """Jobs of one model with tabu periods 1..10 share a kernel but
+        not a pack key: once they are done, a lane keeps one set of the
+        cached kernel instead of one set per config it ran."""
+        cache = ProblemCache(capacity=4)
+        model = random_qubo(48, seed=400)
+        with SolveService(2, default_config=self.CONFIG, cache=cache) as service:
+            for period in range(1, 11):
+                config = replace(self.CONFIG, batch=BatchSearchConfig(tabu_period=period))
+                service.submit(
+                    model, config=config, seed=period, max_rounds=2
+                ).result(timeout=60)
+            lanes = self.lane_buffers(service)
+        assert sum(map(len, lanes)) > 0
+        for buffers in lanes:
+            assert len(buffers) <= cache.capacity
+            kernels = [id(s.state.kernel) for s in buffers.values()]
+            assert len(kernels) == len(set(kernels))
 
     def test_cache_hits_reuse_their_buffers(self, monkeypatch):
         """Jobs over three shared instances build one buffer set each,

@@ -141,6 +141,23 @@ class TestMain:
         assert len(err) == 1
         assert err[0].startswith("error: ") and "integer weights" in err[0]
 
+    @pytest.mark.parametrize("solver", ["sa", "tabu", "sbm", "exact", "mip"])
+    def test_baselines_refuse_fractional_weights(self, tmp_path, capsys, solver):
+        """Every baseline reports an integer energy, so a fractional model
+        (whose vector 11 has energy -2.5) is refused up front instead of
+        printed truncated."""
+        from repro.core.qubo import QUBOModel
+
+        model = QUBOModel.from_dict(2, {(0, 0): -1.5, (0, 1): 0.25, (1, 1): -1.25})
+        assert model.energy([1, 1]) == -2.5
+        path = tmp_path / "frac.qubo"
+        write_qubo(path, model)
+        assert main([str(path), "--solver", solver]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: ") and "integer weights" in err
+
     def test_fractional_weights_are_one_error_line_over_islands(self, tmp_path, capsys):
         """Federation.submit refuses the model before any island solves."""
         from repro.core.qubo import QUBOModel
