@@ -1,9 +1,12 @@
 """Pluggable compute backends for the batch-search hot path.
 
 The registry maps names to :class:`~repro.backends.base.ComputeBackend`
-singletons.  Three implementations ship here, and every one of them runs
+singletons.  Four implementations ship here, and every one of them runs
 a virtual GPU's launch as one super-launch (DESIGN.md §12):
 
+* ``native`` — ``numpy-sparse`` with each phase one C call that walks
+  one row per outer loop and releases the GIL (DESIGN.md §14); built on
+  first use, and unavailable without a C compiler,
 * ``numpy-dense`` — vectorized dense kernels (O(B·n) per flip),
 * ``numpy-sparse`` — CSR kernels (O(B·degree) per flip),
 * ``cuda`` — real GPU phase kernels via ``numba.cuda`` (or the CUDA
@@ -20,7 +23,8 @@ Selection (first match wins):
 1. an explicit backend — a name or instance via ``DABSConfig.backend``,
    ``BatchDeltaState(backend=...)`` or the CLI ``--backend`` flag,
 2. the ``REPRO_BACKEND`` environment variable,
-3. ``"auto"`` — CSR-coupled models use ``numpy-sparse``; dense models
+3. ``"auto"`` — ``native`` for every model when it is available;
+   otherwise CSR-coupled models use ``numpy-sparse``; dense models
    at/below :data:`AUTO_SPARSE_DENSITY` density (and at least
    :data:`AUTO_SPARSE_MIN_N` bits) also route to the CSR kernels, which is
    bit-exact and much faster for G-set/Pegasus-style graphs; everything
@@ -58,6 +62,7 @@ from repro.backends.base import (
 from repro.backends.spec import SelectionSpec
 from repro.backends.numpy_dense import NumpyDenseBackend
 from repro.backends.numpy_sparse import NumpySparseBackend
+from repro.backends.native import NativeBackend
 
 __all__ = [
     "AUTO_SPARSE_DENSITY",
@@ -68,6 +73,7 @@ __all__ = [
     "CudaBackend",
     "GreedyTruncationWarning",
     "INT_SENTINEL",
+    "NativeBackend",
     "PreparedProblem",
     "SelectionSpec",
     "NumpyDenseBackend",
@@ -176,7 +182,10 @@ def get_backend(name: str) -> ComputeBackend:
 
 
 def auto_backend_name(model) -> str:
-    """The ``auto`` rule: pick kernels by coupling storage and density."""
+    """The ``auto`` rule: the native kernels when they build, else pick
+    the NumPy kernels by coupling storage and density."""
+    if _REGISTRY[NativeBackend.name].is_available():
+        return NativeBackend.name
     couplings = model.couplings
     if sp.issparse(couplings):
         return NumpySparseBackend.name
@@ -254,8 +263,11 @@ def fallback_backend(current, model) -> ComputeBackend | None:
     """The backend a failing *current* backend degrades to, or None.
 
     Candidates, in order: the ``auto`` choice for *model*, then
-    ``numpy-dense``, then ``numpy-sparse`` — skipping *current* itself, so
-    a failing ``numpy-dense`` can still degrade to the CSR kernels.  Only
+    ``numpy-dense``, then ``numpy-sparse`` — skipping *current* itself and
+    the backends built on it (``native`` inherits ``numpy-sparse``'s
+    ``prepare`` and ``flip``, so it would fail as a failing
+    ``numpy-sparse`` does), so a failing ``numpy-dense`` can still
+    degrade to the CSR kernels.  Only
     available backends that :meth:`~ComputeBackend.supports` *model*
     qualify; the NumPy pair has no runtime dependencies, so in practice a
     fallback always exists unless *current* is the only one (a large CSR
@@ -271,7 +283,7 @@ def fallback_backend(current, model) -> ComputeBackend | None:
         if name == current_name:
             continue
         backend = _lookup(name)
-        if backend is None or backend is current:
+        if backend is None or isinstance(backend, type(current)):
             continue
         if backend.is_available() and backend.supports(model):
             return backend
@@ -365,5 +377,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+register_backend(NativeBackend)
 register_backend(NumpyDenseBackend)
 register_backend(NumpySparseBackend)

@@ -147,7 +147,8 @@ class ComputeBackend(ABC):
 
     Subclasses implement :meth:`prepare`, :meth:`_compute_from_x` and
     :meth:`flip`; :meth:`run_straight_phase`, :meth:`run_greedy_phase`
-    and :meth:`run_main_phase` are built on them.
+    and :meth:`run_main_phase` are built on them, and a subclass may
+    replace their bodies (``_straight``, ``_greedy``, ``_main``).
     """
 
     #: registry name, e.g. ``"numpy-dense"``
@@ -283,15 +284,50 @@ class ComputeBackend(ABC):
     # the reference's empty-mask fallback for the min rules (the random
     # rules keep their explicit fallback).
 
+    # The three public phase runners are the one entry point (the tracer
+    # and the counted-work pin wrap them here); each delegates to one
+    # protected body, which a backend overrides (``cuda``, ``native``).
+
     def run_straight_phase(self, state, targets, tabu, tracker) -> np.ndarray:
         """Fused straight phase: walk every row to its target vector.
 
         Bit-identical to :func:`repro.search.straight.straight_walk` +
-        per-flip tabu/tracker bookkeeping.  The sentinel penalty matrix is maintained
-        incrementally — each straight flip converts exactly one differing
-        bit — so the per-iteration cost is one add + one argmin.
-        Returns per-row flip counts.
+        per-flip tabu/tracker bookkeeping.  Returns per-row flip counts.
         """
+        return self._straight(state, targets, tabu, tracker)
+
+    def run_greedy_phase(
+        self, state, tabu, tracker, max_iters=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Fused greedy phase: steepest descent with deferred best folds.
+
+        The tracker fold happens once after convergence — bit-identical
+        because every intermediate state's best 1-bit neighbour is the
+        next visited state (DESIGN.md §2).  Returns ``(flips, truncated)``
+        where ``truncated[r]`` flags rows cut off by the ``max_iters``
+        safety cap before reaching a local minimum (also warned via
+        :class:`GreedyTruncationWarning`).
+        """
+        return self._greedy(state, tabu, tracker, max_iters)
+
+    def run_main_phase(
+        self, state, spec, iterations: int, rng, tabu, tracker
+    ) -> np.ndarray:
+        """Run one whole main phase from lowered selection spec(s).
+
+        *spec* is one :class:`SelectionSpec` for every row (with *rng*
+        the rows' lanes), or a list of row-range parts
+        ``(lo, hi, spec, rng)`` tiling ``[0, state.batch)`` in order — a
+        coalesced wave whose cells run different algorithms in lockstep
+        (DESIGN.md §12; *rng* is then unused).  Several parts need a
+        vector tabu clock (:meth:`TabuTracker.window`).  Returns per-row
+        flip counts (always ``iterations``).
+        """
+        return self._main(state, spec, iterations, rng, tabu, tracker)
+
+    def _straight(self, state, targets, tabu, tracker) -> np.ndarray:
+        # the sentinel penalty matrix is maintained incrementally — each
+        # straight flip converts exactly one differing bit
         targets = np.asarray(targets, dtype=np.uint8)
         b = state.x.shape[0]
         rows = state._rows
@@ -325,18 +361,7 @@ class ComputeBackend(ABC):
         tabu.advance(total_iters)
         return flips
 
-    def run_greedy_phase(
-        self, state, tabu, tracker, max_iters=None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Fused greedy phase: steepest descent with deferred best folds.
-
-        The tracker fold happens once after convergence — bit-identical
-        because every intermediate state's best 1-bit neighbour is the
-        next visited state (DESIGN.md §2).  Returns ``(flips, truncated)``
-        where ``truncated[r]`` flags rows cut off by the ``max_iters``
-        safety cap before reaching a local minimum (also warned via
-        :class:`GreedyTruncationWarning`).
-        """
+    def _greedy(self, state, tabu, tracker, max_iters):
         b, n = state.x.shape
         if max_iters is None:
             max_iters = greedy_iteration_cap(n)
@@ -373,29 +398,11 @@ class ComputeBackend(ABC):
         tracker.fold(state)
         return flips, truncated
 
-    def run_main_phase(
-        self, state, spec, iterations: int, rng, tabu, tracker
-    ) -> np.ndarray:
-        """Run one whole main phase from lowered selection spec(s).
-
-        *spec* is one :class:`SelectionSpec` for every row (with *rng*
-        the rows' lanes), or a list of row-range parts
-        ``(lo, hi, spec, rng)`` tiling ``[0, state.batch)`` in order — a
-        coalesced wave whose cells run different algorithms in lockstep
-        (DESIGN.md §12; *rng* is then unused).  Several parts need a
-        vector tabu clock (:meth:`TabuTracker.window`).
-
-        Each part's selector executes the stepwise reference's per-row
-        schedule (mask → select → stamp) with the ``(B, n)``
-        intermediates kept in reused scratch buffers and all RNG lane
-        traffic in integer keys; the driver loop (:meth:`_main_loop`)
-        owns the shared flip → fold epilogue.  Returns per-row flip
-        counts (always ``iterations``).
-        """
-        if isinstance(spec, SelectionSpec):
-            parts = [(0, state.batch, spec, rng)]
-        else:
-            parts = list(spec)
+    def _main(self, state, spec, iterations, rng, tabu, tracker) -> np.ndarray:
+        # each part's selector runs the stepwise reference's per-row
+        # schedule (mask → select → stamp) on reused scratch buffers and
+        # integer RNG keys; _main_loop owns the flip → fold epilogue
+        parts = self._parts(state, spec, rng)
         if len(parts) == 1 and parts[0][2].kind == KIND_FIXED_SEQUENCE:
             # a full traversal runs as one closed-form kernel
             # (repro.backends.traversal); a partial traversal, or a kernel
@@ -406,6 +413,24 @@ class ComputeBackend(ABC):
                 return np.full(state.batch, iterations, dtype=np.int64)
         self._main_loop(state, parts, iterations, tabu, tracker)
         return np.full(state.batch, iterations, dtype=np.int64)
+
+    @staticmethod
+    def _parts(state, spec, rng) -> list:
+        """A main phase's row-range parts, checked to tile the batch."""
+        parts = [(0, state.batch, spec, rng)] if isinstance(spec, SelectionSpec) else list(spec)
+        lo_expected = 0
+        for lo, hi, _, _ in parts:
+            if lo != lo_expected or hi <= lo:
+                raise ValueError(
+                    f"main-phase parts must tile [0, {state.batch}) in order, "
+                    f"got [{lo}, {hi}) after row {lo_expected}"
+                )
+            lo_expected = hi
+        if lo_expected != state.batch:
+            raise ValueError(
+                f"main-phase parts cover rows [0, {lo_expected}) of {state.batch}"
+            )
+        return parts
 
     def _main_loop(self, state, parts, iterations, tabu, tracker) -> None:
         """The lockstep driver: every part selects its rows' bits, then one
@@ -423,24 +448,13 @@ class ComputeBackend(ABC):
             KIND_FIXED_SEQUENCE: self._select_fixed_sequence,
         }
         steps = []
-        lo_expected = 0
         for lo, hi, spec, rng in parts:
-            if lo != lo_expected or hi <= lo:
-                raise ValueError(
-                    f"main-phase parts must tile [0, {state.batch}) in order, "
-                    f"got [{lo}, {hi}) after row {lo_expected}"
-                )
-            lo_expected = hi
             if (lo, hi) == (0, state.batch):
                 sub_state, sub_tabu = state, tabu
             else:
                 sub_state, sub_tabu = state.row_window(lo, hi), tabu.window(lo, hi)
             select = selectors[spec.kind]
             steps.append((lo, hi, select(sub_state, spec, iterations, rng, sub_tabu)))
-        if lo_expected != state.batch:
-            raise ValueError(
-                f"main-phase parts cover rows [0, {lo_expected}) of {state.batch}"
-            )
         idx = np.empty(state.batch, dtype=np.int64)
         for _ in range(iterations):
             for lo, hi, step in steps:

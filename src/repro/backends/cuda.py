@@ -878,7 +878,7 @@ class CudaBackend(ComputeBackend):
         self._invalidate_derived(state)
 
     # -- fused phase runners (one kernel launch per phase) -----------------
-    def run_straight_phase(self, state, targets, tabu, tracker) -> np.ndarray:
+    def _straight(self, state, targets, tabu, tracker) -> np.ndarray:
         tpb = _threads_per_block()
         kernels = _get_kernels(tpb)
         mirror = self._mirror(state)
@@ -906,9 +906,7 @@ class CudaBackend(ComputeBackend):
         tabu.advance(int(flips.max(initial=0)))
         return flips
 
-    def run_greedy_phase(
-        self, state, tabu, tracker, max_iters=None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _greedy(self, state, tabu, tracker, max_iters):
         if max_iters is None:
             max_iters = greedy_iteration_cap(state.x.shape[1])
         tpb = _threads_per_block()
@@ -940,13 +938,13 @@ class CudaBackend(ComputeBackend):
         tabu.advance(int(flips.max(initial=0)))
         return flips, truncated
 
-    def run_main_phase(self, state, spec, iterations: int, rng, tabu, tracker) -> np.ndarray:
+    def _main(self, state, spec, iterations, rng, tabu, tracker) -> np.ndarray:
         if not isinstance(spec, SelectionSpec):
             # a mixed-algorithm super-launch span (DESIGN.md §12): rows are
             # independent in a main phase, so one kernel launch per
             # row-range part is bit-identical to the lockstep interleave
             for lo, hi, part, lanes in spec:
-                self.run_main_phase(
+                self._main(
                     self._part_state(state, lo, hi),
                     part,
                     iterations,

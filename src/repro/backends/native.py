@@ -1,0 +1,273 @@
+"""Native backend: numpy-sparse with each phase one GIL-free C call.
+
+``prepare``, resets and the stepwise ``flip`` are numpy-sparse's; the
+three phase bodies are replaced by one call each into ``native.c``,
+which walks one row per outer loop (DESIGN.md §14).  The library is
+built on first use, never at ``import repro``, with ``$CC`` (else
+``sysconfig``'s ``CC``) into ``$XDG_CACHE_HOME/repro`` (default
+``~/.cache/repro``), keyed by the source, the compiler and its version,
+the flags and the host's CPU flags.  A build is moved into place with
+``os.replace`` under a file lock, and a sidecar digest is checked before
+every load, so a truncated library is rebuilt rather than loaded.
+Without a working compiler the backend is unavailable.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import platform
+import shlex
+import subprocess
+import sysconfig
+import tempfile
+import threading
+from pathlib import Path
+
+import numpy as np
+
+from repro.backends.base import BackendUnavailableError, _warn_truncated, greedy_iteration_cap
+from repro.backends.numpy_sparse import NumpySparseBackend
+from repro.backends.spec import (
+    KIND_CYCLIC_WINDOW,
+    KIND_FIXED_SEQUENCE,
+    KIND_MAXMIN_THRESHOLD,
+    KIND_POSITIVE_MIN,
+    KIND_RANDOM_CANDIDATE_MIN,
+)
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX hosts build unlocked
+    fcntl = None
+
+__all__ = ["NativeBackend"]
+
+_SOURCE = Path(__file__).with_name("native.c")
+#: never -ffast-math, and no FMA contraction: MaxMin's float64 threshold
+#: must round as NumPy's separate multiply and add do
+_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
+_LIBS = ("-lm",)
+#: ``repro_native_abi()`` of the source this module drives
+_ABI = 1
+#: the main-phase kinds in the order of native.c's kind codes
+_KINDS = (KIND_MAXMIN_THRESHOLD, KIND_CYCLIC_WINDOW, KIND_RANDOM_CANDIDATE_MIN,
+          KIND_POSITIVE_MIN, KIND_FIXED_SEQUENCE)
+
+_I64, _PTR = ctypes.c_int64, ctypes.c_void_p
+#: rows, n, the CSR triple, x, energy, Δ, stamps, stamp_on, clock, best x/energy
+_COMMON = (_I64, _I64, *[_PTR] * 7, _I64, _PTR, _PTR, _PTR)
+#: entry point → (return type, argument types); the main phase returns
+#: nonzero when it cannot allocate its scratch row
+_SIGNATURES = {
+    "repro_straight": (None, (*_COMMON, _PTR, _PTR)),
+    "repro_greedy": (None, (*_COMMON, _I64, _PTR, _PTR)),
+    "repro_main": (_I64, (*_COMMON, _I64, _I64, _I64, _PTR)),
+}
+
+_lock = threading.Lock()
+#: (compiler, cache dir) → the loaded library, or why there is none
+_libraries: dict[tuple, object] = {}
+
+
+def _library():
+    """The library for the current ``CC`` and cache directory, or a
+    string saying why there is none (built once per process and key)."""
+    cc = tuple(shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"))
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    key = (cc, Path(base) / "repro")
+    with _lock:
+        if key not in _libraries:
+            try:
+                _libraries[key] = _load(*key)
+            except (OSError, AttributeError, subprocess.SubprocessError) as exc:
+                _libraries[key] = f"cannot build the native kernels with {' '.join(cc)!r}: {exc}"
+        return _libraries[key]
+
+
+def _cpu_flags() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="ascii", errors="replace") as info:
+            return next((line for line in info if line.startswith(("flags", "Features"))), "")
+    except OSError:
+        return platform.processor()
+
+
+def _load(cc: tuple[str, ...], cache: Path):
+    version = subprocess.run(
+        [*cc, "--version"], capture_output=True, text=True, timeout=60, check=True
+    ).stdout
+    key = (_SOURCE.read_bytes(), cc, version, _FLAGS, _LIBS, platform.machine(), _cpu_flags())
+    path = cache / f"native-{hashlib.sha256(repr(key).encode()).hexdigest()[:32]}.so"
+    lib = _open(path)
+    if lib is None:
+        cache.mkdir(parents=True, exist_ok=True)
+        # one build per library across processes; closing releases the lock
+        with open(cache / f"{path.name}.lock", "a") as lock:
+            if fcntl is not None:
+                fcntl.flock(lock, fcntl.LOCK_EX)
+            lib = _open(path)
+            if lib is None:
+                _build(cc, path)
+                lib = _open(path)
+    if lib is None or lib.repro_native_abi() != _ABI:
+        raise OSError(f"{path} does not load")
+    for name, (restype, argtypes) in _SIGNATURES.items():
+        func = getattr(lib, name)
+        func.restype, func.argtypes = restype, argtypes
+    return lib
+
+
+def _digest_of(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _open(path: Path):
+    """The library at *path* if its sidecar digest matches, else None."""
+    try:
+        if path.with_suffix(".sha256").read_text().strip() != _digest_of(path):
+            return None
+    except OSError:
+        return None
+    lib = ctypes.CDLL(str(path))
+    lib.repro_native_abi.restype, lib.repro_native_abi.argtypes = _I64, ()
+    return lib
+
+
+def _build(cc: tuple[str, ...], path: Path) -> None:
+    """Compile to a temporary file, then move it and its digest into place."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".so")
+    os.close(fd)
+    try:
+        done = subprocess.run(
+            [*cc, *_FLAGS, "-o", tmp, str(_SOURCE), *_LIBS],
+            capture_output=True, text=True, timeout=300,
+        )
+        if done.returncode != 0:
+            lines = done.stderr.strip().splitlines()
+            raise OSError(lines[-1] if lines else f"exit code {done.returncode}")
+        digest = _digest_of(Path(tmp))
+        os.replace(tmp, path)
+        Path(tmp).write_text(digest)
+        os.replace(tmp, path.with_suffix(".sha256"))
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _ptr(array: np.ndarray, dtype=np.int64, shape=None) -> int:
+    """The data address of a C-contiguous *array* of *dtype* (and *shape*)."""
+    if array.dtype != dtype or not array.flags.c_contiguous:
+        raise TypeError(f"native kernels need C-contiguous {np.dtype(dtype)}, got {array.dtype}")
+    if shape is not None and array.shape != shape:
+        raise ValueError(f"native kernels need shape {shape}, got {array.shape}")
+    return array.ctypes.data
+
+
+class NativeBackend(NumpySparseBackend):
+    """numpy-sparse with each phase body one GIL-free C call."""
+
+    name = "native"
+    ell_tables = False
+
+    @classmethod
+    def is_available(cls) -> bool:
+        return not isinstance(_library(), str)
+
+    @classmethod
+    def unavailable_reason(cls) -> str | None:
+        lib = _library()
+        return lib if isinstance(lib, str) else None
+
+    def prepare(self, model):
+        if not self.is_available():
+            raise BackendUnavailableError(
+                f"backend 'native' is unavailable: {self.unavailable_reason()}"
+            )
+        return super().prepare(model)
+
+    def _call(self, entry, state, tabu, tracker, *extra) -> None:
+        """One native phase call over every row of *state*: the clock goes
+        in as a per-row array (packs run a vector clock), and C writes
+        ``x``, so the x-derived σ cache drops."""
+        kernel = state.kernel
+        shape = state.x.shape
+        clock = np.ascontiguousarray(np.broadcast_to(tabu.clock, shape[:1]), dtype=np.int64)
+        failed = getattr(_library(), entry)(
+            *shape,
+            _ptr(kernel.indptr, shape=(shape[1] + 1,)),
+            _ptr(kernel.indices),
+            _ptr(kernel.data),
+            _ptr(state.x, np.uint8),
+            _ptr(state.energy, shape=shape[:1]),
+            _ptr(state.delta, shape=shape),
+            _ptr(tabu.stamps, shape=shape),
+            int(tabu.enabled),
+            _ptr(clock),
+            _ptr(tracker.best_x, np.uint8, shape),
+            _ptr(tracker.best_energy, shape=shape[:1]),
+            *extra,
+        )
+        self._invalidate_derived(state)
+        if failed:
+            raise MemoryError(f"{entry} could not allocate its scratch row")
+
+    def _straight(self, state, targets, tabu, tracker) -> np.ndarray:
+        targets = np.ascontiguousarray(targets, dtype=np.uint8)
+        flips = np.empty(state.batch, dtype=np.int64)
+        self._call(
+            "repro_straight", state, tabu, tracker,
+            _ptr(targets, np.uint8, state.x.shape), _ptr(flips),
+        )
+        tabu.advance(int(flips.max(initial=0)))
+        return flips
+
+    def _greedy(self, state, tabu, tracker, max_iters):
+        if max_iters is None:
+            max_iters = greedy_iteration_cap(state.x.shape[1])
+        flips = np.empty(state.batch, dtype=np.int64)
+        truncated = np.empty(state.batch, dtype=bool)
+        self._call(
+            "repro_greedy", state, tabu, tracker,
+            int(max_iters), _ptr(flips), _ptr(truncated, np.bool_),
+        )
+        count = int(np.count_nonzero(truncated))
+        if count:
+            _warn_truncated(count, max_iters)
+        tabu.advance(int(flips.max(initial=0)))
+        return flips, truncated
+
+    def _main(self, state, spec, iterations, rng, tabu, tracker) -> np.ndarray:
+        """All row-range parts in one call, one int64 descriptor row each
+        (the ``P_*`` fields of native.c)."""
+        parts = self._parts(state, spec, rng)
+        n = state.x.shape[1]
+        table = np.zeros((len(parts), 11), dtype=np.int64)
+
+        def per_step(array, dtype):
+            return 0 if array is None else _ptr(array, dtype, (iterations,))
+
+        for row, (lo, hi, part, lanes) in enumerate(parts):
+            sequence = part.sequence
+            if sequence is not None and not 0 <= sequence.min() <= sequence.max() < n:
+                raise ValueError("a fixed sequence must name bits of the model")
+            table[row] = (
+                lo,
+                hi,
+                _KINDS.index(part.kind),
+                int(part.supports_tabu and tabu.enabled),
+                per_step(part.schedule, np.float64),
+                per_step(part.thresholds, np.int64),
+                per_step(part.widths, np.int64),
+                0 if sequence is None else _ptr(sequence),
+                0 if sequence is None else sequence.size,
+                0 if part.cursor is None else _ptr(part.cursor, shape=(hi - lo,)),
+                _ptr(lanes.state, np.uint64, (hi - lo, n)) if part.uses_rng else 0,
+            )
+        self._call(
+            "repro_main", state, tabu, tracker,
+            int(tabu.period), int(iterations), len(parts), _ptr(table),
+        )
+        tabu.advance(iterations)
+        return np.full(state.batch, iterations, dtype=np.int64)

@@ -60,7 +60,7 @@ class _SparseKernel:
         "traversal",
     )
 
-    def __init__(self, csr, lin: np.ndarray) -> None:
+    def __init__(self, csr, lin: np.ndarray, tables: bool = True) -> None:
         self.csr = csr
         self.indptr = np.asarray(csr.indptr, dtype=np.int64)
         self.indices = np.asarray(csr.indices, dtype=np.int64)
@@ -68,7 +68,8 @@ class _SparseKernel:
         self.lin = lin
         self.ell_cols = None
         self.ell_data = None
-        self._build_ell()
+        if tables:
+            self._build_ell()
         #: closed-form TwoNeighbor tables; they ride on the ELL layout, so
         #: degree-skewed graphs keep the per-flip traversal loop
         self.traversal = None
@@ -107,6 +108,10 @@ class NumpySparseBackend(ComputeBackend):
     """CSR kernels (auto-selected for sparse/low-density models)."""
 
     name = "numpy-sparse"
+    #: whether ``prepare`` builds the ELL flip layout and the closed-form
+    #: TwoNeighbor tables on top of the CSR triple (the native backend's
+    #: phases use the triple alone)
+    ell_tables = True
 
     def prepare(self, model) -> _SparseKernel:
         s = model.couplings
@@ -114,7 +119,7 @@ class NumpySparseBackend(ComputeBackend):
             s = sp.csr_array(np.asarray(s))
         elif not isinstance(s, sp.csr_array):
             s = sp.csr_array(s)
-        return _SparseKernel(s, np.asarray(model.linear))
+        return _SparseKernel(s, np.asarray(model.linear), self.ell_tables)
 
     def _invalidate_derived(self, state) -> None:
         state._scratch.pop("sigma8", None)

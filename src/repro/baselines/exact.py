@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.baselines.simulated_annealing import SAConfig, simulated_annealing
 from repro.core.delta import DeltaState
-from repro.core.qubo import QUBOModel
+from repro.core.qubo import QUBOModel, require_integer_weights
 
 __all__ = ["BranchAndBoundSolver", "ExactResult", "MipLikeSolver", "MipResult"]
 
@@ -61,6 +61,7 @@ class BranchAndBoundSolver:
     ) -> ExactResult:
         """Exact minimization; ``proved_optimal`` is False only when the
         node or time budget ran out first."""
+        require_integer_weights(model)
         n = model.n
         s = model.couplings.astype(np.int64)
         lin = model.linear.astype(np.int64)
@@ -171,6 +172,7 @@ class MipLikeSolver:
 
     def solve(self, model: QUBOModel) -> MipResult:
         """Return the best incumbent found within the time limit."""
+        require_integer_weights(model)
         start = time.perf_counter()
         if model.n <= self.exact_threshold:
             exact = BranchAndBoundSolver().solve(

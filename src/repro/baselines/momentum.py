@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.ising import IsingModel, qubo_to_ising, spins_to_bits
-from repro.core.qubo import QUBOModel
+from repro.core.qubo import QUBOModel, require_integer_weights
 
 __all__ = ["MomentumAnnealingConfig", "MomentumResult", "momentum_annealing",
            "momentum_solve_qubo"]
@@ -130,6 +130,7 @@ def momentum_solve_qubo(
     seed: int | None = None,
 ) -> tuple[np.ndarray, int]:
     """Solve a QUBO with momentum annealing via the Ising conversion."""
+    require_integer_weights(model)
     ising, _, _ = qubo_to_ising(model)
     result = momentum_annealing(ising, config, seed)
     bits = spins_to_bits(result.best_spins)

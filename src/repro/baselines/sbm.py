@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.ising import IsingModel, spins_to_bits
-from repro.core.qubo import QUBOModel
+from repro.core.qubo import QUBOModel, require_integer_weights
 from repro.core.ising import qubo_to_ising
 
 __all__ = ["SBMConfig", "SBMResult", "simulated_bifurcation", "sbm_solve_qubo"]
@@ -136,6 +136,7 @@ def sbm_solve_qubo(
     Returns ``(best_bits, best_qubo_energy)``.  The integer scale factor of
     the conversion does not affect the argmin.
     """
+    require_integer_weights(model)
     ising, _, _ = qubo_to_ising(model)
     result = simulated_bifurcation(ising, config, seed)
     bits = spins_to_bits(result.best_spins)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.delta import DeltaState
-from repro.core.qubo import QUBOModel
+from repro.core.qubo import QUBOModel, require_integer_weights
 
 __all__ = ["TabuSearchConfig", "TabuSearchResult", "tabu_search"]
 
@@ -53,6 +53,7 @@ def tabu_search(
     seed: int | None = None,
 ) -> TabuSearchResult:
     """Multi-restart tabu search; returns the best solution found."""
+    require_integer_weights(model)
     config = config or TabuSearchConfig()
     rng = np.random.default_rng(seed)
     n = model.n

@@ -19,6 +19,7 @@ import pytest
 import repro.backends.cuda as cuda_mod
 from repro.backends import (
     BackendUnavailableError,
+    auto_backend_name,
     available_backends,
     backend_names,
     get_backend,
@@ -404,7 +405,7 @@ class TestRegistryAndConfig:
         assert "registered:" in message and "available:" in message
         with pytest.warns(RuntimeWarning, match="falling back"):
             backend = resolve_backend("cuda", dense_model())
-        assert backend.name == "numpy-dense"
+        assert backend.name == auto_backend_name(dense_model())
 
     def test_config_accepts_cuda(self):
         from repro.solver.dabs import DABSConfig

@@ -1,0 +1,294 @@
+"""The native backend: its loader and its phase bodies.
+
+The loader tests build into a fresh cache directory each (``tmp_path``)
+with the host's own C compiler, so they also run where the suite itself
+is run with ``CC=/nonexistent/cc``.  The phase tests hold each native
+phase body against ``numpy-sparse``'s NumPy body on twin states whose
+tabu history, vector clock and RNG lanes are random, bit for bit: ``x``,
+energies, Δ, stamps, best memory, flips, lanes and the CyclicMin cursor.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import sysconfig
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.backends import (
+    BackendUnavailableError,
+    auto_backend_name,
+    available_backends,
+    get_backend,
+    resolve_backend,
+)
+from repro.backends import native as native_mod
+from repro.backends.base import GreedyTruncationWarning
+from repro.core.delta import BatchDeltaState
+from repro.core.packet import MainAlgorithm
+from repro.core.rng import XorShift64Star
+from repro.core.sparse import SparseQUBOModel
+from repro.search.batch import BestTracker
+from repro.search.cyclicmin import CyclicMinSearch
+from repro.search.maxmin import MaxMinSearch
+from repro.search.positivemin import PositiveMinSearch
+from repro.search.randommin import RandomMinSearch
+from repro.search.tabu import TabuTracker
+from repro.search.twoneighbor import TwoNeighborSearch
+from tests.backends.launch_parity import assert_same, launch_vs_stepwise
+from tests.conftest import random_qubo
+
+SRC = Path(native_mod.__file__).resolve().parents[2]
+HOST_CC = sysconfig.get_config_var("CC") or "cc"
+
+needs_native = pytest.mark.skipif(
+    "native" not in available_backends(), reason="the native kernels do not build here"
+)
+
+
+@pytest.fixture
+def host_cc(monkeypatch, tmp_path):
+    """The host's C compiler and an empty cache directory."""
+    if shutil.which(HOST_CC.split()[0]) is None:
+        pytest.skip(f"no C compiler {HOST_CC!r}")
+    monkeypatch.setenv("CC", HOST_CC)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    return tmp_path / "repro"
+
+
+def cache_files(cache: Path) -> list[str]:
+    return sorted(path.name for path in cache.iterdir() if not path.name.endswith(".lock"))
+
+
+def build_in_subprocess(env_cache: Path) -> subprocess.Popen:
+    code = (
+        "from repro.backends.native import _library\n"
+        "lib = _library()\n"
+        "assert not isinstance(lib, str), lib\n"
+    )
+    env = {
+        "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
+        "CC": HOST_CC,
+        "XDG_CACHE_HOME": str(env_cache),
+        "PYTHONPATH": str(SRC),
+    }
+    return subprocess.Popen(
+        [sys.executable, "-c", code], env=env, stderr=subprocess.PIPE, text=True
+    )
+
+
+class TestLoader:
+    def test_cold_compile_loads_and_runs(self, host_cc):
+        lib = native_mod._library()
+        assert not isinstance(lib, str), lib
+        files = cache_files(host_cc)
+        assert len(files) == 2 and {Path(f).suffix for f in files} == {".so", ".sha256"}
+        model = random_qubo(16, seed=3)
+        assert_same(*launch_vs_stepwise(model, MainAlgorithm.MAXMIN, "native", 4, "numpy-sparse"))
+
+    def test_two_processes_compiling_at_once_leave_one_library(self, host_cc):
+        procs = [build_in_subprocess(host_cc.parent) for _ in range(2)]
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+        files = cache_files(host_cc)
+        assert len(files) == 2, files  # one library and its digest, no temp files
+        assert not isinstance(native_mod._library(), str)
+
+    def test_truncated_library_is_rebuilt_not_loaded(self, host_cc):
+        # built in another process: this one must never have mapped the
+        # file it truncates
+        proc = build_in_subprocess(host_cc.parent)
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        (so,) = host_cc.glob("*.so")
+        size = so.stat().st_size
+        with open(so, "r+b") as handle:
+            handle.truncate(size // 2)
+        assert not isinstance(native_mod._library(), str)
+        assert so.stat().st_size == size
+        assert so.with_suffix(".sha256").read_text() == native_mod._digest_of(so)
+
+    def test_no_compiler_means_numpy_rule_and_a_warned_fallback(self, no_native):
+        assert "native" not in available_backends()
+        assert "cannot build" in native_mod.NativeBackend.unavailable_reason()
+        with pytest.raises(BackendUnavailableError, match="'native'"):
+            get_backend("native")
+        # the NumPy rule itself is pinned in test_registry.TestAutoRule
+        sparse = SparseQUBOModel(10, {(0, 1): -2, (2, 2): 3})
+        assert auto_backend_name(sparse) == "numpy-sparse"
+        assert auto_backend_name(random_qubo(16, seed=0)) == "numpy-dense"
+        with pytest.warns(RuntimeWarning, match="'native' is unavailable.*falling back"):
+            assert resolve_backend("native", sparse).name == "numpy-sparse"
+
+    def test_cli_backend_native_warns_and_falls_back(self, no_native, tmp_path, capsys):
+        from repro.cli import main
+        from repro.io.formats import write_qubo
+
+        path = tmp_path / "m.qubo"
+        write_qubo(path, random_qubo(12, seed=4))
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            assert main([str(path), "--rounds", "2", "--backend", "native"]) == 0
+        assert "energy  : " in capsys.readouterr().out
+
+    @needs_native
+    def test_auto_picks_native_for_every_model(self):
+        for model in (
+            SparseQUBOModel(10, {(0, 1): -2, (2, 2): 3}),
+            random_qubo(16, seed=0),
+            random_qubo(300, seed=2, density=0.5),
+        ):
+            assert auto_backend_name(model) == "native"
+
+
+# -- phase bodies against numpy-sparse ---------------------------------------
+N = 24
+ROWS = 6
+
+
+def twins(model, period, seed, clock_spread=5):
+    """Identical (state, tabu, tracker) triples on native and numpy-sparse,
+    with random solutions, stamps and a vector clock."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 2, size=(ROWS, model.n), dtype=np.uint8)
+    clock = rng.integers(0, clock_spread + 1, size=ROWS) + period + 2
+    # every stamp is of an earlier flip of its row
+    stamps = rng.integers(-period - 1, clock[:, None], size=(ROWS, model.n))
+    out = []
+    for name in ("native", "numpy-sparse"):
+        state = BatchDeltaState(model, ROWS, backend=name)
+        state.reset(x)
+        tabu = TabuTracker(ROWS, model.n, period)
+        tabu.vectorize_clock()[...] = clock
+        tabu.stamps[...] = stamps
+        tracker = BestTracker(state)
+        out.append((state, tabu, tracker))
+    return out
+
+
+def observed(state, tabu, tracker, *extra):
+    return (state.x, state.energy, state.delta, tabu.stamps, tabu.clock,
+            tracker.best_x, tracker.best_energy, *extra)
+
+
+def assert_twins(a, b):
+    assert len(a) == len(b)
+    for left, right in zip(a, b):
+        assert np.array_equal(left, right)
+
+
+def model_for(dense):
+    model = random_qubo(N, seed=11, density=0.5)
+    return model if dense else SparseQUBOModel.from_dense(model)
+
+
+ALGORITHMS = [MaxMinSearch, CyclicMinSearch, RandomMinSearch, PositiveMinSearch]
+
+
+@needs_native
+class TestPhaseParity:
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "csr"])
+    @pytest.mark.parametrize("period", [0, 5])
+    def test_straight(self, dense, period):
+        model = model_for(dense)
+        targets = np.random.default_rng(9).integers(0, 2, size=(ROWS, N), dtype=np.uint8)
+        runs = []
+        for state, tabu, tracker in twins(model, period, seed=1):
+            flips = state.backend.run_straight_phase(state, targets, tabu, tracker)
+            runs.append(observed(state, tabu, tracker, flips))
+        assert_twins(*runs)
+
+    @pytest.mark.parametrize("cap", [None, 1, 3])
+    def test_greedy_with_and_without_cap(self, cap):
+        runs = []
+        for state, tabu, tracker in twins(model_for(True), 5, seed=2):
+            state.reset(np.ones((ROWS, N), dtype=np.uint8))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                flips, truncated = state.backend.run_greedy_phase(state, tabu, tracker, cap)
+            assert truncated.any() == (cap is not None)
+            expected = [GreedyTruncationWarning] if cap is not None else []
+            assert [w.category for w in caught] == expected
+            runs.append(observed(state, tabu, tracker, flips, truncated))
+        assert_twins(*runs)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS, ids=lambda a: a.__name__)
+    @pytest.mark.parametrize("period", [0, 5, N, N + 7], ids=lambda p: f"period{p}")
+    def test_main_one_kind(self, algorithm, period):
+        """A vector clock and tabu history per row; ``period >= n`` takes
+        every all-tabu fallback."""
+        self.check_main([algorithm], period, iterations=2 * N)
+
+    @pytest.mark.parametrize("period", [0, 6])
+    def test_main_mixed_kinds_in_one_call(self, period):
+        """A packed wave: one row-range part per kind, one native call."""
+        self.check_main(ALGORITHMS, period, iterations=N + 3, rows_per_part=[1, 2, 1, 2])
+
+    def test_main_fixed_sequence(self):
+        self.check_main([TwoNeighborSearch], 4, iterations=2 * N - 1)
+
+    @staticmethod
+    def check_main(algorithms, period, iterations, rows_per_part=None):
+        rows_per_part = rows_per_part or [ROWS]
+        lanes0 = np.random.default_rng(5).integers(1, 2**63, size=(ROWS, N), dtype=np.uint64)
+        cursor0 = np.random.default_rng(6).integers(0, N, size=ROWS)
+        runs = []
+        for state, tabu, tracker in twins(model_for(True), period, seed=3):
+            lanes = lanes0.copy()
+            cursor = cursor0.copy()
+            parts = []
+            lo = 0
+            for cls, rows in zip(algorithms, rows_per_part):
+                alg = cls()
+                window = state.row_window(lo, lo + rows)
+                alg.begin(window, iterations)
+                spec = alg.lower(window, iterations)
+                if spec.cursor is not None:
+                    spec = replace(spec, cursor=cursor[lo : lo + rows])
+                parts.append((lo, lo + rows, spec, XorShift64Star.view(lanes[lo : lo + rows])))
+                lo += rows
+            flips = state.backend.run_main_phase(state, parts, iterations, None, tabu, tracker)
+            runs.append(observed(state, tabu, tracker, flips, lanes, cursor))
+        assert_twins(*runs)
+
+    def test_threads_run_phases_at_once_bit_exactly(self):
+        """More threads than cores, each running whole phases on its own
+        state: the native calls run without the GIL and share no scratch,
+        so every thread ends exactly where a serial run ends."""
+        model = random_qubo(64, seed=21, density=0.3)
+        targets = np.random.default_rng(1).integers(0, 2, size=(ROWS, 64), dtype=np.uint8)
+
+        def run(seed):
+            state = BatchDeltaState(model, ROWS, backend="native")
+            state.reset(np.random.default_rng(seed).integers(0, 2, size=(ROWS, 64), dtype=np.uint8))
+            tabu = TabuTracker(ROWS, 64, 6)
+            tabu.vectorize_clock()
+            tracker = BestTracker(state)
+            lanes = XorShift64Star(np.arange(1, ROWS * 64 + 1, dtype=np.uint64).reshape(ROWS, 64))
+            spec = MaxMinSearch().lower(state, 200)
+            for _ in range(5):
+                state.backend.run_straight_phase(state, targets, tabu, tracker)
+                state.backend.run_greedy_phase(state, tabu, tracker)
+                state.backend.run_main_phase(state, spec, 200, lanes, tabu, tracker)
+            return observed(state, tabu, tracker, lanes.state)
+
+        seeds = range(6)
+        serial = [run(seed) for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(seeds)) as pool:
+                threaded = list(pool.map(run, seeds))
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, threaded):
+            assert_twins(a, b)
+

@@ -16,7 +16,11 @@ from repro.backends import (
     prepare_problem,
     resolve_backend,
 )
+from repro.baselines.exact import BranchAndBoundSolver, MipLikeSolver
+from repro.baselines.momentum import momentum_solve_qubo
+from repro.baselines.sbm import sbm_solve_qubo
 from repro.baselines.simulated_annealing import simulated_annealing
+from repro.baselines.tabu_search import tabu_search
 from repro.core.delta import BatchDeltaState
 from repro.core.sparse import SparseQUBOModel
 from repro.core.qubo import QUBOModel
@@ -29,9 +33,11 @@ class TestRegistry:
         assert {"numpy-dense", "numpy-sparse"} <= set(backend_names())
         assert {"numpy-dense", "numpy-sparse"} <= set(available_backends())
 
-    def test_optional_backends_registered_even_when_missing(self):
-        """The cuda name is always known (lazily imported on use)."""
-        assert set(backend_names()) == {"cuda", "numpy-dense", "numpy-sparse"}
+    def test_optional_backends_registered_even_when_missing(self, no_native):
+        """The cuda name is always known (lazily imported on use), and so
+        is native without a compiler."""
+        assert set(backend_names()) == {"cuda", "native", "numpy-dense", "numpy-sparse"}
+        assert "native" not in available_backends()
 
     def test_get_backend_unknown_name(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -77,6 +83,12 @@ class TestRegistry:
 
 
 class TestAutoRule:
+    """The NumPy rule ``auto`` keeps when the native kernels do not build."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy_rule(self, no_native):
+        pass
+
     def test_sparse_model_routes_to_csr(self):
         model = SparseQUBOModel(10, {(0, 1): -2, (2, 2): 3})
         assert auto_backend_name(model) == "numpy-sparse"
@@ -101,11 +113,25 @@ class TestFractionalRefusal:
 
     @pytest.mark.parametrize(
         "consumer",
-        ["numpy-dense", "numpy-sparse", "cuda", "prepare_problem", "simulated_annealing"],
+        [
+            "numpy-dense",
+            "numpy-sparse",
+            "native",
+            "cuda",
+            "prepare_problem",
+            "simulated_annealing",
+            "tabu_search",
+            "branch_and_bound",
+            "mip_like",
+            "sbm",
+            "momentum",
+        ],
     )
     def test_one_value_error_naming_integer_weights(self, consumer, monkeypatch):
         """``BatchDeltaState`` on each backend (cuda on the stub when no
-        runtime is present), ``prepare_problem`` and the SA baseline."""
+        runtime is present), ``prepare_problem`` and the library baselines
+        (each would otherwise report a truncated energy, −2 for the −2.5
+        of ``[1 1]``)."""
         import repro.backends.cuda as cuda_mod
         from tests.backends import cuda_stub
 
@@ -115,6 +141,11 @@ class TestFractionalRefusal:
         calls = {
             "prepare_problem": lambda: prepare_problem(self.MODEL),
             "simulated_annealing": lambda: simulated_annealing(self.MODEL, seed=0),
+            "tabu_search": lambda: tabu_search(self.MODEL, seed=0),
+            "branch_and_bound": lambda: BranchAndBoundSolver().solve(self.MODEL),
+            "mip_like": lambda: MipLikeSolver().solve(self.MODEL),
+            "sbm": lambda: sbm_solve_qubo(self.MODEL, seed=0),
+            "momentum": lambda: momentum_solve_qubo(self.MODEL, seed=0),
         }
         call = calls.get(consumer, lambda: BatchDeltaState(self.MODEL, 2, backend=consumer))
         with warnings.catch_warnings():
@@ -134,7 +165,7 @@ class TestResolve:
 
     def test_none_uses_auto(self):
         model = random_qubo(8, seed=0)
-        assert resolve_backend(None, model).name == "numpy-dense"
+        assert resolve_backend(None, model).name == auto_backend_name(model)
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -153,7 +184,7 @@ class TestResolve:
         monkeypatch.setenv("REPRO_BACKEND", "gpu")
         model = random_qubo(8, seed=0)
         with pytest.warns(RuntimeWarning, match="unknown backend"):
-            assert resolve_backend(None, model).name == "numpy-dense"
+            assert resolve_backend(None, model).name == auto_backend_name(model)
 
     def test_env_dense_backend_falls_back_on_huge_sparse_model(self, monkeypatch):
         """An env hint must not implicitly densify annealer-scale CSR models."""
@@ -163,7 +194,7 @@ class TestResolve:
         model = SparseQUBOModel(n, {(0, 1): -2, (1, 2): 3})
         monkeypatch.setenv("REPRO_BACKEND", "numpy-dense")
         with pytest.warns(RuntimeWarning, match="falling back"):
-            assert resolve_backend(None, model).name == "numpy-sparse"
+            assert resolve_backend(None, model).name == auto_backend_name(model)
         # small sparse models may still be densified on request
         small = SparseQUBOModel(8, {(0, 1): -2})
         assert resolve_backend(None, small).name == "numpy-dense"
@@ -176,7 +207,7 @@ class TestResolve:
         model = random_qubo(8, seed=0)
         with pytest.warns(RuntimeWarning, match="falling back"):
             backend = resolve_backend("cuda", model)
-        assert backend.name == "numpy-dense"
+        assert backend.name == auto_backend_name(model)
         with pytest.raises(BackendUnavailableError, match="'cuda'"):
             get_backend("cuda")
 
@@ -204,7 +235,7 @@ class TestResolve:
 
 class TestConfigValidation:
     def test_config_accepts_known_backends(self):
-        for name in ("auto", "numpy-dense", "numpy-sparse", "cuda", None):
+        for name in ("auto", "native", "numpy-dense", "numpy-sparse", "cuda", None):
             assert DABSConfig(backend=name).backend == name
 
     def test_config_rejects_unknown_backend(self):

@@ -9,6 +9,13 @@ from hypothesis import strategies as st
 from repro.core.qubo import QUBOModel
 
 
+def with_native(*names: str) -> tuple[str, ...]:
+    """*names*, plus ``native`` when its kernels build on this host."""
+    from repro.backends import available_backends
+
+    return (*names, *(("native",) if "native" in available_backends() else ()))
+
+
 def random_qubo(n: int, seed: int, density: float = 1.0, wmax: int = 9) -> QUBOModel:
     """Random integer QUBO with weights in [-wmax, wmax]."""
     rng = np.random.default_rng(seed)
@@ -47,6 +54,14 @@ def keyless(solver, devices=None):
         if devices is None or i in devices:
             solver.gpus[i] = KeylessGPU(gpu)
     return solver
+
+
+@pytest.fixture
+def no_native(monkeypatch, tmp_path):
+    """No C compiler and an empty kernel cache: the ``native`` backend is
+    unavailable, so ``auto`` keeps the NumPy rule."""
+    monkeypatch.setenv("CC", "/nonexistent/cc")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "no-native-cache"))
 
 
 @pytest.fixture

@@ -25,9 +25,9 @@ from repro.gpu.device import DeviceSpec
 from repro.gpu.virtual_gpu import VirtualGPU
 from repro.resilience import ChaosConfig, RetryPolicy, chaos
 from repro.search.batch import BatchSearchConfig
-from tests.conftest import KeylessGPU, random_qubo
+from tests.conftest import KeylessGPU, random_qubo, with_native
 
-BACKENDS = ("numpy-dense", "numpy-sparse")
+BACKENDS = with_native("numpy-dense", "numpy-sparse")
 ALL_ALGS = list(MainAlgorithm)
 
 FAST_RETRY = RetryPolicy(max_retries=2, backoff_base=0.0)

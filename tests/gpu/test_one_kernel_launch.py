@@ -24,7 +24,7 @@ from tests.backends.launch_parity import (
     observe,
     stepwise_launch,
 )
-from tests.conftest import random_qubo
+from tests.conftest import random_qubo, with_native
 
 M, C, R, P, T = (
     MainAlgorithm.MAXMIN,
@@ -69,7 +69,7 @@ def batch_searches(monkeypatch):
 
 
 @pytest.mark.parametrize("tabu_period", [8, 0], ids=["tabu", "no-tabu"])
-@pytest.mark.parametrize("backend", ["numpy-dense", "numpy-sparse"])
+@pytest.mark.parametrize("backend", with_native("numpy-dense", "numpy-sparse"))
 def test_launch_matches_stepwise(backend, tabu_period, batch_searches):
     kernel_gpu, stepwise_gpu = make_twins(backend, tabu_period)
     assert kernel_gpu.pack_key is not None

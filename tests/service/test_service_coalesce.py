@@ -21,7 +21,7 @@ from repro.engine.workers import FleetWorkerGroup
 from repro.search.batch import BatchSearchConfig
 from repro.solver.dabs import DABSConfig
 from repro.service import ProblemCache, SolveService
-from tests.conftest import random_qubo
+from tests.conftest import random_qubo, with_native
 
 JOBS = 6
 ROUNDS = 4
@@ -80,7 +80,7 @@ def assert_results_equal(a, b):
         ], f"job {i} history diverged"
 
 
-@pytest.mark.parametrize("backend", ["numpy-dense", "numpy-sparse"])
+@pytest.mark.parametrize("backend", with_native("numpy-dense", "numpy-sparse"))
 class TestCoalescedParity:
     def test_on_off_and_replay_are_bit_exact(self, backend):
         """Coalesced results == solo results == a coalesced re-run."""

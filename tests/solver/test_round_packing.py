@@ -28,7 +28,7 @@ from repro.search.batch import BatchSearchConfig
 from repro.service import SolveService
 from repro.solver.abs_solver import ABSSolver
 from repro.solver.dabs import DABSConfig, DABSSolver
-from tests.conftest import keyless, random_qubo
+from tests.conftest import keyless, random_qubo, with_native
 
 CFG = DABSConfig(
     num_gpus=3,
@@ -147,7 +147,7 @@ def assert_bit_exact(solo, solo_result, packed, packed_result):
 
 
 #: both packable backends: the dense kernel and the ELL sparse kernel
-BACKENDS = ["numpy-dense", "numpy-sparse"]
+BACKENDS = with_native("numpy-dense", "numpy-sparse")
 
 
 class TestPackedRoundParity:

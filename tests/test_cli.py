@@ -9,7 +9,7 @@ from repro.cli import build_parser, main
 from repro.io.formats import write_gset, write_qaplib, write_qubo
 from repro.problems.gset import gset_like
 from repro.problems.qap import grid_qap
-from tests.conftest import random_qubo
+from tests.conftest import random_qubo, with_native
 
 
 @pytest.fixture
@@ -92,18 +92,13 @@ class TestMain:
     def test_backend_flag_is_bit_exact(self, qubo_file, capsys):
         path, _ = qubo_file
         outputs = []
-        for backend in ("numpy-dense", "numpy-sparse"):
+        for backend in with_native("numpy-dense", "numpy-sparse"):
             rc = main([str(path), "--rounds", "5", "--backend", backend])
             assert rc == 0
             outputs.append(capsys.readouterr().out)
-        energy = [l for l in outputs[0].splitlines() if l.startswith("energy")]
-        assert energy == [
-            l for l in outputs[1].splitlines() if l.startswith("energy")
-        ]
-        vector = [l for l in outputs[0].splitlines() if l.startswith("vector")]
-        assert vector == [
-            l for l in outputs[1].splitlines() if l.startswith("vector")
-        ]
+        for prefix in ("energy", "vector"):
+            lines = [[l for l in out.splitlines() if l.startswith(prefix)] for out in outputs]
+            assert all(found == lines[0] for found in lines)
 
     def test_env_backend_honoured_and_bad_value_rejected(
         self, qubo_file, capsys, monkeypatch

@@ -17,7 +17,7 @@ from repro.engine.coalesce import SuperLaunch
 from repro.engine.workers import FleetWorkerGroup
 from repro.gpu.virtual_gpu import VirtualGPU
 from repro.solver.dabs import DABSConfig, DABSSolver
-from tests.conftest import random_qubo
+from tests.conftest import random_qubo, with_native
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -48,3 +48,18 @@ def test_every_wrapped_name_resolves_and_is_restored(tracer_module):
         tracer.uninstall()
     assert tracer.totals["engine.superlaunch"][0] == 1
     assert [owner.__dict__[name] for owner, name in seams] == originals
+
+
+@pytest.mark.parametrize("backend", with_native("numpy-sparse"))
+def test_phase_metrics_stay_live(tracer_module, backend):
+    """Every backend runs its phases through the three public runners the
+    tracer wraps on ``ComputeBackend``, whatever bodies it overrides."""
+    tracer = tracer_module.Tracer()
+    tracer_module.install_layers(tracer)
+    try:
+        cfg = DABSConfig(num_gpus=2, blocks_per_gpu=2, pool_capacity=4, backend=backend)
+        DABSSolver(random_qubo(10, seed=1), cfg, seed=0).solve(max_rounds=1)
+    finally:
+        tracer.uninstall()
+    for phase in ("straight_phase", "greedy_phase", "main_phase"):
+        assert tracer.totals[f"backends.{phase}"][0] >= 1
