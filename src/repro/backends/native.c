@@ -39,7 +39,6 @@ enum {
 };
 
 typedef struct {
-    int64_t n;
     const int64_t *indptr, *indices, *data;
 } csr_t;
 
@@ -187,7 +186,7 @@ void repro_straight(int64_t rows, int64_t n, const int64_t *indptr,
                     int64_t stamp_on, const int64_t *clock, uint8_t *best_x,
                     int64_t *best_e, const uint8_t *targets, int64_t *flips)
 {
-    const csr_t s = {n, indptr, indices, data};
+    const csr_t s = {indptr, indices, data};
     for (int64_t r = 0; r < rows; r++) {
         ROW_POINTERS
         const uint8_t *tr = targets + r * n;
@@ -214,7 +213,7 @@ void repro_greedy(int64_t rows, int64_t n, const int64_t *indptr,
                   int64_t *best_e, int64_t max_iters, int64_t *flips,
                   uint8_t *truncated)
 {
-    const csr_t s = {n, indptr, indices, data};
+    const csr_t s = {indptr, indices, data};
     for (int64_t r = 0; r < rows; r++) {
         ROW_POINTERS
         int64_t f = 0;
@@ -365,7 +364,7 @@ int64_t repro_main(int64_t rows, int64_t n, const int64_t *indptr,
                 int64_t *best_e, int64_t period, int64_t iterations,
                 int64_t num_parts, const int64_t *parts)
 {
-    const csr_t s = {n, indptr, indices, data};
+    const csr_t s = {indptr, indices, data};
     /* per-call scratch: several threads may run this function at once */
     int64_t *buf = malloc((size_t)n * sizeof *buf);
     (void)rows;
