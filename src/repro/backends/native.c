@@ -1,11 +1,11 @@
 /*
  * Native phase kernels of the ``native`` backend (repro.backends.native).
  *
- * One call runs one whole search phase over a span of rows, one row per
- * outer loop: the row walks its own straight/greedy/main schedule in a
- * register loop, as one CUDA block does in the paper (§III).  Rows are
- * independent in every phase, so running them one after another is
- * bit-identical to the NumPy backends' lockstep loops.
+ * One call runs one whole search phase over a span of rows: each row walks
+ * its own straight/greedy/main schedule in a register loop, as one CUDA
+ * block does in the paper (§III).  Rows are independent in every phase, so
+ * a call spreads them over a few threads (see dispatch) and the result is
+ * bit-identical to the NumPy backends' lockstep loops whatever the split.
  *
  * Bit-exactness rules (DESIGN.md §14):
  *   - the reference semantics are ported, not the NumPy tricks: every
@@ -17,13 +17,19 @@
  *     this file is built with -ffp-contract=off and never -ffast-math.
  *
  * Coupling storage is CSR (indptr/indices/data, int64) with a zero
- * diagonal.  No static or global scratch: several threads call in at once.
+ * diagonal.  No static or global scratch, and no thread outlives a call:
+ * several threads call in at once, and a forked process inherits none.
  */
 
+#define _GNU_SOURCE
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
+#include <stdatomic.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <unistd.h>
 
 #define SENTINEL ((int64_t)1 << 62)
 #define MULTIPLIER 0x2545F4914F6CDD1DULL
@@ -42,8 +48,139 @@ typedef struct {
     const int64_t *indptr, *indices, *data;
 } csr_t;
 
-int64_t repro_native_abi(void) { return 1; }
+int64_t repro_native_abi(void) { return 2; }
 
+/* -- the row split ----------------------------------------------------------
+ * A call's work is estimated as rows · n · steps, from the call's shape
+ * alone: steps is n for the straight walk (at most n bits differ from the
+ * target), n / 8 for the greedy descent (much shorter than n flips: about
+ * n / 5 from a GA child, far fewer after a main phase) and the iterations
+ * of a main phase.  Each thread gets at least WORK_PER_THREAD of it, about
+ * 0.2-0.8 ms at n = 512.  Starting and joining a thread costs ~35 µs on
+ * an idle host, but waking a second CPU of a busy shared host can take
+ * milliseconds, so only calls well above that split.  A stream-sized
+ * call (n ≤ 96, 16 rows, main phases of up to 2n iterations) stays on
+ * the calling thread, and a g22-sized straight walk or first greedy
+ * descent (n = 512, 32 rows) spreads. */
+#define WORK_PER_THREAD ((int64_t)1 << 19)
+
+static int64_t allowed_cpus(void)
+{
+#ifdef __linux__
+    cpu_set_t set;
+    if (sched_getaffinity(0, sizeof set, &set) == 0)
+        return CPU_COUNT(&set);
+#endif
+    long online = sysconf(_SC_NPROCESSORS_ONLN);
+    return online > 0 ? online : 1;
+}
+
+/* the threads one call of *rows* rows and estimated *work* runs on */
+int64_t repro_threads(int64_t rows, int64_t work)
+{
+    int64_t threads = work / WORK_PER_THREAD;
+    if (threads <= 1 || rows <= 1)
+        return 1;
+    int64_t cpus = allowed_cpus();
+    threads = threads < cpus ? threads : cpus;
+    return threads < rows ? threads : rows;
+}
+
+/* one phase call: its arguments and its per-row body, which workers
+ * only read */
+typedef struct call {
+    int64_t rows, n;
+    csr_t s;
+    uint8_t *x;
+    int64_t *energy, *delta, *stamps;
+    int64_t stamp_on;
+    const int64_t *clock;
+    uint8_t *best_x;
+    int64_t *best_e;
+    const uint8_t *targets; /* straight */
+    int64_t *flips;         /* straight, greedy */
+    int64_t max_iters;      /* greedy */
+    uint8_t *truncated;     /* greedy */
+    int64_t period, iterations; /* main */
+    const int64_t *parts;       /* main */
+    void (*row)(const struct call *, int64_t r, int64_t *scratch);
+} call_t;
+
+/* Threads that work on neighbouring rows slow each other down (false
+ * sharing): a row's passes stream to its end, and the hardware
+ * prefetchers read on into the next row's cache lines, even its next
+ * page, while another thread writes them.  So consecutive claims map to
+ * rows far apart, and the scratch rows sit on pages of their own with an
+ * empty page between two of them.  With adjacent rows and scratch, a
+ * second thread cut a 32-row n=512 straight call by ~15%; spread, by
+ * ~45%. */
+#define PAGE 4096
+
+typedef struct {
+    const call_t *call;
+    _Atomic int64_t *next;   /* the next unclaimed claim */
+    int64_t threads, spread; /* spread: rows between consecutive claims */
+    int64_t *scratch;        /* this worker's own row; never shared */
+    pthread_t id;
+    int started;
+} worker_t;
+
+static void *run_rows(void *arg)
+{
+    const worker_t *w = arg;
+    const call_t *c = w->call;
+    for (;;) {
+        /* claim k is row (k mod threads)·spread + k / threads: a
+         * transpose of [0, threads·spread), whose rows past the end
+         * are skipped */
+        int64_t k = atomic_fetch_add_explicit(w->next, 1, memory_order_relaxed);
+        if (k >= w->threads * w->spread)
+            return NULL;
+        int64_t r = k % w->threads * w->spread + k / w->threads;
+        if (r < c->rows)
+            c->row(c, r, w->scratch);
+    }
+}
+
+/* Run every row of *c* on repro_threads(rows, work) threads, the calling
+ * thread included, each with its own scratch row of *scratch_len* int64.
+ * All scratch is allocated before any worker starts and every worker is
+ * joined before the call returns.  A worker that cannot start leaves its
+ * rows to the others.  Nonzero when the scratch cannot be allocated. */
+static int64_t dispatch(const call_t *c, int64_t work, int64_t scratch_len)
+{
+    int64_t threads = repro_threads(c->rows, work);
+    size_t stride = scratch_len
+        ? ((size_t)scratch_len * sizeof(int64_t) + PAGE - 1) / PAGE * PAGE + PAGE
+        : 0;
+    int64_t *scratch = stride ? aligned_alloc(PAGE, (size_t)threads * stride) : NULL;
+    worker_t *workers = malloc((size_t)threads * sizeof *workers);
+    if ((stride && !scratch) || !workers) {
+        free(scratch);
+        free(workers);
+        return -1;
+    }
+    _Atomic int64_t next;
+    atomic_init(&next, 0);
+    int64_t spread = (c->rows + threads - 1) / threads;
+    for (int64_t t = 0; t < threads; t++)
+        workers[t] = (worker_t){
+            .call = c, .next = &next, .threads = threads, .spread = spread,
+            .scratch = stride ? scratch + t * stride / sizeof *scratch : NULL,
+        };
+    for (int64_t t = 1; t < threads; t++)
+        workers[t].started =
+            pthread_create(&workers[t].id, NULL, run_rows, &workers[t]) == 0;
+    run_rows(&workers[0]);
+    for (int64_t t = 1; t < threads; t++)
+        if (workers[t].started)
+            pthread_join(workers[t].id, NULL);
+    free(scratch);
+    free(workers);
+    return 0;
+}
+
+/* -- row kernels ----------------------------------------------------------- */
 static inline uint64_t lane_next(uint64_t *lane)
 {
     uint64_t v = *lane;
@@ -95,9 +232,11 @@ static inline int64_t row_argmin(const int64_t *v, int64_t n)
     return first_equal(v, n, row_min(v, n));
 }
 
-/* Eq. 4/5: flip bit i of one row and update its Δ over i's neighbours */
+/* Eq. 4/5: flip bit i of one row and update its Δ over i's neighbours;
+ * *masked*, when given, is the straight walk's masked Δ row, and bit i
+ * matches the target once flipped */
 static inline void flip_bit(const csr_t *s, uint8_t *x, int64_t *energy,
-                            int64_t *delta, int64_t i)
+                            int64_t *delta, int64_t *masked, int64_t i)
 {
     int64_t d_i = delta[i];
     int64_t s_old = x[i] ? 1 : -1;
@@ -106,9 +245,14 @@ static inline void flip_bit(const csr_t *s, uint8_t *x, int64_t *energy,
     for (int64_t p = s->indptr[i]; p < s->indptr[i + 1]; p++) {
         int64_t j = s->indices[p];
         int64_t s_j = x[j] ? 1 : -1;
-        delta[j] += s->data[p] * (s_old * s_j);
+        int64_t step = s->data[p] * (s_old * s_j);
+        delta[j] += step;
+        if (masked)
+            masked[j] += step;
     }
     delta[i] = -d_i;
+    if (masked)
+        masked[i] = SENTINEL - d_i;
 }
 
 /* BestTracker.fold: the current row and its best 1-bit neighbour, with
@@ -128,109 +272,74 @@ static inline void fold_min(int64_t n, const uint8_t *x, int64_t energy,
     }
 }
 
-static inline void fold_row(int64_t n, const uint8_t *x, int64_t energy,
-                            const int64_t *delta, uint8_t *best_x,
-                            int64_t *best_e)
+/* one pure-int64 pass for the straight walk: the row's minimum Δ (for the
+ * fold) and the minimum of its masked row (for the next step) */
+static inline int64_t two_mins(int64_t n, const int64_t *delta,
+                               const int64_t *masked, int64_t *all)
 {
-    fold_min(n, x, energy, delta, best_x, best_e, row_min(delta, n));
-}
-
-/* one pass for the straight walk: the row's minimum Δ (for the fold) and
- * its minimum Δ over the bits that still differ from the target (for
- * the next step; matching bits carry the sentinel, added so the loop
- * vectorizes) */
-static inline int64_t straight_mins(int64_t n, const uint8_t *x,
-                                    const uint8_t *target,
-                                    const int64_t *delta, int64_t *all)
-{
-    int64_t lo = SENTINEL, lo_diff = SENTINEL;
+    int64_t lo = SENTINEL, lo_masked = SENTINEL;
     for (int64_t k = 0; k < n; k++) {
-        int64_t v = delta[k];
-        int64_t w = v + (int64_t)(x[k] == target[k]) * SENTINEL;
-        lo = v < lo ? v : lo;
-        lo_diff = w < lo_diff ? w : lo_diff;
+        lo = delta[k] < lo ? delta[k] : lo;
+        lo_masked = masked[k] < lo_masked ? masked[k] : lo_masked;
     }
     *all = lo;
-    return lo_diff;
+    return lo_masked;
 }
 
-/* the first still-differing bit whose Δ is *m*: with straight_mins, the
- * first-index argmin of Δ over those bits */
-static inline int64_t straight_first(int64_t n, const uint8_t *x,
-                                     const uint8_t *target,
-                                     const int64_t *delta, int64_t m)
+/* one row's pointers into the call's arrays */
+#define ROW_POINTERS(c, r)                                                 \
+    int64_t n = (c)->n;                                                   \
+    uint8_t *xr = (c)->x + (r) * n;                                       \
+    int64_t *dr = (c)->delta + (r) * n;                                   \
+    int64_t *sr = (c)->stamps + (r) * n;                                  \
+    uint8_t *bxr = (c)->best_x + (r) * n;                                 \
+    int64_t energy = (c)->energy[r], best_e = (c)->best_e[r];
+
+/* the straight walk of one row; *masked* is Δ plus the sentinel on bits
+ * that already match the target, so one first-index pass finds the
+ * next bit and the flip keeps it current */
+static void straight_row(const call_t *c, int64_t r, int64_t *masked)
 {
-    int64_t k = 0;
-    for (; k + BLOCK <= n; k += BLOCK) {
-        int64_t hit = 0;
-        for (int64_t j = 0; j < BLOCK; j++)
-            hit |= (x[k + j] != target[k + j]) & (delta[k + j] == m);
-        if (hit)
-            break;
+    ROW_POINTERS(c, r)
+    const uint8_t *tr = c->targets + r * n;
+    int64_t dist = 0, lo;
+    for (int64_t k = 0; k < n; k++) {
+        int64_t same = xr[k] == tr[k];
+        dist += !same;
+        masked[k] = dr[k] + same * SENTINEL;
     }
-    while ((x[k] == target[k]) | (delta[k] != m))
-        k++;
-    return k;
+    int64_t m = two_mins(n, dr, masked, &lo);
+    for (int64_t t = 0; t < dist; t++) {
+        int64_t i = first_equal(masked, n, m);
+        flip_bit(&c->s, xr, &energy, dr, masked, i);
+        if (c->stamp_on)
+            sr[i] = c->clock[r] + t;
+        m = two_mins(n, dr, masked, &lo);
+        fold_min(n, xr, energy, dr, bxr, &best_e, lo);
+    }
+    c->energy[r] = energy;
+    c->best_e[r] = best_e;
+    c->flips[r] = dist;
 }
 
-/* the arguments every phase shares, as one row's pointers */
-#define ROW_POINTERS                                                       \
-    uint8_t *xr = x + r * n;                                              \
-    int64_t *dr = delta + r * n;                                          \
-    int64_t *sr = stamps + r * n;                                         \
-    uint8_t *bxr = best_x + r * n;
-
-void repro_straight(int64_t rows, int64_t n, const int64_t *indptr,
-                    const int64_t *indices, const int64_t *data, uint8_t *x,
-                    int64_t *energy, int64_t *delta, int64_t *stamps,
-                    int64_t stamp_on, const int64_t *clock, uint8_t *best_x,
-                    int64_t *best_e, const uint8_t *targets, int64_t *flips)
+static void greedy_row(const call_t *c, int64_t r, int64_t *scratch)
 {
-    const csr_t s = {indptr, indices, data};
-    for (int64_t r = 0; r < rows; r++) {
-        ROW_POINTERS
-        const uint8_t *tr = targets + r * n;
-        int64_t dist = 0, lo;
-        for (int64_t k = 0; k < n; k++)
-            dist += xr[k] != tr[k];
-        int64_t m = straight_mins(n, xr, tr, dr, &lo);
-        for (int64_t t = 0; t < dist; t++) {
-            int64_t i = straight_first(n, xr, tr, dr, m);
-            flip_bit(&s, xr, energy + r, dr, i);
-            if (stamp_on)
-                sr[i] = clock[r] + t;
-            m = straight_mins(n, xr, tr, dr, &lo);
-            fold_min(n, xr, energy[r], dr, bxr, best_e + r, lo);
-        }
-        flips[r] = dist;
+    ROW_POINTERS(c, r)
+    (void)scratch;
+    int64_t f = 0, m = row_min(dr, n);
+    while (f < c->max_iters && m < 0) {
+        int64_t i = first_equal(dr, n, m);
+        flip_bit(&c->s, xr, &energy, dr, NULL, i);
+        if (c->stamp_on)
+            sr[i] = c->clock[r] + f;
+        f++;
+        m = row_min(dr, n);
     }
-}
-
-void repro_greedy(int64_t rows, int64_t n, const int64_t *indptr,
-                  const int64_t *indices, const int64_t *data, uint8_t *x,
-                  int64_t *energy, int64_t *delta, int64_t *stamps,
-                  int64_t stamp_on, const int64_t *clock, uint8_t *best_x,
-                  int64_t *best_e, int64_t max_iters, int64_t *flips,
-                  uint8_t *truncated)
-{
-    const csr_t s = {indptr, indices, data};
-    for (int64_t r = 0; r < rows; r++) {
-        ROW_POINTERS
-        int64_t f = 0;
-        while (f < max_iters) {
-            int64_t m = row_min(dr, n);
-            if (m >= 0)
-                break;
-            int64_t i = first_equal(dr, n, m);
-            flip_bit(&s, xr, energy + r, dr, i);
-            if (stamp_on)
-                sr[i] = clock[r] + f;
-            f++;
-        }
-        flips[r] = f;
-        truncated[r] = f >= max_iters && row_min(dr, n) < 0;
-        fold_row(n, xr, energy[r], dr, bxr, best_e + r);
-    }
+    c->flips[r] = f;
+    c->truncated[r] = f >= c->max_iters && m < 0;
+    fold_min(n, xr, energy, dr, bxr, &best_e, m);
+    c->energy[r] = energy;
+    c->best_e[r] = best_e;
 }
 
 /* the first index of the largest value of buf (all ≥ -1); n when every
@@ -357,64 +466,103 @@ static int64_t select_positivemin(int64_t n, const int64_t *dr,
     return best < n ? best : row_argmin(dr, n);
 }
 
-int64_t repro_main(int64_t rows, int64_t n, const int64_t *indptr,
-                const int64_t *indices, const int64_t *data, uint8_t *x,
-                int64_t *energy, int64_t *delta, int64_t *stamps,
-                int64_t stamp_on, const int64_t *clock, uint8_t *best_x,
-                int64_t *best_e, int64_t period, int64_t iterations,
-                int64_t num_parts, const int64_t *parts)
+/* the main phase of one row, under the part whose range holds it; *buf*
+ * is the keyed selections' scratch row */
+static void main_row(const call_t *c, int64_t r, int64_t *buf)
 {
-    const csr_t s = {indptr, indices, data};
-    /* per-call scratch: several threads may run this function at once */
-    int64_t *buf = malloc((size_t)n * sizeof *buf);
-    (void)rows;
-    if (!buf)
-        return -1;
-    for (int64_t p = 0; p < num_parts; p++) {
-        const int64_t *part = parts + p * P_FIELDS;
-        int64_t kind = part[P_KIND];
-        int use_tabu = part[P_USE_TABU] != 0;
-        const double *schedule = (const double *)(intptr_t)part[P_SCHEDULE];
-        const int64_t *thresholds = (const int64_t *)(intptr_t)part[P_THRESHOLDS];
-        const int64_t *widths = (const int64_t *)(intptr_t)part[P_WIDTHS];
-        const int64_t *sequence = (const int64_t *)(intptr_t)part[P_SEQUENCE];
-        int64_t seq_len = part[P_SEQ_LEN];
-        int64_t *cursor = (int64_t *)(intptr_t)part[P_CURSOR];
-        uint64_t *lanes = (uint64_t *)(intptr_t)part[P_LANES];
-        for (int64_t r = part[P_LO]; r < part[P_HI]; r++) {
-            ROW_POINTERS
-            int64_t local = r - part[P_LO];
-            uint64_t *lr = lanes ? lanes + local * n : 0;
-            for (int64_t t = 0; t < iterations; t++) {
-                int64_t cut = clock[r] + t - period;
-                int64_t i;
-                switch (kind) {
-                case MAXMIN:
-                    i = select_maxmin(n, dr, sr, lr, use_tabu, cut, schedule[t],
-                                      buf);
-                    break;
-                case CYCLIC:
-                    i = select_cyclic(n, dr, sr, use_tabu, cut, widths[t],
-                                      cursor + local);
-                    break;
-                case RANDOMMIN:
-                    i = select_randommin(n, dr, sr, lr, use_tabu, cut,
-                                         thresholds[t], buf);
-                    break;
-                case POSITIVEMIN:
-                    i = select_positivemin(n, dr, sr, lr, use_tabu, cut, buf);
-                    break;
-                default: /* SEQUENCE: TwoNeighbor's fixed traversal */
-                    i = sequence[t % seq_len];
-                    break;
-                }
-                flip_bit(&s, xr, energy + r, dr, i);
-                if (stamp_on)
-                    sr[i] = clock[r] + t;
-                fold_row(n, xr, energy[r], dr, bxr, best_e + r);
-            }
+    ROW_POINTERS(c, r)
+    const int64_t *part = c->parts;
+    while (r >= part[P_HI])
+        part += P_FIELDS;
+    int64_t kind = part[P_KIND];
+    int use_tabu = part[P_USE_TABU] != 0;
+    const double *schedule = (const double *)(intptr_t)part[P_SCHEDULE];
+    const int64_t *thresholds = (const int64_t *)(intptr_t)part[P_THRESHOLDS];
+    const int64_t *widths = (const int64_t *)(intptr_t)part[P_WIDTHS];
+    const int64_t *sequence = (const int64_t *)(intptr_t)part[P_SEQUENCE];
+    int64_t seq_len = part[P_SEQ_LEN];
+    int64_t *cursors = (int64_t *)(intptr_t)part[P_CURSOR];
+    uint64_t *lanes = (uint64_t *)(intptr_t)part[P_LANES];
+    int64_t local = r - part[P_LO];
+    uint64_t *lr = lanes ? lanes + local * n : 0;
+    int64_t cursor = cursors ? cursors[local] : 0;
+    int64_t clock = c->clock[r];
+    for (int64_t t = 0; t < c->iterations; t++) {
+        int64_t cut = clock + t - c->period;
+        int64_t i;
+        switch (kind) {
+        case MAXMIN:
+            i = select_maxmin(n, dr, sr, lr, use_tabu, cut, schedule[t], buf);
+            break;
+        case CYCLIC:
+            i = select_cyclic(n, dr, sr, use_tabu, cut, widths[t], &cursor);
+            break;
+        case RANDOMMIN:
+            i = select_randommin(n, dr, sr, lr, use_tabu, cut, thresholds[t],
+                                 buf);
+            break;
+        case POSITIVEMIN:
+            i = select_positivemin(n, dr, sr, lr, use_tabu, cut, buf);
+            break;
+        default: /* SEQUENCE: TwoNeighbor's fixed traversal */
+            i = sequence[t % seq_len];
+            break;
         }
+        flip_bit(&c->s, xr, &energy, dr, NULL, i);
+        if (c->stamp_on)
+            sr[i] = clock + t;
+        fold_min(n, xr, energy, dr, bxr, &best_e, row_min(dr, n));
     }
-    free(buf);
-    return 0;
+    if (cursors)
+        cursors[local] = cursor;
+    c->energy[r] = energy;
+    c->best_e[r] = best_e;
+}
+
+/* -- entry points: each returns nonzero when it cannot allocate ------------ */
+#define CALL(body)                                                         \
+    call_t c = {.rows = rows, .n = n, .s = {indptr, indices, data},       \
+                .x = x, .energy = energy, .delta = delta,                 \
+                .stamps = stamps, .stamp_on = stamp_on, .clock = clock,   \
+                .best_x = best_x, .best_e = best_e, .row = body}
+
+int64_t repro_straight(int64_t rows, int64_t n, const int64_t *indptr,
+                       const int64_t *indices, const int64_t *data,
+                       uint8_t *x, int64_t *energy, int64_t *delta,
+                       int64_t *stamps, int64_t stamp_on, const int64_t *clock,
+                       uint8_t *best_x, int64_t *best_e,
+                       const uint8_t *targets, int64_t *flips)
+{
+    CALL(straight_row);
+    c.targets = targets;
+    c.flips = flips;
+    return dispatch(&c, rows * n * n, n);
+}
+
+int64_t repro_greedy(int64_t rows, int64_t n, const int64_t *indptr,
+                     const int64_t *indices, const int64_t *data, uint8_t *x,
+                     int64_t *energy, int64_t *delta, int64_t *stamps,
+                     int64_t stamp_on, const int64_t *clock, uint8_t *best_x,
+                     int64_t *best_e, int64_t max_iters, int64_t *flips,
+                     uint8_t *truncated)
+{
+    CALL(greedy_row);
+    c.max_iters = max_iters;
+    c.flips = flips;
+    c.truncated = truncated;
+    return dispatch(&c, rows * n * (n / 8), 0);
+}
+
+int64_t repro_main(int64_t rows, int64_t n, const int64_t *indptr,
+                   const int64_t *indices, const int64_t *data, uint8_t *x,
+                   int64_t *energy, int64_t *delta, int64_t *stamps,
+                   int64_t stamp_on, const int64_t *clock, uint8_t *best_x,
+                   int64_t *best_e, int64_t period, int64_t iterations,
+                   const int64_t *parts)
+{
+    CALL(main_row);
+    c.period = period;
+    c.iterations = iterations;
+    c.parts = parts; /* they tile [0, rows) */
+    return dispatch(&c, rows * n * iterations, n);
 }

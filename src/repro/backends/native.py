@@ -2,11 +2,11 @@
 
 ``prepare``, resets and the stepwise ``flip`` are numpy-sparse's; the
 three phase bodies are replaced by one call each into ``native.c``,
-which walks one row per outer loop (DESIGN.md §14).  The library is
-built on first use, never at ``import repro``, with ``$CC`` (else
-``sysconfig``'s ``CC``) into ``$XDG_CACHE_HOME/repro`` (default
-``~/.cache/repro``), keyed by the source, the compiler and its version,
-the flags and the host's CPU flags.  A build is moved into place with
+which spreads the rows over the CPUs the process may run on (DESIGN.md
+§14).  The library is built on first use, never at ``import repro``,
+with ``$CC`` (else ``sysconfig``'s ``CC``) into ``$XDG_CACHE_HOME/repro``
+(default ``~/.cache/repro``), keyed by the source, the compiler and its
+version, the flags and the host's CPU flags.  A build is moved into place with
 ``os.replace`` under a file lock, and a sidecar digest is checked before
 every load, so a truncated library is rebuilt rather than loaded.
 Without a working compiler the backend is unavailable.
@@ -46,11 +46,15 @@ __all__ = ["NativeBackend"]
 
 _SOURCE = Path(__file__).with_name("native.c")
 #: never -ffast-math, and no FMA contraction: MaxMin's float64 threshold
-#: must round as NumPy's separate multiply and add do
-_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
+#: must round as NumPy's separate multiply and add do; on x86 the row
+#: passes use 512-bit vectors where the CPU has them
+_FLAGS = (
+    "-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared", "-pthread",
+    *(("-mprefer-vector-width=512",) if platform.machine() in ("x86_64", "AMD64") else ()),
+)
 _LIBS = ("-lm",)
 #: ``repro_native_abi()`` of the source this module drives
-_ABI = 1
+_ABI = 2
 #: the main-phase kinds in the order of native.c's kind codes
 _KINDS = (KIND_MAXMIN_THRESHOLD, KIND_CYCLIC_WINDOW, KIND_RANDOM_CANDIDATE_MIN,
           KIND_POSITIVE_MIN, KIND_FIXED_SEQUENCE)
@@ -58,12 +62,14 @@ _KINDS = (KIND_MAXMIN_THRESHOLD, KIND_CYCLIC_WINDOW, KIND_RANDOM_CANDIDATE_MIN,
 _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
 #: rows, n, the CSR triple, x, energy, Δ, stamps, stamp_on, clock, best x/energy
 _COMMON = (_I64, _I64, *[_PTR] * 7, _I64, _PTR, _PTR, _PTR)
-#: entry point → (return type, argument types); the main phase returns
-#: nonzero when it cannot allocate its scratch row
+#: entry point → (return type, argument types); a phase returns nonzero
+#: when it cannot allocate its threads' scratch rows, and
+#: ``repro_threads(rows, work)`` is the thread count of a call
 _SIGNATURES = {
-    "repro_straight": (None, (*_COMMON, _PTR, _PTR)),
-    "repro_greedy": (None, (*_COMMON, _I64, _PTR, _PTR)),
-    "repro_main": (_I64, (*_COMMON, _I64, _I64, _I64, _PTR)),
+    "repro_straight": (_I64, (*_COMMON, _PTR, _PTR)),
+    "repro_greedy": (_I64, (*_COMMON, _I64, _PTR, _PTR)),
+    "repro_main": (_I64, (*_COMMON, _I64, _I64, _PTR)),
+    "repro_threads": (_I64, (_I64, _I64)),
 }
 
 _lock = threading.Lock()
@@ -180,11 +186,15 @@ class NativeBackend(NumpySparseBackend):
         lib = _library()
         return lib if isinstance(lib, str) else None
 
+    #: the library this instance's phases call, bound by ``prepare`` so a
+    #: phase call does not look it up again
+    _lib = None
+
     def prepare(self, model):
-        if not self.is_available():
-            raise BackendUnavailableError(
-                f"backend 'native' is unavailable: {self.unavailable_reason()}"
-            )
+        lib = _library()
+        if isinstance(lib, str):
+            raise BackendUnavailableError(f"backend 'native' is unavailable: {lib}")
+        self._lib = lib
         return super().prepare(model)
 
     def _call(self, entry, state, tabu, tracker, *extra) -> None:
@@ -194,7 +204,7 @@ class NativeBackend(NumpySparseBackend):
         kernel = state.kernel
         shape = state.x.shape
         clock = np.ascontiguousarray(np.broadcast_to(tabu.clock, shape[:1]), dtype=np.int64)
-        failed = getattr(_library(), entry)(
+        failed = getattr(self._lib, entry)(
             *shape,
             _ptr(kernel.indptr, shape=(shape[1] + 1,)),
             _ptr(kernel.indices),
@@ -211,7 +221,7 @@ class NativeBackend(NumpySparseBackend):
         )
         self._invalidate_derived(state)
         if failed:
-            raise MemoryError(f"{entry} could not allocate its scratch row")
+            raise MemoryError(f"{entry} could not allocate its scratch rows")
 
     def _straight(self, state, targets, tabu, tracker) -> np.ndarray:
         targets = np.ascontiguousarray(targets, dtype=np.uint8)
@@ -267,7 +277,7 @@ class NativeBackend(NumpySparseBackend):
             )
         self._call(
             "repro_main", state, tabu, tracker,
-            int(tabu.period), int(iterations), len(parts), _ptr(table),
+            int(tabu.period), int(iterations), _ptr(table),
         )
         tabu.advance(iterations)
         return np.full(state.batch, iterations, dtype=np.int64)

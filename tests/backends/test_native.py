@@ -36,6 +36,8 @@ from repro.core.delta import BatchDeltaState
 from repro.core.packet import MainAlgorithm
 from repro.core.rng import XorShift64Star
 from repro.core.sparse import SparseQUBOModel
+from repro.problems.gset import g22_like
+from repro.problems.maxcut import maxcut_to_qubo
 from repro.search.batch import BestTracker
 from repro.search.cyclicmin import CyclicMinSearch
 from repro.search.maxmin import MaxMinSearch
@@ -154,19 +156,19 @@ N = 24
 ROWS = 6
 
 
-def twins(model, period, seed, clock_spread=5):
+def twins(model, period, seed, clock_spread=5, rows=ROWS):
     """Identical (state, tabu, tracker) triples on native and numpy-sparse,
     with random solutions, stamps and a vector clock."""
     rng = np.random.default_rng(seed)
-    x = rng.integers(0, 2, size=(ROWS, model.n), dtype=np.uint8)
-    clock = rng.integers(0, clock_spread + 1, size=ROWS) + period + 2
+    x = rng.integers(0, 2, size=(rows, model.n), dtype=np.uint8)
+    clock = rng.integers(0, clock_spread + 1, size=rows) + period + 2
     # every stamp is of an earlier flip of its row
-    stamps = rng.integers(-period - 1, clock[:, None], size=(ROWS, model.n))
+    stamps = rng.integers(-period - 1, clock[:, None], size=(rows, model.n))
     out = []
     for name in ("native", "numpy-sparse"):
-        state = BatchDeltaState(model, ROWS, backend=name)
+        state = BatchDeltaState(model, rows, backend=name)
         state.reset(x)
-        tabu = TabuTracker(ROWS, model.n, period)
+        tabu = TabuTracker(rows, model.n, period)
         tabu.vectorize_clock()[...] = clock
         tabu.stamps[...] = stamps
         tracker = BestTracker(state)
@@ -236,12 +238,14 @@ class TestPhaseParity:
         self.check_main([TwoNeighborSearch], 4, iterations=2 * N - 1)
 
     @staticmethod
-    def check_main(algorithms, period, iterations, rows_per_part=None):
+    def check_main(algorithms, period, iterations, rows_per_part=None, model=None):
+        model = model or model_for(True)
         rows_per_part = rows_per_part or [ROWS]
-        lanes0 = np.random.default_rng(5).integers(1, 2**63, size=(ROWS, N), dtype=np.uint64)
-        cursor0 = np.random.default_rng(6).integers(0, N, size=ROWS)
+        total, n = sum(rows_per_part), model.n
+        lanes0 = np.random.default_rng(5).integers(1, 2**63, size=(total, n), dtype=np.uint64)
+        cursor0 = np.random.default_rng(6).integers(0, n, size=total)
         runs = []
-        for state, tabu, tracker in twins(model_for(True), period, seed=3):
+        for state, tabu, tracker in twins(model, period, seed=3, rows=total):
             lanes = lanes0.copy()
             cursor = cursor0.copy()
             parts = []
@@ -292,3 +296,129 @@ class TestPhaseParity:
         for a, b in zip(serial, threaded):
             assert_twins(a, b)
 
+
+
+# -- the row split at g22 size ------------------------------------------------
+#: a G22-like MaxCut QUBO and the 32 rows of one device: every phase call
+#: here spreads its rows over the allowed CPUs (main phases of G22_STEPS)
+G22_N = 512
+G22_ROWS = 32
+G22_STEPS = 96
+ALL_KINDS = [*ALGORITHMS, TwoNeighborSearch]
+
+
+def g22_model(dense):
+    model = maxcut_to_qubo(g22_like(G22_N, seed=22))
+    return model if dense else SparseQUBOModel.from_dense(model)
+
+
+def allowed_cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def split_run():
+    """Straight, capped greedy, greedy and a mixed main phase on one g22
+    state and its twin, as the observed arrays of each side."""
+    model = g22_model(False)
+    n = model.n
+    targets = np.random.default_rng(9).integers(0, 2, size=(G22_ROWS, n), dtype=np.uint8)
+    lanes0 = np.random.default_rng(5).integers(1, 2**63, size=(G22_ROWS, n), dtype=np.uint64)
+    runs = []
+    for state, tabu, tracker in twins(model, 20, seed=4, clock_spread=9, rows=G22_ROWS):
+        backend = state.backend
+        lanes = lanes0.copy()
+        out = [backend.run_straight_phase(state, targets, tabu, tracker)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GreedyTruncationWarning)
+            out += backend.run_greedy_phase(state, tabu, tracker, 5)
+        out += backend.run_greedy_phase(state, tabu, tracker)
+        parts, lo = [], 0
+        for cls, rows in zip(ALL_KINDS, [7, 6, 7, 6, 6]):
+            window = state.row_window(lo, lo + rows)
+            alg = cls()
+            alg.begin(window, G22_STEPS)
+            spec = alg.lower(window, G22_STEPS)
+            parts.append((lo, lo + rows, spec, XorShift64Star.view(lanes[lo : lo + rows])))
+            lo += rows
+        out.append(backend.run_main_phase(state, parts, G22_STEPS, None, tabu, tracker))
+        runs.append([*observed(state, tabu, tracker, *out), lanes])
+    return runs
+
+
+@needs_native
+class TestSplitPath:
+    """Every phase at g22 size, where one call spreads its rows over the
+    allowed CPUs, bit for bit against numpy-sparse."""
+
+    def test_thread_rule(self):
+        threads = native_mod._library().repro_threads
+        cpus = allowed_cpus()
+        # stream-sized calls: 16 rows at n = 96, a main phase of 2n iterations
+        assert threads(16, 16 * 96 * 96) == 1
+        assert threads(8, 8 * 96 * 191) == 1
+        # g22-sized: a greedy descent (n / 8 steps a row), a straight walk
+        assert threads(G22_ROWS, G22_ROWS * 512 * 64) == min(2, cpus)
+        assert threads(G22_ROWS, G22_ROWS * 512 * 512) == min(G22_ROWS, cpus)
+        # never more threads than rows
+        assert threads(1, 1 << 40) == 1
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "csr"])
+    def test_straight(self, dense):
+        model = g22_model(dense)
+        targets = np.random.default_rng(9).integers(0, 2, size=(G22_ROWS, G22_N), dtype=np.uint8)
+        runs = []
+        for state, tabu, tracker in twins(model, 20, seed=1, clock_spread=9, rows=G22_ROWS):
+            flips = state.backend.run_straight_phase(state, targets, tabu, tracker)
+            runs.append(observed(state, tabu, tracker, flips))
+        assert_twins(*runs)
+
+    @pytest.mark.parametrize("cap", [None, 5])
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "csr"])
+    def test_greedy_with_and_without_cap(self, dense, cap):
+        runs = []
+        for state, tabu, tracker in twins(g22_model(dense), 20, seed=2, rows=G22_ROWS):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                flips, truncated = state.backend.run_greedy_phase(state, tabu, tracker, cap)
+            assert truncated.all() == (cap is not None)
+            assert bool(caught) == (cap is not None)
+            runs.append(observed(state, tabu, tracker, flips, truncated))
+        assert_twins(*runs)
+
+    @pytest.mark.parametrize("algorithm", ALL_KINDS, ids=lambda a: a.__name__)
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "csr"])
+    def test_main_one_kind(self, dense, algorithm):
+        TestPhaseParity.check_main(
+            [algorithm], 20, G22_STEPS, rows_per_part=[G22_ROWS], model=g22_model(dense)
+        )
+
+    def test_main_mixed_kinds_in_one_call(self):
+        TestPhaseParity.check_main(
+            ALL_KINDS, 20, G22_STEPS, rows_per_part=[7, 6, 7, 6, 6], model=g22_model(False)
+        )
+
+    @pytest.mark.skipif(allowed_cpus() < 2, reason="needs two CPUs to differ from the default")
+    def test_one_allowed_cpu_gives_identical_outputs(self, tmp_path):
+        """A process pinned to one CPU runs every call on one thread and
+        ends exactly where the spread calls end."""
+        out = tmp_path / "pinned.npz"
+        code = (
+            "import os, sys\n"
+            "import numpy as np\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from repro.backends import native\n"
+            "assert native._library().repro_threads(32, 1 << 40) == 1\n"
+            "from tests.backends.test_native import split_run\n"
+            "native_run, _ = split_run()\n"
+            "np.savez(sys.argv[1], *native_run)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(SRC.parent)])}
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(out)], env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        native_run, reference = split_run()
+        with np.load(out) as pinned:
+            assert_twins([pinned[f"arr_{k}"] for k in range(len(pinned.files))], native_run)
+        assert_twins(native_run, reference)

@@ -8,13 +8,17 @@ restarts follow the replay's round order and no thread is ever started.
 
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.backends import available_backends
 from repro.engine.coalesce import SuperLaunch
+from repro.problems.gset import g22_like
+from repro.problems.maxcut import maxcut_to_qubo
 from repro.resilience import RetryPolicy
 from repro.search.batch import BatchSearchConfig
 from repro.solver.dabs import DABSConfig, DABSSolver
@@ -74,6 +78,19 @@ class TestSolverLifecycle:
         before = threading.active_count()
         DABSSolver(model, CFG, seed=0).solve(max_rounds=2)
         assert threading.active_count() == before
+
+    @pytest.mark.skipif(
+        "native" not in available_backends() or not os.path.isdir("/proc/self/task"),
+        reason="needs the native kernels and /proc",
+    )
+    def test_native_solve_leaves_no_os_thread(self):
+        """A g22-sized native solve spreads its phase calls over OS
+        threads that Python never sees; each is joined inside its call."""
+        model = maxcut_to_qubo(g22_like(512, seed=22))
+        cfg = DABSConfig(num_gpus=2, blocks_per_gpu=16, pool_capacity=100, backend="native")
+        before = len(os.listdir("/proc/self/task"))
+        DABSSolver(model, cfg, seed=0).solve(max_rounds=2)
+        assert len(os.listdir("/proc/self/task")) == before
 
 
 class TestInlineExecutor:
