@@ -24,7 +24,10 @@ MaxCut instance with real kernels and no emulated latency, once with
 each round's devices packed into one super-launch and once launching
 every device solo — one one-segment super-launch per device.  The two
 modes are asserted bit-exact (best energy and vector, flips, launches,
-improvement history) before a speedup is reported.
+improvement history) before a speedup is reported.  The row times many
+short solves in pairs, one solve per mode back to back with the order
+alternating, and reports the median of the pairs' time ratios, so the
+drift of a shared host hits both modes alike.
 
 Run as a report generator (writes ``results/bench_coalesce.md`` and
 ``results/BENCH_coalesce.json``)::
@@ -67,8 +70,8 @@ DIRECT_MIN_SPEEDUP = 1.2
 FULL = {"jobs": 32, "n": 64, "blocks": 8, "rounds": 10, "devices": 2}
 SMOKE = {"jobs": 12, "n": 48, "blocks": 8, "rounds": 6, "devices": 2}
 
-DIRECT_FULL = {"n": 384, "gpus": 2, "blocks": 16, "rounds": 2, "seeds": 6}
-DIRECT_SMOKE = {"n": 256, "gpus": 2, "blocks": 16, "rounds": 2, "seeds": 3}
+DIRECT_FULL = {"n": 384, "gpus": 2, "blocks": 16, "rounds": 2, "seeds": 6, "pairs": 24}
+DIRECT_SMOKE = {"n": 256, "gpus": 2, "blocks": 16, "rounds": 2, "seeds": 3, "pairs": 24}
 
 
 def solo_rows(blocks: int, coalesce: bool) -> dict:
@@ -140,30 +143,34 @@ def run_direct(spec: dict) -> dict:
 
     ``segments`` launches every device solo as one kernel (a one-segment
     super-launch), ``packed`` runs each round as one super-launch.  Each
-    seed solves once per mode, the modes back to back, so slow phases of
-    a shared host hit both; the speedup is the ratio of the summed solve
-    times.
+    of ``pairs`` pairs solves one seed (cycling through ``seeds``) once
+    per mode, back to back, the mode that runs first alternating between
+    pairs.  The speedup is the median of the pairs' solo/packed time
+    ratios, which a slow phase of a shared host moves far less than a
+    ratio of sums.
     """
     model = maxcut_to_qubo(g22_like(spec["n"], seed=22))
-    modes = {"segments": False, "packed": True}
-    seconds = dict.fromkeys(modes, 0.0)
-    for seed in range(spec["seeds"]):
+    seconds: dict[str, list[float]] = {"segments": [], "packed": []}
+    for pair in range(spec["pairs"]):
+        seed = pair % spec["seeds"]
+        order = ("segments", "packed") if pair % 2 == 0 else ("packed", "segments")
         results = {}
-        for mode, coalesce in modes.items():
+        for mode in order:
             config = DABSConfig(
                 num_gpus=spec["gpus"],
                 blocks_per_gpu=spec["blocks"],
-                **solo_rows(spec["blocks"], coalesce),
+                **solo_rows(spec["blocks"], mode == "packed"),
             )
             solver = DABSSolver(model, config, seed=seed)
             start = time.perf_counter()
             results[mode] = solver.solve(max_rounds=spec["rounds"])
-            seconds[mode] += time.perf_counter() - start
+            seconds[mode].append(time.perf_counter() - start)
         assert_parity({"results": [results["segments"]]}, {"results": [results["packed"]]})
+    ratios = np.divide(seconds["segments"], seconds["packed"])
     return {
-        "segments_s": seconds["segments"] / spec["seeds"],
-        "packed_s": seconds["packed"] / spec["seeds"],
-        "segments_speedup": seconds["segments"] / seconds["packed"],
+        "segments_s": float(np.median(seconds["segments"])),
+        "packed_s": float(np.median(seconds["packed"])),
+        "segments_speedup": float(np.median(ratios)),
     }
 
 
@@ -223,10 +230,13 @@ def render(
         f"{DIRECT_FULL['gpus']} GPUs × {DIRECT_FULL['blocks']} blocks, "
         f"{DIRECT_FULL['rounds']} rounds, seeds 0–{DIRECT_FULL['seeds'] - 1}, "
         "direct round loop, real kernels (no emulated latency).  "
-        "Per seed, the two modes are asserted bit-exact (best "
-        "energy/vector, launches, flips, improvement history).",
+        f"{DIRECT_FULL['pairs']} pairs of back-to-back solves, one per "
+        "mode, the first mode alternating; per pair the two modes are "
+        "asserted bit-exact (best energy/vector, launches, flips, "
+        "improvement history), and the speedup is the median of the "
+        "pairs' time ratios.",
         "",
-        "| mode | mean solve time | packed speedup |",
+        "| mode | median solve time | packed speedup |",
         "|---|---|---|",
         f"| solo (one one-segment super-launch per device) "
         f"| {direct['segments_s']:.3f}s | **{direct['segments_speedup']:.2f}x** |",

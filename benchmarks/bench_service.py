@@ -9,18 +9,24 @@ nothing from more pools/devices — the paper sizes pools per GPU), so one
 service packs many jobs' launches onto the same lanes.
 
 The workload is a mixed bag of small and large instances, each with an
-instance-sized device request (small → 1 device, large → 2).  As in
-``bench_async_engine``, per-launch device latency is emulated with
-GIL-releasing sleeps, so slow kernels genuinely overlap and the measured
-effect is scheduling, not an artifact of serialization.  Both modes run
-the *same* solvers with the same seeds and budgets:
+instance-sized device request (small → 1 device, large → 2).  Device
+latency is emulated: a bench-local hook on ``SuperLaunch.run`` sleeps
+each segment's ``delay`` (GIL-releasing, like a long-running kernel)
+before the pack runs, so slow kernels genuinely overlap across lanes.
+What this measures is the scheduler under emulated latency — lanes kept
+busy by many tenants — **not** a speed claim: without the sleeps the
+kernels share the host's cores and the ratio falls to about 1×
+(0.7-1.2× over six smoke runs on a 2-core host), so sleep-emulated
+figures do not count as performance evidence (ROADMAP aim 1).  Both
+modes run the *same* solvers with the same seeds and budgets:
 
 * **sequential** — one ``solve()`` after another, each as the only job
-  of its own instance-sized service (``solve(service=SolveService(d))``:
-  one lane per device, the barrier-free single-solve schedule);
+  of its own instance-sized service (``solve(service=SolveService(d))``,
+  the barrier-free single-solve schedule: the job's devices are row
+  ranges of one pack on one lane);
 * **service** — all jobs submitted up front to one
-  :class:`~repro.service.SolveService` over a fleet with as many lanes as
-  the sequential runs ever used at once, results awaited together.
+  :class:`~repro.service.SolveService` over a 4-lane fleet, results
+  awaited together; each job takes the least-populated lane.
 
 Aggregate throughput = total collected device launches / wall-clock of
 the whole workload.  Run as a report generator (writes
@@ -38,6 +44,7 @@ from __future__ import annotations
 
 import sys
 import time
+import weakref
 from pathlib import Path
 
 _REPO = Path(__file__).resolve().parent.parent
@@ -46,6 +53,7 @@ if not any(Path(p).name == "src" for p in sys.path):
     sys.path.insert(0, str(_REPO / "src"))  # uninstalled checkout fallback
 
 from benchmarks._util import save_report
+from repro.engine.coalesce import SuperLaunch
 from repro.search.batch import BatchSearchConfig
 from repro.service import SolveService
 from repro.solver.dabs import DABSConfig, DABSSolver
@@ -57,23 +65,16 @@ SMOKE_MIN_SPEEDUP = 1.2
 FULL_MIN_SPEEDUP = 1.5
 
 
-class LaggyGPU:
-    """Proxy device adding fixed kernel latency to every launch
+#: emulated kernel latency per device, in seconds per launch
+_DELAYS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_run = SuperLaunch.run
+
+
+def _lagged_run(self, scratch_map):
+    """``SuperLaunch.run`` after sleeping every segment's device latency
     (``time.sleep`` releases the GIL, like a long-running kernel)."""
-
-    def __init__(self, gpu, delay: float) -> None:
-        self._gpu = gpu
-        self._delay = delay
-
-    def launch(self, batch):
-        time.sleep(self._delay)
-        return self._gpu.launch(batch)
-
-    def reset(self) -> None:
-        self._gpu.reset()
-
-    def __getattr__(self, name):
-        return getattr(self._gpu, name)
+    time.sleep(sum(_DELAYS.get(seg.gpu, 0.0) for seg in self.segments))
+    return _run(self, scratch_map)
 
 
 def make_jobs(spec: list[dict]):
@@ -88,14 +89,15 @@ def make_jobs(spec: list[dict]):
             batch=BatchSearchConfig(batch_flip_factor=1.0),
         )
         solver = DABSSolver(model, cfg, seed=SEED + i)
-        solver.gpus = [LaggyGPU(gpu, item["delay"]) for gpu in solver.gpus]
+        for gpu in solver.gpus:
+            _DELAYS[gpu] = item["delay"]
         jobs.append((solver, item))
     return jobs
 
 
 def run_sequential(spec: list[dict]) -> dict:
     """One solve() after another — the single-tenant baseline, each job
-    alone on a one-job service with one lane per device.
+    alone on a one-job service.
 
     Solver construction/preparation happens outside the timed window in
     both modes: the benchmark measures scheduling, and the service's
@@ -146,14 +148,18 @@ def run_service(spec: list[dict], devices: int) -> dict:
 
 
 def run_workload(name: str, spec: list[dict], devices: int, repeats: int = 1):
-    seq = max(
-        (run_sequential(spec) for _ in range(repeats)),
-        key=lambda row: row["lps"],
-    )
-    svc = max(
-        (run_service(spec, devices) for _ in range(repeats)),
-        key=lambda row: row["lps"],
-    )
+    SuperLaunch.run = _lagged_run
+    try:
+        seq = max(
+            (run_sequential(spec) for _ in range(repeats)),
+            key=lambda row: row["lps"],
+        )
+        svc = max(
+            (run_service(spec, devices) for _ in range(repeats)),
+            key=lambda row: row["lps"],
+        )
+    finally:
+        SuperLaunch.run = _run
     return {
         "name": name,
         "spec": spec,
@@ -197,11 +203,15 @@ def render(workload: dict) -> str:
         "# Service throughput: multi-tenant multiplexing vs sequential solve()",
         "",
         "Mixed workload of small and large instances, each requesting an "
-        "instance-sized device count; per-launch device latency emulated "
-        "with GIL-releasing sleeps (same technique as "
-        "`bench_async_engine`).  Both modes run identical solvers, seeds "
+        "instance-sized device count; device latency emulated with a "
+        "GIL-releasing sleep of each segment's delay inside every "
+        "`SuperLaunch.run`.  Both modes run identical solvers, seeds "
         "and per-job launch budgets; `launches/s` counts collected device "
         "launches per second of whole-workload wall time.",
+        "",
+        "This measures scheduling under emulated latency, not speed: "
+        "without the sleeps the kernels share the host's cores and the "
+        "ratio is about 1×, so it is no performance claim.",
         "",
         f"Workload `{workload['name']}` on a {workload['devices']}-lane "
         f"fleet: {describe(workload['spec'])}",

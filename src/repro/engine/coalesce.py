@@ -64,7 +64,6 @@ import numpy as np
 from repro.core.delta import BatchDeltaState
 from repro.core.packet import MainAlgorithm, PacketBatch
 from repro.core.rng import XorShift64Star
-from repro.gpu.virtual_gpu import VirtualGPU
 from repro.resilience import chaos
 from repro.resilience.chaos import ChaosError
 from repro.search.batch import BestTracker
@@ -75,22 +74,8 @@ __all__ = [
     "PackSegment",
     "SegmentResult",
     "SuperLaunch",
-    "pack_key",
     "run_pack",
 ]
-
-def pack_key(gpu):
-    """The compatibility key under which *gpu*'s launches may coalesce.
-
-    The device's own :attr:`~repro.gpu.virtual_gpu.VirtualGPU.pack_key`,
-    and ``None`` for anything that is not a real
-    :class:`~repro.gpu.virtual_gpu.VirtualGPU` (tests and benchmarks wrap
-    devices in proxies; a proxy cannot honor the packed execution
-    contract, so it launches alone on a lane of its own).
-    """
-    if not isinstance(gpu, VirtualGPU):
-        return None
-    return gpu.pack_key
 
 
 class PackSegment:

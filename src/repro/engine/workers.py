@@ -73,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.packet import PacketBatch
-from repro.engine.coalesce import PackSegment, SuperLaunch, pack_key, run_pack
+from repro.engine.coalesce import PackSegment, SuperLaunch, run_pack
 from repro.resilience import chaos
 from repro.resilience.chaos import ChaosError
 from repro.resilience.policy import FailureReport, RetryPolicy
@@ -143,36 +143,25 @@ def run_launch(pack: SuperLaunch, scratch: dict, on_split=None) -> list:
     pack-fault rule (:func:`~repro.engine.coalesce.run_pack`) ends that
     segment with.
 
-    A device without a pack key — a test or benchmark proxy — never
-    packs: its one-segment pack runs through its own ``gpu.launch``, and
-    an exception there ends the whole launch.  Truncations are read as
-    deltas of each device's counters.
+    Truncations are read as deltas of each device's counters, which a
+    launch advances once, in ``VirtualGPU.commit_packed``.
     """
     before = {
         id(seg): (seg.gpu.greedy_truncations, seg.gpu.truncation_events)
         for seg in pack.segments
     }
-    seg = pack.segments[0]
-    if pack_key(seg.gpu) is None:
-        outputs = [(seg, seg.gpu.launch(seg.batch))]
-    else:
-        outputs = [
-            (seg, done if isinstance(done, Exception) else (done.result, done.flips))
-            for seg, done in run_pack(pack, scratch, on_split)
-        ]
     outcomes = []
-    for seg, done in outputs:
+    for seg, done in run_pack(pack, scratch, on_split):
         if isinstance(done, Exception):
             outcomes.append(_Failure(seg.device_id, done, seg.tag, seg))
             continue
-        result, flips = done
         trunc0, events0 = before[id(seg)]
         outcomes.append(
             LaunchCompletion(
                 seg.device_id,
                 seg.seq,
-                result,
-                flips,
+                done.result,
+                done.flips,
                 seg.gpu.greedy_truncations - trunc0,
                 seg.gpu.truncation_events - events0,
                 seg.tag,

@@ -44,6 +44,7 @@ from repro.backends.base import BackendFallbackWarning
 from repro.core.packet import MainAlgorithm, PacketBatch
 from repro.core.qubo import QUBOModel
 from repro.core.rng import spawn_device_seeds
+from repro.engine.coalesce import PackSegment, SuperLaunch, run_pack
 from repro.gpu.device import DeviceSpec
 from repro.search import build_main_algorithms
 from repro.search.batch import BatchSearchConfig
@@ -155,9 +156,6 @@ class VirtualGPU:
         pack-fault rule: a backend failure degrades the device once (when
         fallback is enabled) and re-runs it; a second failure propagates.
         """
-        # the pack executor builds on this module
-        from repro.engine.coalesce import PackSegment, SuperLaunch, run_pack
-
         pack = SuperLaunch([PackSegment(0, 0, self, batch, None)])
         ((_, done),) = run_pack(pack, self._pack_scratch)
         if isinstance(done, Exception):

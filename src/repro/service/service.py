@@ -29,11 +29,9 @@ pools, limits and RNG stream) across it:
 Execution model: one scheduler thread owns all solver-side state (pools,
 RNG, drivers) — the single-policy-thread rule of DESIGN.md §7 — while
 the fleet lanes run launches.  A job's per-device state is resident on
-lanes, as matrices are resident on a GPU.  A job whose devices share one
-non-``None`` pack key — every job of real virtual GPUs — always gets one
-lane, the least-populated: its devices are row ranges of one pack, so
-each round is one lane pass.  A job of keyless proxy devices requesting
-``d`` devices gets ``d`` lane *affinities*, one per device.  Multiple jobs mapped to one lane
+one lane, the least-populated at admission, as matrices are resident on
+a GPU: its devices share one pack key and are row ranges of one pack,
+so each round is one lane pass.  Multiple jobs mapped to one lane
 interleave at launch granularity through the lane FIFO, and pack
 together when compatible, within ``coalesce_max_rows``.
 
@@ -64,7 +62,7 @@ import numpy as np
 from repro.core.packet import PacketBatch
 from repro.core.qubo import require_integer_weights
 from repro.engine.async_engine import VirtualTimeReplay
-from repro.engine.coalesce import PackSegment, pack_key
+from repro.engine.coalesce import PackSegment
 from repro.engine.workers import FleetWorkerGroup, WorkerError
 from repro.resilience import RetryPolicy
 from repro.service.cache import ProblemCache
@@ -135,7 +133,7 @@ class _Job:
         "solver",
         "driver",
         "replay",
-        "lanes",
+        "lane",
         "dev_seq",
         "dev_inflight",
         "inflight",
@@ -164,7 +162,7 @@ class _Job:
         self.solver = None
         self.driver = None
         self.replay = None
-        self.lanes = ()
+        self.lane = None
         self.dev_seq = []
         self.dev_inflight = []
         self.inflight = 0
@@ -202,7 +200,7 @@ class _Job:
         if self.virtual_time:
             return self.replay.stopped
         return not any(
-            self.driver.can_submit(d) for d in range(len(self.lanes))
+            self.driver.can_submit(d) for d in range(len(self.dev_seq))
         )
 
     def halt(self) -> None:
@@ -261,7 +259,6 @@ class SolveService:
         #: throughput with (monotonic over the service lifetime)
         self._lane_launches = [0] * devices
         self._lane_completed = [0] * devices
-        self._lane_population = [0] * devices
         #: continuous-batching counters (DESIGN.md §12): super-launches
         #: issued, launches packed into them and total packed rows, per
         #: lane; ``_pack_rows_max`` is the largest single pack seen
@@ -271,7 +268,8 @@ class SolveService:
         self._pack_rows_max = 0
         #: per-lane affinity index: the (job, device) pairs resident on
         #: each lane (scheduler-thread writes; fixed between admission
-        #: and finalization, so _refill never rescans all jobs)
+        #: and finalization, so _refill never rescans all jobs); its
+        #: length is the lane's population
         self._lane_members: list[list[tuple[_Job, int]]] = [
             [] for _ in range(devices)
         ]
@@ -374,8 +372,8 @@ class SolveService:
 
         The solver (pools, per-device state) is constructed at admission
         on the scheduler thread, reusing the prepared-problem cache.
-        *devices* caps the fleet lanes the job occupies (default: the
-        config's ``num_gpus``, clamped to the fleet); *share* weights its
+        *devices* is the job's device count (default: the config's
+        ``num_gpus``), clamped to the fleet size; *share* weights its
         launch rate against other tenants of the same *priority*.
         ``block=False`` raises :class:`ServiceOverloadedError` instead of
         waiting when ``max_queue`` is reached.  A fractional-weight model
@@ -497,7 +495,7 @@ class SolveService:
                 "status": job.handle.status,
                 "priority": job.priority,
                 "share": job.share,
-                "devices": len(job.lanes),
+                "devices": len(job.dev_seq),
                 "launches_submitted": job.assigned,
                 "launches_completed": job.completed,
                 "inflight": job.inflight,
@@ -644,23 +642,15 @@ class SolveService:
         job.weighted = min(
             (other.weighted for other in self._active.values()), default=0.0
         )
-        # a job whose devices share one pack key runs each round as one
-        # lane pass: all of its devices share one lane, and each device is
-        # a row range of the pack (DESIGN.md §12); keyless proxies take one
-        # lane each
-        keys = {pack_key(gpu) for gpu in job.solver.gpus}
-        one_lane = len(keys) == 1 and None not in keys
         with self._lock:
             # affinity: the job's per-device state is resident on the
-            # least-populated lanes, like matrices resident on a GPU
-            order = sorted(
+            # least-populated lane, and each round is one lane pass — its
+            # devices are row ranges of one pack (DESIGN.md §12)
+            job.lane = min(
                 range(self.num_devices),
-                key=lambda lane: (self._lane_population[lane], lane),
+                key=lambda lane: (len(self._lane_members[lane]), lane),
             )
-            job.lanes = (order[0],) * num if one_lane else tuple(order[:num])
-            for device_id, lane in enumerate(job.lanes):
-                self._lane_population[lane] += 1
-                self._lane_members[lane].append((job, device_id))
+            self._lane_members[job.lane] += [(job, d) for d in range(num)]
             self._active[job.id] = job
 
     def _apply_cancels(self) -> None:
@@ -705,11 +695,8 @@ class SolveService:
                 # continuous batching (DESIGN.md §12): fill the lane slot
                 # with every pack-compatible co-tenant launch, in the same
                 # fair order fair_pick would have served them
-                key = pack_key(gpu)
-                if key is not None and len(candidates) > 1:
-                    self._gather_pack_mates(
-                        job, device_id, key, candidates, segments, seg_jobs
-                    )
+                if len(candidates) > 1:
+                    self._gather_pack_mates(job, device_id, candidates, segments, seg_jobs)
                 self._group.submit_packed(lane, segments)
                 for seg, seg_job in zip(segments, seg_jobs):
                     seg_job.started = True
@@ -733,9 +720,7 @@ class SolveService:
                         if rows > self._pack_rows_max:
                             self._pack_rows_max = rows
 
-    def _gather_pack_mates(
-        self, head, head_device, key, candidates, segments, seg_jobs
-    ) -> None:
+    def _gather_pack_mates(self, head, head_device, candidates, segments, seg_jobs) -> None:
         """Extend a pack with compatible mates from *candidates*.
 
         Mates join in fair-share order (the order repeated ``fair_pick``
@@ -745,6 +730,7 @@ class SolveService:
         row total must stay within both the head's and each mate's
         ``coalesce_max_rows``.
         """
+        key = segments[0].gpu.pack_key
         rows = segments[0].gpu.num_blocks
         head_cap = head.solver.config.coalesce_max_rows
         mates = sorted(
@@ -758,7 +744,7 @@ class SolveService:
         for job, device_id in mates:
             cfg = job.solver.config
             gpu = job.solver.gpus[device_id]
-            if pack_key(gpu) != key:  # also rejects stub devices
+            if gpu.pack_key != key:
                 continue
             if rows + gpu.num_blocks > min(head_cap, cfg.coalesce_max_rows):
                 continue
@@ -781,10 +767,9 @@ class SolveService:
         job = self._jobs.get(job_id)
         if job is None:
             return
-        lane = job.lanes[device_id]
         with self._lock:
-            self._lane_inflight[lane] -= 1
-            self._lane_completed[lane] += 1
+            self._lane_inflight[job.lane] -= 1
+            self._lane_completed[job.lane] += 1
         job.inflight -= 1
         job.dev_inflight[device_id] -= 1
         job.completed += 1
@@ -830,12 +815,8 @@ class SolveService:
         in-flight launches (only this job's device state is touched).
         The 3-element tag marks reset failures, which hold no launch slot.
         """
-        for device_id, lane in enumerate(job.lanes):
-            self._group.run_on(
-                lane,
-                job.solver.gpus[device_id].reset,
-                tag=(job.id, device_id, "reset"),
-            )
+        for device_id, gpu in enumerate(job.solver.gpus):
+            self._group.run_on(job.lane, gpu.reset, tag=(job.id, device_id, "reset"))
 
     def _on_worker_error(self, err: WorkerError) -> None:
         if err.tag is None:  # pragma: no cover - untagged lane failure
@@ -849,9 +830,8 @@ class SolveService:
             return
         # a failed one-job pack ends one launch per segment
         for _, device_id in err.tags:
-            lane = job.lanes[device_id]
             with self._lock:
-                self._lane_inflight[lane] -= 1
+                self._lane_inflight[job.lane] -= 1
             job.inflight -= 1
             job.dev_inflight[device_id] -= 1
         if not job.finalized:
@@ -908,21 +888,14 @@ class SolveService:
         # requires inflight == 0), so the registry entry — and with it the
         # job's solver state — is dropped; the handle keeps the result
         self._jobs.pop(job.id, None)
-        for lane in job.lanes:
-            self._lane_population[lane] -= 1
-            self._lane_members[lane] = [
-                member for member in self._lane_members[lane]
-                if member[0] is not job
-            ]
-        # the lane frees the pack buffers nothing queued can use: it keeps
-        # its remaining jobs' and the cached problems' (DESIGN.md §12)
-        kernels = self.cache.kernels()
-        for lane in set(job.lanes):
-            keys = {
-                pack_key(member.solver.gpus[device_id])
-                for member, device_id in self._lane_members[lane]
-            }
-            self._group.free_buffers(lane, keys, kernels)
+        lane = job.lane
+        if lane is not None:  # admitted: release its lane
+            members = [m for m in self._lane_members[lane] if m[0] is not job]
+            self._lane_members[lane] = members
+            # the lane frees the pack buffers nothing queued can use: it
+            # keeps its remaining jobs' and the cached problems' (DESIGN.md §12)
+            keys = {member.solver.gpus[d].pack_key for member, d in members}
+            self._group.free_buffers(lane, keys, self.cache.kernels())
         self._outstanding -= 1
         self._space.notify_all()
         job.handle._finalize(status, result, error)

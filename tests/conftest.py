@@ -26,34 +26,27 @@ def random_qubo(n: int, seed: int, density: float = 1.0, wmax: int = 9) -> QUBOM
     return QUBOModel(np.triu(mat))
 
 
-class KeylessGPU:
-    """Proxy device without a pack key.
+@pytest.fixture
+def device_hooks(monkeypatch):
+    """Per-device hooks on the one launch executor: map a device to a
+    callable that every ``SuperLaunch.run`` holding one of the device's
+    segments calls first, once per segment, in segment order.  A hook
+    that sleeps emulates kernel latency; one that blocks is a hang; one
+    that raises is a device fault."""
+    from repro.engine.coalesce import SuperLaunch
 
-    Only a real :class:`~repro.gpu.virtual_gpu.VirtualGPU` has one, so the
-    service gives each proxy a lane of its own and never packs its
-    launches; each launch is still the device's own one-kernel launch.
-    """
+    hooks = {}
+    run = SuperLaunch.run
 
-    def __init__(self, gpu) -> None:
-        self._gpu = gpu
+    def hooked(self, scratch_map):
+        for seg in self.segments:
+            hook = hooks.get(seg.gpu)
+            if hook is not None:
+                hook()
+        return run(self, scratch_map)
 
-    def launch(self, batch):
-        return self._gpu.launch(batch)
-
-    def reset(self) -> None:
-        self._gpu.reset()
-
-    def __getattr__(self, name):
-        return getattr(self._gpu, name)
-
-
-def keyless(solver, devices=None):
-    """Wrap *solver*'s devices (all, or the indices in *devices*) in
-    :class:`KeylessGPU` proxies; returns the solver."""
-    for i, gpu in enumerate(solver.gpus):
-        if devices is None or i in devices:
-            solver.gpus[i] = KeylessGPU(gpu)
-    return solver
+    monkeypatch.setattr(SuperLaunch, "run", hooked)
+    return hooks
 
 
 @pytest.fixture

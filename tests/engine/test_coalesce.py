@@ -19,13 +19,13 @@ from repro.backends import BackendFallbackWarning, prepare_problem
 from repro.core.packet import MainAlgorithm, PacketBatch
 from repro.core.qubo import QUBOModel
 from repro.core.rng import host_generator
-from repro.engine.coalesce import PackSegment, SuperLaunch, pack_key
+from repro.engine.coalesce import PackSegment, SuperLaunch
 from repro.engine.workers import FleetWorkerGroup, WorkerError
 from repro.gpu.device import DeviceSpec
 from repro.gpu.virtual_gpu import VirtualGPU
 from repro.resilience import ChaosConfig, RetryPolicy, chaos
 from repro.search.batch import BatchSearchConfig
-from tests.conftest import KeylessGPU, random_qubo, with_native
+from tests.conftest import random_qubo, with_native
 
 BACKENDS = with_native("numpy-dense", "numpy-sparse")
 ALL_ALGS = list(MainAlgorithm)
@@ -111,9 +111,9 @@ class TestPackedParity:
         k = len(alg_lists)
         solo = make_fleet(backend_name, n, blocks, k, density=density)
         packed = make_fleet(backend_name, n, blocks, k, density=density)
-        key = pack_key(packed[0])
+        key = packed[0].pack_key
         assert key is not None
-        assert all(pack_key(gpu) == key for gpu in packed)
+        assert all(gpu.pack_key == key for gpu in packed)
 
         scratch = {}
         # consecutive launches: device state (X, RNG lanes, cursors) must
@@ -142,12 +142,12 @@ class TestPackKey:
 
     def test_same_prepared_problem_shares_a_key(self):
         gpus = make_fleet("numpy-dense", 16, 4, 2)
-        assert pack_key(gpus[0]) == pack_key(gpus[1]) is not None
+        assert gpus[0].pack_key == gpus[1].pack_key is not None
 
     def test_different_kernels_do_not_match(self):
         a = make_fleet("numpy-dense", 16, 4, 1, seed=3)[0]
         b = make_fleet("numpy-dense", 16, 4, 1, seed=4)[0]
-        assert pack_key(a) != pack_key(b)
+        assert a.pack_key != b.pack_key
 
     def test_different_search_config_does_not_match(self):
         model = random_qubo(16, seed=3)
@@ -164,12 +164,7 @@ class TestPackKey:
             )
             for factor in (1.0, 2.0)
         ]
-        assert pack_key(gpus[0]) != pack_key(gpus[1])
-
-    def test_keyless_proxy_is_not_packable(self):
-        gpu = make_fleet("numpy-dense", 16, 4, 1)[0]
-        assert pack_key(gpu) is not None
-        assert pack_key(KeylessGPU(gpu)) is None
+        assert gpus[0].pack_key != gpus[1].pack_key
 
     def test_float_model_is_refused(self):
         """A device never holds a float model, so it always has a key."""
@@ -183,12 +178,6 @@ class TestPackKey:
                 tuple(MainAlgorithm),
                 host_generator(1),
             )
-
-    def test_stub_device_is_not_packable(self):
-        class Stub:
-            pass
-
-        assert pack_key(Stub()) is None
 
 
 def collect(group, want, timeout=30.0):

@@ -206,23 +206,22 @@ class TestInlineGroup:
             FleetWorkerGroup(0, retry=RetryPolicy(max_retries=1))
 
 
-class _CountingGPU:
-    """Stand-in device: truncates two rows in one event per launch."""
-
-    def __init__(self):
-        self.greedy_truncations = 5
-        self.truncation_events = 0
-
-    def launch(self, batch):
-        self.greedy_truncations += 2
-        self.truncation_events += 1
-        return batch, np.zeros(1, dtype=np.int64)
-
-
 class TestRunLaunch:
-    def test_truncations_are_device_counter_deltas(self):
-        gpu = _CountingGPU()
-        (completion,) = run_launch(SuperLaunch([PackSegment(0, 1, gpu, "x", None)]), {})
-        assert (completion.device_id, completion.seq, completion.batch) == (0, 1, "x")
+    def test_truncations_are_device_counter_deltas(self, monkeypatch):
+        """A completion carries what its launch added to the device's
+        truncation counters at the commit seam."""
+        gpu, batch = make_gpu(), make_batch()
+        gpu.greedy_truncations = 5
+        commit = gpu.commit_packed
+
+        def truncating(*args):
+            gpu.greedy_truncations += 2
+            gpu.truncation_events += 1
+            return commit(*args)
+
+        monkeypatch.setattr(gpu, "commit_packed", truncating)
+        (completion,) = run_launch(SuperLaunch([PackSegment(0, 1, gpu, batch, "t")]), {})
+        assert (completion.device_id, completion.seq, completion.tag) == (0, 1, "t")
         assert completion.truncations == 2
         assert completion.truncation_events == 1
+        assert gpu.launch_count == 1

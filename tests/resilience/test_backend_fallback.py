@@ -15,12 +15,16 @@ from repro.backends import (
 )
 from repro.core.packet import MainAlgorithm, PacketBatch
 from repro.core.rng import host_generator
+from repro.engine.coalesce import SuperLaunch
 from repro.gpu.device import DeviceSpec
 from repro.gpu.virtual_gpu import VirtualGPU
+from repro.problems.gset import g22_like
+from repro.problems.maxcut import maxcut_to_qubo
 from repro.resilience import ChaosConfig, RetryPolicy, chaos
 from repro.resilience.chaos import ChaosError
 from repro.search.batch import BatchSearchConfig
 from repro.service import SolveService
+from repro.solver.abs_solver import ABSSolver
 from repro.solver.dabs import DABSConfig, DABSSolver
 from tests.conftest import random_qubo
 from tests.resilience.conftest import CHAOS_SEED
@@ -170,3 +174,66 @@ class TestVirtualTimeBitExactness:
         assert faulted.launches == baseline.launches
         assert faulted.rounds == baseline.rounds
         assert not faulted.degraded
+
+    @pytest.mark.parametrize("cls", [DABSSolver, ABSSolver], ids=["dabs", "abs"])
+    @pytest.mark.parametrize(
+        "overrides, limits",
+        [
+            ({}, dict(max_rounds=8)),
+            ({}, dict(max_launches=7)),  # ends inside a round
+            (dict(restart_after_stall=1), dict(max_rounds=10)),
+        ],
+        ids=["rounds", "launch-budget-mid-round", "stall-restarts"],
+    )
+    def test_retry_out_of_device_order_matches_fault_free_solve(
+        self, monkeypatch, cls, overrides, limits
+    ):
+        """Under a solo row budget each device launches as its own pack on
+        the job's one lane.  Only device 0's first launch faults, so its
+        retry queues behind device 1's launch and round 1 completes out
+        of device order; the replay merges it back bit-exactly.  The two
+        devices' round-1 bests differ on this instance, so a merge in
+        arrival order changes the improvement history."""
+        model = maxcut_to_qubo(g22_like(160, seed=20))
+        cfg = DABSConfig(
+            **self.CFG,
+            coalesce_max_rows=self.CFG["blocks_per_gpu"],
+            batch=BatchSearchConfig(batch_flip_factor=0.5),
+            **overrides,
+        )
+        baseline = cls(model, cfg, seed=5).solve(**limits)
+        assert baseline.retries == 0
+
+        ran = []
+        run = SuperLaunch.run
+
+        def recorded(self, scratch_map):
+            ran.append([seg.device_id for seg in self.segments])
+            return run(self, scratch_map)
+
+        monkeypatch.setattr(SuperLaunch, "run", recorded)
+        chaos.install(
+            ChaosConfig(
+                rates={"launch_exception": 1.0},
+                seed=CHAOS_SEED,
+                target=0,
+                max_faults=1,
+            )
+        )
+        with SolveService(2, retry=self.RETRY) as service:
+            faulted = cls(model, cfg, seed=5).solve(service=service, **limits)
+        assert ran[:2] == [[1], [0]]  # device 1 completed first
+        assert faulted.retries == 1
+        assert faulted.best_energy == baseline.best_energy
+        assert np.array_equal(faulted.best_vector, baseline.best_vector)
+        assert faulted.total_flips == baseline.total_flips
+        assert faulted.launches == baseline.launches
+        assert faulted.rounds == baseline.rounds
+        assert faulted.restarts == baseline.restarts
+        assert [(e.round, e.energy) for e in faulted.history] == [
+            (e.round, e.energy) for e in baseline.history
+        ]
+        if overrides:
+            assert faulted.restarts >= 1
+        if "max_launches" in limits:
+            assert faulted.launches == 8

@@ -163,29 +163,22 @@ class TestFleetRetry:
             group.forget("job")
             assert group.retry_counts == {} and group._fault_counts == {}
 
-    def test_slow_launch_is_quarantined_and_late_result_delivered(self):
+    def test_slow_launch_is_quarantined_and_late_result_delivered(self, device_hooks):
         """launch_timeout respawns the lane, but the overdue launch is
         NOT re-issued while its abandoned thread still owns the gpu: the
         reaper waits for the thread to exit and the (bit-exact) late
         result is delivered — the launch runs exactly once, so two
         threads never mutate the same device state."""
-        inner = make_gpu()
         expect, expect_flips = make_gpu().launch(make_batch())
+        gpu = make_gpu()
+        calls = []
 
-        class SlowOnce:
-            greedy_truncations = 0
-            truncation_events = 0
+        def slow_once():
+            calls.append(1)
+            if len(calls) == 1:
+                time.sleep(1.0)
 
-            def __init__(self):
-                self.calls = 0
-
-            def launch(self, batch):
-                self.calls += 1
-                if self.calls == 1:
-                    time.sleep(1.0)
-                return inner.launch(batch)
-
-        gpu = SlowOnce()
+        device_hooks[gpu] = slow_once
         retry = RetryPolicy(
             max_retries=2,
             backoff_base=0.0,
@@ -197,31 +190,24 @@ class TestFleetRetry:
             completion = collect_one(group)
             assert np.array_equal(completion.batch.vectors, expect.vectors)
             assert np.array_equal(completion.flips, expect_flips)
-            assert gpu.calls == 1  # never re-issued concurrently
+            assert len(calls) == 1  # never re-issued concurrently
             assert group.respawns == 1 and group.retries == 0
 
-    def test_preempted_hang_is_retried_bit_exactly(self):
+    def test_preempted_hang_is_retried_bit_exactly(self, device_hooks):
         """A hang that ends in an exception is a pre-empted launch: once
         the abandoned thread has exited, the re-issue on the fresh lane
         is bit-identical to a fault-free run."""
-        inner = make_gpu()
         expect, expect_flips = make_gpu().launch(make_batch())
+        gpu = make_gpu()
+        calls = []
 
-        class HangThenRaise:
-            greedy_truncations = 0
-            truncation_events = 0
+        def hang_then_raise():
+            calls.append(1)
+            if len(calls) == 1:
+                time.sleep(0.5)
+                raise RuntimeError("kernel wedged, then died")
 
-            def __init__(self):
-                self.calls = 0
-
-            def launch(self, batch):
-                self.calls += 1
-                if self.calls == 1:
-                    time.sleep(0.5)
-                    raise RuntimeError("kernel wedged, then died")
-                return inner.launch(batch)
-
-        gpu = HangThenRaise()
+        device_hooks[gpu] = hang_then_raise
         retry = RetryPolicy(
             max_retries=2,
             backoff_base=0.0,
@@ -233,25 +219,18 @@ class TestFleetRetry:
             completion = collect_one(group)
             assert np.array_equal(completion.batch.vectors, expect.vectors)
             assert np.array_equal(completion.flips, expect_flips)
-            assert gpu.calls == 2
+            assert len(calls) == 2
             assert group.respawns == 1 and group.retries == 1
 
-    def test_wedged_launch_fails_hang_and_lane_survives(self):
+    def test_wedged_launch_fails_hang_and_lane_survives(self, device_hooks):
         """A thread that outlives hang_grace is unrecoverable: its
         launch fails with a kind="hang" report (never re-issued — the
         live thread still owns that gpu) while the respawned lane keeps
         serving other tenants."""
         release = threading.Event()
-        inner = make_gpu()
         expect, _ = make_gpu().launch(make_batch())
-
-        class Wedged:
-            greedy_truncations = 0
-            truncation_events = 0
-
-            def launch(self, batch):
-                release.wait(30.0)
-                return inner.launch(batch)
+        wedged = make_gpu()
+        device_hooks[wedged] = lambda: release.wait(30.0)
 
         retry = RetryPolicy(
             max_retries=5,
@@ -262,7 +241,7 @@ class TestFleetRetry:
         try:
             with FleetWorkerGroup(1, retry=retry) as group:
                 group.submit_launch(
-                    0, 0, 1, Wedged(), make_batch(), tag="stuck"
+                    0, 0, 1, wedged, make_batch(), tag="stuck"
                 )
                 with pytest.raises(WorkerError) as excinfo:
                     collect_one(group)
@@ -281,21 +260,14 @@ class TestFleetRetry:
         finally:
             release.set()
 
-    def test_seized_cotenant_launch_survives_a_fatal_hang(self):
+    def test_seized_cotenant_launch_survives_a_fatal_hang(self, device_hooks):
         """One job's unrecoverable hang must not strand the co-tenant
         launches seized with the lane: they re-issue on the fresh
         executor and complete while the wedged job fails alone."""
         release = threading.Event()
-        inner = make_gpu()
         expect, expect_flips = make_gpu().launch(make_batch())
-
-        class Wedged:
-            greedy_truncations = 0
-            truncation_events = 0
-
-            def launch(self, batch):
-                release.wait(30.0)
-                return inner.launch(batch)
+        wedged = make_gpu()
+        device_hooks[wedged] = lambda: release.wait(30.0)
 
         retry = RetryPolicy(
             max_retries=5,
@@ -306,7 +278,7 @@ class TestFleetRetry:
         try:
             with FleetWorkerGroup(1, retry=retry) as group:
                 group.submit_launch(
-                    0, 0, 1, Wedged(), make_batch(), tag="a"
+                    0, 0, 1, wedged, make_batch(), tag="a"
                 )
                 group.submit_launch(
                     0, 1, 1, make_gpu(), make_batch(), tag="b"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import replace
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,7 +33,7 @@ from repro.service import service as service_module
 from repro.service.service import fair_pick
 from repro.solver.abs_solver import ABSSolver
 from repro.solver.dabs import DABSConfig, DABSSolver
-from tests.conftest import keyless, random_qubo
+from tests.conftest import random_qubo
 
 BASE = dict(num_gpus=2, blocks_per_gpu=4, pool_capacity=10)
 
@@ -47,29 +48,26 @@ def leaked_workers():
     ]
 
 
-class SleepyGPU:
-    """Proxy device adding fixed kernel latency (GIL-releasing sleeps),
-    emulating a busy GPU so scheduling decisions are observable."""
+@pytest.fixture
+def sleepy(device_hooks):
+    """Give a solver's devices fixed kernel latency (a GIL-releasing sleep
+    per launch), emulating a busy GPU so scheduling decisions are
+    observable; returns the solver."""
 
-    def __init__(self, gpu, delay: float) -> None:
-        self._gpu = gpu
-        self._delay = delay
+    def slow(solver, delay: float):
+        for gpu in solver.gpus:
+            device_hooks[gpu] = partial(time.sleep, delay)
+        return solver
 
-    def launch(self, batch):
-        time.sleep(self._delay)
-        return self._gpu.launch(batch)
-
-    def reset(self) -> None:
-        self._gpu.reset()
-
-    def __getattr__(self, name):
-        return getattr(self._gpu, name)
+    return slow
 
 
-def sleepy_solver(model, delay: float, seed: int = 0, **cfg) -> DABSSolver:
-    solver = DABSSolver(model, DABSConfig(**{**BASE, **cfg}), seed=seed)
-    solver.gpus = [SleepyGPU(gpu, delay) for gpu in solver.gpus]
-    return solver
+@pytest.fixture
+def sleepy_solver(sleepy):
+    def build(model, delay: float, seed: int = 0, **cfg) -> DABSSolver:
+        return sleepy(DABSSolver(model, DABSConfig(**{**BASE, **cfg}), seed=seed), delay)
+
+    return build
 
 
 class TestRoundTrip:
@@ -344,41 +342,6 @@ class TestVirtualTimeParity:
         if case.endswith("-mid-round"):
             assert via.launches == 8
 
-    @pytest.mark.parametrize("cls", [DABSSolver, ABSSolver], ids=["dabs", "abs"])
-    @pytest.mark.parametrize(
-        "overrides, limits",
-        [
-            ({}, dict(max_rounds=8)),
-            ({}, dict(max_launches=7)),  # ends inside a round
-            (dict(restart_after_stall=2), dict(max_rounds=10)),
-        ],
-        ids=["rounds", "launch-budget-mid-round", "stall-restarts"],
-    )
-    def test_multi_lane_job_matches_direct_solve(self, cls, overrides, limits):
-        """Devices without a pack key (proxies) take one lane each, so a
-        round's launches run concurrently and complete in any order;
-        round r+1 goes out when round r folds, bit-exact with the direct
-        solve."""
-        model = random_qubo(16, seed=20)
-        cfg = DABSConfig(**dict(PARITY_BASE, **overrides))
-
-        def build(config):
-            return keyless(cls(model, config, seed=5))
-
-        direct_solver = build(cfg)
-        direct = direct_solver.solve(**limits)
-        via_solver = build(replace(cfg, virtual_time=True))
-        with SolveService(cfg.num_gpus) as service:
-            via = via_solver.solve(service=service, **limits)
-            stats = service.stats_snapshot()
-        assert_same_solve(direct_solver, direct, via_solver, via)
-        assert stats.lane_launches == (via.rounds,) * cfg.num_gpus
-        assert stats.coalesce.packs == 0
-        if overrides:
-            assert via.restarts >= 1
-        if "max_launches" in limits:
-            assert via.launches == 8
-
     def test_one_job_round_is_one_pack(self):
         """A packable one-job service runs each round as one lane pass:
         ``R`` rounds on 2 devices are ``R`` packs of 2 segments on one
@@ -430,6 +393,65 @@ class TestVirtualTimeParity:
         ]
 
 
+class TestLanePlacement:
+    """A job lives on one lane: the one with the fewest resident devices
+    when it is admitted, ties to the lowest index."""
+
+    @pytest.mark.parametrize(
+        "devices, lanes",
+        [((2, 1, 1), (0, 1, 1)), ((1, 1, 1), (0, 1, 0)), ((1, 2, 1), (0, 1, 0))],
+        ids=["wide-first", "narrow", "wide-middle"],
+    )
+    def test_job_takes_the_least_populated_lane(self, monkeypatch, devices, lanes):
+        model = random_qubo(16, seed=22)
+        # admit every job in one scheduler pass, so each sees the others
+        gate = threading.Event()
+        admit = SolveService._admit
+        monkeypatch.setattr(
+            SolveService, "_admit", lambda self: gate.is_set() and admit(self)
+        )
+        with SolveService(devices=2, default_config=DABSConfig(**BASE)) as service:
+            handles = [
+                service.submit(model, max_rounds=3, seed=i, devices=d)
+                for i, d in enumerate(devices)
+            ]
+            gate.set()
+            results = [handle.result(timeout=60) for handle in handles]
+            stats = service.stats()
+        assert [r.launches for r in results] == [3 * d for d in devices]
+        expect = [0, 0]
+        for lane, result in zip(lanes, results):
+            expect[lane] += result.launches
+        assert stats["lane_launches"] == expect
+
+    def test_job_stats_count_devices_on_one_lane(self, sleepy_solver):
+        model = random_qubo(12, seed=23)
+        with SolveService(devices=2, max_active=1) as service:
+            running = service.submit_solver(
+                sleepy_solver(model, 0.01, seed=0), max_rounds=500
+            )
+            queued = service.submit(model, max_rounds=1, seed=1)
+            while service.job_stats(running.job_id)["launches_submitted"] == 0:
+                time.sleep(0.005)
+            assert service.job_stats(running.job_id)["devices"] == 2
+            assert service.job_stats(queued.job_id)["devices"] == 0
+            running.cancel()
+            running.wait(timeout=60)
+            assert queued.result(timeout=60).launches == 2
+            stats = service.stats()
+        assert stats["lane_launches"][1] == 0
+
+    def test_submit_clamps_devices_to_the_fleet(self):
+        model = random_qubo(12, seed=24)
+        with SolveService(devices=2) as service:
+            result = service.submit(model, max_rounds=3, seed=0, devices=5).result(
+                timeout=60
+            )
+            stats = service.stats()
+        assert result.launches == 3 * 2
+        assert stats["lane_launches"] == [6, 0]
+
+
 class TestFairness:
     def test_fair_pick_priority_wins(self):
         high = SimpleNamespace(priority=2, weighted=100.0, seq=2)
@@ -451,7 +473,7 @@ class TestFairness:
         b = SimpleNamespace(priority=0, weighted=0.0, seq=2)
         assert fair_pick([(b, 0), (a, 0)]) == (a, 0)
 
-    def test_late_arrival_is_baselined_not_privileged(self):
+    def test_late_arrival_is_baselined_not_privileged(self, sleepy_solver):
         """A newcomer must share the lane with an established tenant, not
         starve it while catching up to the incumbent's lifetime total."""
         model = random_qubo(12, seed=7)
@@ -476,7 +498,7 @@ class TestFairness:
         # (~alternating); without the baseline it would receive none
         assert after - before >= 8, (before, after)
 
-    def test_share_weights_launch_rate(self):
+    def test_share_weights_launch_rate(self, sleepy_solver):
         """On one contended lane a share-3 job gets ~3× the launch rate:
         when it finishes its 30 launches the share-1 job should have been
         handed roughly 10."""
@@ -498,7 +520,7 @@ class TestFairness:
             slow.wait(timeout=60)
         assert 4 <= sampled <= 22, sampled
 
-    def test_priority_preempts_scheduling(self):
+    def test_priority_preempts_scheduling(self, sleepy_solver):
         """A high-priority arrival takes over the lane; the low-priority
         job barely advances until it completes."""
         model = random_qubo(12, seed=9)
@@ -522,7 +544,7 @@ class TestFairness:
 
 
 class TestCancellation:
-    def test_cancel_mid_flight_returns_partial_result(self):
+    def test_cancel_mid_flight_returns_partial_result(self, sleepy_solver):
         model = random_qubo(16, seed=10)
         with SolveService(devices=2) as service:
             handle = service.submit_solver(
@@ -540,12 +562,11 @@ class TestCancellation:
             assert again.result(timeout=60).launches == 4
         assert leaked_workers() == []
 
-    def test_cancel_virtual_time_job_discards_cleanly(self):
+    def test_cancel_virtual_time_job_discards_cleanly(self, sleepy):
         model = random_qubo(16, seed=11)
         cfg = DABSConfig(**BASE, virtual_time=True)
         with SolveService(devices=2) as service:
-            solver = DABSSolver(model, cfg, seed=0)
-            solver.gpus = [SleepyGPU(g, 0.01) for g in solver.gpus]
+            solver = sleepy(DABSSolver(model, cfg, seed=0), 0.01)
             handle = service.submit_solver(solver, max_rounds=500)
             assert next(iter(handle.incumbents(timeout=60))) is not None
             handle.cancel()
@@ -554,7 +575,7 @@ class TestCancellation:
             assert model.energy(result.best_vector) == result.best_energy
         assert leaked_workers() == []
 
-    def test_cancel_queued_job_never_starts(self):
+    def test_cancel_queued_job_never_starts(self, sleepy_solver):
         model = random_qubo(12, seed=12)
         with SolveService(devices=1, max_active=1) as service:
             running = service.submit_solver(
@@ -570,7 +591,7 @@ class TestCancellation:
             running.wait(timeout=60)
         assert leaked_workers() == []
 
-    def test_close_cancel_tears_everything_down(self):
+    def test_close_cancel_tears_everything_down(self, sleepy_solver):
         model = random_qubo(12, seed=13)
         service = SolveService(devices=2)
         handles = [
@@ -588,7 +609,7 @@ class TestCancellation:
 
 
 class TestAdmissionControl:
-    def test_nonblocking_submit_raises_when_full(self):
+    def test_nonblocking_submit_raises_when_full(self, sleepy_solver):
         model = random_qubo(12, seed=14)
         with SolveService(devices=1, max_queue=1) as service:
             long_job = service.submit_solver(
@@ -599,7 +620,7 @@ class TestAdmissionControl:
             long_job.cancel()
             long_job.wait(timeout=60)
 
-    def test_blocking_submit_times_out(self):
+    def test_blocking_submit_times_out(self, sleepy_solver):
         model = random_qubo(12, seed=15)
         with SolveService(devices=1, max_queue=1) as service:
             long_job = service.submit_solver(
@@ -629,19 +650,14 @@ class TestAdmissionControl:
 
 
 class TestFailureIsolation:
-    def test_device_fault_fails_only_that_job(self):
+    def test_device_fault_fails_only_that_job(self, device_hooks):
         model = random_qubo(12, seed=18)
-        bad = DABSSolver(model, DABSConfig(**BASE), seed=0)
+        bad = DABSSolver(model, DABSConfig(**BASE, backend_fallback=False), seed=0)
 
-        def boom(batch):
+        def boom():
             raise RuntimeError("device fault")
 
-        bad.gpus[0] = SimpleNamespace(
-            launch=boom,
-            reset=lambda: None,
-            greedy_truncations=0,
-            truncation_events=0,
-        )
+        device_hooks[bad.gpus[0]] = boom
         with SolveService(devices=2) as service:
             victim = service.submit_solver(bad, max_rounds=10)
             bystander = service.submit(model, max_rounds=5, seed=1)

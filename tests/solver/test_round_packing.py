@@ -6,9 +6,9 @@ lane and runs each round's pack-compatible devices as one
 contract under test: a packed solve is **bit-exact** against the same
 solve with every launch solo (``coalesce_max_rows=blocks_per_gpu``, a
 row budget of one device) — the result, the pools it leaves,
-and every device's persistent state — and devices without a pack key
-(proxies) keep launching solo.  A failing pack follows one rule on every path: the
-failure cases run direct and through a threaded one-job service.
+and every device's persistent state.  A failing pack follows one rule on
+every path: the failure cases run direct and through a threaded one-job
+service.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.search.batch import BatchSearchConfig
 from repro.service import SolveService
 from repro.solver.abs_solver import ABSSolver
 from repro.solver.dabs import DABSConfig, DABSSolver
-from tests.conftest import keyless, random_qubo, with_native
+from tests.conftest import random_qubo, with_native
 
 CFG = DABSConfig(
     num_gpus=3,
@@ -94,9 +94,7 @@ def solo_launches(monkeypatch):
     return seen
 
 
-def solve(
-    model, cfg, packed, seed, solver_cls=DABSSolver, prepare=None, path="direct"
-):
+def solve(model, cfg, packed, seed, solver_cls=DABSSolver, path="direct"):
     """Solve ``ROUNDS`` rounds directly, or (``path="served"``) as the
     virtual-time job of a threaded service sized to the solver.  Unpacked,
     the row budget of one device keeps every launch solo."""
@@ -104,8 +102,6 @@ def solve(
     if not packed:
         cfg = replace(cfg, coalesce_max_rows=cfg.blocks_per_gpu)
     solver = solver_cls(model, cfg, seed=seed)
-    if prepare is not None:
-        prepare(solver)
     if path == "served":
         with SolveService(cfg.num_gpus) as service:
             result = solver.solve(max_rounds=ROUNDS, service=service)
@@ -197,29 +193,6 @@ class TestPackedRoundParity:
         packed = solve(model, cfg, True, 7)
         assert_bit_exact(*solo, *packed)
         assert passes == per_round * ROUNDS
-
-    def test_keyless_devices_never_pack(self, packs, solo_launches):
-        model = random_qubo(16, seed=63)
-        _, result = solve(model, CFG, True, 0, prepare=keyless)
-        assert packs == []
-        assert len(solo_launches) == CFG.num_gpus * ROUNDS
-        assert model.energy(result.best_vector) == result.best_energy
-
-    def test_one_keyless_device_keeps_the_round_solo(self, packs, passes, solo_launches):
-        """A job with one keyless device spreads over lanes, so no device
-        of it packs; each still launches as its own one-kernel pass."""
-        model = random_qubo(16, seed=64)
-
-        def middle_keyless(solver):
-            keyless(solver, devices={1})
-
-        solo = solve(model, CFG, False, 2, prepare=middle_keyless)
-        del passes[:], solo_launches[:]
-        packed = solve(model, CFG, True, 2, prepare=middle_keyless)
-        assert_bit_exact(*solo, *packed)
-        assert packs == []
-        assert passes == [1, 1, 1] * ROUNDS
-        assert sorted(solo_launches) == sorted(["vgpu0", "vgpu1", "vgpu2"] * ROUNDS)
 
     @pytest.mark.parametrize("path", ["direct", "served"])
     def test_devices_build_no_pack_buffers(self, path):
