@@ -162,7 +162,22 @@ def run_full() -> None:
         ),
     ]
     report = render(rows)
-    path = save_report(report, "bench_resilience")
+    fleet, federation = rows
+    path = save_report(
+        report,
+        "bench_resilience",
+        metric="fleet_overhead",
+        value=fleet["overhead"],
+        baseline=SMOKE_MAX_OVERHEAD,
+        metrics={
+            "fleet_overhead": fleet["overhead"],
+            "fleet_bare_s": fleet["bare"],
+            "fleet_supervised_s": fleet["armed"],
+            "federation_overhead": federation["overhead"],
+            "federation_bare_s": federation["bare"],
+            "federation_supervised_s": federation["armed"],
+        },
+    )
     print(report)
     print(f"\nwrote {path}")
 

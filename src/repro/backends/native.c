@@ -1,11 +1,12 @@
 /*
  * Native phase kernels of the ``native`` backend (repro.backends.native).
  *
- * One call runs one whole search phase over a span of rows: each row walks
- * its own straight/greedy/main schedule in a register loop, as one CUDA
- * block does in the paper (§III).  Rows are independent in every phase, so
- * a call spreads them over a few threads (see dispatch) and the result is
- * bit-identical to the NumPy backends' lockstep loops whatever the split.
+ * One call runs one whole search phase, or the Δ/energy reset, over a span
+ * of rows: each row walks its own straight/greedy/main schedule in a
+ * register loop, as one CUDA block does in the paper (§III).  Rows are
+ * independent in every phase, so a call spreads them over a few threads
+ * (see dispatch) and the result is bit-identical to the NumPy backends'
+ * lockstep loops whatever the split.
  *
  * Bit-exactness rules (DESIGN.md §14):
  *   - the reference semantics are ported, not the NumPy tricks: every
@@ -48,20 +49,21 @@ typedef struct {
     const int64_t *indptr, *indices, *data;
 } csr_t;
 
-int64_t repro_native_abi(void) { return 2; }
+int64_t repro_native_abi(void) { return 3; }
 
 /* -- the row split ----------------------------------------------------------
  * A call's work is estimated as rows · n · steps, from the call's shape
  * alone: steps is n for the straight walk (at most n bits differ from the
  * target), n / 8 for the greedy descent (much shorter than n flips: about
  * n / 5 from a GA child, far fewer after a main phase) and the iterations
- * of a main phase.  Each thread gets at least WORK_PER_THREAD of it, about
+ * of a main phase; a reset's work is rows · (nnz + n), one pass over the
+ * couplings.  Each thread gets at least WORK_PER_THREAD of it, about
  * 0.2-0.8 ms at n = 512.  Starting and joining a thread costs ~35 µs on
  * an idle host, but waking a second CPU of a busy shared host can take
  * milliseconds, so only calls well above that split.  A stream-sized
  * call (n ≤ 96, 16 rows, main phases of up to 2n iterations) stays on
  * the calling thread, and a g22-sized straight walk or first greedy
- * descent (n = 512, 32 rows) spreads. */
+ * descent (n = 512, 32 rows) spreads; a g22-sized reset does not. */
 #define WORK_PER_THREAD ((int64_t)1 << 19)
 
 static int64_t allowed_cpus(void)
@@ -86,8 +88,8 @@ int64_t repro_threads(int64_t rows, int64_t work)
     return threads < rows ? threads : rows;
 }
 
-/* one phase call: its arguments and its per-row body, which workers
- * only read */
+/* one call: its arguments and its per-row body, which workers only
+ * read */
 typedef struct call {
     int64_t rows, n;
     csr_t s;
@@ -103,6 +105,7 @@ typedef struct call {
     uint8_t *truncated;     /* greedy */
     int64_t period, iterations; /* main */
     const int64_t *parts;       /* main */
+    const int64_t *lin;         /* reset */
     void (*row)(const struct call *, int64_t r, int64_t *scratch);
 } call_t;
 
@@ -519,7 +522,45 @@ static void main_row(const call_t *c, int64_t r, int64_t *buf)
     c->best_e[r] = best_e;
 }
 
+/* The reset of one row: contrib = S·x + lin, Δ = (1 − 2x)·contrib and
+ * E = x·(contrib + lin) / 2, as numpy-sparse's _compute_from_x.  S is
+ * symmetric, so contrib sums the CSR rows of the set bits, accumulated in
+ * the Δ row.  The sums run in uint64, which wraps as NumPy's int64
+ * arithmetic does, so the result is bit-identical whatever the order. */
+static void reset_row(const call_t *c, int64_t r, int64_t *scratch)
+{
+    int64_t n = c->n;
+    const uint8_t *xr = c->x + r * n;
+    uint64_t *contrib = (uint64_t *)c->delta + r * n;
+    const csr_t *s = &c->s;
+    (void)scratch;
+    for (int64_t i = 0; i < n; i++)
+        contrib[i] = (uint64_t)c->lin[i];
+    for (int64_t k = 0; k < n; k++)
+        if (xr[k])
+            for (int64_t p = s->indptr[k]; p < s->indptr[k + 1]; p++)
+                contrib[s->indices[p]] += (uint64_t)s->data[p];
+    uint64_t doubled = 0;
+    for (int64_t i = 0; i < n; i++) {
+        doubled += xr[i] * (contrib[i] + (uint64_t)c->lin[i]);
+        contrib[i] = xr[i] ? 0 - contrib[i] : contrib[i];
+    }
+    /* floor division, as np.floor_divide (x·(contrib + lin) is even) */
+    int64_t d = (int64_t)doubled;
+    c->energy[r] = d / 2 - (d % 2 < 0);
+}
+
 /* -- entry points: each returns nonzero when it cannot allocate ------------ */
+int64_t repro_reset(int64_t rows, int64_t n, const int64_t *indptr,
+                    const int64_t *indices, const int64_t *data, uint8_t *x,
+                    int64_t *energy, int64_t *delta, const int64_t *lin)
+{
+    call_t c = {.rows = rows, .n = n, .s = {indptr, indices, data},
+                .x = x, .energy = energy, .delta = delta, .lin = lin,
+                .row = reset_row};
+    return dispatch(&c, rows * (indptr[n] + n), 0);
+}
+
 #define CALL(body)                                                         \
     call_t c = {.rows = rows, .n = n, .s = {indptr, indices, data},       \
                 .x = x, .energy = energy, .delta = delta,                 \

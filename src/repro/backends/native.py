@@ -1,9 +1,11 @@
 """Native backend: numpy-sparse with each phase one GIL-free C call.
 
-``prepare``, resets and the stepwise ``flip`` are numpy-sparse's; the
-three phase bodies are replaced by one call each into ``native.c``,
+``prepare`` and the stepwise ``flip`` are numpy-sparse's; the Δ/energy
+reset and the three phase bodies are one call each into ``native.c``,
 which spreads the rows over the CPUs the process may run on (DESIGN.md
-§14).  The library is built on first use, never at ``import repro``,
+§14).  A call's pointer arguments are checked once per state facade and
+kept there (:class:`_Binding`), so a call converts only its own arrays.
+The library is built on first use, never at ``import repro``,
 with ``$CC`` (else ``sysconfig``'s ``CC``) into ``$XDG_CACHE_HOME/repro``
 (default ``~/.cache/repro``), keyed by the source, the compiler and its
 version, the flags and the host's CPU flags.  A build is moved into place with
@@ -54,18 +56,21 @@ _FLAGS = (
 )
 _LIBS = ("-lm",)
 #: ``repro_native_abi()`` of the source this module drives
-_ABI = 2
+_ABI = 3
 #: the main-phase kinds in the order of native.c's kind codes
 _KINDS = (KIND_MAXMIN_THRESHOLD, KIND_CYCLIC_WINDOW, KIND_RANDOM_CANDIDATE_MIN,
           KIND_POSITIVE_MIN, KIND_FIXED_SEQUENCE)
 
 _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
-#: rows, n, the CSR triple, x, energy, Δ, stamps, stamp_on, clock, best x/energy
-_COMMON = (_I64, _I64, *[_PTR] * 7, _I64, _PTR, _PTR, _PTR)
-#: entry point → (return type, argument types); a phase returns nonzero
-#: when it cannot allocate its threads' scratch rows, and
+#: rows, n, the CSR triple, x, energy, Δ
+_STATE = (_I64, _I64, *[_PTR] * 6)
+#: the state's, then stamps, stamp_on, clock, best x/energy
+_COMMON = (*_STATE, _PTR, _I64, _PTR, _PTR, _PTR)
+#: entry point → (return type, argument types); a reset or phase returns
+#: nonzero when it cannot allocate its threads' scratch rows, and
 #: ``repro_threads(rows, work)`` is the thread count of a call
 _SIGNATURES = {
+    "repro_reset": (_I64, (*_STATE, _PTR)),
     "repro_straight": (_I64, (*_COMMON, _PTR, _PTR)),
     "repro_greedy": (_I64, (*_COMMON, _I64, _PTR, _PTR)),
     "repro_main": (_I64, (*_COMMON, _I64, _I64, _PTR)),
@@ -171,6 +176,63 @@ def _ptr(array: np.ndarray, dtype=np.int64, shape=None) -> int:
     return array.ctypes.data
 
 
+class _Binding:
+    """The checked pointer arguments of the native calls over one state
+    facade's rows, kept in its ``device`` slot, so they live as long as
+    the facade does.
+
+    ``reset`` holds the reset entry's arguments.  ``head`` and ``tail``
+    hold a phase entry's common arguments before and after the clock, for
+    the tabu and tracker of the last phase call.  The binding holds every
+    array it took a pointer from, and :meth:`fits`/:meth:`fits_phase`
+    compare them by identity on each call, so a rebound buffer is bound
+    again rather than written through a stale pointer.
+    """
+
+    __slots__ = ("rows", "held", "state", "reset", "phase", "head", "tail")
+
+    def __init__(self, state) -> None:
+        kernel = state.kernel
+        self.held = (kernel, state.x, state.energy, state.delta)
+        self.rows, n = shape = state.x.shape
+        self.state = (
+            self.rows,
+            n,
+            _ptr(kernel.indptr, shape=(n + 1,)),
+            _ptr(kernel.indices),
+            _ptr(kernel.data),
+            _ptr(state.x, np.uint8),
+            _ptr(state.energy, shape=shape[:1]),
+            _ptr(state.delta, shape=shape),
+        )
+        self.reset = (*self.state, _ptr(kernel.lin, shape=(n,)))
+        self.phase = None
+
+    def fits(self, state) -> bool:
+        kernel, x, energy, delta = self.held
+        return (
+            kernel is state.kernel and x is state.x
+            and energy is state.energy and delta is state.delta
+        )
+
+    def fits_phase(self, tabu, tracker) -> bool:
+        phase = self.phase
+        return (
+            phase is not None and phase[0] is tabu and phase[1] is tracker
+            and phase[2] is tabu.stamps and phase[3] == tabu.period
+            and phase[4] is tracker.best_x and phase[5] is tracker.best_energy
+        )
+
+    def bind(self, tabu, tracker) -> None:
+        shape = (self.rows, self.state[1])
+        self.head = (*self.state, _ptr(tabu.stamps, shape=shape), int(tabu.enabled))
+        self.tail = (
+            _ptr(tracker.best_x, np.uint8, shape),
+            _ptr(tracker.best_energy, shape=shape[:1]),
+        )
+        self.phase = (tabu, tracker, tabu.stamps, tabu.period, tracker.best_x, tracker.best_energy)
+
+
 class NativeBackend(NumpySparseBackend):
     """numpy-sparse with each phase body one GIL-free C call."""
 
@@ -197,28 +259,27 @@ class NativeBackend(NumpySparseBackend):
         self._lib = lib
         return super().prepare(model)
 
+    @staticmethod
+    def _binding(state) -> _Binding:
+        bound = state.device
+        if type(bound) is not _Binding or not bound.fits(state):
+            bound = state.device = _Binding(state)
+        return bound
+
+    def _compute_from_x(self, state) -> None:
+        """Energies and Δ from ``state.x`` in one GIL-free call."""
+        if self._lib.repro_reset(*self._binding(state).reset):
+            raise MemoryError("repro_reset could not allocate its threads")
+
     def _call(self, entry, state, tabu, tracker, *extra) -> None:
         """One native phase call over every row of *state*: the clock goes
         in as a per-row array (packs run a vector clock), and C writes
         ``x``, so the x-derived σ cache drops."""
-        kernel = state.kernel
-        shape = state.x.shape
-        clock = np.ascontiguousarray(np.broadcast_to(tabu.clock, shape[:1]), dtype=np.int64)
-        failed = getattr(self._lib, entry)(
-            *shape,
-            _ptr(kernel.indptr, shape=(shape[1] + 1,)),
-            _ptr(kernel.indices),
-            _ptr(kernel.data),
-            _ptr(state.x, np.uint8),
-            _ptr(state.energy, shape=shape[:1]),
-            _ptr(state.delta, shape=shape),
-            _ptr(tabu.stamps, shape=shape),
-            int(tabu.enabled),
-            _ptr(clock),
-            _ptr(tracker.best_x, np.uint8, shape),
-            _ptr(tracker.best_energy, shape=shape[:1]),
-            *extra,
-        )
+        bound = self._binding(state)
+        if not bound.fits_phase(tabu, tracker):
+            bound.bind(tabu, tracker)
+        clock = np.ascontiguousarray(np.broadcast_to(tabu.clock, (bound.rows,)), dtype=np.int64)
+        failed = getattr(self._lib, entry)(*bound.head, clock.ctypes.data, *bound.tail, *extra)
         self._invalidate_derived(state)
         if failed:
             raise MemoryError(f"{entry} could not allocate its scratch rows")
@@ -228,7 +289,7 @@ class NativeBackend(NumpySparseBackend):
         flips = np.empty(state.batch, dtype=np.int64)
         self._call(
             "repro_straight", state, tabu, tracker,
-            _ptr(targets, np.uint8, state.x.shape), _ptr(flips),
+            _ptr(targets, np.uint8, state.x.shape), flips.ctypes.data,
         )
         tabu.advance(int(flips.max(initial=0)))
         return flips
@@ -240,7 +301,7 @@ class NativeBackend(NumpySparseBackend):
         truncated = np.empty(state.batch, dtype=bool)
         self._call(
             "repro_greedy", state, tabu, tracker,
-            int(max_iters), _ptr(flips), _ptr(truncated, np.bool_),
+            int(max_iters), flips.ctypes.data, truncated.ctypes.data,
         )
         count = int(np.count_nonzero(truncated))
         if count:
@@ -277,7 +338,7 @@ class NativeBackend(NumpySparseBackend):
             )
         self._call(
             "repro_main", state, tabu, tracker,
-            int(tabu.period), int(iterations), _ptr(table),
+            int(tabu.period), int(iterations), table.ctypes.data,
         )
         tabu.advance(iterations)
         return np.full(state.batch, iterations, dtype=np.int64)

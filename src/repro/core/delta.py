@@ -127,11 +127,12 @@ class BatchDeltaState:
     kernel:
         The backend's per-model read-only kernel cache.
     device:
-        Backend-owned device mirror of the state buffers (``None`` until a
-        device backend such as ``cuda`` first stages this state; host
-        backends never touch it).  Like the scratch buffers it follows the
-        state object's lifetime, so states cached across virtual-GPU
-        launches keep their device allocations.
+        Backend-owned per-state data (``None`` until the backend first
+        stages this state): ``cuda``'s device mirror of the buffers,
+        ``native``'s checked call arguments; the NumPy backends never
+        touch it.  Like the scratch buffers it follows the state object's
+        lifetime, so states cached across virtual-GPU launches keep their
+        device allocations.
 
     ``reset`` reuses the existing buffers, so a state cached across virtual
     GPU launches (see :class:`~repro.gpu.virtual_gpu.VirtualGPU`) incurs no
@@ -212,7 +213,7 @@ class BatchDeltaState:
         view.delta = self.delta[start:stop]
         if not (view.x.flags.c_contiguous and view.delta.flags.c_contiguous):
             raise ValueError("state buffers must be C-contiguous")
-        view.device = None  # device mirrors are per-(object, shape)
+        view.device = None  # backend data is per-(object, shape)
         view._scratch = {}
         view._rows = np.arange(stop - start)
         return view

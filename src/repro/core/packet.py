@@ -170,9 +170,11 @@ class PacketBatch:
     def group_by_algorithm(self) -> dict[MainAlgorithm, np.ndarray]:
         """Row indices grouped by main search algorithm.
 
-        A super-launch makes one cell per (device, algorithm) group: the
-        group's rows share a straight/greedy/main schedule, and cells of
-        different algorithms share one main loop (DESIGN.md §12).
+        Each group's rows share a straight/greedy/main schedule: the
+        stepwise oracle runs one batch search per group, and a
+        super-launch holds one cell per (device, algorithm) group, its
+        cells of different algorithms sharing one main loop (DESIGN.md
+        §12).
         """
         groups: dict[MainAlgorithm, np.ndarray] = {}
         for alg in np.unique(self.algorithms):

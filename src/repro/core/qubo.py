@@ -42,7 +42,7 @@ class QUBOModel:
         Optional human-readable instance name (used in reports).
     """
 
-    __slots__ = ("_upper", "_couplings", "_linear", "name")
+    __slots__ = ("_upper", "_couplings", "_linear", "name", "__weakref__")
 
     def __init__(self, matrix, name: str = "") -> None:
         arr = check_square_matrix(matrix, "matrix")

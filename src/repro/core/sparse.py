@@ -29,7 +29,7 @@ __all__ = ["SparseQUBOModel", "sparse_ising_to_qubo"]
 class SparseQUBOModel:
     """A QUBO model with CSR couplings (drop-in for :class:`QUBOModel`)."""
 
-    __slots__ = ("_upper", "_couplings", "_linear", "name")
+    __slots__ = ("_upper", "_couplings", "_linear", "name", "__weakref__")
 
     def __init__(self, n: int, terms: dict, name: str = "") -> None:
         """Build from ``{(i, j): weight}``; ``(i, i)`` are linear terms.

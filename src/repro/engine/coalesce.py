@@ -27,12 +27,13 @@ rows: straight/greedy phases run data-dependent iteration counts, the
 outer loop stops on a whole-group flip-budget test, and the tabu clock
 advances by the group-wide phase length.  The executor therefore models
 the pack as **cells** (one per segment × lockstep algorithm group, the
-unit a solo launch would run) and drives them in waves:
+unit a solo launch would run; held as arrays from one stable sort of the
+pack's rows) and drives them in waves:
 
 * a per-row **vector tabu clock** (:meth:`TabuTracker.vectorize_clock`)
-  replaces the scalar clock, with a per-cell fix-up after the
-  data-dependent phases (a cell's clock advances by *its own* max flip
-  count, exactly as the solo scalar clock would);
+  replaces the scalar clock, with a fix-up after the data-dependent
+  phases (a cell's clock advances by *its own* max flip count, exactly as
+  the solo scalar clock would: one grouped max per span);
 * straight runs once over all rows; greedy and main phases run over
   maximal contiguous spans of still-active cells — a finished cell is
   excluded from every later wave, so its rows are frozen at exactly the
@@ -43,8 +44,8 @@ unit a solo launch would run) and drives them in waves:
   and one fold per iteration for the whole span).  Selection is
   row-local, so this is bit-exact.  TwoNeighbor cells, whose traversal
   has its own length and closed-form kernel, keep spans of their own;
-* the whole-group budget test is evaluated per cell, in the same
-  schedule position as the solo loop.
+* the whole-group budget test is evaluated per cell (one grouped min per
+  wave), in the same schedule position as the solo loop.
 
 Rows riding a wave longer than their own phase would have lasted are
 harmless by construction: straight/greedy consume no RNG, inactive rows
@@ -56,6 +57,7 @@ and its segments can simply be re-issued individually.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import replace
 from itertools import groupby
 
@@ -103,34 +105,24 @@ class SegmentResult:
         self.flips = flips
 
 
-class _Cell:
-    """One lockstep (segment, algorithm) group: the solo-launch unit."""
-
-    __slots__ = ("alg", "seg", "rows", "start", "stop", "done", "mains_done", "cursor_ready")
-
-    def __init__(self, alg, seg, rows) -> None:
-        self.alg = alg
-        self.seg = seg
-        self.rows = rows
-        self.start = 0
-        self.stop = 0
-        self.done = False
-        self.mains_done = 0
-        self.cursor_ready = False
-
-    @property
-    def size(self) -> int:
-        return self.rows.size
-
-
 class PackScratch:
     """Merged device buffers for one pack key's super-launches.
 
     Owned by the lane that executes packs (single-threaded; a standalone
     device owns its own), keyed by the devices' pack key and grown
     geometrically to the largest super-batch seen.  Row-window views over
-    the merged state/tabu/best buffers are cached per span.
+    the merged state/tabu/best buffers are cached per span, the
+    :data:`MAX_WINDOWS` most recently used ones, never evicting one the
+    running pack has used: a window owns its backend's per-span data (the
+    NumPy phases' scratch rows, the native backend's checked call
+    arguments), and a long-lived lane sees a new set of spans with every
+    pack composition.
     """
+
+    #: row windows kept across packs (a pack keeps all of its own); one
+    #: pack used at most 9 on g22_direct and 26 on a stream_shared-like
+    #: load (16 jobs in flight on 2 lanes, 240 packs)
+    MAX_WINDOWS = 64
 
     def __init__(self, model, backend, kernel, config, capacity: int) -> None:
         n = model.n
@@ -148,50 +140,40 @@ class PackScratch:
         #: next phase uses a different span, that facade's x-derived
         #: caches (e.g. the sparse backend's σ matrix) must be dropped
         self.last_span: tuple[int, int] | None = None
-        self._windows: dict[tuple[int, int], tuple] = {}
+        #: (start, stop) → (pack, window), least recently used first
+        self._windows: OrderedDict[tuple[int, int], tuple] = OrderedDict()
+        self._pack = 0
+
+    def begin_pack(self) -> None:
+        """Mark the start of a pack: later windows are that pack's."""
+        self._pack += 1
 
     def window(self, start: int, stop: int):
         """Cached ``(state, tabu, tracker)`` views over rows [start, stop)."""
         key = (start, stop)
-        triple = self._windows.get(key)
-        if triple is None:
-            triple = (
-                self.state.row_window(start, stop),
-                self.tabu.window(start, stop),
-                self.tracker.window(start, stop),
-            )
-            self._windows[key] = triple
+        windows = self._windows
+        entry = windows.get(key)
+        if entry is not None:
+            windows.move_to_end(key)
+            windows[key] = (self._pack, entry[1])
+            return entry[1]
+        triple = (
+            self.state.row_window(start, stop),
+            self.tabu.window(start, stop),
+            self.tracker.window(start, stop),
+        )
+        windows[key] = (self._pack, triple)
+        while len(windows) > self.MAX_WINDOWS and next(iter(windows.values()))[0] != self._pack:
+            windows.popitem(last=False)
         return triple
 
 
-def _spans(cells, key=None):
-    """Maximal runs of consecutive not-done cells as (start, stop, cells).
-
-    Cells are stored in merged-row order, so consecutive list entries are
-    row-contiguous.  With *key* a run additionally holds cells of one
-    single ``key(cell)`` value.
-    """
-    out = []
-    i = 0
-    count = len(cells)
-    while i < count:
-        if cells[i].done:
-            i += 1
-            continue
-        j = i
-        while (
-            j + 1 < count
-            and not cells[j + 1].done
-            and (key is None or key(cells[j + 1]) == key(cells[i]))
-        ):
-            j += 1
-        out.append((cells[i].start, cells[j].stop, cells[i : j + 1]))
-        i = j + 1
-    return out
-
-
-def _is_twoneighbor(cell) -> bool:
-    return cell.alg == MainAlgorithm.TWONEIGHBOR
+def _runs(tag: np.ndarray) -> list[tuple[int, int]]:
+    """Maximal runs ``[i, j)`` of consecutive cells with one equal *tag*
+    value, skipping those tagged -1 (cells are in merged-row order, so a
+    run is one contiguous row span)."""
+    bounds = [0, *(np.flatnonzero(tag[1:] != tag[:-1]) + 1).tolist(), tag.size]
+    return [(i, j) for i, j in zip(bounds, bounds[1:]) if tag[i] >= 0]
 
 
 class SuperLaunch:
@@ -243,6 +225,10 @@ class SuperLaunch:
         **all** cells finished — an exception anywhere leaves every
         device exactly as before the pack, so :func:`run_pack` can
         re-plan the segments.
+
+        The cells are arrays indexed by cell (algorithm, segment, row
+        bounds, main phases run), so the Python work per wave is one line
+        per span, not per cell.
         """
         segments = self.segments
         first = segments[0].gpu
@@ -261,23 +247,43 @@ class SuperLaunch:
                     f"chaos: injected backend failure ({seg.gpu.backend.name})"
                 )
 
-        cells: list[_Cell] = []
-        for si, seg in enumerate(segments):
-            for alg_enum, rows in seg.batch.group_by_algorithm().items():
-                if alg_enum not in seg.gpu.algorithms:
-                    raise ValueError(
-                        f"{alg_enum!r} is not enabled on this device "
-                        f"(enabled: {sorted(seg.gpu.algorithms)})"
-                    )
-                cells.append(_Cell(alg_enum, si, rows))
-        # same-algorithm cells adjacent (one main part each), TwoNeighbor
-        # (the last enum) after all others → maximal mixed main spans
-        cells.sort(key=lambda c: (int(c.alg), c.seg))
-        total = 0
-        for cell in cells:
-            cell.start = total
-            total += cell.size
-            cell.stop = total
+        # cells: one stable sort of the rows by (algorithm, segment) puts
+        # same-algorithm cells next to each other (one main part each) and
+        # TwoNeighbor (the last enum) after all others → maximal mixed
+        # main spans; merged row m is pack row order[m]
+        count = len(segments)
+        sizes = [len(seg.batch) for seg in segments]
+        offsets = np.cumsum([0, *sizes]).tolist()
+        total = offsets[-1]
+        codes = np.concatenate([seg.batch.algorithms for seg in segments]).astype(np.int64)
+        keys = codes * count + np.repeat(np.arange(count), sizes)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        cut = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+        starts = np.concatenate(([0], cut))
+        cell_key = keys[starts]
+        cell_alg, cell_seg = np.divmod(cell_key, count)
+        refused = [
+            (si, alg)
+            for alg, si in zip(cell_alg.tolist(), cell_seg.tolist())
+            if alg not in segments[si].gpu.algorithms
+        ]
+        if refused:
+            si, alg = min(refused)
+            raise ValueError(
+                f"{MainAlgorithm(alg)!r} is not enabled on this device "
+                f"(enabled: {sorted(segments[si].gpu.algorithms)})"
+            )
+        stops = np.concatenate((cut, [total]))
+        cell_start, cell_stop = starts.tolist(), stops.tolist()
+        cell_sizes = stops - starts
+        is_two = cell_alg == MainAlgorithm.TWONEIGHBOR
+        #: the cells where a same-algorithm run starts (main-phase parts)
+        alg_edges = (np.flatnonzero(cell_alg[1:] != cell_alg[:-1]) + 1).tolist()
+        mains = np.zeros(cell_alg.size, dtype=np.int64)
+        position = np.empty(total, dtype=np.int64)
+        position[order] = np.arange(total)
+        seg_rows = [position[offsets[si] : offsets[si + 1]] for si in range(count)]
 
         key = first.pack_key
         scratch = scratch_map.get(key)
@@ -285,14 +291,24 @@ class SuperLaunch:
             grown = max(total, 2 * scratch.capacity if scratch is not None else 0)
             scratch = PackScratch(model, backend, kernel, config, grown)
             scratch_map[key] = scratch
+        scratch.begin_pack()
 
+        # prologue: one gather per segment; the CyclicMin window cursor is
+        # device-persistent per cell, so each cell's merged slice starts
+        # from its own device instance (committed back at harvest if the
+        # cell ran a main phase)
         rng_block = scratch.rng
-        for cell in cells:
-            seg = segments[cell.seg]
-            gpu = seg.gpu
-            scratch.x_init[cell.start : cell.stop] = gpu.block_x[cell.rows]
-            rng_block[cell.start : cell.stop] = gpu.rng_state[cell.rows]
-            scratch.targets[cell.start : cell.stop] = seg.batch.vectors[cell.rows]
+        cyclic = {}
+        for ci in np.flatnonzero(cell_alg == MainAlgorithm.CYCLICMIN).tolist():
+            si = int(cell_seg[ci])
+            lo, hi = cell_start[ci], cell_stop[ci]
+            inst = segments[si].gpu.algorithms[MainAlgorithm.CYCLICMIN]
+            scratch.cursor[lo:hi] = inst.export_cursor(hi - lo)
+            cyclic[si] = ci
+        for seg, rows in zip(segments, seg_rows):
+            scratch.x_init[rows] = seg.gpu.block_x
+            rng_block[rows] = seg.gpu.rng_state
+            scratch.targets[rows] = seg.batch.vectors
 
         state, tabu, tracker = scratch.window(0, total)
         state.reset(scratch.x_init[:total])
@@ -314,106 +330,85 @@ class SuperLaunch:
         budget = config.batch_budget(n)
         main_iters = config.main_iterations(n)
 
-        def fix_clock(span_cells, a, pre, f):
+        def fix_clock(i, j, pre, f):
             # a cell's solo clock advances by *its* phase length — the max
             # per-row flip count, since straight/greedy flips are
             # consecutive from the phase start (rows never reactivate)
-            for cell in span_cells:
-                local = slice(cell.start - a, cell.stop - a)
-                clock[cell.start : cell.stop] = pre[local] + int(
-                    f[local].max(initial=0)
-                )
+            a = cell_start[i]
+            lengths = np.maximum.reduceat(f, starts[i:j] - a)
+            clock[a : cell_stop[j - 1]] = pre + np.repeat(lengths, cell_sizes[i:j])
+
+        def lower(st, i, j):
+            # (iterations, parts) of a main phase over cells [i, j): one
+            # part per same-algorithm run; a TwoNeighbor span runs the
+            # traversal's length
+            a = cell_start[i]
+            iterations = main_iters
+            if is_two[i]:
+                two = segments[cell_seg[i]].gpu.algorithms[MainAlgorithm.TWONEIGHBOR]
+                iterations = two.num_iterations(n)
+            bounds = [i, *(c for c in alg_edges if i < c < j), j]
+            parts = []
+            for p, q in zip(bounds, bounds[1:]):
+                lo, hi = cell_start[p], cell_stop[q - 1]
+                alg_enum = MainAlgorithm(cell_alg[p])
+                spec = segments[cell_seg[p]].gpu.algorithms[alg_enum].lower(st, iterations)
+                if alg_enum == MainAlgorithm.CYCLICMIN:
+                    spec = replace(spec, cursor=scratch.cursor[lo:hi])
+                parts.append((lo - a, hi - a, spec, XorShift64Star.view(rng_block[lo:hi])))
+            return iterations, parts
 
         # straight phase: every cell at once (no cell finishes before it)
         st, tb, tr = views(0, total)
         pre = tb.clock.copy()
         f = backend.run_straight_phase(st, scratch.targets[:total], tb, tr)
         flips += f
-        fix_clock(cells, 0, pre, f)
+        fix_clock(0, cell_alg.size, pre, f)
 
+        done = np.zeros(cell_alg.size, dtype=bool)
         while True:
-            for a, b, span_cells in _spans(cells):
-                st, tb, tr = views(a, b)
+            for i, j in _runs(np.where(done, -1, 0)):
+                st, tb, tr = views(cell_start[i], cell_stop[j - 1])
                 pre = tb.clock.copy()
                 f, truncated = backend.run_greedy_phase(st, tb, tr)
                 tr.greedy_truncated |= truncated
-                flips[a:b] += f
-                fix_clock(span_cells, a, pre, f)
-            for cell in cells:
-                if cell.done:
-                    continue
-                if _is_twoneighbor(cell):
-                    # TwoNeighbor runs exactly greedy → main → greedy
-                    cell.done = cell.mains_done >= 1
-                else:
-                    cell.done = bool(
-                        np.all(flips[cell.start : cell.stop] >= budget)
-                    )
-            if all(cell.done for cell in cells):
+                flips[cell_start[i] : cell_stop[j - 1]] += f
+                fix_clock(i, j, pre, f)
+            # TwoNeighbor runs exactly greedy → main → greedy; every other
+            # cell stops when all its rows spent the flip budget
+            done = np.where(is_two, mains >= 1, np.minimum.reduceat(flips, starts) >= budget)
+            if done.all():
                 break
             # one lockstep main phase per span: TwoNeighbor cells run their
             # 2n − 1 traversal, every other span mixes its algorithms, one
             # part per same-algorithm run of cells
-            for a, b, span_cells in _spans(cells, key=_is_twoneighbor):
+            for i, j in _runs(np.where(done, -1, is_two)):
+                a, b = cell_start[i], cell_stop[j - 1]
                 st, tb, tr = views(a, b)
-                first = span_cells[0]
-                if _is_twoneighbor(first):
-                    alg = segments[first.seg].gpu.algorithms[first.alg]
-                    iterations = alg.num_iterations(n)
-                else:
-                    iterations = main_iters
-                parts = []
-                for lo, hi, run in _spans(span_cells, key=lambda c: c.alg):
-                    alg_enum = run[0].alg
-                    alg = segments[run[0].seg].gpu.algorithms[alg_enum]
-                    spec = alg.lower(st, iterations)
-                    if alg_enum == MainAlgorithm.CYCLICMIN:
-                        # the window cursor is device-persistent per cell:
-                        # seed each cell's merged slice from its own device
-                        # instance on first use (committed back at harvest)
-                        for cell in run:
-                            if not cell.cursor_ready:
-                                inst = segments[cell.seg].gpu.algorithms[alg_enum]
-                                scratch.cursor[cell.start : cell.stop] = (
-                                    inst.export_cursor(cell.size)
-                                )
-                                cell.cursor_ready = True
-                        spec = replace(spec, cursor=scratch.cursor[lo:hi])
-                    rng_w = XorShift64Star.view(rng_block[lo:hi])
-                    parts.append((lo - a, hi - a, spec, rng_w))
+                iterations, parts = lower(st, i, j)
                 f = backend.run_main_phase(st, parts, iterations, None, tb, tr)
                 flips[a:b] += f
-                for cell in span_cells:
-                    cell.mains_done += 1
+                mains[i:j] += 1
 
-        # harvest: split per segment, then commit each to its device
-        by_segment: list[list[_Cell]] = [[] for _ in segments]
-        for cell in cells:
-            by_segment[cell.seg].append(cell)
+        # harvest: one gather per segment, then commit each to its device
         results, commits = [], []
-        for si, seg in enumerate(segments):
+        for si, (seg, rows) in enumerate(zip(segments, seg_rows)):
             batch = seg.batch
-            gpu = seg.gpu
-            out_vectors = np.empty_like(batch.vectors)
-            out_energies = np.empty(len(batch), dtype=np.int64)
-            seg_flips = np.zeros(len(batch), dtype=np.int64)
-            trunc = np.zeros(len(batch), dtype=bool)
-            new_x = np.empty_like(gpu.block_x)
-            new_rng = np.empty_like(gpu.rng_state)
-            cursors = []
-            for cell in by_segment[si]:
-                sl = slice(cell.start, cell.stop)
-                out_vectors[cell.rows] = tracker.best_x[sl]
-                out_energies[cell.rows] = tracker.best_energy[sl]
-                seg_flips[cell.rows] = flips[sl]
-                trunc[cell.rows] = tracker.greedy_truncated[sl]
-                new_x[cell.rows] = state.x[sl]
-                new_rng[cell.rows] = rng_block[sl]
-                if cell.cursor_ready:
-                    cursors.append((cell.alg, scratch.cursor[sl].copy()))
-            result = PacketBatch(out_vectors, out_energies, batch.algorithms, batch.operations)
+            seg_flips = flips[rows]
+            result = PacketBatch(
+                tracker.best_x[rows], tracker.best_energy[rows],
+                batch.algorithms, batch.operations,
+            )
             results.append(SegmentResult(seg, result, seg_flips))
-            commits.append((gpu, new_x, new_rng, int(seg_flips.sum()), int(trunc.sum()), cursors))
+            ci = cyclic.get(si)
+            cursors = []
+            if ci is not None and mains[ci]:
+                sl = slice(cell_start[ci], cell_stop[ci])
+                cursors.append((MainAlgorithm.CYCLICMIN, scratch.cursor[sl].copy()))
+            commits.append((
+                seg.gpu, state.x[rows], rng_block[rows], int(seg_flips.sum()),
+                int(tracker.greedy_truncated[rows].sum()), cursors,
+            ))
         # every segment is harvested: only now does any device change
         for gpu, *advanced in commits:
             gpu.commit_packed(*advanced)

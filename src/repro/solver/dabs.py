@@ -38,8 +38,10 @@ and the coupling-density auto rule.
 
 from __future__ import annotations
 
+import threading
 import time
 import warnings
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -409,6 +411,29 @@ class _AsyncDriver:
         )
 
 
+#: model → {backend: kernel}: the kernels direct solves prepared, keyed by
+#: model identity (a content key costs more than ``prepare``), so an
+#: entry lives no longer than its model; kernels never refer to a model
+_kernels: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_kernels_lock = threading.Lock()
+
+
+def _prepared_kernel(backend, model):
+    """``backend.prepare(model)``, once per model object and backend.
+
+    A failed prepare is not remembered.
+    """
+    with _kernels_lock:
+        kernel = _kernels.get(model, {}).get(backend)
+    if kernel is None:
+        # outside the lock, as it can be slow; a concurrent first solve
+        # of the same model prepares twice and the kernels are equal
+        kernel = backend.prepare(model)
+        with _kernels_lock:
+            _kernels.setdefault(model, {})[backend] = kernel
+    return kernel
+
+
 class DABSSolver:
     """Diverse Adaptive Bulk Search over one QUBO model."""
 
@@ -436,11 +461,15 @@ class DABSSolver:
         ]
         self.ring = IslandRing(self.pools)
         # resolve the backend and build its per-model kernel cache once;
-        # every virtual GPU shares the read-only cache.  A PreparedProblem
-        # handle (repro.backends.prepare_problem / the service's
-        # ProblemCache) skips preparation entirely: the backend-resident
-        # matrices are reused across solvers of the same instance.
+        # every virtual GPU shares the read-only cache, and later solvers
+        # of the same model object reuse it — but pack only with this
+        # solver's own devices (pack_owner), as when each prepared its
+        # own.  A PreparedProblem handle (repro.backends.prepare_problem /
+        # the service's ProblemCache) skips preparation entirely: the
+        # backend-resident matrices are reused across solvers of the same
+        # instance, whose launches may pack together.
         self._prepare_fallback_reasons: tuple[str, ...] = ()
+        pack_owner = None
         if prepared is not None:
             if not prepared.matches(model):
                 raise ValueError(
@@ -452,8 +481,9 @@ class DABSSolver:
             kernel = prepared.kernel
         else:
             backend = resolve_backend(cfg.backend, model)
+            pack_owner = object()
             try:
-                kernel = backend.prepare(model)
+                kernel = _prepared_kernel(backend, model)
             except Exception as exc:
                 replacement = (
                     fallback_backend(backend, model)
@@ -481,6 +511,7 @@ class DABSSolver:
                 backend=backend,
                 kernel=kernel,
                 allow_fallback=cfg.backend_fallback,
+                pack_owner=pack_owner,
             )
             for i in range(cfg.num_gpus)
         ]

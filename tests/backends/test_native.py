@@ -36,6 +36,7 @@ from repro.core.delta import BatchDeltaState
 from repro.core.packet import MainAlgorithm
 from repro.core.rng import XorShift64Star
 from repro.core.sparse import SparseQUBOModel
+from repro.engine.coalesce import PackSegment, SuperLaunch
 from repro.problems.gset import g22_like
 from repro.problems.maxcut import maxcut_to_qubo
 from repro.search.batch import BestTracker
@@ -296,6 +297,121 @@ class TestPhaseParity:
         for a, b in zip(serial, threaded):
             assert_twins(a, b)
 
+
+
+# -- the reset entry and the bound call arguments ------------------------------
+def linear_model(dense):
+    """A random model with linear terms and negative weights."""
+    model = random_qubo(N, seed=17, density=0.4, wmax=1000)
+    assert np.any(model.linear != 0)
+    return model if dense else SparseQUBOModel.from_dense(model)
+
+
+@needs_native
+class TestReset:
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "csr"])
+    def test_whole_state_matches_numpy_sparse(self, dense):
+        model = linear_model(dense)
+        x = np.random.default_rng(3).integers(0, 2, size=(ROWS, N), dtype=np.uint8)
+        x[0] = 0
+        x[1] = 1
+        native, reference = (BatchDeltaState(model, ROWS, backend=name) for name in ("native", "numpy-sparse"))
+        for state in (native, reference):
+            state.reset(x)
+        assert_twins((native.x, native.energy, native.delta), (reference.x, reference.energy, reference.delta))
+        assert [model.energy(row) for row in x] == native.energy.tolist()
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "csr"])
+    def test_row_windows_match_numpy_sparse(self, dense):
+        """A window's reset rewrites its own rows only, through the window's
+        own bound arguments."""
+        model = linear_model(dense)
+        rng = np.random.default_rng(4)
+        x = rng.integers(0, 2, size=(ROWS, N), dtype=np.uint8)
+        runs = []
+        for name in ("native", "numpy-sparse"):
+            state = BatchDeltaState(model, ROWS, backend=name)
+            state.reset(x)
+            for lo, hi in [(1, 4), (4, 6), (1, 4)]:
+                window = state.row_window(lo, hi)
+                window.reset(np.random.default_rng(hi).integers(0, 2, size=(hi - lo, N), dtype=np.uint8))
+            runs.append((state.x, state.energy, state.delta))
+        assert_twins(*runs)
+
+
+@needs_native
+class TestBoundArgumentChecks:
+    """The pointer checks run when a state's arguments are bound, and
+    still refuse what they refused per call."""
+
+    def run_greedy(self, state, tabu, tracker):
+        return state.backend.run_greedy_phase(state, tabu, tracker)
+
+    def test_wrong_dtype_is_refused(self):
+        state, tabu, tracker = twins(model_for(True), 5, seed=1)[0]
+        self.run_greedy(state, tabu, tracker)
+        tabu._stamp = tabu.stamps.astype(np.int32)
+        with pytest.raises(TypeError, match="C-contiguous int64, got int32"):
+            self.run_greedy(state, tabu, tracker)
+
+    def test_non_contiguous_is_refused(self):
+        state, tabu, tracker = twins(model_for(True), 5, seed=1)[0]
+        self.run_greedy(state, tabu, tracker)
+        other = BestTracker(state)
+        other.best_x = np.repeat(other.best_x, 2, axis=1)[:, ::2]
+        with pytest.raises(TypeError, match="C-contiguous uint8"):
+            self.run_greedy(state, tabu, other)
+
+    def test_mis_shaped_is_refused(self):
+        state, tabu, tracker = twins(model_for(True), 5, seed=1)[0]
+        self.run_greedy(state, tabu, tracker)
+        with pytest.raises(ValueError, match=r"shape \(6, 24\), got \(6, 23\)"):
+            state.backend.run_straight_phase(state, state.x[:, :-1].copy(), tabu, tracker)
+        short = TabuTracker(ROWS - 1, N, 5)
+        short.vectorize_clock()
+        with pytest.raises(ValueError, match=r"shape \(6, 24\), got \(5, 24\)"):
+            self.run_greedy(state, short, tracker)
+
+    def test_scalar_clock_goes_in_per_call(self):
+        """A scalar clock is never bound: each call takes its current value."""
+        runs = []
+        for state, _, tracker in twins(model_for(True), 5, seed=2):
+            tabu = TabuTracker(ROWS, N, 5)
+            tabu.clock = 7
+            targets = np.random.default_rng(8).integers(0, 2, size=(ROWS, N), dtype=np.uint8)
+            state.backend.run_straight_phase(state, targets, tabu, tracker)
+            state.backend.run_greedy_phase(state, tabu, tracker)
+            runs.append(observed(state, tabu, tracker))
+        assert_twins(*runs)
+
+
+@needs_native
+class TestRegrownScratch:
+    def test_larger_pack_regrows_the_scratch_bit_exactly(self):
+        """A 2-segment pack, a 4-segment pack that regrows the merged
+        buffers, then a 2-segment pack again, on one scratch map: every
+        device ends where its solo launches end."""
+        from tests.engine.test_coalesce import assert_device_parity, make_batch, make_fleet
+
+        n, blocks = 32, 5
+        algs = list(MainAlgorithm)
+        solo = make_fleet("native", n, blocks, 4)
+        packed = make_fleet("native", n, blocks, 4)
+        scratch = {}
+        capacities = []
+        for launch, count in enumerate((2, 4, 2)):
+            batches = [make_batch(n, blocks, algs[j:] + algs[:j], seed=10 * launch + j) for j in range(count)]
+            expected = [solo[j].launch(batches[j]) for j in range(count)]
+            segments = [PackSegment(j, launch, packed[j], batches[j], None) for j in range(count)]
+            for (result, flips), got in zip(expected, SuperLaunch(segments).run(scratch)):
+                assert np.array_equal(result.vectors, got.result.vectors)
+                assert np.array_equal(result.energies, got.result.energies)
+                assert np.array_equal(flips, got.flips)
+            for j in range(4):
+                assert_device_parity(solo[j], packed[j])
+            (buffers,) = scratch.values()
+            capacities.append(buffers.capacity)
+        assert capacities == [2 * blocks, 4 * blocks, 4 * blocks]
 
 
 # -- the row split at g22 size ------------------------------------------------

@@ -19,7 +19,7 @@ from repro.backends import BackendFallbackWarning, prepare_problem
 from repro.core.packet import MainAlgorithm, PacketBatch
 from repro.core.qubo import QUBOModel
 from repro.core.rng import host_generator
-from repro.engine.coalesce import PackSegment, SuperLaunch
+from repro.engine.coalesce import PackScratch, PackSegment, SuperLaunch
 from repro.engine.workers import FleetWorkerGroup, WorkerError
 from repro.gpu.device import DeviceSpec
 from repro.gpu.virtual_gpu import VirtualGPU
@@ -135,6 +135,50 @@ class TestPackedParity:
                 assert np.array_equal(expect.energies, got.result.energies)
                 assert np.array_equal(expect_flips, got.flips)
                 assert_device_parity(solo[j], packed[j])
+
+
+class TestPackScratchBound:
+    """A long-lived lane's merged buffers do not grow with the number of
+    distinct pack compositions it has run."""
+
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    def test_window_count_and_bytes_stay_bounded(self, backend_name):
+        n, blocks, count = 16, 3, 6
+        gpus = make_fleet(backend_name, n, blocks, count)
+        rng = np.random.default_rng(0)
+        scratch = {}
+        # 64 windows of at most every row, at most 32 bytes per row-bit of
+        # per-window scratch rows (three int64, three bool and σ's int8)
+        bound_bytes = 64 * count * blocks * n * 32
+        for launch in range(200):
+            chosen = np.flatnonzero(rng.random(count) < 0.6)
+            chosen = chosen if chosen.size else np.array([launch % count])
+            segments = []
+            for j in chosen.tolist():
+                algs = rng.choice(ALL_ALGS, size=rng.integers(1, 4), replace=False).tolist()
+                batch = make_batch(n, blocks, algs, seed=launch * count + j)
+                segments.append(PackSegment(j, launch, gpus[j], batch, None))
+            SuperLaunch(segments).run(scratch)
+            (buffers,) = scratch.values()
+            windows = [triple for _, triple in buffers._windows.values()]
+            assert len(windows) <= 64
+            owned = sum(a.nbytes for state, _, _ in windows for a in state._scratch.values())
+            assert owned <= bound_bytes
+
+    def test_a_pack_keeps_every_window_it_used(self, monkeypatch):
+        """Eviction takes only earlier packs' windows, so a pack with more
+        spans than the bound never rebuilds one of its own."""
+        monkeypatch.setattr(PackScratch, "MAX_WINDOWS", 2)
+        (gpu,) = make_fleet("numpy-sparse", 8, 6, 1)
+        scratch = PackScratch(gpu.model, gpu.backend, gpu.kernel, gpu.config, 6)
+        scratch.begin_pack()
+        first = [scratch.window(0, stop) for stop in range(1, 6)]
+        assert [scratch.window(0, stop) for stop in range(1, 6)] == first
+        assert len(scratch._windows) == 5
+        scratch.begin_pack()
+        assert scratch.window(0, 5) is first[-1]
+        scratch.window(2, 6)
+        assert list(scratch._windows) == [(0, 5), (2, 6)]
 
 
 class TestPackKey:
