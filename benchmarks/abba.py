@@ -17,6 +17,14 @@ verdict under the metric's bound:
   better by more than the parent's quartile spread;
 * ``within bound`` — anything else.
 
+Before the timing pairs it checks that both revisions do the same work:
+for a fixed list of seeds it solves the ``g22_direct`` instance and a
+``stream_shared``-shaped one (a dense n = 96 QUBO, 2 devices × 8
+blocks, one round) in each tree, compares best energy, best vector and
+total flips, and prints ``same work`` or the first seed that differs.
+``energy_vs_target`` cannot tell this: it averages over a job mix that
+shifts with speed.
+
 The worktrees are removed and no benchmark process is left running,
 also when a run fails or is interrupted.  Run it from the repository.
 """
@@ -34,6 +42,34 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: solver seeds of the same-work check
+SAME_WORK_SEEDS = (1, 2, 3, 4, 5)
+#: run in each tree: one JSON line (instance, seed, best energy, best
+#: vector, total flips) per solve
+SAME_WORK = r"""
+import json, sys
+import numpy as np
+from repro.core.qubo import QUBOModel
+from repro.problems.gset import g22_like
+from repro.problems.maxcut import maxcut_to_qubo
+from repro.solver.dabs import DABSConfig, DABSSolver
+
+instances = {
+    "g22_direct": (
+        maxcut_to_qubo(g22_like(512, seed=22)),
+        DABSConfig(num_gpus=2, blocks_per_gpu=16, pool_capacity=100), 2,
+    ),
+    "stream_shared": (
+        QUBOModel(np.random.default_rng(3).integers(-10, 11, size=(96, 96))),
+        DABSConfig(num_gpus=2, blocks_per_gpu=8, pool_capacity=20), 1,
+    ),
+}
+for name, (model, config, rounds) in instances.items():
+    for seed in json.loads(sys.argv[1]):
+        r = DABSSolver(model, config, seed=seed).solve(max_rounds=rounds)
+        vector = np.asarray(r.best_vector, dtype=np.uint8).tolist()
+        print(json.dumps([name, seed, int(r.best_energy), vector, int(r.total_flips)]))
+"""
 
 
 def git(*args: str, cwd: Path = ROOT) -> str:
@@ -66,6 +102,27 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"perfbench failed in {tree} (exit {proc.returncode}): {err[-2000:]}")
     return json.loads(lines[-1])
+
+
+def solves(tree: Path) -> list[list]:
+    """The same-work solves of *tree*, one list per solve."""
+    done = subprocess.run(
+        [sys.executable, "-c", SAME_WORK, json.dumps(SAME_WORK_SEEDS)],
+        cwd=tree, env={**os.environ, "PYTHONPATH": str(tree / "src")},
+        capture_output=True, text=True, timeout=600,
+    )
+    if done.returncode != 0:
+        raise RuntimeError(f"same-work solves failed in {tree}: {done.stderr[-2000:]}")
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+def same_work(parent: Path, change: Path) -> str:
+    """``same work``, or the first solve whose result differs."""
+    for left, right in zip(solves(parent), solves(change)):
+        for field, a, b in zip(("energy", "vector", "flips"), left[2:], right[2:]):
+            if a != b:
+                return f"different work: {left[0]} seed {left[1]} ({field} differs)"
+    return "same work"
 
 
 def verdict(metric: dict, parent: list[float], change: list[float]) -> dict:
@@ -107,6 +164,8 @@ def main(argv=None) -> int:
             for side, rev in revisions.items():
                 trees[side] = Path(tmp) / side
                 git("worktree", "add", "--detach", str(trees[side]), rev)
+            work = same_work(trees["parent"], trees["change"])
+            print(work, file=sys.stderr)
             for i in range(args.pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
@@ -127,6 +186,7 @@ def main(argv=None) -> int:
 
     print(f"workload {args.workload}: {args.pairs} ABBA pairs of {args.seconds:g} s, "
           f"parent {revisions['parent'][:10]}, change {revisions['change'][:10]}")
+    print(f"{work} (seeds {', '.join(map(str, SAME_WORK_SEEDS))} of g22_direct and stream_shared)")
     for side in ("parent", "change"):
         correct = sum(r["correct"] for r in runs[side])
         failed = sum(r["failed"] for r in runs[side])

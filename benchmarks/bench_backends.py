@@ -25,15 +25,21 @@ the paper's §VI.A scale):
   with speedups against the committed PR-2 seed baseline;
 * a **TwoNeighbor full launch** (straight + greedy + one 2n − 1-flip
   traversal + greedy) on the stepwise path vs a device launch, whose
-  traversal runs as one closed-form kernel on integer models.
+  traversal runs as one closed-form kernel on integer models;
+* the **native kernels** at G22 size (n = 512, 32 rows, the
+  ``g22_direct`` workload's pack): one straight, greedy and mixed main
+  phase call, and a whole two-segment pack search in one call, against
+  numpy-sparse.
 
-Fused and stepwise launches are asserted bit-identical before timing.
+Fused and stepwise launches, and native and numpy-sparse rows, are
+asserted bit-identical before timing.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -45,13 +51,21 @@ import pytest
 from benchmarks._launch import LaunchBench, start_vectors
 from benchmarks._util import save_report
 from repro.backends import available_backends
+from repro.backends import prepare_problem
+from repro.backends.native import _library
 from repro.core.delta import BatchDeltaState
-from repro.core.packet import MainAlgorithm
+from repro.core.packet import MainAlgorithm, PacketBatch
+from repro.core.rng import XorShift64Star, host_generator
 from repro.core.sparse import SparseQUBOModel
+from repro.engine.coalesce import PackSegment, SuperLaunch
+from repro.gpu.device import DeviceSpec
+from repro.gpu.virtual_gpu import VirtualGPU
 from repro.problems.gset import g22_like
 from repro.problems.maxcut import maxcut_to_qubo
-from repro.search.batch import BestTracker
+from repro.search import build_main_algorithms
+from repro.search.batch import BatchSearchConfig, BestTracker
 from repro.search.greedy import greedy_descent, greedy_select
+from repro.search.tabu import TabuTracker
 
 N = 2000
 BLOCKS = 16
@@ -114,6 +128,172 @@ def _best_times_interleaved(fns, rounds: int = 5) -> list[float]:
             fn()
             out.append(time.perf_counter() - t0)
     return [min(out) for out in times]
+
+
+# ---------------------------------------------------------------------------
+# The native kernels at G22 size: each row runs from the same inputs on
+# native and on numpy-sparse, is asserted bit-identical, then timed.
+# ---------------------------------------------------------------------------
+
+G22_N = 512
+G22_ROWS = 32
+#: the g22_direct workload's search: 2 devices × 16 blocks, every
+#: algorithm, default flip factors
+G22_CONFIG = BatchSearchConfig()
+
+
+def _timed(setup, call, rounds: int) -> float:
+    """The best time of *call* over *rounds* runs, each on fresh inputs
+    from *setup* (not timed), after one warm-up run."""
+    best = float("inf")
+    for _ in range(rounds + 1):
+        args = setup()
+        t0 = time.perf_counter()
+        call(*args)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+class NativeRows:
+    """One G22-sized state per backend, reset to fixed inputs before each
+    phase; a phase's observables are x, energies, Δ, stamps, clock, best
+    memory, its own outputs and the lanes."""
+
+    def __init__(self) -> None:
+        self.model = gset_sparse_model(G22_N, seed=22)
+        rng = np.random.default_rng(4)
+        self.x = rng.integers(0, 2, size=(G22_ROWS, G22_N), dtype=np.uint8)
+        self.targets = rng.integers(0, 2, size=(G22_ROWS, G22_N), dtype=np.uint8)
+        self.lanes = rng.integers(1, 2**63, size=(G22_ROWS, G22_N), dtype=np.uint64)
+        self.iterations = G22_CONFIG.main_iterations(G22_N)
+        algorithms = build_main_algorithms(G22_CONFIG)
+        self.kinds = [algorithms[alg] for alg in MainAlgorithm if alg != MainAlgorithm.TWONEIGHBOR]
+        self.sides = {}
+        for name in ("native", "numpy-sparse"):
+            state = BatchDeltaState(self.model, G22_ROWS, backend=name)
+            tabu = TabuTracker(G22_ROWS, G22_N, G22_CONFIG.tabu_period)
+            tabu.vectorize_clock()
+            self.sides[name] = (state, tabu, BestTracker(state))
+
+    def setup(self, name):
+        state, tabu, tracker = self.sides[name]
+        state.reset(self.x)
+        tabu.stamps.fill(-(G22_CONFIG.tabu_period + 1))
+        tabu.clock[...] = 0
+        tracker.reset(state)
+        return state, tabu, tracker, self.lanes.copy(), np.zeros(8, dtype=np.int64)
+
+    def straight(self, state, tabu, tracker, lanes, cursor):
+        return state.backend.run_straight_phase(state, self.targets, tabu, tracker), lanes
+
+    def greedy(self, state, tabu, tracker, lanes, cursor):
+        return (*state.backend.run_greedy_phase(state, tabu, tracker), lanes)
+
+    def main(self, state, tabu, tracker, lanes, cursor):
+        """One main phase of the four non-TwoNeighbor kinds, 8 rows each
+        (CyclicMin's rows on their own cursor)."""
+        parts = []
+        for k, alg in enumerate(self.kinds):
+            lo, hi = 8 * k, 8 * k + 8
+            spec = alg.lower(state, self.iterations)
+            if alg.enum == MainAlgorithm.CYCLICMIN:
+                spec = replace(spec, cursor=cursor)
+            parts.append((lo, hi, spec, XorShift64Star.view(lanes[lo:hi])))
+        flips = state.backend.run_main_phase(state, parts, self.iterations, None, tabu, tracker)
+        return flips, lanes, cursor
+
+    def observed(self, name, phase):
+        state, tabu, tracker, *draws = self.setup(name)
+        out = phase(state, tabu, tracker, *draws)
+        return [state.x, state.energy, state.delta, tabu.stamps, tabu.clock,
+                tracker.best_x, tracker.best_energy, *out]
+
+
+class PackSearch:
+    """A g22_direct round: a pack of two 16-row segments whose blocks run
+    every algorithm, searched whole, on fresh devices each time."""
+
+    def __init__(self, backend: str) -> None:
+        self.model = gset_sparse_model(G22_N, seed=22)
+        self.prepared = prepare_problem(self.model, backend)
+        rng = np.random.default_rng(6)
+        algs = np.array([int(a) for a in MainAlgorithm], dtype=np.uint8)
+        self.batches = [
+            PacketBatch.void(
+                rng.integers(0, 2, size=(16, G22_N), dtype=np.uint8),
+                rng.permutation(np.resize(algs, 16)),
+                np.zeros(16, dtype=np.uint8),
+            )
+            for _ in range(2)
+        ]
+        self.scratch = {}
+
+    def setup(self):
+        gpus = [
+            VirtualGPU(
+                self.model, DeviceSpec(num_blocks=16), G22_CONFIG, tuple(MainAlgorithm),
+                host_generator(100 + j), backend=self.prepared.backend,
+                kernel=self.prepared.kernel,
+            )
+            for j in range(2)
+        ]
+        segments = [
+            PackSegment(j, 0, gpu, batch, None)
+            for j, (gpu, batch) in enumerate(zip(gpus, self.batches))
+        ]
+        return (segments,)
+
+    def run(self, segments):
+        return SuperLaunch(segments).run(self.scratch)
+
+    def observed(self):
+        (segments,) = self.setup()
+        done = self.run(segments)
+        out = [a for res in done for a in (res.result.vectors, res.result.energies, res.flips)]
+        for seg in segments:
+            gpu = seg.gpu
+            out += [
+                gpu.block_x,
+                gpu.rng_state,
+                gpu.algorithms[MainAlgorithm.CYCLICMIN].export_cursor(16),
+                np.array([gpu.total_flips, gpu.greedy_truncations]),
+            ]
+        return out
+
+
+def _assert_same(a, b, what: str) -> None:
+    assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b)), (
+        f"native {what} differs from numpy-sparse"
+    )
+
+
+def native_rows() -> list[tuple[str, float, float, int]]:
+    """(row, native s, numpy-sparse s, native threads) of each native row,
+    every row asserted bit-identical to numpy-sparse first."""
+    rows = NativeRows()
+    n, r = G22_N, G22_ROWS
+    phases = [
+        ("straight phase", rows.straight, r * n * n),
+        ("greedy phase", rows.greedy, r * n * (n // 8)),
+        (f"main phase ({rows.iterations} steps, 4 kinds)", rows.main, r * n * rows.iterations),
+    ]
+    threads = _library().repro_threads
+    out = []
+    for label, phase, work in phases:
+        _assert_same(rows.observed("native", phase), rows.observed("numpy-sparse", phase), label)
+        times = [
+            _timed(lambda name=name: rows.setup(name), phase, rounds)
+            for name, rounds in (("native", 20), ("numpy-sparse", 3))
+        ]
+        out.append((label, *times, threads(r, work)))
+    native, reference = PackSearch("native"), PackSearch("numpy-sparse")
+    _assert_same(native.observed(), reference.observed(), "pack search")
+    times = [
+        _timed(pack.setup, pack.run, rounds) for pack, rounds in ((native, 20), (reference, 3))
+    ]
+    # the search splits at least as far as its straight walks do
+    out.append(("whole pack search (2 × 16 rows)", *times, threads(r, r * n * n)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +481,29 @@ def run_report() -> tuple[str, dict]:
         f"| fused (numpy) | {fused_t * 1e3:.0f} ms "
         f"| {total / fused_t:,.0f} | {stepwise_t / fused_t:.2f}× |",
     ]
+
+    if "native" in available_backends():
+        lines += [
+            "",
+            f"## Native kernels at G22 size (n={G22_N}, {G22_ROWS} rows)",
+            "",
+            "One native call per row against numpy-sparse's NumPy body, from",
+            "the same inputs; every row is asserted bit-identical first.  The",
+            "pack search is a g22_direct round: two 16-row segments whose",
+            "blocks run every algorithm, its whole batch search in one call.",
+            "Threads: what the native call spreads over on this host.",
+            "",
+            "| row | native | numpy-sparse | speedup | native threads |",
+            "|---|---|---|---|---|",
+        ]
+        for label, native_t, numpy_t, threads in native_rows():
+            key = label.split(" (")[0].replace(" ", "_")
+            metrics[f"native_{key}_s"] = native_t
+            metrics[f"native_{key}_speedup"] = numpy_t / native_t
+            lines.append(
+                f"| {label} | {native_t * 1e3:.2f} ms | {numpy_t * 1e3:.1f} ms "
+                f"| {numpy_t / native_t:.1f}× | {threads} |"
+            )
     return "\n".join(lines), metrics
 
 

@@ -18,6 +18,8 @@ entire main phases lowered from a declarative
 instead of one per flip, with the tabu stamps and best-tracker folds
 computed in place on reused buffers.  A backend inherits these phase
 runners or overrides them (``cuda`` runs each as one device kernel).
+:meth:`run_search` runs a pack's whole batch search as waves of those
+phases (DESIGN.md §12); ``native`` overrides it with one call.
 
 Layers above (:class:`~repro.core.delta.BatchDeltaState`, the search
 algorithms, the virtual GPU) consume only this interface, so a new
@@ -67,6 +69,7 @@ __all__ = [
     "GreedyTruncationWarning",
     "greedy_iteration_cap",
     "masked_argmin",
+    "search_phase_calls",
 ]
 
 #: Sentinel larger than any reachable Δ value; used to exclude positions
@@ -123,6 +126,30 @@ def masked_argmin(
     if empty.any():
         idx[empty] = np.argmin(values[empty], axis=1)
     return idx, has
+
+
+def _runs(tag: np.ndarray) -> list[tuple[int, int]]:
+    """Maximal runs ``[i, j)`` of consecutive cells with one equal *tag*
+    value, skipping those tagged -1 (cells are in merged-row order, so a
+    run is one contiguous row span)."""
+    bounds = [0, *(np.flatnonzero(tag[1:] != tag[:-1]) + 1).tolist(), tag.size]
+    return [(i, j) for i, j in zip(bounds, bounds[1:]) if tag[i] >= 0]
+
+
+def search_phase_calls(greedies, mains, two) -> tuple[int, int, int]:
+    """The (straight, greedy, main) phase-runner calls the wave loop of
+    :meth:`ComputeBackend.run_search` makes for a pack whose cells ran
+    *greedies* greedy and *mains* main phases (*two* flags the
+    TwoNeighbor cells): one straight call, then per wave one call per
+    maximal span of cells still running that phase, main spans split at
+    the TwoNeighbor boundary."""
+    greedies, mains = np.asarray(greedies), np.asarray(mains)
+    two = np.asarray(two, dtype=np.int64)
+    greedy = main = 0
+    for wave in range(int(greedies.max(initial=0))):
+        greedy += len(_runs(np.where(greedies > wave, 0, -1)))
+        main += len(_runs(np.where(mains > wave, two, -1)))
+    return 1, greedy, main
 
 
 def _warn_truncated(count: int, max_iters: int) -> None:
@@ -284,9 +311,11 @@ class ComputeBackend(ABC):
     # the reference's empty-mask fallback for the min rules (the random
     # rules keep their explicit fallback).
 
-    # The three public phase runners are the one entry point (the tracer
-    # and the counted-work pin wrap them here); each delegates to one
-    # protected body, which a backend overrides (``cuda``, ``native``).
+    # The three public phase runners are the wave loop's one entry point
+    # (the tracer and the counted-work pin wrap them here); each delegates
+    # to one protected body, which a backend overrides (``cuda``,
+    # ``native``).  ``native`` also overrides run_search, which then calls
+    # none of them.
 
     def run_straight_phase(self, state, targets, tabu, tracker) -> np.ndarray:
         """Fused straight phase: walk every row to its target vector.
@@ -324,6 +353,73 @@ class ComputeBackend(ABC):
         flip counts (always ``iterations``).
         """
         return self._main(state, spec, iterations, rng, tabu, tracker)
+
+    def run_search(self, cells, budget: int):
+        """Run a pack's whole batch search (DESIGN.md §12).
+
+        *cells* are the pack's cells over the merged rows of its scratch
+        buffers (:class:`~repro.engine.coalesce.PackCells`): ``total``
+        rows, ``starts``/``stops`` of each cell, ``two`` flagging the
+        TwoNeighbor cells, the merged ``targets``, ``views(a, b)`` giving
+        the (state, tabu, tracker) over rows [a, b), and
+        ``main_parts(state, i, j)`` giving the (iterations, parts) of a
+        main phase over cells [i, j).  Every row walks to its target,
+        then each cell alternates greedy descents and main phases until
+        all its rows spent *budget* flips (a TwoNeighbor cell: after its
+        one main phase), the schedule of the solo launch it stands for.
+
+        This body is the wave loop: each phase runs through the public
+        runner over every maximal span of cells still running it, and
+        after a straight or greedy wave a cell's clock advances by its own
+        longest phase.  A backend may run the same schedule otherwise
+        (``native`` runs it in one call).  Returns per-row flips and the
+        greedy and main phases each cell ran.
+        """
+        starts, two, total = cells.starts, cells.two, cells.total
+        sizes = cells.stops - starts
+        first, last = starts.tolist(), cells.stops.tolist()
+        flips = np.zeros(total, dtype=np.int64)
+        greedies = np.zeros(starts.size, dtype=np.int64)
+        mains = np.zeros(starts.size, dtype=np.int64)
+
+        def fix_clock(tabu, i, j, pre, f):
+            # a cell's solo clock advances by *its* phase length — the max
+            # per-row flip count, since straight/greedy flips are
+            # consecutive from the phase start (rows never reactivate)
+            lengths = np.maximum.reduceat(f, starts[i:j] - first[i])
+            tabu.clock[...] = pre + np.repeat(lengths, sizes[i:j])
+
+        # straight phase: every cell at once (no cell finishes before it)
+        st, tb, tr = cells.views(0, total)
+        pre = tb.clock.copy()
+        f = self.run_straight_phase(st, cells.targets, tb, tr)
+        flips += f
+        fix_clock(tb, 0, starts.size, pre, f)
+        done = np.zeros(starts.size, dtype=bool)
+        while True:
+            for i, j in _runs(np.where(done, -1, 0)):
+                a, b = first[i], last[j - 1]
+                st, tb, tr = cells.views(a, b)
+                pre = tb.clock.copy()
+                f, truncated = self.run_greedy_phase(st, tb, tr)
+                tr.greedy_truncated |= truncated
+                flips[a:b] += f
+                fix_clock(tb, i, j, pre, f)
+            greedies += ~done
+            # TwoNeighbor runs exactly greedy → main → greedy; every other
+            # cell stops when all its rows spent the flip budget
+            done = np.where(two, mains >= 1, np.minimum.reduceat(flips, starts) >= budget)
+            if done.all():
+                return flips, greedies, mains
+            # one lockstep main phase per span: TwoNeighbor cells run their
+            # 2n − 1 traversal, every other span mixes its algorithms, one
+            # part per same-algorithm run of cells
+            for i, j in _runs(np.where(done, -1, two)):
+                a, b = first[i], last[j - 1]
+                st, tb, tr = cells.views(a, b)
+                iterations, parts = cells.main_parts(st, i, j)
+                flips[a:b] += self.run_main_phase(st, parts, iterations, None, tb, tr)
+                mains[i:j] += 1
 
     def _straight(self, state, targets, tabu, tracker) -> np.ndarray:
         # the sentinel penalty matrix is maintained incrementally — each

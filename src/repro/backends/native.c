@@ -1,12 +1,13 @@
 /*
  * Native phase kernels of the ``native`` backend (repro.backends.native).
  *
- * One call runs one whole search phase, or the Δ/energy reset, over a span
- * of rows: each row walks its own straight/greedy/main schedule in a
- * register loop, as one CUDA block does in the paper (§III).  Rows are
- * independent in every phase, so a call spreads them over a few threads
- * (see dispatch) and the result is bit-identical to the NumPy backends'
- * lockstep loops whatever the split.
+ * One call runs one whole search phase, the Δ/energy reset, or a whole
+ * pack's batch search, over a span of rows: each row walks its own
+ * straight/greedy/main schedule in a register loop, as one CUDA block does
+ * in the paper (§III).  Rows are independent in every phase, and so are a
+ * pack's cells in its search, so a call spreads them over a few threads
+ * (see run_threads) and the result is bit-identical to the NumPy
+ * backends' lockstep loops whatever the split.
  *
  * Bit-exactness rules (DESIGN.md §14):
  *   - the reference semantics are ported, not the NumPy tricks: every
@@ -45,11 +46,16 @@ enum {
     P_SEQUENCE, P_SEQ_LEN, P_CURSOR, P_LANES, P_FIELDS
 };
 
+/* fields of one cell of a search: its main-phase part (rows in pack
+ * rows), its main-phase length and TwoNeighbor flag, then the greedy and
+ * main phases it ran, which the search writes */
+enum { C_ITERATIONS = P_FIELDS, C_TWO, C_GREEDIES, C_MAINS, C_FIELDS };
+
 typedef struct {
     const int64_t *indptr, *indices, *data;
 } csr_t;
 
-int64_t repro_native_abi(void) { return 3; }
+int64_t repro_native_abi(void) { return 4; }
 
 /* -- the row split ----------------------------------------------------------
  * A call's work is estimated as rows · n · steps, from the call's shape
@@ -57,13 +63,14 @@ int64_t repro_native_abi(void) { return 3; }
  * target), n / 8 for the greedy descent (much shorter than n flips: about
  * n / 5 from a GA child, far fewer after a main phase) and the iterations
  * of a main phase; a reset's work is rows · (nnz + n), one pass over the
- * couplings.  Each thread gets at least WORK_PER_THREAD of it, about
- * 0.2-0.8 ms at n = 512.  Starting and joining a thread costs ~35 µs on
- * an idle host, but waking a second CPU of a busy shared host can take
- * milliseconds, so only calls well above that split.  A stream-sized
- * call (n ≤ 96, 16 rows, main phases of up to 2n iterations) stays on
- * the calling thread, and a g22-sized straight walk or first greedy
- * descent (n = 512, 32 rows) spreads; a g22-sized reset does not. */
+ * couplings, and a search's is the sum of its phases (see cell_work).
+ * Each thread gets at least WORK_PER_THREAD of it, about 0.2-0.8 ms at
+ * n = 512.  Starting and joining a thread costs ~35 µs on an idle host,
+ * but waking a second CPU of a busy shared host can take milliseconds, so
+ * only calls well above that split.  A stream-sized phase call (n ≤ 96,
+ * 16 rows, main phases of up to 2n iterations) stays on the calling
+ * thread, and a g22-sized straight walk or first greedy descent (n = 512,
+ * 32 rows) spreads; a g22-sized reset does not. */
 #define WORK_PER_THREAD ((int64_t)1 << 19)
 
 static int64_t allowed_cpus(void)
@@ -88,7 +95,7 @@ int64_t repro_threads(int64_t rows, int64_t work)
     return threads < rows ? threads : rows;
 }
 
-/* one call: its arguments and its per-row body, which workers only
+/* one phase call: its arguments and its per-row body, which workers only
  * read */
 typedef struct call {
     int64_t rows, n;
@@ -119,40 +126,50 @@ typedef struct call {
  * ~45%. */
 #define PAGE 4096
 
+/* the row claims of one call, shared by its threads */
 typedef struct {
-    const call_t *call;
-    _Atomic int64_t *next;   /* the next unclaimed claim */
-    int64_t threads, spread; /* spread: rows between consecutive claims */
-    int64_t *scratch;        /* this worker's own row; never shared */
+    _Atomic int64_t next;             /* the next unclaimed claim */
+    int64_t rows, threads, spread;    /* spread: rows between consecutive claims */
+} claims_t;
+
+static void claims_init(claims_t *c, int64_t rows, int64_t threads)
+{
+    atomic_init(&c->next, 0);
+    c->rows = rows;
+    c->threads = threads;
+    c->spread = (rows + threads - 1) / threads;
+}
+
+/* the next unclaimed row, or -1 when every row is claimed.  Claim k is
+ * row (k mod threads)·spread + k / threads: a transpose of [0,
+ * threads·spread), whose rows past the end are skipped. */
+static int64_t claim_row(claims_t *c)
+{
+    for (;;) {
+        int64_t k = atomic_fetch_add_explicit(&c->next, 1, memory_order_relaxed);
+        if (k >= c->threads * c->spread)
+            return -1;
+        int64_t r = k % c->threads * c->spread + k / c->threads;
+        if (r < c->rows)
+            return r;
+    }
+}
+
+typedef struct {
+    void *job;        /* what every worker of the call shares */
+    int64_t *scratch; /* this worker's own row; never shared */
     pthread_t id;
     int started;
 } worker_t;
 
-static void *run_rows(void *arg)
+/* Run *body* on *threads* workers, the calling thread included, each with
+ * its own scratch row of *scratch_len* int64.  All scratch is allocated
+ * before any worker starts and every worker is joined before the call
+ * returns.  A worker that cannot start leaves its claims to the others.
+ * Nonzero when the scratch cannot be allocated. */
+static int64_t run_threads(int64_t threads, int64_t scratch_len,
+                           void *(*body)(void *), void *job)
 {
-    const worker_t *w = arg;
-    const call_t *c = w->call;
-    for (;;) {
-        /* claim k is row (k mod threads)·spread + k / threads: a
-         * transpose of [0, threads·spread), whose rows past the end
-         * are skipped */
-        int64_t k = atomic_fetch_add_explicit(w->next, 1, memory_order_relaxed);
-        if (k >= w->threads * w->spread)
-            return NULL;
-        int64_t r = k % w->threads * w->spread + k / w->threads;
-        if (r < c->rows)
-            c->row(c, r, w->scratch);
-    }
-}
-
-/* Run every row of *c* on repro_threads(rows, work) threads, the calling
- * thread included, each with its own scratch row of *scratch_len* int64.
- * All scratch is allocated before any worker starts and every worker is
- * joined before the call returns.  A worker that cannot start leaves its
- * rows to the others.  Nonzero when the scratch cannot be allocated. */
-static int64_t dispatch(const call_t *c, int64_t work, int64_t scratch_len)
-{
-    int64_t threads = repro_threads(c->rows, work);
     size_t stride = scratch_len
         ? ((size_t)scratch_len * sizeof(int64_t) + PAGE - 1) / PAGE * PAGE + PAGE
         : 0;
@@ -163,24 +180,46 @@ static int64_t dispatch(const call_t *c, int64_t work, int64_t scratch_len)
         free(workers);
         return -1;
     }
-    _Atomic int64_t next;
-    atomic_init(&next, 0);
-    int64_t spread = (c->rows + threads - 1) / threads;
     for (int64_t t = 0; t < threads; t++)
         workers[t] = (worker_t){
-            .call = c, .next = &next, .threads = threads, .spread = spread,
+            .job = job,
             .scratch = stride ? scratch + t * stride / sizeof *scratch : NULL,
         };
     for (int64_t t = 1; t < threads; t++)
         workers[t].started =
-            pthread_create(&workers[t].id, NULL, run_rows, &workers[t]) == 0;
-    run_rows(&workers[0]);
+            pthread_create(&workers[t].id, NULL, body, &workers[t]) == 0;
+    body(&workers[0]);
     for (int64_t t = 1; t < threads; t++)
         if (workers[t].started)
             pthread_join(workers[t].id, NULL);
     free(scratch);
     free(workers);
     return 0;
+}
+
+typedef struct {
+    const call_t *call;
+    claims_t claims;
+} rows_job_t;
+
+static void *run_rows(void *arg)
+{
+    const worker_t *w = arg;
+    rows_job_t *job = w->job;
+    const call_t *c = job->call;
+    for (int64_t r; (r = claim_row(&job->claims)) >= 0;)
+        c->row(c, r, w->scratch);
+    return NULL;
+}
+
+/* Run every row of *c* on repro_threads(rows, work) threads, each with
+ * its own scratch row of *scratch_len* int64. */
+static int64_t dispatch(const call_t *c, int64_t work, int64_t scratch_len)
+{
+    rows_job_t job = {.call = c};
+    int64_t threads = repro_threads(c->rows, work);
+    claims_init(&job.claims, c->rows, threads);
+    return run_threads(threads, scratch_len, run_rows, &job);
 }
 
 /* -- row kernels ----------------------------------------------------------- */
@@ -550,6 +589,118 @@ static void reset_row(const call_t *c, int64_t r, int64_t *scratch)
     c->energy[r] = d / 2 - (d % 2 < 0);
 }
 
+/* -- the whole batch search of a pack ---------------------------------------
+ * A pack's cells (one segment × one algorithm group each: the rows a
+ * solo launch runs in lockstep) share no row, and nothing a cell's phases
+ * read belongs to another cell, so each cell runs its own schedule to its
+ * end: greedy, the budget test, then a main phase, until it is done, with
+ * its clock advanced as the solo launch's scalar clock is (DESIGN.md
+ * §12).  The threads first claim the straight walks by row over the whole
+ * pack, as a straight call does, then claim whole cells, largest
+ * estimated work first. */
+typedef struct {
+    call_t straight, greedy, main; /* the pack's arrays, per phase */
+    int64_t *clock;                /* the per-row clock the cells advance */
+    int64_t *flips;                /* per row, the flips of every phase */
+    uint8_t *truncated;            /* per row, OR-ed over greedy phases */
+    int64_t budget, cells;
+    int64_t *table;                /* cells × C_FIELDS */
+    const int64_t *order;          /* cells, largest estimated work first */
+    claims_t rows;
+    _Atomic int64_t next_cell, walked;
+    pthread_mutex_t lock;
+    pthread_cond_t all_walked;
+} search_t;
+
+static void advance(int64_t *clock, int64_t lo, int64_t hi, int64_t by)
+{
+    for (int64_t r = lo; r < hi; r++)
+        clock[r] += by;
+}
+
+/* one cell's greedy/main waves after its straight walk */
+static void run_cell(const search_t *s, int64_t *cell, int64_t *scratch)
+{
+    int64_t lo = cell[P_LO], hi = cell[P_HI];
+    call_t main = s->main;
+    main.parts = cell; /* every row is below cell[P_HI]: main_row stays */
+    main.iterations = cell[C_ITERATIONS];
+    const int64_t *phase = s->greedy.flips;
+    int64_t longest = 0, greedies = 0, mains = 0;
+    for (int64_t r = lo; r < hi; r++) /* the straight walk's length */
+        longest = s->flips[r] > longest ? s->flips[r] : longest;
+    advance(s->clock, lo, hi, longest);
+    for (;;) {
+        longest = 0;
+        for (int64_t r = lo; r < hi; r++) {
+            greedy_row(&s->greedy, r, scratch);
+            s->flips[r] += phase[r];
+            s->truncated[r] |= s->greedy.truncated[r];
+            longest = phase[r] > longest ? phase[r] : longest;
+        }
+        advance(s->clock, lo, hi, longest);
+        greedies++;
+        /* TwoNeighbor runs exactly greedy → main → greedy; every other
+         * cell stops when all its rows spent the flip budget */
+        int64_t fewest = s->flips[lo];
+        for (int64_t r = lo; r < hi; r++)
+            fewest = s->flips[r] < fewest ? s->flips[r] : fewest;
+        if (cell[C_TWO] ? mains >= 1 : fewest >= s->budget)
+            break;
+        for (int64_t r = lo; r < hi; r++) {
+            main_row(&main, r, scratch);
+            s->flips[r] += main.iterations;
+        }
+        advance(s->clock, lo, hi, main.iterations);
+        mains++;
+    }
+    cell[C_GREEDIES] = greedies;
+    cell[C_MAINS] = mains;
+}
+
+static void *run_search(void *arg)
+{
+    const worker_t *w = arg;
+    search_t *s = w->job;
+    int64_t rows = s->straight.rows;
+    for (int64_t r; (r = claim_row(&s->rows)) >= 0;) {
+        straight_row(&s->straight, r, w->scratch);
+        if (atomic_fetch_add(&s->walked, 1) + 1 == rows) {
+            pthread_mutex_lock(&s->lock);
+            pthread_cond_broadcast(&s->all_walked);
+            pthread_mutex_unlock(&s->lock);
+        }
+    }
+    /* a cell's clock fix-up reads its rows' straight flips */
+    pthread_mutex_lock(&s->lock);
+    while (atomic_load(&s->walked) < rows)
+        pthread_cond_wait(&s->all_walked, &s->lock);
+    pthread_mutex_unlock(&s->lock);
+    for (int64_t k; (k = atomic_fetch_add_explicit(&s->next_cell, 1, memory_order_relaxed)) < s->cells;)
+        run_cell(s, s->table + s->order[k] * C_FIELDS, w->scratch);
+    return NULL;
+}
+
+/* A cell's estimated work, rows · n · steps over its greedy and main
+ * phases: a TwoNeighbor cell runs one main phase, any other about
+ * ⌈budget / iterations⌉ (each wave adds at least a main phase's flips),
+ * and each cell one greedy descent more than main phases. */
+static int64_t cell_work(const int64_t *cell, int64_t n, int64_t budget)
+{
+    int64_t iterations = cell[C_ITERATIONS] > 0 ? cell[C_ITERATIONS] : 1;
+    int64_t mains = cell[C_TWO] ? 1 : (budget + iterations - 1) / iterations;
+    return (cell[P_HI] - cell[P_LO]) * n * (mains * iterations + (mains + 1) * (n / 8));
+}
+
+/* (work, cell) pairs: the larger work first, then the lower cell */
+static int by_work(const void *a, const void *b)
+{
+    const int64_t *p = a, *q = b;
+    if (p[0] != q[0])
+        return p[0] < q[0] ? 1 : -1;
+    return p[1] < q[1] ? -1 : p[1] > q[1];
+}
+
 /* -- entry points: each returns nonzero when it cannot allocate ------------ */
 int64_t repro_reset(int64_t rows, int64_t n, const int64_t *indptr,
                     const int64_t *indices, const int64_t *data, uint8_t *x,
@@ -606,4 +757,57 @@ int64_t repro_main(int64_t rows, int64_t n, const int64_t *indptr,
     c.iterations = iterations;
     c.parts = parts; /* they tile [0, rows) */
     return dispatch(&c, rows * n * iterations, n);
+}
+
+/* The whole batch search of a pack: the straight walk of every row, then
+ * each cell's waves (cells × C_FIELDS in *table*, whose greedy and main
+ * phase counts it writes).  *clock* is per row and ends where the
+ * per-cell clock of the wave loop ends; *flips* gets every row's flips;
+ * *truncated* is OR-ed with each greedy descent's flags. */
+int64_t repro_search(int64_t rows, int64_t n, const int64_t *indptr,
+                     const int64_t *indices, const int64_t *data, uint8_t *x,
+                     int64_t *energy, int64_t *delta, int64_t *stamps,
+                     int64_t stamp_on, int64_t *clock, uint8_t *best_x,
+                     int64_t *best_e, const uint8_t *targets, int64_t *flips,
+                     uint8_t *truncated, int64_t period, int64_t budget,
+                     int64_t max_iters, int64_t cells, int64_t *table)
+{
+    CALL(straight_row);
+    search_t s = {.straight = c, .greedy = c, .main = c, .clock = clock,
+                  .flips = flips, .truncated = truncated, .budget = budget,
+                  .cells = cells, .table = table};
+    s.straight.targets = targets;
+    s.straight.flips = flips;
+    /* the order's (work, cell) pairs, then the greedy descent's per-row
+     * flips and flags */
+    int64_t *order = malloc((size_t)(2 * cells + rows) * sizeof(int64_t) + (size_t)rows + 1);
+    if (!order)
+        return -1;
+    s.greedy.row = greedy_row;
+    s.greedy.max_iters = max_iters;
+    s.greedy.flips = order + 2 * cells;
+    s.greedy.truncated = (uint8_t *)(order + 2 * cells + rows);
+    s.main.row = main_row;
+    s.main.period = period;
+    int64_t work = rows * n * n;
+    for (int64_t k = 0; k < cells; k++) {
+        order[2 * k] = cell_work(table + k * C_FIELDS, n, budget);
+        order[2 * k + 1] = k;
+        work += order[2 * k];
+    }
+    qsort(order, (size_t)cells, 2 * sizeof(int64_t), by_work);
+    for (int64_t k = 0; k < cells; k++) /* reads 2k + 1 ≥ k: not yet written */
+        order[k] = order[2 * k + 1];
+    s.order = order;
+    int64_t threads = repro_threads(rows, work);
+    claims_init(&s.rows, rows, threads);
+    atomic_init(&s.next_cell, 0);
+    atomic_init(&s.walked, 0);
+    pthread_mutex_init(&s.lock, NULL);
+    pthread_cond_init(&s.all_walked, NULL);
+    int64_t failed = run_threads(threads, n, run_search, &s);
+    pthread_cond_destroy(&s.all_walked);
+    pthread_mutex_destroy(&s.lock);
+    free(order);
+    return failed;
 }

@@ -56,10 +56,14 @@ _FLAGS = (
 )
 _LIBS = ("-lm",)
 #: ``repro_native_abi()`` of the source this module drives
-_ABI = 3
+_ABI = 4
 #: the main-phase kinds in the order of native.c's kind codes
 _KINDS = (KIND_MAXMIN_THRESHOLD, KIND_CYCLIC_WINDOW, KIND_RANDOM_CANDIDATE_MIN,
           KIND_POSITIVE_MIN, KIND_FIXED_SEQUENCE)
+#: native.c's P_FIELDS of a main-phase part, then the C_* fields a search
+#: cell adds: main-phase length, TwoNeighbor flag, greedy and main phases
+_PART_FIELDS = 11
+_C_ITERATIONS, _C_TWO, _C_GREEDIES, _C_MAINS, _CELL_FIELDS = range(_PART_FIELDS, _PART_FIELDS + 5)
 
 _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
 #: rows, n, the CSR triple, x, energy, Δ
@@ -74,6 +78,7 @@ _SIGNATURES = {
     "repro_straight": (_I64, (*_COMMON, _PTR, _PTR)),
     "repro_greedy": (_I64, (*_COMMON, _I64, _PTR, _PTR)),
     "repro_main": (_I64, (*_COMMON, _I64, _I64, _PTR)),
+    "repro_search": (_I64, (*_COMMON, _PTR, _PTR, _PTR, _I64, _I64, _I64, _I64, _PTR)),
     "repro_threads": (_I64, (_I64, _I64)),
 }
 
@@ -309,36 +314,87 @@ class NativeBackend(NumpySparseBackend):
         tabu.advance(int(flips.max(initial=0)))
         return flips, truncated
 
-    def _main(self, state, spec, iterations, rng, tabu, tracker) -> np.ndarray:
-        """All row-range parts in one call, one int64 descriptor row each
-        (the ``P_*`` fields of native.c)."""
-        parts = self._parts(state, spec, rng)
-        n = state.x.shape[1]
-        table = np.zeros((len(parts), 11), dtype=np.int64)
+    @staticmethod
+    def _part_row(row, lo, hi, spec, use_tabu, iterations, n, lanes, cursor) -> None:
+        """Fill the ``P_*`` fields of one main-phase part (native.c) over
+        rows [lo, hi): *lanes* and *cursor* are the part's own rows."""
+        sequence = spec.sequence
+        if sequence is not None and not 0 <= sequence.min() <= sequence.max() < n:
+            raise ValueError("a fixed sequence must name bits of the model")
 
         def per_step(array, dtype):
             return 0 if array is None else _ptr(array, dtype, (iterations,))
 
-        for row, (lo, hi, part, lanes) in enumerate(parts):
-            sequence = part.sequence
-            if sequence is not None and not 0 <= sequence.min() <= sequence.max() < n:
-                raise ValueError("a fixed sequence must name bits of the model")
-            table[row] = (
-                lo,
-                hi,
-                _KINDS.index(part.kind),
-                int(part.supports_tabu and tabu.enabled),
-                per_step(part.schedule, np.float64),
-                per_step(part.thresholds, np.int64),
-                per_step(part.widths, np.int64),
-                0 if sequence is None else _ptr(sequence),
-                0 if sequence is None else sequence.size,
-                0 if part.cursor is None else _ptr(part.cursor, shape=(hi - lo,)),
-                _ptr(lanes.state, np.uint64, (hi - lo, n)) if part.uses_rng else 0,
-            )
+        row[:_PART_FIELDS] = (
+            lo,
+            hi,
+            _KINDS.index(spec.kind),
+            int(spec.supports_tabu and use_tabu),
+            per_step(spec.schedule, np.float64),
+            per_step(spec.thresholds, np.int64),
+            per_step(spec.widths, np.int64),
+            0 if sequence is None else _ptr(sequence),
+            0 if sequence is None else sequence.size,
+            0 if cursor is None else _ptr(cursor, shape=(hi - lo,)),
+            _ptr(lanes, np.uint64, (hi - lo, n)) if spec.uses_rng else 0,
+        )
+
+    def _main(self, state, spec, iterations, rng, tabu, tracker) -> np.ndarray:
+        """All row-range parts in one call, one int64 descriptor row each."""
+        parts = self._parts(state, spec, rng)
+        n = state.x.shape[1]
+        table = np.zeros((len(parts), _PART_FIELDS), dtype=np.int64)
+        for row, (lo, hi, part, lanes) in zip(table, parts):
+            self._part_row(row, lo, hi, part, tabu.enabled, iterations, n, lanes.state, part.cursor)
         self._call(
             "repro_main", state, tabu, tracker,
             int(tabu.period), int(iterations), table.ctypes.data,
         )
         tabu.advance(iterations)
         return np.full(state.batch, iterations, dtype=np.int64)
+
+    def run_search(self, cells, budget):
+        """The whole search of a pack in one GIL-free call: the wave loop's
+        schedule per cell (see :meth:`ComputeBackend.run_search`), each
+        cell one table row, into which the call writes the greedy and main
+        phases the cell ran."""
+        state, tabu, tracker = cells.views(0, cells.total)
+        n = state.x.shape[1]
+        greedy_cap = greedy_iteration_cap(n)
+        starts, stops = cells.starts.tolist(), cells.stops.tolist()
+        table = np.zeros((len(starts), _CELL_FIELDS), dtype=np.int64)
+        lanes, cursor = cells.lanes, cells.cursor
+        for k, (row, lo, hi, spec, iterations) in enumerate(
+            zip(table, starts, stops, cells.specs, cells.iterations)
+        ):
+            self._part_row(
+                row, lo, hi, spec, tabu.enabled, iterations, n, lanes[lo:hi],
+                cursor[lo:hi] if spec.kind == KIND_CYCLIC_WINDOW else None,
+            )
+            row[_C_ITERATIONS] = iterations
+            row[_C_TWO] = cells.two[k]
+        bound = self._binding(state)
+        if not bound.fits_phase(tabu, tracker):
+            bound.bind(tabu, tracker)
+        flips = np.empty(cells.total, dtype=np.int64)
+        truncated = tracker.greedy_truncated
+        failed = self._lib.repro_search(
+            *bound.head,
+            _ptr(tabu.clock, shape=(bound.rows,)),
+            *bound.tail,
+            _ptr(cells.targets, np.uint8, state.x.shape),
+            flips.ctypes.data,
+            _ptr(truncated.view(np.uint8), np.uint8),
+            int(tabu.period),
+            int(budget),
+            int(greedy_cap),
+            len(starts),
+            table.ctypes.data,
+        )
+        self._invalidate_derived(state)
+        if failed:
+            raise MemoryError("repro_search could not allocate its scratch")
+        count = int(np.count_nonzero(truncated))
+        if count:
+            _warn_truncated(count, greedy_cap)
+        return flips, table[:, _C_GREEDIES].copy(), table[:, _C_MAINS].copy()

@@ -47,6 +47,11 @@ pack's rows) and drives them in waves:
 * the whole-group budget test is evaluated per cell (one grouped min per
   wave), in the same schedule position as the solo loop.
 
+The waves are :meth:`ComputeBackend.run_search`'s default body, over
+the pack's :class:`PackCells`; a backend may run the same per-cell
+schedule otherwise (``native`` runs each cell to its end in one C call,
+which is bit-identical because no wave couples two cells).
+
 Rows riding a wave longer than their own phase would have lasted are
 harmless by construction: straight/greedy consume no RNG, inactive rows
 take no flips and write no stamps, and ``BestTracker.fold`` is idempotent
@@ -168,12 +173,60 @@ class PackScratch:
         return triple
 
 
-def _runs(tag: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal runs ``[i, j)`` of consecutive cells with one equal *tag*
-    value, skipping those tagged -1 (cells are in merged-row order, so a
-    run is one contiguous row span)."""
-    bounds = [0, *(np.flatnonzero(tag[1:] != tag[:-1]) + 1).tolist(), tag.size]
-    return [(i, j) for i, j in zip(bounds, bounds[1:]) if tag[i] >= 0]
+class PackCells:
+    """A pack's cells over the merged rows of its :class:`PackScratch`:
+    what :meth:`ComputeBackend.run_search` runs.
+
+    A cell is one segment × one algorithm group, the rows a solo launch
+    runs in lockstep; cells are in merged-row order, same-algorithm cells
+    next to each other and TwoNeighbor ones last.  ``specs[i]`` is cell
+    *i*'s lowered selection rule at its main-phase length
+    ``iterations[i]`` (:meth:`BatchSearchConfig.main_iterations`, or the
+    traversal's 2n − 1); ``lanes`` and ``cursor`` are the merged RNG lanes
+    and CyclicMin cursors the main phases advance.
+    """
+
+    __slots__ = (
+        "scratch", "total", "starts", "stops", "alg", "two", "iterations",
+        "specs", "targets", "lanes", "cursor", "_edges",
+    )
+
+    def __init__(self, scratch, starts, stops, alg, iterations, specs) -> None:
+        self.scratch = scratch
+        self.total = total = int(stops[-1])
+        self.starts, self.stops, self.alg = starts, stops, alg
+        self.two = alg == MainAlgorithm.TWONEIGHBOR
+        self.iterations, self.specs = iterations, specs
+        self.targets = scratch.targets[:total]
+        self.lanes = scratch.rng[:total]
+        self.cursor = scratch.cursor[:total]
+        #: the cells where a same-algorithm run starts (main-phase parts)
+        self._edges = (np.flatnonzero(alg[1:] != alg[:-1]) + 1).tolist()
+
+    def views(self, a: int, b: int):
+        """The (state, tabu, tracker) over merged rows [a, b); the state's
+        x-derived caches drop when the span differs from the last one."""
+        scratch = self.scratch
+        st, tb, tr = scratch.window(a, b)
+        if scratch.last_span != (a, b):
+            st.backend._invalidate_derived(st)
+            scratch.last_span = (a, b)
+        return st, tb, tr
+
+    def main_parts(self, state, i: int, j: int):
+        """(iterations, parts) of one main phase over cells [i, j): one
+        row-range part per same-algorithm run, at the first cell's spec."""
+        starts, stops = self.starts, self.stops
+        a = int(starts[i])
+        bounds = [i, *(c for c in self._edges if i < c < j), j]
+        parts = []
+        for p, q in zip(bounds, bounds[1:]):
+            lo, hi = int(starts[p]), int(stops[q - 1])
+            spec = self.specs[p]
+            if self.alg[p] == MainAlgorithm.CYCLICMIN:
+                spec = replace(spec, cursor=self.cursor[lo:hi])
+            parts.append((lo - a, hi - a, spec, XorShift64Star.view(self.lanes[lo:hi])))
+        return self.iterations[i], parts
 
 
 class SuperLaunch:
@@ -226,9 +279,9 @@ class SuperLaunch:
         device exactly as before the pack, so :func:`run_pack` can
         re-plan the segments.
 
-        The cells are arrays indexed by cell (algorithm, segment, row
-        bounds, main phases run), so the Python work per wave is one line
-        per span, not per cell.
+        The cells (:class:`PackCells`) are arrays indexed by cell, and
+        the backend runs their whole search in one
+        :meth:`~repro.backends.base.ComputeBackend.run_search` call.
         """
         segments = self.segments
         first = segments[0].gpu
@@ -276,11 +329,6 @@ class SuperLaunch:
             )
         stops = np.concatenate((cut, [total]))
         cell_start, cell_stop = starts.tolist(), stops.tolist()
-        cell_sizes = stops - starts
-        is_two = cell_alg == MainAlgorithm.TWONEIGHBOR
-        #: the cells where a same-algorithm run starts (main-phase parts)
-        alg_edges = (np.flatnonzero(cell_alg[1:] != cell_alg[:-1]) + 1).tolist()
-        mains = np.zeros(cell_alg.size, dtype=np.int64)
         position = np.empty(total, dtype=np.int64)
         position[order] = np.arange(total)
         seg_rows = [position[offsets[si] : offsets[si + 1]] for si in range(count)]
@@ -317,78 +365,18 @@ class SuperLaunch:
         tabu.clock[...] = 0
         tracker.reset(state)
         tracker.fold(state)
-        clock = scratch.tabu.clock
 
-        def views(a, b):
-            st, tb, tr = scratch.window(a, b)
-            if scratch.last_span != (a, b):
-                backend._invalidate_derived(st)
-                scratch.last_span = (a, b)
-            return st, tb, tr
-
-        flips = np.zeros(total, dtype=np.int64)
-        budget = config.batch_budget(n)
+        # each cell's selection rule, lowered by its own device's instance
+        # at its main-phase length (a TwoNeighbor cell: its traversal's)
         main_iters = config.main_iterations(n)
-
-        def fix_clock(i, j, pre, f):
-            # a cell's solo clock advances by *its* phase length — the max
-            # per-row flip count, since straight/greedy flips are
-            # consecutive from the phase start (rows never reactivate)
-            a = cell_start[i]
-            lengths = np.maximum.reduceat(f, starts[i:j] - a)
-            clock[a : cell_stop[j - 1]] = pre + np.repeat(lengths, cell_sizes[i:j])
-
-        def lower(st, i, j):
-            # (iterations, parts) of a main phase over cells [i, j): one
-            # part per same-algorithm run; a TwoNeighbor span runs the
-            # traversal's length
-            a = cell_start[i]
-            iterations = main_iters
-            if is_two[i]:
-                two = segments[cell_seg[i]].gpu.algorithms[MainAlgorithm.TWONEIGHBOR]
-                iterations = two.num_iterations(n)
-            bounds = [i, *(c for c in alg_edges if i < c < j), j]
-            parts = []
-            for p, q in zip(bounds, bounds[1:]):
-                lo, hi = cell_start[p], cell_stop[q - 1]
-                alg_enum = MainAlgorithm(cell_alg[p])
-                spec = segments[cell_seg[p]].gpu.algorithms[alg_enum].lower(st, iterations)
-                if alg_enum == MainAlgorithm.CYCLICMIN:
-                    spec = replace(spec, cursor=scratch.cursor[lo:hi])
-                parts.append((lo - a, hi - a, spec, XorShift64Star.view(rng_block[lo:hi])))
-            return iterations, parts
-
-        # straight phase: every cell at once (no cell finishes before it)
-        st, tb, tr = views(0, total)
-        pre = tb.clock.copy()
-        f = backend.run_straight_phase(st, scratch.targets[:total], tb, tr)
-        flips += f
-        fix_clock(0, cell_alg.size, pre, f)
-
-        done = np.zeros(cell_alg.size, dtype=bool)
-        while True:
-            for i, j in _runs(np.where(done, -1, 0)):
-                st, tb, tr = views(cell_start[i], cell_stop[j - 1])
-                pre = tb.clock.copy()
-                f, truncated = backend.run_greedy_phase(st, tb, tr)
-                tr.greedy_truncated |= truncated
-                flips[cell_start[i] : cell_stop[j - 1]] += f
-                fix_clock(i, j, pre, f)
-            # TwoNeighbor runs exactly greedy → main → greedy; every other
-            # cell stops when all its rows spent the flip budget
-            done = np.where(is_two, mains >= 1, np.minimum.reduceat(flips, starts) >= budget)
-            if done.all():
-                break
-            # one lockstep main phase per span: TwoNeighbor cells run their
-            # 2n − 1 traversal, every other span mixes its algorithms, one
-            # part per same-algorithm run of cells
-            for i, j in _runs(np.where(done, -1, is_two)):
-                a, b = cell_start[i], cell_stop[j - 1]
-                st, tb, tr = views(a, b)
-                iterations, parts = lower(st, i, j)
-                f = backend.run_main_phase(st, parts, iterations, None, tb, tr)
-                flips[a:b] += f
-                mains[i:j] += 1
+        iterations, specs = [], []
+        for alg, si in zip(cell_alg.tolist(), cell_seg.tolist()):
+            inst = segments[si].gpu.algorithms[alg]
+            steps = inst.num_iterations(n) if alg == MainAlgorithm.TWONEIGHBOR else main_iters
+            iterations.append(steps)
+            specs.append(inst.lower(state, steps))
+        cells = PackCells(scratch, starts, stops, cell_alg, iterations, specs)
+        flips, _, mains = backend.run_search(cells, config.batch_budget(n))
 
         # harvest: one gather per segment, then commit each to its device
         results, commits = [], []

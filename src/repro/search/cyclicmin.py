@@ -14,6 +14,8 @@ it in place), so phases can alternate between paths mid-search.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.backends.spec import KIND_CYCLIC_WINDOW, SelectionSpec
@@ -23,6 +25,22 @@ from repro.core.rng import XorShift64Star
 from repro.search.base import INT_SENTINEL, MainSearch
 
 __all__ = ["CyclicMinSearch"]
+
+
+def _window_width(t: int, total: int, n: int, c: int) -> int:
+    w = int((t / total) ** 3 * n)
+    return max(1, min(n, max(w, min(c, n))))
+
+
+@lru_cache(maxsize=16)
+def _widths(n: int, iterations: int, c: int) -> np.ndarray:
+    """The window widths of a main phase, shared read-only by every
+    instance (every direct solve builds fresh devices)."""
+    widths = np.array(
+        [_window_width(t, iterations, n, c) for t in range(1, iterations + 1)], dtype=np.int64
+    )
+    widths.setflags(write=False)
+    return widths
 
 
 class CyclicMinSearch(MainSearch):
@@ -36,7 +54,6 @@ class CyclicMinSearch(MainSearch):
             raise ValueError(f"window floor c must be >= 1, got {c}")
         self.c = c
         self._cursor: np.ndarray | None = None
-        self._spec_cache: tuple[int, int, int, np.ndarray] | None = None
 
     def begin(self, state: BatchDeltaState, total_iters: int) -> None:
         # the window continues from wherever the previous phase left it;
@@ -46,8 +63,7 @@ class CyclicMinSearch(MainSearch):
 
     def window_width(self, t: int, total: int, n: int) -> int:
         """w(t) = max((t/T)³·n, c), clamped to [1, n]."""
-        w = int((t / total) ** 3 * n)
-        return max(1, min(n, max(w, min(self.c, n))))
+        return _window_width(t, total, n, self.c)
 
     def select(
         self,
@@ -94,25 +110,11 @@ class CyclicMinSearch(MainSearch):
         self._cursor = np.array(cursor, dtype=np.int64)
 
     def lower(self, state: BatchDeltaState, iterations: int) -> SelectionSpec:
-        n = state.n
-        cached = self._spec_cache
-        if (
-            cached is None
-            or cached[0] != iterations
-            or cached[1] != n
-        ):
-            widths = np.array(
-                [self.window_width(t, iterations, n) for t in range(1, iterations + 1)],
-                dtype=np.int64,
-            )
-            self._spec_cache = (iterations, n, 0, widths)
-        else:
-            widths = cached[3]
         # the spec must reference the *current* cursor array (begin() may
         # have reallocated it for a new batch shape)
         return SelectionSpec(
             kind=KIND_CYCLIC_WINDOW,
             uses_rng=False,
-            widths=widths,
+            widths=_widths(state.n, iterations, self.c),
             cursor=self._cursor,
         )

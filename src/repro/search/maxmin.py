@@ -18,6 +18,8 @@ compare ``Δ ≤ ⌊d⌋`` — bit-identical, no ``(B, n)`` float cast.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.backends.spec import KIND_MAXMIN_THRESHOLD, SelectionSpec
@@ -29,13 +31,22 @@ from repro.search.base import MainSearch, random_choice_from_mask
 __all__ = ["MaxMinSearch"]
 
 
+@lru_cache(maxsize=16)
+def _spec(iterations: int) -> SelectionSpec:
+    """The lowered rule of a main phase, shared by every instance; its
+    schedule is read-only."""
+    schedule = np.array(
+        [MaxMinSearch.annealing_fraction(t, iterations) for t in range(1, iterations + 1)],
+        dtype=np.float64,
+    )
+    schedule.setflags(write=False)
+    return SelectionSpec(kind=KIND_MAXMIN_THRESHOLD, schedule=schedule)
+
+
 class MaxMinSearch(MainSearch):
     """Batched MaxMin selection."""
 
     enum = MainAlgorithm.MAXMIN
-
-    def __init__(self) -> None:
-        self._spec_cache: tuple[int, SelectionSpec] | None = None
 
     @staticmethod
     def annealing_fraction(t: int, total: int) -> float:
@@ -84,13 +95,4 @@ class MaxMinSearch(MainSearch):
         return idx
 
     def lower(self, state: BatchDeltaState, iterations: int) -> SelectionSpec:
-        cached = self._spec_cache
-        if cached is not None and cached[0] == iterations:
-            return cached[1]
-        schedule = np.array(
-            [self.annealing_fraction(t, iterations) for t in range(1, iterations + 1)],
-            dtype=np.float64,
-        )
-        spec = SelectionSpec(kind=KIND_MAXMIN_THRESHOLD, schedule=schedule)
-        self._spec_cache = (iterations, spec)
-        return spec
+        return _spec(iterations)

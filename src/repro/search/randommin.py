@@ -9,6 +9,8 @@ behaviour driven purely by the candidate-set size.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.backends.spec import KIND_RANDOM_CANDIDATE_MIN, SelectionSpec
@@ -18,6 +20,24 @@ from repro.core.rng import XorShift64Star, bernoulli_threshold
 from repro.search.base import MainSearch, masked_argmin
 
 __all__ = ["RandomMinSearch"]
+
+
+def _probability(t: int, total: int, n: int, c: int) -> float:
+    return min(1.0, max((t / total) ** 3, min(c, n) / n))
+
+
+@lru_cache(maxsize=16)
+def _spec(n: int, iterations: int, c: int) -> SelectionSpec:
+    """The lowered rule of a main phase, shared by every instance; its
+    thresholds are read-only.  They are the integer key thresholds
+    equivalent to ``random() < p(t)`` (see
+    :func:`repro.core.rng.bernoulli_threshold`)."""
+    thresholds = np.array(
+        [bernoulli_threshold(_probability(t, iterations, n, c)) for t in range(1, iterations + 1)],
+        dtype=np.int64,
+    )
+    thresholds.setflags(write=False)
+    return SelectionSpec(kind=KIND_RANDOM_CANDIDATE_MIN, thresholds=thresholds)
 
 
 class RandomMinSearch(MainSearch):
@@ -33,11 +53,10 @@ class RandomMinSearch(MainSearch):
         if c < 1:
             raise ValueError(f"candidate floor c must be >= 1, got {c}")
         self.c = c
-        self._spec_cache: tuple[int, int, SelectionSpec] | None = None
 
     def probability(self, t: int, total: int, n: int) -> float:
         """p(t) = max((t/T)³, c/n), clamped to (0, 1]."""
-        return min(1.0, max((t / total) ** 3, min(self.c, n) / n))
+        return _probability(t, total, n, self.c)
 
     def select(
         self,
@@ -57,19 +76,4 @@ class RandomMinSearch(MainSearch):
         return idx
 
     def lower(self, state: BatchDeltaState, iterations: int) -> SelectionSpec:
-        n = state.n
-        cached = self._spec_cache
-        if cached is not None and cached[0] == iterations and cached[1] == n:
-            return cached[2]
-        # the integer key thresholds equivalent to ``random() < p(t)``
-        # (see repro.core.rng.bernoulli_threshold)
-        thresholds = np.array(
-            [
-                bernoulli_threshold(self.probability(t, iterations, n))
-                for t in range(1, iterations + 1)
-            ],
-            dtype=np.int64,
-        )
-        spec = SelectionSpec(kind=KIND_RANDOM_CANDIDATE_MIN, thresholds=thresholds)
-        self._spec_cache = (iterations, n, spec)
-        return spec
+        return _spec(state.n, iterations, self.c)

@@ -10,6 +10,8 @@ and tabu.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.backends.spec import KIND_FIXED_SEQUENCE, SelectionSpec
@@ -22,18 +24,23 @@ from repro.search.base import MainSearch
 __all__ = ["TwoNeighborSearch", "two_neighbor_flip_sequence"]
 
 
+@lru_cache(maxsize=16)
+def _spec(n: int) -> SelectionSpec:
+    """The lowered traversal of an *n*-bit model, shared by every
+    instance; its sequence is read-only."""
+    sequence = np.asarray(two_neighbor_flip_sequence(n), dtype=np.int64)
+    sequence.setflags(write=False)
+    return SelectionSpec(
+        kind=KIND_FIXED_SEQUENCE, supports_tabu=False, uses_rng=False, sequence=sequence
+    )
+
+
 class TwoNeighborSearch(MainSearch):
     """Batched TwoNeighbor traversal (every row flips the same bit)."""
 
     enum = MainAlgorithm.TWONEIGHBOR
     uses_rng = False
     supports_tabu = False
-
-    def __init__(self) -> None:
-        self._seq: np.ndarray | None = None
-
-    def begin(self, state: BatchDeltaState, total_iters: int) -> None:
-        self._seq = two_neighbor_flip_sequence(state.n)
 
     def num_iterations(self, n: int) -> int:
         """The fixed traversal length, ``2n − 1``."""
@@ -47,17 +54,9 @@ class TwoNeighborSearch(MainSearch):
         rng: XorShift64Star,
         tabu_mask: np.ndarray | None,
     ) -> np.ndarray:
-        if self._seq is None or self._seq.shape[0] != 2 * state.n - 1:
-            self.begin(state, total)
-        bit = int(self._seq[(t - 1) % self._seq.shape[0]])
+        seq = _spec(state.n).sequence
+        bit = int(seq[(t - 1) % seq.shape[0]])
         return np.full(state.batch, bit, dtype=np.int64)
 
     def lower(self, state: BatchDeltaState, iterations: int) -> SelectionSpec:
-        if self._seq is None or self._seq.shape[0] != 2 * state.n - 1:
-            self.begin(state, iterations)
-        return SelectionSpec(
-            kind=KIND_FIXED_SEQUENCE,
-            supports_tabu=False,
-            uses_rng=False,
-            sequence=np.asarray(self._seq, dtype=np.int64),
-        )
+        return _spec(state.n)

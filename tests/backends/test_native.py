@@ -1,4 +1,4 @@
-"""The native backend: its loader and its phase bodies.
+"""The native backend: its loader, its phase bodies and its pack search.
 
 The loader tests build into a fresh cache directory each (``tmp_path``)
 with the host's own C compiler, so they also run where the suite itself
@@ -6,6 +6,8 @@ is run with ``CC=/nonexistent/cc``.  The phase tests hold each native
 phase body against ``numpy-sparse``'s NumPy body on twin states whose
 tabu history, vector clock and RNG lanes are random, bit for bit: ``x``,
 energies, Δ, stamps, best memory, flips, lanes and the CyclicMin cursor.
+The search tests hold a whole pack's one-call search against
+numpy-sparse's wave loop on every committed observable.
 """
 
 from __future__ import annotations
@@ -28,18 +30,22 @@ from repro.backends import (
     auto_backend_name,
     available_backends,
     get_backend,
+    prepare_problem,
     resolve_backend,
 )
+from repro.backends import base as base_mod
 from repro.backends import native as native_mod
-from repro.backends.base import GreedyTruncationWarning
+from repro.backends.base import ComputeBackend, GreedyTruncationWarning, search_phase_calls
 from repro.core.delta import BatchDeltaState
-from repro.core.packet import MainAlgorithm
-from repro.core.rng import XorShift64Star
+from repro.core.packet import MainAlgorithm, PacketBatch
+from repro.core.rng import XorShift64Star, host_generator
 from repro.core.sparse import SparseQUBOModel
-from repro.engine.coalesce import PackSegment, SuperLaunch
+from repro.engine.coalesce import PackSegment, SegmentResult, SuperLaunch, run_pack
+from repro.gpu.device import DeviceSpec
+from repro.gpu.virtual_gpu import VirtualGPU
 from repro.problems.gset import g22_like
 from repro.problems.maxcut import maxcut_to_qubo
-from repro.search.batch import BestTracker
+from repro.search.batch import BatchSearchConfig, BestTracker
 from repro.search.cyclicmin import CyclicMinSearch
 from repro.search.maxmin import MaxMinSearch
 from repro.search.positivemin import PositiveMinSearch
@@ -538,3 +544,242 @@ class TestSplitPath:
         with np.load(out) as pinned:
             assert_twins([pinned[f"arr_{k}"] for k in range(len(pinned.files))], native_run)
         assert_twins(native_run, reference)
+
+
+# -- a pack's whole search in one call ------------------------------------------
+TWO = MainAlgorithm.TWONEIGHBOR
+MIXED = [
+    list(MainAlgorithm),
+    [MainAlgorithm.CYCLICMIN, TWO],
+    [MainAlgorithm.RANDOMMIN],
+    list(MainAlgorithm)[::-1],
+]
+
+
+def search_run(
+    backend, model, blocks, alg_lists, tabu_period=8, flip_factor=1.0, launches=2, seed=7
+):
+    """Launch *launches* packs of one segment per entry of *alg_lists*
+    (batches drawn from *seed*) on a fresh fleet of *backend*: every
+    committed observable, and per launch the GreedyTruncationWarnings
+    raised."""
+    prepared = prepare_problem(model, backend)
+    config = BatchSearchConfig(batch_flip_factor=flip_factor, tabu_period=tabu_period)
+    gpus = [
+        VirtualGPU(
+            model, DeviceSpec(num_blocks=blocks), config, tuple(MainAlgorithm),
+            host_generator(100 + i), backend=prepared.backend, kernel=prepared.kernel,
+        )
+        for i in range(len(alg_lists))
+    ]
+    rng = np.random.default_rng(seed)
+    scratch, out, warned = {}, [], []
+    for launch in range(launches):
+        segments = []
+        for j, algs in enumerate(alg_lists):
+            batch = PacketBatch.void(
+                rng.integers(0, 2, size=(blocks, model.n), dtype=np.uint8),
+                np.array([int(algs[k % len(algs)]) for k in range(blocks)], dtype=np.uint8),
+                rng.integers(0, 4, size=blocks, dtype=np.uint8),
+            )
+            segments.append(PackSegment(j, launch, gpus[j], batch, None))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            done = SuperLaunch(segments).run(scratch)
+        warned.append(sum(w.category is GreedyTruncationWarning for w in caught))
+        out += [a for res in done for a in (res.result.vectors, res.result.energies, res.flips)]
+    for gpu in gpus:
+        out += [
+            gpu.block_x, gpu.rng_state,
+            gpu.algorithms[MainAlgorithm.CYCLICMIN].export_cursor(blocks),
+            np.array(
+                [gpu.total_flips, gpu.greedy_truncations, gpu.truncation_events, gpu.launch_count]
+            ),
+        ]
+    return out, warned
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Every run_search's (greedy, main) phases per cell and TwoNeighbor
+    flags, and the phase-runner calls of the wave loop."""
+    log = {"searches": [], "runner": np.zeros(3, dtype=np.int64)}
+    for cls in (ComputeBackend, native_mod.NativeBackend):
+        original = cls.run_search
+
+        def search(self, cells, budget, _original=original):
+            flips, greedies, mains = _original(self, cells, budget)
+            log["searches"].append((self.name, greedies, mains, cells.two))
+            return flips, greedies, mains
+
+        monkeypatch.setattr(cls, "run_search", search)
+    for k, name in enumerate(("run_straight_phase", "run_greedy_phase", "run_main_phase")):
+        original = getattr(ComputeBackend, name)
+
+        def phase(self, *args, _k=k, _original=original, **kwargs):
+            log["runner"][_k] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ComputeBackend, name, phase)
+    return log
+
+
+@needs_native
+class TestSearchParity:
+    """Native run_search against numpy-sparse's wave loop, on whole packs:
+    result packets, per-row flips, x, lanes, CyclicMin cursors and device
+    counters, bit for bit, and the same phases per cell."""
+
+    def check(self, searches, alg_lists, n=40, blocks=6, **kwargs):
+        model = SparseQUBOModel.from_dense(random_qubo(n, seed=31, density=0.3))
+        reference, ref_warned = search_run("numpy-sparse", model, blocks, alg_lists, **kwargs)
+        runner = searches["runner"].copy()
+        ref_searches = searches["searches"][:]
+        searches["searches"].clear()
+        got, warned = search_run("native", model, blocks, alg_lists, **kwargs)
+        assert_twins(got, reference)
+        # native calls no runner, and its phase counts are the wave loop's
+        assert (searches["runner"] == runner).all()
+        assert len(searches["searches"]) == len(ref_searches)
+        calls = np.zeros(3, dtype=np.int64)
+        for (_, greedies, mains, two), (_, ref_greedies, ref_mains, _) in zip(
+            searches["searches"], ref_searches
+        ):
+            assert np.array_equal(greedies, ref_greedies) and np.array_equal(mains, ref_mains)
+            calls += search_phase_calls(greedies, mains, two)
+        assert (calls == runner).all()
+        return searches["searches"], warned, ref_warned
+
+    @pytest.mark.parametrize("tabu_period", [0, 8], ids=["tabu-off", "tabu-on"])
+    def test_mixed_pack_of_four_segments(self, searches, tabu_period):
+        self.check(searches, MIXED, tabu_period=tabu_period)
+
+    @pytest.mark.parametrize("tabu_period", [0, 8], ids=["tabu-off", "tabu-on"])
+    def test_two_segment_pack(self, searches, tabu_period):
+        self.check(searches, MIXED[:2], tabu_period=tabu_period)
+
+    def test_twoneighbor_cells_only(self, searches):
+        done, _, _ = self.check(searches, [[TWO], [TWO], [TWO]])
+        for _, greedies, mains, two in done:
+            assert two.all() and (mains == 1).all() and (greedies == 2).all()
+
+    def test_one_cell_pack(self, searches):
+        done, _, _ = self.check(searches, [[MainAlgorithm.MAXMIN]])
+        assert all(greedies.size == 1 for _, greedies, _, _ in done)
+
+    def test_cells_finish_in_different_waves(self, searches):
+        done, _, _ = self.check(searches, MIXED, flip_factor=1.5)
+        assert any(len(set(mains[~two].tolist())) > 1 for _, _, mains, two in done)
+
+    def test_truncating_greedy_cap_warns_once_per_pack(self, searches, monkeypatch):
+        # the cap both searches read: native's call and the wave loop's
+        # greedy body
+        for module in (native_mod, base_mod):
+            monkeypatch.setattr(module, "greedy_iteration_cap", lambda n: 2)
+        _, warned, ref_warned = self.check(searches, MIXED)
+        assert warned == [1, 1]
+        assert min(ref_warned) >= 1
+
+    def test_searches_from_many_threads_at_once(self):
+        """More Python threads than cores, each running g22-sized pack
+        searches that spread over the CPUs themselves: the calls share no
+        scratch, so every thread ends exactly where a serial run ends."""
+        model = g22_model(False)
+
+        def run(seed):
+            return search_run("native", model, 16, MIXED[:2], flip_factor=0.3, seed=seed)[0]
+
+        seeds = range(6)
+        serial = [run(seed) for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(seeds)) as pool:
+                threaded = list(pool.map(run, seeds, timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, threaded):
+            assert_twins(a, b)
+
+    def test_a_search_that_cannot_allocate_is_replanned(self, monkeypatch):
+        """A search call that fails commits nothing: the pack re-plans as
+        one-segment packs, which end where solo numpy-sparse launches end."""
+        lib = native_mod._library()
+        calls = []
+
+        class FirstSearchFails:
+            def __getattr__(self, name):
+                return getattr(lib, name)
+
+            def repro_search(self, *args):
+                calls.append(args)
+                return 1 if len(calls) == 1 else lib.repro_search(*args)
+
+        monkeypatch.setattr(native_mod, "_library", FirstSearchFails)
+        # the registry's backend keeps the library its last prepare bound
+        monkeypatch.setitem(vars(get_backend("native")), "_lib", lib)
+        model = SparseQUBOModel.from_dense(random_qubo(32, seed=5, density=0.3))
+        fleets = {}
+        for name in ("native", "numpy-sparse"):
+            prepared = prepare_problem(model, name)
+            fleets[name] = [
+                VirtualGPU(
+                    model, DeviceSpec(num_blocks=4), BatchSearchConfig(), tuple(MainAlgorithm),
+                    host_generator(100 + j), backend=prepared.backend,
+                    kernel=prepared.kernel,
+                )
+                for j in range(2)
+            ]
+        rng = np.random.default_rng(3)
+        batches = [
+            PacketBatch.void(
+                rng.integers(0, 2, size=(4, 32), dtype=np.uint8),
+                np.array([0, 1, 2, 4], dtype=np.uint8),
+                np.zeros(4, dtype=np.uint8),
+            )
+            for _ in range(2)
+        ]
+        segments = [
+            PackSegment(j, 0, gpu, batch, None)
+            for j, (gpu, batch) in enumerate(zip(fleets["native"], batches))
+        ]
+        outcomes = run_pack(SuperLaunch(segments), {})
+        assert len(calls) == 3  # the failed pack, then one search per segment
+        for (_, done), gpu, ref, batch in zip(
+            outcomes, fleets["native"], fleets["numpy-sparse"], batches
+        ):
+            assert isinstance(done, SegmentResult)
+            result, flips = ref.launch(batch)
+            assert_twins(
+                (done.result.vectors, done.result.energies, done.flips, gpu.block_x, gpu.rng_state),
+                (result.vectors, result.energies, flips, ref.block_x, ref.rng_state),
+            )
+            assert (gpu.total_flips, gpu.launch_count) == (ref.total_flips, ref.launch_count)
+
+    def test_one_allowed_cpu_gives_identical_outputs(self, tmp_path):
+        """A g22-sized mixed pack spreads its search over the allowed CPUs;
+        pinned to one CPU it runs on one thread and ends exactly where the
+        spread search and numpy-sparse's wave loop end."""
+        out = tmp_path / "pinned.npz"
+        code = (
+            "import os, sys\n"
+            "import numpy as np\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from tests.backends.test_native import g22_search\n"
+            "np.savez(sys.argv[1], *g22_search('native'))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(SRC.parent)])}
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(out)], env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        spread = g22_search("native")
+        with np.load(out) as pinned:
+            assert_twins([pinned[f"arr_{k}"] for k in range(len(pinned.files))], spread)
+        assert_twins(spread, g22_search("numpy-sparse"))
+
+
+def g22_search(backend):
+    """Two g22-sized packs of two 16-row mixed segments: the observables."""
+    return search_run(backend, g22_model(False), 16, MIXED[:2], flip_factor=0.3)[0]

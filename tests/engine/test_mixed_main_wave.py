@@ -8,16 +8,23 @@ iteration cover every part.  The contract under test: such rounds are
 **bit-exact** against solo launches (a row budget of one device) — the
 result, history, pools, ``block_x``, RNG lanes and CyclicMin cursor —
 and the lockstep path is really taken (a silent per-algorithm fallback would also be bit-exact,
-so the flip calls are pinned too).
+so the flip calls are pinned too).  ``native`` runs a pack's whole search
+in one C call, which calls no phase runner: its packed solve is held
+bit-exact against numpy-sparse's packed solve of the same model, each
+pack's cells ran the same greedy and main phases in both, and those
+counts give numpy-sparse's runner calls; the wave assertions then run
+on numpy-sparse's waves.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.backends import get_backend
+from repro.backends.base import search_phase_calls
 from repro.backends.spec import KIND_FIXED_SEQUENCE, SelectionSpec
 from repro.core.packet import MainAlgorithm
 from repro.search.batch import BatchSearchConfig
@@ -55,18 +62,30 @@ class WaveLog:
 
     A wave is the run of main-phase calls after a run of greedy calls
     (the executor's greedy → budget test → main loop); each main call is
-    logged with its part kinds and the flips it issued.
+    logged with its part kinds and the flips it issued.  ``calls``
+    counts the (straight, greedy, main) runner calls, ``searches`` holds
+    each pack's (greedy phases, main phases, TwoNeighbor flags) per cell.
     """
 
     def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
         self.waves: list[list[dict]] = []
         self._in_main = False
         self.current: dict | None = None
+        self.calls = np.zeros(3, dtype=np.int64)
+        self.searches: list[tuple] = []
+
+    def straight(self) -> None:
+        self.calls[0] += 1
 
     def greedy(self) -> None:
+        self.calls[1] += 1
         self._in_main = False
 
     def main(self, spec, iterations) -> dict:
+        self.calls[2] += 1
         if not self._in_main:
             self.waves.append([])
             self._in_main = True
@@ -98,6 +117,10 @@ def wave_log(monkeypatch):
             finally:
                 log.current = None
 
+        def straight_phase(*args, _be=backend, _cls=cls, **kwargs):
+            log.straight()
+            return _cls.run_straight_phase(_be, *args, **kwargs)
+
         def greedy_phase(*args, _be=backend, _cls=cls, **kwargs):
             log.greedy()
             return _cls.run_greedy_phase(_be, *args, **kwargs)
@@ -107,9 +130,16 @@ def wave_log(monkeypatch):
                 log.current["flips"] += 1
             return _cls.flip(_be, state, idx, active)
 
+        def search(cells, *args, _be=backend, _cls=cls, **kwargs):
+            flips, greedies, mains = _cls.run_search(_be, cells, *args, **kwargs)
+            log.searches.append((greedies, mains, cells.two))
+            return flips, greedies, mains
+
         monkeypatch.setitem(vars(backend), "run_main_phase", main_phase)
         monkeypatch.setitem(vars(backend), "run_greedy_phase", greedy_phase)
+        monkeypatch.setitem(vars(backend), "run_straight_phase", straight_phase)
         monkeypatch.setitem(vars(backend), "flip", flip)
+        monkeypatch.setitem(vars(backend), "run_search", search)
     return log
 
 
@@ -123,27 +153,44 @@ def solve(model, cfg, packed, seed, rounds):
 
 
 def run_pair(wave_log, cfg, seed, rounds=3):
+    """The packed solve's waves, after holding it bit-exact against solo
+    launches; for ``native``, the waves of numpy-sparse's packed solve,
+    after holding native's against it (see the module docstring)."""
     density = 0.3 if cfg.backend == "numpy-sparse" else 1.0
     model = random_qubo(N, seed=60 + seed, density=density)
     solo = solve(model, cfg, False, seed, rounds)
-    wave_log.waves.clear()
+    wave_log.clear()
     packed = solve(model, cfg, True, seed, rounds)
     assert_bit_exact(*solo, *packed)
+    if cfg.backend != "native":
+        return wave_log.waves
+    assert not wave_log.calls.any() and wave_log.searches
+    searches = wave_log.searches
+    wave_log.clear()
+    reference = solve(model, replace(cfg, backend="numpy-sparse"), True, seed, rounds)
+    assert_bit_exact(*reference, *packed)
+    assert len(searches) == len(wave_log.searches)
+    calls = np.zeros(3, dtype=np.int64)
+    for (greedies, mains, two), (ref_greedies, ref_mains, ref_two) in zip(
+        searches, wave_log.searches
+    ):
+        assert np.array_equal(greedies, ref_greedies) and np.array_equal(mains, ref_mains)
+        assert np.array_equal(two, ref_two)
+        calls += search_phase_calls(greedies, mains, two)
+    assert (calls == wave_log.calls).all()
     return wave_log.waves
 
 
-def assert_lockstep(waves, main_iters, backend):
+def assert_lockstep(waves, main_iters):
     """Every non-TwoNeighbor main call issued one flip per iteration,
-    however many algorithms it mixed (native flips inside its one C
-    call, so it issues none)."""
-    flips = 0 if backend == "native" else main_iters
+    however many algorithms it mixed."""
     for wave in waves:
         for call in wave:
             if KIND_FIXED_SEQUENCE in call["kinds"]:
                 assert call["kinds"] == [KIND_FIXED_SEQUENCE]
                 continue
             assert call["iterations"] == main_iters
-            assert call["flips"] == flips
+            assert call["flips"] == main_iters
             assert len(set(call["kinds"])) == len(call["kinds"])
 
 
@@ -156,7 +203,7 @@ def test_all_four_algorithms_share_a_wave(
     cfg = config(tabu_period, with_twoneighbor, backend, flip_factor=2.0)
     waves = run_pair(wave_log, cfg, seed=1)
     main_iters = cfg.batch.main_iterations(N)
-    assert_lockstep(waves, main_iters, backend)
+    assert_lockstep(waves, main_iters)
     calls = [call for wave in waves for call in wave]
     # a wave runs every non-TwoNeighbor algorithm in one call: one part
     # per algorithm, in cell (algorithm) order
@@ -174,7 +221,7 @@ def test_finished_cell_between_running_cells(wave_log, backend, tabu_period):
     cfg = config(tabu_period, True, backend, flip_factor=0.6)
     waves = run_pair(wave_log, cfg, seed=5, rounds=4)
     main_iters = cfg.batch.main_iterations(N)
-    assert_lockstep(waves, main_iters, backend)
+    assert_lockstep(waves, main_iters)
     split = [
         wave
         for wave in waves

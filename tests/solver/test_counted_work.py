@@ -7,6 +7,12 @@ of that solve: fused phase calls per kind, launches, one-kernel passes
 (super-launches) with their segments and rows, and flips.  A change to
 the launch path that keeps results but adds phase calls, splits a pack
 or changes a flip count moves one of these numbers, so the pin fails.
+
+The NumPy backends run the wave loop, so their phase calls are counted
+at the three public runners.  ``native`` runs a pack's whole search in
+one C call, which writes each cell's greedy and main phase counts; its
+phase calls are the ones the wave loop would have made for those counts
+(:func:`~repro.backends.base.search_phase_calls`).
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.backends.base import ComputeBackend
+from repro.backends import available_backends
+from repro.backends.base import ComputeBackend, search_phase_calls
 from repro.engine.coalesce import SuperLaunch
 from repro.problems.gset import g22_like
 from repro.problems.maxcut import maxcut_to_qubo
@@ -55,7 +62,8 @@ def model():
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Phase calls per kind, and (segments, rows) of every one-kernel pass."""
+    """Phase calls per kind, and (segments, rows) of every one-kernel pass;
+    native's from the phase counts its search writes."""
     calls: Counter = Counter()
     passes: list[tuple[int, int]] = []
     for name in PHASES:
@@ -66,6 +74,18 @@ def counted(monkeypatch):
             return _original(self, *args, **kwargs)
 
         monkeypatch.setattr(ComputeBackend, name, phase)
+    if "native" in available_backends():
+        from repro.backends.native import NativeBackend
+
+        search = NativeBackend.run_search
+
+        def counted_search(self, cells, *args, **kwargs):
+            flips, greedies, mains = search(self, cells, *args, **kwargs)
+            for name, count in zip(PHASES, search_phase_calls(greedies, mains, cells.two)):
+                calls[name] += count
+            return flips, greedies, mains
+
+        monkeypatch.setattr(NativeBackend, "run_search", counted_search)
     run = SuperLaunch.run
 
     def counted_run(self, scratch_map):

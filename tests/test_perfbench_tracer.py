@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.backends.base import search_phase_calls
 from repro.engine.coalesce import SuperLaunch
 from repro.engine.workers import FleetWorkerGroup
 from repro.gpu.virtual_gpu import VirtualGPU
@@ -51,9 +52,23 @@ def test_every_wrapped_name_resolves_and_is_restored(tracer_module):
 
 
 @pytest.mark.parametrize("backend", with_native("numpy-sparse"))
-def test_phase_metrics_stay_live(tracer_module, backend):
-    """Every backend runs its phases through the three public runners the
-    tracer wraps on ``ComputeBackend``, whatever bodies it overrides."""
+def test_phase_metrics_stay_live(tracer_module, backend, monkeypatch):
+    """The wave loop runs its phases through the three public runners the
+    tracer wraps on ``ComputeBackend``.  ``native`` runs a pack's whole
+    search in one C call instead: the tracer sees it at the pack seam,
+    and the phase counts that call writes hold a call of every phase."""
+    counts = []
+    if backend == "native":
+        from repro.backends.native import NativeBackend
+
+        search = NativeBackend.run_search
+
+        def counted_search(self, cells, *args, **kwargs):
+            flips, greedies, mains = search(self, cells, *args, **kwargs)
+            counts.append(search_phase_calls(greedies, mains, cells.two))
+            return flips, greedies, mains
+
+        monkeypatch.setattr(NativeBackend, "run_search", counted_search)
     tracer = tracer_module.Tracer()
     tracer_module.install_layers(tracer)
     try:
@@ -61,5 +76,9 @@ def test_phase_metrics_stay_live(tracer_module, backend):
         DABSSolver(random_qubo(10, seed=1), cfg, seed=0).solve(max_rounds=1)
     finally:
         tracer.uninstall()
+    if backend == "native":
+        assert tracer.totals["engine.superlaunch"][0] == len(counts) == 1
+        assert min(counts[0]) >= 1
+        return
     for phase in ("straight_phase", "greedy_phase", "main_phase"):
         assert tracer.totals[f"backends.{phase}"][0] >= 1
