@@ -24,12 +24,12 @@ the paper's §VI.A scale):
   one super-launch over the fused phase runners (DESIGN.md §6, §12) —
   with speedups against the committed PR-2 seed baseline;
 * a **TwoNeighbor full launch** (straight + greedy + one 2n − 1-flip
-  traversal + greedy) on the stepwise path vs a device launch, whose
-  traversal runs as one closed-form kernel on integer models;
+  traversal + greedy) on the stepwise path vs a device launch;
 * the **native kernels** at G22 size (n = 512, 32 rows, the
   ``g22_direct`` workload's pack): one straight, greedy and mixed main
   phase call, and a whole two-segment pack search in one call, against
-  numpy-sparse.
+  numpy-sparse, each native row timed on every allowed CPU and on one.
+  The whole pack search's speedup is the headline of the sidecar.
 
 Fused and stepwise launches, and native and numpy-sparse rows, are
 asserted bit-identical before timing.
@@ -37,6 +37,7 @@ asserted bit-identical before timing.
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 from dataclasses import replace
@@ -140,6 +141,9 @@ G22_ROWS = 32
 #: the g22_direct workload's search: 2 devices × 16 blocks, every
 #: algorithm, default flip factors
 G22_CONFIG = BatchSearchConfig()
+#: CI smoke floor on the native whole-pack search's speedup over
+#: numpy-sparse (CHANGES.md records the smoke runs it was set from)
+SMOKE_MIN_PACK_SPEEDUP = 4.0
 
 
 def _timed(setup, call, rounds: int) -> float:
@@ -267,9 +271,21 @@ def _assert_same(a, b, what: str) -> None:
     )
 
 
-def native_rows() -> list[tuple[str, float, float, int]]:
-    """(row, native s, numpy-sparse s, native threads) of each native row,
-    every row asserted bit-identical to numpy-sparse first."""
+def _on_one_cpu(fn):
+    """*fn*'s result with this thread pinned to one of its allowed CPUs,
+    so a native call runs on one thread; the mask is restored after."""
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(mask)})
+    try:
+        return fn()
+    finally:
+        os.sched_setaffinity(0, mask)
+
+
+def native_rows() -> list[tuple[str, float, float, float, int]]:
+    """(row, native s, native s on one CPU, numpy-sparse s, native
+    threads) of each native row, every row asserted bit-identical to
+    numpy-sparse first."""
     rows = NativeRows()
     n, r = G22_N, G22_ROWS
     phases = [
@@ -281,19 +297,24 @@ def native_rows() -> list[tuple[str, float, float, int]]:
     out = []
     for label, phase, work in phases:
         _assert_same(rows.observed("native", phase), rows.observed("numpy-sparse", phase), label)
-        times = [
-            _timed(lambda name=name: rows.setup(name), phase, rounds)
-            for name, rounds in (("native", 20), ("numpy-sparse", 3))
-        ]
-        out.append((label, *times, threads(r, work)))
+        native_t = _timed(lambda: rows.setup("native"), phase, 20)
+        one_t = _on_one_cpu(lambda: _timed(lambda: rows.setup("native"), phase, 20))
+        numpy_t = _timed(lambda: rows.setup("numpy-sparse"), phase, 3)
+        out.append((label, native_t, one_t, numpy_t, threads(r, work)))
+    native, reference = pack_search_pair()
+    native_t = _timed(native.setup, native.run, 20)
+    one_t = _on_one_cpu(lambda: _timed(native.setup, native.run, 20))
+    numpy_t = _timed(reference.setup, reference.run, 3)
+    # the search splits at least as far as its straight walks do
+    out.append(("whole pack search (2 × 16 rows)", native_t, one_t, numpy_t, threads(r, r * n * n)))
+    return out
+
+
+def pack_search_pair() -> tuple[PackSearch, PackSearch]:
+    """The native and numpy-sparse pack searches, asserted bit-identical."""
     native, reference = PackSearch("native"), PackSearch("numpy-sparse")
     _assert_same(native.observed(), reference.observed(), "pack search")
-    times = [
-        _timed(pack.setup, pack.run, rounds) for pack, rounds in ((native, 20), (reference, 3))
-    ]
-    # the search splits at least as far as its straight walks do
-    out.append(("whole pack search (2 × 16 rows)", *times, threads(r, r * n * n)))
-    return out
+    return native, reference
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +382,8 @@ def test_fused_launch_vs_stepwise(benchmark, backend):
 
 
 def test_twoneighbor_launch_vs_stepwise(benchmark):
-    """TwoNeighbor full launch: the closed-form traversal is bit-identical
-    to the stepwise path and ≥1.5× faster end to end."""
+    """TwoNeighbor full launch: the device launch is bit-identical to the
+    stepwise path."""
     bench = LaunchBench(
         gset_sparse_model(), "numpy-sparse", BLOCKS, algorithm=MainAlgorithm.TWONEIGHBOR
     )
@@ -373,7 +394,6 @@ def test_twoneighbor_launch_vs_stepwise(benchmark):
     benchmark.extra_info["stepwise_flips_per_second"] = total / stepwise_t
     benchmark.extra_info["fused_flips_per_second"] = total / fused_t
     benchmark.extra_info["speedup_vs_stepwise"] = stepwise_t / fused_t
-    assert stepwise_t / fused_t >= 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +490,9 @@ def run_report() -> tuple[str, dict]:
         "",
         "## TwoNeighbor full launch (straight + greedy + traversal + greedy)",
         "",
-        "The fused path runs the 2n − 1-flip traversal as one closed-form",
-        "kernel (DESIGN.md §6); the other phases are the fused runners",
-        "above.  Outputs are bit-identical (asserted before timing).",
+        "The fused path is one device launch over the fused runners",
+        "above; its 2n − 1-flip traversal is one flip and one fold per",
+        "step.  Outputs are bit-identical (asserted before timing).",
         "",
         "| path | time/launch | flips/s | speedup |",
         "|---|---|---|---|",
@@ -491,18 +511,20 @@ def run_report() -> tuple[str, dict]:
             "the same inputs; every row is asserted bit-identical first.  The",
             "pack search is a g22_direct round: two 16-row segments whose",
             "blocks run every algorithm, its whole batch search in one call.",
-            "Threads: what the native call spreads over on this host.",
+            "Threads: what the native call spreads over on this host; the",
+            "1-CPU column times it again with the bench pinned to one CPU.",
             "",
-            "| row | native | numpy-sparse | speedup | native threads |",
-            "|---|---|---|---|---|",
+            "| row | native | native, 1 CPU | numpy-sparse | speedup | native threads |",
+            "|---|---|---|---|---|---|",
         ]
-        for label, native_t, numpy_t, threads in native_rows():
+        for label, native_t, one_t, numpy_t, threads in native_rows():
             key = label.split(" (")[0].replace(" ", "_")
             metrics[f"native_{key}_s"] = native_t
+            metrics[f"native_{key}_one_cpu_s"] = one_t
             metrics[f"native_{key}_speedup"] = numpy_t / native_t
             lines.append(
-                f"| {label} | {native_t * 1e3:.2f} ms | {numpy_t * 1e3:.1f} ms "
-                f"| {numpy_t / native_t:.1f}× | {threads} |"
+                f"| {label} | {native_t * 1e3:.2f} ms | {one_t * 1e3:.2f} ms "
+                f"| {numpy_t * 1e3:.1f} ms | {numpy_t / native_t:.1f}× | {threads} |"
             )
     return "\n".join(lines), metrics
 
@@ -528,19 +550,22 @@ def run_smoke() -> None:
         f"fused {total / fused_t:,.0f} flips/s ({ratio:.2f}x)"
     )
     assert ratio >= 1.05, f"fused numpy launch only {ratio:.2f}x vs stepwise"
-    tn = LaunchBench(model, "numpy-sparse", batch=8, algorithm=MainAlgorithm.TWONEIGHBOR)
-    tn_total = tn.assert_paths_bit_identical()
-    tn_stepwise_t, tn_fused_t = _best_times_interleaved(
-        [lambda: tn.launch(False), lambda: tn.launch(True)], rounds=5
-    )
-    tn_ratio = tn_stepwise_t / tn_fused_t
-    report.append(
-        f"twoneighbor: stepwise {tn_total / tn_stepwise_t:,.0f} flips/s, "
-        f"fused {tn_total / tn_fused_t:,.0f} flips/s ({tn_ratio:.2f}x)"
-    )
-    assert tn_ratio >= 1.5, (
-        f"fused TwoNeighbor launch only {tn_ratio:.2f}x vs stepwise"
-    )
+    LaunchBench(
+        model, "numpy-sparse", batch=8, algorithm=MainAlgorithm.TWONEIGHBOR
+    ).assert_paths_bit_identical()
+    report.append("twoneighbor: device launch bit-identical to stepwise")
+    if "native" in available_backends():
+        native, reference = pack_search_pair()
+        native_t = _timed(native.setup, native.run, 10)
+        numpy_t = _timed(reference.setup, reference.run, 3)
+        pack_ratio = numpy_t / native_t
+        report.append(
+            f"native pack search: {native_t * 1e3:.2f} ms vs numpy-sparse "
+            f"{numpy_t * 1e3:.1f} ms ({pack_ratio:.1f}x)"
+        )
+        assert pack_ratio >= SMOKE_MIN_PACK_SPEEDUP, (
+            f"native pack search only {pack_ratio:.1f}x vs numpy-sparse"
+        )
     print("\n".join(report))
     print("bench smoke OK")
 
@@ -553,8 +578,8 @@ if __name__ == "__main__":
         path = save_report(
             report,
             "bench_backends",
-            metric="twoneighbor_fused_speedup",
-            value=metrics["twoneighbor_fused_speedup"],
+            metric="native_whole_pack_search_speedup",
+            value=metrics.get("native_whole_pack_search_speedup"),
             baseline=1.0,
             metrics=metrics,
         )

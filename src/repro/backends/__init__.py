@@ -295,8 +295,8 @@ class PreparedProblem:
     """A backend-resident, ready-to-launch representation of one model.
 
     The handle bundles the resolved backend with its per-model kernel
-    cache (coupling views, ELL padding, traversal tables, device-resident
-    coupling tables for the ``cuda`` backend — whatever
+    cache (coupling views, ELL padding, device-resident coupling tables
+    for the ``cuda`` backend — whatever
     :meth:`ComputeBackend.prepare` built), which is the expensive,
     read-only part of standing a problem up on a device.  Solvers accept
     one via ``DABSSolver(prepared=...)`` and skip preparation entirely;

@@ -499,14 +499,6 @@ class ComputeBackend(ABC):
         # schedule (mask → select → stamp) on reused scratch buffers and
         # integer RNG keys; _main_loop owns the flip → fold epilogue
         parts = self._parts(state, spec, rng)
-        if len(parts) == 1 and parts[0][2].kind == KIND_FIXED_SEQUENCE:
-            # a full traversal runs as one closed-form kernel
-            # (repro.backends.traversal); a partial traversal, or a kernel
-            # without tables, keeps the per-flip loop
-            tables = getattr(state.kernel, "traversal", None)
-            if tables is not None and tables.covers(parts[0][2].sequence, iterations):
-                tables.run(self, state, tabu, tracker)
-                return np.full(state.batch, iterations, dtype=np.int64)
         self._main_loop(state, parts, iterations, tabu, tracker)
         return np.full(state.batch, iterations, dtype=np.int64)
 
@@ -558,11 +550,6 @@ class ComputeBackend(ABC):
             self.flip(state, idx)
             tracker.fold(state)
         tabu.advance(iterations)
-
-    def _fixed_sequence_loop(self, state, spec, iterations, tabu, tracker) -> None:
-        """The per-flip TwoNeighbor loop, bypassing the closed form (the
-        reference the closed-form tests compare against)."""
-        self._main_loop(state, [(0, state.batch, spec, None)], iterations, tabu, tracker)
 
     # Per-kind selectors.  Each is a generator run by :meth:`_main_loop`:
     # it does its own setup on the first step, then per lockstep

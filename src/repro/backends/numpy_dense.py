@@ -12,7 +12,6 @@ import numpy as np
 from scipy import sparse as sp
 
 from repro.backends.base import ComputeBackend
-from repro.backends.traversal import DenseTraversal
 
 __all__ = ["DENSIFY_MAX_N", "NumpyDenseBackend"]
 
@@ -25,13 +24,11 @@ DENSIFY_MAX_N = 2048
 class _DenseKernel:
     """Per-model read-only data of the dense kernels."""
 
-    __slots__ = ("s", "lin", "traversal")
+    __slots__ = ("s", "lin")
 
     def __init__(self, s: np.ndarray, lin: np.ndarray) -> None:
         self.s = s
         self.lin = lin
-        #: closed-form TwoNeighbor tables
-        self.traversal = DenseTraversal(s)
 
 
 class NumpyDenseBackend(ComputeBackend):

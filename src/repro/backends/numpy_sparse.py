@@ -25,7 +25,6 @@ import numpy as np
 from scipy import sparse as sp
 
 from repro.backends.base import ComputeBackend
-from repro.backends.traversal import EllTraversal
 
 __all__ = ["NumpySparseBackend"]
 
@@ -57,10 +56,9 @@ class _SparseKernel:
         "lin",
         "ell_cols",
         "ell_data",
-        "traversal",
     )
 
-    def __init__(self, csr, lin: np.ndarray, tables: bool = True) -> None:
+    def __init__(self, csr, lin: np.ndarray, ell: bool = True) -> None:
         self.csr = csr
         self.indptr = np.asarray(csr.indptr, dtype=np.int64)
         self.indices = np.asarray(csr.indices, dtype=np.int64)
@@ -68,20 +66,8 @@ class _SparseKernel:
         self.lin = lin
         self.ell_cols = None
         self.ell_data = None
-        if tables:
+        if ell:
             self._build_ell()
-        #: closed-form TwoNeighbor tables; they ride on the ELL layout, so
-        #: degree-skewed graphs keep the per-flip traversal loop
-        self.traversal = None
-        if self.ell_cols is not None:
-            self.traversal = EllTraversal.build(
-                self.indptr,
-                self.indices,
-                self.data,
-                self.ell_cols,
-                self.ell_data,
-                self.lin,
-            )
 
     def _build_ell(self) -> None:
         n = self.indptr.shape[0] - 1
@@ -108,9 +94,8 @@ class NumpySparseBackend(ComputeBackend):
     """CSR kernels (auto-selected for sparse/low-density models)."""
 
     name = "numpy-sparse"
-    #: whether ``prepare`` builds the ELL flip layout and the closed-form
-    #: TwoNeighbor tables on top of the CSR triple (the native backend's
-    #: phases use the triple alone)
+    #: whether ``prepare`` builds the ELL flip layout on top of the CSR
+    #: triple (the native backend's phases use the triple alone)
     ell_tables = True
 
     def prepare(self, model) -> _SparseKernel:

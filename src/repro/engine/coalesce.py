@@ -43,7 +43,8 @@ pack's rows) and drives them in waves:
   row-range part of a single lockstep ``run_main_phase`` call (one flip
   and one fold per iteration for the whole span).  Selection is
   row-local, so this is bit-exact.  TwoNeighbor cells, whose traversal
-  has its own length and closed-form kernel, keep spans of their own;
+  runs ``2n − 1`` steps rather than ``main_iterations(n)``, keep spans of
+  their own;
 * the whole-group budget test is evaluated per cell (one grouped min per
   wave), in the same schedule position as the solo loop.
 

@@ -7,11 +7,9 @@ from repro.harness.experiments import (
     establish_reference,
     make_abs,
     make_dabs,
-    run_federation_sweep,
     run_fig5,
     run_fig6,
     run_fig7,
-    run_service_sweep,
     run_table2,
     run_table3,
     run_table4,
@@ -43,11 +41,9 @@ __all__ = [
     "make_dabs",
     "markdown_table",
     "measure_tts",
-    "run_federation_sweep",
     "run_fig5",
     "run_fig6",
     "run_fig7",
-    "run_service_sweep",
     "run_table2",
     "run_table3",
     "run_table4",

@@ -41,11 +41,9 @@ __all__ = [
     "establish_reference",
     "make_abs",
     "make_dabs",
-    "run_federation_sweep",
     "run_fig5",
     "run_fig6",
     "run_fig7",
-    "run_service_sweep",
     "run_table2",
     "run_table3",
     "run_table4",
@@ -92,12 +90,6 @@ class ExperimentScale:
     fig7_trials: int = 6
     #: trials for the Table V/VI frequency runs
     freq_trials: int = 6
-    #: federation sharding for :func:`run_federation_sweep` — island
-    #: process count, launches between elite migrations (None disables
-    #: migration) and elites published per migration
-    islands: int = 2
-    migration_period: int | None = 16
-    migration_k: int = 4
 
 
 SMOKE = ExperimentScale()
@@ -257,161 +249,6 @@ def run_table2(scale: ExperimentScale = SMOKE, seed: int = 0) -> ExperimentRepor
             "hybrid": hybrid.energy,
             "sbm": sbm_energy,
         }
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Service sweeps — trials as one multi-tenant job batch
-# ---------------------------------------------------------------------------
-
-def run_service_sweep(
-    scale: ExperimentScale = SMOKE, seed: int = 0, rounds: int | None = None
-) -> ExperimentReport:
-    """Run the Table II instance family as one service job batch.
-
-    Instead of one sequential ``solve()`` per (instance, trial), every
-    trial is submitted as an independent job to a single
-    :class:`~repro.service.SolveService` over a shared fleet — the
-    paper's deployment model, and the in-process client the serving
-    layer is built around.  Repeat trials of the same instance hit the
-    prepared-problem cache; the report records per-instance bests plus
-    the batch's aggregate throughput and cache counters.
-    """
-    import time
-
-    from repro.service import SolveService
-
-    rounds = rounds if rounds is not None else scale.reference_rounds
-    instances = table2_instances(scale, seed)
-    report = ExperimentReport(
-        title="Service sweep: Table II instances as one job batch",
-        headers=["Instance", "Trials", "Best", "Mean rounds", "Launches"],
-    )
-    start = time.perf_counter()
-    with SolveService(devices=scale.num_gpus) as service:
-        handles = {
-            name: [
-                service.submit(
-                    model,
-                    config=_dabs_config(scale, model.n),
-                    seed=seed + 100 + trial,
-                    max_rounds=rounds,
-                )
-                for trial in range(scale.dabs_trials)
-            ]
-            for name, model in instances
-        }
-        results = {
-            name: [handle.result() for handle in batch]
-            for name, batch in handles.items()
-        }
-        cache = service.stats()["cache"]
-    elapsed = time.perf_counter() - start
-    total_launches = 0
-    for name, _ in instances:
-        trials = results[name]
-        total_launches += sum(r.launches for r in trials)
-        report.add_row(
-            name,
-            len(trials),
-            min(r.best_energy for r in trials),
-            f"{np.mean([r.rounds for r in trials]):.1f}",
-            sum(r.launches for r in trials),
-        )
-        report.data[name] = trials
-    report.data["cache"] = cache
-    report.data["elapsed"] = elapsed
-    report.add_note(
-        f"{scale.dabs_trials} trials/instance over {scale.num_gpus} shared "
-        f"lanes: {total_launches} launches in {elapsed:.2f}s "
-        f"({total_launches / elapsed:.0f}/s); prepared-problem cache "
-        f"hits={cache['hits']} misses={cache['misses']}"
-    )
-    return report
-
-
-def run_federation_sweep(
-    scale: ExperimentScale = SMOKE, seed: int = 0, launches: int | None = None
-) -> ExperimentReport:
-    """Run the Table II instance family through an island federation.
-
-    The federated twin of :func:`run_service_sweep`: every trial fans out
-    over ``scale.islands`` island processes with periodic elite migration
-    (``scale.migration_period`` / ``scale.migration_k``), so the sweep
-    exercises the full process-sharding path — per-island RNG streams,
-    the migration epochs and the merged results — at experiment scale.
-    """
-    import time
-
-    from repro.federation import Federation
-
-    launches = (
-        launches
-        if launches is not None
-        else scale.reference_rounds * scale.num_gpus * scale.islands
-    )
-    instances = table2_instances(scale, seed)
-    report = ExperimentReport(
-        title="Federation sweep: Table II instances over island processes",
-        headers=["Instance", "Trials", "Best", "Launches", "Migrants"],
-    )
-    start = time.perf_counter()
-    with Federation(
-        scale.islands,
-        migration_period=scale.migration_period,
-        migration_k=scale.migration_k,
-        default_config=DABSConfig(
-            num_gpus=scale.num_gpus,
-            blocks_per_gpu=scale.blocks_per_gpu,
-            pool_capacity=scale.pool_capacity,
-        ),
-        seed=seed,
-    ) as federation:
-        handles = {
-            name: [
-                federation.submit(
-                    model,
-                    config=_dabs_config(scale, model.n),
-                    seed=seed + 100 + trial,
-                    max_launches=launches,
-                )
-                for trial in range(scale.dabs_trials)
-            ]
-            for name, model in instances
-        }
-        results = {
-            name: [handle.result() for handle in batch]
-            for name, batch in handles.items()
-        }
-        migrants = {
-            name: sum(
-                rep["migrants_in"]
-                for handle in batch
-                for rep in handle.island_reports()
-            )
-            for name, batch in handles.items()
-        }
-    elapsed = time.perf_counter() - start
-    total_launches = 0
-    for name, _ in instances:
-        trials = results[name]
-        total_launches += sum(r.launches for r in trials)
-        report.add_row(
-            name,
-            len(trials),
-            min(r.best_energy for r in trials),
-            sum(r.launches for r in trials),
-            migrants[name],
-        )
-        report.data[name] = trials
-    report.data["elapsed"] = elapsed
-    report.add_note(
-        f"{scale.dabs_trials} trials/instance over {scale.islands} islands "
-        f"x {scale.num_gpus} lanes (migration every "
-        f"{scale.migration_period} launches, k={scale.migration_k}): "
-        f"{total_launches} launches in {elapsed:.2f}s "
-        f"({total_launches / elapsed:.0f}/s aggregate)"
-    )
     return report
 
 

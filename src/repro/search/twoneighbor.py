@@ -15,13 +15,27 @@ from functools import lru_cache
 import numpy as np
 
 from repro.backends.spec import KIND_FIXED_SEQUENCE, SelectionSpec
-from repro.backends.traversal import two_neighbor_flip_sequence
 from repro.core.delta import BatchDeltaState
 from repro.core.packet import MainAlgorithm
 from repro.core.rng import XorShift64Star
 from repro.search.base import MainSearch
 
 __all__ = ["TwoNeighborSearch", "two_neighbor_flip_sequence"]
+
+
+def two_neighbor_flip_sequence(n: int) -> np.ndarray:
+    """The length ``2n − 1`` flip sequence 0, 1, 0, 2, 1, 3, 2, 4, …
+
+    Position ``t`` (0-based) flips bit ``(t+1)//2`` when ``t`` is odd and
+    bit ``t//2 − 1`` when ``t`` is even (bit 0 at ``t = 0``).  Verified by
+    tests against the worked n=6 example of §III.A.7.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    t = np.arange(2 * n - 1)
+    seq = np.where(t % 2 == 1, (t + 1) // 2, t // 2 - 1)
+    seq[0] = 0
+    return seq
 
 
 @lru_cache(maxsize=16)

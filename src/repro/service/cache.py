@@ -1,10 +1,10 @@
 """Content-addressed cache of prepared problems (DESIGN.md §8).
 
 Standing a QUBO instance up on the fleet costs more than solving one
-launch of it: the backend builds coupling views, CSR/ELL index structures,
-the closed-form traversal tables, and (for the cuda backend) the
-device-resident coupling tables — so a cache hit also skips the
-host→device coupling upload entirely (DESIGN.md §10).  In a multi-tenant
+launch of it: the backend builds coupling views, CSR/ELL index structures
+and (for the cuda backend) the device-resident coupling tables — so a
+cache hit also skips the host→device coupling upload entirely
+(DESIGN.md §10).  In a multi-tenant
 service the same instance arrives again and again — retries, parameter
 sweeps, many clients submitting the same benchmark — so the service keys
 every prepared representation by the *content* of the Q matrix and reuses

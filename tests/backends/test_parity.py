@@ -19,6 +19,8 @@ from repro.backends import available_backends
 from repro.core.delta import BatchDeltaState
 from repro.core.rng import XorShift64Star, host_generator, spawn_device_seeds
 from repro.core.sparse import SparseQUBOModel
+from repro.problems.gset import g22_like
+from repro.problems.maxcut import maxcut_to_qubo
 from repro.search import build_main_algorithms
 from repro.search.batch import BatchSearchConfig, run_batch_search
 from repro.search.greedy import greedy_descent
@@ -27,6 +29,7 @@ from repro.solver.dabs import DABSConfig, DABSSolver
 from tests.conftest import random_qubo
 
 BACKENDS = sorted(available_backends())
+NUMPY_BACKENDS = ["numpy-dense", "numpy-sparse"]
 
 def dense_model(n=24, seed=3, density=0.4):
     return random_qubo(n, seed=seed, density=density)
@@ -209,3 +212,25 @@ def test_property_dense_sparse_kernels_bit_exact(seed, flips):
     assert np.array_equal(x1, x2)
     assert np.array_equal(e1, e2)
     assert np.array_equal(d1, d2)
+
+
+@pytest.mark.parametrize("backend", NUMPY_BACKENDS)
+@pytest.mark.parametrize(
+    "model",
+    [
+        random_qubo(30, seed=5, density=0.6),
+        SparseQUBOModel.from_dense(random_qubo(30, seed=6, density=0.3)),
+        maxcut_to_qubo(g22_like(64, seed=2)),
+    ],
+    ids=["dense", "sparse", "maxcut"],
+)
+def test_reset_energies_match_model_energy(backend, model):
+    """Integer resets derive E from the Δ product; each row must equal
+    the model's own energy of that vector."""
+    rng = np.random.default_rng(8)
+    xs = rng.integers(0, 2, size=(6, model.n), dtype=np.uint8)
+    assert np.any(np.asarray(model.linear) != 0)
+    state = BatchDeltaState(model, batch=6, backend=backend)
+    state.reset(xs)
+    assert state.energy.dtype == np.int64
+    assert state.energy.tolist() == [model.energy(x) for x in xs]

@@ -128,41 +128,3 @@ class TestRunners:
         assert len(report.data) == 3
         for payload in report.data.values():
             assert payload["tts"].trials == MICRO.fig7_trials
-
-    def test_service_sweep_structure(self):
-        from dataclasses import replace
-
-        from repro.harness.experiments import run_service_sweep
-
-        # gset_n must fit the G22 average degree (≈20) at micro scale
-        report = run_service_sweep(replace(MICRO, gset_n=24), seed=0, rounds=3)
-        assert "Service sweep" in report.title
-        instances = [k for k in report.data if k not in ("cache", "elapsed")]
-        assert len(instances) == 3
-        for name in instances:
-            trials = report.data[name]
-            assert len(trials) == MICRO.dabs_trials
-            for result in trials:
-                assert result.launches == 3 * MICRO.num_gpus
-        # repeat trials of one instance share one prepared representation
-        cache = report.data["cache"]
-        assert cache["misses"] == 3
-        assert cache["hits"] == 3 * (MICRO.dabs_trials - 1)
-
-    def test_federation_sweep_structure(self):
-        from dataclasses import replace
-
-        from repro.harness.experiments import run_federation_sweep
-
-        scale = replace(
-            MICRO, gset_n=24, islands=2, migration_period=2, migration_k=2
-        )
-        report = run_federation_sweep(scale, seed=0, launches=8)
-        assert "Federation sweep" in report.title
-        instances = [k for k in report.data if k != "elapsed"]
-        assert len(instances) == 3
-        for name in instances:
-            trials = report.data[name]
-            assert len(trials) == scale.dabs_trials
-            for result in trials:
-                assert result.launches == 8  # aggregate budget honoured
