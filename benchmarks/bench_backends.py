@@ -144,6 +144,10 @@ G22_CONFIG = BatchSearchConfig()
 #: CI smoke floor on the native whole-pack search's speedup over
 #: numpy-sparse (CHANGES.md records the smoke runs it was set from)
 SMOKE_MIN_PACK_SPEEDUP = 4.0
+#: best-of rounds of each numpy-sparse reference in the report: a call
+#: takes 10-120 ms, and its best of 3 moved the pack search's speedup
+#: between 17.5x and 24.6x over five runs of one tree
+REFERENCE_ROUNDS = 15
 
 
 def _timed(setup, call, rounds: int) -> float:
@@ -282,10 +286,11 @@ def _on_one_cpu(fn):
         os.sched_setaffinity(0, mask)
 
 
-def native_rows() -> list[tuple[str, float, float, float, int]]:
+def native_rows() -> list[tuple[str, float, float, float, int, int]]:
     """(row, native s, native s on one CPU, numpy-sparse s, native
-    threads) of each native row, every row asserted bit-identical to
-    numpy-sparse first."""
+    threads, row-steps) of each native row, every row asserted
+    bit-identical to numpy-sparse first; a phase's row-steps are its
+    flips summed over the rows (0 for the pack search)."""
     rows = NativeRows()
     n, r = G22_N, G22_ROWS
     phases = [
@@ -296,17 +301,21 @@ def native_rows() -> list[tuple[str, float, float, float, int]]:
     threads = _library().repro_threads
     out = []
     for label, phase, work in phases:
-        _assert_same(rows.observed("native", phase), rows.observed("numpy-sparse", phase), label)
+        native = rows.observed("native", phase)
+        _assert_same(native, rows.observed("numpy-sparse", phase), label)
+        steps = int(native[7].sum())  # the phase's per-row flips
         native_t = _timed(lambda: rows.setup("native"), phase, 20)
         one_t = _on_one_cpu(lambda: _timed(lambda: rows.setup("native"), phase, 20))
-        numpy_t = _timed(lambda: rows.setup("numpy-sparse"), phase, 3)
-        out.append((label, native_t, one_t, numpy_t, threads(r, work)))
+        numpy_t = _timed(lambda: rows.setup("numpy-sparse"), phase, REFERENCE_ROUNDS)
+        out.append((label, native_t, one_t, numpy_t, threads(r, work), steps))
     native, reference = pack_search_pair()
     native_t = _timed(native.setup, native.run, 20)
     one_t = _on_one_cpu(lambda: _timed(native.setup, native.run, 20))
-    numpy_t = _timed(reference.setup, reference.run, 3)
+    numpy_t = _timed(reference.setup, reference.run, REFERENCE_ROUNDS)
     # the search splits at least as far as its straight walks do
-    out.append(("whole pack search (2 × 16 rows)", native_t, one_t, numpy_t, threads(r, r * n * n)))
+    out.append(
+        ("whole pack search (2 × 16 rows)", native_t, one_t, numpy_t, threads(r, r * n * n), 0)
+    )
     return out
 
 
@@ -512,18 +521,25 @@ def run_report() -> tuple[str, dict]:
             "pack search is a g22_direct round: two 16-row segments whose",
             "blocks run every algorithm, its whole batch search in one call.",
             "Threads: what the native call spreads over on this host; the",
-            "1-CPU column times it again with the bench pinned to one CPU.",
+            "1-CPU column times it again with the bench pinned to one CPU, and",
+            "ns/row-step divides that by the phase's flips summed over its",
+            f"rows.  Each time is a best of 20 runs (numpy-sparse: {REFERENCE_ROUNDS}).",
             "",
-            "| row | native | native, 1 CPU | numpy-sparse | speedup | native threads |",
-            "|---|---|---|---|---|---|",
+            "| row | native | native, 1 CPU | 1 CPU ns/row-step | numpy-sparse "
+            "| speedup | native threads |",
+            "|---|---|---|---|---|---|---|",
         ]
-        for label, native_t, one_t, numpy_t, threads in native_rows():
+        for label, native_t, one_t, numpy_t, threads, steps in native_rows():
             key = label.split(" (")[0].replace(" ", "_")
             metrics[f"native_{key}_s"] = native_t
             metrics[f"native_{key}_one_cpu_s"] = one_t
             metrics[f"native_{key}_speedup"] = numpy_t / native_t
+            per_step = "—"
+            if steps:
+                metrics[f"native_{key}_one_cpu_ns_per_row_step"] = one_t / steps * 1e9
+                per_step = f"{one_t / steps * 1e9:.0f}"
             lines.append(
-                f"| {label} | {native_t * 1e3:.2f} ms | {one_t * 1e3:.2f} ms "
+                f"| {label} | {native_t * 1e3:.2f} ms | {one_t * 1e3:.2f} ms | {per_step} "
                 f"| {numpy_t * 1e3:.1f} ms | {numpy_t / native_t:.1f}× | {threads} |"
             )
     return "\n".join(lines), metrics

@@ -32,6 +32,9 @@
 #include <stdlib.h>
 #include <string.h>
 #include <unistd.h>
+#ifdef __AVX512F__
+#include <immintrin.h>
+#endif
 
 #define SENTINEL ((int64_t)1 << 62)
 #define MULTIPLIER 0x2545F4914F6CDD1DULL
@@ -64,13 +67,15 @@ int64_t repro_native_abi(void) { return 4; }
  * n / 5 from a GA child, far fewer after a main phase) and the iterations
  * of a main phase; a reset's work is rows · (nnz + n), one pass over the
  * couplings, and a search's is the sum of its phases (see cell_work).
- * Each thread gets at least WORK_PER_THREAD of it, about 0.2-0.8 ms at
- * n = 512.  Starting and joining a thread costs ~35 µs on an idle host,
- * but waking a second CPU of a busy shared host can take milliseconds, so
- * only calls well above that split.  A stream-sized phase call (n ≤ 96,
- * 16 rows, main phases of up to 2n iterations) stays on the calling
- * thread, and a g22-sized straight walk or first greedy descent (n = 512,
- * 32 rows) spreads; a g22-sized reset does not. */
+ * Each thread gets at least WORK_PER_THREAD of it, about 0.1-0.6 ms at
+ * n = 512 (a greedy step to a MaxMin step).  Starting and joining a
+ * thread costs ~35 µs on an idle host, but waking a second CPU of a busy
+ * shared host can take milliseconds, so only calls well above that split.
+ * A stream-sized phase call (n ≤ 96, 16 rows, main phases of up to 2n
+ * iterations) stays on the calling thread, and a g22-sized straight walk
+ * or first greedy descent (n = 512, 32 rows) spreads; a g22-sized reset
+ * does not.  That greedy call, the smallest that spreads, took 0.50 ms on
+ * two threads against 0.70-0.94 ms on one (2-core host, medians of 40). */
 #define WORK_PER_THREAD ((int64_t)1 << 19)
 
 static int64_t allowed_cpus(void)
@@ -239,23 +244,68 @@ static inline int64_t lane_key(uint64_t *lane)
     return (int64_t)((lane_next(lane) * MULTIPLIER) >> 11);
 }
 
+/* -- row scans ---------------------------------------------------------------
+ * A step's selection and its fold scan whole Δ rows: a min pass, then a
+ * first-index pass for the argmin (ties go to the first index).  Each
+ * scan's form is chosen per target, checked in the asm and timed on a
+ * 512-entry row (DESIGN.md §14); every form gives the same result. */
+
+/* independent accumulators of row_min: the min pass is not one chain of
+ * dependent vector mins */
+#define ACCUMULATORS 32
+
+/* the minimum of v[0, n); INT64_MAX when n = 0 */
 static inline int64_t row_min(const int64_t *v, int64_t n)
 {
-    int64_t m = v[0];
-    for (int64_t k = 1; k < n; k++)
+    /* gcc holds acc in vector registers: vpminsq on AVX-512, a 64-bit
+     * compare and blend below it (pcmpgtq from SSE4.2 on) */
+    int64_t k = 0, m = INT64_MAX, acc[ACCUMULATORS];
+    for (int j = 0; j < ACCUMULATORS; j++)
+        acc[j] = INT64_MAX;
+    for (; k + ACCUMULATORS <= n; k += ACCUMULATORS)
+        for (int j = 0; j < ACCUMULATORS; j++)
+            acc[j] = v[k + j] < acc[j] ? v[k + j] : acc[j];
+    for (int j = 0; j < ACCUMULATORS; j++)
+        m = acc[j] < m ? acc[j] : m;
+    for (; k < n; k++)
         m = v[k] < m ? v[k] : m;
     return m;
 }
 
-/* bits tested at once by the first-index scans (a fixed-width inner
- * loop the compiler vectorizes) */
+/* entries first_equal tests at once: one bit each of a hit mask (AVX2,
+ * AVX-512), or one any-hit test over the whole block elsewhere */
+#ifdef __AVX2__
+#define BLOCK 32
+#else
 #define BLOCK 16
+#endif
 
-/* first index holding *m* (a min pass then this pass is a first-index
- * argmin that the min pass can vectorize) */
+/* the first index of v[0, n) holding *m*; n when none does */
 static inline int64_t first_equal(const int64_t *v, int64_t n, int64_t m)
 {
     int64_t k = 0;
+#if defined(__AVX512F__)
+    /* four compares into mask registers; gcc's form of the loop below
+     * builds the mask in vector registers, ~1.5x slower */
+    __m512i want = _mm512_set1_epi64(m);
+    for (; k + BLOCK <= n; k += BLOCK) {
+        uint32_t hit = 0;
+        for (int j = 0; j < BLOCK / 8; j++)
+            hit |= (uint32_t)_mm512_cmpeq_epi64_mask(_mm512_loadu_si512(v + k + 8 * j), want)
+                   << 8 * j;
+        if (hit)
+            return k + __builtin_ctz(hit);
+    }
+#elif defined(__AVX2__)
+    for (; k + BLOCK <= n; k += BLOCK) {
+        uint32_t hit = 0;
+        for (int j = 0; j < BLOCK; j++)
+            hit |= (uint32_t)(v[k + j] == m) << j;
+        if (hit)
+            return k + __builtin_ctz(hit);
+    }
+#else
+    /* a 32-bit mask built from SSE compares is slower than this scan */
     for (; k + BLOCK <= n; k += BLOCK) {
         int64_t hit = 0;
         for (int64_t j = 0; j < BLOCK; j++)
@@ -263,6 +313,7 @@ static inline int64_t first_equal(const int64_t *v, int64_t n, int64_t m)
         if (hit)
             break;
     }
+#endif
     for (; k < n; k++)
         if (v[k] == m)
             return k;
@@ -276,9 +327,11 @@ static inline int64_t row_argmin(const int64_t *v, int64_t n)
 
 /* Eq. 4/5: flip bit i of one row and update its Δ over i's neighbours;
  * *masked*, when given, is the straight walk's masked Δ row, and bit i
- * matches the target once flipped */
-static inline void flip_bit(const csr_t *s, uint8_t *x, int64_t *energy,
-                            int64_t *delta, int64_t *masked, int64_t i)
+ * matches the target once flipped.  Returns *lb* lowered to every Δ the
+ * flip wrote, so a lower bound of the row's minimum Δ stays one. */
+static inline int64_t flip_bit(const csr_t *s, uint8_t *x, int64_t *energy,
+                               int64_t *delta, int64_t *masked, int64_t i,
+                               int64_t lb)
 {
     int64_t d_i = delta[i];
     int64_t s_old = x[i] ? 1 : -1;
@@ -288,17 +341,20 @@ static inline void flip_bit(const csr_t *s, uint8_t *x, int64_t *energy,
         int64_t j = s->indices[p];
         int64_t s_j = x[j] ? 1 : -1;
         int64_t step = s->data[p] * (s_old * s_j);
-        delta[j] += step;
+        int64_t d_j = delta[j] += step;
+        lb = d_j < lb ? d_j : lb;
         if (masked)
             masked[j] += step;
     }
     delta[i] = -d_i;
     if (masked)
         masked[i] = SENTINEL - d_i;
+    return -d_i < lb ? -d_i : lb;
 }
 
 /* BestTracker.fold: the current row and its best 1-bit neighbour, with
- * d_j the row's minimum Δ */
+ * d_j the row's minimum Δ, or a lower bound of it under which the
+ * neighbour cannot win (d_j ≥ 0 or energy + d_j ≥ best_e) */
 static inline void fold_min(int64_t n, const uint8_t *x, int64_t energy,
                             const int64_t *delta, uint8_t *best_x,
                             int64_t *best_e, int64_t d_j)
@@ -314,18 +370,17 @@ static inline void fold_min(int64_t n, const uint8_t *x, int64_t energy,
     }
 }
 
-/* one pure-int64 pass for the straight walk: the row's minimum Δ (for the
- * fold) and the minimum of its masked row (for the next step) */
-static inline int64_t two_mins(int64_t n, const int64_t *delta,
-                               const int64_t *masked, int64_t *all)
+/* fold_min after a flip, from *lb*, a lower bound of the row's minimum
+ * Δ (flip_bit's): the row is scanned only when the bound leaves the
+ * neighbour a chance.  Returns the bound, exact when it was scanned. */
+static inline int64_t fold(int64_t n, const uint8_t *x, int64_t energy,
+                           const int64_t *delta, uint8_t *best_x,
+                           int64_t *best_e, int64_t lb)
 {
-    int64_t lo = SENTINEL, lo_masked = SENTINEL;
-    for (int64_t k = 0; k < n; k++) {
-        lo = delta[k] < lo ? delta[k] : lo;
-        lo_masked = masked[k] < lo_masked ? masked[k] : lo_masked;
-    }
-    *all = lo;
-    return lo_masked;
+    if (lb < 0 && energy + lb < *best_e)
+        lb = row_min(delta, n);
+    fold_min(n, x, energy, delta, best_x, best_e, lb);
+    return lb;
 }
 
 /* one row's pointers into the call's arrays */
@@ -338,26 +393,25 @@ static inline int64_t two_mins(int64_t n, const int64_t *delta,
     int64_t energy = (c)->energy[r], best_e = (c)->best_e[r];
 
 /* the straight walk of one row; *masked* is Δ plus the sentinel on bits
- * that already match the target, so one first-index pass finds the
- * next bit and the flip keeps it current */
+ * that already match the target, so one min pass and one first-index
+ * pass find the next bit and the flip keeps it current */
 static void straight_row(const call_t *c, int64_t r, int64_t *masked)
 {
     ROW_POINTERS(c, r)
     const uint8_t *tr = c->targets + r * n;
-    int64_t dist = 0, lo;
+    int64_t dist = 0;
     for (int64_t k = 0; k < n; k++) {
         int64_t same = xr[k] == tr[k];
         dist += !same;
         masked[k] = dr[k] + same * SENTINEL;
     }
-    int64_t m = two_mins(n, dr, masked, &lo);
+    int64_t lb = row_min(dr, n);
     for (int64_t t = 0; t < dist; t++) {
-        int64_t i = first_equal(masked, n, m);
-        flip_bit(&c->s, xr, &energy, dr, masked, i);
+        int64_t i = first_equal(masked, n, row_min(masked, n));
+        lb = flip_bit(&c->s, xr, &energy, dr, masked, i, lb);
         if (c->stamp_on)
             sr[i] = c->clock[r] + t;
-        m = two_mins(n, dr, masked, &lo);
-        fold_min(n, xr, energy, dr, bxr, &best_e, lo);
+        lb = fold(n, xr, energy, dr, bxr, &best_e, lb);
     }
     c->energy[r] = energy;
     c->best_e[r] = best_e;
@@ -371,7 +425,7 @@ static void greedy_row(const call_t *c, int64_t r, int64_t *scratch)
     int64_t f = 0, m = row_min(dr, n);
     while (f < c->max_iters && m < 0) {
         int64_t i = first_equal(dr, n, m);
-        flip_bit(&c->s, xr, &energy, dr, NULL, i);
+        flip_bit(&c->s, xr, &energy, dr, NULL, i, 0);
         if (c->stamp_on)
             sr[i] = c->clock[r] + f;
         f++;
@@ -384,19 +438,19 @@ static void greedy_row(const call_t *c, int64_t r, int64_t *scratch)
     c->best_e[r] = best_e;
 }
 
-/* the first index of the largest value of buf (all ≥ -1); n when every
- * value is -1 (no candidate) */
-static inline int64_t first_max(const int64_t *buf, int64_t n)
+/* the keyed pick of MaxMin and PositiveMin: buf holds each candidate's
+ * key negated and 1 elsewhere, so the first largest key is buf's first
+ * minimum; with no candidate, the row's argmin */
+static inline int64_t keyed_pick(int64_t n, const int64_t *buf,
+                                 const int64_t *dr)
 {
-    int64_t m = -1;
-    for (int64_t k = 0; k < n; k++)
-        m = buf[k] > m ? buf[k] : m;
-    return m >= 0 ? first_equal(buf, n, m) : n;
+    int64_t best = row_argmin(buf, n);
+    return buf[best] < 1 ? best : row_argmin(dr, n);
 }
 
 /* MaxMin (§III.A.3): a random candidate under the annealed threshold.
  * The passes are branch-free so the compiler can vectorize them; buf
- * holds each bit's key, or -1 where the bit is no candidate. */
+ * as keyed_pick reads it. */
 static int64_t select_maxmin(int64_t n, const int64_t *dr, const int64_t *sr,
                              uint64_t *lanes, int use_tabu, int64_t cut,
                              double frac, int64_t *buf)
@@ -427,40 +481,44 @@ static int64_t select_maxmin(int64_t n, const int64_t *dr, const int64_t *sr,
     for (int64_t k = 0; k < n; k++) {
         int64_t key = lane_key(&lanes[k]);
         int64_t cand = (dr[k] <= thr) & (all_usable | (sr[k] < cut));
-        buf[k] = cand ? key : -1;
+        buf[k] = cand ? -key : 1;
     }
-    int64_t best = first_max(buf, n);
-    return best < n ? best : row_argmin(dr, n);
+    return keyed_pick(n, buf, dr);
 }
 
-/* the first-index argmin of row[lo, hi), tabu bits excluded when
- * use_tabu; *lv and *at carry the running (value, index) across calls */
-static inline void window_min(const int64_t *dr, const int64_t *sr,
-                              int64_t lo, int64_t hi, int use_tabu,
-                              int64_t cut, int64_t *lv, int64_t *at)
+/* the first index, in window order, of the minimum of v over the window
+ * pieces [start, stop) and [0, wrap); -1 when that minimum is SENTINEL
+ * or more (every bit tabu) */
+static inline int64_t window_argmin(const int64_t *v, int64_t start,
+                                    int64_t stop, int64_t wrap)
 {
-    for (int64_t k = lo; k < hi; k++) {
-        int64_t v = use_tabu && sr[k] >= cut ? SENTINEL : dr[k];
-        *at = v < *lv ? k : *at;
-        *lv = v < *lv ? v : *lv;
-    }
+    int64_t head = row_min(v + start, stop - start), tail = row_min(v, wrap);
+    if (head >= SENTINEL && tail >= SENTINEL)
+        return -1;
+    if (head <= tail)
+        return start + first_equal(v + start, stop - start, head);
+    return first_equal(v, wrap, tail);
 }
 
 /* CyclicMin (§III.A.4): argmin inside the sliding window [start, start +
- * w) mod n, scanned as its two contiguous pieces in window order */
+ * w) mod n, scanned as its two contiguous pieces in window order; with
+ * tabu, buf holds the window's Δ with the sentinel on tabu bits */
 static int64_t select_cyclic(int64_t n, const int64_t *dr, const int64_t *sr,
                              int use_tabu, int64_t cut, int64_t w,
-                             int64_t *cursor)
+                             int64_t *cursor, int64_t *buf)
 {
     int64_t start = *cursor, end = start + w;
-    int64_t lv = SENTINEL, at = -1;
-    window_min(dr, sr, start, end < n ? end : n, use_tabu, cut, &lv, &at);
-    window_min(dr, sr, 0, end - n, use_tabu, cut, &lv, &at);
-    if (at < 0) {
-        /* every window bit tabu: the raw window's argmin */
-        window_min(dr, sr, start, end < n ? end : n, 0, cut, &lv, &at);
-        window_min(dr, sr, 0, end - n, 0, cut, &lv, &at);
+    int64_t stop = end < n ? end : n, wrap = end > n ? end - n : 0;
+    int64_t at = -1;
+    if (use_tabu) {
+        for (int64_t k = start; k < stop; k++)
+            buf[k] = sr[k] >= cut ? SENTINEL : dr[k];
+        for (int64_t k = 0; k < wrap; k++)
+            buf[k] = sr[k] >= cut ? SENTINEL : dr[k];
+        at = window_argmin(buf, start, stop, wrap);
     }
+    if (at < 0) /* no tabu, or every window bit tabu: the raw window's argmin */
+        at = window_argmin(dr, start, stop, wrap);
     *cursor = end % n;
     return at;
 }
@@ -484,7 +542,7 @@ static int64_t select_randommin(int64_t n, const int64_t *dr,
 }
 
 /* PositiveMin (§III.A.6): a random candidate with Δ ≤ posminΔ; buf as
- * in MaxMin */
+ * keyed_pick reads it */
 static int64_t select_positivemin(int64_t n, const int64_t *dr,
                                   const int64_t *sr, uint64_t *lanes,
                                   int use_tabu, int64_t cut, int64_t *buf)
@@ -502,10 +560,9 @@ static int64_t select_positivemin(int64_t n, const int64_t *dr,
     for (int64_t k = 0; k < n; k++) {
         int64_t key = lane_key(&lanes[k]);
         int64_t cand = (dr[k] <= posmin) & (!skip_tabu | (sr[k] < cut));
-        buf[k] = cand ? key : -1;
+        buf[k] = cand ? -key : 1;
     }
-    int64_t best = first_max(buf, n);
-    return best < n ? best : row_argmin(dr, n);
+    return keyed_pick(n, buf, dr);
 }
 
 /* the main phase of one row, under the part whose range holds it; *buf*
@@ -528,7 +585,7 @@ static void main_row(const call_t *c, int64_t r, int64_t *buf)
     int64_t local = r - part[P_LO];
     uint64_t *lr = lanes ? lanes + local * n : 0;
     int64_t cursor = cursors ? cursors[local] : 0;
-    int64_t clock = c->clock[r];
+    int64_t clock = c->clock[r], lb = row_min(dr, n);
     for (int64_t t = 0; t < c->iterations; t++) {
         int64_t cut = clock + t - c->period;
         int64_t i;
@@ -537,7 +594,7 @@ static void main_row(const call_t *c, int64_t r, int64_t *buf)
             i = select_maxmin(n, dr, sr, lr, use_tabu, cut, schedule[t], buf);
             break;
         case CYCLIC:
-            i = select_cyclic(n, dr, sr, use_tabu, cut, widths[t], &cursor);
+            i = select_cyclic(n, dr, sr, use_tabu, cut, widths[t], &cursor, buf);
             break;
         case RANDOMMIN:
             i = select_randommin(n, dr, sr, lr, use_tabu, cut, thresholds[t],
@@ -550,10 +607,10 @@ static void main_row(const call_t *c, int64_t r, int64_t *buf)
             i = sequence[t % seq_len];
             break;
         }
-        flip_bit(&c->s, xr, &energy, dr, NULL, i);
+        lb = flip_bit(&c->s, xr, &energy, dr, NULL, i, lb);
         if (c->stamp_on)
             sr[i] = clock + t;
-        fold_min(n, xr, energy, dr, bxr, &best_e, row_min(dr, n));
+        lb = fold(n, xr, energy, dr, bxr, &best_e, lb);
     }
     if (cursors)
         cursors[local] = cursor;

@@ -83,23 +83,30 @@ _SIGNATURES = {
 }
 
 _lock = threading.Lock()
-#: (compiler, cache dir) → the loaded library, or why there is none
+#: the environment's raw CC, XDG_CACHE_HOME and HOME → the loaded library,
+#: or why there is none; keyed on the raw strings because a served job asks
+#: ``is_available()`` several times, and parsing them costs more than the
+#: lookup
 _libraries: dict[tuple, object] = {}
 
 
 def _library():
     """The library for the current ``CC`` and cache directory, or a
     string saying why there is none (built once per process and key)."""
-    cc = tuple(shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"))
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    key = (cc, Path(base) / "repro")
+    environ = os.environ
+    raw = (environ.get("CC"), environ.get("XDG_CACHE_HOME"), environ.get("HOME"))
+    lib = _libraries.get(raw)
+    if lib is not None:
+        return lib
     with _lock:
-        if key not in _libraries:
+        if raw not in _libraries:
+            cc = tuple(shlex.split(raw[0] or sysconfig.get_config_var("CC") or "cc"))
+            base = raw[1] or os.path.join(os.path.expanduser("~"), ".cache")
             try:
-                _libraries[key] = _load(*key)
+                _libraries[raw] = _load(cc, Path(base) / "repro")
             except (OSError, AttributeError, subprocess.SubprocessError) as exc:
-                _libraries[key] = f"cannot build the native kernels with {' '.join(cc)!r}: {exc}"
-        return _libraries[key]
+                _libraries[raw] = f"cannot build the native kernels with {' '.join(cc)!r}: {exc}"
+        return _libraries[raw]
 
 
 def _cpu_flags() -> str:

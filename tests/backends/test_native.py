@@ -7,7 +7,10 @@ phase body against ``numpy-sparse``'s NumPy body on twin states whose
 tabu history, vector clock and RNG lanes are random, bit for bit: ``x``,
 energies, Δ, stamps, best memory, flips, lanes and the CyclicMin cursor.
 The search tests hold a whole pack's one-call search against
-numpy-sparse's wave loop on every committed observable.
+numpy-sparse's wave loop on every committed observable.  The scan-boundary
+tests repeat both at row lengths around the row scans' block widths, and
+the fold-bound tests set the prior best exactly at the energy the fold
+can reach.
 """
 
 from __future__ import annotations
@@ -125,6 +128,25 @@ class TestLoader:
         assert not isinstance(native_mod._library(), str)
         assert so.stat().st_size == size
         assert so.with_suffix(".sha256").read_text() == native_mod._digest_of(so)
+
+    def test_a_changed_compiler_or_cache_directory_is_noticed(self, host_cc, monkeypatch):
+        """The library is memoized on the environment's raw strings, so
+        each new CC or XDG_CACHE_HOME looks the library up again."""
+        lib = native_mod._library()
+        assert not isinstance(lib, str), lib
+        assert native_mod._library() is lib
+        other = host_cc.parent / "other"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(other))
+        moved = native_mod._library()
+        assert not isinstance(moved, str) and moved is not lib
+        assert len(cache_files(other / "repro")) == 2
+        monkeypatch.setenv("CC", "/nonexistent/cc")
+        assert "cannot build" in native_mod.NativeBackend.unavailable_reason()
+        assert not native_mod.NativeBackend.is_available()
+        monkeypatch.setenv("CC", HOST_CC)
+        assert native_mod._library() is moved
+        monkeypatch.setenv("XDG_CACHE_HOME", str(host_cc.parent))
+        assert native_mod._library() is lib
 
     def test_no_compiler_means_numpy_rule_and_a_warned_fallback(self, no_native):
         assert "native" not in available_backends()
@@ -245,7 +267,10 @@ class TestPhaseParity:
         self.check_main([TwoNeighborSearch], 4, iterations=2 * N - 1)
 
     @staticmethod
-    def check_main(algorithms, period, iterations, rows_per_part=None, model=None):
+    def check_main(algorithms, period, iterations, rows_per_part=None, model=None,
+                   all_tabu=False):
+        """*all_tabu* stamps every bit one step before the clock, so with
+        a period longer than the phase no bit is ever free."""
         model = model or model_for(True)
         rows_per_part = rows_per_part or [ROWS]
         total, n = sum(rows_per_part), model.n
@@ -253,6 +278,8 @@ class TestPhaseParity:
         cursor0 = np.random.default_rng(6).integers(0, n, size=total)
         runs = []
         for state, tabu, tracker in twins(model, period, seed=3, rows=total):
+            if all_tabu:
+                tabu.stamps[...] = tabu.clock[:, None] - 1
             lanes = lanes0.copy()
             cursor = cursor0.copy()
             parts = []
@@ -783,3 +810,133 @@ class TestSearchParity:
 def g22_search(backend):
     """Two g22-sized packs of two 16-row mixed segments: the observables."""
     return search_run(backend, g22_model(False), 16, MIXED[:2], flip_factor=0.3)[0]
+
+
+# -- row lengths at the scan blocks, and the fold's bound -----------------------
+#: row lengths at and around the first-index blocks (16 or 32 entries),
+#: row_min's 32 accumulators and the 512-bit vectors, up to g22 size
+SCAN_NS = [1, 2, 31, 32, 33, 63, 64, 65, 95, 96, 97, 511, 512, 513]
+
+
+def pm1_maxcut(n, seed=0):
+    """A MaxCut QUBO on *n* nodes with ±1 weights and average degree about
+    six: its Δ rows hold few distinct values, so most minimums tie and the
+    first index has to win."""
+    rng = np.random.default_rng(seed)
+    edges = np.triu(rng.random((n, n)) < min(1.0, 6 / max(n - 1, 1)), 1)
+    adjacency = edges * rng.choice(np.array([-1, 1]), size=(n, n))
+    return SparseQUBOModel.from_dense(maxcut_to_qubo(adjacency + adjacency.T))
+
+
+@needs_native
+class TestScanBoundaries:
+    """Every phase and a whole pack's search at row lengths around the scan
+    widths, on tie-heavy rows, bit for bit against numpy-sparse."""
+
+    ROWS = 4
+
+    @pytest.mark.parametrize("n", SCAN_NS)
+    def test_straight_and_greedy(self, n):
+        model = pm1_maxcut(n)
+        targets = np.random.default_rng(9).integers(0, 2, size=(self.ROWS, n), dtype=np.uint8)
+        runs = []
+        for state, tabu, tracker in twins(model, 3, seed=1, rows=self.ROWS):
+            backend = state.backend
+            out = [backend.run_straight_phase(state, targets, tabu, tracker)]
+            out += backend.run_greedy_phase(state, tabu, tracker)
+            runs.append(observed(state, tabu, tracker, *out))
+        assert_twins(*runs)
+
+    @pytest.mark.parametrize("period", [3, 10**6], ids=["tabu", "all-tabu"])
+    @pytest.mark.parametrize("n", SCAN_NS)
+    def test_main_each_kind(self, n, period):
+        """One row per kind in one call, windows that wrap around the row;
+        in the all-tabu case every bit is stamped just before the phase
+        and the period outlasts it, so every step takes its kind's
+        all-tabu fallback."""
+        TestPhaseParity.check_main(
+            ALL_KINDS, period, min(2 * n, 64), rows_per_part=[1] * len(ALL_KINDS),
+            model=pm1_maxcut(n, seed=1), all_tabu=period > 64,
+        )
+
+    @pytest.mark.parametrize("n", SCAN_NS)
+    def test_pack_search(self, n):
+        model = pm1_maxcut(n, seed=2)
+        got, reference = (
+            search_run(name, model, 3, MIXED[:2], tabu_period=3, launches=1)[0]
+            for name in ("native", "numpy-sparse")
+        )
+        assert_twins(got, reference)
+
+
+def at_a_local_minimum(model, rows, name):
+    """A state of *rows* greedy-descended rows on *name*, every Δ ≥ 0."""
+    state = BatchDeltaState(model, rows, backend=name)
+    state.reset(np.random.default_rng(5).integers(0, 2, size=(rows, model.n), dtype=np.uint8))
+    tabu = TabuTracker(rows, model.n, 0)
+    tabu.vectorize_clock()
+    state.backend.run_greedy_phase(state, tabu, BestTracker(state))
+    assert (state.delta >= 0).all()
+    return state, tabu
+
+
+@needs_native
+class TestFoldBound:
+    """The fold after one uphill flip from a local minimum, with the prior
+    best set at the neighbour energy nb it can reach: nb == best must not
+    fold and nb == best − 1 must.  Before the flip every Δ is ≥ 0, so only
+    the flipped bit's new Δ, the negated old one, makes the neighbour
+    reachable."""
+
+    N = 64
+    ROWS = 4
+
+    def check(self, phase, margin):
+        model = pm1_maxcut(self.N, seed=3)
+        # the flipped bit, per row: one with a positive Δ
+        probe, _ = at_a_local_minimum(model, self.ROWS, "numpy-sparse")
+        bits = (probe.delta > 0).argmax(axis=1)
+        assert (probe.delta[np.arange(self.ROWS), bits] > 0).all()
+        after = probe.x.copy()
+        after[np.arange(self.ROWS), bits] ^= 1
+        probe.reset(after)
+        nb = probe.energy + probe.delta.min(axis=1)
+        # the best memory after the phase: the neighbour, or as it was set
+        expected = np.zeros_like(after)
+        if margin:
+            expected[...] = after
+            expected[np.arange(self.ROWS), probe.delta.argmin(axis=1)] ^= 1
+        runs = []
+        for name in ("native", "numpy-sparse"):
+            state, tabu = at_a_local_minimum(model, self.ROWS, name)
+            tracker = BestTracker(state)
+            tracker.best_x[...] = 0
+            tracker.best_energy[...] = nb + margin
+            phase(state, tabu, tracker, bits)
+            runs.append(observed(state, tabu, tracker))
+            assert np.array_equal(tracker.best_energy, nb)
+            assert np.array_equal(tracker.best_x, expected)
+        assert_twins(*runs)
+
+    @staticmethod
+    def straight(state, tabu, tracker, bits):
+        targets = state.x.copy()
+        targets[np.arange(len(bits)), bits] ^= 1
+        state.backend.run_straight_phase(state, targets, tabu, tracker)
+
+    @staticmethod
+    def sequence(state, tabu, tracker, bits):
+        """A one-step fixed traversal (TwoNeighbor's kind) flipping each
+        row's bit."""
+        spec = TwoNeighborSearch().lower(state, 1)
+        lanes = np.ones(state.x.shape, dtype=np.uint64)
+        parts = []
+        for r, bit in enumerate(bits.tolist()):
+            one = replace(spec, sequence=np.array([bit], dtype=np.int64))
+            parts.append((r, r + 1, one, XorShift64Star.view(lanes[r : r + 1])))
+        state.backend.run_main_phase(state, parts, 1, None, tabu, tracker)
+
+    @pytest.mark.parametrize("margin", [0, 1], ids=["nb-equals-best", "nb-below-best"])
+    @pytest.mark.parametrize("phase", ["straight", "sequence"])
+    def test_fold_at_the_neighbour_energy(self, phase, margin):
+        self.check(getattr(self, phase), margin)
