@@ -28,6 +28,11 @@ or as a quick CI smoke check (small sizes, asserts the columnar path wins)::
     PYTHONPATH=src python benchmarks/bench_host_dataplane.py --smoke
 
 Target at the default size (n=1024, B=512): **>= 3x** packets/s.
+
+The report also times both paths at the two benchmark launch shapes
+(``perfbench``'s ``g22_direct``: n=512, B=16, pool 100; ``stream_shared``:
+n=96, B=8, pool 20), as µs of host work per device-round: one launch's
+selection, generation and insertion.
 """
 
 from __future__ import annotations
@@ -52,6 +57,10 @@ from repro.ga.operations import TargetGenerator
 from repro.ga.pool import SolutionPool
 
 ENERGY_SPAN = 1_000_000
+#: (workload, n, B, pool capacity) of the benchmark's launches
+LAUNCH_SHAPES = (("g22_direct", 512, 16, 100), ("stream_shared", 96, 8, 20))
+#: rounds per launch-shape row
+LAUNCH_ROUNDS = 500
 
 
 def _fixtures(n: int, capacity: int, seed: int):
@@ -112,6 +121,7 @@ def measure(n: int, blocks: int, rounds: int, capacity: int, seed: int) -> dict:
     return {
         "n": n,
         "blocks": blocks,
+        "capacity": capacity,
         "rounds": rounds,
         "packets": packets,
         "scalar_gen": scalar_gen,
@@ -124,7 +134,12 @@ def measure(n: int, blocks: int, rounds: int, capacity: int, seed: int) -> dict:
     }
 
 
-def render_report(rows: list[dict], target: float) -> str:
+def round_us(r: dict, path: str) -> float:
+    """µs of host work per device-round on *path* (``scalar`` or ``col``)."""
+    return (r[f"{path}_gen"] + r[f"{path}_ins"]) / r["rounds"] * 1e6
+
+
+def render_report(rows: list[dict], target: float, launches: list[tuple[str, dict]]) -> str:
     lines = [
         "# Host data-plane throughput: columnar vs per-packet",
         "",
@@ -153,7 +168,23 @@ def render_report(rows: list[dict], target: float) -> str:
         "",
         f"Target >= {target:.0f}x at n=1024, B=512: **{verdict}** "
         f"({main['speedup']:.1f}x).",
+        "",
+        "## At the benchmark's launch shapes",
+        "",
+        "µs of host work per device-round (one launch: select + generate for",
+        "its B rows, then insert its B results), and the columnar split.",
+        "",
+        "| workload | n | B | pool | rounds | per-packet µs | columnar µs "
+        "| columnar select+generate / insert µs | speedup |",
+        "|---|---|---|---|---|---|---|---|---|",
     ]
+    for name, r in launches:
+        lines.append(
+            f"| {name} | {r['n']} | {r['blocks']} | {r['capacity']} | {r['rounds']} "
+            f"| {round_us(r, 'scalar'):.0f} | {round_us(r, 'col'):.0f} "
+            f"| {r['col_gen'] / r['rounds'] * 1e6:.0f} / {r['col_ins'] / r['rounds'] * 1e6:.0f} "
+            f"| **{r['speedup']:.1f}x** |"
+        )
     return "\n".join(lines)
 
 
@@ -185,9 +216,20 @@ def main(argv=None) -> int:
         measure(n=1024, blocks=2048, rounds=5, capacity=100, seed=args.seed),
         measure(n=1024, blocks=512, rounds=args.rounds, capacity=100, seed=args.seed),
     ]
-    report = render_report(rows, target=3.0)
+    launches = [
+        (name, measure(n=n, blocks=b, rounds=LAUNCH_ROUNDS, capacity=cap, seed=args.seed))
+        for name, n, b, cap in LAUNCH_SHAPES
+    ]
+    report = render_report(rows, target=3.0, launches=launches)
     print(report)
-    path = save_report(report, "bench_host_dataplane")
+    metrics = {}
+    for name, r in launches:
+        metrics[f"{name}_per_packet_us_per_round"] = round_us(r, "scalar")
+        metrics[f"{name}_columnar_us_per_round"] = round_us(r, "col")
+    path = save_report(
+        report, "bench_host_dataplane", metric="speedup", value=rows[-1]["speedup"],
+        baseline=3.0, metrics=metrics,
+    )
     print(f"\nwrote {path}")
     return 0
 

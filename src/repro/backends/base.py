@@ -363,10 +363,13 @@ class ComputeBackend(ABC):
         TwoNeighbor cells, the merged ``targets``, ``views(a, b)`` giving
         the (state, tabu, tracker) over rows [a, b), and
         ``main_parts(state, i, j)`` giving the (iterations, parts) of a
-        main phase over cells [i, j).  Every row walks to its target,
-        then each cell alternates greedy descents and main phases until
-        all its rows spent *budget* flips (a TwoNeighbor cell: after its
-        one main phase), the schedule of the solo launch it stands for.
+        main phase over cells [i, j).  Every row starts as a launch does,
+        with no bit tabu, its clock at 0 and its best memory reset to its
+        current vector and folded once (``BestTracker.reset``, then
+        ``fold``), and walks to its target; then each cell alternates
+        greedy descents and main phases until all its rows spent *budget*
+        flips (a TwoNeighbor cell: after its one main phase), the
+        schedule of the solo launch it stands for.
 
         This body is the wave loop: each phase runs through the public
         runner over every maximal span of cells still running it, and
@@ -389,8 +392,13 @@ class ComputeBackend(ABC):
             lengths = np.maximum.reduceat(f, starts[i:j] - first[i])
             tabu.clock[...] = pre + np.repeat(lengths, sizes[i:j])
 
-        # straight phase: every cell at once (no cell finishes before it)
+        # the start of every row, then the straight phase: every cell at
+        # once (no cell finishes before it)
         st, tb, tr = cells.views(0, total)
+        tb.stamps.fill(-(tb.period + 1))
+        tb.clock[...] = 0
+        tr.reset(st)
+        tr.fold(st)
         pre = tb.clock.copy()
         f = self.run_straight_phase(st, cells.targets, tb, tr)
         flips += f

@@ -58,7 +58,7 @@ typedef struct {
     const int64_t *indptr, *indices, *data;
 } csr_t;
 
-int64_t repro_native_abi(void) { return 4; }
+int64_t repro_native_abi(void) { return 5; }
 
 /* -- the row split ----------------------------------------------------------
  * A call's work is estimated as rows · n · steps, from the call's shape
@@ -455,23 +455,25 @@ static int64_t select_maxmin(int64_t n, const int64_t *dr, const int64_t *sr,
                              uint64_t *lanes, int use_tabu, int64_t cut,
                              double frac, int64_t *buf)
 {
-    int64_t lo_all = SENTINEL, hi_all = -SENTINEL;
-    int64_t lo_use = SENTINEL, hi_use = -SENTINEL;
-    int64_t any_usable = 0;
-    for (int64_t k = 0; k < n; k++) {
-        int64_t v = dr[k];
-        int64_t usable = use_tabu & (sr[k] < cut);
-        int64_t lo = usable ? v : SENTINEL, hi = usable ? v : -SENTINEL;
-        lo_all = v < lo_all ? v : lo_all;
-        hi_all = v > hi_all ? v : hi_all;
-        lo_use = lo < lo_use ? lo : lo_use;
-        hi_use = hi > hi_use ? hi : hi_use;
-        any_usable |= usable;
-    }
-    /* a row whose every bit is tabu falls back to the full row */
-    int64_t all_usable = !use_tabu || !any_usable;
-    double dmin = (double)(all_usable ? lo_all : lo_use);
-    double dmax = (double)(all_usable ? hi_all : hi_use);
+    /* the range of the usable Δ: with tabu, of the bits not tabu; of the
+     * full row when there is no tabu or every bit is tabu */
+    int64_t lo = SENTINEL, hi = -SENTINEL, any_usable = 0;
+    if (use_tabu)
+        for (int64_t k = 0; k < n; k++) {
+            int64_t usable = sr[k] < cut, v = dr[k];
+            int64_t l = usable ? v : SENTINEL, h = usable ? v : -SENTINEL;
+            lo = l < lo ? l : lo;
+            hi = h > hi ? h : hi;
+            any_usable |= usable;
+        }
+    int64_t all_usable = !any_usable;
+    if (all_usable)
+        for (int64_t k = 0; k < n; k++) {
+            int64_t v = dr[k];
+            lo = v < lo ? v : lo;
+            hi = v > hi ? v : hi;
+        }
+    double dmin = (double)lo, dmax = (double)hi;
     uint64_t v0 = lane_next(&lanes[0]);
     double u = (double)(int64_t)((v0 * MULTIPLIER) >> 11) * DOUBLE_SCALE;
     double ceiling = (1.0 - frac) * dmin + frac * dmax;
@@ -715,12 +717,31 @@ static void run_cell(const search_t *s, int64_t *cell, int64_t *scratch)
     cell[C_MAINS] = mains;
 }
 
+/* a row's start, a launch's reset of its tabu and best memory: no bit
+ * tabu, its clock at 0, no truncated descent, and the best its own vector
+ * or, when a flip lowers its energy, its best 1-bit neighbour
+ * (BestTracker.reset, then fold) */
+static void start_row(const search_t *s, int64_t r)
+{
+    const call_t *c = &s->straight;
+    ROW_POINTERS(c, r)
+    for (int64_t k = 0; k < n; k++)
+        sr[k] = -(s->main.period + 1);
+    s->clock[r] = 0;
+    s->truncated[r] = 0;
+    memcpy(bxr, xr, (size_t)n);
+    best_e = energy;
+    fold_min(n, xr, energy, dr, bxr, &best_e, row_min(dr, n));
+    c->best_e[r] = best_e;
+}
+
 static void *run_search(void *arg)
 {
     const worker_t *w = arg;
     search_t *s = w->job;
     int64_t rows = s->straight.rows;
     for (int64_t r; (r = claim_row(&s->rows)) >= 0;) {
+        start_row(s, r);
         straight_row(&s->straight, r, w->scratch);
         if (atomic_fetch_add(&s->walked, 1) + 1 == rows) {
             pthread_mutex_lock(&s->lock);
@@ -816,11 +837,13 @@ int64_t repro_main(int64_t rows, int64_t n, const int64_t *indptr,
     return dispatch(&c, rows * n * iterations, n);
 }
 
-/* The whole batch search of a pack: the straight walk of every row, then
- * each cell's waves (cells × C_FIELDS in *table*, whose greedy and main
- * phase counts it writes).  *clock* is per row and ends where the
- * per-cell clock of the wave loop ends; *flips* gets every row's flips;
- * *truncated* is OR-ed with each greedy descent's flags. */
+/* The whole batch search of a pack: every row's start and straight walk,
+ * then each cell's waves (cells × C_FIELDS in *table*, whose greedy and
+ * main phase counts it writes).  The search writes every row's stamps,
+ * *clock*, best vector and energy and *truncated* flag from its start
+ * on: *clock* ends where the per-cell clock of the wave loop ends,
+ * *flips* gets every row's flips and *truncated* whether any of its
+ * greedy descents was cut short. */
 int64_t repro_search(int64_t rows, int64_t n, const int64_t *indptr,
                      const int64_t *indices, const int64_t *data, uint8_t *x,
                      int64_t *energy, int64_t *delta, int64_t *stamps,

@@ -56,14 +56,15 @@ _FLAGS = (
 )
 _LIBS = ("-lm",)
 #: ``repro_native_abi()`` of the source this module drives
-_ABI = 4
+_ABI = 5
 #: the main-phase kinds in the order of native.c's kind codes
 _KINDS = (KIND_MAXMIN_THRESHOLD, KIND_CYCLIC_WINDOW, KIND_RANDOM_CANDIDATE_MIN,
           KIND_POSITIVE_MIN, KIND_FIXED_SEQUENCE)
-#: native.c's P_FIELDS of a main-phase part, then the C_* fields a search
-#: cell adds: main-phase length, TwoNeighbor flag, greedy and main phases
-_PART_FIELDS = 11
-_C_ITERATIONS, _C_TWO, _C_GREEDIES, _C_MAINS, _CELL_FIELDS = range(_PART_FIELDS, _PART_FIELDS + 5)
+#: a search cell's row (native.c): the P_* fields of a main-phase part
+#: (rows, the lowered rule's seven, cursor, lanes), then the C_* fields a
+#: cell adds: main-phase length, TwoNeighbor flag, and the greedy and main
+#: phases, which the search writes
+_C_GREEDIES, _C_MAINS = 13, 14
 
 _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
 #: rows, n, the CSR triple, x, energy, Δ
@@ -322,19 +323,17 @@ class NativeBackend(NumpySparseBackend):
         return flips, truncated
 
     @staticmethod
-    def _part_row(row, lo, hi, spec, use_tabu, iterations, n, lanes, cursor) -> None:
-        """Fill the ``P_*`` fields of one main-phase part (native.c) over
-        rows [lo, hi): *lanes* and *cursor* are the part's own rows."""
-        sequence = spec.sequence
-        if sequence is not None and not 0 <= sequence.min() <= sequence.max() < n:
+    def _rule(spec, use_tabu, iterations, n) -> tuple:
+        """The ``P_KIND`` to ``P_SEQ_LEN`` fields (native.c) of a lowered
+        rule at *iterations* steps."""
+        if spec.sequence_end > n:
             raise ValueError("a fixed sequence must name bits of the model")
+        sequence = spec.sequence
 
         def per_step(array, dtype):
             return 0 if array is None else _ptr(array, dtype, (iterations,))
 
-        row[:_PART_FIELDS] = (
-            lo,
-            hi,
+        return (
             _KINDS.index(spec.kind),
             int(spec.supports_tabu and use_tabu),
             per_step(spec.schedule, np.float64),
@@ -342,17 +341,20 @@ class NativeBackend(NumpySparseBackend):
             per_step(spec.widths, np.int64),
             0 if sequence is None else _ptr(sequence),
             0 if sequence is None else sequence.size,
-            0 if cursor is None else _ptr(cursor, shape=(hi - lo,)),
-            _ptr(lanes, np.uint64, (hi - lo, n)) if spec.uses_rng else 0,
         )
 
     def _main(self, state, spec, iterations, rng, tabu, tracker) -> np.ndarray:
         """All row-range parts in one call, one int64 descriptor row each."""
         parts = self._parts(state, spec, rng)
         n = state.x.shape[1]
-        table = np.zeros((len(parts), _PART_FIELDS), dtype=np.int64)
-        for row, (lo, hi, part, lanes) in zip(table, parts):
-            self._part_row(row, lo, hi, part, tabu.enabled, iterations, n, lanes.state, part.cursor)
+        table = np.array([
+            (
+                lo, hi, *self._rule(part, tabu.enabled, iterations, n),
+                0 if part.cursor is None else _ptr(part.cursor, shape=(hi - lo,)),
+                _ptr(lanes.state, np.uint64, (hi - lo, n)) if part.uses_rng else 0,
+            )
+            for lo, hi, part, lanes in parts
+        ], dtype=np.int64)
         self._call(
             "repro_main", state, tabu, tracker,
             int(tabu.period), int(iterations), table.ctypes.data,
@@ -364,22 +366,27 @@ class NativeBackend(NumpySparseBackend):
         """The whole search of a pack in one GIL-free call: the wave loop's
         schedule per cell (see :meth:`ComputeBackend.run_search`), each
         cell one table row, into which the call writes the greedy and main
-        phases the cell ran."""
+        phases the cell ran.  A cell's RNG lanes and cursor are its rows of
+        the pack's, so their addresses are offsets from the pack's."""
         state, tabu, tracker = cells.views(0, cells.total)
         n = state.x.shape[1]
         greedy_cap = greedy_iteration_cap(n)
-        starts, stops = cells.starts.tolist(), cells.stops.tolist()
-        table = np.zeros((len(starts), _CELL_FIELDS), dtype=np.int64)
-        lanes, cursor = cells.lanes, cells.cursor
-        for k, (row, lo, hi, spec, iterations) in enumerate(
-            zip(table, starts, stops, cells.specs, cells.iterations)
-        ):
-            self._part_row(
-                row, lo, hi, spec, tabu.enabled, iterations, n, lanes[lo:hi],
-                cursor[lo:hi] if spec.kind == KIND_CYCLIC_WINDOW else None,
+        lanes = _ptr(cells.lanes, np.uint64, (cells.total, n))
+        cursor = _ptr(cells.cursor, shape=(cells.total,))
+        use_tabu = tabu.enabled
+        rule = self._rule
+        table = np.array([
+            (
+                lo, hi, *rule(spec, use_tabu, iterations, n),
+                cursor + 8 * lo if spec.kind == KIND_CYCLIC_WINDOW else 0,
+                lanes + 8 * n * lo if spec.uses_rng else 0,
+                iterations, two, 0, 0,
             )
-            row[_C_ITERATIONS] = iterations
-            row[_C_TWO] = cells.two[k]
+            for lo, hi, spec, iterations, two in zip(
+                cells.starts.tolist(), cells.stops.tolist(), cells.specs,
+                cells.iterations, cells.two.tolist(),
+            )
+        ], dtype=np.int64)
         bound = self._binding(state)
         if not bound.fits_phase(tabu, tracker):
             bound.bind(tabu, tracker)
@@ -395,7 +402,7 @@ class NativeBackend(NumpySparseBackend):
             int(tabu.period),
             int(budget),
             int(greedy_cap),
-            len(starts),
+            len(table),
             table.ctypes.data,
         )
         self._invalidate_derived(state)

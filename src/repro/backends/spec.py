@@ -20,7 +20,7 @@ float arithmetic bit-identical to the reference's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,3 +74,14 @@ class SelectionSpec:
     sequence: np.ndarray | None = None
     #: per-row int64 window cursor, mutated in place (CyclicMin)
     cursor: np.ndarray | None = None
+    #: one past the largest bit ``sequence`` names (0 without one), found
+    #: once when the spec is built so a backend checks it against ``n``
+    #: without scanning the sequence
+    sequence_end: int = field(init=False, default=0, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        sequence = self.sequence
+        if sequence is not None:
+            if not sequence.size or sequence.min() < 0:
+                raise ValueError("a fixed sequence must name bits of the model")
+            object.__setattr__(self, "sequence_end", int(sequence.max()) + 1)

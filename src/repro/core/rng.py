@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-__all__ = ["host_generator", "spawn_device_seeds", "XorShift64Star"]
+__all__ = ["host_generator", "random_bits", "spawn_device_seeds", "XorShift64Star"]
 
 _MULTIPLIER = np.uint64(0x2545F4914F6CDD1D)
 _DOUBLE_SCALE = float(2.0**-53)
@@ -49,6 +49,26 @@ _U27 = np.uint64(27)
 def host_generator(seed: int | None) -> np.random.Generator:
     """Mersenne-twister host RNG, as used on the host CPU in the paper."""
     return np.random.Generator(np.random.MT19937(seed))
+
+
+def random_bits(rng: np.random.Generator, shape) -> np.ndarray:
+    """Fair 0/1 uint8 draws: ``rng.integers(0, 2, shape, dtype=np.uint8)``,
+    the same array and the same stream state after it.
+
+    NumPy draws a bounded uint8 from the bytes of 32-bit words, low byte
+    first, one word per four values, and its Lemire step over a range of
+    2 keeps each byte's top bit (DESIGN.md §5).  On MT19937, whose raw
+    output is those 32-bit words, the bits come straight from
+    ``random_raw``, without the per-value bounded draw.  Any other bit
+    generator takes NumPy's own call; ``tests/ga/test_random_bits.py``
+    holds the two forms equal on the installed NumPy.
+    """
+    bitgen = rng.bit_generator
+    if type(bitgen) is not np.random.MT19937:
+        return rng.integers(0, 2, size=shape, dtype=np.uint8)
+    count = math.prod(shape) if isinstance(shape, tuple) else int(shape)
+    words = bitgen.random_raw(-(-count // 4)).astype("<u4")
+    return (words.view(np.uint8)[:count] >> 7).reshape(shape)
 
 
 def spawn_device_seeds(rng: np.random.Generator, shape) -> np.ndarray:

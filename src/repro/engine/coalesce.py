@@ -86,6 +86,9 @@ __all__ = [
 ]
 
 
+_TWONEIGHBOR = int(MainAlgorithm.TWONEIGHBOR)
+
+
 class PackSegment:
     """One job's launch inside a super-launch (the pack/split unit)."""
 
@@ -140,7 +143,6 @@ class PackScratch:
         self.tracker = BestTracker(self.state)
         self.rng = np.empty((capacity, n), dtype=np.uint64)
         self.targets = np.empty((capacity, n), dtype=np.uint8)
-        self.x_init = np.empty((capacity, n), dtype=np.uint8)
         self.cursor = np.empty(capacity, dtype=np.int64)
         #: the (start, stop) of the last span a phase ran on — when the
         #: next phase uses a different span, that facade's x-derived
@@ -194,15 +196,15 @@ class PackCells:
 
     def __init__(self, scratch, starts, stops, alg, iterations, specs) -> None:
         self.scratch = scratch
-        self.total = total = int(stops[-1])
-        self.starts, self.stops, self.alg = starts, stops, alg
-        self.two = alg == MainAlgorithm.TWONEIGHBOR
+        self.total = total = stops[-1]
+        self.starts, self.stops, self.alg = np.array(starts), np.array(stops), np.array(alg)
+        self.two = self.alg == _TWONEIGHBOR
         self.iterations, self.specs = iterations, specs
         self.targets = scratch.targets[:total]
         self.lanes = scratch.rng[:total]
         self.cursor = scratch.cursor[:total]
         #: the cells where a same-algorithm run starts (main-phase parts)
-        self._edges = (np.flatnonzero(alg[1:] != alg[:-1]) + 1).tolist()
+        self._edges = [c for c in range(1, len(alg)) if alg[c] != alg[c - 1]]
 
     def views(self, a: int, b: int):
         """The (state, tabu, tracker) over merged rows [a, b); the state's
@@ -304,22 +306,29 @@ class SuperLaunch:
         # cells: one stable sort of the rows by (algorithm, segment) puts
         # same-algorithm cells next to each other (one main part each) and
         # TwoNeighbor (the last enum) after all others → maximal mixed
-        # main spans; merged row m is pack row order[m]
+        # main spans.  A pack is a few dozen rows, which Python lists sort
+        # and scan in less time than the NumPy calls would take.  Pack row
+        # r (the segments' rows in turn) is merged row position[r].
         count = len(segments)
-        sizes = [len(seg.batch) for seg in segments]
-        offsets = np.cumsum([0, *sizes]).tolist()
-        total = offsets[-1]
-        codes = np.concatenate([seg.batch.algorithms for seg in segments]).astype(np.int64)
-        keys = codes * count + np.repeat(np.arange(count), sizes)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        cut = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-        starts = np.concatenate(([0], cut))
-        cell_key = keys[starts]
-        cell_alg, cell_seg = np.divmod(cell_key, count)
+        keys, offsets = [], [0]
+        for si, seg in enumerate(segments):
+            keys += [alg * count + si for alg in seg.batch.algorithms.tolist()]
+            offsets.append(len(keys))
+        total = len(keys)
+        position = [0] * total
+        cell_start, cell_key, last = [], [], -1
+        for m, row in enumerate(sorted(range(total), key=keys.__getitem__)):
+            position[row] = m
+            if keys[row] != last:
+                last = keys[row]
+                cell_start.append(m)
+                cell_key.append(last)
+        cell_stop = [*cell_start[1:], total]
+        cell_alg = [key // count for key in cell_key]
+        cell_seg = [key % count for key in cell_key]
         refused = [
             (si, alg)
-            for alg, si in zip(cell_alg.tolist(), cell_seg.tolist())
+            for alg, si in zip(cell_alg, cell_seg)
             if alg not in segments[si].gpu.algorithms
         ]
         if refused:
@@ -328,11 +337,7 @@ class SuperLaunch:
                 f"{MainAlgorithm(alg)!r} is not enabled on this device "
                 f"(enabled: {sorted(segments[si].gpu.algorithms)})"
             )
-        stops = np.concatenate((cut, [total]))
-        cell_start, cell_stop = starts.tolist(), stops.tolist()
-        position = np.empty(total, dtype=np.int64)
-        position[order] = np.arange(total)
-        seg_rows = [position[offsets[si] : offsets[si + 1]] for si in range(count)]
+        position = np.array(position)
 
         key = first.pack_key
         scratch = scratch_map.get(key)
@@ -346,57 +351,69 @@ class SuperLaunch:
         # device-persistent per cell, so each cell's merged slice starts
         # from its own device instance (committed back at harvest if the
         # cell ran a main phase)
-        rng_block = scratch.rng
         cyclic = {}
-        for ci in np.flatnonzero(cell_alg == MainAlgorithm.CYCLICMIN).tolist():
-            si = int(cell_seg[ci])
-            lo, hi = cell_start[ci], cell_stop[ci]
-            inst = segments[si].gpu.algorithms[MainAlgorithm.CYCLICMIN]
-            scratch.cursor[lo:hi] = inst.export_cursor(hi - lo)
-            cyclic[si] = ci
-        for seg, rows in zip(segments, seg_rows):
-            scratch.x_init[rows] = seg.gpu.block_x
-            rng_block[rows] = seg.gpu.rng_state
+        for ci, (alg, si) in enumerate(zip(cell_alg, cell_seg)):
+            if alg == MainAlgorithm.CYCLICMIN:
+                lo, hi = cell_start[ci], cell_stop[ci]
+                inst = segments[si].gpu.algorithms[alg]
+                scratch.cursor[lo:hi] = inst.export_cursor(hi - lo)
+                cyclic[si] = ci
+        state, _, tracker = scratch.window(0, total)
+        stale = False
+        for seg, a, b in zip(segments, offsets, offsets[1:]):
+            gpu, rows = seg.gpu, position[a:b]
+            state.x[rows] = gpu.block_x
+            scratch.rng[rows] = gpu.rng_state
             scratch.targets[rows] = seg.batch.vectors
-
-        state, tabu, tracker = scratch.window(0, total)
-        state.reset(scratch.x_init[:total])
+            resident = gpu.resident_delta()
+            if resident is None:
+                stale = True
+            else:
+                state.delta[rows], state.energy[rows] = resident
+        # the devices' resident Δ rows stand for a reset from x; a device
+        # without them has every row recomputed
+        if stale:
+            state.reset(state.x)
+        else:
+            backend._invalidate_derived(state)
         scratch.last_span = (0, total)
-        tabu.stamps.fill(-(config.tabu_period + 1))
-        tabu.clock[...] = 0
-        tracker.reset(state)
-        tracker.fold(state)
 
         # each cell's selection rule, lowered by its own device's instance
         # at its main-phase length (a TwoNeighbor cell: its traversal's)
         main_iters = config.main_iterations(n)
         iterations, specs = [], []
-        for alg, si in zip(cell_alg.tolist(), cell_seg.tolist()):
+        for alg, si in zip(cell_alg, cell_seg):
             inst = segments[si].gpu.algorithms[alg]
             steps = inst.num_iterations(n) if alg == MainAlgorithm.TWONEIGHBOR else main_iters
             iterations.append(steps)
             specs.append(inst.lower(state, steps))
-        cells = PackCells(scratch, starts, stops, cell_alg, iterations, specs)
+        cells = PackCells(scratch, cell_start, cell_stop, cell_alg, iterations, specs)
         flips, _, mains = backend.run_search(cells, config.batch_budget(n))
 
-        # harvest: one gather per segment, then commit each to its device
+        # harvest: one gather per array into pack row order, split by
+        # segment as views, then commit each segment to its device
+        flips = flips[position]
+        best_x = tracker.best_x[position]
+        best_energy = tracker.best_energy[position]
+        x, delta, energy = state.x[position], state.delta[position], state.energy[position]
+        lanes = scratch.rng[position]
+        seg_flips = np.add.reduceat(flips, offsets[:-1]).tolist()
+        truncations = np.add.reduceat(
+            tracker.greedy_truncated[position], offsets[:-1], dtype=np.int64
+        ).tolist()
         results, commits = [], []
-        for si, (seg, rows) in enumerate(zip(segments, seg_rows)):
+        for si, (seg, a, b) in enumerate(zip(segments, offsets, offsets[1:])):
             batch = seg.batch
-            seg_flips = flips[rows]
-            result = PacketBatch(
-                tracker.best_x[rows], tracker.best_energy[rows],
-                batch.algorithms, batch.operations,
-            )
-            results.append(SegmentResult(seg, result, seg_flips))
+            result = PacketBatch(best_x[a:b], best_energy[a:b], batch.algorithms, batch.operations)
+            results.append(SegmentResult(seg, result, flips[a:b]))
             ci = cyclic.get(si)
             cursors = []
             if ci is not None and mains[ci]:
                 sl = slice(cell_start[ci], cell_stop[ci])
                 cursors.append((MainAlgorithm.CYCLICMIN, scratch.cursor[sl].copy()))
             commits.append((
-                seg.gpu, state.x[rows], rng_block[rows], int(seg_flips.sum()),
-                int(tracker.greedy_truncated[rows].sum()), cursors,
+                seg.gpu, x[a:b], lanes[a:b], seg_flips[si], truncations[si], cursors,
+                (delta[a:b], energy[a:b]),
             ))
         # every segment is harvested: only now does any device change
         for gpu, *advanced in commits:

@@ -88,6 +88,15 @@ class SelectionCounters:
         return {o: c / total for o, c in self.operations.items()}
 
 
+def _code_tables(allowed: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The uint8 codes of a strategy set, and a 256-entry table flagging
+    them, so a pool column's codes are checked by one gather."""
+    codes = np.array([int(x) for x in allowed], dtype=np.uint8)
+    flags = np.zeros(256, dtype=bool)
+    flags[codes] = True
+    return codes, flags
+
+
 class AdaptiveSelector:
     """Selects (algorithm, operation) pairs for new packets."""
 
@@ -106,6 +115,8 @@ class AdaptiveSelector:
         self.explore_probability = check_probability(
             explore_probability, "explore_probability"
         )
+        self._algorithm_codes = _code_tables(self.algorithm_set)
+        self._operation_codes = _code_tables(self.operation_set)
 
     def select_algorithm(
         self, pool: SolutionPool, rng: np.random.Generator
@@ -135,7 +146,7 @@ class AdaptiveSelector:
     def _select_column(
         self,
         pool_column: np.ndarray,
-        allowed: tuple,
+        tables: tuple[np.ndarray, np.ndarray],
         pool_capacity: int,
         rng: np.random.Generator,
         count: int,
@@ -147,17 +158,16 @@ class AdaptiveSelector:
         ``rng.integers(len(allowed), size=count)``.  Unlike the scalar
         path the fallback draw always happens (unused lanes discard it) —
         the per-lane distribution is identical, the stream consumption is
-        not.
+        not.  *tables* are the allowed codes and the 256-entry
+        allowed-code flags of :func:`_code_tables`.
         """
+        allowed_codes, allowed = tables
         coins = rng.random(count)
         rows = rng.integers(pool_capacity, size=count)
-        fallback = rng.integers(len(allowed), size=count)
-        allowed_codes = np.array([int(x) for x in allowed], dtype=np.uint8)
+        fallback = rng.integers(allowed_codes.size, size=count)
         from_pool = pool_column[rows]
-        exploit = (coins >= self.explore_probability) & np.isin(
-            from_pool, allowed_codes
-        )
-        return np.where(exploit, from_pool, allowed_codes[fallback]).astype(np.uint8)
+        exploit = (coins >= self.explore_probability) & allowed[from_pool]
+        return np.where(exploit, from_pool, allowed_codes[fallback])
 
     def select_batch(
         self, pool: SolutionPool, rng: np.random.Generator, count: int
@@ -171,9 +181,9 @@ class AdaptiveSelector:
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
         algorithms = self._select_column(
-            pool.algorithms, self.algorithm_set, pool.capacity, rng, count
+            pool.algorithms, self._algorithm_codes, pool.capacity, rng, count
         )
         operations = self._select_column(
-            pool.operations, self.operation_set, pool.capacity, rng, count
+            pool.operations, self._operation_codes, pool.capacity, rng, count
         )
         return algorithms, operations

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.packet import GeneticOp
+from repro.core.rng import random_bits
 from repro.ga.pool import SolutionPool
 from repro.utils.validation import check_probability
 
@@ -51,12 +52,6 @@ def _bernoulli_mask(rng: np.random.Generator, p: float, shape) -> np.ndarray:
     compose with the 0/1 solution vectors via bit ops, no casting copies.
     """
     return (rng.random(shape, dtype=np.float32) < np.float32(p)).view(np.uint8)
-
-
-def _fair_bits(rng: np.random.Generator, shape) -> np.ndarray:
-    """Fair coin uint8 mask (0/1) — one Twister bit per value, the cheap
-    draw for the ubiquitous 50 % crossover mix."""
-    return rng.integers(0, 2, size=shape, dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -97,7 +92,7 @@ class TargetGenerator:
         self, a: np.ndarray, b: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         """Per-bit uniform mix of two parents."""
-        take_b = _fair_bits(rng, self.n)
+        take_b = random_bits(rng, self.n)
         # a where the coin is 0, b where it is 1 — pure uint8 bit algebra
         return a ^ ((a ^ b) & take_b)
 
@@ -125,7 +120,7 @@ class TargetGenerator:
 
     def random_vector(self, rng: np.random.Generator) -> np.ndarray:
         """Fresh uniform random vector."""
-        return rng.integers(0, 2, size=self.n, dtype=np.uint8)
+        return random_bits(rng, self.n)
 
     def _interval_bounds(self) -> tuple[int, int]:
         lo = min(self.params.interval_min, max(1, self.n // 2))
@@ -147,7 +142,7 @@ class TargetGenerator:
         self, a: np.ndarray, b: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         """Batch Crossover: per-bit uniform mix of two parent matrices."""
-        take_b = _fair_bits(rng, a.shape)
+        take_b = random_bits(rng, a.shape)
         return a ^ ((a ^ b) & take_b)
 
     def zero_batch(self, parents: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -167,18 +162,21 @@ class TargetGenerator:
         all start positions (one ``integers`` call) — the batch transpose of
         the scalar per-row (length, start) order.
         """
-        g = parents.shape[0]
+        g, n = parents.shape
         lo, hi = self._interval_bounds()
         lengths = rng.integers(lo, hi + 1, size=g)
-        starts = rng.integers(self.n, size=g)
-        offsets = (np.arange(self.n)[None, :] - starts[:, None]) % self.n
+        starts = rng.integers(n, size=g)
         out = parents.copy()
-        out[offsets < lengths[:, None]] = 0
+        # a segment is at most n/2 long, so it wraps past the end once
+        for row, start, stop in zip(out, starts.tolist(), (starts + lengths).tolist()):
+            row[start:stop] = 0
+            if stop > n:
+                row[: stop - n] = 0
         return out
 
     def random_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Batch Random: ``(count, n)`` fresh uniform bits in one draw."""
-        return rng.integers(0, 2, size=(count, self.n), dtype=np.uint8)
+        return random_bits(rng, (count, self.n))
 
     # -- dispatch ---------------------------------------------------------------
     def generate(
@@ -242,10 +240,14 @@ class TargetGenerator:
         if operations.ndim != 1:
             raise ValueError("operations must be a 1-D op-code column")
         out = np.empty((operations.size, self.n), dtype=np.uint8)
-        for code in np.unique(operations):  # ascending enum value
-            op = GeneticOp(int(code))
-            rows = np.flatnonzero(operations == code)
-            out[rows] = self._generate_group(op, rows.size, pool, neighbor_pool, rng)
+        # a launch is a few dozen lanes: grouping them in Python costs less
+        # than a NumPy pass per group
+        groups: dict[int, list[int]] = {}
+        for lane, code in enumerate(operations.tolist()):
+            groups.setdefault(code, []).append(lane)
+        for code in sorted(groups):  # ascending enum value
+            rows = groups[code]
+            out[rows] = self._generate_group(GeneticOp(code), len(rows), pool, neighbor_pool, rng)
         return out
 
     def _generate_group(

@@ -30,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.packet import VOID_ENERGY, GeneticOp, MainAlgorithm, Packet
+from repro.core.rng import random_bits
 
 __all__ = ["SolutionPool"]
 
@@ -77,7 +78,7 @@ class SolutionPool:
         self.capacity = capacity
         self.n = n
         self.allow_duplicates = allow_duplicates
-        self.vectors = rng.integers(0, 2, size=(capacity, n), dtype=np.uint8)
+        self.vectors = random_bits(rng, (capacity, n))
         self.energies = np.full(capacity, VOID_ENERGY, dtype=np.int64)
         alg_choices = np.array([int(a) for a in algorithm_set], dtype=np.uint8)
         op_choices = np.array([int(o) for o in operation_set], dtype=np.uint8)
@@ -264,18 +265,23 @@ class SolutionPool:
         return dup
 
     # ------------------------------------------------------------------
+    def _rank(self, r):
+        """The cubic rank bias ``r³ · m`` of a draw *r* (scalar or array),
+        which the callers floor to a row index."""
+        return r**3 * self.capacity
+
     def select_index(self, r: float) -> int:
         """Cubic rank-biased index: ``⌊r³ · m⌋`` for uniform ``r ∈ [0, 1)``."""
         if not 0.0 <= r < 1.0:
             raise ValueError(f"r must be in [0, 1), got {r}")
-        return int(r**3 * self.capacity)
+        return int(self._rank(r))
 
     def select_indices(self, r: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`select_index`: ``⌊r³ · m⌋`` element-wise."""
         r = np.asarray(r, dtype=np.float64)
         if r.size and not ((r >= 0.0) & (r < 1.0)).all():
             raise ValueError("all r must be in [0, 1)")
-        return (r**3 * self.capacity).astype(np.intp)
+        return self._rank(r).astype(np.intp)
 
     def select_vector(self, rng: np.random.Generator) -> np.ndarray:
         """Rank-biased random parent vector (copy)."""
@@ -287,8 +293,10 @@ class SolutionPool:
         Canonical batch draw: a single ``rng.random(count)`` call supplies
         every rank; row ``i`` of the result is the parent for lane ``i``.
         The rows are copies (fancy indexing), safe to mutate in place.
+        The draw is in [0, 1) by construction, so unlike
+        :meth:`select_indices` nothing is checked.
         """
-        return self.vectors[self.select_indices(rng.random(count))]
+        return self.vectors[self._rank(rng.random(count)).astype(np.intp)]
 
     def uniform_row(self, rng: np.random.Generator) -> int:
         """Uniformly random stored row index (used by adaptive selection)."""
@@ -300,7 +308,7 @@ class SolutionPool:
 
     def reinitialize(self, rng: np.random.Generator) -> None:
         """Refill with random vectors at void energy (§IV.B restart)."""
-        self.vectors = rng.integers(0, 2, size=(self.capacity, self.n), dtype=np.uint8)
+        self.vectors = random_bits(rng, (self.capacity, self.n))
         self.energies.fill(VOID_ENERGY)
 
     def diversity(self) -> float | None:

@@ -20,6 +20,9 @@ State that persists across launches, mirroring §III.B / Fig. 4 (2):
 
 * per-block current solution vector ``X`` (initially the zero vector) —
   each batch search starts with a straight walk from the previous ``X``,
+* its Δ rows and energies, resident as a CUDA block keeps its Δ vector:
+  a launch gathers them instead of recomputing them from ``X``, as long
+  as ``X`` is still the vector they were computed for (DESIGN.md §12),
 * per-(block, thread) xorshift64* RNG lanes, seeded once from the host
   Mersenne twister (§V).
 
@@ -98,6 +101,13 @@ class VirtualGPU:
         self.block_x = np.zeros((b, model.n), dtype=np.uint8)
         # persistent per-(block, thread) RNG lane states
         self.rng_state = spawn_device_seeds(host_rng, (b, model.n))
+        # resident (Δ rows, energies) of block_x and the bytes of the x
+        # they belong to; a zero vector's Δ is the linear term, at energy 0
+        self._resident = (
+            np.broadcast_to(self.kernel.lin, self.block_x.shape),
+            np.zeros(b, dtype=self.kernel.lin.dtype),
+            self.block_x.tobytes(),
+        )
         self.total_flips = 0
         # completed launches on this device; free-running jobs key
         # launch-count-triggered policies (restarts, budgets) off this
@@ -127,6 +137,15 @@ class VirtualGPU:
         key = pack_compatibility_key(self.backend, self.kernel, self.model, self.config)
         return key if self.pack_owner is None else (*key, id(self.pack_owner))
 
+    def resident_delta(self):
+        """The resident ``(Δ rows, energies)`` of :attr:`block_x`, or None
+        when there are none or ``block_x`` was written since they were
+        computed (a launch then recomputes them from ``block_x``)."""
+        resident = self._resident
+        if resident is None or resident[2] != self.block_x.tobytes():
+            return None
+        return resident[:2]
+
     def commit_packed(
         self,
         x: np.ndarray,
@@ -134,16 +153,22 @@ class VirtualGPU:
         flips_total: int,
         truncations: int,
         cursors=(),
+        resident=None,
     ) -> None:
         """Fold one finished super-launch segment back into this device.
 
         The executor ran this device's rows inside a merged super-batch
-        and hands back the advanced solutions, RNG lanes, CyclicMin
-        cursors (``(algorithm, cursor)`` pairs) and counters for the whole
-        launch-equivalent segment; every launch commits here once.
+        and hands back the advanced solutions, the RNG lanes, CyclicMin
+        cursors (``(algorithm, cursor)`` pairs), counters and the
+        ``(Δ rows, energies)`` of the solutions for the whole
+        launch-equivalent segment; every launch commits here once.  The
+        solutions are copied into :attr:`block_x`; the device keeps the
+        lanes and the *resident* rows as they are, so pass arrays no one
+        else writes.  Without *resident*, the next launch recomputes them.
         """
         np.copyto(self.block_x, x)
-        np.copyto(self.rng_state, rng_state)
+        self._resident = None if resident is None else (*resident, x.tobytes())
+        self.rng_state = rng_state
         for alg, cursor in cursors:
             self.algorithms[alg].import_cursor(cursor)
         self.greedy_truncations += truncations
@@ -172,8 +197,9 @@ class VirtualGPU:
         """Swap to the next available backend after a launch failure.
 
         Drops the device's own working buffers (the re-run builds them on
-        the replacement kernels, under the new pack key); the per-block
-        solutions and RNG lanes carry over untouched.  A launch commits
+        the replacement kernels, under the new pack key) and its resident
+        Δ rows (the re-run recomputes them); the per-block solutions and
+        RNG lanes carry over untouched.  A launch commits
         nothing before it finishes, so the re-run starts from the device
         state the failed launch started from.  Returns False (the launch
         fails) when fallback is disabled or no backend qualifies.
@@ -192,10 +218,13 @@ class VirtualGPU:
         self.backend = replacement
         self.kernel = replacement.prepare(self.model)
         self._pack_scratch.clear()
+        self._resident = None
         self.backend_fallbacks += 1
         self.fallback_reasons.append(reason)
         return True
 
     def reset(self) -> None:
-        """Clear the persistent block solutions (RNG lanes keep advancing)."""
+        """Clear the persistent block solutions and their resident Δ rows
+        (RNG lanes keep advancing)."""
         self.block_x.fill(0)
+        self._resident = None

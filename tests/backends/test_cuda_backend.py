@@ -384,6 +384,41 @@ class TestDeviceMemoryOwnership:
         assert_same_trajectory(ref, got, "MaxMinSearch (cuda stepwise)")
 
 
+class TestResidentDelta:
+    """A cuda device's resident Δ rows and energies (DESIGN.md §12) stay
+    those of a from-scratch reset of its block_x, and a direct write to
+    block_x is noticed."""
+
+    @staticmethod
+    def assert_resident_is_reset(gpu):
+        delta, energy = gpu.resident_delta()
+        state = BatchDeltaState(gpu.model, batch=gpu.num_blocks, backend="numpy-dense")
+        state.reset(gpu.block_x)
+        assert np.array_equal(delta, state.delta)
+        assert np.array_equal(energy, state.energy)
+
+    @pytest.mark.parametrize("model", [dense_model, sparse_model])
+    def test_resident_rows_equal_a_reset_after_every_launch(self, model):
+        config = BatchSearchConfig(batch_flip_factor=2.0, tabu_period=8)
+        gpu = make_gpu(model(), BATCH, config, backend="cuda", start=7)
+        for seed in range(3):
+            gpu.launch(make_batch([M, C, R, P, T], N, seed=seed))
+            self.assert_resident_is_reset(gpu)
+
+    def test_a_direct_write_is_noticed(self):
+        config = BatchSearchConfig(batch_flip_factor=2.0, tabu_period=8)
+        gpu = make_gpu(dense_model(), BATCH, config, backend="cuda")
+        oracle = make_gpu(dense_model(), BATCH, config, backend="numpy-dense")
+        for seed, algs in ((3, [M, C, R, P, M]), (4, [P, R, C, T, M])):
+            batch = make_batch(algs, N, seed=seed)
+            ours = observe(gpu, gpu.launch(batch))
+            assert_same(ours, observe(oracle, stepwise_launch(oracle, batch)))
+            self.assert_resident_is_reset(gpu)
+            gpu.block_x[1, 2] ^= 1
+            oracle.block_x[1, 2] ^= 1
+            assert gpu.resident_delta() is None
+
+
 class TestRegistryAndConfig:
     def test_cuda_always_in_backend_names(self):
         assert "cuda" in backend_names()

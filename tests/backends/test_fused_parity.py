@@ -22,6 +22,7 @@ from repro.backends.spec import (
     KIND_MAXMIN_THRESHOLD,
     KIND_POSITIVE_MIN,
     KIND_RANDOM_CANDIDATE_MIN,
+    SelectionSpec,
 )
 from repro.core.delta import BatchDeltaState
 from repro.core.packet import MainAlgorithm
@@ -138,6 +139,23 @@ class TestSelectionSpecLowering:
         assert spec.kind == KIND_FIXED_SEQUENCE
         assert spec.sequence.shape == (2 * model.n - 1,)
         assert not spec.supports_tabu
+
+    def test_sequence_range_checked_once(self):
+        """A fixed sequence's bits are checked when the spec is built; a
+        backend compares only their end with ``n``."""
+        model = dense_model()
+        spec = TwoNeighborSearch().lower(BatchDeltaState(model, batch=2), 5)
+        assert spec.sequence_end == model.n
+        for bad in ([], [0, -1]):
+            with pytest.raises(ValueError, match="must name bits"):
+                SelectionSpec(kind=KIND_FIXED_SEQUENCE, sequence=np.array(bad, dtype=np.int64))
+        assert SelectionSpec(kind=KIND_POSITIVE_MIN).sequence_end == 0
+        if "native" in available_backends():
+            from repro.backends.native import NativeBackend
+
+            assert NativeBackend._rule(spec, True, 5, model.n)[-1] == 2 * model.n - 1
+            with pytest.raises(ValueError, match="must name bits"):
+                NativeBackend._rule(spec, True, 5, model.n - 1)
 
     def test_spec_cache_reused(self):
         model = dense_model()

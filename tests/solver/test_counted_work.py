@@ -131,3 +131,24 @@ def test_served_job_work_is_pinned(backend, counted):
     assert observed(calls, passes, result) == EXPECTED[backend]
     assert (coalesce.packs, coalesce.segments) == (ROUNDS, ROUNDS * CONFIG.num_gpus)
     assert sorted(coalesce.lane_packs) == [0, ROUNDS]
+
+
+@pytest.mark.skipif("native" not in PINNED, reason="needs the native backend")
+def test_native_direct_solve_resets_nothing(monkeypatch):
+    """Every launch of the pinned solve gathers its devices' resident Δ
+    rows (a fresh device's: the linear term), so no Δ reset runs."""
+    from repro.backends.native import NativeBackend
+
+    resets = []
+    compute = NativeBackend._compute_from_x
+
+    def counted_reset(self, state):
+        resets.append(state.batch)
+        return compute(self, state)
+
+    monkeypatch.setattr(NativeBackend, "_compute_from_x", counted_reset)
+    result = DABSSolver(model(), replace(CONFIG, backend="native"), seed=SEED).solve(
+        max_rounds=ROUNDS
+    )
+    assert result.total_flips == EXPECTED["native"]["flips"]
+    assert resets == []
