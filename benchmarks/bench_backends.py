@@ -92,7 +92,7 @@ def seed_greedy_polish(model, start: np.ndarray):
     state = BatchDeltaState(model, batch=start.shape[0], backend="numpy-sparse")
     state.reset(start)
     tracker = BestTracker(state)
-    tracker.update(state)
+    tracker.fold(state)
     flips = np.zeros(start.shape[0], dtype=np.int64)
     for _ in range(16 * model.n + 64):
         idx, active = greedy_select(state)
@@ -100,16 +100,16 @@ def seed_greedy_polish(model, start: np.ndarray):
             break
         state.flip(idx, active)
         flips += active
-        tracker.update(state)
+        tracker.fold(state)
     return tracker, flips
 
 
 def cached_greedy_polish(state, start: np.ndarray):
     state.reset(start)
     tracker = BestTracker(state)
-    tracker.update(state)
+    tracker.fold(state)
     flips = greedy_descent(state)
-    tracker.update(state)
+    tracker.fold(state)
     return tracker, flips
 
 

@@ -71,7 +71,6 @@ class VirtualGPU:
         backend=None,
         kernel=None,
         allow_fallback: bool = False,
-        pack_owner=None,
     ) -> None:
         self.model = model
         self.spec = spec
@@ -82,10 +81,6 @@ class VirtualGPU:
         #: the service's problem cache, with cache-hit co-tenants) — its
         #: identity is one component of the pack key (DESIGN.md §12).
         self.kernel = kernel if kernel is not None else self.backend.prepare(model)
-        #: when set, its identity joins the pack key: devices of different
-        #: owners never pack, even over one kernel (a direct solver's
-        #: devices share a model object's kernel with later solvers of it)
-        self.pack_owner = pack_owner
         # graceful degradation (DESIGN.md §11): when enabled, a backend
         # failure inside a launch swaps to the next available backend and
         # re-runs the launch instead of crashing the solve.  Off by
@@ -134,8 +129,7 @@ class VirtualGPU:
         Devices with equal keys may ride one super-launch (DESIGN.md §12);
         see :func:`repro.backends.pack_compatibility_key`.
         """
-        key = pack_compatibility_key(self.backend, self.kernel, self.model, self.config)
-        return key if self.pack_owner is None else (*key, id(self.pack_owner))
+        return pack_compatibility_key(self.backend, self.kernel, self.model, self.config)
 
     def resident_delta(self):
         """The resident ``(Δ rows, energies)`` of :attr:`block_x`, or None

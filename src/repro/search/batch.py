@@ -134,9 +134,6 @@ class BestTracker:
             self.best_x[rows] = state.x[rows]
             best[rows] = energy[rows]
 
-    #: historic name of :meth:`fold`, kept for callers/tests
-    update = fold
-
     def window(self, start: int, stop: int) -> "BestTracker":
         """A tracker over rows ``[start, stop)``, sharing the buffers.
 

@@ -27,7 +27,7 @@ pools, limits and RNG stream) across it:
   :class:`~repro.service.cache.ProblemCache`.
 
 Execution model: one scheduler thread owns all solver-side state (pools,
-RNG, drivers) — the single-policy-thread rule of DESIGN.md §7 — while
+RNG, schedules) — the single-policy-thread rule of DESIGN.md §7 — while
 the fleet lanes run launches.  A job's per-device state is resident on
 one lane, the least-populated at admission, as matrices are resident on
 a GPU: its devices share one pack key and are row ranges of one pack,
@@ -38,9 +38,11 @@ together when compatible, within ``coalesce_max_rows``.
 A direct ``DABSSolver.solve()`` is a one-job service too, over an inline
 group of zero lanes, stepped by the caller (:func:`_solve_inline`).
 
-Determinism: a job with ``config.virtual_time=True`` is scheduled with
-the event-driven :class:`~repro.engine.async_engine.VirtualTimeReplay`,
-merging completions in ``(launch_seq, device)`` order — its results are
+Each job runs one schedule of :mod:`repro.solver.dabs`, picked at
+admission, and the scheduler drives both through one interface.
+Determinism: a job with ``config.virtual_time=True`` runs the
+:class:`~repro.solver.dabs.VirtualTimeSchedule`, the double-buffered
+round replay, which folds each round in device order — its results are
 bit-exact with a direct ``solve()`` of the same solver, no matter what
 else the fleet is running (asserted by ``tests/service/test_service.py``).
 Free-running jobs insert completions as-of-arrival and are
@@ -59,16 +61,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.core.packet import PacketBatch
 from repro.core.qubo import require_integer_weights
-from repro.engine.async_engine import VirtualTimeReplay
 from repro.engine.coalesce import PackSegment
 from repro.engine.workers import FleetWorkerGroup, WorkerError
 from repro.resilience import RetryPolicy
 from repro.service.cache import ProblemCache
 from repro.service.job import IncumbentUpdate, JobHandle, JobStatus
 from repro.service.stats import CacheStatsSnapshot, CoalesceStats, ServiceStats
-from repro.solver.dabs import DABSConfig, DABSSolver, _AsyncDriver
+from repro.solver.dabs import DABSConfig, DABSSolver, FreeRunningSchedule, VirtualTimeSchedule
 from repro.solver.result import SolveResult
 from repro.solver.termination import SolveLimits
 
@@ -81,9 +81,6 @@ __all__ = [
 
 #: seconds the scheduler waits on the completion stream per iteration
 _POLL_INTERVAL = 0.005
-
-#: launches in flight per free-running device (one runs while one folds)
-FREE_RUNNING_DEPTH = 2
 
 
 class ServiceClosedError(RuntimeError):
@@ -129,86 +126,47 @@ class _Job:
         "priority",
         "share",
         "limits",
+        "config",
         "spec",
         "solver",
-        "driver",
-        "replay",
+        "schedule",
         "lane",
-        "dev_seq",
-        "dev_inflight",
         "inflight",
         "assigned",
         "weighted",
         "completed",
         "started",
-        "stopping",
         "finalized",
         "cancel_requested",
         "on_improvement",
-        "virtual_time",
         "error",
     )
 
-    def __init__(self, job_id, seq, handle, priority, share, limits, spec):
+    def __init__(self, job_id, seq, handle, priority, share, limits, config, spec):
         self.id = job_id
         self.seq = seq
         self.handle = handle
         self.priority = priority
         self.share = share
         self.limits = limits
-        #: deferred construction recipe (model, config, solver seed,
-        #: solver_cls) — None when a pre-built solver was submitted
+        #: the job's DABSConfig; it picks the schedule at admission
+        self.config = config
+        #: deferred construction recipe (model, solver seed, solver_cls)
+        #: — None when a pre-built solver was submitted
         self.spec = spec
         self.solver = None
-        self.driver = None
-        self.replay = None
+        #: the job's schedule (repro.solver.dabs), built at admission
+        self.schedule = None
         self.lane = None
-        self.dev_seq = []
-        self.dev_inflight = []
         self.inflight = 0
         self.assigned = 0
         self.weighted = 0.0
         self.completed = 0
         self.started = False
-        self.stopping = False
         self.finalized = False
         self.cancel_requested = False
         self.on_improvement = None
-        self.virtual_time = False
         self.error = None
-
-    # -- scheduling hooks (scheduler thread only) --------------------------
-    def can_submit(self, device_id: int) -> bool:
-        if self.stopping or self.error is not None:
-            return False
-        if self.virtual_time:
-            return device_id in self.replay.pending
-        if self.dev_inflight[device_id] >= FREE_RUNNING_DEPTH:
-            return False
-        return self.driver.can_submit(device_id)
-
-    def take_batch(self, device_id: int) -> tuple[int, PacketBatch] | None:
-        if self.virtual_time:
-            return self.replay.pending.pop(device_id, None)
-        batch = self.driver.next_batch(device_id)
-        if batch is None:
-            return None
-        self.dev_seq[device_id] += 1
-        return self.dev_seq[device_id], batch
-
-    def done_submitting(self) -> bool:
-        if self.virtual_time:
-            return self.replay.stopped
-        return not any(
-            self.driver.can_submit(d) for d in range(len(self.dev_seq))
-        )
-
-    def halt(self) -> None:
-        self.stopping = True
-        if self.driver is not None:
-            self.driver.halt()
-        if self.replay is not None:
-            self.replay.halt()
 
 
 class SolveService:
@@ -389,7 +347,7 @@ class SolveService:
         if seed is None:
             with self._lock:
                 seed = int(self._rng.integers(2**63))
-        spec = (model, cfg, seed, solver_cls)
+        spec = (model, seed, solver_cls)
         return self._enqueue(
             spec, None, cfg, limits, priority, share, on_improvement, block, timeout
         )
@@ -451,10 +409,9 @@ class SolveService:
             seq = next(self._counter)
             job_id = f"job-{seq}"
             handle = JobHandle(job_id, self)
-            job = _Job(job_id, seq, handle, priority, share, limits, spec)
+            job = _Job(job_id, seq, handle, priority, share, limits, cfg, spec)
             job.solver = solver
             job.on_improvement = on_improvement
-            job.virtual_time = cfg.virtual_time
             self._jobs[job_id] = job
             self._outstanding += 1
             self._pending.append(job)
@@ -495,7 +452,7 @@ class SolveService:
                 "status": job.handle.status,
                 "priority": job.priority,
                 "share": job.share,
-                "devices": len(job.dev_seq),
+                "devices": 0 if job.schedule is None else job.schedule.num_devices,
                 "launches_submitted": job.assigned,
                 "launches_completed": job.completed,
                 "inflight": job.inflight,
@@ -619,23 +576,13 @@ class SolveService:
 
     def _activate(self, job: _Job) -> None:
         if job.solver is None:
-            model, cfg, seed, solver_cls = job.spec
-            prepared = self.cache.prepare(model, cfg.backend)
-            job.solver = solver_cls(model, cfg, seed=seed, prepared=prepared)
+            model, seed, solver_cls = job.spec
+            prepared = self.cache.prepare(model, job.config.backend)
+            job.solver = solver_cls(model, job.config, seed=seed, prepared=prepared)
             job.spec = None
-        num = job.solver.config.num_gpus
-        job.driver = _AsyncDriver(
-            job.solver,
-            job.limits,
-            time.perf_counter(),
-            virtual_time=job.virtual_time,
-        )
-        if job.virtual_time:
-            # the canonical virtual-time state machine, advanced one
-            # completion at a time between other tenants' work
-            job.replay = VirtualTimeReplay(job.driver)
-        job.dev_seq = [0] * num
-        job.dev_inflight = [0] * num
+        # the one place a job's schedule is chosen (DESIGN.md §7)
+        schedule = VirtualTimeSchedule if job.config.virtual_time else FreeRunningSchedule
+        job.schedule = schedule(job.solver, job.limits, time.perf_counter())
         # fairness baseline: start at the least-served active tenant so
         # the newcomer interleaves immediately instead of monopolizing
         # lanes until its lifetime counter catches up
@@ -650,23 +597,18 @@ class SolveService:
                 range(self.num_devices),
                 key=lambda lane: (len(self._lane_members[lane]), lane),
             )
-            self._lane_members[job.lane] += [(job, d) for d in range(num)]
+            self._lane_members[job.lane] += [(job, d) for d in range(job.schedule.num_devices)]
             self._active[job.id] = job
 
     def _apply_cancels(self) -> None:
         for job in list(self._active.values()):
-            if job.cancel_requested and not job.stopping and not job.finalized:
-                job.halt()
+            if job.cancel_requested and not job.finalized:
+                job.schedule.halt()
 
     def _check_time_limits(self) -> None:
         for job in self._active.values():
-            if (
-                not job.virtual_time
-                and not job.stopping
-                and not job.finalized
-                and job.driver.idle() == "stop"
-            ):
-                job.halt()
+            if not job.finalized and job.schedule.idle() == "stop":
+                job.schedule.halt()
 
     def _refill(self) -> None:
         for lane in range(self.num_devices):
@@ -674,13 +616,13 @@ class SolveService:
                 candidates = [
                     (job, device_id)
                     for job, device_id in self._lane_members[lane]
-                    if not job.finalized and job.can_submit(device_id)
+                    if not job.finalized and job.schedule.can_submit(device_id)
                 ]
                 if not candidates:
                     break
                 job, device_id = fair_pick(candidates)
                 try:
-                    entry = job.take_batch(device_id)
+                    entry = job.schedule.take_batch(device_id)
                 except Exception as exc:
                     self._fail_job(job, exc)
                     continue
@@ -702,7 +644,6 @@ class SolveService:
                     seg_job.started = True
                     seg_job.handle._mark_running()
                     seg_job.inflight += 1
-                    seg_job.dev_inflight[seg.device_id] += 1
                     seg_job.assigned += 1
                     seg_job.weighted += 1.0 / seg_job.share
                 with self._lock:
@@ -726,13 +667,17 @@ class SolveService:
         Mates join in fair-share order (the order repeated ``fair_pick``
         calls would have served them), each contributing at most one
         segment per ``(job, device)`` — two launches of one device in the
-        same pack would break its sequential-state semantics.  The packed
-        row total must stay within both the head's and each mate's
-        ``coalesce_max_rows``.
+        same pack would break its sequential-state semantics.  A mate
+        must be one ``fair_pick`` would serve next: at the head's
+        priority, and with a weighted counter no higher than the head's
+        after its own launch, so packing never lifts a tenant above its
+        share.  The packed row total must stay within both the head's
+        and each mate's ``coalesce_max_rows``.
         """
         key = segments[0].gpu.pack_key
         rows = segments[0].gpu.num_blocks
         head_cap = head.solver.config.coalesce_max_rows
+        bound = head.weighted + 1.0 / head.share
         mates = sorted(
             (
                 c
@@ -742,6 +687,8 @@ class SolveService:
             key=lambda c: (-c[0].priority, c[0].weighted, c[0].seq, c[1]),
         )
         for job, device_id in mates:
+            if job.priority != head.priority or job.weighted > bound:
+                break  # every later mate is further back in the fair order
             cfg = job.solver.config
             gpu = job.solver.gpus[device_id]
             if gpu.pack_key != key:
@@ -749,7 +696,7 @@ class SolveService:
             if rows + gpu.num_blocks > min(head_cap, cfg.coalesce_max_rows):
                 continue
             try:
-                entry = job.take_batch(device_id)
+                entry = job.schedule.take_batch(device_id)
             except Exception as exc:
                 self._fail_job(job, exc)
                 continue
@@ -763,36 +710,28 @@ class SolveService:
             rows += gpu.num_blocks
 
     def _on_completion(self, completion) -> None:
-        job_id, device_id = completion.tag
-        job = self._jobs.get(job_id)
+        job = self._jobs.get(completion.tag[0])
         if job is None:
             return
         with self._lock:
             self._lane_inflight[job.lane] -= 1
             self._lane_completed[job.lane] += 1
         job.inflight -= 1
-        job.dev_inflight[device_id] -= 1
         job.completed += 1
         if job.finalized or job.error is not None:
             return
-        best_before = job.driver.state.best_energy
+        schedule = job.schedule
+        best_before = schedule.best_energy
         try:
-            if job.virtual_time:
-                if not job.replay.stopped:
-                    job.replay.on_completion(completion)
-                    if job.replay.take_reset_request():
-                        self._queue_resets(job)
-            else:
-                action = job.driver.collect(completion)
-                if not job.stopping:
-                    if action == "stop":
-                        job.halt()
-                    elif action == "restart":
-                        self._queue_resets(job)
+            action = schedule.on_completion(completion)
+            if action == "stop":
+                schedule.halt()
+            elif action == "restart":
+                self._queue_resets(job)
         except Exception as exc:
             self._fail_job(job, exc)
             return
-        best_after = job.driver.state.best_energy
+        best_after = schedule.best_energy
         if best_after < best_before:
             self._emit_incumbent(job, best_after)
 
@@ -800,8 +739,8 @@ class SolveService:
         update = IncumbentUpdate(
             job_id=job.id,
             energy=int(energy),
-            vector=job.driver.state.best_vector.copy(),
-            elapsed=time.perf_counter() - job.driver.start,
+            vector=job.schedule.best_vector.copy(),
+            elapsed=time.perf_counter() - job.schedule.start,
         )
         job.handle._push_incumbent(update)
         if job.on_improvement is not None:
@@ -829,11 +768,9 @@ class SolveService:
         if job is None:  # pragma: no cover - failure of an unknown job
             return
         # a failed one-job pack ends one launch per segment
-        for _, device_id in err.tags:
-            with self._lock:
-                self._lane_inflight[job.lane] -= 1
-            job.inflight -= 1
-            job.dev_inflight[device_id] -= 1
+        with self._lock:
+            self._lane_inflight[job.lane] -= len(err.tags)
+        job.inflight -= len(err.tags)
         if not job.finalized:
             self._fail_job(job, err)
 
@@ -841,7 +778,7 @@ class SolveService:
         # the first failure is the job's cause; later ones are its fallout
         if job.error is None:
             job.error = exc
-        job.halt()
+        job.schedule.halt()
 
     def _sweep_finalizable(self) -> None:
         for job in list(self._active.values()):
@@ -859,12 +796,12 @@ class SolveService:
                 continue
             if job.error is not None:
                 status, result = JobStatus.FAILED, None
-            elif job.done_submitting():
+            elif job.schedule.done_submitting():
                 if job.cancel_requested:
                     status = JobStatus.CANCELLED
                 else:
                     status = JobStatus.DONE
-                result = job.driver.result()
+                result = job.schedule.result()
                 result.retries = self._group.retry_counts.get(job.id, 0)
             else:
                 continue

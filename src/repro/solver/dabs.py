@@ -13,22 +13,23 @@ its pool with one sort-merge — :class:`PacketBatch` is the only
 interchange type; per-:class:`Packet` objects appear only on scalar
 reference paths (``_generate_batch_scalar``, tests, examples).
 
-Execution (DESIGN.md §3, §7): the solver's driver (:class:`_AsyncDriver`,
-limits, §IV.B restarts, folds, result) is scheduled by a
-:class:`~repro.service.SolveService` over a
-:class:`~repro.engine.workers.FleetWorkerGroup` — one executor.  A direct
-``solve()`` is a one-job service whose group is inline: the service's
-:class:`~repro.engine.async_engine.VirtualTimeReplay` is stepped in the
-calling thread, and each round's pack-compatible devices run as one
-super-launch, up to ``DABSConfig.coalesce_max_rows`` rows, on buffers
-the inline lane owns for that one solve.
-``solve(service=SolveService(num_gpus))`` runs the solver over the
-service's threaded lanes instead: free-running by default, where each
-device keeps two launches in flight, completions fold into the pools
-the moment they arrive, and each replacement batch is generated from
-the pools *as of arrival* on a per-device RNG stream; or, with
-``DABSConfig.virtual_time``, the same replay as the direct solve, which
-makes the two bit-exact by construction.
+Execution (DESIGN.md §3, §7): every solve is a job of a
+:class:`~repro.service.SolveService`, which drives one schedule per job
+over a :class:`~repro.engine.workers.FleetWorkerGroup` — one executor.
+Both schedules are defined here, over one policy core (limits, §IV.B
+restarts, folds, result): :class:`VirtualTimeSchedule`, the
+double-buffered round replay, and :class:`FreeRunningSchedule`.  A
+direct ``solve()`` is a one-job service whose group is inline: the
+replay is stepped in the calling thread, and each round's
+pack-compatible devices run as one super-launch, up to
+``DABSConfig.coalesce_max_rows`` rows, on buffers the inline lane owns
+for that one solve.  ``solve(service=SolveService(num_gpus))`` runs the
+solver over the service's threaded lanes instead: free-running by
+default, where each device keeps two launches in flight, completions
+fold into the pools the moment they arrive, and each replacement batch
+is generated from the pools *as of arrival* on a per-device RNG stream;
+or, with ``DABSConfig.virtual_time``, the same replay as the direct
+solve, which makes the two bit-exact by construction.
 
 The per-flip kernels below the solver are pluggable
 (:mod:`repro.backends`); ``DABSConfig.backend`` selects one by name, with
@@ -153,30 +154,35 @@ class DABSConfig:
             raise ValueError("coalesce_max_rows must be >= 1")
 
 
-class _RunState:
-    """Mutable best/stats accumulator of one solve's driver.
+#: launches in flight per free-running device (one runs while one folds)
+FREE_RUNNING_DEPTH = 2
 
-    :meth:`fold` performs collection of one result batch — pool insertion
-    plus global-best bookkeeping — so every schedule produces identical
-    records for identical collection sequences.
+
+class _Schedule:
+    """One job's schedule: the interface the service drives, over the
+    policy both schedules share (fold, §IV.B restart, result assembly).
+
+    The service (DESIGN.md §7, §8) calls it from its one scheduler
+    thread only: :meth:`can_submit` and :meth:`take_batch` per device
+    while a lane has room; :meth:`on_completion` per completion, which
+    returns "continue", "stop" (the caller then halts) or "restart" (the
+    caller resets the job's devices before any further launch);
+    :meth:`idle` between completions; :meth:`halt` on a stop, cancel or
+    fault; :meth:`done_submitting` once nothing is in flight; and
+    :meth:`result`.  After :meth:`halt` no batch is handed out and every
+    completion returns "continue".
+
+    The fold is the same for both schedules, so equal fold sequences give
+    equal records.
     """
 
-    __slots__ = (
-        "best_energy",
-        "best_vector",
-        "first_found",
-        "time_to_target",
-        "history",
-        "launches",
-        "flips",
-        "truncations",
-        "truncation_events",
-        "restarts",
-    )
-
-    def __init__(self, n: int) -> None:
+    def __init__(self, solver: "DABSSolver", limits: SolveLimits, start: float, stall):
+        self.solver = solver
+        self.limits = limits
+        self.start = start
+        self.num_devices = solver.config.num_gpus
         self.best_energy: int = VOID_ENERGY
-        self.best_vector = np.zeros(n, dtype=np.uint8)
+        self.best_vector = np.zeros(solver.model.n, dtype=np.uint8)
         self.first_found: tuple[MainAlgorithm, GeneticOp] | None = None
         self.time_to_target: float | None = None
         self.history: list[ImprovementEvent] = []
@@ -185,175 +191,19 @@ class _RunState:
         self.truncations = 0
         self.truncation_events = 0
         self.restarts = 0
-
-    def fold(
-        self,
-        batch: PacketBatch,
-        pool: SolutionPool,
-        round_index: int,
-        start: float,
-        limits: SolveLimits,
-    ) -> bool:
-        """Insert one result batch and update the global best.
-
-        Returns True when the batch improved the global best energy.
-        """
-        pool.insert_batch(
-            batch.vectors, batch.energies, batch.algorithms, batch.operations
-        )
-        winner = int(np.argmin(batch.energies))
-        energy = int(batch.energies[winner])
-        self.launches += 1
-        if energy >= self.best_energy:
-            return False
-        self.best_energy = energy
-        self.best_vector = batch.vectors[winner].copy()
-        algorithm = MainAlgorithm(int(batch.algorithms[winner]))
-        operation = GeneticOp(int(batch.operations[winner]))
-        self.first_found = (algorithm, operation)
-        now = time.perf_counter() - start
-        self.history.append(
-            ImprovementEvent(now, round_index, energy, algorithm, operation)
-        )
-        if self.time_to_target is None and limits.target_reached(energy):
-            self.time_to_target = now
-        return True
-
-
-class _AsyncDriver:
-    """Implements :class:`~repro.engine.async_engine.EngineDriver` for one
-    DABS solve — all solver policy (generation streams, insertion, limit
-    checks, §IV.B restarts, result assembly) lives here, once; the
-    service only schedules.  *virtual_time* picks the schedule: the job's
-    ``DABSConfig.virtual_time``, always on for a direct ``solve()``.
-    """
-
-    def __init__(
-        self,
-        solver: "DABSSolver",
-        limits: SolveLimits,
-        start: float,
-        *,
-        virtual_time: bool = False,
-    ):
-        self.solver = solver
-        self.limits = limits
-        self.start = start
-        cfg = solver.config
-        self.num_devices = cfg.num_gpus
-        self.virtual_time = virtual_time
-        self.state = _RunState(solver.model.n)
-        self._submitted = [0] * cfg.num_gpus
-        self._completed = [0] * cfg.num_gpus
+        #: rounds the result reports
+        self.rounds = 0
+        self._stall = stall
         self._fallback_snap = solver._fallback_snapshot()
-        self._rounds = 0
-        self._round_improved = False
         self._halted = False
-        if virtual_time:
-            # the replay counts whole rounds, the threshold's native unit
-            self._stall = StallTracker(cfg.restart_after_stall)
-            self._device_rngs = None
-        else:
-            # free-running restarts are counted in launches; scale the
-            # round-denominated threshold by THIS solver's device count
-            # (a federation island scales by its own shard, keeping the
-            # per-island restart cadence calibrated — see StallTracker)
-            self._stall = StallTracker.scaled(
-                cfg.restart_after_stall, cfg.num_gpus
-            )
-            # one deterministic generation stream per device, derived from
-            # the host generator — a device's draws no longer depend on
-            # when its neighbours finish
-            self._device_rngs = [
-                host_generator(int(solver._host_rng.integers(2**63)))
-                for _ in range(cfg.num_gpus)
-            ]
-
-    # -- free-running hooks ------------------------------------------------
-    def can_submit(self, device_id: int) -> bool:
-        """True while device *device_id* may be handed another batch —
-        the budget checks of :meth:`next_batch` without the generation
-        side effects (the service scheduler peeks before committing a
-        fleet lane to this job)."""
-        return not (
-            self._halted
-            or self.limits.device_launch_budget(self._submitted[device_id])
-            or self.limits.out_of_launches(sum(self._submitted))
-        )
-
-    def next_batch(self, device_id: int) -> PacketBatch | None:
-        if not self.can_submit(device_id):
-            return None
-        batch = self.solver._generate_batch(
-            device_id, rng=self._device_rngs[device_id]
-        )
-        self.solver.counters.record_batch(batch.algorithms, batch.operations)
-        self._submitted[device_id] += 1
-        return batch
-
-    def collect(self, completion) -> str:
-        state = self.state
-        improved = self._fold(completion)
-        if self._halted:
-            # draining after a stop: in-flight results still land in the
-            # pools, but the run's policy (limits, restarts) is over
-            return "continue"
-        if self.limits.target_reached(state.best_energy):
-            return "stop"
-        if self.limits.out_of_time(time.perf_counter() - self.start):
-            return "stop"
-        if self.limits.out_of_launches(state.launches):
-            return "stop"
-        if self._restart_due(improved):
-            self._do_restart()
-            return "restart"
-        return "continue"
 
     def idle(self) -> str:
-        if self.limits.out_of_time(time.perf_counter() - self.start):
-            return "stop"
+        """Called between completions; "stop" asks the caller to halt."""
         return "continue"
 
     def halt(self) -> None:
         self._halted = True
 
-    # -- virtual-time hooks ------------------------------------------------
-    def generate_round(self) -> list[PacketBatch]:
-        return self.solver._generate_round()
-
-    def record_round(self, batches: list[PacketBatch]) -> None:
-        self.solver._record_counters(batches)
-
-    def wants_round(self, round_index: int) -> bool:
-        completed = round_index - 1
-        return not (
-            self.limits.out_of_rounds(completed)
-            or self.limits.out_of_launches(completed * self.num_devices)
-        )
-
-    def collect_ordered(self, completion) -> None:
-        improved = self._fold(completion)
-        self._round_improved = self._round_improved or improved
-
-    def finish_round(self, round_index: int) -> str:
-        state = self.state
-        self._rounds = round_index
-        improved = self._round_improved
-        self._round_improved = False
-        elapsed = time.perf_counter() - self.start
-        if (
-            self.limits.target_reached(state.best_energy)
-            or self.limits.out_of_time(elapsed)
-            or self.limits.out_of_rounds(round_index)
-            or self.limits.out_of_launches(round_index * self.num_devices)
-        ):
-            return "stop"
-        if self._restart_due(improved):
-            self._do_restart()
-            return "restart"
-        return "continue"
-
-    # -- §IV.B restart policy (shared by both schedules) -------------------
     def _restart_due(self, improved: bool) -> bool:
         solver = self.solver
         cfg = solver.config
@@ -366,49 +216,216 @@ class _AsyncDriver:
     def _do_restart(self) -> None:
         self.solver.ring.reinitialize(self.solver._host_rng)
         self._stall.reset()
-        self.state.restarts += 1
+        self.restarts += 1
 
-    # -- result assembly ---------------------------------------------------
     def _fold(self, completion) -> bool:
-        """Absorb one completion's stats and fold its batch into the
-        device's pool; True when it improved the global best."""
-        state = self.state
-        self._completed[completion.device_id] += 1
-        state.flips += int(completion.flips.sum())
-        state.truncations += completion.truncations
-        state.truncation_events += completion.truncation_events
-        return state.fold(
-            completion.batch,
-            self.solver.pools[completion.device_id],
-            completion.seq,
-            self.start,
-            self.limits,
+        """Absorb one completion's stats, insert its batch into the
+        device's pool and update the global best; True when it improved."""
+        self.flips += int(completion.flips.sum())
+        self.truncations += completion.truncations
+        self.truncation_events += completion.truncation_events
+        batch = completion.batch
+        self.solver.pools[completion.device_id].insert_batch(
+            batch.vectors, batch.energies, batch.algorithms, batch.operations
         )
+        winner = int(np.argmin(batch.energies))
+        energy = int(batch.energies[winner])
+        self.launches += 1
+        if energy >= self.best_energy:
+            return False
+        self.best_energy = energy
+        self.best_vector = batch.vectors[winner].copy()
+        algorithm = MainAlgorithm(int(batch.algorithms[winner]))
+        operation = GeneticOp(int(batch.operations[winner]))
+        self.first_found = (algorithm, operation)
+        now = time.perf_counter() - self.start
+        self.history.append(
+            ImprovementEvent(now, completion.seq, energy, algorithm, operation)
+        )
+        if self.time_to_target is None and self.limits.target_reached(energy):
+            self.time_to_target = now
+        return True
 
     def result(self) -> SolveResult:
-        state = self.state
-        rounds = (
-            self._rounds if self.virtual_time else max(self._completed, default=0)
-        )
         degraded_reasons = self.solver._degradation_since(self._fallback_snap)
         return SolveResult(
-            best_vector=state.best_vector,
-            best_energy=int(state.best_energy),
-            reached_target=self.limits.target_reached(state.best_energy),
-            time_to_target=state.time_to_target,
+            best_vector=self.best_vector,
+            best_energy=int(self.best_energy),
+            reached_target=self.limits.target_reached(self.best_energy),
+            time_to_target=self.time_to_target,
             elapsed=time.perf_counter() - self.start,
-            rounds=rounds,
-            total_flips=state.flips,
+            rounds=self.rounds,
+            total_flips=self.flips,
             counters=self.solver.counters,
-            first_found=state.first_found,
-            history=state.history,
-            restarts=state.restarts,
-            launches=state.launches,
-            greedy_truncations=state.truncations,
-            greedy_truncation_warnings=state.truncation_events,
+            first_found=self.first_found,
+            history=self.history,
+            restarts=self.restarts,
+            launches=self.launches,
+            greedy_truncations=self.truncations,
+            greedy_truncation_warnings=self.truncation_events,
             degraded=bool(degraded_reasons),
             degraded_reasons=degraded_reasons,
         )
+
+
+class FreeRunningSchedule(_Schedule):
+    """The throughput schedule (DESIGN.md §7): every device keeps up to
+    :data:`FREE_RUNNING_DEPTH` launches in flight, each completion folds
+    the moment it arrives, and the freed slot gets a batch generated from
+    the pools as they are now, on the device's own RNG stream."""
+
+    def __init__(self, solver: "DABSSolver", limits: SolveLimits, start: float):
+        cfg = solver.config
+        # restarts are counted in launches; scale the round-denominated
+        # threshold by THIS solver's device count (a federation island
+        # scales by its own shard, keeping the per-island restart cadence
+        # calibrated — see StallTracker)
+        super().__init__(
+            solver, limits, start, StallTracker.scaled(cfg.restart_after_stall, cfg.num_gpus)
+        )
+        # one deterministic generation stream per device, derived from the
+        # host generator — a device's draws do not depend on when its
+        # neighbours finish
+        self._rngs = [
+            host_generator(int(solver._host_rng.integers(2**63))) for _ in range(cfg.num_gpus)
+        ]
+        #: per device: launches handed out (each one's seq), completed,
+        #: and in flight
+        self._submitted = [0] * cfg.num_gpus
+        self._completed = [0] * cfg.num_gpus
+        self._inflight = [0] * cfg.num_gpus
+
+    def _has_budget(self, device_id: int) -> bool:
+        return not (
+            self._halted
+            or self.limits.device_launch_budget(self._submitted[device_id])
+            or self.limits.out_of_launches(sum(self._submitted))
+        )
+
+    def can_submit(self, device_id: int) -> bool:
+        return self._inflight[device_id] < FREE_RUNNING_DEPTH and self._has_budget(device_id)
+
+    def take_batch(self, device_id: int) -> tuple[int, PacketBatch] | None:
+        if not self.can_submit(device_id):
+            return None
+        batch = self.solver._generate_batch(device_id, rng=self._rngs[device_id])
+        self.solver.counters.record_batch(batch.algorithms, batch.operations)
+        self._submitted[device_id] += 1
+        self._inflight[device_id] += 1
+        return self._submitted[device_id], batch
+
+    def on_completion(self, completion) -> str:
+        device_id = completion.device_id
+        self._inflight[device_id] -= 1
+        self._completed[device_id] += 1
+        self.rounds = max(self.rounds, self._completed[device_id])
+        improved = self._fold(completion)
+        if self._halted:
+            # draining after a stop: in-flight results still land in the
+            # pools, but the run's policy (limits, restarts) is over
+            return "continue"
+        if (
+            self.limits.target_reached(self.best_energy)
+            or self.limits.out_of_time(time.perf_counter() - self.start)
+            or self.limits.out_of_launches(self.launches)
+        ):
+            return "stop"
+        if self._restart_due(improved):
+            self._do_restart()
+            return "restart"
+        return "continue"
+
+    def idle(self) -> str:
+        if self.limits.out_of_time(time.perf_counter() - self.start):
+            return "stop"
+        return "continue"
+
+    def done_submitting(self) -> bool:
+        return not any(self._has_budget(d) for d in range(self.num_devices))
+
+
+class VirtualTimeSchedule(_Schedule):
+    """The determinism schedule (DESIGN.md §7): the double-buffered round
+    order as an event-driven state machine.
+
+    Round *r+1* is generated while round *r* flies, so generation reads
+    the pools as of round *r−1*; a round's completions fold in device
+    order once all have arrived, whatever order they came in; round
+    *r+1* is released when round *r* folds, so a device has at most one
+    launch in flight; and a §IV.B restart regenerates the round after
+    the caller's device resets.  A direct ``solve()`` steps this in the
+    calling thread and a served job between other tenants' work, so both
+    give the same result.
+    """
+
+    def __init__(self, solver: "DABSSolver", limits: SolveLimits, start: float):
+        # the replay counts whole rounds, the threshold's native unit
+        super().__init__(
+            solver, limits, start, StallTracker(solver.config.restart_after_stall)
+        )
+        self.round = 0
+        #: device → (seq, batch) ready for its lane
+        self._pending: dict[int, tuple[int, PacketBatch]] = {}
+        #: device → completion of the round in flight
+        self._results: dict = {}
+        self._next_batches = solver._generate_round()
+        self._begin_round()
+
+    def _begin_round(self) -> None:
+        self.round += 1
+        batches = self._next_batches
+        for device_id in range(self.num_devices):
+            self._pending[device_id] = (self.round, batches[device_id])
+        self.solver._record_counters(batches)
+        # round r+1 is generated while round r is in flight — it reads the
+        # pools as of round r−1 (the double-buffered round order)
+        last = self.limits.out_of_rounds(self.round) or self.limits.out_of_launches(
+            self.round * self.num_devices
+        )
+        self._next_batches = None if last else self.solver._generate_round()
+
+    def can_submit(self, device_id: int) -> bool:
+        return device_id in self._pending
+
+    def take_batch(self, device_id: int) -> tuple[int, PacketBatch] | None:
+        return self._pending.pop(device_id, None)
+
+    def on_completion(self, completion) -> str:
+        if self._halted:
+            # a halted replay drops its unfinished round
+            return "continue"
+        self._results[completion.device_id] = completion
+        if len(self._results) < self.num_devices:
+            return "continue"
+        # round complete: fold in device order, which fixes pool content
+        improved = False
+        for device_id in range(self.num_devices):
+            improved = self._fold(self._results[device_id]) or improved
+        self._results = {}
+        self.rounds = self.round
+        if (
+            self.limits.target_reached(self.best_energy)
+            or self.limits.out_of_time(time.perf_counter() - self.start)
+            or self.limits.out_of_rounds(self.round)
+            or self.limits.out_of_launches(self.round * self.num_devices)
+        ):
+            return "stop"
+        verdict = "continue"
+        if self._restart_due(improved):
+            self._do_restart()
+            # nothing is in flight between rounds, so the caller's device
+            # resets land before the regenerated round
+            self._next_batches = self.solver._generate_round()
+            verdict = "restart"
+        self._begin_round()
+        return verdict
+
+    def halt(self) -> None:
+        self._halted = True
+        self._pending.clear()
+
+    def done_submitting(self) -> bool:
+        return self._halted
 
 
 #: model → {backend: kernel}: the kernels direct solves prepared, keyed by
@@ -462,14 +479,13 @@ class DABSSolver:
         self.ring = IslandRing(self.pools)
         # resolve the backend and build its per-model kernel cache once;
         # every virtual GPU shares the read-only cache, and later solvers
-        # of the same model object reuse it — but pack only with this
-        # solver's own devices (pack_owner), as when each prepared its
-        # own.  A PreparedProblem handle (repro.backends.prepare_problem /
-        # the service's ProblemCache) skips preparation entirely: the
-        # backend-resident matrices are reused across solvers of the same
-        # instance, whose launches may pack together.
+        # of the same model object reuse it.  A PreparedProblem handle
+        # (repro.backends.prepare_problem / the service's ProblemCache)
+        # skips preparation entirely: the backend-resident matrices are
+        # reused across solvers of the same instance.  Solvers sharing a
+        # kernel share a pack key, and the service packs them by share
+        # and priority (DESIGN.md §8).
         self._prepare_fallback_reasons: tuple[str, ...] = ()
-        pack_owner = None
         if prepared is not None:
             if not prepared.matches(model):
                 raise ValueError(
@@ -481,7 +497,6 @@ class DABSSolver:
             kernel = prepared.kernel
         else:
             backend = resolve_backend(cfg.backend, model)
-            pack_owner = object()
             try:
                 kernel = _prepared_kernel(backend, model)
             except Exception as exc:
@@ -511,7 +526,6 @@ class DABSSolver:
                 backend=backend,
                 kernel=kernel,
                 allow_fallback=cfg.backend_fallback,
-                pack_owner=pack_owner,
             )
             for i in range(cfg.num_gpus)
         ]

@@ -72,7 +72,7 @@ class TestBestTracker:
         # force a better vector in row 0 via a 1-bit neighbour
         j = int(np.argmin(state.delta[0]))
         if state.delta[0, j] < 0:
-            tracker.update(state)
+            tracker.fold(state)
             expected = state.x[0].copy()
             expected[j] ^= 1
             assert np.array_equal(tracker.best_x[0], expected)
@@ -91,7 +91,7 @@ class TestBestTracker:
         tracker = BestTracker(state)
         before = tracker.best_energy.copy()
         state.flip(np.argmax(state.delta, axis=1))  # uphill flip
-        tracker.update(state)
+        tracker.fold(state)
         assert np.all(tracker.best_energy <= before)
 
 

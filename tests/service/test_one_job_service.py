@@ -14,18 +14,20 @@ cases live in ``tests/service/test_service.py``.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import replace
 
 import pytest
 
 from repro.backends import BackendFallbackWarning
 from repro.core.qubo import brute_force
-from repro.engine.workers import WORKER_NAME_PREFIX, WorkerError
+from repro.engine.workers import WORKER_NAME_PREFIX, LaunchCompletion, WorkerError
 from repro.resilience import ChaosConfig, chaos
 from repro.search.batch import BatchSearchConfig
 from repro.service import SolveService
 from repro.solver.abs_solver import ABSSolver
-from repro.solver.dabs import DABSConfig, DABSSolver
+from repro.solver.dabs import DABSConfig, DABSSolver, FreeRunningSchedule, VirtualTimeSchedule
+from repro.solver.termination import SolveLimits
 from tests.conftest import random_qubo
 
 BASE = dict(
@@ -282,32 +284,36 @@ class TestLifecycle:
             chaos.reset()
         assert caught.value.device_id == 0
 
-    def test_draining_never_triggers_restart_policy(self):
-        """Regression: completions drained after a stop must still land in
-        the pools but must not advance the stall counter into a §IV.B
-        restart (which would wipe the pools post-termination)."""
-        import time as time_mod
-
-        from repro.engine.workers import LaunchCompletion
-        from repro.solver.dabs import _AsyncDriver
-        from repro.solver.termination import SolveLimits
-
+    @pytest.mark.parametrize(
+        "schedule_cls",
+        [FreeRunningSchedule, VirtualTimeSchedule],
+        ids=["free", "virtual"],
+    )
+    def test_a_halted_schedule_submits_nothing_and_never_restarts(self, schedule_cls):
+        """The schedule contract after ``halt()``: no batch is handed out
+        and a drained completion never returns "restart" (which would
+        wipe the pools after termination).  Free-running still folds
+        drained results; virtual time drops its unfinished round."""
         model = random_qubo(12, seed=39)
         cfg = DABSConfig(**BASE, restart_after_stall=1)
         solver = DABSSolver(model, cfg, seed=0)
-        driver = _AsyncDriver(
-            solver, SolveLimits(max_rounds=50), start=time_mod.perf_counter()
-        )
-        batch = solver._generate_batch(0, rng=driver._device_rngs[0])
-        result, flips = solver.gpus[0].launch(batch)
-        driver.halt()
-        # far beyond the stall threshold (1 round × 2 devices): every
-        # drained completion is absorbed without firing the restart
+        schedule = schedule_cls(solver, SolveLimits(max_rounds=50), time.perf_counter())
+        entries = [schedule.take_batch(d) for d in range(cfg.num_gpus)]
+        launched = [solver.gpus[d].launch(batch) for d, (_, batch) in enumerate(entries)]
+        schedule.halt()
+        assert schedule.done_submitting()
+        for d in range(cfg.num_gpus):
+            assert not schedule.can_submit(d)
+            assert schedule.take_batch(d) is None
+        # far beyond the stall threshold: every drained completion is
+        # absorbed without firing the restart policy
         for seq in range(1, 10):
-            completion = LaunchCompletion(0, seq, result, flips, 0, 0)
-            assert driver.collect(completion) == "continue"
-        assert driver.state.restarts == 0
-        assert driver.state.launches == 9  # results still folded in
+            for d, (result, flips) in enumerate(launched):
+                completion = LaunchCompletion(d, seq, result, flips, 0, 0)
+                assert schedule.on_completion(completion) == "continue"
+        assert schedule.restarts == 0
+        folded = 9 * cfg.num_gpus if schedule_cls is FreeRunningSchedule else 0
+        assert schedule.launches == folded
 
     @MODES
     def test_back_to_back_solves_reuse_solver(self, virtual_time):

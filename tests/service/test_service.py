@@ -520,6 +520,32 @@ class TestFairness:
             slow.wait(timeout=60)
         assert 4 <= sampled <= 22, sampled
 
+    def test_pack_mates_keep_their_share(self, monkeypatch):
+        """Two cache-hit jobs of one instance share a pack key, yet a pack
+        never lifts the share-1 job above its rate: when the share-3 job
+        finishes its 60 launches the other should have had about 20, not
+        one per pack it could ride (about 60)."""
+        from repro.engine.coalesce import SuperLaunch
+
+        run = SuperLaunch.run
+
+        def busy(self, scratch_map):
+            time.sleep(0.003)  # a busy device: packs form on a full lane
+            return run(self, scratch_map)
+
+        monkeypatch.setattr(SuperLaunch, "run", busy)
+        model = random_qubo(64, seed=8)
+        cfg = DABSConfig(num_gpus=1, blocks_per_gpu=4, pool_capacity=10)
+        with SolveService(devices=1, default_config=cfg) as service:
+            slow_job = service.submit(model, seed=1, max_rounds=400, share=1.0)
+            fast_job = service.submit(model, seed=2, max_rounds=60, share=3.0)
+            fast_job.result(timeout=60)
+            sampled = service.job_stats(slow_job.job_id)["launches_submitted"]
+            slow_job.cancel()
+            slow_job.wait(timeout=60)
+            assert service.cache.stats.hits == 1
+        assert 10 <= sampled <= 32, sampled
+
     def test_priority_preempts_scheduling(self, sleepy_solver):
         """A high-priority arrival takes over the lane; the low-priority
         job barely advances until it completes."""

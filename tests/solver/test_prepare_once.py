@@ -67,15 +67,15 @@ def test_a_reused_kernel_solves_as_a_fresh_one():
     assert first == again == fresh
 
 
-def test_solvers_sharing_a_kernel_do_not_pack_together():
-    """A remembered kernel does not merge pack keys: a solver's devices
-    pack only with each other, as when every solver prepared its own, so a
-    service still schedules two such solvers by their shares."""
+def test_solvers_sharing_a_kernel_share_a_pack_key():
+    """A remembered kernel is one pack key: two solvers of one model
+    object may pack together, and a service still serves them by share
+    and priority (``TestFairness`` in ``tests/service/test_service.py``)."""
     model = random_qubo(20, seed=5)
     first, second = (DABSSolver(model, CONFIG, seed=seed) for seed in range(2))
     assert first.gpus[0].kernel is second.gpus[0].kernel
     assert first.gpus[0].pack_key == first.gpus[1].pack_key
-    assert first.gpus[0].pack_key != second.gpus[0].pack_key
+    assert first.gpus[0].pack_key == second.gpus[0].pack_key
 
 
 def test_a_dropped_model_is_not_kept_alive():
